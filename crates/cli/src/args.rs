@@ -29,8 +29,6 @@ pub enum Command {
     /// List scenario presets, or check/dump scenario files
     /// (`--check <dir>` / `--dump <dir>`).
     Scenarios,
-    /// Walk-evaluation performance smoke; writes `BENCH_walk.json`.
-    Perf,
     /// Networked DAG-FL peer (gossip over TCP, tracker discovery).
     Peer,
     /// Peer-discovery tracker for the networked mode.
@@ -51,7 +49,6 @@ impl Command {
             "analyze" => Some(Command::Analyze),
             "sweep" => Some(Command::Sweep),
             "scenarios" => Some(Command::Scenarios),
-            "perf" => Some(Command::Perf),
             "peer" => Some(Command::Peer),
             "tracker" => Some(Command::Tracker),
             "help" | "--help" | "-h" => Some(Command::Help),
@@ -234,7 +231,6 @@ COMMANDS:
     fedprox   FedProx baseline (use --mu, --stragglers)
     local     local-only training (no communication)
     async     event-driven asynchronous DAG simulation
-    perf      walk-evaluation performance smoke (writes BENCH_walk.json)
     peer      networked DAG-FL peer: gossip over TCP, tracker discovery,
               snapshot sync for late joiners
     tracker   peer-discovery tracker for the networked mode
@@ -246,7 +242,7 @@ SCENARIOS:
     Presets resolve at quick scale by default; pass --full (or set
     DAGFL_FULL=1) for the paper's scale — the flag wins over the
     environment. `run --digest` also prints the tangle digest, a
-    backend- and worker-count-independent hash of the final DAG, and
+    worker-count-independent hash of the final DAG, and
     `run --workers N` overrides an async scenario's event-loop worker
     count (results are byte-identical at any count).
 
@@ -281,7 +277,6 @@ COMMON FLAGS (defaults in parentheses):
     --batch-size        mini-batch size             (10)
     --lr                SGD learning rate           (0.05)
     --seed              master seed                 (42)
-    --backend           matmul backend: naive | tiled (tiled)
 
 DAG FLAGS:
     --alpha             walk randomness parameter   (10)
@@ -292,18 +287,6 @@ DAG FLAGS:
 FEDPROX FLAGS:
     --mu                proximal strength           (0.1)
     --stragglers        straggler fraction          (0.0)
-
-PERF FLAGS:
-    --transactions      synthetic tangle size                 (500)
-    --walks             walks per phase (cold + warm cache)   (20)
-    --samples           samples per synthetic client          (240)
-    --alpha             walk randomness parameter             (10)
-    --clients           async-phase client count, min 3       (64)
-    --workers           async-phase training threads          (4)
-    --activations       async-phase total activations         (--clients)
-    --train-steps       training-phase SGD steps per backend  (60)
-    --out               output JSON path   (results/BENCH_walk.json)
-    --train-out         training JSON path (results/BENCH_train.json)
 
 ASYNC FLAGS:
     --activations       total client activations              (200)
@@ -384,7 +367,6 @@ mod tests {
             ("analyze", Command::Analyze),
             ("sweep", Command::Sweep),
             ("scenarios", Command::Scenarios),
-            ("perf", Command::Perf),
             ("peer", Command::Peer),
             ("tracker", Command::Tracker),
             ("help", Command::Help),
@@ -475,7 +457,6 @@ mod tests {
             "analyze",
             "sweep",
             "scenarios",
-            "perf",
             "peer",
             "tracker",
         ] {

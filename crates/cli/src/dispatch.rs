@@ -14,7 +14,6 @@ use dagfl_datasets::{
     cifar100_like, fedprox_synthetic, fmnist_by_author, fmnist_clustered, poets, Cifar100Config,
     FedProxConfig, FederatedDataset, FmnistConfig, PoetsConfig,
 };
-use dagfl_nn::MatmulBackendKind;
 use dagfl_scenario::{
     ModelSpec, Scale, Scenario, ScenarioRunner, SweepAxis, SweepRunner, SweepSpec,
 };
@@ -105,17 +104,7 @@ fn build_task(
         DatasetKind::FedProxSynthetic => ModelSpec::Linear,
         _ => ModelSpec::Mlp { hidden: vec![64] },
     };
-    let backend_word = args.get_or("backend", "tiled").to_string();
-    let backend = MatmulBackendKind::parse(&backend_word).ok_or(ParseError::InvalidValue {
-        flag: "backend".into(),
-        value: backend_word,
-    })?;
-    let inner = spec.build_factory(dataset.feature_len(), dataset.num_classes());
-    let factory: ModelFactory = std::sync::Arc::new(move |rng| {
-        let mut model = inner(rng);
-        model.set_matmul_backend(backend);
-        model
-    });
+    let factory = spec.build_factory(dataset.feature_len(), dataset.num_classes());
     Ok((dataset, factory))
 }
 
@@ -187,19 +176,29 @@ fn config_error(err: CoreError) -> ParseError {
     }
 }
 
+/// The error for a flag whose value is none of its accepted words.
+fn unknown_word(flag: &str, word: &str) -> ParseError {
+    ParseError::InvalidValue {
+        flag: flag.into(),
+        value: word.into(),
+    }
+}
+
 fn dag_config(args: &ParsedArgs, num_clients: usize) -> Result<DagConfig, ParseError> {
     let alpha: f32 = args.get_parsed_or("alpha", 10.0)?;
     let normalization = match args.get_or("normalization", "simple") {
+        "simple" => Normalization::Simple,
         "dynamic" => Normalization::Dynamic,
-        _ => Normalization::Simple,
+        other => return Err(unknown_word("normalization", other)),
     };
     let selector = match args.get_or("selector", "accuracy") {
-        "random" => TipSelector::Random,
-        "cumulative" => TipSelector::CumulativeWeight { alpha },
-        _ => TipSelector::Accuracy {
+        "accuracy" => TipSelector::Accuracy {
             alpha,
             normalization,
         },
+        "random" => TipSelector::Random,
+        "cumulative" => TipSelector::CumulativeWeight { alpha },
+        other => return Err(unknown_word("selector", other)),
     };
     let stop_margin: f32 = args.get_parsed_or("stop-margin", 0.0)?;
     let config = DagConfig {
@@ -237,12 +236,7 @@ fn async_config(args: &ParsedArgs, num_clients: usize) -> Result<AsyncConfig, Pa
             slow: slow_delay,
             jitter,
         },
-        other => {
-            return Err(ParseError::InvalidValue {
-                flag: "delay-model".into(),
-                value: other.into(),
-            })
-        }
+        other => return Err(unknown_word("delay-model", other)),
     };
     // Flags that the chosen delay model happens not to use are still
     // range-checked, so a typo like `--slow-fraction 1.5` never passes
@@ -274,12 +268,7 @@ fn async_config(args: &ParsedArgs, num_clients: usize) -> Result<AsyncConfig, Pa
         "publish" => StaleTipPolicy::PublishAnyway,
         "reselect" => StaleTipPolicy::Reselect,
         "discard" => StaleTipPolicy::Discard,
-        other => {
-            return Err(ParseError::InvalidValue {
-                flag: "stale-policy".into(),
-                value: other.into(),
-            })
-        }
+        other => return Err(unknown_word("stale-policy", other)),
     };
     let config = AsyncConfig {
         dag: dag_config(args, num_clients)?,
@@ -375,7 +364,6 @@ pub fn run_command(args: &ParsedArgs) -> Result<(), Box<dyn Error>> {
         Command::Analyze => return analyze_command(args),
         Command::Sweep => return sweep_command(args),
         Command::Scenarios => return scenarios_command(args),
-        Command::Perf => return crate::perf::perf_command(args),
         Command::Peer => return crate::net::peer_command(args),
         Command::Tracker => return crate::net::tracker_command(args),
         _ => {}
@@ -506,7 +494,6 @@ pub fn run_command(args: &ParsedArgs) -> Result<(), Box<dyn Error>> {
         | Command::Analyze
         | Command::Sweep
         | Command::Scenarios
-        | Command::Perf
         | Command::Peer
         | Command::Tracker => {
             unreachable!("handled above")
@@ -1003,6 +990,8 @@ mod tests {
             (vec!["async", "--slowdown", "0.5"], "slowdown"),
             (vec!["dag", "--lr", "-1"], "lr"),
             (vec!["dag", "--batches", "0"], "batches"),
+            (vec!["dag", "--selector", "cumulativ"], "selector"),
+            (vec!["dag", "--normalization", "nope"], "normalization"),
         ] {
             let args = ParsedArgs::parse(flags.clone()).unwrap();
             let err = if flags[0] == "async" {

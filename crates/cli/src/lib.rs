@@ -25,7 +25,6 @@
 pub mod args;
 pub mod dispatch;
 pub mod net;
-pub mod perf;
 
 pub use args::{Command, ParseError, ParsedArgs, USAGE};
 pub use dispatch::{run_command, DatasetKind};

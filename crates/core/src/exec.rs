@@ -11,8 +11,6 @@
 //! [`AsyncSimulation`](crate::AsyncSimulation) through one `dyn`
 //! interface and compare them on identical budgets.
 
-use std::ops::Deref;
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -24,30 +22,6 @@ use crate::{
     AsyncSimulation, CoreError, ShardedModelTangle, Simulation, SpecializationMetrics,
     {approval_pureness_of, client_graph_of},
 };
-
-/// A read-only view of a simulator's globally visible tangle.
-///
-/// Both simulators now own a [`ShardedModelTangle`], whose read path is
-/// lock-free, so the view is a plain borrow: deref it to
-/// [`ShardedModelTangle`] (or use it through
-/// [`dagfl_tangle::TangleRead`]) — no guard is held and the view can be
-/// kept for as long as the simulator is borrowed.
-pub struct TangleView<'a>(&'a ShardedModelTangle);
-
-impl<'a> TangleView<'a> {
-    /// Wraps a borrow of a simulator's tangle.
-    pub fn new(tangle: &'a ShardedModelTangle) -> Self {
-        Self(tangle)
-    }
-}
-
-impl Deref for TangleView<'_> {
-    type Target = ShardedModelTangle;
-
-    fn deref(&self) -> &ShardedModelTangle {
-        self.0
-    }
-}
 
 /// A simulator that can run a Specializing-DAG workload to completion
 /// and expose its tangle for analysis, regardless of whether progress is
@@ -70,17 +44,9 @@ pub trait ExecutionMode {
     /// Propagates model/tangle errors.
     fn run_to_completion(&mut self) -> Result<(), CoreError>;
 
-    /// A read-only view of the globally visible tangle; deref it to
-    /// [`ShardedModelTangle`].
-    fn tangle_view(&self) -> TangleView<'_>;
-
-    /// Calls `f` with the globally visible tangle.
-    ///
-    /// Kept for callers written against the original callback shape;
-    /// [`ExecutionMode::tangle_view`] is the preferred accessor.
-    fn with_tangle(&self, f: &mut dyn FnMut(&ShardedModelTangle)) {
-        f(&self.tangle_view());
-    }
+    /// The globally visible tangle. Its read path is lock-free, so the
+    /// borrow can be kept for as long as the simulator is borrowed.
+    fn tangle(&self) -> &ShardedModelTangle;
 
     /// Mean post-training accuracy over the most recent `n` client
     /// evaluations.
@@ -88,17 +54,17 @@ pub trait ExecutionMode {
 
     /// The derived client graph `G_clients` (§4.3).
     fn client_graph(&self) -> Graph {
-        client_graph_of(&*self.tangle_view(), self.dataset().num_clients())
+        client_graph_of(self.tangle(), self.dataset().num_clients())
     }
 
     /// Approval pureness of the visible tangle (Table 2).
     fn approval_pureness(&self) -> f64 {
-        approval_pureness_of(&*self.tangle_view(), &self.dataset().cluster_labels())
+        approval_pureness_of(self.tangle(), &self.dataset().cluster_labels())
     }
 
     /// Structural statistics of the visible tangle.
     fn tangle_stats(&self) -> TangleStats {
-        self.tangle_view().stats()
+        self.tangle().stats()
     }
 
     /// The §4.3 specialization metrics, with Louvain seeded by `seed`
@@ -137,8 +103,8 @@ impl ExecutionMode for Simulation {
         Simulation::run(self).map(|_| ())
     }
 
-    fn tangle_view(&self) -> TangleView<'_> {
-        TangleView::new(self.tangle())
+    fn tangle(&self) -> &ShardedModelTangle {
+        Simulation::tangle(self)
     }
 
     fn recent_accuracy(&self, n: usize) -> f32 {
@@ -163,8 +129,8 @@ impl ExecutionMode for AsyncSimulation {
         AsyncSimulation::run(self)
     }
 
-    fn tangle_view(&self) -> TangleView<'_> {
-        TangleView::new(self.tangle())
+    fn tangle(&self) -> &ShardedModelTangle {
+        AsyncSimulation::tangle(self)
     }
 
     fn recent_accuracy(&self, n: usize) -> f32 {
@@ -254,18 +220,6 @@ mod tests {
         for mode in &mut both_modes() {
             mode.run_to_completion().unwrap();
             assert_eq!(mode.client_graph().num_nodes(), 6);
-        }
-    }
-
-    #[test]
-    fn tangle_view_derefs_and_with_tangle_agrees() {
-        for mode in &mut both_modes() {
-            mode.run_to_completion().unwrap();
-            let via_view = mode.tangle_view().len();
-            let mut via_callback = 0;
-            mode.with_tangle(&mut |t| via_callback = t.len());
-            assert_eq!(via_view, via_callback, "{}", mode.mode_name());
-            assert!(via_view >= 1);
         }
     }
 }

@@ -113,7 +113,7 @@ pub use config::{DagConfig, Hyperparameters, Normalization, PublishGate, TipSele
 pub use delay::{ComputeProfile, DelayModel, StaleTipPolicy};
 pub use error::CoreError;
 pub use evaluator::{EvalCounters, ModelEvaluator};
-pub use exec::{ExecutionMode, TangleView};
+pub use exec::ExecutionMode;
 pub use fault::{CrashWindow, FaultPlan, FaultyTransport, PartitionWindow, FAULT_STREAM};
 pub use metrics::{
     approval_pureness_of, client_graph_of, tangle_digest, ClientGraphTracker, RoundMetrics,
@@ -122,10 +122,7 @@ pub use metrics::{
 pub use net::{
     have_set, tracker_join, tracker_leave, ControlEvent, TcpTransport, Tracker, TrackerSummary,
 };
-pub use payload::{
-    perturbed_model_tangle, ModelFactory, ModelPayload, ModelTangle, ShardedModelTangle,
-    SharedModelTangle,
-};
+pub use payload::{ModelFactory, ModelPayload, ModelTangle, ShardedModelTangle};
 pub use peer::{run_peer, PeerConfig, PeerReport};
 pub use poisoning::{mean_accuracy_series, PoisonRoundMetrics, PoisoningConfig, PoisoningScenario};
 pub use replica::{Replica, ReplicaTangle, SegmentRegistry, GENESIS_NET_ID};

@@ -3,10 +3,9 @@
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use dagfl_nn::Model;
-use dagfl_tangle::{ShardedTangle, SharedTangle, Tangle};
+use dagfl_tangle::{ShardedTangle, Tangle};
 
 /// A published model update: the full flat parameter vector, shared
 /// immutably between the tangle and any evaluation caches.
@@ -59,9 +58,6 @@ impl From<Vec<f32>> for ModelPayload {
 /// A tangle of model updates.
 pub type ModelTangle = Tangle<ModelPayload>;
 
-/// A thread-safe tangle of model updates.
-pub type SharedModelTangle = SharedTangle<ModelPayload>;
-
 /// A concurrent, shard-indexed tangle of model updates whose read path
 /// never takes a global lock — the storage backend of both simulators.
 pub type ShardedModelTangle = ShardedTangle<ModelPayload>;
@@ -72,38 +68,6 @@ pub type ShardedModelTangle = ShardedTangle<ModelPayload>;
 /// reproducible; all models it returns must share one architecture (equal
 /// parameter counts).
 pub type ModelFactory = Arc<dyn Fn(&mut StdRng) -> Box<dyn Model> + Send + Sync>;
-
-/// Builds a synthetic benchmark tangle: `n` transactions whose payloads
-/// are ±0.05-perturbed copies of `params`, each approving one recent
-/// transaction (within the last 8) and one uniformly random earlier one.
-///
-/// This is the shared workload of the `walk_eval` / `accuracy_walk`
-/// benches and the `dagfl perf` smoke — one construction, so their
-/// numbers stay comparable.
-///
-/// # Panics
-///
-/// Panics if `n` is zero.
-pub fn perturbed_model_tangle(n: usize, params: &[f32], seed: u64) -> ModelTangle {
-    assert!(n > 0, "a tangle needs at least the genesis");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut tangle = Tangle::new(ModelPayload::new(params.to_vec()));
-    let mut ids = vec![tangle.genesis()];
-    for _ in 1..n {
-        let perturbed: Vec<f32> = params
-            .iter()
-            .map(|&p| p + rng.gen_range(-0.05f32..0.05))
-            .collect();
-        let recent = ids.len().saturating_sub(8);
-        let p1 = ids[rng.gen_range(recent..ids.len())];
-        let p2 = ids[rng.gen_range(0..ids.len())];
-        let id = tangle
-            .attach(ModelPayload::new(perturbed), &[p1, p2])
-            .expect("parents exist");
-        ids.push(id);
-    }
-    tangle
-}
 
 #[cfg(test)]
 mod tests {
@@ -124,19 +88,6 @@ mod tests {
     fn from_vec_works() {
         let p: ModelPayload = vec![0.5].into();
         assert_eq!(p.params(), &[0.5]);
-    }
-
-    #[test]
-    fn perturbed_tangle_has_requested_size_and_deterministic_payloads() {
-        let a = perturbed_model_tangle(20, &[1.0; 8], 7);
-        let b = perturbed_model_tangle(20, &[1.0; 8], 7);
-        assert_eq!(a.len(), 20);
-        for (ta, tb) in a.iter().zip(b.iter()) {
-            assert_eq!(ta.id(), tb.id());
-            assert_eq!(ta.payload().params(), tb.payload().params());
-            assert_eq!(ta.parents(), tb.parents());
-        }
-        assert_eq!(perturbed_model_tangle(1, &[0.0], 0).len(), 1);
     }
 
     #[test]

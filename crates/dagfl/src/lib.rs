@@ -97,7 +97,7 @@ pub use dagfl_core::{
     DelayModel, EvalCounters, ExecutionMode, FaultPlan, FaultyTransport, GossipMessage,
     Hyperparameters, LoopbackTransport, ModelEvaluator, Normalization, PartitionWindow, PeerConfig,
     PeerReport, PoisoningConfig, PoisoningScenario, PublishGate, Replica, Simulation,
-    StaleTipPolicy, TangleView, TcpTransport, TipSelector, Tracker, Transport, TxMessage,
+    StaleTipPolicy, TcpTransport, TipSelector, Tracker, Transport, TxMessage,
 };
 pub use dagfl_nn::TrainScratch;
 pub use dagfl_scenario::{

@@ -510,7 +510,7 @@ impl Model for Sequential {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Dense, Relu};
+    use crate::{CharRnn, Conv2d, Dense, ImageShape, Relu};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -839,26 +839,61 @@ mod tests {
         assert_eq!(grads_after, grads_before);
     }
 
-    #[test]
-    fn naive_and_tiled_training_is_bit_identical() {
-        let (x, y) = toy_batch();
+    /// Trains two copies of `build()`, one per backend, and demands
+    /// identical loss and parameter bits after every step.
+    fn assert_backends_train_identically(
+        family: &str,
+        build: impl Fn() -> Box<dyn Model>,
+        x: &Matrix,
+        y: &[usize],
+    ) {
         let opt = SgdConfig::new(0.5);
-        let mut naive = tiny_model(17);
-        let mut tiled = tiny_model(17);
+        let (mut naive, mut tiled) = (build(), build());
         naive.set_matmul_backend(MatmulBackendKind::Naive);
         tiled.set_matmul_backend(MatmulBackendKind::Tiled);
         for step in 0..30 {
-            let ln = naive.train_batch(&x, &y, &opt).unwrap();
-            let lt = tiled.train_batch(&x, &y, &opt).unwrap();
-            assert_eq!(ln.to_bits(), lt.to_bits(), "loss diverged at step {step}");
+            let ln = naive.train_batch(x, y, &opt).unwrap();
+            let lt = tiled.train_batch(x, y, &opt).unwrap();
+            assert_eq!(
+                ln.to_bits(),
+                lt.to_bits(),
+                "{family}: loss diverged at step {step}"
+            );
             let (pn, pt) = (naive.parameters(), tiled.parameters());
             for (i, (a, b)) in pn.iter().zip(&pt).enumerate() {
                 assert_eq!(
                     a.to_bits(),
                     b.to_bits(),
-                    "parameter {i} diverged at step {step}"
+                    "{family}: parameter {i} diverged at step {step}"
                 );
             }
         }
+    }
+
+    #[test]
+    fn naive_and_tiled_training_is_bit_identical() {
+        // One case per model family a scenario can build: the Dense
+        // stack, a Conv2d stack (as the gradcheck suite builds it) and
+        // the GRU char-rnn of `ModelSpec::CharRnn`.
+        let (x, y) = toy_batch();
+        assert_backends_train_identically("dense", || Box::new(tiny_model(17)), &x, &y);
+        let x = Matrix::from_fn(4, 16, |r, c| ((r * 16 + c) % 7) as f32 * 0.31 - 1.0);
+        let conv = || {
+            let mut rng = StdRng::seed_from_u64(17);
+            let conv = Conv2d::new(&mut rng, ImageShape::new(1, 4, 4), 2, 3, 1, 1);
+            let flat = conv.out_shape().len();
+            Box::new(Sequential::new(vec![
+                Box::new(conv),
+                Box::new(Relu::new()),
+                Box::new(Dense::new(&mut rng, flat, 2)),
+            ])) as Box<dyn Model>
+        };
+        assert_backends_train_identically("conv", conv, &x, &[0, 1, 0, 1]);
+        let x = Matrix::from_fn(3, 4, |r, t| ((r + 2 * t) % 5) as f32);
+        let char_rnn = || {
+            let mut rng = StdRng::seed_from_u64(17);
+            Box::new(CharRnn::new(&mut rng, 5, 3, 4)) as Box<dyn Model>
+        };
+        assert_backends_train_identically("char-rnn", char_rnn, &x, &[0, 2, 4]);
     }
 }

@@ -16,7 +16,7 @@ use dagfl_datasets::{
     fmnist_clustered_streamed, poets, Cifar100Config, FedProxConfig, FederatedDataset,
     FmnistConfig, PoetsConfig, POETS_VOCAB,
 };
-use dagfl_nn::{CharRnn, Dense, MatmulBackendKind, Model, Relu, Sequential};
+use dagfl_nn::{CharRnn, Dense, Model, Relu, Sequential};
 
 use crate::text::{format_f32, format_f64, Document, Table, Value};
 
@@ -571,10 +571,6 @@ pub struct Scenario {
     pub model: ModelSpec,
     /// The execution mode with its full configuration.
     pub execution: ExecutionSpec,
-    /// The matmul backend every client model trains on (serialized as
-    /// `matmul_backend` in `[execution]`, written only when non-default).
-    /// Backends are bit-identical, so this is purely a speed knob.
-    pub matmul_backend: MatmulBackendKind,
     /// Optional flipped-label poisoning attack (rounds mode only).
     pub attack: Option<AttackSpec>,
     /// Optional deterministic fault injection (async loopback only).
@@ -705,7 +701,6 @@ impl Scenario {
             name: name.into(),
             model: dataset.default_model(),
             execution: ExecutionSpec::Rounds(dag),
-            matmul_backend: MatmulBackendKind::default(),
             attack: None,
             faults: None,
             analysis: None,
@@ -723,12 +718,6 @@ impl Scenario {
     /// Replaces the whole execution spec (builder style).
     pub fn with_execution(mut self, execution: ExecutionSpec) -> Self {
         self.execution = execution;
-        self
-    }
-
-    /// Selects the matmul backend client models train on (builder style).
-    pub fn with_matmul_backend(mut self, backend: MatmulBackendKind) -> Self {
-        self.matmul_backend = backend;
         self
     }
 
@@ -1046,19 +1035,10 @@ impl Scenario {
         Ok(())
     }
 
-    /// Builds the model factory for this scenario's dataset dimensions,
-    /// with every produced model switched to the scenario's matmul
-    /// backend.
+    /// Builds the model factory for this scenario's dataset dimensions.
     pub fn build_factory(&self, dataset: &FederatedDataset) -> ModelFactory {
-        let inner = self
-            .model
-            .build_factory(dataset.feature_len(), dataset.num_classes());
-        let backend = self.matmul_backend;
-        Arc::new(move |rng: &mut StdRng| {
-            let mut model = inner(rng);
-            model.set_matmul_backend(backend);
-            model
-        })
+        self.model
+            .build_factory(dataset.feature_len(), dataset.num_classes())
     }
 
     /// Serializes the scenario as TOML-subset text; the exact inverse of
@@ -1069,12 +1049,6 @@ impl Scenario {
         write_dataset(doc.section_mut("dataset"), &self.dataset);
         write_model(doc.section_mut("model"), &self.model);
         write_execution(doc.section_mut("execution"), &self.execution);
-        if self.matmul_backend != MatmulBackendKind::default() {
-            doc.section_mut("execution").set(
-                "matmul_backend",
-                Value::Str(self.matmul_backend.name().to_string()),
-            );
-        }
         if let Some(attack) = &self.attack {
             write_attack(doc.section_mut("attack"), attack);
         }
@@ -1127,27 +1101,14 @@ impl Scenario {
             }
             None => dataset.default_model(),
         };
-        let (execution, matmul_backend) = match doc.section("execution") {
+        let execution = match doc.section("execution") {
             Some(table) => {
                 let reader = Reader::new("execution", Some(table));
                 let execution = read_execution(&reader, &dataset)?;
-                let matmul_backend = match reader.str("matmul_backend")? {
-                    Some(name) => MatmulBackendKind::parse(&name).ok_or_else(|| {
-                        ScenarioError::InvalidValue {
-                            key: reader.path("matmul_backend"),
-                            value: name.clone(),
-                            expected: "naive or tiled".into(),
-                        }
-                    })?,
-                    None => MatmulBackendKind::default(),
-                };
                 reader.finish()?;
-                (execution, matmul_backend)
+                execution
             }
-            None => (
-                Scenario::new("", dataset.clone()).execution,
-                MatmulBackendKind::default(),
-            ),
+            None => Scenario::new("", dataset.clone()).execution,
         };
         let attack = match doc.section("attack") {
             Some(table) => {
@@ -1190,7 +1151,6 @@ impl Scenario {
             dataset,
             model,
             execution,
-            matmul_backend,
             attack,
             faults,
             analysis,
@@ -2106,26 +2066,6 @@ mod tests {
                 .unwrap_or_else(|e| panic!("reparsing `{}` failed: {e}\n{text}", scenario.name));
             assert_eq!(scenario, reparsed, "{text}");
         }
-    }
-
-    #[test]
-    fn matmul_backend_round_trips_and_defaults_stay_silent() {
-        // The default (tiled) writes no key, keeping checked-in
-        // scenario files byte-stable across the backend introduction.
-        let default = tiny();
-        assert!(!default.to_toml().contains("matmul_backend"));
-        assert_eq!(
-            Scenario::from_toml(&default.to_toml())
-                .unwrap()
-                .matmul_backend,
-            MatmulBackendKind::Tiled
-        );
-        let naive = tiny().with_matmul_backend(MatmulBackendKind::Naive);
-        let text = naive.to_toml();
-        assert!(text.contains("matmul_backend = \"naive\""), "{text}");
-        assert_eq!(naive, Scenario::from_toml(&text).unwrap());
-        let err = Scenario::from_toml(&text.replace("\"naive\"", "\"wgpu\"")).unwrap_err();
-        assert!(matches!(err, ScenarioError::InvalidValue { .. }), "{err}");
     }
 
     fn chaos_faults() -> FaultSpec {

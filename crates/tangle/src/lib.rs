@@ -17,8 +17,6 @@
 //!   independently-locked shards, and appends go through `&self`,
 //! * [`TangleRead`] — the read-only view trait both stores implement, so
 //!   walks and metrics are generic over the storage backend,
-//! * [`SharedTangle`] — a cheap-to-clone, thread-safe handle used by the
-//!   concurrent round simulation,
 //! * [`TangleSnapshot`] — order-preserving export/import of a tangle's
 //!   state with deltas ([`TangleSnapshot::delta_since`]) so late-joining
 //!   replicas can catch up,
@@ -57,7 +55,6 @@ mod error;
 mod export;
 mod read;
 mod sharded;
-mod shared;
 mod snapshot;
 mod tangle;
 mod transaction;
@@ -68,7 +65,6 @@ pub use error::TangleError;
 pub use export::TangleStats;
 pub use read::TangleRead;
 pub use sharded::ShardedTangle;
-pub use shared::SharedTangle;
 pub use snapshot::{SnapshotRecord, TangleSnapshot};
 pub use tangle::Tangle;
 pub use transaction::{Transaction, TxId};

@@ -17,11 +17,12 @@
 //!   order (including the zero-LHS skip where the oracle has one), so
 //!   results are bitwise identical — just faster.
 //!
-//! Backends are selected by value through [`MatmulBackendKind`]
-//! (`Copy`, serializable as `"naive"` / `"tiled"` in scenario files)
-//! and resolved to a `&'static dyn MatmulBackend` at the call site, so
-//! model structs stay `Clone` and cheap to ship across threads. The
-//! trait is the seam a future GPU backend slots into (see ROADMAP).
+//! Production code always runs tiled; tests and the benchmark ladder
+//! switch a model to the oracle by value through [`MatmulBackendKind`]
+//! (`Copy`), resolved to a `&'static dyn MatmulBackend` at the call
+//! site, so model structs stay `Clone` and cheap to ship across
+//! threads. The trait is the seam a future GPU backend slots into (see
+//! ROADMAP).
 
 use crate::error::ShapeError;
 use crate::matrix::Matrix;
@@ -111,8 +112,7 @@ pub trait MatmulBackend: Send + Sync {
 /// The reference backend: the naive loops, buffer-reusing.
 ///
 /// Slower than [`TiledBackend`] but trivially auditable — this is the
-/// oracle every other backend is property-tested against, and the
-/// `matmul_backend = "naive"` escape hatch in scenario files.
+/// oracle every other backend is property-tested against.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NaiveBackend;
 
@@ -177,8 +177,7 @@ impl MatmulBackend for TiledBackend {
     }
 }
 
-/// Backend selection as a plain value: what scenario files, model
-/// structs and factories pass around.
+/// Backend selection as a plain value: what model structs store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MatmulBackendKind {
     /// The naive reference loops ([`NaiveBackend`]).
@@ -189,7 +188,7 @@ pub enum MatmulBackendKind {
 }
 
 impl MatmulBackendKind {
-    /// The scenario-file name (`"naive"` / `"tiled"`).
+    /// The backend's name (`"naive"` / `"tiled"`).
     pub fn name(self) -> &'static str {
         self.as_dyn().name()
     }
@@ -199,16 +198,6 @@ impl MatmulBackendKind {
         match self {
             MatmulBackendKind::Naive => &NaiveBackend,
             MatmulBackendKind::Tiled => &TiledBackend,
-        }
-    }
-
-    /// Parses a scenario-file name; `None` for anything but
-    /// `"naive"` / `"tiled"`.
-    pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "naive" => Some(MatmulBackendKind::Naive),
-            "tiled" => Some(MatmulBackendKind::Tiled),
-            _ => None,
         }
     }
 }
@@ -229,12 +218,9 @@ mod tests {
 
     #[test]
     fn kinds_resolve_and_round_trip() {
-        for kind in [MatmulBackendKind::Naive, MatmulBackendKind::Tiled] {
-            assert_eq!(kind.as_dyn().name(), kind.name());
-            assert_eq!(MatmulBackendKind::parse(kind.name()), Some(kind));
-        }
+        assert_eq!(MatmulBackendKind::Naive.as_dyn().name(), "naive");
+        assert_eq!(MatmulBackendKind::Tiled.name(), "tiled");
         assert_eq!(MatmulBackendKind::default(), MatmulBackendKind::Tiled);
-        assert_eq!(MatmulBackendKind::parse("wgpu"), None);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! checked-in `scenarios/*.toml` files stay valid and in sync with the
 //! preset registry.
 
-use dagfl::scenario::{AttackSpec, Scale};
+use dagfl::scenario::{AttackSpec, Scale, ScenarioError};
 use dagfl::{
     DatasetSpec, ExecutionSpec, RunReport, Scenario, ScenarioRunner, SweepRunner, SweepSpec,
 };
@@ -189,6 +189,16 @@ fn malformed_scenarios_are_rejected_end_to_end() {
     // Unknown key.
     assert!(
         Scenario::from_toml("name = \"x\"\n[dataset]\nkind = \"fmnist\"\nclinets = 3\n").is_err()
+    );
+    // The naive kernels are a test oracle, not a scenario option: a file
+    // still carrying the retired key fails by name instead of running tiled.
+    let err = Scenario::from_toml(
+        "name = \"x\"\n[dataset]\nkind = \"fmnist\"\n[execution]\nmatmul_backend = \"naive\"\n",
+    )
+    .unwrap_err();
+    assert!(
+        matches!(err, ScenarioError::UnknownKey { ref key } if key == "execution.matmul_backend"),
+        "{err}"
     );
     // Out-of-range value parses but fails validation.
     let s = Scenario::from_toml(
