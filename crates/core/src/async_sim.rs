@@ -834,8 +834,10 @@ impl AsyncSimulation {
     /// view, publish decision per the stale policy, metrics, and the
     /// next activation of this client.
     fn process_finish(&mut self, idx: usize, now: f64) -> Result<ActivationRecord, CoreError> {
-        let PendingActivation { started, outcome } =
-            self.pending[idx].take().expect("finish without activation");
+        let PendingActivation {
+            started,
+            mut outcome,
+        } = self.pending[idx].take().expect("finish without activation");
         self.deliver(idx, now);
         let (tip1, tip2) = outcome.parents;
         let mut stale_parents = [tip1, tip2]
@@ -846,7 +848,7 @@ impl AsyncSimulation {
             stale_parents = 1;
         }
         let mut parents = (tip1, tip2);
-        let mut publish = outcome.published.clone();
+        let mut publish = outcome.published.take();
         let mut reselected = false;
         if stale_parents > 0 && publish.is_some() {
             match self.config.stale_policy {

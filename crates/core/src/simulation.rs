@@ -148,14 +148,14 @@ impl Simulation {
             .collect();
         active.sort_unstable();
 
-        let outcomes = self.run_active_clients(&active)?;
+        let mut outcomes = self.run_active_clients(&active)?;
 
         // Publication phase: attach all improvements to the shared tangle.
         // With failure injection enabled, some publications are lost on
         // the (simulated) network.
         let mut published = 0;
-        for outcome in &outcomes {
-            if let Some(params) = &outcome.published {
+        for outcome in &mut outcomes {
+            if let Some(params) = outcome.published.take() {
                 if self.config.publication_dropout > 0.0
                     && self.rng.gen::<f32>() < self.config.publication_dropout
                 {
@@ -169,7 +169,7 @@ impl Simulation {
                     parent_issuers.push(self.tangle.get(parents[1])?.issuer());
                 }
                 self.tangle.attach_with_meta(
-                    ModelPayload::new(params.clone()),
+                    ModelPayload::new(params),
                     &parents,
                     Some(outcome.client),
                     self.round as u32,

@@ -17,6 +17,7 @@
 //!   length-prefixed wire format of [`crate::wire`], used by
 //!   `dagfl peer`.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -220,24 +221,36 @@ impl LoopbackTransport {
         self.fanout = fanout;
         self
     }
+}
 
-    /// The peers a broadcast from `from` reaches, in ascending order.
-    /// With fanout active this consumes `fanout` draws from `rng` (a
-    /// partial Fisher–Yates over the other peers); otherwise it is
-    /// everyone but the sender with zero draws.
-    fn receivers(&self, from: usize, rng: &mut StdRng) -> Vec<usize> {
-        let mut others: Vec<usize> = (0..self.inboxes.len()).filter(|&p| p != from).collect();
-        if self.fanout == 0 || self.fanout >= others.len() {
-            return others;
-        }
-        for i in 0..self.fanout {
-            let j = rng.gen_range(i..others.len());
-            others.swap(i, j);
-        }
-        others.truncate(self.fanout);
-        others.sort_unstable();
-        others
+/// The receivers of a broadcast from peer `from` of `peers`, in ascending
+/// order. With fanout active this consumes `fanout` draws from `rng` (a
+/// partial Fisher–Yates over the other peers); otherwise it is everyone
+/// but the sender with zero draws.
+///
+/// The shuffle runs over a *virtual* array of the other peers — slot `k`
+/// holds `k`, stepping over `from` — and stores only the slots a swap
+/// displaced, so sampling costs O(fanout) whatever the peer count. The
+/// draws, their order and the resulting set are those of the shuffle over
+/// the materialised array.
+fn sample_receivers(peers: usize, from: usize, fanout: usize, rng: &mut StdRng) -> Vec<usize> {
+    let others = peers - usize::from(from < peers);
+    let peer_at = |slot: usize| slot + usize::from(slot >= from);
+    if fanout == 0 || fanout >= others {
+        return (0..others).map(peer_at).collect();
     }
+    let mut displaced: HashMap<usize, usize> = HashMap::with_capacity(fanout);
+    let mut picked = Vec::with_capacity(fanout);
+    for i in 0..fanout {
+        let j = rng.gen_range(i..others);
+        // swap(i, j), keeping only what a later step can still read:
+        // slot `i` is final, slot `j` now holds what slot `i` held.
+        let at_i = displaced.get(&i).copied().unwrap_or(i);
+        let at_j = displaced.insert(j, at_i).unwrap_or(j);
+        picked.push(peer_at(at_j));
+    }
+    picked.sort_unstable();
+    picked
 }
 
 impl Transport for LoopbackTransport {
@@ -258,7 +271,7 @@ impl Transport for LoopbackTransport {
         // whole-simulation determinism across refactors. (Fanout
         // sampling, when active, draws first, then delays follow in
         // the same ascending order over the selected subset.)
-        for peer in self.receivers(from, rng) {
+        for peer in sample_receivers(self.inboxes.len(), from, self.fanout, rng) {
             let delay = self
                 .delay
                 .sample(publisher_slow, self.slow_cohort[peer], rng);
@@ -302,6 +315,46 @@ mod tests {
             issuer: Some(0),
             round: 0,
         })
+    }
+
+    /// The sampler `sample_receivers` replaced: a partial Fisher–Yates
+    /// over the materialised array of other peers.
+    fn dense_receivers(peers: usize, from: usize, fanout: usize, rng: &mut StdRng) -> Vec<usize> {
+        let mut others: Vec<usize> = (0..peers).filter(|&p| p != from).collect();
+        if fanout == 0 || fanout >= others.len() {
+            return others;
+        }
+        for i in 0..fanout {
+            let j = rng.gen_range(i..others.len());
+            others.swap(i, j);
+        }
+        others.truncate(fanout);
+        others.sort_unstable();
+        others
+    }
+
+    #[test]
+    fn sparse_sampling_matches_the_dense_shuffle() {
+        for seed in 0..8 {
+            for peers in [1usize, 2, 3, 5, 9, 40, 257] {
+                for fanout in [0, 1, 2, 3, 8, peers.saturating_sub(2), peers - 1, peers] {
+                    for from in [0, peers / 2, peers - 1] {
+                        let mut sparse_rng = StdRng::seed_from_u64(seed);
+                        let mut dense_rng = StdRng::seed_from_u64(seed);
+                        // Several broadcasts in a row: the streams must
+                        // stay aligned, not just the first sample.
+                        for _ in 0..3 {
+                            assert_eq!(
+                                sample_receivers(peers, from, fanout, &mut sparse_rng),
+                                dense_receivers(peers, from, fanout, &mut dense_rng),
+                                "seed {seed}, {peers} peers, fanout {fanout}, from {from}"
+                            );
+                        }
+                        assert_eq!(sparse_rng.gen::<u64>(), dense_rng.gen::<u64>());
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -44,27 +44,21 @@ impl Layer for Relu {
         Ok(())
     }
 
-    fn backward(&mut self, grad_output: &Matrix) -> Result<Matrix, NnError> {
-        let input = self
-            .cached_input
-            .as_ref()
-            .expect("backward called before forward");
-        let mask = input.map(|v| if v > 0.0 { 1.0 } else { 0.0 });
-        Ok(grad_output.hadamard(&mask)?)
-    }
-
     fn backward_into(
         &mut self,
         grad_output: &Matrix,
-        grad_input: &mut Matrix,
+        grad_input: Option<&mut Matrix>,
     ) -> Result<(), NnError> {
+        let Some(grad_input) = grad_input else {
+            return Ok(());
+        };
         let input = self
             .cached_input
             .as_ref()
             .expect("backward called before forward");
         // Multiplying by the 0/1 mask (rather than selecting a literal
-        // 0.0) keeps the -0.0 signs the allocating path produces, so
-        // both paths stay bit-identical.
+        // 0.0) gives `g * 0.0 == -0.0` for negative `g`, the sign a
+        // mask-and-hadamard formulation produces.
         grad_output.zip_into(input, grad_input, |g, v| {
             g * (if v > 0.0 { 1.0 } else { 0.0 })
         })?;
@@ -117,20 +111,14 @@ impl Layer for Tanh {
         Ok(())
     }
 
-    fn backward(&mut self, grad_output: &Matrix) -> Result<Matrix, NnError> {
-        let out = self
-            .cached_output
-            .as_ref()
-            .expect("backward called before forward");
-        let deriv = out.map(|y| 1.0 - y * y);
-        Ok(grad_output.hadamard(&deriv)?)
-    }
-
     fn backward_into(
         &mut self,
         grad_output: &Matrix,
-        grad_input: &mut Matrix,
+        grad_input: Option<&mut Matrix>,
     ) -> Result<(), NnError> {
+        let Some(grad_input) = grad_input else {
+            return Ok(());
+        };
         let out = self
             .cached_output
             .as_ref()
@@ -195,20 +183,14 @@ impl Layer for Sigmoid {
         Ok(())
     }
 
-    fn backward(&mut self, grad_output: &Matrix) -> Result<Matrix, NnError> {
-        let out = self
-            .cached_output
-            .as_ref()
-            .expect("backward called before forward");
-        let deriv = out.map(|y| y * (1.0 - y));
-        Ok(grad_output.hadamard(&deriv)?)
-    }
-
     fn backward_into(
         &mut self,
         grad_output: &Matrix,
-        grad_input: &mut Matrix,
+        grad_input: Option<&mut Matrix>,
     ) -> Result<(), NnError> {
+        let Some(grad_input) = grad_input else {
+            return Ok(());
+        };
         let out = self
             .cached_output
             .as_ref()

@@ -6,7 +6,7 @@
 //! explicit flatten layers. Convolution is implemented via im2col so the
 //! inner loop is a single matrix product.
 
-use dagfl_tensor::{he_uniform, MatmulBackendKind, Matrix};
+use dagfl_tensor::{he_uniform, MatmulBackend, MatmulBackendKind, Matrix};
 use rand::Rng;
 
 use crate::{Layer, NnError};
@@ -67,7 +67,7 @@ pub struct Conv2d {
     grad_bias: Matrix,
     cached_cols: Option<Matrix>,
     cached_batch: usize,
-    backend: MatmulBackendKind,
+    backend: &'static dyn MatmulBackend,
 }
 
 impl Conv2d {
@@ -106,7 +106,7 @@ impl Conv2d {
             grad_bias: Matrix::zeros(1, out_channels),
             cached_cols: None,
             cached_batch: 0,
-            backend: MatmulBackendKind::default(),
+            backend: MatmulBackendKind::default().as_dyn(),
         }
     }
 
@@ -225,7 +225,7 @@ impl Conv2d {
     /// Computes the forward pass given the already lowered column matrix.
     fn forward_from_cols(&self, cols: &Matrix, batch: usize) -> Result<Matrix, NnError> {
         let out = self.out_shape();
-        let mut big = self.backend.as_dyn().matmul(cols, &self.weight)?;
+        let mut big = self.backend.matmul(cols, &self.weight)?;
         big.add_row_broadcast(self.bias.as_slice())?;
         // Rearrange (batch*oh*ow, out_c) -> (batch, out_c*oh*ow).
         let hw = out.height * out.width;
@@ -263,7 +263,11 @@ impl Layer for Conv2d {
         self.forward_from_cols(&cols, input.rows())
     }
 
-    fn backward(&mut self, grad_output: &Matrix) -> Result<Matrix, NnError> {
+    fn backward_into(
+        &mut self,
+        grad_output: &Matrix,
+        grad_input: Option<&mut Matrix>,
+    ) -> Result<(), NnError> {
         let cols = self
             .cached_cols
             .as_ref()
@@ -282,15 +286,18 @@ impl Layer for Conv2d {
                 }
             }
         }
-        let backend = self.backend.as_dyn();
+        let backend = self.backend;
         backend.transpose_matmul_into(cols, &grad_big, &mut self.grad_weight)?;
         grad_big.column_sums_into(&mut self.grad_bias);
-        let grad_cols = backend.matmul_transpose(&grad_big, &self.weight)?;
-        Ok(self.col2im(&grad_cols, batch))
+        if let Some(grad_input) = grad_input {
+            let grad_cols = backend.matmul_transpose(&grad_big, &self.weight)?;
+            *grad_input = self.col2im(&grad_cols, batch);
+        }
+        Ok(())
     }
 
     fn set_backend(&mut self, backend: MatmulBackendKind) {
-        self.backend = backend;
+        self.backend = backend.as_dyn();
     }
 
     fn visit_parameters(&self, visitor: &mut dyn FnMut(&Matrix)) {
@@ -423,12 +430,19 @@ impl Layer for MaxPool2d {
     }
 
     #[allow(clippy::needless_range_loop)] // b indexes grad_output, grad_input and argmax together
-    fn backward(&mut self, grad_output: &Matrix) -> Result<Matrix, NnError> {
+    fn backward_into(
+        &mut self,
+        grad_output: &Matrix,
+        grad_input: Option<&mut Matrix>,
+    ) -> Result<(), NnError> {
+        let Some(grad_input) = grad_input else {
+            return Ok(());
+        };
         let argmax = self
             .cached_argmax
             .as_ref()
             .expect("backward called before forward");
-        let mut grad_input = Matrix::zeros(grad_output.rows(), self.in_shape.len());
+        *grad_input = Matrix::zeros(grad_output.rows(), self.in_shape.len());
         for b in 0..grad_output.rows() {
             let src = grad_output.row(b);
             let dst = grad_input.row_mut(b);
@@ -436,7 +450,7 @@ impl Layer for MaxPool2d {
                 dst[in_idx] += src[out_idx];
             }
         }
-        Ok(grad_input)
+        Ok(())
     }
 
     fn boxed_clone(&self) -> Box<dyn Layer> {

@@ -1,6 +1,6 @@
 //! Fully connected layer.
 
-use dagfl_tensor::{he_uniform, MatmulBackendKind, Matrix};
+use dagfl_tensor::{he_uniform, MatmulBackend, MatmulBackendKind, Matrix};
 use rand::Rng;
 
 use crate::{Layer, NnError};
@@ -19,7 +19,7 @@ pub struct Dense {
     grad_weight: Matrix,
     grad_bias: Matrix,
     cached_input: Option<Matrix>,
-    backend: MatmulBackendKind,
+    backend: &'static dyn MatmulBackend,
 }
 
 impl Dense {
@@ -31,7 +31,7 @@ impl Dense {
             grad_weight: Matrix::zeros(in_features, out_features),
             grad_bias: Matrix::zeros(1, out_features),
             cached_input: None,
-            backend: MatmulBackendKind::default(),
+            backend: MatmulBackendKind::default().as_dyn(),
         }
     }
 
@@ -74,9 +74,7 @@ impl Layer for Dense {
     }
 
     fn forward_train_into(&mut self, input: &Matrix, out: &mut Matrix) -> Result<(), NnError> {
-        self.backend
-            .as_dyn()
-            .matmul_into(input, &self.weight, out)?;
+        self.backend.matmul_into(input, &self.weight, out)?;
         out.add_row_broadcast(self.bias.as_slice())?;
         self.cached_input
             .get_or_insert_with(Matrix::default)
@@ -118,31 +116,28 @@ impl Layer for Dense {
         )
     }
 
-    fn backward(&mut self, grad_output: &Matrix) -> Result<Matrix, NnError> {
-        let mut grad_input = Matrix::default();
-        self.backward_into(grad_output, &mut grad_input)?;
-        Ok(grad_input)
-    }
-
     fn backward_into(
         &mut self,
         grad_output: &Matrix,
-        grad_input: &mut Matrix,
+        grad_input: Option<&mut Matrix>,
     ) -> Result<(), NnError> {
-        let backend = self.backend.as_dyn();
         let input = self
             .cached_input
             .as_ref()
             .expect("backward called before forward");
         // dW = x^T g ; db = column sums of g ; dx = g W^T
-        backend.transpose_matmul_into(input, grad_output, &mut self.grad_weight)?;
+        self.backend
+            .transpose_matmul_into(input, grad_output, &mut self.grad_weight)?;
         grad_output.column_sums_into(&mut self.grad_bias);
-        backend.matmul_transpose_into(grad_output, &self.weight, grad_input)?;
+        if let Some(grad_input) = grad_input {
+            self.backend
+                .matmul_transpose_into(grad_output, &self.weight, grad_input)?;
+        }
         Ok(())
     }
 
     fn set_backend(&mut self, backend: MatmulBackendKind) {
-        self.backend = backend;
+        self.backend = backend.as_dyn();
     }
 
     fn visit_parameters(&self, visitor: &mut dyn FnMut(&Matrix)) {
@@ -177,8 +172,10 @@ impl std::fmt::Debug for Dense {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dagfl_tensor::{ShapeError, TiledBackend};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn forward_applies_affine_map() {
@@ -239,6 +236,80 @@ mod tests {
         layer.apply_update(&mut |_, g| seen.push(g.clone()));
         // Second parameter is the bias.
         assert_eq!(seen[1].row(0), &[9.0, 12.0]);
+    }
+
+    /// Counts the products a training step runs, delegating the work to
+    /// the tiled kernels.
+    #[derive(Default)]
+    struct CountingBackend {
+        matmul: AtomicUsize,
+        transpose_matmul: AtomicUsize,
+        matmul_transpose: AtomicUsize,
+    }
+
+    impl MatmulBackend for CountingBackend {
+        fn name(&self) -> &'static str {
+            "counting"
+        }
+
+        fn matmul_into(&self, a: &Matrix, b: &Matrix, out: &mut Matrix) -> Result<(), ShapeError> {
+            self.matmul.fetch_add(1, Ordering::Relaxed);
+            TiledBackend.matmul_into(a, b, out)
+        }
+
+        fn matmul_transpose_into(
+            &self,
+            a: &Matrix,
+            b: &Matrix,
+            out: &mut Matrix,
+        ) -> Result<(), ShapeError> {
+            self.matmul_transpose.fetch_add(1, Ordering::Relaxed);
+            TiledBackend.matmul_transpose_into(a, b, out)
+        }
+
+        fn transpose_matmul_into(
+            &self,
+            a: &Matrix,
+            b: &Matrix,
+            out: &mut Matrix,
+        ) -> Result<(), ShapeError> {
+            self.transpose_matmul.fetch_add(1, Ordering::Relaxed);
+            TiledBackend.transpose_matmul_into(a, b, out)
+        }
+    }
+
+    #[test]
+    fn a_training_step_runs_no_product_without_a_consumer() {
+        use crate::{Model, Relu, Sequential, SgdConfig};
+        let counts: &'static CountingBackend = Box::leak(Box::default());
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut dense = |inputs, outputs| {
+            let mut layer = Dense::new(&mut rng, inputs, outputs);
+            layer.backend = counts;
+            Box::new(layer)
+        };
+        let mut model = Sequential::new(vec![dense(6, 5), Box::new(Relu::new()), dense(5, 3)]);
+        let x = Matrix::from_fn(4, 6, |r, c| (r * 6 + c) as f32 * 0.1 - 1.0);
+        let y = [0, 1, 2, 0];
+        let products = || {
+            [
+                counts.matmul.swap(0, Ordering::Relaxed),
+                counts.transpose_matmul.swap(0, Ordering::Relaxed),
+                counts.matmul_transpose.swap(0, Ordering::Relaxed),
+            ]
+        };
+        // Two forwards (A·B), two weight gradients (Aᵀ·B), and ONE input
+        // gradient (A·Bᵀ): the upper layer's, which the lower layer
+        // consumes. Nothing consumes the lower layer's.
+        model.train_batch(&x, &y, &SgdConfig::new(0.1)).unwrap();
+        assert_eq!(products(), [2, 2, 1]);
+        model.loss_and_gradient(&x, &y).unwrap();
+        assert_eq!(products(), [2, 2, 1]);
+        // With layer 0 frozen nothing consumes the upper layer's either,
+        // and layer 0 is not asked for its weight gradient.
+        let frozen = SgdConfig::new(0.1).with_frozen_prefix(6 * 5 + 5);
+        model.train_batch(&x, &y, &frozen).unwrap();
+        assert_eq!(products(), [2, 1, 0]);
     }
 
     #[test]

@@ -72,11 +72,19 @@ impl Layer for Dropout {
         Ok(input.clone())
     }
 
-    fn backward(&mut self, grad_output: &Matrix) -> Result<Matrix, NnError> {
+    fn backward_into(
+        &mut self,
+        grad_output: &Matrix,
+        grad_input: Option<&mut Matrix>,
+    ) -> Result<(), NnError> {
+        let Some(grad_input) = grad_input else {
+            return Ok(());
+        };
         match &self.cached_mask {
-            Some(mask) => Ok(grad_output.hadamard(mask)?),
-            None => Ok(grad_output.clone()),
+            Some(mask) => *grad_input = grad_output.hadamard(mask)?,
+            None => grad_input.copy_from(grad_output),
         }
+        Ok(())
     }
 
     fn boxed_clone(&self) -> Box<dyn Layer> {

@@ -84,7 +84,11 @@ impl Layer for Embedding {
         Ok(self.lookup(input)?.0)
     }
 
-    fn backward(&mut self, grad_output: &Matrix) -> Result<Matrix, NnError> {
+    fn backward_into(
+        &mut self,
+        grad_output: &Matrix,
+        grad_input: Option<&mut Matrix>,
+    ) -> Result<(), NnError> {
         let tokens = self
             .cached_tokens
             .as_ref()
@@ -100,7 +104,10 @@ impl Layer for Embedding {
             }
         }
         // Token ids are discrete; no gradient flows to the input.
-        Ok(Matrix::zeros(grad_output.rows(), tokens[0].len()))
+        if let Some(grad_input) = grad_input {
+            *grad_input = Matrix::zeros(grad_output.rows(), tokens[0].len());
+        }
+        Ok(())
     }
 
     fn visit_parameters(&self, visitor: &mut dyn FnMut(&Matrix)) {

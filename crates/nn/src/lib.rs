@@ -64,6 +64,8 @@ pub mod gradcheck;
 mod model;
 mod optimizer;
 mod params;
+#[cfg(test)]
+mod reference;
 mod rnn;
 mod sequential;
 mod train;

@@ -155,6 +155,53 @@ impl SgdConfig {
     pub fn regularization_pull(&self, offset: usize, current: f32) -> f32 {
         self.proximal_pull(offset, current) + self.weight_decay * current
     }
+
+    /// Applies `w ← w − lr · (g + pull)` to one parameter slice whose first
+    /// element sits at `flat_offset` of the model's flat parameter vector.
+    ///
+    /// This is the only update loop in the crate: every [`Model`] walks its
+    /// `(parameter, gradient)` pairs through it. The slice is split once at
+    /// the frozen-prefix boundary and once where the proximal reference
+    /// ends, so the element loops carry no branch and vectorise; per
+    /// element they evaluate `lr * (g + (proximal + decay * w))` with
+    /// `proximal = mu * (w − w_ref)` inside the reference and the literal
+    /// `0.0` outside it — the value [`SgdConfig::regularization_pull`]
+    /// defines, signed zeros and non-finite weights included.
+    ///
+    /// [`Model`]: crate::Model
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params` and `grads` differ in length.
+    pub fn step(&self, params: &mut [f32], grads: &[f32], flat_offset: usize) {
+        assert_eq!(params.len(), grads.len(), "one gradient per parameter");
+        let frozen = self
+            .frozen_prefix
+            .saturating_sub(flat_offset)
+            .min(params.len());
+        let (params, grads, offset) = (
+            &mut params[frozen..],
+            &grads[frozen..],
+            flat_offset + frozen,
+        );
+        let (lr, decay) = (self.learning_rate, self.weight_decay);
+        let (mu, reference) = self.proximal.as_ref().map_or((0.0, &[][..]), |p| {
+            (p.mu, p.reference.get(offset..).unwrap_or(&[]))
+        });
+        let pulled = reference.len().min(params.len());
+        let (pulled_params, free_params) = params.split_at_mut(pulled);
+        let (pulled_grads, free_grads) = grads.split_at(pulled);
+        let descend = |w: &mut f32, g: f32, proximal: f32| {
+            *w -= lr * (g + (proximal + decay * *w));
+        };
+        for ((w, &g), &r) in pulled_params.iter_mut().zip(pulled_grads).zip(reference) {
+            let proximal = mu * (*w - r);
+            descend(w, g, proximal);
+        }
+        for (w, &g) in free_params.iter_mut().zip(free_grads) {
+            descend(w, g, 0.0);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -230,6 +277,51 @@ mod tests {
         let cfg = SgdConfig::new(0.1);
         assert_eq!(cfg.frozen_prefix(), 0);
         assert!(cfg.is_trainable(0));
+    }
+
+    #[test]
+    fn step_matches_the_per_element_definition_bit_for_bit() {
+        use crate::reference::{assert_same_bits, reference_update, update_configs};
+        // Signed zeros, infinities and a NaN among ordinary weights; the
+        // slice sits at flat offset 3, so every boundary (frozen prefix,
+        // end of the proximal reference) can fall before, inside or after it.
+        let weights = [
+            0.5,
+            -0.0,
+            0.0,
+            f32::INFINITY,
+            -1.25,
+            f32::NAN,
+            3.0e-39,
+            -7.5,
+            0.125,
+        ];
+        let grads = [
+            -0.0,
+            -0.0,
+            0.0,
+            1.0,
+            -0.5,
+            0.25,
+            -0.0,
+            2.0,
+            f32::NEG_INFINITY,
+        ];
+        let model: Vec<f32> = (0..16).map(|i| i as f32 * 0.3 - 2.0).collect();
+        for offset in [0, 3, 7] {
+            for (name, opt) in update_configs(&model, 6) {
+                let (mut fast, mut slow) = (weights, weights);
+                opt.step(&mut fast, &grads, offset);
+                reference_update(&opt, &mut slow, &grads, offset);
+                assert_same_bits(&fast, &slow, &format!("{name}, offset {offset}"));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one gradient per parameter")]
+    fn step_rejects_mismatched_lengths() {
+        SgdConfig::new(0.1).step(&mut [0.0; 3], &[0.0; 2], 0);
     }
 
     #[test]

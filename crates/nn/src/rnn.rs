@@ -6,7 +6,9 @@
 //! implemented directly on [`Matrix`] batches. Gradients are verified
 //! against numerical differentiation in the test suite.
 
-use dagfl_tensor::{argmax, softmax_cross_entropy, xavier_uniform, MatmulBackendKind, Matrix};
+use dagfl_tensor::{
+    argmax, softmax_cross_entropy, xavier_uniform, MatmulBackend, MatmulBackendKind, Matrix,
+};
 use rand::Rng;
 
 use crate::activations::sigmoid_scalar;
@@ -44,7 +46,7 @@ pub struct GruCell {
     gbz: Matrix,
     gbr: Matrix,
     gbh: Matrix,
-    backend: MatmulBackendKind,
+    backend: &'static dyn MatmulBackend,
 }
 
 /// Everything a single GRU timestep caches for the backward pass.
@@ -84,13 +86,13 @@ impl GruCell {
             gbz: Matrix::zeros(1, hidden_size),
             gbr: Matrix::zeros(1, hidden_size),
             gbh: Matrix::zeros(1, hidden_size),
-            backend: MatmulBackendKind::default(),
+            backend: MatmulBackendKind::default().as_dyn(),
         }
     }
 
     /// Selects the backend the cell's matrix products run on.
     pub fn set_matmul_backend(&mut self, backend: MatmulBackendKind) {
-        self.backend = backend;
+        self.backend = backend.as_dyn();
     }
 
     /// Input feature dimension.
@@ -111,7 +113,7 @@ impl GruCell {
         u: &Matrix,
         b: &Matrix,
     ) -> Result<Matrix, NnError> {
-        let backend = self.backend.as_dyn();
+        let backend = self.backend;
         let mut pre = backend.matmul(x, w)?;
         pre.add_assign(&backend.matmul(h_prev, u)?)?;
         pre.add_row_broadcast(b.as_slice())?;
@@ -131,7 +133,7 @@ impl GruCell {
         let r = self
             .gate(x, h_prev, &self.wr, &self.ur, &self.br)?
             .map(sigmoid_scalar);
-        let backend = self.backend.as_dyn();
+        let backend = self.backend;
         let s = r.hadamard(h_prev)?;
         let mut hc_pre = backend.matmul(x, &self.wh)?;
         hc_pre.add_assign(&backend.matmul(&s, &self.uh)?)?;
@@ -168,12 +170,16 @@ impl GruCell {
     }
 
     /// One backward timestep. Accumulates parameter gradients and returns
-    /// `(grad_h_prev, grad_x)`.
+    /// `(grad_h_prev, grad_x)` — each only if the caller has a consumer
+    /// for it (`need_dh_prev`, `need_dx`); the products feeding an
+    /// unwanted one are not run.
     pub(crate) fn backward_step(
         &mut self,
         grad_h: &Matrix,
         cache: &GruStepCache,
-    ) -> Result<(Matrix, Matrix), NnError> {
+        need_dh_prev: bool,
+        need_dx: bool,
+    ) -> Result<(Option<Matrix>, Option<Matrix>), NnError> {
         let GruStepCache {
             x,
             h_prev,
@@ -188,20 +194,30 @@ impl GruCell {
         // dhc = dh ⊙ z; dhpre = dhc ⊙ (1 - hc^2)
         let dhc = grad_h.hadamard(z)?;
         let dhpre = dhc.hadamard(&hc.map(|v| 1.0 - v * v))?;
-        let backend = self.backend.as_dyn();
+        let backend = self.backend;
         // ds = dhpre Uh^T; dr = ds ⊙ h_prev; drpre = dr ⊙ r(1-r)
         let ds = backend.matmul_transpose(&dhpre, &self.uh)?;
         let dr = ds.hadamard(h_prev)?;
         let drpre = dr.hadamard(&r.map(|v| v * (1.0 - v)))?;
         // dh_prev = dh ⊙ (1-z) + ds ⊙ r + dzpre Uz^T + drpre Ur^T
-        let mut dh_prev = grad_h.hadamard(&z.map(|v| 1.0 - v))?;
-        dh_prev.add_assign(&ds.hadamard(r)?)?;
-        dh_prev.add_assign(&backend.matmul_transpose(&dzpre, &self.uz)?)?;
-        dh_prev.add_assign(&backend.matmul_transpose(&drpre, &self.ur)?)?;
+        let dh_prev = if need_dh_prev {
+            let mut dh_prev = grad_h.hadamard(&z.map(|v| 1.0 - v))?;
+            dh_prev.add_assign(&ds.hadamard(r)?)?;
+            dh_prev.add_assign(&backend.matmul_transpose(&dzpre, &self.uz)?)?;
+            dh_prev.add_assign(&backend.matmul_transpose(&drpre, &self.ur)?)?;
+            Some(dh_prev)
+        } else {
+            None
+        };
         // dx = dzpre Wz^T + drpre Wr^T + dhpre Wh^T
-        let mut dx = backend.matmul_transpose(&dzpre, &self.wz)?;
-        dx.add_assign(&backend.matmul_transpose(&drpre, &self.wr)?)?;
-        dx.add_assign(&backend.matmul_transpose(&dhpre, &self.wh)?)?;
+        let dx = if need_dx {
+            let mut dx = backend.matmul_transpose(&dzpre, &self.wz)?;
+            dx.add_assign(&backend.matmul_transpose(&drpre, &self.wr)?)?;
+            dx.add_assign(&backend.matmul_transpose(&dhpre, &self.wh)?)?;
+            Some(dx)
+        } else {
+            None
+        };
         // Parameter gradients (accumulated across timesteps).
         self.gwz.add_assign(&backend.transpose_matmul(x, &dzpre)?)?;
         self.gwr.add_assign(&backend.transpose_matmul(x, &drpre)?)?;
@@ -410,14 +426,26 @@ impl CharRnn {
     }
 
     fn logits_from_hidden(&self, h: &Matrix) -> Result<Matrix, NnError> {
-        let mut logits = self.cell.backend.as_dyn().matmul(h, &self.out_w)?;
+        let mut logits = self.cell.backend.matmul(h, &self.out_w)?;
         logits.add_row_broadcast(self.out_b.as_slice())?;
         Ok(logits)
     }
 
     /// Forward + backward over the whole sequence; leaves gradients in the
     /// layer fields and returns the batch loss.
-    fn forward_backward(&mut self, x: &Matrix, y: &[usize]) -> Result<f32, NnError> {
+    ///
+    /// `frozen_prefix` is the number of leading flat parameters the caller
+    /// will not update. As in [`Sequential`](crate::Sequential), a
+    /// backward product runs only if its result has a consumer: the
+    /// gradients of a fully frozen leading block (embedding, then the GRU
+    /// cell, then the output layer) are not computed, nor is anything that
+    /// only feeds them, and `dh_prev` is never formed at `t = 0`.
+    fn forward_backward(
+        &mut self,
+        x: &Matrix,
+        y: &[usize],
+        frozen_prefix: usize,
+    ) -> Result<f32, NnError> {
         let tokens = self.validate_batch(x, y)?;
         let batch = tokens.len();
         let seq_len = tokens.first().map_or(0, Vec::len);
@@ -440,22 +468,37 @@ impl CharRnn {
             grad_logits[(r, label)] -= 1.0;
         }
         grad_logits.scale_assign(scale);
+        // Flat order: embedding, cell, output layer. Backward stops above
+        // the last fully frozen block.
+        let embedding_end = self.embedding.len();
+        let cell_end = embedding_end + self.cell.num_parameters();
+        if frozen_prefix >= self.num_parameters() {
+            return Ok(loss);
+        }
         // Output layer gradients.
-        let backend = self.cell.backend.as_dyn();
+        let backend = self.cell.backend;
         backend.transpose_matmul_into(&h, &grad_logits, &mut self.grad_out_w)?;
         grad_logits.column_sums_into(&mut self.grad_out_b);
-        // BPTT.
+        if frozen_prefix >= cell_end {
+            return Ok(loss);
+        }
+        // BPTT; `dx` only feeds the embedding gradient.
+        let need_dx = frozen_prefix < embedding_end;
         let mut dh = backend.matmul_transpose(&grad_logits, &self.out_w)?;
         for (t, cache) in caches.iter().enumerate().rev() {
-            let (dh_prev, dx) = self.cell.backward_step(&dh, cache)?;
-            for (b, seq) in tokens.iter().enumerate() {
-                let token = seq[t];
-                let grow = self.grad_embedding.row_mut(token);
-                for (g, &d) in grow.iter_mut().zip(dx.row(b)) {
-                    *g += d;
+            let (dh_prev, dx) = self.cell.backward_step(&dh, cache, t > 0, need_dx)?;
+            if let Some(dx) = dx {
+                for (b, seq) in tokens.iter().enumerate() {
+                    let token = seq[t];
+                    let grow = self.grad_embedding.row_mut(token);
+                    for (g, &d) in grow.iter_mut().zip(dx.row(b)) {
+                        *g += d;
+                    }
                 }
             }
-            dh = dh_prev;
+            if let Some(dh_prev) = dh_prev {
+                dh = dh_prev;
+            }
         }
         Ok(loss)
     }
@@ -517,25 +560,17 @@ impl Model for CharRnn {
     }
 
     fn train_batch(&mut self, x: &Matrix, y: &[usize], opt: &SgdConfig) -> Result<f32, NnError> {
-        let loss = self.forward_backward(x, y)?;
-        let lr = opt.learning_rate();
+        let loss = self.forward_backward(x, y, opt.frozen_prefix())?;
         let mut offset = 0;
         self.apply_all(&mut |param, grad| {
-            let p = param.as_mut_slice();
-            for (i, (w, &g)) in p.iter_mut().zip(grad.as_slice()).enumerate() {
-                if !opt.is_trainable(offset + i) {
-                    continue;
-                }
-                let pull = opt.regularization_pull(offset + i, *w);
-                *w -= lr * (g + pull);
-            }
+            opt.step(param.as_mut_slice(), grad.as_slice(), offset);
             offset += grad.len();
         });
         Ok(loss)
     }
 
     fn loss_and_gradient(&mut self, x: &Matrix, y: &[usize]) -> Result<(f32, Vec<f32>), NnError> {
-        let loss = self.forward_backward(x, y)?;
+        let loss = self.forward_backward(x, y, 0)?;
         let mut grads = Vec::with_capacity(self.num_parameters());
         self.apply_all(&mut |_, grad| grads.extend_from_slice(grad.as_slice()));
         Ok((loss, grads))
@@ -593,6 +628,7 @@ impl std::fmt::Debug for CharRnn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{assert_same_bits, assert_training_matches_reference, reference_update};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -701,6 +737,83 @@ mod tests {
         let preds = model.predict(&x).unwrap();
         let correct = preds.iter().zip(&y).filter(|(p, l)| p == l).count();
         assert_eq!(correct, eval.correct);
+    }
+
+    /// The pre-cut training step: the full gradient (as
+    /// `loss_and_gradient` computes it) followed by the old per-element
+    /// update.
+    fn reference_step(model: &mut CharRnn, x: &Matrix, y: &[usize], opt: &SgdConfig) -> f32 {
+        let loss = model.forward_backward(x, y, 0).unwrap();
+        let mut offset = 0;
+        model.apply_all(&mut |param, grad| {
+            reference_update(opt, param.as_mut_slice(), grad.as_slice(), offset);
+            offset += grad.len();
+        });
+        loss
+    }
+
+    #[test]
+    fn train_batch_is_bit_identical_to_the_reference_step() {
+        let model = toy_model(7);
+        let (x, y) = cyclic_batch(6, 4);
+        let embedding = model.embedding.len();
+        assert_training_matches_reference("char-rnn", &model, embedding, &x, &y, reference_step);
+    }
+
+    #[test]
+    fn frozen_blocks_stop_the_backward_pass_above_them() {
+        let (x, y) = cyclic_batch(6, 4);
+        let mut model = toy_model(8);
+        let (embedding, cell) = (model.embedding.len(), model.cell.num_parameters());
+        let mut full = Vec::new();
+        model.forward_backward(&x, &y, 0).unwrap();
+        model.apply_all(&mut |_, grad| full.extend_from_slice(grad.as_slice()));
+        // Whatever sits above the frozen prefix keeps its exact gradient;
+        // a fully frozen block below it stays zeroed, because nothing
+        // computed it.
+        for (frozen, computed_from) in [
+            (embedding - 1, 0),
+            (embedding, embedding),
+            (embedding + cell, embedding + cell),
+        ] {
+            let mut cut = Vec::new();
+            model.forward_backward(&x, &y, frozen).unwrap();
+            model.apply_all(&mut |_, grad| cut.extend_from_slice(grad.as_slice()));
+            assert_same_bits(
+                &cut[computed_from..],
+                &full[computed_from..],
+                &format!("frozen={frozen}"),
+            );
+            assert!(cut[..computed_from].iter().all(|&g| g == 0.0));
+        }
+    }
+
+    #[test]
+    fn backward_step_outputs_do_not_change_parameter_gradients() {
+        let cell = GruCell::new(&mut StdRng::seed_from_u64(9), 3, 4);
+        let x = Matrix::from_fn(2, 3, |r, c| (r as f32 - c as f32) * 0.4);
+        let h_prev = Matrix::from_fn(2, 4, |r, c| ((r + c) % 3) as f32 * 0.3 - 0.2);
+        let (_, cache) = cell.forward_step(&x, &h_prev).unwrap();
+        let grad_h = Matrix::from_fn(2, 4, |r, c| (r * 4 + c) as f32 * 0.1 - 0.3);
+        let grads_of = |cell: &mut GruCell| {
+            let mut grads = Vec::new();
+            cell.apply_update(&mut |_, g| grads.extend_from_slice(g.as_slice()));
+            grads
+        };
+        let mut wanted = cell.clone();
+        let (dh_prev, dx) = wanted.backward_step(&grad_h, &cache, true, true).unwrap();
+        assert_eq!(dh_prev.unwrap().shape(), (2, 4));
+        assert_eq!(dx.unwrap().shape(), (2, 3));
+        let mut unwanted = cell.clone();
+        let (dh_prev, dx) = unwanted
+            .backward_step(&grad_h, &cache, false, false)
+            .unwrap();
+        assert!(dh_prev.is_none() && dx.is_none());
+        assert_same_bits(
+            &grads_of(&mut unwanted),
+            &grads_of(&mut wanted),
+            "GRU parameter gradients",
+        );
     }
 
     #[test]

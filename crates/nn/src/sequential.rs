@@ -10,7 +10,7 @@ use crate::{EvalScratch, Evaluation, Model, NnError, SgdConfig, TrainScratch};
 /// A differentiable layer in a [`Sequential`] model.
 ///
 /// Layers are stateful: [`Layer::forward`] caches whatever the subsequent
-/// [`Layer::backward`] call needs, while [`Layer::forward_inference`] runs
+/// [`Layer::backward_into`] call needs, while [`Layer::forward_inference`] runs
 /// without mutating the layer (used for evaluation and prediction).
 ///
 /// Parameterised layers expose their parameters and gradients through
@@ -96,23 +96,22 @@ pub trait Layer: Send {
         Ok(())
     }
 
-    /// Backward pass: consumes the gradient w.r.t. this layer's output and
-    /// returns the gradient w.r.t. its input, storing parameter gradients
-    /// internally.
+    /// Backward pass — the one entry point every layer implements.
     ///
-    /// # Errors
+    /// Consumes the gradient w.r.t. this layer's output, stores the
+    /// parameter gradients internally and, when `grad_input` is `Some`,
+    /// writes the gradient w.r.t. the layer's input into that buffer
+    /// (reshaped and fully overwritten; it must be distinct from
+    /// `grad_output`).
     ///
-    /// Returns an error if `grad_output` does not match the shape produced
-    /// by the preceding [`Layer::forward`] call.
-    fn backward(&mut self, grad_output: &Matrix) -> Result<Matrix, NnError>;
-
-    /// Backward pass into a reusable grad-input buffer (the
-    /// buffer-reusing counterpart of [`Layer::backward`], paired with
-    /// [`Layer::forward_train_into`]).
-    ///
-    /// `grad_output` and `grad_input` must be distinct matrices. The
-    /// default implementation falls back to the allocating
-    /// [`Layer::backward`].
+    /// `None` means *nobody consumes the input gradient*: the caller is
+    /// the lowest layer that still needs parameter gradients (see
+    /// [`Sequential`]'s training step). The layer must then do exactly
+    /// the work its parameter gradients need and nothing else —
+    /// [`Dense`](crate::Dense) skips its `g · Wᵀ` product,
+    /// [`Conv2d`](crate::Conv2d) that product and `col2im`, and
+    /// parameterless layers do nothing at all. The parameter gradients
+    /// must be bit-identical in both forms.
     ///
     /// # Errors
     ///
@@ -121,10 +120,20 @@ pub trait Layer: Send {
     fn backward_into(
         &mut self,
         grad_output: &Matrix,
-        grad_input: &mut Matrix,
-    ) -> Result<(), NnError> {
-        *grad_input = self.backward(grad_output)?;
-        Ok(())
+        grad_input: Option<&mut Matrix>,
+    ) -> Result<(), NnError>;
+
+    /// Allocating convenience for [`Layer::backward_into`]: returns the
+    /// gradient w.r.t. the layer's input.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if `grad_output` does not match the shape produced
+    /// by the preceding [`Layer::forward`] call.
+    fn backward(&mut self, grad_output: &Matrix) -> Result<Matrix, NnError> {
+        let mut grad_input = Matrix::default();
+        self.backward_into(grad_output, Some(&mut grad_input))?;
+        Ok(grad_input)
     }
 
     /// Selects the [`MatmulBackend`](dagfl_tensor::MatmulBackend) this
@@ -237,8 +246,31 @@ impl Sequential {
         Ok(logits)
     }
 
-    /// Training forward + backward, leaving gradients stored in the layers.
-    /// Returns the batch loss.
+    /// The lowest layer that needs parameter gradients when the first
+    /// `frozen_prefix` flat parameters are pinned: the first layer whose
+    /// parameters reach past the prefix (`layers.len()` if none does).
+    /// Nothing consumes a gradient below it, so the backward pass stops
+    /// there.
+    fn backward_cut(&self, frozen_prefix: usize) -> usize {
+        let mut end = 0;
+        self.layers
+            .iter()
+            .position(|layer| {
+                end += layer.num_parameters();
+                end > frozen_prefix
+            })
+            .unwrap_or(self.layers.len())
+    }
+
+    /// Training forward + backward for a caller that will not update the
+    /// first `frozen_prefix` flat parameters; leaves gradients stored in
+    /// the layers from [`Sequential::backward_cut`] up. Returns the batch
+    /// loss.
+    ///
+    /// A backward product runs only if its result has a consumer: the
+    /// layer at the cut gets no grad-input buffer
+    /// ([`Layer::backward_into`] with `None`) and the layers below it are
+    /// not called at all.
     ///
     /// Activations ping-pong between the two [`TrainScratch`] activation
     /// buffers and layer gradients between its two gradient buffers, so a
@@ -247,13 +279,19 @@ impl Sequential {
     /// scale by `1/batch`) instead of going through the allocating
     /// [`softmax_cross_entropy`] — same operations, same order, bitwise
     /// identical loss and gradients.
-    fn forward_backward(&mut self, x: &Matrix, y: &[usize]) -> Result<f32, NnError> {
+    fn forward_backward(
+        &mut self,
+        x: &Matrix,
+        y: &[usize],
+        frozen_prefix: usize,
+    ) -> Result<f32, NnError> {
         if x.rows() != y.len() {
             return Err(NnError::BatchMismatch {
                 inputs: x.rows(),
                 labels: y.len(),
             });
         }
+        let cut = self.backward_cut(frozen_prefix);
         let Self { layers, scratch } = self;
         let (mut cur, mut next, mut gcur, mut gnext) = scratch.parts();
         layers[0].forward_train_into(x, cur)?;
@@ -277,31 +315,25 @@ impl Sequential {
             gcur[(r, label)] -= 1.0;
         }
         gcur.scale_assign(scale);
-        for layer in layers.iter_mut().rev() {
-            layer.backward_into(gcur, gnext)?;
+        let Some((lowest, above)) = layers[cut..].split_first_mut() else {
+            return Ok(loss);
+        };
+        for layer in above.iter_mut().rev() {
+            layer.backward_into(gcur, Some(&mut *gnext))?;
             std::mem::swap(&mut gcur, &mut gnext);
         }
+        lowest.backward_into(gcur, None)?;
         Ok(loss)
     }
 
-    /// Applies `w ← w − lr (g + prox)` across all layers, walking the flat
-    /// parameter offset for the proximal reference lookup.
+    /// Walks every `(parameter, gradient)` pair through
+    /// [`SgdConfig::step`], tracking the flat parameter offset.
     fn apply_sgd(&mut self, opt: &SgdConfig) {
-        let lr = opt.learning_rate();
         let mut offset = 0;
         for layer in &mut self.layers {
             layer.apply_update(&mut |param, grad| {
-                debug_assert_eq!(param.shape(), grad.shape());
-                let p = param.as_mut_slice();
-                let g = grad.as_slice();
-                for (i, (w, &gv)) in p.iter_mut().zip(g).enumerate() {
-                    if !opt.is_trainable(offset + i) {
-                        continue;
-                    }
-                    let pull = opt.regularization_pull(offset + i, *w);
-                    *w -= lr * (gv + pull);
-                }
-                offset += g.len();
+                opt.step(param.as_mut_slice(), grad.as_slice(), offset);
+                offset += grad.len();
             });
         }
     }
@@ -395,13 +427,14 @@ impl Model for Sequential {
     }
 
     fn train_batch(&mut self, x: &Matrix, y: &[usize], opt: &SgdConfig) -> Result<f32, NnError> {
-        let loss = self.forward_backward(x, y)?;
+        let loss = self.forward_backward(x, y, opt.frozen_prefix())?;
         self.apply_sgd(opt);
         Ok(loss)
     }
 
     fn loss_and_gradient(&mut self, x: &Matrix, y: &[usize]) -> Result<(f32, Vec<f32>), NnError> {
-        let loss = self.forward_backward(x, y)?;
+        // Nothing frozen: the full gradient.
+        let loss = self.forward_backward(x, y, 0)?;
         Ok((loss, self.collect_gradients()))
     }
 
@@ -510,7 +543,8 @@ impl Model for Sequential {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CharRnn, Conv2d, Dense, ImageShape, Relu};
+    use crate::reference::{assert_same_bits, assert_training_matches_reference, reference_update};
+    use crate::{CharRnn, Conv2d, Dense, Dropout, ImageShape, MaxPool2d, Relu};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -709,8 +743,15 @@ mod tests {
             fn forward_inference(&self, input: &Matrix) -> Result<Matrix, NnError> {
                 Ok(input.map(|v| v + 1.0))
             }
-            fn backward(&mut self, grad_output: &Matrix) -> Result<Matrix, NnError> {
-                Ok(grad_output.clone())
+            fn backward_into(
+                &mut self,
+                grad_output: &Matrix,
+                grad_input: Option<&mut Matrix>,
+            ) -> Result<(), NnError> {
+                if let Some(grad_input) = grad_input {
+                    grad_input.copy_from(grad_output);
+                }
+                Ok(())
             }
             fn boxed_clone(&self) -> Box<dyn Layer> {
                 Box::new(Offset)
@@ -837,6 +878,99 @@ mod tests {
             layer.apply_update(&mut |_, grad| grads_after.push(grad.as_slice().as_ptr()));
         }
         assert_eq!(grads_after, grads_before);
+    }
+
+    /// The pre-cut training step: every layer's allocating `backward`, top
+    /// to bottom, whether or not anything consumes the result, followed
+    /// by the old per-element update.
+    fn reference_step(model: &mut Sequential, x: &Matrix, y: &[usize], opt: &SgdConfig) -> f32 {
+        let mut activ = x.clone();
+        for layer in &mut model.layers {
+            activ = layer.forward(&activ).unwrap();
+        }
+        let (mut grad, loss) = softmax_cross_entropy(&activ, y);
+        for (r, &label) in y.iter().enumerate() {
+            grad[(r, label)] -= 1.0;
+        }
+        grad.scale_assign(1.0 / y.len().max(1) as f32);
+        for layer in model.layers.iter_mut().rev() {
+            grad = layer.backward(&grad).unwrap();
+        }
+        let mut offset = 0;
+        for layer in &mut model.layers {
+            layer.apply_update(&mut |param, grad| {
+                reference_update(opt, param.as_mut_slice(), grad.as_slice(), offset);
+                offset += grad.len();
+            });
+        }
+        loss
+    }
+
+    /// Conv → ReLU → max-pool → dropout → Dense: every layer kind whose
+    /// backward the cut can skip, with the parameterised one at the bottom.
+    fn tiny_cnn(seed: u64) -> Sequential {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let conv = Conv2d::new(&mut rng, ImageShape::new(1, 4, 4), 2, 3, 1, 1);
+        let pool = MaxPool2d::new(conv.out_shape(), 2, 2);
+        let flat = pool.out_shape().len();
+        Sequential::new(vec![
+            Box::new(conv),
+            Box::new(Relu::new()),
+            Box::new(pool),
+            Box::new(Dropout::new(0.25, seed)),
+            Box::new(Dense::new(&mut rng, flat, 2)),
+        ])
+    }
+
+    fn image_batch() -> (Matrix, Vec<usize>) {
+        let x = Matrix::from_fn(4, 16, |r, c| ((r * 16 + c) % 7) as f32 * 0.31 - 1.0);
+        (x, vec![0, 1, 0, 1])
+    }
+
+    #[test]
+    fn train_batch_is_bit_identical_to_the_reference_step() {
+        let (x, y) = toy_batch();
+        let mlp = tiny_model(31);
+        let layer0 = mlp.layers[0].num_parameters();
+        assert_training_matches_reference("mlp", &mlp, layer0, &x, &y, reference_step);
+        let (x, y) = image_batch();
+        let cnn = tiny_cnn(32);
+        let layer0 = cnn.layers[0].num_parameters();
+        assert_training_matches_reference("cnn", &cnn, layer0, &x, &y, reference_step);
+    }
+
+    #[test]
+    fn backward_cut_is_the_first_layer_reaching_past_the_frozen_prefix() {
+        let model = tiny_model(1);
+        // Dense(4, 8) holds 40 parameters, ReLU none, Dense(8, 3) 27.
+        assert_eq!(model.backward_cut(0), 0);
+        assert_eq!(model.backward_cut(39), 0);
+        assert_eq!(model.backward_cut(40), 2);
+        assert_eq!(model.backward_cut(66), 2);
+        assert_eq!(model.backward_cut(67), 3);
+        assert_eq!(model.backward_cut(usize::MAX), 3);
+    }
+
+    #[test]
+    fn loss_and_gradient_is_full_after_frozen_training() {
+        let (x, y) = toy_batch();
+        let mut model = tiny_model(33);
+        // Freezing exactly layer 0 stops the backward pass at the second
+        // Dense, leaving stale gradients in the first...
+        let frozen = model.layers[0].num_parameters();
+        let opt = SgdConfig::new(0.5).with_frozen_prefix(frozen);
+        for _ in 0..3 {
+            model.train_batch(&x, &y, &opt).unwrap();
+        }
+        // ...which `loss_and_gradient` must not return: it equals the
+        // gradient of a model that never saw a frozen step.
+        let mut fresh = tiny_model(34);
+        fresh.set_parameters(&model.parameters()).unwrap();
+        let (loss, grad) = model.loss_and_gradient(&x, &y).unwrap();
+        let (fresh_loss, fresh_grad) = fresh.loss_and_gradient(&x, &y).unwrap();
+        assert_eq!(loss.to_bits(), fresh_loss.to_bits());
+        assert_same_bits(&grad, &fresh_grad, "gradient after frozen training");
+        assert!(grad[..frozen].iter().any(|&g| g != 0.0));
     }
 
     /// Trains two copies of `build()`, one per backend, and demands
