@@ -39,9 +39,7 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -50,6 +48,7 @@ use dagfl_graphs::Graph;
 use dagfl_nn::average_parameters;
 use dagfl_tangle::{TangleRead, TxId};
 
+use crate::fanout::{disjoint_mut, fan_out};
 use crate::{
     ClientGraphTracker, ComputeProfile, CoreError, DagClient, DagConfig, DelayModel, Envelope,
     FaultPlan, FaultyTransport, GossipMessage, LoopbackTransport, ModelFactory, ModelPayload,
@@ -109,10 +108,11 @@ pub struct AsyncConfig {
     /// that many peers per publication — deterministically, from the
     /// simulation's RNG stream.
     pub gossip_fanout: usize,
-    /// Worker threads training concurrently activated clients (`1` =
-    /// serial). Which activations train together is decided by event
-    /// times alone, never by thread timing, so results are
-    /// byte-identical at any worker count.
+    /// Threads training concurrently activated clients, the event
+    /// loop's own thread included (`1` = serial, nothing is spawned).
+    /// Which activations train together is decided by event times
+    /// alone, never by thread timing, so results are byte-identical at
+    /// any worker count.
     pub workers: usize,
 }
 
@@ -733,7 +733,7 @@ impl AsyncSimulation {
 
     /// Starts a batch of activations: deliver each client's gossip in
     /// event order, select tips and train every client against its own
-    /// replica (in parallel across `workers` threads), then schedule
+    /// replica (fanned out over `workers` threads), then schedule
     /// the finish events in batch order — the same sequence numbers a
     /// serial loop would assign.
     fn process_activation_batch(&mut self, batch: &[(usize, f64)]) -> Result<(), CoreError> {
@@ -743,9 +743,8 @@ impl AsyncSimulation {
             self.clock = at;
             self.deliver(idx, at);
         }
-        let outcomes = self.train_batch(batch);
+        let outcomes = self.train_batch(batch)?;
         for (&(idx, at), outcome) in batch.iter().zip(outcomes) {
-            let outcome = outcome?;
             let duration = self.config.train_time / self.speeds[idx];
             self.pending[idx] = Some(PendingActivation {
                 started: at,
@@ -757,77 +756,20 @@ impl AsyncSimulation {
     }
 
     /// Trains every batched activation, returning outcomes in batch
-    /// order. Which thread trains which client never matters: training
-    /// only touches per-client state (the client itself, its replica
-    /// view and its data shard), so any worker count produces the same
-    /// outcomes.
-    fn train_batch(&mut self, batch: &[(usize, f64)]) -> Vec<Result<TrainOutcome, CoreError>> {
+    /// order: one [`fan_out`] job per activation over `workers` threads
+    /// (inline at `workers = 1`). Which thread trains which client never
+    /// matters: training only touches per-client state (the client
+    /// itself, its replica view and its data shard), so any worker count
+    /// produces the same outcomes.
+    fn train_batch(&mut self, batch: &[(usize, f64)]) -> Result<Vec<TrainOutcome>, CoreError> {
         let config = self.config;
         let dataset = &self.dataset;
         let replicas = &self.replicas;
-        // Collect disjoint &mut borrows of the batched clients: sort the
-        // (distinct) indices, split the slice, place each borrow back at
-        // its batch position.
-        let mut order: Vec<(usize, usize)> = batch
-            .iter()
-            .enumerate()
-            .map(|(pos, &(idx, _))| (idx, pos))
-            .collect();
-        order.sort_unstable();
-        let mut slots: Vec<Option<&mut DagClient>> = (0..batch.len()).map(|_| None).collect();
-        let mut remaining: &mut [DagClient] = &mut self.clients;
-        let mut taken = 0usize;
-        for &(idx, pos) in &order {
-            let offset = idx - taken;
-            let (_, rest) = remaining.split_at_mut(offset);
-            let (client, rest) = rest.split_first_mut().expect("index in range");
-            slots[pos] = Some(client);
-            remaining = rest;
-            taken = idx + 1;
-        }
-        let workers = config.workers.min(batch.len());
-        if workers <= 1 {
-            return slots
-                .into_iter()
-                .zip(batch)
-                .map(|(client, &(idx, _))| {
-                    client.expect("slot filled").train_round(
-                        replicas[idx].tangle(),
-                        &dataset.clients()[idx],
-                        &config.dag,
-                    )
-                })
-                .collect();
-        }
-        let jobs: Vec<Mutex<Option<(usize, &mut DagClient)>>> = slots
-            .into_iter()
-            .zip(batch)
-            .map(|(client, &(idx, _))| Mutex::new(Some((idx, client.expect("slot filled")))))
-            .collect();
-        let results: Vec<Mutex<Option<Result<TrainOutcome, CoreError>>>> =
-            (0..jobs.len()).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= jobs.len() {
-                        break;
-                    }
-                    let (idx, client) = jobs[i].lock().take().expect("each job taken once");
-                    let outcome = client.train_round(
-                        replicas[idx].tangle(),
-                        &dataset.clients()[idx],
-                        &config.dag,
-                    );
-                    *results[i].lock() = Some(outcome);
-                });
-            }
-        });
-        results
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("worker stored a result"))
-            .collect()
+        let clients = disjoint_mut(&mut self.clients, batch, |&(idx, _)| idx);
+        fan_out(config.workers, clients, |i, client| {
+            let idx = batch[i].0;
+            client.train_round(replicas[idx].tangle(), &dataset.clients()[idx], &config.dag)
+        })
     }
 
     /// Completes an activation: staleness check against the updated

@@ -183,7 +183,10 @@ pub struct DagConfig {
     pub publication_dropout: f32,
     /// Master seed for all randomness.
     pub seed: u64,
-    /// Whether active clients run concurrently on scoped threads.
+    /// Whether a round's active clients are spread over the cores the
+    /// process may run on (`true`) or run one after the other on the
+    /// calling thread (`false`). Purely a wall-clock choice: results are
+    /// byte-identical either way and at any core count.
     pub parallel: bool,
 }
 

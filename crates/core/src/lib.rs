@@ -93,6 +93,7 @@ mod delay;
 mod error;
 mod evaluator;
 mod exec;
+mod fanout;
 mod fault;
 mod metrics;
 mod net;
@@ -114,6 +115,7 @@ pub use delay::{ComputeProfile, DelayModel, StaleTipPolicy};
 pub use error::CoreError;
 pub use evaluator::{EvalCounters, ModelEvaluator};
 pub use exec::ExecutionMode;
+pub use fanout::fan_out;
 pub use fault::{CrashWindow, FaultPlan, FaultyTransport, PartitionWindow, FAULT_STREAM};
 pub use metrics::{
     approval_pureness_of, client_graph_of, tangle_digest, ClientGraphTracker, RoundMetrics,

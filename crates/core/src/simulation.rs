@@ -11,6 +11,7 @@ use dagfl_graphs::{louvain, misclassification_fraction, modularity, partition_co
 use dagfl_nn::Evaluation;
 use dagfl_tangle::TxId;
 
+use crate::fanout::{disjoint_mut, fan_out, machine_workers};
 use crate::{
     ClientGraphTracker, CoreError, DagClient, DagConfig, ModelFactory, ModelPayload, RoundMetrics,
     ShardedModelTangle, SpecializationMetrics, TrainOutcome,
@@ -201,47 +202,32 @@ impl Simulation {
     }
 
     /// Runs the Figure 1 loop for all active clients against the current
-    /// tangle snapshot, in parallel if configured.
+    /// tangle snapshot: one [`fan_out`] job per client, over the
+    /// machine's cores if [`DagConfig::parallel`] is set and inline
+    /// otherwise. Every job walks the sharded store directly (lock-free
+    /// read path, no guard held).
     fn run_active_clients(&mut self, active: &[usize]) -> Result<Vec<TrainOutcome>, CoreError> {
         let config = self.config;
         let dataset = &self.dataset;
         let tangle = &self.tangle;
-        // Collect disjoint &mut borrows of the active clients.
-        let mut remaining: &mut [DagClient] = &mut self.clients;
-        let mut taken = 0usize;
-        let mut client_refs: Vec<&mut DagClient> = Vec::with_capacity(active.len());
-        for &idx in active {
-            let offset = idx - taken;
-            let (_, rest) = remaining.split_at_mut(offset);
-            let (client, rest) = rest.split_first_mut().expect("index in range");
-            client_refs.push(client);
-            remaining = rest;
-            taken = idx + 1;
-        }
-        if config.parallel && active.len() > 1 {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = client_refs
-                    .into_iter()
-                    .zip(active)
-                    .map(|(client, &idx)| {
-                        let data = &dataset.clients()[idx];
-                        // Lock-free read path: every worker walks the
-                        // sharded store directly, no guard held.
-                        scope.spawn(move || client.train_round(tangle, data, &config))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("client thread panicked"))
-                    .collect::<Result<Vec<_>, _>>()
-            })
+        let workers = if config.parallel {
+            machine_workers()
         } else {
-            client_refs
-                .into_iter()
-                .zip(active)
-                .map(|(client, &idx)| client.train_round(tangle, &dataset.clients()[idx], &config))
-                .collect()
-        }
+            1
+        };
+        let mut clients = disjoint_mut(&mut self.clients, active, |&idx| idx);
+        // Longest job first: a walk pays a forward pass for every
+        // candidate the client's cache has not seen, so the coldest
+        // cache is the longest job, and with a handful of jobs per
+        // worker the one started last sets the round's tail.
+        clients.sort_by_cached_key(|client| client.cache_len());
+        // A client's id is its index into `clients` and the dataset.
+        let mut outcomes = fan_out(workers, clients, |_, client| {
+            client.train_round(tangle, &dataset.clients()[client.id() as usize], &config)
+        })?;
+        // Back to ascending client order, the order publications attach in.
+        outcomes.sort_by_key(|outcome| outcome.client);
+        Ok(outcomes)
     }
 
     /// Runs rounds until `config.rounds` have completed; returns the
@@ -369,6 +355,10 @@ mod tests {
     }
 
     fn small_sim(rounds: usize, parallel: bool) -> Simulation {
+        sized_sim(rounds, 3, parallel)
+    }
+
+    fn sized_sim(rounds: usize, clients_per_round: usize, parallel: bool) -> Simulation {
         let dataset = fmnist_clustered(&FmnistConfig {
             num_clients: 6,
             samples_per_client: 40,
@@ -377,7 +367,7 @@ mod tests {
         let features = dataset.feature_len();
         let config = DagConfig {
             rounds,
-            clients_per_round: 3,
+            clients_per_round,
             local_batches: 3,
             parallel,
             ..DagConfig::default()
@@ -474,16 +464,44 @@ mod tests {
         }
     }
 
+    /// A fixed seed fixes every result, and neither `parallel` nor the
+    /// number of fan-out workers is part of it: the tangle digest, every
+    /// client's evaluator counters and every round's metrics (bar the
+    /// wall-clock walk duration) are identical inline and at 1, 2, 3, 7
+    /// and 16 workers.
     #[test]
     fn determinism_for_fixed_seed() {
-        let mut a = small_sim(3, false);
-        let mut b = small_sim(3, false);
-        a.run().unwrap();
-        b.run().unwrap();
-        assert_eq!(a.tangle().len(), b.tangle().len());
-        let acc_a: Vec<f32> = a.history().iter().map(|m| m.mean_accuracy()).collect();
-        let acc_b: Vec<f32> = b.history().iter().map(|m| m.mean_accuracy()).collect();
-        assert_eq!(acc_a, acc_b);
+        use crate::fanout::tests::with_workers;
+        let fingerprint = |sim: &Simulation| {
+            let counters: Vec<_> = sim.clients.iter().map(|c| c.eval_counters()).collect();
+            let history: Vec<RoundMetrics> = sim
+                .history()
+                .iter()
+                .map(|m| RoundMetrics {
+                    mean_walk_duration: Duration::ZERO,
+                    ..m.clone()
+                })
+                .collect();
+            format!(
+                "{:#x} {counters:?} {history:?}",
+                crate::tangle_digest(sim.tangle())
+            )
+        };
+        let run = |parallel: bool| {
+            let mut sim = sized_sim(3, 5, parallel);
+            sim.run().unwrap();
+            assert!(sim.tangle().len() > 1, "no transactions were published");
+            fingerprint(&sim)
+        };
+        let sequential = run(false);
+        assert_eq!(sequential, run(false), "same seed, different run");
+        for workers in [1, 2, 3, 7, 16] {
+            assert_eq!(
+                sequential,
+                with_workers(workers, || run(true)),
+                "{workers} workers changed the result"
+            );
+        }
     }
 
     #[test]

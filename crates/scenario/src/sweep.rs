@@ -15,8 +15,8 @@
 //!
 //! Expansion ([`SweepSpec::expand_at`]) produces concrete, validated
 //! [`SweepCell`]s in a deterministic order (axes as listed, last axis
-//! fastest). [`SweepRunner::run`] executes them on `jobs` scoped worker
-//! threads; every cell is a self-contained [`ScenarioRunner`] run whose
+//! fastest). [`SweepRunner::run`] executes them on `jobs` worker
+//! threads ([`dagfl_core::fan_out`]); every cell is a self-contained [`ScenarioRunner`] run whose
 //! randomness derives only from the cell's own scenario seed, so the
 //! aggregate [`SweepReport`] — including its cross-cell comparison CSV
 //! — is byte-identical for any worker count or scheduling order.
@@ -44,11 +44,9 @@
 //! ```
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use dagfl_core::csv::{to_csv_string, write_csv};
-use dagfl_core::{derive_seed, DelayModel, TipSelector};
+use dagfl_core::{derive_seed, fan_out, DelayModel, TipSelector};
 
 use crate::presets::Scale;
 use crate::runner::{RunReport, ScenarioRunner};
@@ -1140,14 +1138,13 @@ impl SweepReport {
     }
 }
 
-/// Validates a [`SweepSpec`] and executes its cells on a pool of scoped
-/// worker threads.
+/// Validates a [`SweepSpec`] and executes its cells through
+/// [`dagfl_core::fan_out`], the fan-out a round's clients use.
 ///
-/// Workers pull cell indices from a shared atomic counter, so `jobs`
-/// only controls wall-clock parallelism: every cell is a self-contained
-/// deterministic scenario run, results are re-assembled in expansion
-/// order, and the resulting [`SweepReport`] (and comparison CSV) is
-/// byte-identical for `--jobs 1` and `--jobs N`.
+/// `jobs` only controls wall-clock parallelism: every cell is a
+/// self-contained deterministic scenario run, results are re-assembled
+/// in expansion order, and the resulting [`SweepReport`] (and comparison
+/// CSV) is byte-identical for `--jobs 1` and `--jobs N`.
 #[derive(Debug, Clone)]
 pub struct SweepRunner {
     spec: SweepSpec,
@@ -1188,58 +1185,39 @@ impl SweepRunner {
         &self.cells
     }
 
-    /// Runs every cell on `jobs` worker threads and aggregates the
-    /// reports (clamped to at least 1 and at most the cell count).
+    /// Runs every cell on `jobs` worker threads, the calling one
+    /// included, and aggregates the reports (clamped to at least 1 and
+    /// at most the cell count).
     ///
     /// # Errors
     ///
     /// Propagates the first failing cell (by expansion order), naming
     /// its id.
     pub fn run(&self, jobs: usize) -> Result<SweepReport, ScenarioError> {
-        let cells = &self.cells;
-        let n = cells.len();
-        let jobs = jobs.clamp(1, n.max(1));
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Result<RunReport, ScenarioError>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..jobs {
-                scope.spawn(|| loop {
-                    let index = next.fetch_add(1, Ordering::SeqCst);
-                    if index >= n {
-                        break;
-                    }
-                    let mut scenario = cells[index].scenario.clone();
-                    if jobs > 1 {
-                        // Cell-level workers already saturate the cores;
-                        // stacking the per-round client fan-out on top
-                        // would oversubscribe them. Safe to disable: the
-                        // parallel round path is bit-deterministic
-                        // against the sequential one (pinned by the
-                        // RunReport-equality regression test).
-                        scenario.execution.dag_mut().parallel = false;
-                    }
-                    let outcome = ScenarioRunner::new(scenario).and_then(|runner| runner.run());
-                    *slots[index].lock().expect("cell slot lock") = Some(outcome);
-                });
+        let jobs = jobs.clamp(1, self.cells.len().max(1));
+        let cells = fan_out(jobs, &self.cells, |_, cell| {
+            let mut scenario = cell.scenario.clone();
+            if jobs > 1 {
+                // Cell-level workers already saturate the cores;
+                // stacking the per-round client fan-out on top
+                // would oversubscribe them. Safe to disable: the
+                // parallel round path is bit-deterministic
+                // against the sequential one (pinned by the
+                // RunReport-equality regression test).
+                scenario.execution.dag_mut().parallel = false;
             }
-        });
-        let mut reports = Vec::with_capacity(n);
-        for (cell, slot) in cells.iter().zip(slots) {
-            let report = slot
-                .into_inner()
-                .expect("cell slot lock")
-                .expect("every cell index was claimed by a worker")
+            ScenarioRunner::new(scenario)
+                .and_then(|runner| runner.run())
+                .map(|report| SweepCellReport {
+                    index: cell.index,
+                    id: cell.id.clone(),
+                    values: cell.values.clone(),
+                    report,
+                })
                 .map_err(|e| {
                     ScenarioError::Invalid(format!("sweep cell `{}` failed: {e}", cell.id))
-                })?;
-            reports.push(SweepCellReport {
-                index: cell.index,
-                id: cell.id.clone(),
-                values: cell.values.clone(),
-                report,
-            });
-        }
+                })
+        })?;
         let axes = self
             .spec
             .resolved_axes()
@@ -1250,7 +1228,7 @@ impl SweepRunner {
         let mut report = SweepReport {
             name: self.spec.name.clone(),
             axes,
-            cells: reports,
+            cells,
             comparison_csv: None,
         };
         if let Some(csv) = &self.spec.comparison_csv {

@@ -63,7 +63,7 @@ mod weights;
 
 pub use error::TangleError;
 pub use export::TangleStats;
-pub use read::TangleRead;
+pub use read::{TangleRead, WalkStartBand};
 pub use sharded::ShardedTangle;
 pub use snapshot::{SnapshotRecord, TangleSnapshot};
 pub use tangle::Tangle;

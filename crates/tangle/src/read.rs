@@ -163,29 +163,62 @@ pub trait TangleRead<P> {
         depths
     }
 
-    /// Samples a random-walk start transaction whose depth from the
-    /// tips lies in `[min_depth, max_depth]` (see
-    /// [`Tangle::sample_walk_start`]); identical algorithm and RNG draw
-    /// sequence.
-    fn sample_walk_start<R: Rng>(&self, min_depth: u32, max_depth: u32, rng: &mut R) -> TxId {
+    /// The walk-start band of the tangle as it stands: everything
+    /// [`TangleRead::sample_walk_start`] needs except the random draw.
+    /// Depends on the tangle's contents only, so all walks over one
+    /// unchanged tangle can share it.
+    fn walk_start_band(&self, min_depth: u32, max_depth: u32) -> WalkStartBand {
         debug_assert!(min_depth <= max_depth);
         let depths = self.depths_from_tips();
-        let candidates: Vec<TxId> = depths
+        let candidates = depths
             .iter()
             .enumerate()
             .filter(|(_, &d)| d >= min_depth && d <= max_depth)
             .map(|(i, _)| TxId(i as u64))
             .collect();
-        if candidates.is_empty() {
-            // Deepest transaction: ties resolve to the earliest (genesis).
-            let (idx, _) = depths
-                .iter()
-                .enumerate()
-                .max_by_key(|&(i, &d)| (d, std::cmp::Reverse(i)))
-                .expect("tangle is never empty");
-            return TxId(idx as u64);
+        // Deepest transaction: ties resolve to the earliest (genesis).
+        let (deepest, _) = depths
+            .iter()
+            .enumerate()
+            .max_by_key(|&(i, &d)| (d, std::cmp::Reverse(i)))
+            .expect("tangle is never empty");
+        WalkStartBand {
+            len: depths.len(),
+            candidates,
+            deepest: TxId(deepest as u64),
         }
-        candidates[rng.gen_range(0..candidates.len())]
+    }
+
+    /// Samples a random-walk start transaction whose depth from the
+    /// tips lies in `[min_depth, max_depth]` (see
+    /// [`Tangle::sample_walk_start`]); identical result and RNG draw
+    /// sequence.
+    fn sample_walk_start<R: Rng>(&self, min_depth: u32, max_depth: u32, rng: &mut R) -> TxId {
+        self.walk_start_band(min_depth, max_depth).draw(rng)
+    }
+}
+
+/// The transactions a random walk may start from: those whose depth from
+/// the tips lies in the requested band, with the deepest transaction as
+/// the fallback while the tangle is too shallow to contain the band.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WalkStartBand {
+    /// Length of the tangle the band was computed over.
+    pub len: usize,
+    /// The transactions inside the band, in ascending id order.
+    pub candidates: Vec<TxId>,
+    /// The deepest transaction (the earliest one on ties).
+    pub deepest: TxId,
+}
+
+impl WalkStartBand {
+    /// Draws a walk start: one `gen_range` over the candidates, or the
+    /// deepest transaction — without touching `rng` — if there are none.
+    pub fn draw<R: Rng>(&self, rng: &mut R) -> TxId {
+        if self.candidates.is_empty() {
+            return self.deepest;
+        }
+        self.candidates[rng.gen_range(0..self.candidates.len())]
     }
 }
 

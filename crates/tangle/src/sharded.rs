@@ -34,8 +34,9 @@ use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use parking_lot::Mutex;
+use rand::Rng;
 
-use crate::read::TangleRead;
+use crate::read::{TangleRead, WalkStartBand};
 use crate::{Tangle, TangleError, TangleStats, Transaction, TxId};
 
 /// Transactions per lazily-allocated segment.
@@ -103,6 +104,12 @@ pub struct ShardedTangle<P> {
     /// Incremental counters backing `stats()`.
     edges: AtomicUsize,
     max_height: AtomicU32,
+    /// The last walk-start band computed, with the depth bounds it was
+    /// asked for. Stamped with the length it was computed over and never
+    /// invalidated: depths only count children below that length, so the
+    /// band is a pure function of `(len, bounds)` and a stale slot is
+    /// simply recomputed by the next reader.
+    walk_start: Mutex<Option<(u32, u32, WalkStartBand)>>,
 }
 
 impl<P> ShardedTangle<P> {
@@ -125,6 +132,7 @@ impl<P> ShardedTangle<P> {
                 .collect(),
             edges: AtomicUsize::new(0),
             max_height: AtomicU32::new(0),
+            walk_start: Mutex::new(None),
         };
         this.store(
             0,
@@ -453,6 +461,40 @@ impl<P> TangleRead<P> for ShardedTangle<P> {
     fn tips(&self) -> Vec<TxId> {
         ShardedTangle::tips(self)
     }
+
+    /// All walks over one unchanged tangle — the twenty of a round —
+    /// share one band instead of recomputing every depth per walk. Same
+    /// band, same single draw as the provided method.
+    fn sample_walk_start<R: Rng>(&self, min_depth: u32, max_depth: u32, rng: &mut R) -> TxId {
+        self.with_walk_start_band(min_depth, max_depth, |band| band.draw(rng))
+    }
+}
+
+impl<P> ShardedTangle<P> {
+    /// Calls `f` with the walk-start band of the current published
+    /// length, computing it only if the memo slot holds another length
+    /// or other bounds. The slot stays locked meanwhile, so readers
+    /// arriving together wait for one computation instead of repeating
+    /// it.
+    fn with_walk_start_band<T>(
+        &self,
+        min_depth: u32,
+        max_depth: u32,
+        f: impl FnOnce(&WalkStartBand) -> T,
+    ) -> T {
+        let len = self.len();
+        let mut slot = self.walk_start.lock();
+        let band = match &mut *slot {
+            Some((lo, hi, band)) if (*lo, *hi, band.len) == (min_depth, max_depth, len) => band,
+            // An attach may land between `len` above and the depth scan;
+            // the band carries the length it really saw.
+            stale => {
+                let band = self.walk_start_band(min_depth, max_depth);
+                &mut stale.insert((min_depth, max_depth, band)).2
+            }
+        };
+        f(band)
+    }
 }
 
 #[cfg(test)]
@@ -614,6 +656,125 @@ mod tests {
             plain.attach(i, &[p]).unwrap();
         }
         assert_equivalent(&plain, &t);
+    }
+
+    /// Parents for a DAG that gets deep enough to have a walk-start
+    /// band: each transaction approves two of the last four.
+    fn deep_parents(seed: u64, n: usize) -> Vec<[TxId; 2]> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (1..n as u64)
+            .map(|len| {
+                let recent = len.saturating_sub(4)..len;
+                [
+                    TxId(rng.gen_range(recent.clone())),
+                    TxId(rng.gen_range(recent)),
+                ]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn memoised_walk_start_matches_the_sequential_oracle_as_the_tangle_grows() {
+        let (lo, hi) = (3, 6);
+        let mut plain = Tangle::new(0u64);
+        let sharded = ShardedTangle::with_shards(0u64, 3);
+        let mut rng_a = StdRng::seed_from_u64(21);
+        let mut rng_b = StdRng::seed_from_u64(21);
+        let mut fallbacks = 0;
+        for (i, parents) in deep_parents(8, 120).iter().enumerate() {
+            // Several walks per length (the memo's hit path), then one
+            // attach that the next walk must see (its miss path).
+            for _ in 0..3 {
+                let expected = plain.sample_walk_start(lo, hi, &mut rng_a);
+                let got = TangleRead::sample_walk_start(&sharded, lo, hi, &mut rng_b);
+                assert_eq!(expected, got, "at length {}", plain.len());
+            }
+            let band = sharded.with_walk_start_band(lo, hi, WalkStartBand::clone);
+            assert_eq!(band.len, plain.len(), "an attach was not seen");
+            fallbacks += usize::from(band.candidates.is_empty());
+            // Other bounds at the same length are another band (only now
+            // and then: most attaches must be noticed by length alone).
+            if i % 7 == 0 {
+                assert_eq!(
+                    plain.sample_walk_start(0, 1, &mut rng_a),
+                    TangleRead::sample_walk_start(&sharded, 0, 1, &mut rng_b)
+                );
+            }
+            plain.attach(i as u64, parents).unwrap();
+            sharded.attach(i as u64, parents).unwrap();
+        }
+        assert!(
+            (1..100).contains(&fallbacks),
+            "both branches must be exercised"
+        );
+        // Same draws in the same order: the streams are in the same state.
+        assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
+    }
+
+    #[test]
+    fn concurrent_walk_starts_during_growth_match_the_oracle_at_each_length() {
+        const READERS: usize = 8;
+        const PHASES: usize = 12;
+        const CHUNK: usize = 15;
+        let (lo, hi) = (3, 6);
+        let parents = deep_parents(5, 1 + PHASES * CHUNK);
+        let t = ShardedTangle::new(0u64);
+        // Everyone meets after each chunk: readers race the writer while
+        // it attaches, then all sample the quiescent tangle.
+        let barrier = std::sync::Barrier::new(READERS + 1);
+        // (Nothing asserts between two barrier waits: a failing thread
+        // would leave the others waiting forever.)
+        let seen: Vec<(Vec<WalkStartBand>, Vec<usize>)> = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for chunk in parents.chunks(CHUNK) {
+                    for p in chunk {
+                        t.attach(0, p).unwrap();
+                    }
+                    barrier.wait();
+                    barrier.wait();
+                }
+            });
+            let readers: Vec<_> = (0..READERS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut seen: Vec<WalkStartBand> = Vec::new();
+                        let mut quiescent = Vec::new();
+                        let observe = |seen: &mut Vec<WalkStartBand>| {
+                            let band = t.with_walk_start_band(lo, hi, WalkStartBand::clone);
+                            if seen.last() != Some(&band) {
+                                seen.push(band);
+                            }
+                        };
+                        for phase in 1..=PHASES {
+                            while t.len() < 1 + phase * CHUNK {
+                                observe(&mut seen);
+                            }
+                            barrier.wait();
+                            observe(&mut seen);
+                            quiescent.extend(seen.last().map(|band| band.len));
+                            barrier.wait();
+                        }
+                        (seen, quiescent)
+                    })
+                })
+                .collect();
+            readers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        // Sequential oracle: the same attaches replayed into a `Tangle`,
+        // checked at every length some reader published a band for.
+        let mut plain = Tangle::new(0u64);
+        let mut oracle = vec![plain.walk_start_band(lo, hi)];
+        for p in &parents {
+            plain.attach(0, p).unwrap();
+            oracle.push(plain.walk_start_band(lo, hi));
+        }
+        let chunk_ends: Vec<usize> = (1..=PHASES).map(|phase| 1 + phase * CHUNK).collect();
+        for (bands, quiescent) in &seen {
+            for band in bands {
+                assert_eq!(band, &oracle[band.len - 1], "at length {}", band.len);
+            }
+            assert_eq!(quiescent, &chunk_ends, "a finished attach was not seen");
+        }
     }
 
     #[test]
