@@ -8,16 +8,15 @@
 //! Each arm runs the FMNIST-clustered workload and reports final mean
 //! accuracy, approval pureness and publication counts.
 
-use dagfl_bench::experiments::{fmnist_dataset, fmnist_spec};
+use dagfl_bench::experiments::{run_dag, table1, task};
 use dagfl_bench::output::{emit, f, f32c, int};
-use dagfl_bench::{fmnist_model_factory, Scale};
-use dagfl_core::{DagConfig, PublishGate, Simulation, TipSelector};
+use dagfl_bench::Scale;
+use dagfl_core::{DagConfig, PublishGate, TipSelector};
+use dagfl_scenario::Scenario;
 
-fn run(config: DagConfig, scale: Scale) -> (f32, f64, usize, usize) {
-    let dataset = fmnist_dataset(scale, 0.0, 42);
-    let features = dataset.feature_len();
-    let mut sim = Simulation::new(config, dataset, fmnist_model_factory(features, 10));
-    sim.run().expect("simulation failed");
+fn run(config: DagConfig, scenario: &Scenario) -> (f32, f64, usize, usize) {
+    let (_, dataset, factory) = task(scenario);
+    let sim = run_dag(config, dataset, factory);
     let late: f32 = sim
         .history()
         .iter()
@@ -31,11 +30,11 @@ fn run(config: DagConfig, scale: Scale) -> (f32, f64, usize, usize) {
 }
 
 fn main() {
-    let scale = Scale::from_env();
-    let base = fmnist_spec(scale).dag_config();
+    let scenario = table1("fmnist", Scale::from_env());
+    let base = *scenario.execution.dag();
     let mut rows = Vec::new();
     let mut record = |name: &str, config: DagConfig| {
-        let (acc, pureness, published, txs) = run(config, scale);
+        let (acc, pureness, published, txs) = run(config, &scenario);
         rows.push(vec![
             name.to_string(),
             f32c(acc),

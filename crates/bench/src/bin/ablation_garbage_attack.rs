@@ -7,10 +7,11 @@
 //! remaining *forced* selections (paths whose only continuation is
 //! garbage).
 
-use dagfl_bench::experiments::fmnist_author_dataset;
+use dagfl_bench::experiments::task;
 use dagfl_bench::output::{emit, f, f32c};
-use dagfl_bench::{fmnist_model_factory, Scale};
+use dagfl_bench::Scale;
 use dagfl_core::{DagConfig, GarbageAttackConfig, GarbageAttackScenario, PublishGate, TipSelector};
+use dagfl_scenario::{DatasetSpec, Scenario};
 
 fn main() {
     let scale = Scale::from_env();
@@ -33,8 +34,12 @@ fn main() {
         ("random", TipSelector::Random, None, PublishGate::default()),
     ];
     for (name, selector, margin, gate) in arms {
-        let dataset = fmnist_author_dataset(scale, scale.pick(10, 40), 42);
-        let features = dataset.feature_len();
+        let authors = DatasetSpec::FmnistAuthor {
+            clients: scale.pick(10, 40),
+            samples: scale.pick(80, 120),
+            seed: 42,
+        };
+        let (_, dataset, factory) = task(&Scenario::new(name, authors));
         let config = GarbageAttackConfig {
             dag: DagConfig {
                 rounds: scale.pick(24, 200),
@@ -49,8 +54,7 @@ fn main() {
             attacks_per_round: 1,
             weight_scale: 1.0,
         };
-        let mut scenario =
-            GarbageAttackScenario::new(config, dataset, fmnist_model_factory(features, 10));
+        let mut scenario = GarbageAttackScenario::new(config, dataset, factory);
         scenario.run().expect("scenario failed");
         let m = scenario.measure().expect("measurement failed");
         let late = scenario

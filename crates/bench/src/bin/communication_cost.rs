@@ -11,17 +11,13 @@
 //!   recorded walk statistics) plus the two parents, and uploads its
 //!   update if published.
 
-use dagfl_bench::experiments::{fmnist_dataset, fmnist_spec, run_dag, run_fed};
+use dagfl_bench::experiments::{run_dag, run_fed, table1, task};
 use dagfl_bench::output::{emit, f, int};
-use dagfl_bench::{fmnist_model_factory, Scale};
+use dagfl_bench::Scale;
 use rand::SeedableRng;
 
 fn main() {
-    let scale = Scale::from_env();
-    let spec = fmnist_spec(scale);
-    let dataset = fmnist_dataset(scale, 0.0, 42);
-    let features = dataset.feature_len();
-    let factory = fmnist_model_factory(features, 10);
+    let (spec, dataset, factory) = task(&table1("fmnist", Scale::from_env()));
     let params = {
         let mut rng = rand::rngs::StdRng::seed_from_u64(0);
         factory(&mut rng).num_parameters()
@@ -40,7 +36,7 @@ fn main() {
     }
 
     // FedAvg: broadcast + update per active client per round.
-    let server = run_fed(spec, 0.0, dataset, factory);
+    let server = run_fed(&spec, 0.0, dataset, factory);
     let mut fed_download = 0u64;
     let mut fed_upload = 0u64;
     for m in server.history() {

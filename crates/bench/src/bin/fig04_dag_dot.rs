@@ -10,9 +10,9 @@
 
 use std::fs;
 
-use dagfl_bench::experiments::{fmnist_dataset, fmnist_spec, run_dag};
+use dagfl_bench::experiments::{run_dag, table1, task};
 use dagfl_bench::output::results_dir;
-use dagfl_bench::{fmnist_model_factory, Scale};
+use dagfl_bench::Scale;
 
 /// Distinct fill colours per ground-truth cluster.
 const COLORS: [&str; 6] = [
@@ -25,13 +25,10 @@ const COLORS: [&str; 6] = [
 ];
 
 fn main() {
-    let scale = Scale::from_env();
+    let (mut spec, dataset, factory) = task(&table1("fmnist", Scale::from_env()));
     // A short run keeps the graph small enough to render readably.
-    let mut spec = fmnist_spec(scale);
     spec.rounds = spec.rounds.min(12);
-    let dataset = fmnist_dataset(scale, 0.0, 42);
-    let features = dataset.feature_len();
-    let sim = run_dag(spec, dataset, fmnist_model_factory(features, 10));
+    let sim = run_dag(spec, dataset, factory);
     let clusters = sim.dataset().cluster_labels();
     let tangle = sim.tangle().to_tangle();
     let dot = tangle.to_dot(|tx| match tx.issuer() {

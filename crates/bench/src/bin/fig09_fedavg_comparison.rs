@@ -6,14 +6,9 @@
 //! FMNIST-clustered; on Poets and CIFAR-100 both approaches reach similar
 //! accuracy — removing the central server costs nothing.
 
-use dagfl_bench::experiments::{
-    cifar_dataset, cifar_spec, fmnist_dataset, fmnist_spec, poets_dataset, poets_spec, run_dag,
-    run_fed, RunSpec,
-};
+use dagfl_bench::experiments::{run_dag, run_fed, table1, task};
 use dagfl_bench::output::{emit, f32c, int};
-use dagfl_bench::{cifar_model_factory, fmnist_model_factory, poets_model_factory, Scale};
-use dagfl_core::ModelFactory;
-use dagfl_datasets::FederatedDataset;
+use dagfl_bench::Scale;
 use dagfl_tensor::Summary;
 
 /// Summarises accuracies grouped over 5-round windows.
@@ -28,16 +23,11 @@ fn grouped(accs_per_round: &[Vec<f32>]) -> Vec<(usize, Summary)> {
         .collect()
 }
 
-fn run_pair(
-    name: &str,
-    spec: RunSpec,
-    dataset: FederatedDataset,
-    factory: ModelFactory,
-    rows: &mut Vec<Vec<String>>,
-) {
+fn run_pair(name: &str, row: &str, scale: Scale, rows: &mut Vec<Vec<String>>) {
+    let (spec, dataset, factory) = task(&table1(row, scale));
     let sim = run_dag(spec, dataset.clone(), factory.clone());
     let dag_accs: Vec<Vec<f32>> = sim.history().iter().map(|m| m.accuracies.clone()).collect();
-    let server = run_fed(spec, 0.0, dataset, factory);
+    let server = run_fed(&spec, 0.0, dataset, factory);
     let fed_accs: Vec<Vec<f32>> = server
         .history()
         .iter()
@@ -65,34 +55,9 @@ fn main() {
     let scale = Scale::from_env();
     let mut rows = Vec::new();
 
-    let dataset = fmnist_dataset(scale, 0.0, 42);
-    let features = dataset.feature_len();
-    run_pair(
-        "fmnist-clustered",
-        fmnist_spec(scale),
-        dataset,
-        fmnist_model_factory(features, 10),
-        &mut rows,
-    );
-
-    let dataset = poets_dataset(scale, 42);
-    run_pair(
-        "poets",
-        poets_spec(scale),
-        dataset,
-        poets_model_factory(),
-        &mut rows,
-    );
-
-    let dataset = cifar_dataset(scale, 42);
-    let features = dataset.feature_len();
-    run_pair(
-        "cifar100",
-        cifar_spec(scale),
-        dataset,
-        cifar_model_factory(features),
-        &mut rows,
-    );
+    run_pair("fmnist-clustered", "fmnist", scale, &mut rows);
+    run_pair("poets", "poets", scale, &mut rows);
+    run_pair("cifar100", "cifar", scale, &mut rows);
 
     emit(
         "fig09_fedavg_comparison",

@@ -13,17 +13,39 @@
 //! on both metrics and approaches FedProx on loss.
 
 use dagfl_baselines::FederatedServer;
-use dagfl_bench::experiments::{fedprox_dataset, fedprox_spec, run_dag};
+use dagfl_bench::experiments::{fed_config, run_dag, task};
 use dagfl_bench::output::{emit, f32c, int};
-use dagfl_bench::{fedprox_model_factory, Scale};
+use dagfl_bench::Scale;
+use dagfl_core::DagConfig;
+use dagfl_scenario::{DatasetSpec, ExecutionSpec, Scenario};
 
 fn main() {
     let scale = Scale::from_env();
-    let spec = fedprox_spec(scale);
+    // The FedProx synthetic(0.5, 0.5) run: 30 clients, 10 per round.
+    let scenario = Scenario::new(
+        "fig10-11",
+        DatasetSpec::FedProx {
+            clients: 30,
+            min_samples: 50,
+            max_samples: scale.pick(200, 300),
+            seed: 42,
+        },
+    )
+    .with_execution(ExecutionSpec::Rounds(DagConfig {
+        rounds: scale.pick(30, 100),
+        clients_per_round: 10,
+        // Enough local work that client updates actually drift apart —
+        // the regime in which the proximal term pays off.
+        local_epochs: 2,
+        local_batches: scale.pick(15, 20),
+        learning_rate: 0.03,
+        ..DagConfig::default()
+    }));
+    let (spec, dataset, factory) = task(&scenario);
     let mut rows = Vec::new();
 
     // Specializing DAG.
-    let sim = run_dag(spec, fedprox_dataset(scale, 42), fedprox_model_factory());
+    let sim = run_dag(spec, dataset.clone(), factory.clone());
     for m in sim.history() {
         rows.push(vec![
             "dag".into(),
@@ -35,11 +57,10 @@ fn main() {
 
     // Centralized baselines under 50 % stragglers.
     for (name, mu, drop) in [("fedavg", 0.0f32, true), ("fedprox", 0.1, false)] {
-        let mut config = spec.fed_config(mu);
+        let mut config = fed_config(&spec, mu);
         config.straggler_fraction = 0.5;
         config.drop_stragglers = drop;
-        let mut server =
-            FederatedServer::new(config, fedprox_dataset(scale, 42), fedprox_model_factory());
+        let mut server = FederatedServer::new(config, dataset.clone(), factory.clone());
         server.run().expect("centralized training failed");
         for m in server.history() {
             rows.push(vec![

@@ -6,10 +6,11 @@
 //! widely) and levels out, with only marginal differences between
 //! concurrency levels — i.e. the approach scales.
 
-use dagfl_bench::experiments::{fmnist_author_dataset, RunSpec};
+use dagfl_bench::experiments::task;
 use dagfl_bench::output::{emit, f, int};
-use dagfl_bench::{fmnist_model_factory, Scale};
-use dagfl_core::{Simulation, TipSelector};
+use dagfl_bench::Scale;
+use dagfl_core::{DagConfig, Simulation};
+use dagfl_scenario::{DatasetSpec, Scenario};
 
 fn main() {
     let scale = Scale::from_env();
@@ -18,25 +19,23 @@ fn main() {
     // One fixed client pool for every concurrency level, so the series
     // isolates the effect of concurrent activity (like the paper's fixed
     // author-split FMNIST).
-    let num_clients = 120;
+    let pool = Scenario::new(
+        "fig15",
+        DatasetSpec::FmnistAuthor {
+            clients: 120,
+            samples: scale.pick(80, 120),
+            seed: 42,
+        },
+    );
     for active in [5usize, 10, 20, 40] {
-        let dataset = fmnist_author_dataset(scale, num_clients, 42);
-        let features = dataset.feature_len();
-        let spec = RunSpec {
+        let (_, dataset, factory) = task(&pool);
+        let config = DagConfig {
             rounds,
             clients_per_round: active,
-            local_epochs: 1,
             local_batches: scale.pick(5, 10),
-            batch_size: 10,
-            learning_rate: 0.05,
-            selector: TipSelector::default(),
-            seed: 42,
+            ..DagConfig::default()
         };
-        let mut sim = Simulation::new(
-            spec.dag_config(),
-            dataset,
-            fmnist_model_factory(features, 10),
-        );
+        let mut sim = Simulation::new(config, dataset, factory);
         for _ in 0..rounds {
             let m = sim.run_round().expect("round failed");
             rows.push(vec![

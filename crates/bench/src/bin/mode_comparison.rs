@@ -17,9 +17,9 @@
 //! DAG without breaking convergence; positive training time introduces
 //! stale tips, which the re-selection policy absorbs.
 
-use dagfl_bench::experiments::{fmnist_dataset, fmnist_spec};
+use dagfl_bench::experiments::{table1, task};
 use dagfl_bench::output::{emit, f, f32c, int};
-use dagfl_bench::{fmnist_model_factory, Scale};
+use dagfl_bench::Scale;
 use dagfl_core::{
     AsyncConfig, AsyncSimulation, ComputeProfile, DelayModel, ExecutionMode, Simulation,
     StaleTipPolicy,
@@ -87,7 +87,7 @@ fn shared_columns(mode: &mut dyn ExecutionMode, seed: u64, window: usize) -> Vec
 
 fn main() {
     let scale = Scale::from_env();
-    let spec = fmnist_spec(scale);
+    let spec = *table1("fmnist", scale).execution.dag();
     let budget = spec.rounds * spec.clients_per_round;
     let window = spec.clients_per_round * 5;
     let seeds: &[u64] = &[42, 43];
@@ -95,14 +95,9 @@ fn main() {
 
     for &seed in seeds {
         // Round-based reference: `spec.rounds` logical time units.
-        let dataset = fmnist_dataset(scale, 0.0, seed);
+        let (dag, dataset, factory) = task(&table1("fmnist", scale).with_seed(seed));
         let num_clients = dataset.num_clients();
-        let features = dataset.feature_len();
-        let mut sim = Simulation::new(
-            spec.with_seed(seed).dag_config(),
-            dataset,
-            fmnist_model_factory(features, 10),
-        );
+        let mut sim = Simulation::new(dag, dataset.clone(), factory.clone());
         let mut row = shared_columns(&mut sim, seed, window);
         row[2] = int(budget); // progress in activations, not rounds
         row.extend((0..6).map(|_| String::new()));
@@ -115,10 +110,9 @@ fn main() {
         for (name, delay, compute, train_time, stale_policy) in async_scenarios() {
             let mean_interarrival = num_clients as f64 / spec.clients_per_round as f64
                 * compute.expected_mean_speed(delay.slow_fraction());
-            let dataset = fmnist_dataset(scale, 0.0, seed);
             let mut sim = AsyncSimulation::new(
                 AsyncConfig {
-                    dag: spec.with_seed(seed).dag_config(),
+                    dag,
                     total_activations: budget,
                     mean_interarrival,
                     delay,
@@ -128,8 +122,8 @@ fn main() {
                     gossip_fanout: 0,
                     workers: 1,
                 },
-                dataset,
-                fmnist_model_factory(features, 10),
+                dataset.clone(),
+                factory.clone(),
             );
             let mut row = shared_columns(&mut sim, seed, window);
             row[0] = name.to_string();

@@ -9,19 +9,16 @@
 //! paper's introduction motivates.
 
 use dagfl_baselines::LocalOnly;
-use dagfl_bench::experiments::{fmnist_dataset, fmnist_spec, run_dag};
+use dagfl_bench::experiments::{run_dag, table1, task};
 use dagfl_bench::output::{emit, f32c, int};
-use dagfl_bench::{fmnist_model_factory, Scale};
+use dagfl_bench::Scale;
 use dagfl_core::analysis::cluster_specialization;
 
 fn main() {
-    let scale = Scale::from_env();
-    let spec = fmnist_spec(scale);
-    let dataset = fmnist_dataset(scale, 0.0, 42);
-    let features = dataset.feature_len();
+    let (spec, dataset, factory) = task(&table1("fmnist", Scale::from_env()));
 
     // Specializing DAG.
-    let mut sim = run_dag(spec, dataset.clone(), fmnist_model_factory(features, 10));
+    let mut sim = run_dag(spec, dataset.clone(), factory.clone());
     let analysis = cluster_specialization(&mut sim).expect("analysis failed");
 
     let mut rows = Vec::new();
@@ -44,7 +41,7 @@ fn main() {
     // Summary row including the local-only baseline.
     let mut local = LocalOnly::new(
         dataset,
-        fmnist_model_factory(features, 10),
+        factory,
         spec.learning_rate,
         spec.local_batches,
         spec.batch_size,

@@ -1,212 +1,45 @@
 //! Experiment runners shared by the per-figure binaries.
 
 use dagfl_baselines::{FedConfig, FederatedServer};
-use dagfl_core::{
-    DagConfig, ModelFactory, Normalization, Simulation, SpecializationMetrics, TipSelector,
-};
-use dagfl_datasets::{
-    cifar100_like, fedprox_synthetic, fmnist_by_author, fmnist_clustered, poets, Cifar100Config,
-    FedProxConfig, FederatedDataset, FmnistConfig, PoetsConfig,
-};
+use dagfl_core::{DagConfig, ModelFactory, Simulation, SpecializationMetrics};
+use dagfl_datasets::FederatedDataset;
+use dagfl_scenario::Scenario;
 
 use crate::Scale;
 
-/// One experiment run specification (DAG or centralized).
-#[derive(Debug, Clone, Copy)]
-pub struct RunSpec {
-    /// Training rounds.
-    pub rounds: usize,
-    /// Clients sampled per round.
-    pub clients_per_round: usize,
-    /// Local epochs.
-    pub local_epochs: usize,
-    /// Mini-batches per epoch.
-    pub local_batches: usize,
-    /// Mini-batch size.
-    pub batch_size: usize,
-    /// SGD learning rate.
-    pub learning_rate: f32,
-    /// Tip-selection strategy (DAG runs only).
-    pub selector: TipSelector,
-    /// Master seed.
-    pub seed: u64,
-}
-
-impl RunSpec {
-    /// Converts to a Specializing-DAG configuration.
-    pub fn dag_config(&self) -> DagConfig {
-        DagConfig {
-            rounds: self.rounds,
-            clients_per_round: self.clients_per_round,
-            local_epochs: self.local_epochs,
-            local_batches: self.local_batches,
-            batch_size: self.batch_size,
-            learning_rate: self.learning_rate,
-            tip_selector: self.selector,
-            seed: self.seed,
-            ..DagConfig::default()
-        }
-    }
-
-    /// Converts to a centralized configuration with the given proximal μ
-    /// (0.0 = FedAvg).
-    pub fn fed_config(&self, proximal_mu: f32) -> FedConfig {
-        FedConfig {
-            rounds: self.rounds,
-            clients_per_round: self.clients_per_round,
-            local_epochs: self.local_epochs,
-            local_batches: self.local_batches,
-            batch_size: self.batch_size,
-            learning_rate: self.learning_rate,
-            proximal_mu,
-            seed: self.seed,
-            ..FedConfig::default()
-        }
-    }
-
-    /// Overrides the tip selector.
-    pub fn with_selector(mut self, selector: TipSelector) -> Self {
-        self.selector = selector;
-        self
-    }
-
-    /// Overrides the seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-}
-
-/// The FMNIST-clustered run (Table 1 column 1; quick scale shrinks clients
-/// and rounds).
-pub fn fmnist_spec(scale: Scale) -> RunSpec {
-    RunSpec {
-        rounds: scale.pick(30, 100),
-        clients_per_round: scale.pick(6, 10),
-        local_epochs: 1,
-        local_batches: scale.pick(5, 10),
-        batch_size: 10,
-        learning_rate: 0.05,
-        selector: TipSelector::default(),
-        seed: 42,
-    }
-}
-
-/// The FMNIST-clustered dataset at the given scale; `relaxation > 0`
-/// produces the relaxed variant of Figure 8.
-pub fn fmnist_dataset(scale: Scale, relaxation: f32, seed: u64) -> FederatedDataset {
-    fmnist_clustered(&FmnistConfig {
-        num_clients: scale.pick(15, 99),
-        samples_per_client: scale.pick(60, 120),
-        relaxation,
-        seed,
-        ..FmnistConfig::default()
-    })
-}
-
-/// The by-author FMNIST dataset (poisoning/scalability experiments).
-pub fn fmnist_author_dataset(scale: Scale, num_clients: usize, seed: u64) -> FederatedDataset {
-    fmnist_by_author(&FmnistConfig {
-        num_clients,
-        samples_per_client: scale.pick(80, 120),
-        seed,
-        ..FmnistConfig::default()
-    })
-}
-
-/// The Poets run (Table 1 column 2).
-pub fn poets_spec(scale: Scale) -> RunSpec {
-    RunSpec {
-        rounds: scale.pick(40, 100),
-        clients_per_round: scale.pick(6, 10),
-        local_epochs: 1,
-        local_batches: scale.pick(15, 35),
-        batch_size: 10,
-        // Table 1 uses SGD(0.8) for the LEAF LSTM; our smaller GRU trains
-        // more stably at 0.3 on the scaled-down corpus.
-        learning_rate: scale.pick(0.3, 0.8),
-        // Next-character accuracies differ only slightly between the
-        // language clusters, so the spread-scaled dynamic normalization
-        // (Eq. 3) is required for good specialization (§4.2).
-        selector: TipSelector::Accuracy {
-            alpha: 10.0,
-            normalization: Normalization::Dynamic,
-        },
-        seed: 42,
-    }
-}
-
-/// The Poets dataset at the given scale.
+/// The `table1-<row>` preset (`fmnist`, `poets`, `cifar`) at `scale` —
+/// the hyperparameters, dataset and model the comparison binaries share
+/// with `dagfl run --preset` and `scenarios/*.toml`.
 ///
-/// Clients need enough held-out samples that candidate accuracies are not
-/// too coarsely quantized for the biased walk (the paper's LEAF clients
-/// hold ≥ 1000 samples each).
-pub fn poets_dataset(scale: Scale, seed: u64) -> FederatedDataset {
-    poets(&PoetsConfig {
-        clients_per_language: scale.pick(6, 20),
-        samples_per_client: scale.pick(400, 600),
-        seq_len: scale.pick(12, 20),
-        seed,
-    })
+/// # Panics
+///
+/// Panics on an unknown row.
+pub fn table1(row: &str, scale: Scale) -> Scenario {
+    Scenario::preset_at(&format!("table1-{row}"), scale).expect("table1 preset exists")
 }
 
-/// The CIFAR-100-like run (Table 1 column 3).
-pub fn cifar_spec(scale: Scale) -> RunSpec {
-    RunSpec {
-        rounds: scale.pick(30, 100),
-        clients_per_round: scale.pick(6, 10),
-        local_epochs: scale.pick(3, 5),
-        local_batches: scale.pick(10, 45),
-        batch_size: 10,
-        learning_rate: scale.pick(0.03, 0.01),
-        // Clients hold superclass *mixtures*, so candidate accuracies
-        // differ only modestly; the dynamic normalization keeps the walk
-        // discriminating (§4.2).
-        selector: TipSelector::Accuracy {
-            alpha: 10.0,
-            normalization: Normalization::Dynamic,
-        },
-        seed: 42,
+/// What a simulator takes, unpacked from a scenario: its hyperparameters,
+/// the generated dataset and the model factory for its dimensions.
+pub fn task(scenario: &Scenario) -> (DagConfig, FederatedDataset, ModelFactory) {
+    let dataset = scenario.dataset.build();
+    let factory = scenario.build_factory(&dataset);
+    (*scenario.execution.dag(), dataset, factory)
+}
+
+/// The centralized configuration on the same training budget as `dag`,
+/// with the given proximal μ (0.0 = FedAvg).
+pub fn fed_config(dag: &DagConfig, proximal_mu: f32) -> FedConfig {
+    FedConfig {
+        rounds: dag.rounds,
+        clients_per_round: dag.clients_per_round,
+        local_epochs: dag.local_epochs,
+        local_batches: dag.local_batches,
+        batch_size: dag.batch_size,
+        learning_rate: dag.learning_rate,
+        proximal_mu,
+        seed: dag.seed,
+        ..FedConfig::default()
     }
-}
-
-/// The CIFAR-100-like dataset at the given scale (94 clients at full
-/// scale, as in the paper).
-pub fn cifar_dataset(scale: Scale, seed: u64) -> FederatedDataset {
-    cifar100_like(&Cifar100Config {
-        num_clients: scale.pick(30, 94),
-        samples_per_client: scale.pick(60, 60),
-        seed,
-        ..Cifar100Config::default()
-    })
-}
-
-/// The FedProx synthetic(0.5, 0.5) run (Figures 10–11: 30 clients, 10 per
-/// round).
-pub fn fedprox_spec(scale: Scale) -> RunSpec {
-    RunSpec {
-        rounds: scale.pick(30, 100),
-        clients_per_round: scale.pick(10, 10),
-        // Enough local work that client updates actually drift apart —
-        // the regime in which the proximal term pays off.
-        local_epochs: 2,
-        local_batches: scale.pick(15, 20),
-        batch_size: 10,
-        learning_rate: 0.03,
-        selector: TipSelector::default(),
-        seed: 42,
-    }
-}
-
-/// The FedProx synthetic dataset (30 clients, α = β = 0.5).
-pub fn fedprox_dataset(scale: Scale, seed: u64) -> FederatedDataset {
-    fedprox_synthetic(&FedProxConfig {
-        num_clients: 30,
-        min_samples: scale.pick(50, 50),
-        max_samples: scale.pick(200, 300),
-        seed,
-        ..FedProxConfig::default()
-    })
 }
 
 /// Runs a Specializing-DAG simulation to completion.
@@ -214,8 +47,8 @@ pub fn fedprox_dataset(scale: Scale, seed: u64) -> FederatedDataset {
 /// # Panics
 ///
 /// Panics on simulation errors — experiment binaries should fail loudly.
-pub fn run_dag(spec: RunSpec, dataset: FederatedDataset, factory: ModelFactory) -> Simulation {
-    let mut sim = Simulation::new(spec.dag_config(), dataset, factory);
+pub fn run_dag(config: DagConfig, dataset: FederatedDataset, factory: ModelFactory) -> Simulation {
+    let mut sim = Simulation::new(config, dataset, factory);
     sim.run().expect("DAG simulation failed");
     sim
 }
@@ -227,14 +60,14 @@ pub fn run_dag(spec: RunSpec, dataset: FederatedDataset, factory: ModelFactory) 
 ///
 /// Panics on simulation errors.
 pub fn run_dag_tracking_specialization(
-    spec: RunSpec,
+    config: DagConfig,
     dataset: FederatedDataset,
     factory: ModelFactory,
     every: usize,
 ) -> (Simulation, Vec<(usize, SpecializationMetrics)>) {
-    let mut sim = Simulation::new(spec.dag_config(), dataset, factory);
+    let mut sim = Simulation::new(config, dataset, factory);
     let mut tracked = Vec::new();
-    for round in 0..spec.rounds {
+    for round in 0..config.rounds {
         sim.run_round().expect("DAG round failed");
         if (round + 1) % every == 0 {
             tracked.push((round + 1, sim.specialization_metrics()));
@@ -249,12 +82,12 @@ pub fn run_dag_tracking_specialization(
 ///
 /// Panics on training errors.
 pub fn run_fed(
-    spec: RunSpec,
+    dag: &DagConfig,
     proximal_mu: f32,
     dataset: FederatedDataset,
     factory: ModelFactory,
 ) -> FederatedServer {
-    let mut server = FederatedServer::new(spec.fed_config(proximal_mu), dataset, factory);
+    let mut server = FederatedServer::new(fed_config(dag, proximal_mu), dataset, factory);
     server.run().expect("centralized training failed");
     server
 }
@@ -262,73 +95,31 @@ pub fn run_fed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fmnist_model_factory;
 
-    #[test]
-    fn specs_scale_down_for_quick_runs() {
-        assert!(fmnist_spec(Scale::Quick).rounds < fmnist_spec(Scale::Full).rounds);
-        assert!(poets_spec(Scale::Quick).local_batches < poets_spec(Scale::Full).local_batches);
-        assert_eq!(cifar_spec(Scale::Full).local_epochs, 5);
+    fn tiny(rounds: usize) -> (DagConfig, FederatedDataset, ModelFactory) {
+        let smoke = Scenario::preset_at("smoke", Scale::Quick).unwrap();
+        task(&smoke.rounds(rounds))
     }
 
     #[test]
-    fn full_specs_match_table1() {
-        let f = fmnist_spec(Scale::Full);
-        assert_eq!(
-            (f.rounds, f.clients_per_round, f.local_batches, f.batch_size),
-            (100, 10, 10, 10)
-        );
-        assert_eq!(f.learning_rate, 0.05);
-        let p = poets_spec(Scale::Full);
-        assert_eq!(p.local_batches, 35);
-        assert_eq!(p.learning_rate, 0.8);
-        let c = cifar_spec(Scale::Full);
-        assert_eq!((c.local_epochs, c.local_batches), (5, 45));
-        assert_eq!(c.learning_rate, 0.01);
+    fn specs_scale_down_for_quick_runs() {
+        let dag = |row, scale| *table1(row, scale).execution.dag();
+        assert!(dag("fmnist", Scale::Quick).rounds < dag("fmnist", Scale::Full).rounds);
+        assert!(dag("poets", Scale::Quick).local_batches < dag("poets", Scale::Full).local_batches);
+        assert_eq!(dag("cifar", Scale::Full).local_epochs, 5);
     }
 
     #[test]
     fn tiny_dag_run_completes() {
-        let spec = RunSpec {
-            rounds: 2,
-            clients_per_round: 2,
-            local_epochs: 1,
-            local_batches: 2,
-            batch_size: 5,
-            learning_rate: 0.05,
-            selector: TipSelector::default(),
-            seed: 1,
-        };
-        let dataset = fmnist_clustered(&FmnistConfig {
-            num_clients: 4,
-            samples_per_client: 30,
-            ..FmnistConfig::default()
-        });
-        let features = dataset.feature_len();
-        let sim = run_dag(spec, dataset, fmnist_model_factory(features, 10));
+        let (config, dataset, factory) = tiny(2);
+        let sim = run_dag(config, dataset, factory);
         assert_eq!(sim.round(), 2);
     }
 
     #[test]
     fn tracking_records_requested_rounds() {
-        let spec = RunSpec {
-            rounds: 4,
-            clients_per_round: 2,
-            local_epochs: 1,
-            local_batches: 2,
-            batch_size: 5,
-            learning_rate: 0.05,
-            selector: TipSelector::default(),
-            seed: 1,
-        };
-        let dataset = fmnist_clustered(&FmnistConfig {
-            num_clients: 4,
-            samples_per_client: 30,
-            ..FmnistConfig::default()
-        });
-        let features = dataset.feature_len();
-        let (_, tracked) =
-            run_dag_tracking_specialization(spec, dataset, fmnist_model_factory(features, 10), 2);
+        let (config, dataset, factory) = tiny(4);
+        let (_, tracked) = run_dag_tracking_specialization(config, dataset, factory, 2);
         assert_eq!(tracked.len(), 2);
         assert_eq!(tracked[0].0, 2);
         assert_eq!(tracked[1].0, 4);

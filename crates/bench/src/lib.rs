@@ -2,8 +2,8 @@
 //!
 //! Every table and figure of the evaluation section has a dedicated binary
 //! in `src/bin/` (see DESIGN.md §5 for the index); this library provides
-//! the pieces they share: experiment scales, model factories, dataset
-//! builders and result output.
+//! the pieces they share: experiment scales, preset unpacking, the
+//! simulator runners and result output.
 //!
 //! # Scales
 //!
@@ -23,9 +23,7 @@ pub mod experiments;
 pub mod output;
 pub mod poisoning_suite;
 
-use dagfl_core::ModelFactory;
-use dagfl_datasets::POETS_VOCAB;
-use dagfl_scenario::{ModelSpec, SweepCellReport, SweepReport, SweepRunner, SweepSpec};
+use dagfl_scenario::{SweepCellReport, SweepReport, SweepRunner, SweepSpec};
 
 pub use dagfl_scenario::Scale;
 
@@ -63,61 +61,13 @@ pub fn axis_f64(cell: &SweepCellReport, path: &str) -> f64 {
         .expect("axis tokens are numeric")
 }
 
-/// The MLP used for the FMNIST experiments (the pixel-level stand-in for
-/// the paper's LEAF CNN; see DESIGN.md §3).
-///
-/// A thin wrapper over the shared [`ModelSpec`]-driven constructors —
-/// architecture definitions live in `dagfl-scenario`.
-pub fn fmnist_model_factory(features: usize, classes: usize) -> ModelFactory {
-    ModelSpec::Mlp { hidden: vec![64] }.build_factory(features, classes)
-}
-
-/// The next-character GRU used for the Poets experiments.
-pub fn poets_model_factory() -> ModelFactory {
-    // The RNN embeds class (vocabulary) indices; the feature width is
-    // the sequence length and does not shape the model.
-    ModelSpec::CharRnn {
-        embed: 8,
-        hidden: 32,
-    }
-    .build_factory(0, POETS_VOCAB.len())
-}
-
-/// The MLP used for the CIFAR-100-like experiments.
-pub fn cifar_model_factory(features: usize) -> ModelFactory {
-    ModelSpec::Mlp { hidden: vec![128] }.build_factory(features, 100)
-}
-
-/// The logistic-regression model of the FedProx synthetic benchmark.
-pub fn fedprox_model_factory() -> ModelFactory {
-    ModelSpec::Linear.build_factory(60, 10)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn scale_pick_selects_correctly() {
         assert_eq!(Scale::Quick.pick(1, 2), 1);
         assert_eq!(Scale::Full.pick(1, 2), 2);
-    }
-
-    #[test]
-    fn factories_build_consistent_architectures() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let f = fmnist_model_factory(196, 10);
-        let a = f(&mut rng);
-        let b = f(&mut rng);
-        assert_eq!(a.num_parameters(), b.num_parameters());
-        assert_eq!(a.num_parameters(), 196 * 64 + 64 + 64 * 10 + 10);
-        let p = poets_model_factory()(&mut rng);
-        assert!(p.num_parameters() > 0);
-        let c = cifar_model_factory(32)(&mut rng);
-        assert_eq!(c.num_parameters(), 32 * 128 + 128 + 128 * 100 + 100);
-        let l = fedprox_model_factory()(&mut rng);
-        assert_eq!(l.num_parameters(), 60 * 10 + 10);
     }
 }

@@ -37,23 +37,37 @@ pub enum Command {
     Help,
 }
 
+/// Every subcommand with its word (`help` also answers to `--help` and
+/// `-h`).
+const COMMANDS: &[(&str, Command)] = &[
+    ("dag", Command::Dag),
+    ("fedavg", Command::FedAvg),
+    ("fedprox", Command::FedProx),
+    ("local", Command::Local),
+    ("async", Command::Async),
+    ("run", Command::Run),
+    ("analyze", Command::Analyze),
+    ("sweep", Command::Sweep),
+    ("scenarios", Command::Scenarios),
+    ("peer", Command::Peer),
+    ("tracker", Command::Tracker),
+    ("help", Command::Help),
+];
+
 impl Command {
+    /// The subcommand word (`Command::FedAvg` is `fedavg`).
+    pub fn word(self) -> &'static str {
+        let entry = COMMANDS.iter().find(|(_, command)| *command == self);
+        entry.expect("every command has a word").0
+    }
+
     fn parse(word: &str) -> Option<Self> {
-        match word {
-            "dag" => Some(Command::Dag),
-            "fedavg" => Some(Command::FedAvg),
-            "fedprox" => Some(Command::FedProx),
-            "local" => Some(Command::Local),
-            "async" => Some(Command::Async),
-            "run" => Some(Command::Run),
-            "analyze" => Some(Command::Analyze),
-            "sweep" => Some(Command::Sweep),
-            "scenarios" => Some(Command::Scenarios),
-            "peer" => Some(Command::Peer),
-            "tracker" => Some(Command::Tracker),
-            "help" | "--help" | "-h" => Some(Command::Help),
-            _ => None,
-        }
+        let word = if matches!(word, "--help" | "-h") {
+            "help"
+        } else {
+            word
+        };
+        COMMANDS.iter().find(|(w, _)| *w == word).map(|(_, c)| *c)
     }
 }
 
@@ -75,6 +89,22 @@ pub enum ParseError {
         /// The raw value.
         value: String,
     },
+    /// The subcommand does not take this flag.
+    UnknownFlag {
+        /// The flag name.
+        flag: String,
+        /// The subcommand it was given to.
+        command: Command,
+    },
+    /// The subcommand takes the flag, but nothing the other flags select
+    /// has the scenario key it sets (`--jitter` with the constant delay
+    /// model).
+    Inapplicable {
+        /// The flag name.
+        flag: String,
+        /// The scenario key it sets.
+        key: String,
+    },
 }
 
 impl fmt::Display for ParseError {
@@ -87,6 +117,14 @@ impl fmt::Display for ParseError {
             ParseError::InvalidValue { flag, value } => {
                 write!(f, "invalid value `{value}` for flag `{flag}`")
             }
+            ParseError::UnknownFlag { flag, command } => {
+                write!(f, "unknown flag `--{flag}` for `dagfl {}`", command.word())
+            }
+            ParseError::Inapplicable { flag, key } => write!(
+                f,
+                "flag `--{flag}` does not apply: the scenario it would edit has no `{key}` \
+                 (a key of another mode, dataset, delay model or selector)"
+            ),
         }
     }
 }
@@ -96,6 +134,111 @@ impl Error for ParseError {}
 /// Flags that take no value (their presence means `true`), so
 /// `dagfl run --preset smoke --full` parses without a dangling token.
 const BOOLEAN_FLAGS: &[&str] = &["full", "dry-run", "reconnect", "digest"];
+
+/// One bit per subcommand, for the third column of [`FLAGS`].
+const fn taker(command: Command) -> u16 {
+    1 << command as u16
+}
+const DAG: u16 = taker(Command::Dag);
+const FEDAVG: u16 = taker(Command::FedAvg);
+const FEDPROX: u16 = taker(Command::FedProx);
+const LOCAL: u16 = taker(Command::Local);
+const ASYNC: u16 = taker(Command::Async);
+const RUN: u16 = taker(Command::Run);
+const ANALYZE: u16 = taker(Command::Analyze);
+const SWEEP: u16 = taker(Command::Sweep);
+const SCENARIOS: u16 = taker(Command::Scenarios);
+const PEER: u16 = taker(Command::Peer);
+const TRACKER: u16 = taker(Command::Tracker);
+/// Everything that trains from flags.
+const TRAIN: u16 = DAG | FEDAVG | FEDPROX | LOCAL | ASYNC | PEER;
+/// Everything that walks a DAG from flags.
+const WALK: u16 = DAG | ASYNC | PEER;
+
+/// Every flag: its name, the scenario key it sets (`""` where the
+/// subcommand reads the flag itself) and the subcommands that take it.
+///
+/// The table is the allow-list — [`ParsedArgs::parse`] rejects a flag
+/// its subcommand does not list — and the one place a flag is tied to a
+/// knob: a keyed row is a rename of a scenario key, whose type, default
+/// and range are the scenario reader's. A flag listed twice means two
+/// different things (`async --activations` is a scenario key,
+/// `peer --activations` the session's own count).
+pub(crate) const FLAGS: &[(&str, &str, u16)] = &[
+    // The dataset word and the two sizes it reshapes are the CLI's own.
+    ("dataset", "", TRAIN),
+    ("clients", "", TRAIN),
+    ("samples", "dataset.samples", TRAIN),
+    ("seed", "dataset.seed", TRAIN),
+    ("seed", "execution.seed", TRAIN),
+    ("rounds", "execution.rounds", DAG | FEDAVG | FEDPROX | LOCAL),
+    (
+        "clients-per-round",
+        "execution.clients_per_round",
+        DAG | FEDAVG | FEDPROX,
+    ),
+    ("epochs", "execution.local_epochs", TRAIN & !LOCAL),
+    ("batches", "execution.local_batches", TRAIN),
+    ("batch-size", "execution.batch_size", TRAIN),
+    ("lr", "execution.learning_rate", TRAIN),
+    ("alpha", "execution.alpha", WALK),
+    ("normalization", "execution.normalization", WALK),
+    ("selector", "execution.selector", WALK),
+    ("stop-margin", "execution.stop_margin", WALK),
+    ("mu", "", FEDPROX),
+    ("stragglers", "", FEDAVG | FEDPROX),
+    ("activations", "execution.activations", ASYNC),
+    ("interarrival", "execution.interarrival", ASYNC),
+    ("delay-model", "execution.delay_model", ASYNC),
+    ("delay", "execution.delay", ASYNC),
+    ("jitter", "execution.jitter", ASYNC),
+    ("slow-delay", "execution.slow_delay", ASYNC),
+    // These two pick the `compute` word and their key with it.
+    ("slow-fraction", "", ASYNC),
+    ("slowdown", "", ASYNC),
+    ("train-time", "execution.train_time", ASYNC),
+    ("stale-policy", "execution.stale_policy", ASYNC),
+    ("fanout", "execution.fanout", ASYNC),
+    ("workers", "execution.workers", ASYNC | RUN),
+    ("drop", "faults.drop", ASYNC),
+    ("duplicate", "faults.duplicate", ASYNC),
+    ("reorder", "faults.reorder", ASYNC),
+    ("extra-delay", "faults.extra_delay", ASYNC),
+    ("delay-boost", "faults.delay_boost", ASYNC),
+    ("partition-start", "faults.partition_start", ASYNC),
+    ("partition-heal", "faults.partition_heal", ASYNC),
+    ("partition-split", "faults.partition_split", ASYNC),
+    ("crash-at", "faults.crash_at", ASYNC),
+    ("crash-peer", "faults.crash_peer", ASYNC),
+    ("crash-restart", "faults.crash_restart", ASYNC),
+    ("client", "", PEER),
+    ("peers", "", PEER),
+    ("tracker", "", PEER),
+    ("listen", "", PEER | TRACKER),
+    ("activations", "", PEER),
+    ("interarrival-ms", "", PEER),
+    ("settle-ms", "", PEER),
+    ("timeout", "", PEER),
+    ("reconnect", "", PEER),
+    ("fanout", "", PEER),
+    ("expect", "", TRACKER),
+    ("scenario", "", RUN | ANALYZE),
+    ("preset", "", RUN | ANALYZE),
+    ("full", "", RUN | ANALYZE | SWEEP),
+    ("digest", "", RUN),
+    ("k", "analysis.k", ANALYZE),
+    ("k-min", "analysis.k_min", ANALYZE),
+    ("k-max", "analysis.k_max", ANALYZE),
+    ("cadence", "analysis.cadence", ANALYZE),
+    ("source", "analysis.source", ANALYZE),
+    ("preset-base", "", SWEEP),
+    ("axes", "", SWEEP),
+    ("jobs", "", SWEEP),
+    ("dry-run", "", SWEEP),
+    ("csv", "", SWEEP),
+    ("check", "", SCENARIOS),
+    ("dump", "", SCENARIOS),
+];
 
 /// A parsed command line: the subcommand plus `--key value` options and
 /// (for `sweep`) one optional positional argument.
@@ -132,6 +275,15 @@ impl ParsedArgs {
                 }
                 None => {
                     if let Some(flag) = token.strip_prefix("--") {
+                        if !FLAGS
+                            .iter()
+                            .any(|(f, _, takers)| *f == flag && takers & taker(command) != 0)
+                        {
+                            return Err(ParseError::UnknownFlag {
+                                flag: flag.to_string(),
+                                command,
+                            });
+                        }
                         if BOOLEAN_FLAGS.contains(&flag) {
                             options.insert(flag.to_string(), "true".to_string());
                         } else {
@@ -208,6 +360,16 @@ impl ParsedArgs {
         flags.sort_unstable();
         flags
     }
+
+    /// `(scenario key, raw value)` for every keyed [`FLAGS`] row of this
+    /// subcommand whose flag was given, in table order.
+    pub(crate) fn scenario_keys(&self) -> Vec<(&'static str, &str)> {
+        FLAGS
+            .iter()
+            .filter(|(_, key, takers)| !key.is_empty() && takers & taker(self.command) != 0)
+            .filter_map(|(flag, key, _)| Some((*key, self.get(flag)?)))
+            .collect()
+    }
 }
 
 /// The usage text for `dagfl help`.
@@ -265,20 +427,30 @@ ANALYZE FLAGS (mirror the [analysis] scenario section):
     --source            parameters | approvals | both         (both)
     --full              resolve presets at the paper's scale
 
+FLAGS ARE SCENARIO KEYS:
+    dag, fedavg, fedprox, local, async and peer compose a scenario from
+    their flags and read it with the scenario-file reader, so a flag has
+    the type, default and range of the key it names. A flag the
+    subcommand does not take is an error, and so is a flag that does not
+    apply to what the other flags select (--jitter with the constant
+    delay model, --alpha with --selector random, --slow-fraction with
+    neither cohort delays nor --slowdown): nothing is parsed and dropped.
+
 COMMON FLAGS (defaults in parentheses):
     --dataset           fmnist | fmnist-relaxed | fmnist-author | poets |
                         cifar | fedprox-synthetic   (fmnist)
     --clients           number of clients           (dataset default)
-    --samples           samples per client          (dataset default)
-    --rounds            training rounds             (30)
-    --clients-per-round active clients per round    (6)
+    --samples           samples per client          (dataset default;
+                        not fedprox-synthetic, which draws 50..200)
+    --rounds            training rounds             (30; not async, peer)
+    --clients-per-round active clients per round    (6; dag, fedavg, fedprox)
     --batches           local batches per epoch     (10)
-    --epochs            local epochs                (1)
+    --epochs            local epochs                (1; not local)
     --batch-size        mini-batch size             (10)
     --lr                SGD learning rate           (0.05)
     --seed              master seed                 (42)
 
-DAG FLAGS:
+DAG FLAGS (dag, async, peer):
     --alpha             walk randomness parameter   (10)
     --normalization     simple | dynamic            (simple)
     --selector          accuracy | random | cumulative (accuracy)
@@ -317,7 +489,7 @@ FAULT FLAGS (async only; deterministic per --seed, defaults are inert):
     --crash-peer        which peer crashes                    (0)
     --crash-restart     restart time (omit: stays down)
 
-PEER FLAGS (networked mode; dataset/DAG flags above also apply):
+PEER FLAGS (networked mode; the common and DAG flags above also apply):
     --client            this peer's client id                 (0)
     --peers             total peers in the session            (1)
     --tracker           tracker address                       (127.0.0.1:7878)
@@ -398,6 +570,40 @@ mod tests {
             ParsedArgs::parse(["dag", "--rounds"]).unwrap_err(),
             ParseError::MissingValue(_)
         ));
+    }
+
+    #[test]
+    fn unknown_flags_are_errors_on_every_subcommand() {
+        for line in [
+            vec!["dag", "--rounds", "1", "--alhpa", "3"],
+            vec!["run", "--preset", "smoke", "--alhpa", "3"],
+            vec!["peer", "--client", "0", "--alhpa", "3"],
+            vec!["tracker", "--alhpa", "3"],
+            vec!["scenarios", "--alhpa", "3"],
+            vec!["help", "--alhpa", "3"],
+        ] {
+            match ParsedArgs::parse(&line).unwrap_err() {
+                ParseError::UnknownFlag { flag, command } => {
+                    assert_eq!(flag, "alhpa");
+                    assert_eq!(command.word(), line[0]);
+                }
+                other => panic!("{line:?}: unexpected error {other:?}"),
+            }
+        }
+        // The table is per subcommand: a flag another one takes is as
+        // unknown as a typo, and a flag two take can mean two things.
+        assert!(ParsedArgs::parse(["local", "--alpha", "3"]).is_err());
+        assert!(ParsedArgs::parse(["async", "--rounds", "3"]).is_err());
+        assert!(ParsedArgs::parse(["fedavg", "--mu", "0.1"]).is_err());
+        let peer = ParsedArgs::parse(["peer", "--activations", "4"]).unwrap();
+        assert!(peer.scenario_keys().is_empty());
+        let asynchronous = ParsedArgs::parse(["async", "--activations", "4"]).unwrap();
+        assert_eq!(
+            asynchronous.scenario_keys(),
+            [("execution.activations", "4")]
+        );
+        let err = ParsedArgs::parse(["dag", "--alhpa", "3"]).unwrap_err();
+        assert!(err.to_string().contains("--alhpa"), "{err}");
     }
 
     #[test]

@@ -1,140 +1,21 @@
-//! Builds datasets/models from parsed arguments and runs the experiment.
+//! Turns parsed arguments into a scenario and runs the experiment.
 
 use std::error::Error;
 use std::path::Path;
 
-use dagfl_analysis::AnalysisSource;
 use dagfl_baselines::{FedConfig, FederatedServer, LocalOnly};
-use dagfl_core::{
-    AsyncConfig, AsyncSimulation, ComputeProfile, CoreError, CrashWindow, DagConfig, DelayModel,
-    FaultPlan, ModelFactory, Normalization, PartitionWindow, Simulation, StaleTipPolicy,
-    TipSelector,
-};
-use dagfl_datasets::{
-    cifar100_like, fedprox_synthetic, fmnist_by_author, fmnist_clustered, poets, Cifar100Config,
-    FedProxConfig, FederatedDataset, FmnistConfig, PoetsConfig,
-};
+use dagfl_core::{AsyncSimulation, CoreError, DagConfig, Simulation};
+use dagfl_scenario::text::{Document, Value};
 use dagfl_scenario::{
-    ModelSpec, Scale, Scenario, ScenarioRunner, SweepAxis, SweepRunner, SweepSpec,
+    AnalysisSpec, ExecutionSpec, Scale, Scenario, ScenarioError, ScenarioRunner, SweepAxis,
+    SweepRunner, SweepSpec,
 };
 
-use crate::args::{Command, ParseError, ParsedArgs, USAGE};
-
-/// The selectable datasets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DatasetKind {
-    /// Strictly clustered synthetic digits (3 clusters).
-    Fmnist,
-    /// Relaxed clusters (18 % foreign data).
-    FmnistRelaxed,
-    /// By-author split (all classes per client).
-    FmnistAuthor,
-    /// Two-language next-character prediction.
-    Poets,
-    /// 100-class/20-supercluster hierarchy with Pachinko allocation.
-    Cifar,
-    /// The FedProx synthetic(0.5, 0.5) benchmark.
-    FedProxSynthetic,
-}
-
-impl DatasetKind {
-    /// Parses the `--dataset` value.
-    pub fn parse(word: &str) -> Option<Self> {
-        match word {
-            "fmnist" => Some(Self::Fmnist),
-            "fmnist-relaxed" => Some(Self::FmnistRelaxed),
-            "fmnist-author" => Some(Self::FmnistAuthor),
-            "poets" => Some(Self::Poets),
-            "cifar" => Some(Self::Cifar),
-            "fedprox-synthetic" => Some(Self::FedProxSynthetic),
-            _ => None,
-        }
-    }
-}
-
-/// Dataset + matching model factory for a CLI invocation.
-fn build_task(
-    kind: DatasetKind,
-    args: &ParsedArgs,
-) -> Result<(FederatedDataset, ModelFactory), ParseError> {
-    let seed: u64 = args.get_parsed_or("seed", 42)?;
-    let clients: usize = args.get_parsed_or("clients", 0)?; // 0 = default
-    let samples: usize = args.get_parsed_or("samples", 0)?;
-    let dataset = match kind {
-        DatasetKind::Fmnist | DatasetKind::FmnistRelaxed => fmnist_clustered(&FmnistConfig {
-            num_clients: if clients == 0 { 15 } else { clients },
-            samples_per_client: if samples == 0 { 60 } else { samples },
-            relaxation: if kind == DatasetKind::FmnistRelaxed {
-                0.18
-            } else {
-                0.0
-            },
-            seed,
-            ..FmnistConfig::default()
-        }),
-        DatasetKind::FmnistAuthor => fmnist_by_author(&FmnistConfig {
-            num_clients: if clients == 0 { 12 } else { clients },
-            samples_per_client: if samples == 0 { 80 } else { samples },
-            seed,
-            ..FmnistConfig::default()
-        }),
-        DatasetKind::Poets => poets(&PoetsConfig {
-            clients_per_language: if clients == 0 { 6 } else { clients.div_ceil(2) },
-            samples_per_client: if samples == 0 { 400 } else { samples },
-            seq_len: 12,
-            seed,
-        }),
-        DatasetKind::Cifar => cifar100_like(&Cifar100Config {
-            num_clients: if clients == 0 { 30 } else { clients },
-            samples_per_client: if samples == 0 { 60 } else { samples },
-            seed,
-            ..Cifar100Config::default()
-        }),
-        DatasetKind::FedProxSynthetic => fedprox_synthetic(&FedProxConfig {
-            num_clients: if clients == 0 { 30 } else { clients },
-            seed,
-            ..FedProxConfig::default()
-        }),
-    };
-    let spec = match kind {
-        DatasetKind::Poets => ModelSpec::CharRnn {
-            embed: 8,
-            hidden: 32,
-        },
-        DatasetKind::FedProxSynthetic => ModelSpec::Linear,
-        _ => ModelSpec::Mlp { hidden: vec![64] },
-    };
-    let factory = spec.build_factory(dataset.feature_len(), dataset.num_classes());
-    Ok((dataset, factory))
-}
-
-/// Dataset + factory from the common `--dataset`/`--clients`/...
-/// flags, shared with the networked subcommands.
-pub(crate) fn build_cli_task(
-    args: &ParsedArgs,
-) -> Result<(FederatedDataset, ModelFactory), Box<dyn Error>> {
-    let dataset_word = args.get_or("dataset", "fmnist").to_string();
-    let kind = DatasetKind::parse(&dataset_word).ok_or_else(|| {
-        Box::new(ParseError::InvalidValue {
-            flag: "dataset".into(),
-            value: dataset_word,
-        }) as Box<dyn Error>
-    })?;
-    Ok(build_task(kind, args)?)
-}
-
-/// [`dag_config`] for sibling modules (the peer session shares the
-/// DAG/hyperparameter flags).
-pub(crate) fn cli_dag_config(
-    args: &ParsedArgs,
-    num_clients: usize,
-) -> Result<DagConfig, ParseError> {
-    dag_config(args, num_clients)
-}
+use crate::args::{Command, ParseError, ParsedArgs, FLAGS, USAGE};
 
 /// The CLI flag a core config field is populated from, so validation
 /// errors name what the user actually typed.
-fn flag_for_field(field: &str) -> &str {
+fn flag_for_field(field: &'static str) -> &'static str {
     match field {
         "delay.delay" | "delay.base" | "delay.fast" => "delay",
         "delay.jitter" => "jitter",
@@ -162,189 +43,158 @@ fn flag_for_field(field: &str) -> &str {
     }
 }
 
-/// Maps a core validation error onto the CLI's flag-error shape.
-fn config_error(err: CoreError) -> ParseError {
-    match err {
-        CoreError::InvalidField { field, value, .. } => ParseError::InvalidValue {
-            flag: flag_for_field(field).to_string(),
-            value,
-        },
-        other => ParseError::InvalidValue {
-            flag: "config".to_string(),
-            value: other.to_string(),
-        },
+/// The flag a scenario key is set from: the [`FLAGS`] row, or one of the
+/// keys [`scenario_from_flags`] writes itself.
+fn flag_for_key(key: &str) -> Option<&'static str> {
+    match key {
+        "dataset.kind" => Some("dataset"),
+        "dataset.clients" | "dataset.clients_per_language" => Some("clients"),
+        "execution.slowdown" => Some("slowdown"),
+        "execution.slow_fraction" | "execution.compute_slow_fraction" => Some("slow-fraction"),
+        _ => FLAGS
+            .iter()
+            .find(|(_, k, _)| *k == key)
+            .map(|(flag, _, _)| *flag),
     }
 }
 
-/// The error for a flag whose value is none of its accepted words.
-fn unknown_word(flag: &str, word: &str) -> ParseError {
-    ParseError::InvalidValue {
-        flag: flag.into(),
-        value: word.into(),
-    }
-}
-
-fn dag_config(args: &ParsedArgs, num_clients: usize) -> Result<DagConfig, ParseError> {
-    let alpha: f32 = args.get_parsed_or("alpha", 10.0)?;
-    let normalization = match args.get_or("normalization", "simple") {
-        "simple" => Normalization::Simple,
-        "dynamic" => Normalization::Dynamic,
-        other => return Err(unknown_word("normalization", other)),
-    };
-    let selector = match args.get_or("selector", "accuracy") {
-        "accuracy" => TipSelector::Accuracy {
-            alpha,
-            normalization,
-        },
-        "random" => TipSelector::Random,
-        "cumulative" => TipSelector::CumulativeWeight { alpha },
-        other => return Err(unknown_word("selector", other)),
-    };
-    let stop_margin: f32 = args.get_parsed_or("stop-margin", 0.0)?;
-    let config = DagConfig {
-        rounds: args.get_parsed_or("rounds", 30)?,
-        clients_per_round: args.get_parsed_or("clients-per-round", 6.min(num_clients))?,
-        local_epochs: args.get_parsed_or("epochs", 1)?,
-        local_batches: args.get_parsed_or("batches", 10)?,
-        batch_size: args.get_parsed_or("batch-size", 10)?,
-        learning_rate: args.get_parsed_or("lr", 0.05)?,
-        tip_selector: selector,
-        walk_stop_margin: (stop_margin > 0.0).then_some(stop_margin),
-        seed: args.get_parsed_or("seed", 42)?,
-        ..DagConfig::default()
-    };
-    // Range validation lives in core (`DagConfig::validate`), so
-    // programmatic users get the same errors as CLI users.
-    config.validate().map_err(config_error)?;
-    Ok(config)
-}
-
-/// Builds the asynchronous-mode configuration from `--delay-model`,
-/// `--stale-policy` and friends.
-fn async_config(args: &ParsedArgs, num_clients: usize) -> Result<AsyncConfig, ParseError> {
-    let base: f64 = args.get_parsed_or("delay", 2.0)?;
-    let jitter: f64 = args.get_parsed_or("jitter", 0.0)?;
-    let slow_fraction: f64 = args.get_parsed_or("slow-fraction", 0.3)?;
-    let slow_delay: f64 = args.get_parsed_or("slow-delay", 8.0)?;
-    let model_word = args.get_or("delay-model", "constant");
-    let delay = match model_word {
-        "constant" => DelayModel::Constant { delay: base },
-        "jitter" => DelayModel::UniformJitter { base, jitter },
-        "cohorts" => DelayModel::Cohorts {
-            slow_fraction,
-            fast: base,
-            slow: slow_delay,
-            jitter,
-        },
-        other => return Err(unknown_word("delay-model", other)),
-    };
-    // Flags that the chosen delay model happens not to use are still
-    // range-checked, so a typo like `--slow-fraction 1.5` never passes
-    // silently: validate a cohorts model built from all raw values.
-    DelayModel::Cohorts {
-        slow_fraction,
-        fast: base,
-        slow: slow_delay,
-        jitter,
-    }
-    .validate()
-    .map_err(config_error)?;
-    let slowdown: f64 = args.get_parsed_or("slowdown", 1.0)?;
-    let compute = if slowdown != 1.0 {
-        if model_word == "cohorts" {
-            // One shared straggler cohort: slow links and slow compute
-            // hit the same clients.
-            ComputeProfile::MatchNetworkCohort { slowdown }
-        } else {
-            ComputeProfile::TwoSpeed {
-                slow_fraction,
-                slowdown,
-            }
+/// Rewrites a scenario-layer error about a key or a core field into the
+/// CLI's flag-error shape; anything else passes through.
+pub(crate) fn flag_error(err: ScenarioError) -> Box<dyn Error> {
+    let flag = match &err {
+        ScenarioError::InvalidValue { key, .. } | ScenarioError::UnknownKey { key } => {
+            flag_for_key(key)
         }
+        ScenarioError::Core(CoreError::InvalidField { field, .. }) => Some(flag_for_field(field)),
+        _ => None,
+    };
+    match (flag.map(str::to_string), err) {
+        (Some(flag), ScenarioError::UnknownKey { key }) => {
+            ParseError::Inapplicable { flag, key }.into()
+        }
+        (
+            Some(flag),
+            ScenarioError::InvalidValue { value, .. }
+            | ScenarioError::Core(CoreError::InvalidField { value, .. }),
+        ) => ParseError::InvalidValue { flag, value }.into(),
+        (_, err) => err.into(),
+    }
+}
+
+/// The validated scenario a flag-driven subcommand (`dag`, `fedavg`,
+/// `fedprox`, `local`, `async`, `peer`) describes.
+///
+/// The flags are *composed* into a scenario document — the dataset and
+/// compute words the CLI spells its own way, its own defaults (30
+/// rounds, 200 activations, partition split 1, crash peer 0 and, below,
+/// `min(6, clients)` per round), then every keyed [`FLAGS`] row that was
+/// given — and read by the one scenario reader, so a flag's type,
+/// default and range are the key's, and a flag whose key the chosen
+/// shape lacks is rejected by name.
+pub(crate) fn scenario_from_flags(args: &ParsedArgs) -> Result<Scenario, Box<dyn Error>> {
+    let number = |n: usize| Value::Number(n.to_string());
+    let mut doc = Document::default();
+    doc.root
+        .set("name", Value::Str(args.command().word().into()));
+
+    let word = args.get_or("dataset", "fmnist");
+    let kind = match word {
+        "fmnist" | "fmnist-author" | "poets" | "cifar" => word,
+        "fmnist-relaxed" => "fmnist",
+        "fedprox-synthetic" => "fedprox",
+        _ => {
+            return Err(ParseError::InvalidValue {
+                flag: "dataset".into(),
+                value: word.into(),
+            }
+            .into())
+        }
+    };
+    let dataset = doc.section_mut("dataset");
+    dataset.set("kind", Value::Str(kind.into()));
+    if word == "fmnist-relaxed" {
+        dataset.set("relaxation", Value::Number("0.18".into()));
+    }
+    if let Some(raw) = args.get("clients") {
+        if kind == "poets" {
+            // Poets sizes by language; `--clients` stays the total.
+            let clients: usize = args.get_parsed_or("clients", 0)?;
+            dataset.set("clients_per_language", number(clients.div_ceil(2)));
+        } else {
+            dataset.set("clients", Value::from_token(raw));
+        }
+    }
+
+    let execution = doc.section_mut("execution");
+    execution.set("rounds", number(30));
+    if args.command() == Command::Async {
+        execution.set("mode", Value::Str("async".into()));
+        execution.set("activations", number(200));
+        // `--slowdown` selects a two-speed compute profile; under cohort
+        // delays the network-slow clients are the compute-slow ones, so
+        // `--slow-fraction` is then the delay model's key.
+        let cohorts = args.get("delay-model") == Some("cohorts");
+        if let Some(raw) = args
+            .get("slowdown")
+            .filter(|raw| raw.parse::<f64>() != Ok(1.0))
+        {
+            let profile = if cohorts {
+                "match-network"
+            } else {
+                "two-speed"
+            };
+            execution.set("compute", Value::Str(profile.into()));
+            execution.set("slowdown", Value::from_token(raw));
+        }
+        if let Some(raw) = args.get("slow-fraction") {
+            let key = if cohorts {
+                "slow_fraction"
+            } else {
+                "compute_slow_fraction"
+            };
+            execution.set(key, Value::from_token(raw));
+        }
+    }
+    // The file format wants a fault window whole; the flags default the
+    // half that says where it strikes.
+    if args.get("partition-start").is_some() {
+        doc.section_mut("faults").set("partition_split", number(1));
+    }
+    if args.get("crash-at").is_some() {
+        doc.section_mut("faults").set("crash_peer", number(0));
+    }
+    for (key, raw) in args.scenario_keys() {
+        let (section, key) = key.split_once('.').expect("FLAGS keys are section.key");
+        doc.section_mut(section).set(key, Value::from_token(raw));
+    }
+    let mut scenario = Scenario::from_document(&doc).map_err(flag_error)?;
+    if args.get("clients-per-round").is_none() {
+        let clients = scenario.dataset.num_clients();
+        scenario = scenario.clients_per_round(clients.min(6));
+    }
+    scenario.validate().map_err(flag_error)?;
+    Ok(scenario)
+}
+
+/// The centralized baselines' configuration: the scenario's
+/// hyperparameters plus `--mu` (FedProx only) and `--stragglers`.
+fn fed_config(args: &ParsedArgs, dag: &DagConfig) -> Result<FedConfig, ParseError> {
+    let mu = if args.command() == Command::FedProx {
+        args.get_parsed_or("mu", 0.1)?
     } else {
-        ComputeProfile::Uniform
+        0.0
     };
-    let stale_policy = match args.get_or("stale-policy", "publish") {
-        "publish" => StaleTipPolicy::PublishAnyway,
-        "reselect" => StaleTipPolicy::Reselect,
-        "discard" => StaleTipPolicy::Discard,
-        other => return Err(unknown_word("stale-policy", other)),
-    };
-    let config = AsyncConfig {
-        dag: dag_config(args, num_clients)?,
-        total_activations: args.get_parsed_or("activations", 200)?,
-        mean_interarrival: args.get_parsed_or("interarrival", 1.0)?,
-        delay,
-        compute,
-        train_time: args.get_parsed_or("train-time", 0.0)?,
-        stale_policy,
-        gossip_fanout: args.get_parsed_or("fanout", 0)?,
-        workers: args.get_parsed_or("workers", 1)?,
-    };
-    // Core validation covers the rest (delays, slowdown, inter-arrival,
-    // training time and the embedded DAG config).
-    config.validate().map_err(config_error)?;
-    Ok(config)
-}
-
-/// Optional float flag: `None` when absent, an error when unparsable.
-fn opt_f64(args: &ParsedArgs, flag: &str) -> Result<Option<f64>, ParseError> {
-    args.get(flag)
-        .map(|raw| {
-            raw.parse().map_err(|_| ParseError::InvalidValue {
-                flag: flag.to_string(),
-                value: raw.to_string(),
-            })
-        })
-        .transpose()
-}
-
-/// Builds the fault-injection plan for `dagfl async` from `--drop`,
-/// `--partition-start` and friends. All defaults are zero, so a command
-/// line without fault flags yields an inert plan and the unfaulted
-/// loopback transport.
-fn fault_plan(args: &ParsedArgs) -> Result<FaultPlan, ParseError> {
-    let mut plan = FaultPlan {
-        drop: args.get_parsed_or("drop", 0.0)?,
-        duplicate: args.get_parsed_or("duplicate", 0.0)?,
-        reorder: args.get_parsed_or("reorder", 0.0)?,
-        extra_delay: args.get_parsed_or("extra-delay", 0.0)?,
-        delay_boost: args.get_parsed_or("delay-boost", 1.0)?,
-        ..FaultPlan::default()
-    };
-    if let (Some(start), Some(heal)) = (
-        opt_f64(args, "partition-start")?,
-        opt_f64(args, "partition-heal")?,
-    ) {
-        plan.partitions.push(PartitionWindow {
-            start,
-            heal,
-            split: args.get_parsed_or("partition-split", 1)?,
-        });
-    }
-    if let Some(at) = opt_f64(args, "crash-at")? {
-        plan.crashes.push(CrashWindow {
-            peer: args.get_parsed_or("crash-peer", 0)?,
-            at,
-            restart: opt_f64(args, "crash-restart")?.unwrap_or(f64::INFINITY),
-        });
-    }
-    plan.validate().map_err(config_error)?;
-    Ok(plan)
-}
-
-fn fed_config(args: &ParsedArgs, num_clients: usize, mu: f32) -> Result<FedConfig, ParseError> {
     Ok(FedConfig {
-        rounds: args.get_parsed_or("rounds", 30)?,
-        clients_per_round: args.get_parsed_or("clients-per-round", 6.min(num_clients))?,
-        local_epochs: args.get_parsed_or("epochs", 1)?,
-        local_batches: args.get_parsed_or("batches", 10)?,
-        batch_size: args.get_parsed_or("batch-size", 10)?,
-        learning_rate: args.get_parsed_or("lr", 0.05)?,
+        rounds: dag.rounds,
+        clients_per_round: dag.clients_per_round,
+        local_epochs: dag.local_epochs,
+        local_batches: dag.local_batches,
+        batch_size: dag.batch_size,
+        learning_rate: dag.learning_rate,
         proximal_mu: mu,
         straggler_fraction: args.get_parsed_or("stragglers", 0.0)?,
         drop_stragglers: mu == 0.0,
-        seed: args.get_parsed_or("seed", 42)?,
+        seed: dag.seed,
         ..FedConfig::default()
     })
 }
@@ -368,21 +218,22 @@ pub fn run_command(args: &ParsedArgs) -> Result<(), Box<dyn Error>> {
         Command::Tracker => return crate::net::tracker_command(args),
         _ => {}
     }
-    let (dataset, factory) = build_cli_task(args)?;
-    let n = dataset.num_clients();
+    let scenario = scenario_from_flags(args)?;
+    let dataset = scenario.dataset.build();
+    let factory = scenario.build_factory(&dataset);
     eprintln!(
         "# dataset={} clients={} classes={} base_pureness={:.3}",
         dataset.name(),
-        n,
+        dataset.num_clients(),
         dataset.num_classes(),
         dataset.base_pureness()
     );
+    let dag = *scenario.execution.dag();
     match args.command() {
         Command::Dag => {
-            let config = dag_config(args, n)?;
-            let mut sim = Simulation::new(config, dataset, factory);
+            let mut sim = Simulation::new(dag, dataset, factory);
             println!("round,published,mean_accuracy,mean_loss,tangle_size");
-            for _ in 0..config.rounds {
+            for _ in 0..dag.rounds {
                 let m = sim.run_round()?;
                 println!(
                     "{},{},{:.4},{:.4},{}",
@@ -400,12 +251,7 @@ pub fn run_command(args: &ParsedArgs) -> Result<(), Box<dyn Error>> {
             );
         }
         Command::FedAvg | Command::FedProx => {
-            let mu = if args.command() == Command::FedProx {
-                args.get_parsed_or("mu", 0.1)?
-            } else {
-                0.0
-            };
-            let config = fed_config(args, n, mu)?;
+            let config = fed_config(args, &dag)?;
             let mut server = FederatedServer::new(config, dataset, factory);
             println!("round,mean_accuracy,mean_loss,stragglers");
             for _ in 0..config.rounds {
@@ -420,24 +266,25 @@ pub fn run_command(args: &ParsedArgs) -> Result<(), Box<dyn Error>> {
             }
         }
         Command::Local => {
-            let rounds: usize = args.get_parsed_or("rounds", 30)?;
             let mut local = LocalOnly::new(
                 dataset,
                 factory,
-                args.get_parsed_or("lr", 0.05)?,
-                args.get_parsed_or("batches", 10)?,
-                args.get_parsed_or("batch-size", 10)?,
-                args.get_parsed_or("seed", 42)?,
+                dag.learning_rate,
+                dag.local_batches,
+                dag.batch_size,
+                dag.seed,
             );
             println!("round,mean_accuracy");
-            for round in 0..rounds {
+            for round in 0..dag.rounds {
                 local.run_round()?;
                 println!("{},{:.4}", round + 1, local.mean_accuracy()?);
             }
         }
         Command::Async => {
-            let config = async_config(args, n)?;
-            let plan = fault_plan(args)?;
+            let ExecutionSpec::Async { config, .. } = scenario.execution else {
+                unreachable!("`async` composes an async-mode scenario")
+            };
+            let plan = scenario.faults.map(|f| f.to_plan()).unwrap_or_default();
             let mut sim = AsyncSimulation::try_new_with_faults(config, dataset, factory, plan)?;
             println!("activation,started,completed,client,accuracy,published,stale_parents");
             for i in 0..config.total_activations {
@@ -513,34 +360,31 @@ fn requested_scale(args: &ParsedArgs) -> Scale {
     }
 }
 
+/// The scenario `run` and `analyze` start from: `--scenario <file>` or
+/// `--preset <name>`, exactly one.
+fn load_scenario(args: &ParsedArgs) -> Result<Scenario, Box<dyn Error>> {
+    match (args.get("scenario"), args.get("preset")) {
+        (Some(path), None) => Ok(Scenario::load(path)?),
+        (None, Some(name)) => Ok(Scenario::preset_at(name, requested_scale(args))?),
+        _ => Err(format!(
+            "`dagfl {}` needs exactly one of --scenario <file> or --preset <name>",
+            args.command().word()
+        )
+        .into()),
+    }
+}
+
 /// `dagfl run --scenario <file>` / `dagfl run --preset <name>`: resolve,
 /// validate and execute one declarative scenario, printing the report.
 fn run_scenario(args: &ParsedArgs) -> Result<(), Box<dyn Error>> {
-    let mut scenario = match (args.get("scenario"), args.get("preset")) {
-        (Some(path), None) => Scenario::load(path)?,
-        (None, Some(name)) => Scenario::preset_at(name, requested_scale(args))?,
-        _ => {
-            return Err(
-                "`dagfl run` needs exactly one of --scenario <file> or --preset <name>".into(),
-            )
-        }
-    };
-    // Worker-count override for async scenarios: results are
+    // `--workers` is the scenario key `execution.workers`: results are
     // byte-identical at any count, so CI runs the same scenario at
-    // --workers 1 and --workers N and diffs the digests.
-    if let Some(raw) = args.get("workers") {
-        let workers: usize = args.get_parsed_or("workers", 1)?;
-        if workers == 0 {
-            return Err(format!("`--workers {raw}` is out of range (need >= 1)").into());
-        }
-        match &mut scenario.execution {
-            dagfl_scenario::ExecutionSpec::Async { config, .. } => config.workers = workers,
-            dagfl_scenario::ExecutionSpec::Rounds(_) => {
-                return Err("`--workers` only applies to async-mode scenarios".into())
-            }
-        }
-    }
-    let runner = ScenarioRunner::new(scenario)?;
+    // --workers 1 and --workers N and diffs the digests. A rounds-mode
+    // scenario has no such key, and a count of 0 fails validation.
+    let scenario = load_scenario(args)?
+        .set_keys(&args.scenario_keys())
+        .map_err(flag_error)?;
+    let runner = ScenarioRunner::new(scenario).map_err(flag_error)?;
     eprintln!(
         "# scenario={} mode={}",
         runner.scenario().name,
@@ -561,46 +405,23 @@ fn run_scenario(args: &ParsedArgs) -> Result<(), Box<dyn Error>> {
 /// own `[analysis]` section) and print the cluster assignment table
 /// plus the quality metrics.
 fn analyze_command(args: &ParsedArgs) -> Result<(), Box<dyn Error>> {
-    let mut scenario = match (args.get("scenario"), args.get("preset")) {
-        (Some(path), None) => Scenario::load(path)?,
-        (None, Some(name)) => Scenario::preset_at(name, requested_scale(args))?,
-        _ => {
-            return Err(
-                "`dagfl analyze` needs exactly one of --scenario <file> or --preset <name>".into(),
-            )
-        }
-    };
+    let mut scenario = load_scenario(args)?;
     // Start from the scenario's own [analysis] section (or the
-    // defaults), then let flags override it, mirroring the file schema.
-    let mut spec = scenario.analysis.take().unwrap_or_default();
-    spec.enabled = true;
-    let k: Option<usize> = match args.get("k") {
-        Some(raw) => Some(raw.parse().map_err(|_| ParseError::InvalidValue {
-            flag: "k".into(),
-            value: raw.to_string(),
-        })?),
-        None => None,
-    };
-    if k.is_some() && (args.get("k-min").is_some() || args.get("k-max").is_some()) {
-        return Err(
-            "`--k` fixes the cluster count; it cannot be combined with --k-min/--k-max".into(),
-        );
+    // defaults); the flags are its keys. A fixed `k` and the
+    // `k_min`/`k_max` sweep are two shapes of the section, so the shape
+    // the flags spell is put in place first (`--k` then overwrites the
+    // placeholder count) — spelling both is the reader's error.
+    let analysis = scenario.analysis.get_or_insert_with(AnalysisSpec::default);
+    analysis.enabled = true;
+    if args.get("k-min").or(args.get("k-max")).is_some() {
+        analysis.k = None;
+    } else if args.get("k").is_some() {
+        analysis.k = Some(1);
     }
-    if let Some(k) = k {
-        spec.k = Some(k);
-    } else if args.get("k-min").is_some() || args.get("k-max").is_some() {
-        spec.k = None;
-        spec.k_min = args.get_parsed_or("k-min", spec.k_min)?;
-        spec.k_max = args.get_parsed_or("k-max", spec.k_max)?;
-    }
-    spec.cadence = args.get_parsed_or("cadence", spec.cadence)?;
-    if let Some(word) = args.get("source") {
-        spec.source = AnalysisSource::parse(word).ok_or_else(|| {
-            format!("invalid --source `{word}`: expected parameters, approvals or both")
-        })?;
-    }
-    scenario = scenario.with_analysis(spec);
-    let runner = ScenarioRunner::new(scenario)?;
+    let scenario = scenario
+        .set_keys(&args.scenario_keys())
+        .map_err(flag_error)?;
+    let runner = ScenarioRunner::new(scenario).map_err(flag_error)?;
     eprintln!(
         "# scenario={} mode={}",
         runner.scenario().name,
@@ -837,24 +658,146 @@ fn dump_presets(dir: &Path) -> Result<(), Box<dyn Error>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dagfl_core::{
+        AsyncConfig, ComputeProfile, DelayModel, Normalization, StaleTipPolicy, TipSelector,
+    };
+    use dagfl_scenario::{DatasetSpec, FaultSpec};
 
-    #[test]
-    fn dataset_kinds_parse() {
-        assert_eq!(DatasetKind::parse("fmnist"), Some(DatasetKind::Fmnist));
-        assert_eq!(DatasetKind::parse("poets"), Some(DatasetKind::Poets));
-        assert_eq!(
-            DatasetKind::parse("fedprox-synthetic"),
-            Some(DatasetKind::FedProxSynthetic)
-        );
-        assert_eq!(DatasetKind::parse("unknown"), None);
+    fn scenario(flags: &[&str]) -> Scenario {
+        let args = ParsedArgs::parse(flags).unwrap();
+        scenario_from_flags(&args).unwrap_or_else(|e| panic!("{flags:?}: {e}"))
+    }
+
+    /// The flag-shaped error a command line is rejected with.
+    fn flag_failure(flags: &[&str]) -> ParseError {
+        let args = ParsedArgs::parse(flags).unwrap();
+        let err = scenario_from_flags(&args).expect_err("must be rejected");
+        match err.downcast::<ParseError>() {
+            Ok(err) => *err,
+            Err(other) => panic!("{flags:?}: not a flag error: {other}"),
+        }
+    }
+
+    fn async_config(flags: &[&str]) -> AsyncConfig {
+        match scenario(flags).execution {
+            ExecutionSpec::Async { config, .. } => config,
+            other => panic!("{flags:?}: unexpected execution {other:?}"),
+        }
     }
 
     #[test]
-    fn build_task_produces_matching_model() {
-        let args = ParsedArgs::parse(["dag", "--clients", "6", "--samples", "30"]).unwrap();
-        let (dataset, factory) = build_task(DatasetKind::Fmnist, &args).unwrap();
+    fn flags_compose_the_scenario_a_preset_names() {
+        let from_flags = scenario(&[
+            "dag",
+            "--rounds",
+            "2",
+            "--clients",
+            "4",
+            "--samples",
+            "30",
+            "--clients-per-round",
+            "2",
+            "--batches",
+            "2",
+        ]);
+        let mut smoke = Scenario::preset_at("smoke", Scale::Quick).unwrap();
+        smoke.name = "dag".into();
+        assert_eq!(from_flags, smoke);
+    }
+
+    #[test]
+    fn every_flag_row_names_a_key_the_reader_knows() {
+        // A row whose key the reader has under no shape would make its
+        // flag permanently inapplicable. Try each keyed row, on every
+        // subcommand listing it, under each word that gates keys.
+        let shapes: [&[&str]; 5] = [
+            &[],
+            &["--delay-model", "jitter"],
+            &["--delay-model", "cohorts"],
+            &["--preset", "async-delay2"],
+            &["--preset", "fig05-alpha10"],
+        ];
+        // `None`: the subcommand does not take the shape, or reads the
+        // flag itself; otherwise whether the reader had the key.
+        let applies = |line: &[&str], key: &str| -> Option<bool> {
+            let args = ParsedArgs::parse(line).ok()?;
+            args.scenario_keys().iter().find(|(k, _)| *k == key)?;
+            let outcome = match args.command() {
+                Command::Run | Command::Analyze => load_scenario(&args)
+                    .and_then(|s| s.set_keys(&args.scenario_keys()).map_err(flag_error)),
+                _ => scenario_from_flags(&args),
+            };
+            Some(!outcome.is_err_and(|e| {
+                matches!(
+                    e.downcast_ref::<ParseError>(),
+                    Some(ParseError::Inapplicable { .. })
+                )
+            }))
+        };
+        for &(flag, key, _) in FLAGS.iter().filter(|(_, key, _)| !key.is_empty()) {
+            let flag = format!("--{flag}");
+            for word in [
+                "dag", "fedavg", "fedprox", "local", "async", "peer", "run", "analyze",
+            ] {
+                let outcomes: Vec<bool> = shapes
+                    .iter()
+                    .filter_map(|shape| {
+                        applies(&[&[word], *shape, &[flag.as_str(), "1"]].concat(), key)
+                    })
+                    .collect();
+                assert!(
+                    outcomes.is_empty() || outcomes.contains(&true),
+                    "`{word} {flag}`: no shape has `{key}`"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn dataset_kinds_parse() {
+        for (word, kind) in [
+            ("fmnist", "fmnist"),
+            ("fmnist-relaxed", "fmnist"),
+            ("fmnist-author", "fmnist-author"),
+            ("poets", "poets"),
+            ("cifar", "cifar"),
+            ("fedprox-synthetic", "fedprox"),
+        ] {
+            assert_eq!(scenario(&["dag", "--dataset", word]).dataset.kind(), kind);
+        }
+        assert_eq!(
+            flag_failure(&["dag", "--dataset", "unknown"]),
+            ParseError::InvalidValue {
+                flag: "dataset".into(),
+                value: "unknown".into()
+            }
+        );
+        // The words the CLI spells its own way, and the one size it
+        // reshapes: relaxed clusters, and poets' per-language count.
+        assert!(matches!(
+            scenario(&["dag", "--dataset", "fmnist-relaxed"]).dataset,
+            DatasetSpec::Fmnist { relaxation, .. } if relaxation == 0.18
+        ));
+        let poets = scenario(&["dag", "--dataset", "poets", "--clients", "5"]);
+        assert_eq!(poets.dataset.num_clients(), 6);
+        // The model and the sample bounds are the scenario layer's.
+        let cifar = scenario(&["dag", "--dataset", "cifar"]);
+        assert_eq!(cifar.model, cifar.dataset.default_model());
+        assert!(matches!(
+            scenario(&["dag", "--dataset", "fedprox-synthetic"]).dataset,
+            DatasetSpec::FedProx {
+                max_samples: 200,
+                ..
+            }
+        ));
+    }
+
+    #[test]
+    fn flags_build_a_task_with_a_matching_model() {
+        let flagged = scenario(&["dag", "--clients", "6", "--samples", "30"]);
+        let dataset = flagged.dataset.build();
         let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(0);
-        let model = factory(&mut rng);
+        let model = flagged.build_factory(&dataset)(&mut rng);
         // The model accepts the dataset's feature width.
         let eval = model
             .evaluate(dataset.clients()[0].test_x(), dataset.clients()[0].test_y())
@@ -864,7 +807,7 @@ mod tests {
 
     #[test]
     fn dag_config_respects_flags() {
-        let args = ParsedArgs::parse([
+        let flagged = scenario(&[
             "dag",
             "--rounds",
             "7",
@@ -874,44 +817,52 @@ mod tests {
             "dynamic",
             "--stop-margin",
             "0.2",
-        ])
-        .unwrap();
-        let cfg = dag_config(&args, 20).unwrap();
+        ]);
+        let cfg = flagged.execution.dag();
         assert_eq!(cfg.rounds, 7);
         assert_eq!(cfg.walk_stop_margin, Some(0.2));
-        match cfg.tip_selector {
+        assert_eq!(
+            cfg.tip_selector,
             TipSelector::Accuracy {
-                alpha,
-                normalization,
-            } => {
-                assert_eq!(alpha, 3.0);
-                assert_eq!(normalization, Normalization::Dynamic);
+                alpha: 3.0,
+                normalization: Normalization::Dynamic,
             }
-            other => panic!("unexpected selector {other:?}"),
-        }
+        );
+        // The CLI's own defaults: 30 rounds, min(6, clients) per round.
+        let defaults = *scenario(&["dag"]).execution.dag();
+        assert_eq!((defaults.rounds, defaults.clients_per_round), (30, 6));
+        let small = scenario(&["dag", "--clients", "4"]);
+        assert_eq!(small.execution.dag().clients_per_round, 4);
     }
 
     #[test]
     fn selector_flag_switches_strategy() {
-        let args = ParsedArgs::parse(["dag", "--selector", "random"]).unwrap();
         assert_eq!(
-            dag_config(&args, 10).unwrap().tip_selector,
+            scenario(&["dag", "--selector", "random"])
+                .execution
+                .dag()
+                .tip_selector,
             TipSelector::Random
         );
-        let args = ParsedArgs::parse(["dag", "--selector", "cumulative", "--alpha", "2"]).unwrap();
         assert_eq!(
-            dag_config(&args, 10).unwrap().tip_selector,
+            scenario(&["dag", "--selector", "cumulative", "--alpha", "2"])
+                .execution
+                .dag()
+                .tip_selector,
             TipSelector::CumulativeWeight { alpha: 2.0 }
         );
     }
 
     #[test]
     fn fed_config_wires_stragglers() {
+        let dag = DagConfig::default();
         let args = ParsedArgs::parse(["fedprox", "--stragglers", "0.5"]).unwrap();
-        let cfg = fed_config(&args, 10, 0.1).unwrap();
+        let cfg = fed_config(&args, &dag).unwrap();
         assert_eq!(cfg.straggler_fraction, 0.5);
+        assert_eq!(cfg.proximal_mu, 0.1);
         assert!(!cfg.drop_stragglers, "fedprox keeps stragglers");
-        let cfg = fed_config(&args, 10, 0.0).unwrap();
+        let args = ParsedArgs::parse(["fedavg", "--stragglers", "0.5"]).unwrap();
+        let cfg = fed_config(&args, &dag).unwrap();
         assert!(cfg.drop_stragglers, "fedavg drops stragglers");
     }
 
@@ -983,29 +934,60 @@ mod tests {
     #[test]
     fn validation_errors_name_the_flag_the_user_typed() {
         for (flags, flag_name) in [
-            (vec!["async", "--slow-fraction", "1.5"], "slow-fraction"),
+            (
+                vec!["async", "--slowdown", "2", "--slow-fraction", "1.5"],
+                "slow-fraction",
+            ),
             (vec!["async", "--delay", "-1"], "delay"),
             (vec!["async", "--interarrival", "0"], "interarrival"),
             (vec!["async", "--train-time", "-2"], "train-time"),
             (vec!["async", "--slowdown", "0.5"], "slowdown"),
+            (vec!["async", "--drop", "1.5"], "drop"),
+            (vec!["async", "--workers", "0"], "workers"),
             (vec!["dag", "--lr", "-1"], "lr"),
             (vec!["dag", "--batches", "0"], "batches"),
+            (vec!["dag", "--clients", "many"], "clients"),
             (vec!["dag", "--selector", "cumulativ"], "selector"),
             (vec!["dag", "--normalization", "nope"], "normalization"),
+            (vec!["peer", "--stop-margin", "-1"], "stop-margin"),
         ] {
-            let args = ParsedArgs::parse(flags.clone()).unwrap();
-            let err = if flags[0] == "async" {
-                async_config(&args, 10).unwrap_err()
-            } else {
-                dag_config(&args, 10).unwrap_err()
-            };
-            match err {
+            match flag_failure(&flags) {
                 ParseError::InvalidValue { ref flag, .. } => {
                     assert_eq!(flag, flag_name, "{flags:?}")
                 }
                 other => panic!("{flags:?}: unexpected error {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn flags_the_chosen_shape_lacks_are_rejected_by_name() {
+        for (flags, flag_name) in [
+            // Not range-checked and dropped: the constant delay model has
+            // no jitter, nothing is slow without cohorts or a slowdown.
+            (vec!["async", "--jitter", "0.5"], "jitter"),
+            (vec!["async", "--slow-fraction", "0.2"], "slow-fraction"),
+            (vec!["async", "--slow-delay", "9"], "slow-delay"),
+            (vec!["dag", "--selector", "random", "--alpha", "3"], "alpha"),
+            (
+                vec!["dag", "--dataset", "fedprox-synthetic", "--samples", "9"],
+                "samples",
+            ),
+        ] {
+            match flag_failure(&flags) {
+                ParseError::Inapplicable { ref flag, .. } => {
+                    assert_eq!(flag, flag_name, "{flags:?}")
+                }
+                other => panic!("{flags:?}: unexpected error {other:?}"),
+            }
+        }
+        // `run --workers` is a scenario key too: rounds mode has none.
+        let args = ParsedArgs::parse(["run", "--preset", "smoke", "--workers", "2"]).unwrap();
+        let err = run_command(&args).unwrap_err().to_string();
+        assert!(
+            err.contains("--workers") && err.contains("does not apply"),
+            "{err}"
+        );
     }
 
     fn temp_dir(name: &str) -> std::path::PathBuf {
@@ -1198,7 +1180,7 @@ mod tests {
 
     #[test]
     fn async_config_builds_cohort_delay_and_policy() {
-        let args = ParsedArgs::parse([
+        let cfg = async_config(&[
             "async",
             "--delay-model",
             "cohorts",
@@ -1216,9 +1198,7 @@ mod tests {
             "0.8",
             "--stale-policy",
             "reselect",
-        ])
-        .unwrap();
-        let cfg = async_config(&args, 10).unwrap();
+        ]);
         assert_eq!(
             cfg.delay,
             DelayModel::Cohorts {
@@ -1240,9 +1220,7 @@ mod tests {
 
     #[test]
     fn async_config_uses_independent_cohort_without_cohort_delays() {
-        let args =
-            ParsedArgs::parse(["async", "--slowdown", "3", "--slow-fraction", "0.2"]).unwrap();
-        let cfg = async_config(&args, 10).unwrap();
+        let cfg = async_config(&["async", "--slowdown", "3", "--slow-fraction", "0.2"]);
         assert_eq!(
             cfg.compute,
             ComputeProfile::TwoSpeed {
@@ -1250,25 +1228,33 @@ mod tests {
                 slowdown: 3.0,
             }
         );
+        // A slowdown of 1 is the uniform profile, as documented.
+        assert_eq!(
+            async_config(&["async", "--slowdown", "1"]).compute,
+            ComputeProfile::Uniform
+        );
     }
 
     #[test]
     fn async_config_rejects_out_of_range_values_instead_of_panicking() {
         for flags in [
             vec!["async", "--delay", "-1"],
-            vec!["async", "--jitter", "-0.5"],
-            vec!["async", "--slow-fraction", "1.5"],
+            vec!["async", "--delay-model", "jitter", "--jitter", "-0.5"],
+            vec![
+                "async",
+                "--delay-model",
+                "cohorts",
+                "--slow-fraction",
+                "1.5",
+            ],
             vec!["async", "--slowdown", "0.5"],
             vec!["async", "--interarrival", "0"],
             vec!["async", "--train-time", "-2"],
             vec!["async", "--delay-model", "cohorts", "--slow-delay", "-3"],
+            vec!["async", "--partition-start", "5", "--partition-heal", "2"],
         ] {
-            let args = ParsedArgs::parse(flags.clone()).unwrap();
             assert!(
-                matches!(
-                    async_config(&args, 10),
-                    Err(ParseError::InvalidValue { .. })
-                ),
+                matches!(flag_failure(&flags), ParseError::InvalidValue { .. }),
                 "expected InvalidValue for {flags:?}"
             );
         }
@@ -1276,25 +1262,59 @@ mod tests {
 
     #[test]
     fn async_config_defaults_to_constant_delay_uniform_compute() {
-        let args = ParsedArgs::parse(["async"]).unwrap();
-        let cfg = async_config(&args, 10).unwrap();
+        let cfg = async_config(&["async"]);
         assert_eq!(cfg.delay, DelayModel::Constant { delay: 2.0 });
         assert_eq!(cfg.compute, ComputeProfile::Uniform);
         assert_eq!(cfg.stale_policy, StaleTipPolicy::PublishAnyway);
         assert_eq!(cfg.total_activations, 200);
+        assert_eq!(scenario(&["async"]).faults, None);
     }
 
     #[test]
     fn async_config_rejects_unknown_words() {
-        let args = ParsedArgs::parse(["async", "--delay-model", "warp"]).unwrap();
-        assert!(matches!(
-            async_config(&args, 10).unwrap_err(),
-            ParseError::InvalidValue { .. }
-        ));
-        let args = ParsedArgs::parse(["async", "--stale-policy", "retry"]).unwrap();
-        assert!(matches!(
-            async_config(&args, 10).unwrap_err(),
-            ParseError::InvalidValue { .. }
-        ));
+        for flags in [
+            ["async", "--delay-model", "warp"],
+            ["async", "--stale-policy", "retry"],
+        ] {
+            assert!(matches!(
+                flag_failure(&flags),
+                ParseError::InvalidValue { .. }
+            ));
+        }
+    }
+
+    #[test]
+    fn fault_flags_compose_the_faults_section() {
+        let faults = scenario(&[
+            "async",
+            "--drop",
+            "0.2",
+            "--partition-start",
+            "2",
+            "--partition-heal",
+            "6",
+            "--crash-at",
+            "3",
+        ])
+        .faults
+        .expect("fault flags make a [faults] section");
+        assert_eq!(
+            faults,
+            FaultSpec {
+                drop: 0.2,
+                duplicate: 0.0,
+                reorder: 0.0,
+                extra_delay: 0.0,
+                delay_boost: 1.0,
+                // The CLI's defaults: split after peer 0, crash peer 0.
+                partition: Some((2.0, 6.0, 1)),
+                crash: Some((0, 3.0, f64::INFINITY)),
+            }
+        );
+        // Half a window is an error, not a silently dropped flag.
+        let args = ParsedArgs::parse(["async", "--partition-start", "2"]).unwrap();
+        assert!(scenario_from_flags(&args).is_err());
+        let args = ParsedArgs::parse(["async", "--crash-restart", "8"]).unwrap();
+        assert!(scenario_from_flags(&args).is_err());
     }
 }

@@ -1,5 +1,5 @@
 //! Library backing the `dagfl` command-line tool: argument parsing,
-//! dataset/model construction and experiment dispatch.
+//! flags-to-scenario composition and experiment dispatch.
 //!
 //! Kept as a library so the parsing and dispatch logic is unit-testable;
 //! `src/main.rs` is a thin wrapper.
@@ -27,4 +27,4 @@ pub mod dispatch;
 pub mod net;
 
 pub use args::{Command, ParseError, ParsedArgs, USAGE};
-pub use dispatch::{run_command, DatasetKind};
+pub use dispatch::run_command;

@@ -20,7 +20,7 @@ use std::time::Duration;
 use dagfl_core::{run_peer, PeerConfig, Tracker};
 
 use crate::args::ParsedArgs;
-use crate::dispatch::{build_cli_task, cli_dag_config};
+use crate::dispatch::scenario_from_flags;
 
 /// `dagfl tracker`: serve peer discovery until `--expect` peers have
 /// joined and left (forever without `--expect`).
@@ -40,7 +40,9 @@ pub fn tracker_command(args: &ParsedArgs) -> Result<(), Box<dyn Error>> {
 /// `dagfl peer`: run one networked DAG-FL peer session and print the
 /// convergence digest.
 pub fn peer_command(args: &ParsedArgs) -> Result<(), Box<dyn Error>> {
-    let (dataset, factory) = build_cli_task(args)?;
+    let scenario = scenario_from_flags(args)?;
+    let dataset = scenario.dataset.build();
+    let factory = scenario.build_factory(&dataset);
     let client: u32 = args.get_parsed_or("client", 0)?;
     let peers: usize = args.get_parsed_or("peers", 1)?;
     let config = PeerConfig {
@@ -50,7 +52,7 @@ pub fn peer_command(args: &ParsedArgs) -> Result<(), Box<dyn Error>> {
         tracker: args.get_or("tracker", "127.0.0.1:7878").to_string(),
         activations: args.get_parsed_or("activations", 4)?,
         interarrival: Duration::from_millis(args.get_parsed_or("interarrival-ms", 50u64)?),
-        dag: cli_dag_config(args, dataset.num_clients())?,
+        dag: *scenario.execution.dag(),
         settle: Duration::from_millis(args.get_parsed_or("settle-ms", 300u64)?),
         timeout: Duration::from_secs(args.get_parsed_or("timeout", 120u64)?),
         reconnect: args.flag("reconnect"),

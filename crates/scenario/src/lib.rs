@@ -26,9 +26,10 @@
 //!   experiments by name (`"table1-fmnist"`, `"fig06-alpha10"`,
 //!   `"poisoning-p0.2"`, `"async-cohorts"`, ...) at quick or full
 //!   [`Scale`].
-//! * **Sweeps** — [`SweepSpec`] expands a base scenario over typed
-//!   parameter axes (`execution.alpha = [0.1, 1, 10, 100]`,
-//!   `replicate = 0..5`) into a validated grid; [`SweepRunner`] executes
+//! * **Sweeps** — [`SweepSpec`] expands a base scenario over axes that
+//!   are scenario key paths (`execution.alpha = [0.1, 1, 10, 100]`, set
+//!   through [`Scenario::set_keys`]) or `replicate = 0..5` into a
+//!   validated grid; [`SweepRunner`] executes
 //!   the cells on a worker pool and aggregates a [`SweepReport`] with a
 //!   scheduling-independent comparison CSV. Sweep files
 //!   (`scenarios/sweep-*.toml`) run with `dagfl sweep <file>`.
@@ -36,7 +37,9 @@
 //! A paper experiment is therefore runnable three equivalent ways — by
 //! preset name, from a checked-in `.toml` file (`dagfl run --scenario`),
 //! or through the builder API — and all three meet in the same
-//! validation and runner code.
+//! validation and runner code. Text that names a knob (a file line, a
+//! sweep axis value, a CLI flag) meets earlier still, in the one reader
+//! [`Scenario::from_document`].
 //!
 //! # Example
 //!
@@ -71,6 +74,6 @@ pub use spec::{
     Scenario, ScenarioError, TransportSpec,
 };
 pub use sweep::{
-    is_sweep_toml, SweepAxis, SweepBase, SweepCell, SweepCellReport, SweepField, SweepReport,
-    SweepRunner, SweepSpec, SWEEP_PRESET_NAMES,
+    is_sweep_toml, SweepAxis, SweepBase, SweepCell, SweepCellReport, SweepReport, SweepRunner,
+    SweepSpec, SWEEP_PRESET_NAMES,
 };

@@ -18,7 +18,7 @@ use dagfl_datasets::{
 };
 use dagfl_nn::{CharRnn, Dense, Model, Relu, Sequential};
 
-use crate::text::{format_f32, format_f64, Document, Table, Value};
+use crate::text::{format_f32, format_f64, Document, Table, TextError, Value};
 
 /// Errors from building, parsing, validating or running a scenario.
 #[derive(Debug, Clone, PartialEq)]
@@ -90,6 +90,15 @@ impl std::error::Error for ScenarioError {}
 impl From<CoreError> for ScenarioError {
     fn from(e: CoreError) -> Self {
         ScenarioError::Core(e)
+    }
+}
+
+impl From<TextError> for ScenarioError {
+    fn from(e: TextError) -> Self {
+        ScenarioError::Parse {
+            line: e.line,
+            message: e.message,
+        }
     }
 }
 
@@ -1041,9 +1050,10 @@ impl Scenario {
             .build_factory(dataset.feature_len(), dataset.num_classes())
     }
 
-    /// Serializes the scenario as TOML-subset text; the exact inverse of
-    /// [`Scenario::from_toml`].
-    pub fn to_toml(&self) -> String {
+    /// The scenario as a [`Document`] in canonical form (every section
+    /// and key [`Scenario::to_toml`] writes, in file order); the exact
+    /// inverse of [`Scenario::from_document`].
+    pub fn to_document(&self) -> Document {
         let mut doc = Document::default();
         doc.root.set("name", Value::Str(self.name.clone()));
         write_dataset(doc.section_mut("dataset"), &self.dataset);
@@ -1059,103 +1069,95 @@ impl Scenario {
             write_analysis(doc.section_mut("analysis"), analysis);
         }
         write_output(doc.section_mut("output"), &self.output);
-        doc.to_text()
+        doc
     }
 
-    /// Parses a scenario from TOML-subset text. Unknown sections or keys
-    /// are errors, so typos surface instead of silently running a
-    /// different experiment. The result is *not* yet validated — call
+    /// Serializes the scenario as TOML-subset text; the exact inverse of
+    /// [`Scenario::from_toml`].
+    pub fn to_toml(&self) -> String {
+        self.to_document().to_text()
+    }
+
+    /// Parses a scenario from TOML-subset text
+    /// ([`Scenario::from_document`] over the parsed text).
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ScenarioError`] describing the first problem.
+    pub fn from_toml(text: &str) -> Result<Self, ScenarioError> {
+        Self::from_document(&Document::parse(text)?)
+    }
+
+    /// Reads a scenario from a parsed [`Document`] — the one parser,
+    /// defaulter and type check behind files, sweep axes and CLI flags.
+    /// Unknown sections or keys, including keys the chosen shape words
+    /// (`selector`, `delay_model`, `mode`, ...) do not have, are errors,
+    /// so typos surface instead of silently running a different
+    /// experiment. The result is *not* yet validated — call
     /// [`Scenario::validate`] (or hand it to
     /// [`ScenarioRunner::new`](crate::ScenarioRunner::new), which does).
     ///
     /// # Errors
     ///
     /// Returns a [`ScenarioError`] describing the first problem.
-    pub fn from_toml(text: &str) -> Result<Self, ScenarioError> {
-        let doc = Document::parse(text).map_err(|e| ScenarioError::Parse {
-            line: e.line,
-            message: e.message,
-        })?;
-        for section in doc.section_names() {
-            if !matches!(
-                section,
-                "dataset" | "model" | "execution" | "attack" | "faults" | "analysis" | "output"
-            ) {
-                return Err(ScenarioError::UnknownKey {
-                    key: format!("[{section}]"),
-                });
-            }
+    pub fn from_document(doc: &Document) -> Result<Self, ScenarioError> {
+        if let Some(section) = doc.section_names().find(|s| !SECTIONS.contains(s)) {
+            return Err(ScenarioError::UnknownKey {
+                key: format!("[{section}]"),
+            });
         }
         let root = Reader::new("", Some(&doc.root));
         let name = root.req_str("name")?;
         root.finish()?;
-        let dataset_reader = Reader::new("dataset", doc.section("dataset"));
-        let dataset = read_dataset(&dataset_reader)?;
-        dataset_reader.finish()?;
-        let model = match doc.section("model") {
-            Some(table) => {
-                let reader = Reader::new("model", Some(table));
-                let model = read_model(&reader)?;
-                reader.finish()?;
-                model
+        let dataset =
+            read_section(doc, "dataset", read_dataset)?.ok_or(ScenarioError::MissingKey {
+                key: "dataset.kind".into(),
+            })?;
+        // Start from the builder's defaults for this dataset; a section
+        // that is present replaces its part.
+        let mut scenario = Scenario::new(name, dataset);
+        if let Some(model) = read_section(doc, "model", read_model)? {
+            scenario.model = model;
+        }
+        let read_execution = |r: &Reader<'_>| read_execution(r, &scenario.dataset);
+        if let Some(execution) = read_section(doc, "execution", read_execution)? {
+            scenario.execution = execution;
+        }
+        scenario.attack = read_section(doc, "attack", read_attack)?;
+        scenario.faults = read_section(doc, "faults", read_faults)?;
+        scenario.analysis = read_section(doc, "analysis", read_analysis)?;
+        if let Some(output) = read_section(doc, "output", read_output)? {
+            scenario.output = output;
+        }
+        Ok(scenario)
+    }
+
+    /// Sets keys by their file paths (`("execution.alpha", "3")`) and
+    /// re-reads the result: the canonical document, with the given keys
+    /// overwritten, through [`Scenario::from_document`]. All keys of one
+    /// edit are taken together because some only parse as a group
+    /// (`faults.partition_*`). A key whose section the scenario does not
+    /// have, or that the reader rejects for this scenario's shape, is an
+    /// [`ScenarioError::UnknownKey`]. The result is not yet validated.
+    ///
+    /// # Errors
+    ///
+    /// Returns the reader's first complaint about the edited document.
+    pub fn set_keys<K: AsRef<str>, V: AsRef<str>>(
+        &self,
+        keys: &[(K, V)],
+    ) -> Result<Self, ScenarioError> {
+        let mut doc = self.to_document();
+        for (path, token) in keys {
+            let path = path.as_ref();
+            match path.split_once('.') {
+                Some((section, key)) if doc.section(section).is_some() => doc
+                    .section_mut(section)
+                    .set(key, Value::from_token(token.as_ref())),
+                _ => return Err(ScenarioError::UnknownKey { key: path.into() }),
             }
-            None => dataset.default_model(),
-        };
-        let execution = match doc.section("execution") {
-            Some(table) => {
-                let reader = Reader::new("execution", Some(table));
-                let execution = read_execution(&reader, &dataset)?;
-                reader.finish()?;
-                execution
-            }
-            None => Scenario::new("", dataset.clone()).execution,
-        };
-        let attack = match doc.section("attack") {
-            Some(table) => {
-                let reader = Reader::new("attack", Some(table));
-                let attack = read_attack(&reader)?;
-                reader.finish()?;
-                Some(attack)
-            }
-            None => None,
-        };
-        let faults = match doc.section("faults") {
-            Some(table) => {
-                let reader = Reader::new("faults", Some(table));
-                let faults = read_faults(&reader)?;
-                reader.finish()?;
-                Some(faults)
-            }
-            None => None,
-        };
-        let analysis = match doc.section("analysis") {
-            Some(table) => {
-                let reader = Reader::new("analysis", Some(table));
-                let analysis = read_analysis(&reader)?;
-                reader.finish()?;
-                Some(analysis)
-            }
-            None => None,
-        };
-        let output = match doc.section("output") {
-            Some(table) => {
-                let reader = Reader::new("output", Some(table));
-                let output = read_output(&reader)?;
-                reader.finish()?;
-                output
-            }
-            None => OutputSpec::default(),
-        };
-        Ok(Scenario {
-            name,
-            dataset,
-            model,
-            execution,
-            attack,
-            faults,
-            analysis,
-            output,
-        })
+        }
+        Self::from_document(&doc)
     }
 
     /// Reads and parses a scenario file.
@@ -1471,6 +1473,34 @@ fn write_output(table: &mut Table, output: &OutputSpec) {
 // Parsing
 // ---------------------------------------------------------------------------
 
+/// The scenario sections, in canonical file order: the one list both
+/// the scenario reader and the sweep reader check section names against.
+pub(crate) const SECTIONS: [&str; 7] = [
+    "dataset",
+    "model",
+    "execution",
+    "attack",
+    "faults",
+    "analysis",
+    "output",
+];
+
+/// Reads one section, if present, and rejects the keys `read` left
+/// unconsumed.
+fn read_section<T>(
+    doc: &Document,
+    name: &str,
+    read: impl FnOnce(&Reader<'_>) -> Result<T, ScenarioError>,
+) -> Result<Option<T>, ScenarioError> {
+    let Some(table) = doc.section(name) else {
+        return Ok(None);
+    };
+    let reader = Reader::new(name, Some(table));
+    let value = read(&reader)?;
+    reader.finish()?;
+    Ok(Some(value))
+}
+
 /// A typed view over one section that tracks which keys were consumed,
 /// so leftovers are reported as unknown keys (shared with the sweep
 /// parser in `sweep.rs`).
@@ -1681,25 +1711,26 @@ fn read_model(reader: &Reader<'_>) -> Result<ModelSpec, ScenarioError> {
 
 fn read_dag(reader: &Reader<'_>, dataset: &DatasetSpec) -> Result<DagConfig, ScenarioError> {
     let defaults = DagConfig::default();
-    let alpha = reader.f32_or("alpha", 10.0)?;
-    let normalization = match reader.str("normalization")?.as_deref() {
-        None | Some("simple") => Normalization::Simple,
-        Some("dynamic") => Normalization::Dynamic,
-        Some(other) => {
-            return Err(ScenarioError::InvalidValue {
-                key: reader.path("normalization"),
-                value: other.into(),
-                expected: "simple or dynamic".into(),
-            })
-        }
-    };
+    // `alpha` and `normalization` exist only under the selectors that
+    // have them, so elsewhere they are unknown keys, not dropped values.
+    let alpha = || reader.f32_or("alpha", 10.0);
     let tip_selector = match reader.str("selector")?.as_deref() {
         None | Some("accuracy") => TipSelector::Accuracy {
-            alpha,
-            normalization,
+            alpha: alpha()?,
+            normalization: match reader.str("normalization")?.as_deref() {
+                None | Some("simple") => Normalization::Simple,
+                Some("dynamic") => Normalization::Dynamic,
+                Some(other) => {
+                    return Err(ScenarioError::InvalidValue {
+                        key: reader.path("normalization"),
+                        value: other.into(),
+                        expected: "simple or dynamic".into(),
+                    })
+                }
+            },
         },
         Some("random") => TipSelector::Random,
-        Some("cumulative") => TipSelector::CumulativeWeight { alpha },
+        Some("cumulative") => TipSelector::CumulativeWeight { alpha: alpha()? },
         Some(other) => {
             return Err(ScenarioError::InvalidValue {
                 key: reader.path("selector"),
@@ -1810,15 +1841,18 @@ fn read_execution(
                 }
             };
             let base = reader.f64_or("delay", 2.0)?;
-            let jitter = reader.f64_or("jitter", 0.0)?;
+            let jitter = || reader.f64_or("jitter", 0.0);
             let delay = match reader.str("delay_model")?.as_deref() {
                 None | Some("constant") => DelayModel::Constant { delay: base },
-                Some("jitter") => DelayModel::UniformJitter { base, jitter },
+                Some("jitter") => DelayModel::UniformJitter {
+                    base,
+                    jitter: jitter()?,
+                },
                 Some("cohorts") => DelayModel::Cohorts {
                     slow_fraction: reader.f64_or("slow_fraction", 0.3)?,
                     fast: base,
                     slow: reader.f64_or("slow_delay", 8.0)?,
-                    jitter,
+                    jitter: jitter()?,
                 },
                 Some(other) => {
                     return Err(ScenarioError::InvalidValue {
@@ -2262,6 +2296,101 @@ mod tests {
             Scenario::from_toml("name = \"x\"\n[dataset]\nkind = \"fmnist\"\n[extra]\nk = 1\n")
                 .unwrap_err();
         assert!(matches!(err, ScenarioError::UnknownKey { ref key } if key == "[extra]"));
+        // A key the chosen shape word does not have is as unknown as a
+        // typo: it is rejected, not parsed and dropped.
+        let file = |dataset: &str, execution: &str| {
+            format!(
+                "name = \"x\"\n[dataset]\nkind = \"fmnist-author\"\n{dataset}[execution]\n{execution}"
+            )
+        };
+        for (text, unknown) in [
+            (
+                file("", "selector = \"random\"\nalpha = 5\n"),
+                "execution.alpha",
+            ),
+            (
+                file(
+                    "",
+                    "selector = \"cumulative\"\nnormalization = \"simple\"\n",
+                ),
+                "execution.normalization",
+            ),
+            (
+                file("", "mode = \"async\"\njitter = 0.5\n"),
+                "execution.jitter",
+            ),
+            (file("", "delay = 2.0\n"), "execution.delay"),
+            (file("relaxation = 0.1\n", ""), "dataset.relaxation"),
+        ] {
+            match Scenario::from_toml(&text) {
+                Err(ScenarioError::UnknownKey { key }) => assert_eq!(key, unknown, "{text}"),
+                other => panic!("{text}: expected unknown key `{unknown}`, got {other:?}"),
+            }
+        }
+        // The same keys under the shapes that have them still parse, as
+        // do the round-scheduling keys canonical async files spell.
+        for execution in [
+            "selector = \"cumulative\"\nalpha = 5\n",
+            "mode = \"async\"\ndelay_model = \"jitter\"\njitter = 0.5\n",
+            "mode = \"async\"\nrounds = 3\nclients_per_round = 2\nparallel = false\n",
+        ] {
+            let text = file("", execution);
+            Scenario::from_toml(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
+        }
+    }
+
+    #[test]
+    fn set_keys_is_a_file_edit() {
+        // A token set by path and the same token written in the file
+        // produce equal scenarios...
+        let edited = tiny()
+            .set_keys(&[
+                ("execution.publication_dropout", "0.25"),
+                ("dataset.samples", "40"),
+            ])
+            .unwrap();
+        let text = tiny()
+            .to_toml()
+            .replace("publication_dropout = 0.0", "publication_dropout = 0.25")
+            .replace("samples = 30", "samples = 40");
+        assert_eq!(edited, Scenario::from_toml(&text).unwrap());
+        assert_eq!(edited.execution.dag().publication_dropout, 0.25);
+        // ...an empty edit is the identity, keys that only parse as a
+        // group arrive together...
+        assert_eq!(tiny().set_keys::<&str, &str>(&[]).unwrap(), tiny());
+        let faulted = tiny()
+            .asynchronous(AsyncConfig::default())
+            .with_faults(FaultSpec {
+                partition: None,
+                ..chaos_faults()
+            });
+        let window = [
+            ("faults.partition_start", "1"),
+            ("faults.partition_heal", "2"),
+            ("faults.partition_split", "3"),
+        ];
+        let partitioned = faulted.set_keys(&window).unwrap();
+        assert_eq!(partitioned.faults.unwrap().partition, Some((1.0, 2.0, 3)));
+        assert!(faulted.set_keys(&window[..1]).is_err());
+        // ...and a key of an absent section or another shape, or a token
+        // of the wrong type, is the reader's error.
+        for path in [
+            "attack.fraction",
+            "execution.delay",
+            "dataset.clinets",
+            "name",
+        ] {
+            let err = tiny().set_keys(&[(path, "1")]).unwrap_err();
+            assert!(
+                matches!(err, ScenarioError::UnknownKey { ref key } if key == path),
+                "{path}: {err}"
+            );
+        }
+        let err = tiny().set_keys(&[("dataset.clients", "many")]).unwrap_err();
+        assert!(
+            matches!(err, ScenarioError::InvalidValue { ref key, .. } if key == "dataset.clients"),
+            "{err}"
+        );
     }
 
     #[test]

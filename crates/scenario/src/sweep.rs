@@ -1,5 +1,5 @@
 //! The parameter-grid sweep engine: expand one base [`Scenario`] over
-//! typed axes, run the cells on a worker pool, aggregate the reports.
+//! key-path axes, run the cells on a worker pool, aggregate the reports.
 //!
 //! The paper's results are all *sweeps* — Figures 5–8 sweep the walk
 //! randomness α, Table 1 sweeps datasets, Figures 12–14 sweep poisoning
@@ -7,8 +7,8 @@
 //!
 //! * a **base scenario** ([`SweepBase`]): a preset name, a scenario
 //!   file, or an inline [`Scenario`] value,
-//! * one or more **axes** ([`SweepAxis`]): a typed field path
-//!   ([`SweepField`]) plus the values it takes
+//! * one or more **axes** ([`SweepAxis`]): a scenario key path (or
+//!   `seed` / `replicate`) plus the values it takes
 //!   (`execution.alpha = [0.1, 1, 10, 100]`, `replicate = 0..5`),
 //! * the cross-product of the axes, optionally capped
 //!   ([`SweepSpec::max_cells`]).
@@ -46,11 +46,11 @@
 use std::path::{Path, PathBuf};
 
 use dagfl_core::csv::{to_csv_string, write_csv};
-use dagfl_core::{derive_seed, fan_out, DelayModel, TipSelector};
+use dagfl_core::{derive_seed, fan_out};
 
 use crate::presets::Scale;
 use crate::runner::{RunReport, ScenarioRunner};
-use crate::spec::{DatasetSpec, ExecutionSpec, Reader, Scenario, ScenarioError};
+use crate::spec::{ExecutionSpec, Reader, Scenario, ScenarioError, SECTIONS};
 use crate::text::{Document, Value};
 
 /// The longest expansion a single range axis may produce; a backstop
@@ -58,339 +58,46 @@ use crate::text::{Document, Value};
 const MAX_RANGE_LEN: u64 = 10_000;
 
 // ---------------------------------------------------------------------------
-// Typed field paths
+// Axis names
 // ---------------------------------------------------------------------------
 
-/// A sweepable scenario field, addressed by a typed path.
-///
-/// Each variant knows its canonical dotted path (used in `[axes]` keys,
-/// CSV columns and error messages), which base scenarios it applies to,
-/// and how to write a value into a [`Scenario`]. Unknown paths and axes
-/// that target a field the base scenario's [`ExecutionSpec`] variant
-/// (or dataset, or attack section) does not have are [`SweepSpec::validate`]
-/// errors, never silent no-ops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SweepField {
-    /// Master seed (`seed`): dataset generator and simulation together,
-    /// like [`Scenario::with_seed`].
-    Seed,
-    /// Replicate index (`replicate`): sets the master seed to
-    /// `derive_seed(base seed, index)`, the canonical way to run
-    /// seed-replicated grids (`replicate = 0..5`).
-    Replicate,
-    /// Walk randomness α (`execution.alpha`); requires a selector that
-    /// has an α (accuracy or cumulative).
-    Alpha,
-    /// Round budget (`execution.rounds`); rounds mode only.
-    Rounds,
-    /// Active clients per round (`execution.clients_per_round`); rounds
-    /// mode only.
-    ClientsPerRound,
-    /// Local epochs (`execution.local_epochs`).
-    LocalEpochs,
-    /// Local mini-batches per epoch (`execution.local_batches`).
-    LocalBatches,
-    /// Mini-batch size (`execution.batch_size`).
-    BatchSize,
-    /// SGD learning rate (`execution.learning_rate`).
-    LearningRate,
-    /// Foreign-cluster fraction (`dataset.relaxation`); fmnist only.
-    Relaxation,
-    /// Number of clients (`dataset.clients`); every dataset except
-    /// poets (which sizes by `clients_per_language`).
-    Clients,
-    /// Samples per client (`dataset.samples`); every dataset except
-    /// fedprox (which sizes by `min_samples`/`max_samples`).
-    Samples,
-    /// Poisoned-client fraction (`attack.fraction`); requires an attack.
-    PoisonFraction,
-    /// Total activations (`execution.activations`); async mode only.
-    Activations,
-    /// Mean activation gap (`execution.interarrival`); async mode only.
-    Interarrival,
-    /// Logical training duration (`execution.train_time`); async only.
-    TrainTime,
-    /// Base (fast-link) propagation delay (`execution.delay`); async
-    /// only. Sets the constant delay, the jitter base or the cohorts
-    /// fast-link delay, matching the `delay` key of scenario files.
-    Delay,
-}
-
-/// All sweepable fields, in listing order.
-const ALL_FIELDS: &[SweepField] = &[
-    SweepField::Seed,
-    SweepField::Replicate,
-    SweepField::Alpha,
-    SweepField::Rounds,
-    SweepField::ClientsPerRound,
-    SweepField::LocalEpochs,
-    SweepField::LocalBatches,
-    SweepField::BatchSize,
-    SweepField::LearningRate,
-    SweepField::Relaxation,
-    SweepField::Clients,
-    SweepField::Samples,
-    SweepField::PoisonFraction,
-    SweepField::Activations,
-    SweepField::Interarrival,
-    SweepField::TrainTime,
-    SweepField::Delay,
+/// Short axis names: accepted in place of the key path, and what cell
+/// ids print (`alpha=0.1,seed=42`). This is a table of bytes that
+/// checked-in cell ids and CSVs already hold, not a list of what can be
+/// swept — every numeric scenario key is an axis under its own path,
+/// and prints that path.
+const SHORT_NAMES: &[(&str, &str)] = &[
+    ("alpha", "execution.alpha"),
+    ("rounds", "execution.rounds"),
+    ("clients_per_round", "execution.clients_per_round"),
+    ("epochs", "execution.local_epochs"),
+    ("batches", "execution.local_batches"),
+    ("batch_size", "execution.batch_size"),
+    ("learning_rate", "execution.learning_rate"),
+    ("relaxation", "dataset.relaxation"),
+    ("clients", "dataset.clients"),
+    ("samples", "dataset.samples"),
+    ("fraction", "attack.fraction"),
+    ("activations", "execution.activations"),
+    ("interarrival", "execution.interarrival"),
+    ("train_time", "execution.train_time"),
+    ("delay", "execution.delay"),
 ];
 
-impl SweepField {
-    /// Resolves a field path or short alias (`alpha`, `lr`, ...).
-    pub fn parse(word: &str) -> Option<Self> {
-        ALL_FIELDS
-            .iter()
-            .copied()
-            .find(|f| f.path() == word || f.short() == word)
-            .or(match word {
-                "lr" => Some(SweepField::LearningRate),
-                "poison_fraction" => Some(SweepField::PoisonFraction),
-                _ => None,
-            })
-    }
+/// Whether `path` is one of the two axes that are not a scenario key:
+/// `seed` sets the master seed (dataset generator and simulation
+/// together, like [`Scenario::with_seed`]) and `replicate = k` sets it
+/// to `derive_seed(base seed, k)`, the canonical seed-replicated grid.
+fn is_seed_axis(path: &str) -> bool {
+    matches!(path, "seed" | "replicate")
+}
 
-    /// The canonical dotted path (the `[axes]` key and CSV column name).
-    pub fn path(&self) -> &'static str {
-        match self {
-            SweepField::Seed => "seed",
-            SweepField::Replicate => "replicate",
-            SweepField::Alpha => "execution.alpha",
-            SweepField::Rounds => "execution.rounds",
-            SweepField::ClientsPerRound => "execution.clients_per_round",
-            SweepField::LocalEpochs => "execution.local_epochs",
-            SweepField::LocalBatches => "execution.local_batches",
-            SweepField::BatchSize => "execution.batch_size",
-            SweepField::LearningRate => "execution.learning_rate",
-            SweepField::Relaxation => "dataset.relaxation",
-            SweepField::Clients => "dataset.clients",
-            SweepField::Samples => "dataset.samples",
-            SweepField::PoisonFraction => "attack.fraction",
-            SweepField::Activations => "execution.activations",
-            SweepField::Interarrival => "execution.interarrival",
-            SweepField::TrainTime => "execution.train_time",
-            SweepField::Delay => "execution.delay",
-        }
-    }
-
-    /// The short name used in cell ids (`alpha=0.1,seed=42`).
-    pub fn short(&self) -> &'static str {
-        match self {
-            SweepField::Seed => "seed",
-            SweepField::Replicate => "replicate",
-            SweepField::Alpha => "alpha",
-            SweepField::Rounds => "rounds",
-            SweepField::ClientsPerRound => "clients_per_round",
-            SweepField::LocalEpochs => "epochs",
-            SweepField::LocalBatches => "batches",
-            SweepField::BatchSize => "batch_size",
-            SweepField::LearningRate => "learning_rate",
-            SweepField::Relaxation => "relaxation",
-            SweepField::Clients => "clients",
-            SweepField::Samples => "samples",
-            SweepField::PoisonFraction => "fraction",
-            SweepField::Activations => "activations",
-            SweepField::Interarrival => "interarrival",
-            SweepField::TrainTime => "train_time",
-            SweepField::Delay => "delay",
-        }
-    }
-
-    /// The scenario location two axes may not both target (`seed` and
-    /// `replicate` collide on the master seed).
-    fn target(&self) -> &'static str {
-        match self {
-            SweepField::Seed | SweepField::Replicate => "seed",
-            other => other.path(),
-        }
-    }
-
-    /// Whether values must be non-negative integers.
-    fn is_integer(&self) -> bool {
-        matches!(
-            self,
-            SweepField::Seed
-                | SweepField::Replicate
-                | SweepField::Rounds
-                | SweepField::ClientsPerRound
-                | SweepField::LocalEpochs
-                | SweepField::LocalBatches
-                | SweepField::BatchSize
-                | SweepField::Clients
-                | SweepField::Samples
-                | SweepField::Activations
-        )
-    }
-
-    /// Checks that the base scenario has this field at all.
-    fn check_applies(&self, base: &Scenario) -> Result<(), ScenarioError> {
-        let path = self.path();
-        let fail = |reason: String| {
-            Err(ScenarioError::Invalid(format!(
-                "sweep axis `{path}` does not apply: {reason}"
-            )))
-        };
-        match self {
-            SweepField::Alpha => {
-                if matches!(base.execution.dag().tip_selector, TipSelector::Random) {
-                    return fail("the base scenario's random tip selector has no alpha".into());
-                }
-            }
-            SweepField::Rounds | SweepField::ClientsPerRound => {
-                if matches!(base.execution, ExecutionSpec::Async { .. }) {
-                    return fail(format!(
-                        "`{path}` needs rounds mode, the base scenario is async"
-                    ));
-                }
-            }
-            SweepField::Activations
-            | SweepField::Interarrival
-            | SweepField::TrainTime
-            | SweepField::Delay => {
-                if matches!(base.execution, ExecutionSpec::Rounds(_)) {
-                    return fail(format!(
-                        "`{path}` needs async mode, the base scenario uses rounds"
-                    ));
-                }
-            }
-            SweepField::Relaxation if !matches!(base.dataset, DatasetSpec::Fmnist { .. }) => {
-                return fail(format!(
-                    "only the fmnist dataset has a relaxation, the base uses `{}`",
-                    base.dataset.kind()
-                ));
-            }
-            SweepField::Clients => {
-                if matches!(base.dataset, DatasetSpec::Poets { .. }) {
-                    return fail("the poets dataset sizes by clients_per_language".into());
-                }
-            }
-            SweepField::Samples => {
-                if matches!(base.dataset, DatasetSpec::FedProx { .. }) {
-                    return fail("the fedprox dataset sizes by min_samples/max_samples".into());
-                }
-            }
-            SweepField::PoisonFraction if base.attack.is_none() => {
-                return fail("the base scenario has no [attack] section".into());
-            }
-            _ => {}
-        }
-        Ok(())
-    }
-
-    /// Parses one raw token into this field's type (error-checking only).
-    fn check_token(&self, token: &str) -> Result<(), ScenarioError> {
-        let ok = if self.is_integer() {
-            token.parse::<u64>().is_ok()
-        } else {
-            token.parse::<f64>().map(f64::is_finite).unwrap_or(false)
-        };
-        if ok {
-            Ok(())
-        } else {
-            Err(ScenarioError::InvalidValue {
-                key: format!("axes.{}", self.path()),
-                value: token.to_string(),
-                expected: if self.is_integer() {
-                    "a non-negative integer".into()
-                } else {
-                    "a finite number".into()
-                },
-            })
-        }
-    }
-
-    /// Writes one value into a cell scenario. The token was checked by
-    /// [`SweepField::check_token`] and the base by
-    /// [`SweepField::check_applies`].
-    fn apply(&self, scenario: &mut Scenario, token: &str) -> Result<(), ScenarioError> {
-        self.check_token(token)?;
-        let int = || token.parse::<u64>().expect("checked integer token");
-        let float = || token.parse::<f64>().expect("checked float token");
-        match self {
-            SweepField::Seed => {
-                let seed = int();
-                scenario.dataset.set_seed(seed);
-                scenario.execution.dag_mut().seed = seed;
-            }
-            SweepField::Replicate => {
-                let seed = derive_seed(scenario.execution.dag().seed, int());
-                scenario.dataset.set_seed(seed);
-                scenario.execution.dag_mut().seed = seed;
-            }
-            SweepField::Alpha => match &mut scenario.execution.dag_mut().tip_selector {
-                TipSelector::Accuracy { alpha, .. } | TipSelector::CumulativeWeight { alpha } => {
-                    *alpha = float() as f32;
-                }
-                TipSelector::Random => unreachable!("checked by check_applies"),
-            },
-            SweepField::Rounds => {
-                if let ExecutionSpec::Rounds(dag) = &mut scenario.execution {
-                    dag.rounds = int() as usize;
-                }
-            }
-            SweepField::ClientsPerRound => {
-                scenario.execution.dag_mut().clients_per_round = int() as usize;
-            }
-            SweepField::LocalEpochs => scenario.execution.dag_mut().local_epochs = int() as usize,
-            SweepField::LocalBatches => scenario.execution.dag_mut().local_batches = int() as usize,
-            SweepField::BatchSize => scenario.execution.dag_mut().batch_size = int() as usize,
-            SweepField::LearningRate => {
-                scenario.execution.dag_mut().learning_rate = float() as f32;
-            }
-            SweepField::Relaxation => {
-                if let DatasetSpec::Fmnist { relaxation, .. } = &mut scenario.dataset {
-                    *relaxation = float() as f32;
-                }
-            }
-            SweepField::Clients => match &mut scenario.dataset {
-                DatasetSpec::Fmnist { clients, .. }
-                | DatasetSpec::FmnistStreamed { clients, .. }
-                | DatasetSpec::FmnistAuthor { clients, .. }
-                | DatasetSpec::Cifar { clients, .. }
-                | DatasetSpec::FedProx { clients, .. } => *clients = int() as usize,
-                DatasetSpec::Poets { .. } => unreachable!("checked by check_applies"),
-            },
-            SweepField::Samples => match &mut scenario.dataset {
-                DatasetSpec::Fmnist { samples, .. }
-                | DatasetSpec::FmnistStreamed { samples, .. }
-                | DatasetSpec::FmnistAuthor { samples, .. }
-                | DatasetSpec::Poets { samples, .. }
-                | DatasetSpec::Cifar { samples, .. } => *samples = int() as usize,
-                DatasetSpec::FedProx { .. } => unreachable!("checked by check_applies"),
-            },
-            SweepField::PoisonFraction => {
-                if let Some(attack) = &mut scenario.attack {
-                    attack.fraction = float();
-                }
-            }
-            SweepField::Activations => {
-                if let ExecutionSpec::Async { config, .. } = &mut scenario.execution {
-                    config.total_activations = int() as usize;
-                }
-            }
-            SweepField::Interarrival => {
-                if let ExecutionSpec::Async { config, .. } = &mut scenario.execution {
-                    config.mean_interarrival = float();
-                }
-            }
-            SweepField::TrainTime => {
-                if let ExecutionSpec::Async { config, .. } = &mut scenario.execution {
-                    config.train_time = float();
-                }
-            }
-            SweepField::Delay => {
-                if let ExecutionSpec::Async { config, .. } = &mut scenario.execution {
-                    match &mut config.delay {
-                        DelayModel::Constant { delay } => *delay = float(),
-                        DelayModel::UniformJitter { base, .. } => *base = float(),
-                        DelayModel::Cohorts { fast, .. } => *fast = float(),
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
+/// The short name of a canonical axis path.
+fn short_name(path: &str) -> &str {
+    SHORT_NAMES
+        .iter()
+        .find(|(_, p)| *p == path)
+        .map_or(path, |(short, _)| short)
 }
 
 // ---------------------------------------------------------------------------
@@ -498,8 +205,10 @@ impl SweepSpec {
         }
     }
 
-    /// Adds an axis (builder style). `field` is a [`SweepField`] path or
-    /// alias; unknown fields surface in [`SweepSpec::validate`].
+    /// Adds an axis (builder style). `field` is a scenario key path
+    /// (`execution.alpha`), one of its short names (`alpha`), `seed` or
+    /// `replicate`; keys the base scenario does not have surface in
+    /// [`SweepSpec::validate`].
     pub fn axis<I, S>(mut self, field: impl Into<String>, values: I) -> Self
     where
         I: IntoIterator<Item = S>,
@@ -536,37 +245,45 @@ impl SweepSpec {
         self
     }
 
-    /// Resolves the raw axis fields, rejecting unknown paths, empty
-    /// value lists and duplicate/conflicting axes.
-    fn resolved_axes(&self) -> Result<Vec<(SweepField, &SweepAxis)>, ScenarioError> {
+    /// Resolves each axis to its canonical path (`seed`, `replicate` or
+    /// a scenario key path), rejecting unknown short names, empty value
+    /// lists and duplicate/conflicting axes.
+    fn resolved_axes(&self) -> Result<Vec<(&str, &SweepAxis)>, ScenarioError> {
         if self.axes.is_empty() {
             return Err(ScenarioError::Invalid(
                 "a sweep needs at least one axis (a zero-axis sweep is `dagfl run`)".into(),
             ));
         }
-        let mut resolved: Vec<(SweepField, &SweepAxis)> = Vec::with_capacity(self.axes.len());
+        let mut resolved: Vec<(&str, &SweepAxis)> = Vec::with_capacity(self.axes.len());
         for axis in &self.axes {
-            let field =
-                SweepField::parse(&axis.field).ok_or_else(|| ScenarioError::UnknownKey {
-                    key: format!("axes.{}", axis.field),
-                })?;
+            let field = axis.field.as_str();
+            let path = if is_seed_axis(field) || field.contains('.') {
+                field
+            } else {
+                SHORT_NAMES
+                    .iter()
+                    .find(|(short, _)| *short == field)
+                    .map(|(_, path)| *path)
+                    .ok_or_else(|| ScenarioError::UnknownKey {
+                        key: format!("axes.{field}"),
+                    })?
+            };
             if axis.values.is_empty() {
                 return Err(ScenarioError::Invalid(format!(
-                    "sweep axis `{}` has no values",
-                    field.path()
+                    "sweep axis `{path}` has no values"
                 )));
             }
-            if let Some((prev, prev_axis)) =
-                resolved.iter().find(|(f, _)| f.target() == field.target())
+            // `seed` and `replicate` collide on the master seed.
+            if let Some((prev, prev_axis)) = resolved
+                .iter()
+                .find(|(p, _)| *p == path || (is_seed_axis(p) && is_seed_axis(path)))
             {
                 return Err(ScenarioError::Invalid(format!(
-                    "duplicate sweep axis for `{}`: `{}` and `{}` target the same field",
-                    prev.path(),
-                    prev_axis.field,
-                    axis.field
+                    "duplicate sweep axis for `{prev}`: `{}` and `{}` target the same field",
+                    prev_axis.field, axis.field
                 )));
             }
-            resolved.push((field, axis));
+            resolved.push((path, axis));
         }
         Ok(resolved)
     }
@@ -609,10 +326,20 @@ impl SweepSpec {
         base.validate()
             .map_err(|e| ScenarioError::Invalid(format!("sweep base scenario is invalid: {e}")))?;
         let axes = self.resolved_axes()?;
-        for (field, axis) in &axes {
-            field.check_applies(&base)?;
-            for token in &axis.values {
-                field.check_token(token)?;
+        let inapplicable = |path: &str, reason: String| {
+            ScenarioError::Invalid(format!("sweep axis `{path}` does not apply: {reason}"))
+        };
+        // The one applicability rule the reader cannot give: it accepts
+        // these two keys under async (canonical files spell them) though
+        // the mode ignores them, so sweeping them would repeat one cell.
+        if matches!(base.execution, ExecutionSpec::Async { .. }) {
+            if let Some((path, _)) = axes.iter().find(|(path, _)| {
+                matches!(*path, "execution.rounds" | "execution.clients_per_round")
+            }) {
+                return Err(inapplicable(
+                    path,
+                    "it needs rounds mode, the base scenario is async".into(),
+                ));
             }
         }
         let mut total: usize = 1;
@@ -639,14 +366,51 @@ impl SweepSpec {
                 rem /= len;
             }
             let mut scenario = base.clone();
+            let mut keys = Vec::with_capacity(axes.len());
             let mut values = Vec::with_capacity(axes.len());
             let mut id_parts = Vec::with_capacity(axes.len());
-            for (pos, (field, axis)) in axes.iter().enumerate() {
+            for (pos, (path, axis)) in axes.iter().enumerate() {
                 let token = &axis.values[digits[pos]];
-                field.apply(&mut scenario, token)?;
-                values.push((field.path().to_string(), token.clone()));
-                id_parts.push(format!("{}={}", field.short(), token));
+                if is_seed_axis(path) {
+                    let n: u64 = token.parse().map_err(|_| ScenarioError::InvalidValue {
+                        key: format!("axes.{path}"),
+                        value: token.clone(),
+                        expected: "a non-negative integer".into(),
+                    })?;
+                    scenario = scenario.with_seed(if *path == "seed" {
+                        n
+                    } else {
+                        derive_seed(base.execution.dag().seed, n)
+                    });
+                } else {
+                    keys.push((*path, token));
+                }
+                values.push((path.to_string(), token.clone()));
+                id_parts.push(format!("{}={}", short_name(path), token));
             }
+            // Every other axis is a scenario key, set through the reader
+            // a file goes through: whether the base has the key, and
+            // what type it holds, is the reader's answer.
+            let mut scenario = scenario.set_keys(&keys).map_err(|e| match e {
+                ScenarioError::UnknownKey { key } => inapplicable(
+                    &key,
+                    format!(
+                        "the base scenario `{}` has no such key (check the spelling, and \
+                         that its mode, dataset and selector have it)",
+                        base.name
+                    ),
+                ),
+                ScenarioError::InvalidValue {
+                    key,
+                    value,
+                    expected,
+                } => ScenarioError::InvalidValue {
+                    key: format!("axes.{key}"),
+                    value,
+                    expected,
+                },
+                other => other,
+            })?;
             let id = id_parts.join(",");
             scenario.name = format!("{}/{}", self.name, id);
             if self.cell_csv {
@@ -702,16 +466,8 @@ impl SweepSpec {
             sweep.set("cell_csv", Value::Bool(self.cell_csv));
         }
         if let SweepBase::Inline(scenario) = &self.base {
-            let base_doc =
-                Document::parse(&scenario.to_toml()).expect("scenario TOML always reparses");
-            for section in [
-                "dataset",
-                "model",
-                "execution",
-                "attack",
-                "analysis",
-                "output",
-            ] {
+            let base_doc = scenario.to_document();
+            for section in SECTIONS {
                 if let Some(table) = base_doc.section(section) {
                     *doc.section_mut(section) = table.clone();
                 }
@@ -737,26 +493,14 @@ impl SweepSpec {
     ///
     /// Returns a [`ScenarioError`] describing the first problem.
     pub fn from_toml(text: &str) -> Result<Self, ScenarioError> {
-        let doc = Document::parse(text).map_err(|e| ScenarioError::Parse {
-            line: e.line,
-            message: e.message,
-        })?;
-        for section in doc.section_names() {
-            if !matches!(
-                section,
-                "sweep"
-                    | "axes"
-                    | "dataset"
-                    | "model"
-                    | "execution"
-                    | "attack"
-                    | "analysis"
-                    | "output"
-            ) {
-                return Err(ScenarioError::UnknownKey {
-                    key: format!("[{section}]"),
-                });
-            }
+        let doc = Document::parse(text)?;
+        if let Some(section) = doc
+            .section_names()
+            .find(|s| !matches!(*s, "sweep" | "axes") && !SECTIONS.contains(s))
+        {
+            return Err(ScenarioError::UnknownKey {
+                key: format!("[{section}]"),
+            });
         }
         let root = Reader::new("", Some(&doc.root));
         let name = root.req_str("name")?;
@@ -772,51 +516,18 @@ impl SweepSpec {
         let comparison_csv = reader.str("comparison_csv")?;
         let cell_csv = reader.bool_or("cell_csv", false)?;
         reader.finish()?;
-        let has_scenario_sections = [
-            "dataset",
-            "model",
-            "execution",
-            "attack",
-            "analysis",
-            "output",
-        ]
-        .iter()
-        .any(|s| doc.section(s).is_some());
         let base = match (preset, file, inline_name) {
-            (Some(preset), None, None) => {
-                if has_scenario_sections {
-                    return Err(ScenarioError::Invalid(
-                        "inline scenario sections are only allowed with `sweep.scenario_name`"
-                            .into(),
-                    ));
-                }
-                SweepBase::Preset(preset)
-            }
-            (None, Some(path), None) => {
-                if has_scenario_sections {
-                    return Err(ScenarioError::Invalid(
-                        "inline scenario sections are only allowed with `sweep.scenario_name`"
-                            .into(),
-                    ));
-                }
-                SweepBase::File(PathBuf::from(path))
-            }
+            (Some(preset), None, None) => SweepBase::Preset(preset),
+            (None, Some(path), None) => SweepBase::File(PathBuf::from(path)),
             (None, None, Some(scenario_name)) => {
                 let mut base_doc = Document::default();
                 base_doc.root.set("name", Value::Str(scenario_name));
-                for section in [
-                    "dataset",
-                    "model",
-                    "execution",
-                    "attack",
-                    "analysis",
-                    "output",
-                ] {
+                for section in SECTIONS {
                     if let Some(table) = doc.section(section) {
                         *base_doc.section_mut(section) = table.clone();
                     }
                 }
-                SweepBase::Inline(Box::new(Scenario::from_toml(&base_doc.to_text())?))
+                SweepBase::Inline(Box::new(Scenario::from_document(&base_doc)?))
             }
             _ => {
                 return Err(ScenarioError::Invalid(
@@ -826,6 +537,13 @@ impl SweepSpec {
                 ))
             }
         };
+        if !matches!(base, SweepBase::Inline(_))
+            && SECTIONS.iter().any(|s| doc.section(s).is_some())
+        {
+            return Err(ScenarioError::Invalid(
+                "inline scenario sections are only allowed with `sweep.scenario_name`".into(),
+            ));
+        }
         let axes_table = doc.section("axes").ok_or(ScenarioError::MissingKey {
             key: "[axes]".into(),
         })?;
@@ -839,16 +557,11 @@ impl SweepSpec {
                     end.parse::<u64>().expect("parser checked"),
                 )?,
                 other => {
-                    return Err(ScenarioError::InvalidValue {
-                        key: format!("axes.{key}"),
-                        value: match other {
-                            Value::Str(s) => s.clone(),
-                            Value::Number(n) => n.clone(),
-                            Value::Bool(b) => b.to_string(),
-                            _ => unreachable!("list and range handled above"),
-                        },
-                        expected: "an array of numbers or an integer range".into(),
-                    })
+                    return Err(Reader::new("axes", None).invalid(
+                        key,
+                        other,
+                        "an array of numbers or an integer range",
+                    ))
                 }
             };
             axes.push(SweepAxis {
@@ -1223,7 +936,7 @@ impl SweepRunner {
             .resolved_axes()
             .expect("spec validated at construction")
             .iter()
-            .map(|(field, _)| field.path().to_string())
+            .map(|(path, _)| path.to_string())
             .collect();
         let mut report = SweepReport {
             name: self.spec.name.clone(),
@@ -1337,6 +1050,7 @@ impl SweepSpec {
 mod tests {
     use super::*;
     use crate::spec::DatasetSpec;
+    use dagfl_core::{DelayModel, TipSelector};
 
     fn smoke_scenario() -> Scenario {
         Scenario::preset_at("smoke", Scale::Quick).unwrap()
@@ -1426,45 +1140,81 @@ mod tests {
 
     #[test]
     fn inapplicable_axes_are_rejected_with_the_field_path() {
-        // Async field on a rounds base.
-        let err = SweepSpec::over_scenario("bad", smoke_scenario())
-            .axis("execution.delay", ["1.0"])
-            .validate()
-            .unwrap_err();
-        assert!(err.to_string().contains("execution.delay"), "{err}");
-        assert!(err.to_string().contains("async"), "{err}");
-        // Rounds field on an async base.
-        let err = SweepSpec::over_preset("bad", "async-delay2")
-            .axis("execution.rounds", ["5"])
-            .validate()
-            .unwrap_err();
-        assert!(err.to_string().contains("execution.rounds"), "{err}");
-        // Attack field without an attack.
-        let err = SweepSpec::over_scenario("bad", smoke_scenario())
-            .axis("attack.fraction", ["0.1"])
-            .validate()
-            .unwrap_err();
-        assert!(err.to_string().contains("attack.fraction"), "{err}");
-        // Alpha on a random selector.
         let mut random = smoke_scenario();
         random.execution.dag_mut().tip_selector = TipSelector::Random;
-        let err = SweepSpec::over_scenario("bad", random)
-            .axis("alpha", ["1"])
-            .validate()
-            .unwrap_err();
-        assert!(err.to_string().contains("execution.alpha"), "{err}");
-        // Relaxation on a non-fmnist dataset.
         let mut author = smoke_scenario();
         author.dataset = DatasetSpec::FmnistAuthor {
             clients: 4,
             samples: 30,
             seed: 42,
         };
-        let err = SweepSpec::over_scenario("bad", author)
-            .axis("dataset.relaxation", ["0.1"])
+        let poets = Scenario::preset_at("table1-poets", Scale::Quick).unwrap();
+        let asynchronous = Scenario::preset_at("async-delay2", Scale::Quick).unwrap();
+        for (base, axis, path) in [
+            // Async keys on a rounds base.
+            (smoke_scenario(), "execution.delay", "execution.delay"),
+            (smoke_scenario(), "activations", "execution.activations"),
+            // Round-scheduling keys on an async base: the reader accepts
+            // them there (and ignores them), the sweep does not.
+            (asynchronous.clone(), "execution.rounds", "execution.rounds"),
+            (
+                asynchronous.clone(),
+                "clients_per_round",
+                "execution.clients_per_round",
+            ),
+            // A key of another delay model.
+            (asynchronous, "execution.jitter", "execution.jitter"),
+            // Attack key without an [attack] section.
+            (smoke_scenario(), "attack.fraction", "attack.fraction"),
+            // Alpha on a random selector.
+            (random, "alpha", "execution.alpha"),
+            // Relaxation and client count on datasets without them.
+            (author, "dataset.relaxation", "dataset.relaxation"),
+            (poets, "clients", "dataset.clients"),
+            // A misspelt path is a key no base has.
+            (smoke_scenario(), "execution.alhpa", "execution.alhpa"),
+        ] {
+            let err = SweepSpec::over_scenario("bad", base)
+                .axis(axis, ["1"])
+                .validate()
+                .unwrap_err()
+                .to_string();
+            assert!(
+                err.contains(&format!("sweep axis `{path}` does not apply")),
+                "{axis}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn any_numeric_key_is_an_axis() {
+        // No table lists what can be swept: a key path the old typed
+        // axes never knew expands through the ordinary path...
+        let spec = SweepSpec::over_scenario("dropout", smoke_scenario())
+            .axis("execution.publication_dropout", ["0.0", "0.25"])
+            .axis("output.recent_window", ["5"]);
+        let cells = spec.expand_at(Scale::Quick).unwrap();
+        assert_eq!(cells.len(), 2);
+        assert_eq!(
+            cells[1].id,
+            "execution.publication_dropout=0.25,output.recent_window=5"
+        );
+        // ...to the scenario a file holding the same tokens parses to...
+        let text = smoke_scenario()
+            .to_toml()
+            .replace("publication_dropout = 0.0", "publication_dropout = 0.25")
+            .replace("recent_window = 30", "recent_window = 5")
+            .replace(
+                "name = \"smoke\"",
+                &format!("name = \"{}\"", cells[1].scenario.name),
+            );
+        assert_eq!(cells[1].scenario, Scenario::from_toml(&text).unwrap());
+        // ...with cells validated like any other.
+        let err = spec
+            .axis("execution.walk_depth_min", ["99"])
             .validate()
             .unwrap_err();
-        assert!(err.to_string().contains("dataset.relaxation"), "{err}");
+        assert!(err.to_string().contains("walk_depth"), "{err}");
     }
 
     #[test]
@@ -1513,6 +1263,12 @@ mod tests {
                 .with_comparison_csv("cmp")
                 .with_cell_csv(true),
             SweepSpec::over_file("over-file", "scenarios/smoke.toml").axis("alpha", ["1"]),
+            // An inline base keeps every section it has, [faults] included.
+            SweepSpec::over_scenario(
+                "over-chaos",
+                Scenario::preset_at("chaos-smoke", Scale::Quick).unwrap(),
+            )
+            .axis("faults.drop", ["0.0", "0.3"]),
         ];
         for spec in cases {
             let text = spec.to_toml();

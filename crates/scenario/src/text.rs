@@ -51,6 +51,22 @@ pub enum Value {
     Range(String, String),
 }
 
+impl Value {
+    /// The value an unquoted token spells — a finite number, a boolean,
+    /// or else a word — for the places a knob arrives as bare text (a
+    /// sweep axis value, a CLI flag value) instead of as a file line.
+    pub fn from_token(token: &str) -> Self {
+        match token {
+            "true" => Value::Bool(true),
+            "false" => Value::Bool(false),
+            _ if token.parse::<f64>().map(f64::is_finite) == Ok(true) => {
+                Value::Number(token.to_string())
+            }
+            _ => Value::Str(token.to_string()),
+        }
+    }
+}
+
 /// An ordered `key = value` table (insertion order is preserved so
 /// serialized files stay diff-friendly).
 #[derive(Debug, Clone, Default, PartialEq)]
