@@ -1,22 +1,9 @@
-//! Experiment runners shared by the per-figure binaries.
+//! Experiment runners shared by the registry rows.
 
 use dagfl_baselines::{FedConfig, FederatedServer};
 use dagfl_core::{DagConfig, ModelFactory, Simulation, SpecializationMetrics};
 use dagfl_datasets::FederatedDataset;
 use dagfl_scenario::Scenario;
-
-use crate::Scale;
-
-/// The `table1-<row>` preset (`fmnist`, `poets`, `cifar`) at `scale` —
-/// the hyperparameters, dataset and model the comparison binaries share
-/// with `dagfl run --preset` and `scenarios/*.toml`.
-///
-/// # Panics
-///
-/// Panics on an unknown row.
-pub fn table1(row: &str, scale: Scale) -> Scenario {
-    Scenario::preset_at(&format!("table1-{row}"), scale).expect("table1 preset exists")
-}
 
 /// What a simulator takes, unpacked from a scenario: its hyperparameters,
 /// the generated dataset and the model factory for its dimensions.
@@ -46,7 +33,7 @@ pub fn fed_config(dag: &DagConfig, proximal_mu: f32) -> FedConfig {
 ///
 /// # Panics
 ///
-/// Panics on simulation errors — experiment binaries should fail loudly.
+/// Panics on simulation errors — experiments should fail loudly.
 pub fn run_dag(config: DagConfig, dataset: FederatedDataset, factory: ModelFactory) -> Simulation {
     let mut sim = Simulation::new(config, dataset, factory);
     sim.run().expect("DAG simulation failed");
@@ -92,9 +79,16 @@ pub fn run_fed(
     server
 }
 
+/// Mean accuracy over the last five entries of a per-round series — the
+/// "late accuracy" column several rows report.
+pub fn late_accuracy(per_round: impl DoubleEndedIterator<Item = f32>) -> f32 {
+    per_round.rev().take(5).sum::<f32>() / 5.0
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scale;
 
     fn tiny(rounds: usize) -> (DagConfig, FederatedDataset, ModelFactory) {
         let smoke = Scenario::preset_at("smoke", Scale::Quick).unwrap();
@@ -103,7 +97,10 @@ mod tests {
 
     #[test]
     fn specs_scale_down_for_quick_runs() {
-        let dag = |row, scale| *table1(row, scale).execution.dag();
+        let dag = |row: &str, scale| {
+            let table1 = Scenario::preset_at(&format!("table1-{row}"), scale).unwrap();
+            *table1.execution.dag()
+        };
         assert!(dag("fmnist", Scale::Quick).rounds < dag("fmnist", Scale::Full).rounds);
         assert!(dag("poets", Scale::Quick).local_batches < dag("poets", Scale::Full).local_batches);
         assert_eq!(dag("cifar", Scale::Full).local_epochs, 5);

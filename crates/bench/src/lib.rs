@@ -1,49 +1,162 @@
-//! Shared harness for the paper-reproduction experiments.
+//! The paper-reproduction experiments: one registry, one program.
 //!
-//! Every table and figure of the evaluation section has a dedicated binary
-//! in `src/bin/` (see DESIGN.md §5 for the index); this library provides
-//! the pieces they share: experiment scales, preset unpacking, the
-//! simulator runners and result output.
+//! Every table and figure of the evaluation section is a row of
+//! [`registry::FIGURES`] — its name, what the paper shows, the presets it
+//! resolves and the function that reshapes simulator output into CSV —
+//! and `reproduce [NAME…]` (the crate's only binary) runs rows in-process
+//! through one [`Session`]. The README's "Figure index" lists the names.
 //!
 //! # Scales
 //!
-//! Experiments run at *quick* scale by default (minutes on a laptop,
+//! Experiments run at *quick* scale by default (seconds on a laptop,
 //! preserving the qualitative shape of every result) and at the paper's
 //! *full* scale when the environment variable `DAGFL_FULL=1` is set.
 //!
 //! # Output
 //!
-//! Each binary prints its series as a readable table and writes a CSV into
-//! `results/` (override with `DAGFL_RESULTS`).
+//! Each row prints its series as a readable table and writes a CSV into
+//! the session's results directory (`results/`, or `DAGFL_RESULTS`).
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
 pub mod experiments;
+pub mod figures;
 pub mod output;
 pub mod poisoning_suite;
+pub mod registry;
 
-use dagfl_scenario::{SweepCellReport, SweepReport, SweepRunner, SweepSpec};
+use std::cell::RefCell;
+use std::collections::BTreeMap;
+use std::path::PathBuf;
+use std::rc::Rc;
+
+use dagfl_scenario::{
+    RunReport, Scenario, ScenarioRunner, SweepCellReport, SweepReport, SweepRunner, SweepSpec,
+};
 
 pub use dagfl_scenario::Scale;
+pub use registry::{Figure, FIGURES};
 
-/// Runs a sweep preset on all available cores and returns the aggregate
-/// report — the standard entry point of the figure binaries, which are
-/// thin preset lookups plus CSV reshaping.
+type Memo<T> = RefCell<BTreeMap<String, Rc<T>>>;
+
+/// Returns `cache[key]`, computing it with `make` on the first request.
+fn memo<T>(cache: &Memo<T>, key: &str, make: impl FnOnce() -> T) -> Rc<T> {
+    if let Some(hit) = cache.borrow().get(key) {
+        return Rc::clone(hit);
+    }
+    let made = Rc::new(make());
+    cache.borrow_mut().insert(key.into(), Rc::clone(&made));
+    made
+}
+
+/// A scenario preset as resolved, and the report of running it.
+#[derive(Debug)]
+pub struct PresetRun {
+    /// The resolved scenario.
+    pub scenario: Scenario,
+    /// What running it reported.
+    pub report: RunReport,
+}
+
+/// One `reproduce` invocation: the scale and results directory every
+/// row shares, plus the preset runs rows have in common — a scenario or
+/// sweep preset executes at most once per session, whichever rows ask
+/// for it (Figures 12–14 read the same four `poisoning-*` runs, Figures
+/// 6 and 7 the same simple-normalization sweep).
 ///
-/// # Panics
-///
-/// Panics if the preset is unknown, fails validation or a cell fails;
-/// experiment binaries fail loudly.
-pub fn run_sweep_preset(name: &str) -> SweepReport {
-    let spec = SweepSpec::preset(name).expect("sweep preset exists");
-    let jobs = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    SweepRunner::new(spec)
-        .expect("sweep preset validates")
-        .run(jobs)
-        .expect("sweep run failed")
+/// Rows fail loudly: every method panics on an unknown preset, a
+/// failed run or an I/O error.
+pub struct Session {
+    /// The scale every preset resolves at.
+    pub scale: Scale,
+    out_dir: PathBuf,
+    reports: Memo<PresetRun>,
+    sweeps: Memo<SweepReport>,
+    resolved: RefCell<Vec<String>>,
+    written: RefCell<Vec<PathBuf>>,
+}
+
+impl Session {
+    /// A session writing into `out_dir` (created on first write).
+    pub fn new(scale: Scale, out_dir: impl Into<PathBuf>) -> Self {
+        Self {
+            scale,
+            out_dir: out_dir.into(),
+            reports: Memo::default(),
+            sweeps: Memo::default(),
+            resolved: RefCell::default(),
+            written: RefCell::default(),
+        }
+    }
+
+    /// Resolves a scenario preset at the session's scale. The one place
+    /// rows get a preset from, so [`Session::resolved`] sees them all.
+    pub fn scenario(&self, preset: &str) -> Scenario {
+        self.resolved.borrow_mut().push(preset.into());
+        Scenario::preset_at(preset, self.scale).expect("scenario preset exists")
+    }
+
+    /// Scenario `preset` run as the preset registry defines it.
+    pub fn report(&self, preset: &str) -> Rc<PresetRun> {
+        memo(&self.reports, preset, || {
+            let scenario = self.scenario(preset);
+            let report = ScenarioRunner::new(scenario.clone())
+                .expect("preset validates")
+                .run()
+                .expect("scenario run failed");
+            PresetRun { scenario, report }
+        })
+    }
+
+    /// The report of running sweep preset `name` on all available cores;
+    /// its comparison CSV goes to the session's directory.
+    pub fn sweep(&self, name: &str) -> Rc<SweepReport> {
+        memo(&self.sweeps, name, || {
+            self.resolved.borrow_mut().push(name.into());
+            let mut spec = SweepSpec::preset(name).expect("sweep preset exists");
+            // The runner would write the comparison under `DAGFL_RESULTS`.
+            let comparison = spec.comparison_csv.take();
+            let jobs = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+            let report = SweepRunner::at_scale(spec, self.scale)
+                .expect("sweep preset validates")
+                .run(jobs)
+                .expect("sweep run failed");
+            if let Some(csv) = comparison {
+                self.write(&format!("{csv}.csv"), &report.comparison_csv_text());
+            }
+            report
+        })
+    }
+
+    /// Writes a result series as `<name>.csv` under the comma-separated
+    /// `header` and echoes it to stdout.
+    pub fn emit(&self, name: &str, header: &str, rows: &[Vec<String>]) {
+        let path = output::emit(&self.out_dir, name, header, rows);
+        self.written.borrow_mut().push(path);
+    }
+
+    /// Writes `text` as `file` in the results directory.
+    pub fn write(&self, file: &str, text: &str) -> PathBuf {
+        let path = self.out_dir.join(file);
+        std::fs::create_dir_all(&self.out_dir)
+            .and_then(|()| std::fs::write(&path, text))
+            .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
+        self.written.borrow_mut().push(path.clone());
+        path
+    }
+
+    /// Runs one registry row and returns the files it wrote.
+    pub fn run(&self, figure: &Figure) -> Vec<PathBuf> {
+        (figure.run)(self);
+        std::mem::take(&mut self.written.borrow_mut())
+    }
+
+    /// Every preset resolved so far, scenario and sweep, in order; a
+    /// name appears once per resolution.
+    pub fn resolved(&self) -> Vec<String> {
+        self.resolved.borrow().clone()
+    }
 }
 
 /// Reads one axis coordinate of a sweep cell as a number.

@@ -6,7 +6,7 @@
 //! client graphs, Louvain partitions and accuracy summaries only need a
 //! tangle and a dataset, not a scheduling discipline. [`ExecutionMode`]
 //! captures exactly that surface, so experiment harnesses (e.g. the
-//! `mode_comparison` binary in `dagfl-bench`) can drive
+//! `mode_comparison` row of `dagfl-bench`'s figure registry) can drive
 //! [`Simulation`](crate::Simulation) and
 //! [`AsyncSimulation`](crate::AsyncSimulation) through one `dyn`
 //! interface and compare them on identical budgets.

@@ -5,7 +5,8 @@
 //! available offline, so this crate generates *synthetic equivalents that
 //! preserve exactly the structure the algorithms react to* — which classes
 //! a client holds, how clients cluster, and how inter-client heterogeneity
-//! is parameterised (see DESIGN.md §3 for the substitution rationale):
+//! is parameterised (each generator's module docs say what it keeps of the
+//! original; ARCHITECTURE.md, "Where to add things", says how to add one):
 //!
 //! * [`fmnist`] — "FMNIST-clustered": prototype-based digit images with the
 //!   paper's three class-clusters {0–3}, {4–6}, {7–9}, a relaxed variant

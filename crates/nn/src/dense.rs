@@ -9,9 +9,11 @@ use crate::{Layer, NnError};
 ///
 /// Weights are stored as `in_features x out_features` so the forward pass is
 /// a single row-major matrix product; initialisation is He-uniform, matching
-/// the ReLU stacks used by the paper's CNN/MLP models. The three training
-/// matmuls (forward, grad-weight, grad-input) run on the layer's selected
-/// [`MatmulBackend`](dagfl_tensor::MatmulBackend).
+/// the ReLU stacks used by the paper's CNN/MLP models. Every product over
+/// the layer's own weights — the training and inference forward passes,
+/// grad-weight, grad-input — runs on the layer's selected
+/// [`MatmulBackend`](dagfl_tensor::MatmulBackend); only the flat-parameter
+/// path ([`Layer::forward_inference_params`]) names the tiled kernel.
 #[derive(Clone)]
 pub struct Dense {
     weight: Matrix,
@@ -54,12 +56,6 @@ impl Dense {
     pub fn bias(&self) -> &Matrix {
         &self.bias
     }
-
-    fn affine(&self, input: &Matrix) -> Result<Matrix, NnError> {
-        let mut out = input.matmul(&self.weight)?;
-        out.add_row_broadcast(self.bias.as_slice())?;
-        Ok(out)
-    }
 }
 
 impl Layer for Dense {
@@ -83,11 +79,13 @@ impl Layer for Dense {
     }
 
     fn forward_inference(&self, input: &Matrix) -> Result<Matrix, NnError> {
-        self.affine(input)
+        let mut out = Matrix::default();
+        self.forward_inference_into(input, &mut out)?;
+        Ok(out)
     }
 
     fn forward_inference_into(&self, input: &Matrix, out: &mut Matrix) -> Result<(), NnError> {
-        input.matmul_into(&self.weight, out)?;
+        self.backend.matmul_into(input, &self.weight, out)?;
         out.add_row_broadcast(self.bias.as_slice())?;
         Ok(())
     }
@@ -310,6 +308,13 @@ mod tests {
         let frozen = SgdConfig::new(0.1).with_frozen_prefix(6 * 5 + 5);
         model.train_batch(&x, &y, &frozen).unwrap();
         assert_eq!(products(), [2, 1, 0]);
+        // Inference reaches the selected backend too, on both the
+        // allocating and the scratch path: one forward per layer.
+        model.evaluate(&x, &y).unwrap();
+        assert_eq!(products(), [2, 0, 0]);
+        let mut scratch = crate::EvalScratch::new();
+        model.evaluate_with_scratch(&x, &y, &mut scratch).unwrap();
+        assert_eq!(products(), [2, 0, 0]);
     }
 
     #[test]

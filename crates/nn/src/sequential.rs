@@ -974,7 +974,8 @@ mod tests {
     }
 
     /// Trains two copies of `build()`, one per backend, and demands
-    /// identical loss and parameter bits after every step.
+    /// identical loss and parameter bits after every step, then identical
+    /// evaluation bits from the trained pair.
     fn assert_backends_train_identically(
         family: &str,
         build: impl Fn() -> Box<dyn Model>,
@@ -1002,6 +1003,14 @@ mod tests {
                 );
             }
         }
+        let mut scratch = EvalScratch::new();
+        let en = naive.evaluate_with_scratch(x, y, &mut scratch).unwrap();
+        let et = tiled.evaluate_with_scratch(x, y, &mut scratch).unwrap();
+        assert_eq!(
+            (en.loss.to_bits(), en.accuracy.to_bits()),
+            (et.loss.to_bits(), et.accuracy.to_bits()),
+            "{family}: evaluation diverged after training"
+        );
     }
 
     #[test]

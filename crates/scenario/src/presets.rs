@@ -3,7 +3,7 @@
 //! Every preset resolves to a complete [`Scenario`] value at one of two
 //! [`Scale`]s — *quick* (minutes on a laptop, qualitative shapes
 //! preserved) or the paper's *full* configuration (`DAGFL_FULL=1`).
-//! The per-figure binaries in `dagfl-bench`, `dagfl run --preset` and
+//! The figure registry in `dagfl-bench`, `dagfl run --preset` and
 //! the checked-in `scenarios/*.toml` files all resolve through this one
 //! table, so an experiment's definition lives in exactly one place.
 

@@ -5,10 +5,11 @@
 //! behind the [`MatmulBackend`] trait so the layer code above never
 //! names a kernel. Two implementations ship in-tree:
 //!
-//! - [`NaiveBackend`] — the straightforward loops ([`Matrix::matmul`]
-//!   and friends) writing into reusable buffers. Kept as the
-//!   bit-exactness oracle: every other backend must reproduce its
-//!   results bit-for-bit (pinned by the property tests).
+//! - [`NaiveBackend`] — the straightforward loops
+//!   ([`Matrix::matmul_naive_into`] and friends) writing into reusable
+//!   buffers. Kept as the bit-exactness oracle: every other backend
+//!   must reproduce its results bit-for-bit (pinned by the property
+//!   tests).
 //! - [`TiledBackend`] — the register-tiled cascades of the evaluation
 //!   hot path, extended with a transpose-then-axpy `A * B^T` kernel
 //!   (the dot form is an unvectorisable serial chain) and an

@@ -9,11 +9,11 @@ use std::fmt;
 /// # Example
 ///
 /// ```
-/// use dagfl_tensor::Matrix;
+/// use dagfl_tensor::{MatmulBackend, Matrix, NaiveBackend};
 ///
 /// let a = Matrix::zeros(2, 3);
 /// let b = Matrix::zeros(2, 3);
-/// let err = a.matmul(&b).unwrap_err();
+/// let err = NaiveBackend.matmul(&a, &b).unwrap_err();
 /// assert!(err.to_string().contains("matmul"));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]

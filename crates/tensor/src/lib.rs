@@ -19,12 +19,12 @@
 //! # Example
 //!
 //! ```
-//! use dagfl_tensor::Matrix;
+//! use dagfl_tensor::{MatmulBackend, Matrix, NaiveBackend};
 //!
 //! # fn main() -> Result<(), dagfl_tensor::ShapeError> {
 //! let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]])?;
 //! let b = Matrix::identity(2);
-//! let c = a.matmul(&b)?;
+//! let c = NaiveBackend.matmul(&a, &b)?;
 //! assert_eq!(c, a);
 //! # Ok(())
 //! # }

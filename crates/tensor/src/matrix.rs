@@ -199,51 +199,6 @@ impl Matrix {
         out
     }
 
-    /// Matrix multiplication `self * other`.
-    ///
-    /// Uses the cache-friendly i-k-j loop ordering over contiguous row
-    /// slices.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] if `self.cols() != other.rows()`.
-    pub fn matmul(&self, other: &Matrix) -> Result<Matrix, ShapeError> {
-        if self.cols != other.rows {
-            return Err(ShapeError::new("matmul", self.shape(), other.shape()));
-        }
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            let out_row = out.row_mut(i);
-            for (k, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let b_row = other.row(k);
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a * b;
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Matrix multiplication with the transpose of `other`: `self * other^T`.
-    ///
-    /// This is the common backward-pass shape. Delegates to the
-    /// [`Matrix::matmul_transpose_into`] kernel, whose per-cell dot
-    /// order matches the straightforward loop exactly (the naive form is
-    /// pinned as the oracle in the property tests).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] if `self.cols() != other.cols()`.
-    pub fn matmul_transpose(&self, other: &Matrix) -> Result<Matrix, ShapeError> {
-        let mut out = Matrix::default();
-        self.matmul_transpose_into(other, &mut out)?;
-        Ok(out)
-    }
-
     /// Blocked matrix multiplication `self * other` into a reusable
     /// output buffer.
     ///
@@ -252,7 +207,7 @@ impl Matrix {
     /// accumulators stay in SIMD registers across the whole `k` loop
     /// instead of re-reading and re-writing the output row per `k`. Per
     /// output cell the terms are accumulated in exactly the same
-    /// ascending-`k` order as [`Matrix::matmul`], including its
+    /// ascending-`k` order as [`Matrix::matmul_naive_into`], including its
     /// zero-LHS skip, so results match the naive kernel — which serves
     /// as the reference oracle in the property tests — bit-for-bit.
     ///
@@ -331,8 +286,9 @@ impl Matrix {
     /// output cell the terms are still added through a single
     /// accumulator in ascending index order — only the loop nesting
     /// changes, not the operand values or their order — so every output
-    /// bit matches [`Matrix::matmul_transpose`], the naive reference
-    /// oracle (which, like this kernel, applies no zero-entry skip).
+    /// bit matches [`Matrix::matmul_transpose_naive_into`], the naive
+    /// reference oracle (which, like this kernel, applies no zero-entry
+    /// skip).
     ///
     /// # Errors
     ///
@@ -387,37 +343,6 @@ impl Matrix {
         out.data.extend(self.data.iter().map(|&v| f(v)));
     }
 
-    /// Matrix multiplication of the transpose of `self` with `other`:
-    /// `self^T * other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] if `self.rows() != other.rows()`.
-    pub fn transpose_matmul(&self, other: &Matrix) -> Result<Matrix, ShapeError> {
-        if self.rows != other.rows {
-            return Err(ShapeError::new(
-                "transpose_matmul",
-                self.shape(),
-                other.shape(),
-            ));
-        }
-        let mut out = Matrix::zeros(self.cols, other.cols);
-        for k in 0..self.rows {
-            let a_row = self.row(k);
-            let b_row = other.row(k);
-            for (i, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let out_row = out.row_mut(i);
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a * b;
-                }
-            }
-        }
-        Ok(out)
-    }
-
     /// Tiled matrix multiplication of the transpose of `self` with
     /// `other` — `self^T * other` — into a reusable output buffer.
     ///
@@ -431,8 +356,8 @@ impl Matrix {
     /// wide row accumulate vectorises exactly as in the naive form.
     /// Per cell the terms are accumulated in the same ascending-`k`
     /// order with the same per-entry zero-LHS skip as
-    /// [`Matrix::transpose_matmul`], which stays in-tree as the
-    /// bit-exactness oracle of the property tests.
+    /// [`Matrix::transpose_matmul_naive_into`], which stays in-tree as
+    /// the bit-exactness oracle of the property tests.
     ///
     /// # Errors
     ///
@@ -473,8 +398,8 @@ impl Matrix {
         Ok(())
     }
 
-    /// The naive i-k-j matmul of [`Matrix::matmul`] writing into a
-    /// reusable output buffer. This is the [`NaiveBackend`] kernel: the
+    /// The naive i-k-j matmul `self * other` writing into a reusable
+    /// output buffer. This is the [`NaiveBackend`] kernel: the
     /// reference semantics (including the zero-LHS skip) without the
     /// register tiling, so backend comparisons isolate the tiling from
     /// the allocation strategy.
@@ -547,8 +472,7 @@ impl Matrix {
         Ok(())
     }
 
-    /// The naive k-outer `self^T * other` of
-    /// [`Matrix::transpose_matmul`] writing into a reusable output
+    /// The naive k-outer `self^T * other` writing into a reusable output
     /// buffer (the [`NaiveBackend`] counterpart of
     /// [`Matrix::transpose_matmul_into`]).
     ///
@@ -825,7 +749,7 @@ impl Matrix {
 /// so the streamed RHS row costs one load per multiply-add and the
 /// output is written exactly once. Per output cell the terms are
 /// accumulated in ascending-`k` order with a single accumulator and the
-/// naive kernel's zero-LHS skip — [`Matrix::matmul`]'s results,
+/// naive kernel's zero-LHS skip — [`Matrix::matmul_naive_into`]'s results,
 /// bit-for-bit, for every input including non-finite entries.
 fn matmul_slice_kernel(a: &[f32], m: usize, k_len: usize, b: &[f32], n: usize, out: &mut Matrix) {
     out.reset(m, n);
@@ -1073,6 +997,7 @@ impl Default for Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{MatmulBackend, NaiveBackend, TiledBackend};
 
     #[test]
     fn zeros_has_expected_shape_and_values() {
@@ -1086,15 +1011,15 @@ mod tests {
     fn identity_matmul_is_identity_map() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
         let i = Matrix::identity(2);
-        assert_eq!(a.matmul(&i).unwrap(), a);
-        assert_eq!(i.matmul(&a).unwrap(), a);
+        assert_eq!(NaiveBackend.matmul(&a, &i).unwrap(), a);
+        assert_eq!(NaiveBackend.matmul(&i, &a).unwrap(), a);
     }
 
     #[test]
     fn matmul_known_product() {
         let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]).unwrap();
         let b = Matrix::from_rows(&[&[7.0, 8.0], &[9.0, 10.0], &[11.0, 12.0]]).unwrap();
-        let c = a.matmul(&b).unwrap();
+        let c = NaiveBackend.matmul(&a, &b).unwrap();
         let expected = Matrix::from_rows(&[&[58.0, 64.0], &[139.0, 154.0]]).unwrap();
         assert_eq!(c, expected);
     }
@@ -1103,15 +1028,15 @@ mod tests {
     fn matmul_shape_mismatch_errors() {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(2, 3);
-        assert!(a.matmul(&b).is_err());
+        assert!(NaiveBackend.matmul(&a, &b).is_err());
     }
 
     #[test]
     fn matmul_transpose_matches_explicit_transpose() {
         let a = Matrix::from_fn(3, 4, |r, c| (r * 4 + c) as f32);
         let b = Matrix::from_fn(5, 4, |r, c| (r + c) as f32 * 0.5);
-        let fast = a.matmul_transpose(&b).unwrap();
-        let slow = a.matmul(&b.transpose()).unwrap();
+        let fast = TiledBackend.matmul_transpose(&a, &b).unwrap();
+        let slow = NaiveBackend.matmul(&a, &b.transpose()).unwrap();
         assert!(fast.max_abs_diff(&slow).unwrap() < 1e-6);
     }
 
@@ -1119,7 +1044,7 @@ mod tests {
     fn matmul_into_matches_naive_and_reuses_buffers() {
         let a = Matrix::from_fn(13, 9, |r, c| ((r * 9 + c) as f32 - 50.0) * 0.25);
         let b = Matrix::from_fn(9, 21, |r, c| ((r + 3 * c) as f32 - 20.0) * 0.5);
-        let naive = a.matmul(&b).unwrap();
+        let naive = NaiveBackend.matmul(&a, &b).unwrap();
         // A dirty, wrongly shaped output buffer must be reshaped and
         // fully overwritten.
         let mut out = Matrix::filled(2, 2, 99.0);
@@ -1135,7 +1060,7 @@ mod tests {
         let b = Matrix::from_fn(7, 4, |r, c| (r * 4 + c) as f32 * 0.1 - 1.0);
         let mut out = Matrix::default();
         a.matmul_into(&b, &mut out).unwrap();
-        assert_eq!(out, a.matmul(&b).unwrap());
+        assert_eq!(out, NaiveBackend.matmul(&a, &b).unwrap());
     }
 
     #[test]
@@ -1147,7 +1072,7 @@ mod tests {
         let mut weights = Matrix::from_fn(3, 20, |r, c| (r * 20 + c) as f32 * 0.5);
         weights[(0, 0)] = f32::INFINITY;
         weights[(2, 19)] = f32::NAN;
-        let naive = a.matmul(&weights).unwrap();
+        let naive = NaiveBackend.matmul(&a, &weights).unwrap();
         let mut blocked = Matrix::default();
         a.matmul_into(&weights, &mut blocked).unwrap();
         for (x, y) in naive.as_slice().iter().zip(blocked.as_slice()) {
@@ -1165,7 +1090,7 @@ mod tests {
         a.matmul_slice_into(b.as_slice(), b.cols(), &mut via_slice)
             .unwrap();
         assert_eq!(via_matrix, via_slice);
-        assert_eq!(via_matrix, a.matmul(&b).unwrap());
+        assert_eq!(via_matrix, NaiveBackend.matmul(&a, &b).unwrap());
     }
 
     #[test]
@@ -1211,7 +1136,7 @@ mod tests {
             }
         });
         let b = Matrix::from_fn(9, 35, |r, c| ((r + 2 * c) as f32).cos());
-        let naive = a.transpose_matmul(&b).unwrap();
+        let naive = NaiveBackend.transpose_matmul(&a, &b).unwrap();
         let mut tiled = Matrix::filled(2, 2, 9.0); // dirty buffer on purpose
         a.transpose_matmul_into(&b, &mut tiled).unwrap();
         assert_eq!(tiled.shape(), naive.shape());
@@ -1230,11 +1155,11 @@ mod tests {
         let ta = Matrix::from_fn(6, 9, |r, c| if r % 2 == 0 { 0.0 } else { (r * c) as f32 });
         let mut out = Matrix::filled(1, 1, 5.0);
         a.matmul_naive_into(&b, &mut out).unwrap();
-        assert_eq!(out, a.matmul(&b).unwrap());
+        assert_eq!(out, NaiveBackend.matmul(&a, &b).unwrap());
         a.matmul_transpose_naive_into(&bt, &mut out).unwrap();
-        assert_eq!(out, a.matmul_transpose(&bt).unwrap());
+        assert_eq!(out, NaiveBackend.matmul_transpose(&a, &bt).unwrap());
         a.transpose_matmul_naive_into(&ta, &mut out).unwrap();
-        assert_eq!(out, a.transpose_matmul(&ta).unwrap());
+        assert_eq!(out, NaiveBackend.transpose_matmul(&a, &ta).unwrap());
         let bad = Matrix::zeros(3, 2);
         assert!(a.matmul_naive_into(&bad, &mut out).is_err());
         assert!(a.matmul_transpose_naive_into(&bad, &mut out).is_err());
@@ -1287,7 +1212,7 @@ mod tests {
     fn matmul_transpose_into_matches_naive() {
         let a = Matrix::from_fn(11, 6, |r, c| (r * 6 + c) as f32 * 0.3 - 5.0);
         let b = Matrix::from_fn(17, 6, |r, c| ((r + c) as f32).sin());
-        let naive = a.matmul_transpose(&b).unwrap();
+        let naive = NaiveBackend.matmul_transpose(&a, &b).unwrap();
         let mut out = Matrix::filled(1, 1, -1.0);
         a.matmul_transpose_into(&b, &mut out).unwrap();
         assert_eq!(out, naive);
@@ -1315,8 +1240,8 @@ mod tests {
     fn transpose_matmul_matches_explicit_transpose() {
         let a = Matrix::from_fn(4, 3, |r, c| (r * 3 + c) as f32);
         let b = Matrix::from_fn(4, 5, |r, c| (r + 2 * c) as f32 * 0.25);
-        let fast = a.transpose_matmul(&b).unwrap();
-        let slow = a.transpose().matmul(&b).unwrap();
+        let fast = NaiveBackend.transpose_matmul(&a, &b).unwrap();
+        let slow = NaiveBackend.matmul(&a.transpose(), &b).unwrap();
         assert!(fast.max_abs_diff(&slow).unwrap() < 1e-6);
     }
 

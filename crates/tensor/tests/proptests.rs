@@ -2,7 +2,8 @@
 
 use dagfl_tensor::{
     argmax, cross_entropy_from_probs, fused_softmax_cross_entropy, log_sum_exp, one_hot, softmax,
-    softmax_cross_entropy, MatmulBackendKind, Matrix, Summary,
+    softmax_cross_entropy, MatmulBackend, MatmulBackendKind, Matrix, NaiveBackend, Summary,
+    TiledBackend,
 };
 use proptest::prelude::*;
 
@@ -71,7 +72,6 @@ proptest! {
         naive.matmul_into(&a, &b, &mut want).unwrap();
         tiled.matmul_into(&a, &b, &mut got).unwrap();
         assert_bit_identical(&got, &want);
-        assert_bit_identical(&got, &a.matmul(&b).unwrap());
     }
 
     #[test]
@@ -106,7 +106,6 @@ proptest! {
         naive.transpose_matmul_into(&a, &b, &mut want).unwrap();
         tiled.transpose_matmul_into(&a, &b, &mut got).unwrap();
         assert_bit_identical(&got, &want);
-        assert_bit_identical(&got, &a.transpose_matmul(&b).unwrap());
     }
 
     #[test]
@@ -137,7 +136,7 @@ proptest! {
     #[test]
     fn matmul_identity_is_noop(m in matrix_strategy(8)) {
         let i = Matrix::identity(m.cols());
-        let prod = m.matmul(&i).unwrap();
+        let prod = NaiveBackend.matmul(&m, &i).unwrap();
         prop_assert!(prod.max_abs_diff(&m).unwrap() < 1e-4);
     }
 
@@ -154,8 +153,8 @@ proptest! {
             })
         })
     ) {
-        let fast = m.matmul_transpose(&n).unwrap();
-        let slow = m.matmul(&n.transpose()).unwrap();
+        let fast = TiledBackend.matmul_transpose(&m, &n).unwrap();
+        let slow = NaiveBackend.matmul(&m, &n.transpose()).unwrap();
         prop_assert!(fast.max_abs_diff(&slow).unwrap() < 1e-1);
     }
 
@@ -174,7 +173,7 @@ proptest! {
             })
         })
     ) {
-        let naive = a.matmul(&b).unwrap();
+        let naive = NaiveBackend.matmul(&a, &b).unwrap();
         let mut blocked = Matrix::filled(1, 3, 42.0); // dirty buffer on purpose
         a.matmul_into(&b, &mut blocked).unwrap();
         prop_assert_eq!(blocked.shape(), naive.shape());
@@ -194,8 +193,8 @@ proptest! {
             })
         })
     ) {
-        // `matmul_transpose` delegates to the blocked kernel, so the
-        // reference oracle is the naive dot-product loop itself.
+        // The reference is the dot-product loop written out here, so
+        // the oracle backend's own kernel is pinned by it as well.
         let mut naive = Matrix::zeros(a.rows(), b.rows());
         for i in 0..a.rows() {
             for j in 0..b.rows() {
@@ -210,7 +209,8 @@ proptest! {
         a.matmul_transpose_into(&b, &mut blocked).unwrap();
         prop_assert_eq!(blocked.shape(), naive.shape());
         prop_assert!(blocked.max_abs_diff(&naive).unwrap() < 1e-5);
-        prop_assert!(a.matmul_transpose(&b).unwrap().max_abs_diff(&naive).unwrap() < 1e-5);
+        let oracle = NaiveBackend.matmul_transpose(&a, &b).unwrap();
+        prop_assert!(oracle.max_abs_diff(&naive).unwrap() < 1e-5);
     }
 
     #[test]
