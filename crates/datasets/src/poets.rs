@@ -293,7 +293,7 @@ mod tests {
 
     #[test]
     fn char_rnn_improves_on_poets_client() {
-        use dagfl_nn::{CharRnn, Model, SgdConfig};
+        use dagfl_nn::{char_rnn, Model, SgdConfig};
         use rand::rngs::StdRng;
         use rand::SeedableRng;
 
@@ -305,7 +305,7 @@ mod tests {
         });
         let client = &ds.clients()[0];
         let mut rng = StdRng::seed_from_u64(0);
-        let mut model = CharRnn::new(&mut rng, POETS_VOCAB.len(), 8, 32);
+        let mut model = char_rnn(&mut rng, POETS_VOCAB.len(), 8, 32);
         let before = model.evaluate(client.test_x(), client.test_y()).unwrap();
         let opt = SgdConfig::new(0.5);
         let mut batch_rng = StdRng::seed_from_u64(1);

@@ -7,7 +7,7 @@ use crate::{Layer, NnError};
 /// Rectified linear unit: `y = max(0, x)`.
 #[derive(Debug, Clone, Default)]
 pub struct Relu {
-    cached_input: Option<Matrix>,
+    cached_input: Matrix,
 }
 
 impl Relu {
@@ -22,24 +22,13 @@ impl Layer for Relu {
         "Relu"
     }
 
-    fn forward(&mut self, input: &Matrix) -> Result<Matrix, NnError> {
-        self.cached_input = Some(input.clone());
-        Ok(input.map(|v| v.max(0.0)))
-    }
-
-    fn forward_inference(&self, input: &Matrix) -> Result<Matrix, NnError> {
-        Ok(input.map(|v| v.max(0.0)))
-    }
-
     fn forward_inference_into(&self, input: &Matrix, out: &mut Matrix) -> Result<(), NnError> {
         input.map_into(out, |v| v.max(0.0));
         Ok(())
     }
 
     fn forward_train_into(&mut self, input: &Matrix, out: &mut Matrix) -> Result<(), NnError> {
-        self.cached_input
-            .get_or_insert_with(Matrix::default)
-            .copy_from(input);
+        self.cached_input.copy_from(input);
         input.map_into(out, |v| v.max(0.0));
         Ok(())
     }
@@ -52,14 +41,10 @@ impl Layer for Relu {
         let Some(grad_input) = grad_input else {
             return Ok(());
         };
-        let input = self
-            .cached_input
-            .as_ref()
-            .expect("backward called before forward");
         // Multiplying by the 0/1 mask (rather than selecting a literal
         // 0.0) gives `g * 0.0 == -0.0` for negative `g`, the sign a
         // mask-and-hadamard formulation produces.
-        grad_output.zip_into(input, grad_input, |g, v| {
+        grad_output.zip_into(&self.cached_input, grad_input, |g, v| {
             g * (if v > 0.0 { 1.0 } else { 0.0 })
         })?;
         Ok(())
@@ -73,7 +58,7 @@ impl Layer for Relu {
 /// Hyperbolic tangent activation.
 #[derive(Debug, Clone, Default)]
 pub struct Tanh {
-    cached_output: Option<Matrix>,
+    cached_output: Matrix,
 }
 
 impl Tanh {
@@ -88,16 +73,6 @@ impl Layer for Tanh {
         "Tanh"
     }
 
-    fn forward(&mut self, input: &Matrix) -> Result<Matrix, NnError> {
-        let out = input.map(f32::tanh);
-        self.cached_output = Some(out.clone());
-        Ok(out)
-    }
-
-    fn forward_inference(&self, input: &Matrix) -> Result<Matrix, NnError> {
-        Ok(input.map(f32::tanh))
-    }
-
     fn forward_inference_into(&self, input: &Matrix, out: &mut Matrix) -> Result<(), NnError> {
         input.map_into(out, f32::tanh);
         Ok(())
@@ -105,9 +80,7 @@ impl Layer for Tanh {
 
     fn forward_train_into(&mut self, input: &Matrix, out: &mut Matrix) -> Result<(), NnError> {
         input.map_into(out, f32::tanh);
-        self.cached_output
-            .get_or_insert_with(Matrix::default)
-            .copy_from(out);
+        self.cached_output.copy_from(out);
         Ok(())
     }
 
@@ -119,11 +92,7 @@ impl Layer for Tanh {
         let Some(grad_input) = grad_input else {
             return Ok(());
         };
-        let out = self
-            .cached_output
-            .as_ref()
-            .expect("backward called before forward");
-        grad_output.zip_into(out, grad_input, |g, y| g * (1.0 - y * y))?;
+        grad_output.zip_into(&self.cached_output, grad_input, |g, y| g * (1.0 - y * y))?;
         Ok(())
     }
 
@@ -135,7 +104,7 @@ impl Layer for Tanh {
 /// Logistic sigmoid activation.
 #[derive(Debug, Clone, Default)]
 pub struct Sigmoid {
-    cached_output: Option<Matrix>,
+    cached_output: Matrix,
 }
 
 impl Sigmoid {
@@ -160,16 +129,6 @@ impl Layer for Sigmoid {
         "Sigmoid"
     }
 
-    fn forward(&mut self, input: &Matrix) -> Result<Matrix, NnError> {
-        let out = input.map(sigmoid_scalar);
-        self.cached_output = Some(out.clone());
-        Ok(out)
-    }
-
-    fn forward_inference(&self, input: &Matrix) -> Result<Matrix, NnError> {
-        Ok(input.map(sigmoid_scalar))
-    }
-
     fn forward_inference_into(&self, input: &Matrix, out: &mut Matrix) -> Result<(), NnError> {
         input.map_into(out, sigmoid_scalar);
         Ok(())
@@ -177,9 +136,7 @@ impl Layer for Sigmoid {
 
     fn forward_train_into(&mut self, input: &Matrix, out: &mut Matrix) -> Result<(), NnError> {
         input.map_into(out, sigmoid_scalar);
-        self.cached_output
-            .get_or_insert_with(Matrix::default)
-            .copy_from(out);
+        self.cached_output.copy_from(out);
         Ok(())
     }
 
@@ -191,11 +148,7 @@ impl Layer for Sigmoid {
         let Some(grad_input) = grad_input else {
             return Ok(());
         };
-        let out = self
-            .cached_output
-            .as_ref()
-            .expect("backward called before forward");
-        grad_output.zip_into(out, grad_input, |g, y| g * (y * (1.0 - y)))?;
+        grad_output.zip_into(&self.cached_output, grad_input, |g, y| g * (y * (1.0 - y)))?;
         Ok(())
     }
 
@@ -207,12 +160,13 @@ impl Layer for Sigmoid {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::OwnedPasses;
 
     #[test]
     fn relu_clamps_negatives() {
         let mut relu = Relu::new();
         let x = Matrix::from_rows(&[&[-1.0, 0.0, 2.0]]).unwrap();
-        let y = relu.forward(&x).unwrap();
+        let y = relu.forward_owned(&x).unwrap();
         assert_eq!(y.row(0), &[0.0, 0.0, 2.0]);
     }
 
@@ -220,9 +174,9 @@ mod tests {
     fn relu_gradient_masks_negatives() {
         let mut relu = Relu::new();
         let x = Matrix::from_rows(&[&[-1.0, 0.5]]).unwrap();
-        relu.forward(&x).unwrap();
+        relu.forward_owned(&x).unwrap();
         let g = Matrix::from_rows(&[&[3.0, 3.0]]).unwrap();
-        let gi = relu.backward(&g).unwrap();
+        let gi = relu.backward_owned(&g).unwrap();
         assert_eq!(gi.row(0), &[0.0, 3.0]);
     }
 
@@ -230,7 +184,7 @@ mod tests {
     fn tanh_matches_std() {
         let mut t = Tanh::new();
         let x = Matrix::from_rows(&[&[0.0, 1.0, -1.0]]).unwrap();
-        let y = t.forward(&x).unwrap();
+        let y = t.forward_owned(&x).unwrap();
         assert!((y[(0, 0)] - 0.0).abs() < 1e-6);
         assert!((y[(0, 1)] - 1f32.tanh()).abs() < 1e-6);
         assert!((y[(0, 2)] + 1f32.tanh()).abs() < 1e-6);
@@ -240,9 +194,9 @@ mod tests {
     fn tanh_gradient_at_zero_is_one() {
         let mut t = Tanh::new();
         let x = Matrix::zeros(1, 1);
-        t.forward(&x).unwrap();
+        t.forward_owned(&x).unwrap();
         let g = Matrix::filled(1, 1, 2.0);
-        let gi = t.backward(&g).unwrap();
+        let gi = t.backward_owned(&g).unwrap();
         assert!((gi[(0, 0)] - 2.0).abs() < 1e-6);
     }
 
@@ -250,7 +204,7 @@ mod tests {
     fn sigmoid_symmetry_and_range() {
         let mut s = Sigmoid::new();
         let x = Matrix::from_rows(&[&[0.0, 100.0, -100.0]]).unwrap();
-        let y = s.forward(&x).unwrap();
+        let y = s.forward_owned(&x).unwrap();
         assert!((y[(0, 0)] - 0.5).abs() < 1e-6);
         assert!((y[(0, 1)] - 1.0).abs() < 1e-6);
         assert!(y[(0, 2)].abs() < 1e-6);
@@ -260,8 +214,8 @@ mod tests {
     #[test]
     fn sigmoid_gradient_peak_at_zero() {
         let mut s = Sigmoid::new();
-        s.forward(&Matrix::zeros(1, 1)).unwrap();
-        let gi = s.backward(&Matrix::filled(1, 1, 1.0)).unwrap();
+        s.forward_owned(&Matrix::zeros(1, 1)).unwrap();
+        let gi = s.backward_owned(&Matrix::filled(1, 1, 1.0)).unwrap();
         assert!((gi[(0, 0)] - 0.25).abs() < 1e-6);
     }
 

@@ -65,8 +65,12 @@ pub struct Conv2d {
     bias: Matrix,
     grad_weight: Matrix,
     grad_bias: Matrix,
-    cached_cols: Option<Matrix>,
-    cached_batch: usize,
+    /// The im2col matrix of the last training forward pass.
+    cols: Matrix,
+    /// Position-major feature maps: the forward product, then the
+    /// rearranged output gradient.
+    maps: Matrix,
+    grad_cols: Matrix,
     backend: &'static dyn MatmulBackend,
 }
 
@@ -104,8 +108,9 @@ impl Conv2d {
             bias: Matrix::zeros(1, out_channels),
             grad_weight: Matrix::zeros(fan_in, out_channels),
             grad_bias: Matrix::zeros(1, out_channels),
-            cached_cols: None,
-            cached_batch: 0,
+            cols: Matrix::default(),
+            maps: Matrix::default(),
+            grad_cols: Matrix::default(),
             backend: MatmulBackendKind::default().as_dyn(),
         }
     }
@@ -135,9 +140,9 @@ impl Conv2d {
         self.in_shape
     }
 
-    /// Lowers a batch into the im2col matrix
+    /// Lowers a batch into the im2col matrix `cols`
     /// (`batch * out_h * out_w` rows, `in_c * k * k` columns).
-    fn im2col(&self, input: &Matrix) -> Matrix {
+    fn im2col(&self, input: &Matrix, cols: &mut Matrix) {
         let out = self.out_shape();
         let (ic, ih, iw) = (
             self.in_shape.channels,
@@ -145,7 +150,7 @@ impl Conv2d {
             self.in_shape.width,
         );
         let k = self.kernel;
-        let mut cols = Matrix::zeros(input.rows() * out.height * out.width, ic * k * k);
+        cols.reset(input.rows() * out.height * out.width, ic * k * k);
         for b in 0..input.rows() {
             let sample = input.row(b);
             for oh in 0..out.height {
@@ -171,11 +176,10 @@ impl Conv2d {
                 }
             }
         }
-        cols
     }
 
     /// Scatters gradient columns back to input-shaped gradients (col2im).
-    fn col2im(&self, grad_cols: &Matrix, batch: usize) -> Matrix {
+    fn col2im(&self, grad_cols: &Matrix, batch: usize, grad_input: &mut Matrix) {
         let out = self.out_shape();
         let (ic, ih, iw) = (
             self.in_shape.channels,
@@ -183,7 +187,7 @@ impl Conv2d {
             self.in_shape.width,
         );
         let k = self.kernel;
-        let mut grad_input = Matrix::zeros(batch, self.in_shape.len());
+        grad_input.reset(batch, self.in_shape.len());
         for b in 0..batch {
             let sample = grad_input.row_mut(b);
             for oh in 0..out.height {
@@ -208,10 +212,17 @@ impl Conv2d {
                 }
             }
         }
-        grad_input
     }
 
-    fn check_input(&self, input: &Matrix) -> Result<(), NnError> {
+    /// The forward pass through caller-supplied `cols` and `maps`
+    /// buffers: the layer's own when training, per-call ones otherwise.
+    fn forward_with(
+        &self,
+        input: &Matrix,
+        cols: &mut Matrix,
+        maps: &mut Matrix,
+        out: &mut Matrix,
+    ) -> Result<(), NnError> {
         if input.cols() != self.in_shape.len() {
             return Err(NnError::Shape(dagfl_tensor::ShapeError::new(
                 "conv2d_forward",
@@ -219,27 +230,23 @@ impl Conv2d {
                 (1, self.in_shape.len()),
             )));
         }
-        Ok(())
-    }
-
-    /// Computes the forward pass given the already lowered column matrix.
-    fn forward_from_cols(&self, cols: &Matrix, batch: usize) -> Result<Matrix, NnError> {
-        let out = self.out_shape();
-        let mut big = self.backend.matmul(cols, &self.weight)?;
-        big.add_row_broadcast(self.bias.as_slice())?;
+        self.im2col(input, cols);
+        self.backend.matmul_into(cols, &self.weight, maps)?;
+        maps.add_row_broadcast(self.bias.as_slice())?;
         // Rearrange (batch*oh*ow, out_c) -> (batch, out_c*oh*ow).
-        let hw = out.height * out.width;
-        let mut result = Matrix::zeros(batch, out.len());
-        for b in 0..batch {
-            let dst = result.row_mut(b);
+        let shape = self.out_shape();
+        let hw = shape.height * shape.width;
+        out.reset(input.rows(), shape.len());
+        for b in 0..input.rows() {
+            let dst = out.row_mut(b);
             for pos in 0..hw {
-                let src = big.row(b * hw + pos);
+                let src = maps.row(b * hw + pos);
                 for (c, &v) in src.iter().enumerate() {
                     dst[c * hw + pos] = v;
                 }
             }
         }
-        Ok(result)
+        Ok(())
     }
 }
 
@@ -248,19 +255,18 @@ impl Layer for Conv2d {
         "Conv2d"
     }
 
-    fn forward(&mut self, input: &Matrix) -> Result<Matrix, NnError> {
-        self.check_input(input)?;
-        let cols = self.im2col(input);
-        let out = self.forward_from_cols(&cols, input.rows())?;
-        self.cached_cols = Some(cols);
-        self.cached_batch = input.rows();
-        Ok(out)
+    fn forward_train_into(&mut self, input: &Matrix, out: &mut Matrix) -> Result<(), NnError> {
+        let (mut cols, mut maps) = (
+            std::mem::take(&mut self.cols),
+            std::mem::take(&mut self.maps),
+        );
+        let forwarded = self.forward_with(input, &mut cols, &mut maps, out);
+        (self.cols, self.maps) = (cols, maps);
+        forwarded
     }
 
-    fn forward_inference(&self, input: &Matrix) -> Result<Matrix, NnError> {
-        self.check_input(input)?;
-        let cols = self.im2col(input);
-        self.forward_from_cols(&cols, input.rows())
+    fn forward_inference_into(&self, input: &Matrix, out: &mut Matrix) -> Result<(), NnError> {
+        self.forward_with(input, &mut Matrix::default(), &mut Matrix::default(), out)
     }
 
     fn backward_into(
@@ -268,30 +274,31 @@ impl Layer for Conv2d {
         grad_output: &Matrix,
         grad_input: Option<&mut Matrix>,
     ) -> Result<(), NnError> {
-        let cols = self
-            .cached_cols
-            .as_ref()
-            .expect("backward called before forward");
-        let batch = self.cached_batch;
+        let batch = grad_output.rows();
         let out = self.out_shape();
         let hw = out.height * out.width;
+        assert_eq!(
+            (self.cols.rows(), grad_output.cols()),
+            (batch * hw, out.len()),
+            "backward called without the matching forward"
+        );
         // Rearrange (batch, out_c*oh*ow) -> (batch*oh*ow, out_c).
-        let mut grad_big = Matrix::zeros(batch * hw, self.out_channels);
+        self.maps.reset(batch * hw, self.out_channels);
         for b in 0..batch {
             let src = grad_output.row(b);
             for pos in 0..hw {
-                let dst = grad_big.row_mut(b * hw + pos);
+                let dst = self.maps.row_mut(b * hw + pos);
                 for (c, d) in dst.iter_mut().enumerate() {
                     *d = src[c * hw + pos];
                 }
             }
         }
         let backend = self.backend;
-        backend.transpose_matmul_into(cols, &grad_big, &mut self.grad_weight)?;
-        grad_big.column_sums_into(&mut self.grad_bias);
+        backend.transpose_matmul_into(&self.cols, &self.maps, &mut self.grad_weight)?;
+        self.maps.column_sums_into(&mut self.grad_bias);
         if let Some(grad_input) = grad_input {
-            let grad_cols = backend.matmul_transpose(&grad_big, &self.weight)?;
-            *grad_input = self.col2im(&grad_cols, batch);
+            backend.matmul_transpose_into(&self.maps, &self.weight, &mut self.grad_cols)?;
+            self.col2im(&self.grad_cols, batch, grad_input);
         }
         Ok(())
     }
@@ -338,8 +345,9 @@ pub struct MaxPool2d {
     in_shape: ImageShape,
     pool: usize,
     stride: usize,
-    /// For each sample and output element, the flat input index of the max.
-    cached_argmax: Option<Vec<Vec<usize>>>,
+    /// For each sample and output element of the last training forward
+    /// pass, the flat input index of the max (sample-major).
+    argmax: Vec<usize>,
 }
 
 impl MaxPool2d {
@@ -358,7 +366,7 @@ impl MaxPool2d {
             in_shape,
             pool,
             stride,
-            cached_argmax: None,
+            argmax: Vec::new(),
         }
     }
 
@@ -371,8 +379,14 @@ impl MaxPool2d {
         }
     }
 
-    #[allow(clippy::needless_range_loop)] // b indexes input, result and argmax together
-    fn pool_batch(&self, input: &Matrix) -> Result<(Matrix, Vec<Vec<usize>>), NnError> {
+    /// Pools `input` into `out`, handing `seen` the flat input index of
+    /// each maximum in output order.
+    fn pool_batch(
+        &self,
+        input: &Matrix,
+        out: &mut Matrix,
+        mut seen: impl FnMut(usize),
+    ) -> Result<(), NnError> {
         if input.cols() != self.in_shape.len() {
             return Err(NnError::Shape(dagfl_tensor::ShapeError::new(
                 "maxpool_forward",
@@ -380,16 +394,15 @@ impl MaxPool2d {
                 (1, self.in_shape.len()),
             )));
         }
-        let out = self.out_shape();
+        let shape = self.out_shape();
         let (ih, iw) = (self.in_shape.height, self.in_shape.width);
-        let mut result = Matrix::zeros(input.rows(), out.len());
-        let mut argmax = vec![vec![0usize; out.len()]; input.rows()];
+        out.reset(input.rows(), shape.len());
         for b in 0..input.rows() {
             let sample = input.row(b);
-            let dst = result.row_mut(b);
-            for c in 0..out.channels {
-                for oh in 0..out.height {
-                    for ow in 0..out.width {
+            let dst = out.row_mut(b);
+            for c in 0..shape.channels {
+                for oh in 0..shape.height {
+                    for ow in 0..shape.width {
                         let mut best_idx = 0;
                         let mut best = f32::NEG_INFINITY;
                         for ph in 0..self.pool {
@@ -403,14 +416,13 @@ impl MaxPool2d {
                                 }
                             }
                         }
-                        let out_idx = (c * out.height + oh) * out.width + ow;
-                        dst[out_idx] = best;
-                        argmax[b][out_idx] = best_idx;
+                        dst[(c * shape.height + oh) * shape.width + ow] = best;
+                        seen(best_idx);
                     }
                 }
             }
         }
-        Ok((result, argmax))
+        Ok(())
     }
 }
 
@@ -419,17 +431,18 @@ impl Layer for MaxPool2d {
         "MaxPool2d"
     }
 
-    fn forward(&mut self, input: &Matrix) -> Result<Matrix, NnError> {
-        let (out, argmax) = self.pool_batch(input)?;
-        self.cached_argmax = Some(argmax);
-        Ok(out)
+    fn forward_train_into(&mut self, input: &Matrix, out: &mut Matrix) -> Result<(), NnError> {
+        let mut argmax = std::mem::take(&mut self.argmax);
+        argmax.clear();
+        let pooled = self.pool_batch(input, out, |idx| argmax.push(idx));
+        self.argmax = argmax;
+        pooled
     }
 
-    fn forward_inference(&self, input: &Matrix) -> Result<Matrix, NnError> {
-        Ok(self.pool_batch(input)?.0)
+    fn forward_inference_into(&self, input: &Matrix, out: &mut Matrix) -> Result<(), NnError> {
+        self.pool_batch(input, out, |_| {})
     }
 
-    #[allow(clippy::needless_range_loop)] // b indexes grad_output, grad_input and argmax together
     fn backward_into(
         &mut self,
         grad_output: &Matrix,
@@ -438,16 +451,17 @@ impl Layer for MaxPool2d {
         let Some(grad_input) = grad_input else {
             return Ok(());
         };
-        let argmax = self
-            .cached_argmax
-            .as_ref()
-            .expect("backward called before forward");
-        *grad_input = Matrix::zeros(grad_output.rows(), self.in_shape.len());
-        for b in 0..grad_output.rows() {
-            let src = grad_output.row(b);
+        assert_eq!(
+            grad_output.len(),
+            self.argmax.len(),
+            "backward called without the matching forward"
+        );
+        grad_input.reset(grad_output.rows(), self.in_shape.len());
+        let routes = self.argmax.chunks_exact(grad_output.cols().max(1));
+        for (b, route) in routes.enumerate() {
             let dst = grad_input.row_mut(b);
-            for (out_idx, &in_idx) in argmax[b].iter().enumerate() {
-                dst[in_idx] += src[out_idx];
+            for (&in_idx, &g) in route.iter().zip(grad_output.row(b)) {
+                dst[in_idx] += g;
             }
         }
         Ok(())
@@ -471,6 +485,7 @@ impl std::fmt::Debug for MaxPool2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::OwnedPasses;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -511,7 +526,7 @@ mod tests {
             first = false;
         });
         let x = Matrix::from_fn(2, 16, |r, c| (r * 16 + c) as f32);
-        let y = conv.forward(&x).unwrap();
+        let y = conv.forward_owned(&x).unwrap();
         assert!(y.max_abs_diff(&x).unwrap() < 1e-6);
     }
 
@@ -526,7 +541,7 @@ mod tests {
             idx += 1;
         });
         let x = Matrix::from_fn(1, 9, |_, c| c as f32);
-        let y = conv.forward(&x).unwrap();
+        let y = conv.forward_owned(&x).unwrap();
         assert_eq!(y.shape(), (1, 1));
         assert!((y[(0, 0)] - 36.0).abs() < 1e-5);
     }
@@ -536,8 +551,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let mut conv = Conv2d::same(&mut rng, ImageShape::new(2, 6, 6), 4, 3);
         let x = Matrix::from_fn(3, 72, |r, c| ((r * 72 + c) % 13) as f32 * 0.1);
-        let a = conv.forward(&x).unwrap();
-        let b = conv.forward_inference(&x).unwrap();
+        let a = conv.forward_owned(&x).unwrap();
+        let b = conv.inference_owned(&x).unwrap();
         assert!(a.max_abs_diff(&b).unwrap() < 1e-6);
     }
 
@@ -546,9 +561,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let mut conv = Conv2d::new(&mut rng, ImageShape::new(2, 5, 5), 3, 3, 1, 1);
         let x = Matrix::from_fn(2, 50, |_, c| c as f32 * 0.01);
-        let y = conv.forward(&x).unwrap();
+        let y = conv.forward_owned(&x).unwrap();
         let grad = Matrix::filled(y.rows(), y.cols(), 1.0);
-        let gi = conv.backward(&grad).unwrap();
+        let gi = conv.backward_owned(&grad).unwrap();
         assert_eq!(gi.shape(), x.shape());
         conv.apply_update(&mut |p, g| assert_eq!(p.shape(), g.shape()));
     }
@@ -557,14 +572,14 @@ mod tests {
     fn conv_rejects_wrong_width() {
         let mut rng = StdRng::seed_from_u64(4);
         let mut conv = Conv2d::new(&mut rng, ImageShape::new(1, 4, 4), 1, 3, 1, 0);
-        assert!(conv.forward(&Matrix::zeros(1, 15)).is_err());
+        assert!(conv.forward_owned(&Matrix::zeros(1, 15)).is_err());
     }
 
     #[test]
     fn maxpool_known_values() {
         let mut pool = MaxPool2d::new(ImageShape::new(1, 4, 4), 2, 2);
         let x = Matrix::from_fn(1, 16, |_, c| c as f32);
-        let y = pool.forward(&x).unwrap();
+        let y = pool.forward_owned(&x).unwrap();
         assert_eq!(y.shape(), (1, 4));
         assert_eq!(y.row(0), &[5.0, 7.0, 13.0, 15.0]);
     }
@@ -573,9 +588,9 @@ mod tests {
     fn maxpool_backward_routes_to_argmax() {
         let mut pool = MaxPool2d::new(ImageShape::new(1, 2, 2), 2, 2);
         let x = Matrix::from_rows(&[&[1.0, 9.0, 3.0, 4.0]]).unwrap();
-        pool.forward(&x).unwrap();
+        pool.forward_owned(&x).unwrap();
         let grad = Matrix::filled(1, 1, 5.0);
-        let gi = pool.backward(&grad).unwrap();
+        let gi = pool.backward_owned(&grad).unwrap();
         assert_eq!(gi.row(0), &[0.0, 5.0, 0.0, 0.0]);
     }
 
@@ -583,7 +598,7 @@ mod tests {
     fn maxpool_multi_channel_independence() {
         let mut pool = MaxPool2d::new(ImageShape::new(2, 2, 2), 2, 2);
         let x = Matrix::from_rows(&[&[1.0, 2.0, 3.0, 4.0, 40.0, 30.0, 20.0, 10.0]]).unwrap();
-        let y = pool.forward(&x).unwrap();
+        let y = pool.forward_owned(&x).unwrap();
         assert_eq!(y.row(0), &[4.0, 40.0]);
     }
 

@@ -1,6 +1,6 @@
 //! Fully connected layer.
 
-use dagfl_tensor::{he_uniform, MatmulBackend, MatmulBackendKind, Matrix};
+use dagfl_tensor::{he_uniform, xavier_uniform, MatmulBackend, MatmulBackendKind, Matrix};
 use rand::Rng;
 
 use crate::{Layer, NnError};
@@ -8,8 +8,9 @@ use crate::{Layer, NnError};
 /// A fully connected (affine) layer: `y = x W + b`.
 ///
 /// Weights are stored as `in_features x out_features` so the forward pass is
-/// a single row-major matrix product; initialisation is He-uniform, matching
-/// the ReLU stacks used by the paper's CNN/MLP models. Every product over
+/// a single row-major matrix product; initialisation is He-uniform
+/// ([`Dense::new`], matching the ReLU stacks used by the paper's CNN/MLP
+/// models) or Xavier-uniform ([`Dense::xavier`]). Every product over
 /// the layer's own weights — the training and inference forward passes,
 /// grad-weight, grad-input — runs on the layer's selected
 /// [`MatmulBackend`](dagfl_tensor::MatmulBackend); only the flat-parameter
@@ -20,19 +21,30 @@ pub struct Dense {
     bias: Matrix,
     grad_weight: Matrix,
     grad_bias: Matrix,
-    cached_input: Option<Matrix>,
+    cached_input: Matrix,
     backend: &'static dyn MatmulBackend,
 }
 
 impl Dense {
     /// Creates a dense layer with He-uniform weights and zero bias.
     pub fn new<R: Rng>(rng: &mut R, in_features: usize, out_features: usize) -> Self {
+        Self::with_weight(he_uniform(rng, in_features, out_features))
+    }
+
+    /// Creates a dense layer with Xavier-uniform weights and zero bias:
+    /// the output layer of a tanh/sigmoid stack such as
+    /// [`char_rnn`](crate::char_rnn).
+    pub fn xavier<R: Rng>(rng: &mut R, in_features: usize, out_features: usize) -> Self {
+        Self::with_weight(xavier_uniform(rng, in_features, out_features))
+    }
+
+    fn with_weight(weight: Matrix) -> Self {
         Self {
-            weight: he_uniform(rng, in_features, out_features),
-            bias: Matrix::zeros(1, out_features),
-            grad_weight: Matrix::zeros(in_features, out_features),
-            grad_bias: Matrix::zeros(1, out_features),
-            cached_input: None,
+            bias: Matrix::zeros(1, weight.cols()),
+            grad_weight: Matrix::zeros(weight.rows(), weight.cols()),
+            grad_bias: Matrix::zeros(1, weight.cols()),
+            weight,
+            cached_input: Matrix::default(),
             backend: MatmulBackendKind::default().as_dyn(),
         }
     }
@@ -63,25 +75,11 @@ impl Layer for Dense {
         "Dense"
     }
 
-    fn forward(&mut self, input: &Matrix) -> Result<Matrix, NnError> {
-        let mut out = Matrix::default();
-        self.forward_train_into(input, &mut out)?;
-        Ok(out)
-    }
-
     fn forward_train_into(&mut self, input: &Matrix, out: &mut Matrix) -> Result<(), NnError> {
         self.backend.matmul_into(input, &self.weight, out)?;
         out.add_row_broadcast(self.bias.as_slice())?;
-        self.cached_input
-            .get_or_insert_with(Matrix::default)
-            .copy_from(input);
+        self.cached_input.copy_from(input);
         Ok(())
-    }
-
-    fn forward_inference(&self, input: &Matrix) -> Result<Matrix, NnError> {
-        let mut out = Matrix::default();
-        self.forward_inference_into(input, &mut out)?;
-        Ok(out)
     }
 
     fn forward_inference_into(&self, input: &Matrix, out: &mut Matrix) -> Result<(), NnError> {
@@ -119,13 +117,12 @@ impl Layer for Dense {
         grad_output: &Matrix,
         grad_input: Option<&mut Matrix>,
     ) -> Result<(), NnError> {
-        let input = self
-            .cached_input
-            .as_ref()
-            .expect("backward called before forward");
         // dW = x^T g ; db = column sums of g ; dx = g W^T
-        self.backend
-            .transpose_matmul_into(input, grad_output, &mut self.grad_weight)?;
+        self.backend.transpose_matmul_into(
+            &self.cached_input,
+            grad_output,
+            &mut self.grad_weight,
+        )?;
         grad_output.column_sums_into(&mut self.grad_bias);
         if let Some(grad_input) = grad_input {
             self.backend
@@ -170,6 +167,7 @@ impl std::fmt::Debug for Dense {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::OwnedPasses;
     use dagfl_tensor::{ShapeError, TiledBackend};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -196,7 +194,7 @@ mod tests {
             idx += 1;
         });
         let x = Matrix::from_rows(&[&[1.0, 1.0]]).unwrap();
-        let y = layer.forward(&x).unwrap();
+        let y = layer.forward_owned(&x).unwrap();
         assert_eq!(y.row(0), &[14.0, 26.0]);
     }
 
@@ -205,8 +203,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut layer = Dense::new(&mut rng, 5, 3);
         let x = Matrix::from_fn(4, 5, |r, c| (r * 5 + c) as f32 * 0.1);
-        let train = layer.forward(&x).unwrap();
-        let infer = layer.forward_inference(&x).unwrap();
+        let train = layer.forward_owned(&x).unwrap();
+        let infer = layer.inference_owned(&x).unwrap();
         assert_eq!(train, infer);
     }
 
@@ -215,9 +213,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut layer = Dense::new(&mut rng, 5, 3);
         let x = Matrix::from_fn(4, 5, |_, _| 1.0);
-        layer.forward(&x).unwrap();
+        layer.forward_owned(&x).unwrap();
         let grad = Matrix::from_fn(4, 3, |_, _| 1.0);
-        let grad_input = layer.backward(&grad).unwrap();
+        let grad_input = layer.backward_owned(&grad).unwrap();
         assert_eq!(grad_input.shape(), (4, 5));
         layer.apply_update(&mut |p, g| assert_eq!(p.shape(), g.shape()));
     }
@@ -227,9 +225,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut layer = Dense::new(&mut rng, 2, 2);
         let x = Matrix::zeros(3, 2);
-        layer.forward(&x).unwrap();
+        layer.forward_owned(&x).unwrap();
         let grad = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]).unwrap();
-        layer.backward(&grad).unwrap();
+        layer.backward_owned(&grad).unwrap();
         let mut seen = Vec::new();
         layer.apply_update(&mut |_, g| seen.push(g.clone()));
         // Second parameter is the bias.
@@ -278,7 +276,7 @@ mod tests {
 
     #[test]
     fn a_training_step_runs_no_product_without_a_consumer() {
-        use crate::{Model, Relu, Sequential, SgdConfig};
+        use crate::{Embedding, Gru, Model, Relu, Sequential, SgdConfig};
         let counts: &'static CountingBackend = Box::leak(Box::default());
         let mut rng = StdRng::seed_from_u64(3);
         let mut dense = |inputs, outputs| {
@@ -308,13 +306,33 @@ mod tests {
         let frozen = SgdConfig::new(0.1).with_frozen_prefix(6 * 5 + 5);
         model.train_batch(&x, &y, &frozen).unwrap();
         assert_eq!(products(), [2, 1, 0]);
-        // Inference reaches the selected backend too, on both the
-        // allocating and the scratch path: one forward per layer.
+        // Inference reaches the selected backend too, on fresh and on
+        // reused buffers: one forward per layer.
         model.evaluate(&x, &y).unwrap();
         assert_eq!(products(), [2, 0, 0]);
         let mut scratch = crate::EvalScratch::new();
         model.evaluate_with_scratch(&x, &y, &mut scratch).unwrap();
         assert_eq!(products(), [2, 0, 0]);
+
+        // The char-rnn stack over three timesteps: six forwards and six
+        // weight gradients per timestep plus the output layer's.
+        let embedding = Embedding::new(&mut rng, 5, 2);
+        let mut gru = Gru::new(&mut rng, 2, 4);
+        gru.backend = counts;
+        let mut output = Dense::xavier(&mut rng, 4, 5);
+        output.backend = counts;
+        let frozen = SgdConfig::new(0.1).with_frozen_prefix(embedding.num_parameters());
+        let mut model = Sequential::new(vec![Box::new(embedding), Box::new(gru), Box::new(output)]);
+        let x = Matrix::from_fn(4, 3, |r, t| ((r + 2 * t) % 5) as f32);
+        // A·Bᵀ: the output layer's `dh`; per timestep `ds` and the three
+        // products of `dx`; the two of `dh_prev`, but not at `t = 0`.
+        model.train_batch(&x, &y, &SgdConfig::new(0.1)).unwrap();
+        assert_eq!(products(), [3 * 6 + 1, 3 * 6 + 1, 1 + 3 * (1 + 3) + 2 * 2]);
+        // While the embedding is frozen nothing consumes `dx`.
+        model.train_batch(&x, &y, &frozen).unwrap();
+        assert_eq!(products(), [3 * 6 + 1, 3 * 6 + 1, 1 + 3 + 2 * 2]);
+        model.evaluate(&x, &y).unwrap();
+        assert_eq!(products(), [3 * 6 + 1, 0, 0]);
     }
 
     #[test]
@@ -328,6 +346,6 @@ mod tests {
     fn rejects_wrong_input_width() {
         let mut rng = StdRng::seed_from_u64(0);
         let mut layer = Dense::new(&mut rng, 7, 3);
-        assert!(layer.forward(&Matrix::zeros(1, 6)).is_err());
+        assert!(layer.forward_owned(&Matrix::zeros(1, 6)).is_err());
     }
 }

@@ -8,8 +8,8 @@ use crate::{Layer, NnError};
 
 /// Inverted dropout: during training each activation is zeroed with
 /// probability `rate` and survivors are scaled by `1 / (1 - rate)`, so
-/// inference needs no rescaling (and [`Layer::forward_inference`] is the
-/// identity).
+/// inference needs no rescaling (and [`Layer::forward_inference_into`] is
+/// the identity).
 ///
 /// The layer owns its RNG (seeded at construction) so that training runs
 /// stay deterministic.
@@ -17,7 +17,9 @@ use crate::{Layer, NnError};
 pub struct Dropout {
     rate: f32,
     rng: StdRng,
-    cached_mask: Option<Matrix>,
+    /// The keep/drop scale of every activation of the last training
+    /// forward pass (unused at rate zero).
+    mask: Matrix,
 }
 
 impl Dropout {
@@ -34,7 +36,7 @@ impl Dropout {
         Self {
             rate,
             rng: StdRng::seed_from_u64(seed),
-            cached_mask: None,
+            mask: Matrix::default(),
         }
     }
 
@@ -49,27 +51,28 @@ impl Layer for Dropout {
         "Dropout"
     }
 
-    fn forward(&mut self, input: &Matrix) -> Result<Matrix, NnError> {
+    fn forward_train_into(&mut self, input: &Matrix, out: &mut Matrix) -> Result<(), NnError> {
         if self.rate == 0.0 {
-            self.cached_mask = None;
-            return Ok(input.clone());
+            out.copy_from(input);
+            return Ok(());
         }
         let keep = 1.0 - self.rate;
         let scale = 1.0 / keep;
-        let mask = Matrix::from_fn(input.rows(), input.cols(), |_, _| {
-            if self.rng.gen::<f32>() < keep {
+        self.mask.reset(input.rows(), input.cols());
+        for m in self.mask.as_mut_slice() {
+            *m = if self.rng.gen::<f32>() < keep {
                 scale
             } else {
                 0.0
-            }
-        });
-        let out = input.hadamard(&mask)?;
-        self.cached_mask = Some(mask);
-        Ok(out)
+            };
+        }
+        input.zip_into(&self.mask, out, |v, m| v * m)?;
+        Ok(())
     }
 
-    fn forward_inference(&self, input: &Matrix) -> Result<Matrix, NnError> {
-        Ok(input.clone())
+    fn forward_inference_into(&self, input: &Matrix, out: &mut Matrix) -> Result<(), NnError> {
+        out.copy_from(input);
+        Ok(())
     }
 
     fn backward_into(
@@ -80,9 +83,10 @@ impl Layer for Dropout {
         let Some(grad_input) = grad_input else {
             return Ok(());
         };
-        match &self.cached_mask {
-            Some(mask) => *grad_input = grad_output.hadamard(mask)?,
-            None => grad_input.copy_from(grad_output),
+        if self.rate == 0.0 {
+            grad_input.copy_from(grad_output);
+        } else {
+            grad_output.zip_into(&self.mask, grad_input, |g, m| g * m)?;
         }
         Ok(())
     }
@@ -95,26 +99,27 @@ impl Layer for Dropout {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::OwnedPasses;
 
     #[test]
     fn inference_is_identity() {
         let d = Dropout::new(0.5, 0);
         let x = Matrix::from_fn(3, 4, |r, c| (r * 4 + c) as f32);
-        assert_eq!(d.forward_inference(&x).unwrap(), x);
+        assert_eq!(d.inference_owned(&x).unwrap(), x);
     }
 
     #[test]
     fn zero_rate_is_identity_in_training_too() {
         let mut d = Dropout::new(0.0, 0);
         let x = Matrix::filled(2, 2, 3.0);
-        assert_eq!(d.forward(&x).unwrap(), x);
+        assert_eq!(d.forward_owned(&x).unwrap(), x);
     }
 
     #[test]
     fn training_zeroes_roughly_rate_fraction() {
         let mut d = Dropout::new(0.5, 1);
         let x = Matrix::filled(50, 50, 1.0);
-        let y = d.forward(&x).unwrap();
+        let y = d.forward_owned(&x).unwrap();
         let zeros = y.as_slice().iter().filter(|&&v| v == 0.0).count();
         let frac = zeros as f32 / y.len() as f32;
         assert!((frac - 0.5).abs() < 0.05, "zero fraction {frac}");
@@ -124,7 +129,7 @@ mod tests {
     fn survivors_are_scaled_to_preserve_expectation() {
         let mut d = Dropout::new(0.25, 2);
         let x = Matrix::filled(60, 60, 1.0);
-        let y = d.forward(&x).unwrap();
+        let y = d.forward_owned(&x).unwrap();
         let mean: f32 = y.as_slice().iter().sum::<f32>() / y.len() as f32;
         assert!((mean - 1.0).abs() < 0.05, "mean {mean} drifted");
         for &v in y.as_slice() {
@@ -136,9 +141,9 @@ mod tests {
     fn backward_uses_the_same_mask() {
         let mut d = Dropout::new(0.5, 3);
         let x = Matrix::filled(10, 10, 1.0);
-        let y = d.forward(&x).unwrap();
+        let y = d.forward_owned(&x).unwrap();
         let grad = Matrix::filled(10, 10, 1.0);
-        let gi = d.backward(&grad).unwrap();
+        let gi = d.backward_owned(&grad).unwrap();
         // Gradient flows exactly where activations survived.
         for (a, b) in y.as_slice().iter().zip(gi.as_slice()) {
             assert_eq!(*a == 0.0, *b == 0.0);

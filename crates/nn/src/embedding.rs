@@ -11,15 +11,16 @@ use crate::{Layer, NnError};
 /// Input: `batch x positions` of token ids; output:
 /// `batch x (positions * dim)`. This makes bag-of-token / fixed-window
 /// models expressible as ordinary [`Sequential`](crate::Sequential)
-/// stacks (the recurrent [`CharRnn`](crate::CharRnn) keeps its own
-/// internal embedding for per-timestep access).
+/// stacks, and it is the first layer of [`char_rnn`](crate::char_rnn):
+/// [`Gru`](crate::Gru) reads position `t` of the output as timestep `t`.
 #[derive(Clone)]
 pub struct Embedding {
     vocab: usize,
     dim: usize,
     table: Matrix,
     grad_table: Matrix,
-    cached_tokens: Option<Vec<Vec<usize>>>,
+    /// The token ids of the last training forward pass, row-major.
+    tokens: Vec<usize>,
 }
 
 impl Embedding {
@@ -31,7 +32,7 @@ impl Embedding {
             dim,
             table: xavier_uniform(rng, vocab, dim),
             grad_table: Matrix::zeros(vocab, dim),
-            cached_tokens: None,
+            tokens: Vec::new(),
         }
     }
 
@@ -44,29 +45,34 @@ impl Embedding {
     pub fn dim(&self) -> usize {
         self.dim
     }
+}
 
-    fn lookup(&self, input: &Matrix) -> Result<(Matrix, Vec<Vec<usize>>), NnError> {
-        let positions = input.cols();
-        let mut out = Matrix::zeros(input.rows(), positions * self.dim);
-        let mut tokens = Vec::with_capacity(input.rows());
-        for r in 0..input.rows() {
-            let mut row_tokens = Vec::with_capacity(positions);
-            for (p, &raw) in input.row(r).iter().enumerate() {
-                let token = raw as usize;
-                if raw < 0.0 || token >= self.vocab {
-                    return Err(NnError::LabelOutOfRange {
-                        label: token,
-                        classes: self.vocab,
-                    });
-                }
-                out.row_mut(r)[p * self.dim..(p + 1) * self.dim]
-                    .copy_from_slice(self.table.row(token));
-                row_tokens.push(token);
+/// Looks every id of `input` up in `table` (`vocab x dim`, row-major),
+/// handing each checked id to `seen`. An id that is not a whole number in
+/// `0..vocab` (`NaN` and fractions included) is an error.
+fn lookup(
+    table: &[f32],
+    (vocab, dim): (usize, usize),
+    input: &Matrix,
+    out: &mut Matrix,
+    mut seen: impl FnMut(usize),
+) -> Result<(), NnError> {
+    out.reset(input.rows(), input.cols() * dim);
+    for r in 0..input.rows() {
+        for (p, &raw) in input.row(r).iter().enumerate() {
+            let token = raw as usize;
+            if !(raw >= 0.0 && raw.fract() == 0.0 && token < vocab) {
+                return Err(NnError::LabelOutOfRange {
+                    label: token,
+                    classes: vocab,
+                });
             }
-            tokens.push(row_tokens);
+            out.row_mut(r)[p * dim..(p + 1) * dim]
+                .copy_from_slice(&table[token * dim..(token + 1) * dim]);
+            seen(token);
         }
-        Ok((out, tokens))
     }
+    Ok(())
 }
 
 impl Layer for Embedding {
@@ -74,30 +80,59 @@ impl Layer for Embedding {
         "Embedding"
     }
 
-    fn forward(&mut self, input: &Matrix) -> Result<Matrix, NnError> {
-        let (out, tokens) = self.lookup(input)?;
-        self.cached_tokens = Some(tokens);
-        Ok(out)
+    fn forward_train_into(&mut self, input: &Matrix, out: &mut Matrix) -> Result<(), NnError> {
+        let tokens = &mut self.tokens;
+        tokens.clear();
+        let shape = (self.vocab, self.dim);
+        lookup(self.table.as_slice(), shape, input, out, |token| {
+            tokens.push(token)
+        })
     }
 
-    fn forward_inference(&self, input: &Matrix) -> Result<Matrix, NnError> {
-        Ok(self.lookup(input)?.0)
+    fn forward_inference_into(&self, input: &Matrix, out: &mut Matrix) -> Result<(), NnError> {
+        lookup(
+            self.table.as_slice(),
+            (self.vocab, self.dim),
+            input,
+            out,
+            |_| {},
+        )
     }
 
+    fn forward_inference_params(
+        &self,
+        params: &mut &[f32],
+        input: &Matrix,
+        out: &mut Matrix,
+    ) -> Option<Result<(), NnError>> {
+        if params.len() < self.table.len() {
+            // As in `Dense`: an inconsistent model falls back.
+            return None;
+        }
+        let (table, rest) = params.split_at(self.table.len());
+        *params = rest;
+        Some(lookup(table, (self.vocab, self.dim), input, out, |_| {}))
+    }
+
+    /// Accumulates position-descending, then batch-row ascending: the
+    /// order in which backpropagation through time reaches the timesteps.
     fn backward_into(
         &mut self,
         grad_output: &Matrix,
         grad_input: Option<&mut Matrix>,
     ) -> Result<(), NnError> {
-        let tokens = self
-            .cached_tokens
-            .as_ref()
-            .expect("backward called before forward");
-        self.grad_table.map_in_place(|_| 0.0);
-        for (r, row_tokens) in tokens.iter().enumerate() {
-            let grad_row = grad_output.row(r);
-            for (p, &token) in row_tokens.iter().enumerate() {
-                let slice = &grad_row[p * self.dim..(p + 1) * self.dim];
+        let (rows, dim) = (grad_output.rows(), self.dim);
+        let positions = self.tokens.len() / rows.max(1);
+        assert_eq!(
+            grad_output.len(),
+            self.tokens.len() * dim,
+            "backward called without the matching forward"
+        );
+        self.grad_table.as_mut_slice().fill(0.0);
+        for p in (0..positions).rev() {
+            for r in 0..rows {
+                let slice = &grad_output.row(r)[p * dim..(p + 1) * dim];
+                let token = self.tokens[r * positions + p];
                 for (g, &d) in self.grad_table.row_mut(token).iter_mut().zip(slice) {
                     *g += d;
                 }
@@ -105,7 +140,7 @@ impl Layer for Embedding {
         }
         // Token ids are discrete; no gradient flows to the input.
         if let Some(grad_input) = grad_input {
-            *grad_input = Matrix::zeros(grad_output.rows(), tokens[0].len());
+            grad_input.reset(rows, positions);
         }
         Ok(())
     }
@@ -139,6 +174,7 @@ impl std::fmt::Debug for Embedding {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::OwnedPasses;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -147,7 +183,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut e = Embedding::new(&mut rng, 5, 3);
         let x = Matrix::from_rows(&[&[1.0, 4.0]]).unwrap();
-        let y = e.forward(&x).unwrap();
+        let y = e.forward_owned(&x).unwrap();
         assert_eq!(y.shape(), (1, 6));
         assert_eq!(&y.row(0)[..3], e.table.row(1));
         assert_eq!(&y.row(0)[3..], e.table.row(4));
@@ -157,11 +193,16 @@ mod tests {
     fn rejects_out_of_vocab_token() {
         let mut rng = StdRng::seed_from_u64(0);
         let mut e = Embedding::new(&mut rng, 5, 3);
-        let x = Matrix::from_rows(&[&[5.0]]).unwrap();
-        assert!(matches!(
-            e.forward(&x),
-            Err(NnError::LabelOutOfRange { .. })
-        ));
+        // Past the table, negative, not a number, not whole: none of them
+        // may be read as some other token.
+        for bad in [5.0, -1.0, f32::NAN, f32::INFINITY, 3.7] {
+            let x = Matrix::from_rows(&[&[0.0, bad]]).unwrap();
+            assert!(
+                matches!(e.forward_owned(&x), Err(NnError::LabelOutOfRange { .. })),
+                "token id {bad} was accepted"
+            );
+            assert!(e.inference_owned(&x).is_err(), "token id {bad}");
+        }
     }
 
     #[test]
@@ -170,9 +211,9 @@ mod tests {
         let mut e = Embedding::new(&mut rng, 4, 2);
         // Token 2 appears twice: its gradient row should sum both slots.
         let x = Matrix::from_rows(&[&[2.0, 2.0]]).unwrap();
-        e.forward(&x).unwrap();
+        e.forward_owned(&x).unwrap();
         let grad = Matrix::from_rows(&[&[1.0, 2.0, 3.0, 4.0]]).unwrap();
-        e.backward(&grad).unwrap();
+        e.backward_owned(&grad).unwrap();
         let mut grads = Vec::new();
         e.apply_update(&mut |_, g| grads.push(g.clone()));
         assert_eq!(grads[0].row(2), &[4.0, 6.0]);
@@ -207,8 +248,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut e = Embedding::new(&mut rng, 8, 5);
         let x = Matrix::from_fn(3, 4, |r, p| ((r * 4 + p) % 8) as f32);
-        let train = e.forward(&x).unwrap();
-        let infer = e.forward_inference(&x).unwrap();
+        let train = e.forward_owned(&x).unwrap();
+        let infer = e.inference_owned(&x).unwrap();
         assert_eq!(train, infer);
     }
 }

@@ -82,7 +82,7 @@ pub fn assert_gradients_match(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CharRnn, Conv2d, Dense, ImageShape, MaxPool2d, Relu, Sequential, Sigmoid, Tanh};
+    use crate::{char_rnn, Conv2d, Dense, ImageShape, MaxPool2d, Relu, Sequential, Sigmoid, Tanh};
     use dagfl_tensor::MatmulBackendKind;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -200,7 +200,7 @@ mod tests {
     #[test]
     fn char_rnn_gradients_match_numeric() {
         let mut rng = StdRng::seed_from_u64(6);
-        let mut model = CharRnn::new(&mut rng, 5, 3, 4);
+        let mut model = char_rnn(&mut rng, 5, 3, 4);
         let x = Matrix::from_fn(3, 4, |r, t| ((r + 2 * t) % 5) as f32);
         let y = vec![0, 2, 4];
         assert_gradients_match_on_both_backends(&mut model, &x, &y, 1e-2, 0.1);

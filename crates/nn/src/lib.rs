@@ -5,12 +5,15 @@
 //! crate provides an equivalent substrate implemented from scratch on top of
 //! [`dagfl-tensor`]:
 //!
-//! * a [`Layer`] trait with [`Dense`], [`Relu`]/[`Tanh`]/[`Sigmoid`]
-//!   activations, [`Conv2d`] and [`MaxPool2d`] (the LEAF CNN building
-//!   blocks),
-//! * [`Sequential`] feed-forward models and a [`CharRnn`]
-//!   (Embedding → GRU → Dense) next-character model with full
-//!   backpropagation through time,
+//! * a [`Layer`] trait — every pass writes into a caller-owned buffer —
+//!   with [`Dense`], [`Relu`]/[`Tanh`]/[`Sigmoid`] activations, [`Conv2d`]
+//!   and [`MaxPool2d`] (the LEAF CNN building blocks), [`Dropout`],
+//!   [`Embedding`] and [`Gru`] (backpropagation through time inside the
+//!   layer),
+//! * [`Sequential`], the one model: a stack of layers trained with
+//!   softmax cross-entropy. The next-character model of the Poets
+//!   experiment is the stack [`char_rnn`] builds
+//!   (Embedding → GRU → Dense),
 //! * the object-safe [`Model`] trait that every federated-learning algorithm
 //!   in the workspace programs against: flat parameter vectors (for model
 //!   averaging on the DAG), mini-batch SGD training (with the FedProx
@@ -82,7 +85,7 @@ pub use optimizer::SgdConfig;
 pub use params::{
     average_parameters, decode_parameters, encode_parameters, weighted_average_parameters,
 };
-pub use rnn::{CharRnn, GruCell};
+pub use rnn::{char_rnn, Gru};
 pub use sequential::{Layer, Sequential};
 pub use train::TrainScratch;
 

@@ -47,11 +47,11 @@ impl Evaluation {
 /// [`SgdConfig`]) and performance can be evaluated on labelled data.
 ///
 /// Inputs are always a [`Matrix`] whose rows are samples; the meaning of the
-/// columns is model-specific (pixel values for [`Sequential`] image models,
-/// token ids for [`CharRnn`]).
+/// columns is model-specific (pixel values for image models, token ids for
+/// [`char_rnn`]). [`Sequential`] is the one implementation in this crate.
 ///
 /// [`Sequential`]: crate::Sequential
-/// [`CharRnn`]: crate::CharRnn
+/// [`char_rnn`]: crate::char_rnn
 pub trait Model: Send {
     /// Total number of scalar parameters.
     fn num_parameters(&self) -> usize;
@@ -88,17 +88,17 @@ pub trait Model: Send {
     /// # Errors
     ///
     /// Returns an error if the batch shape does not match the model.
-    fn evaluate(&self, x: &Matrix, y: &[usize]) -> Result<Evaluation, NnError>;
+    fn evaluate(&self, x: &Matrix, y: &[usize]) -> Result<Evaluation, NnError> {
+        self.evaluate_with_scratch(x, y, &mut EvalScratch::new())
+    }
 
     /// Evaluates like [`Model::evaluate`], threading reusable
     /// [`EvalScratch`] buffers through the forward pass.
     ///
-    /// Results are identical to [`Model::evaluate`]; the difference is
-    /// purely allocation behaviour on the hot path (candidate-model
-    /// scoring during tip selection evaluates thousands of models on the
-    /// same test batch). The default implementation ignores the scratch
-    /// and delegates; models with a buffer-reusing inference path
-    /// override it.
+    /// Results are identical to [`Model::evaluate`], which is this method
+    /// on fresh buffers; the difference is purely allocation behaviour on
+    /// the hot path (candidate-model scoring during tip selection
+    /// evaluates thousands of models on the same test batch).
     ///
     /// # Errors
     ///
@@ -108,10 +108,7 @@ pub trait Model: Send {
         x: &Matrix,
         y: &[usize],
         scratch: &mut EvalScratch,
-    ) -> Result<Evaluation, NnError> {
-        let _ = scratch;
-        self.evaluate(x, y)
-    }
+    ) -> Result<Evaluation, NnError>;
 
     /// Evaluates a *flat parameter vector* on the batch without loading
     /// it into the model: the forward pass reads weights directly from
@@ -129,21 +126,14 @@ pub trait Model: Send {
         x: &Matrix,
         y: &[usize],
         scratch: &mut EvalScratch,
-    ) -> Option<Result<Evaluation, NnError>> {
-        let _ = (params, x, y, scratch);
-        None
-    }
+    ) -> Option<Result<Evaluation, NnError>>;
 
     /// Selects the [`MatmulBackend`](dagfl_tensor::MatmulBackend) the
     /// model's matrix products run on.
     ///
     /// Every backend is bit-identical (pinned by property tests against
     /// the naive oracle), so switching only changes speed, never results.
-    /// The default implementation ignores the selection — correct for
-    /// models without matmuls.
-    fn set_matmul_backend(&mut self, backend: MatmulBackendKind) {
-        let _ = backend;
-    }
+    fn set_matmul_backend(&mut self, backend: MatmulBackendKind);
 
     /// Predicts the class for every row of `x`.
     ///

@@ -1,19 +1,80 @@
-//! Test-only oracle for the training step.
+//! Test-only oracle for the training step, and the owned-result forms
+//! of the [`Layer`] passes that layer unit tests call.
 //!
 //! [`reference_update`] is the per-element SGD loop that
-//! `Sequential::apply_sgd` and `CharRnn::train_batch` each carried before
-//! [`SgdConfig::step`] replaced them, moved here verbatim. Together with
-//! a model-specific reference backward pass (every gradient computed,
-//! whether or not anything consumes it — see the `reference_step`
-//! helpers in the `sequential` and `rnn` test modules) it pins the
+//! `Sequential::apply_sgd` carried before [`SgdConfig::step`] replaced it,
+//! moved here verbatim. Together with the reference backward pass (every
+//! gradient computed, whether or not anything consumes it — see
+//! `reference_step` in the `sequential` test module) it pins the
 //! production step bit for bit across the whole [`update_configs`]
 //! matrix.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::Arc;
 
 use dagfl_tensor::Matrix;
 
-use crate::{Model, SgdConfig};
+use crate::{Layer, Model, NnError, SgdConfig};
+
+/// Each [`Layer`] pass with its result in a fresh matrix.
+pub(crate) trait OwnedPasses: Layer {
+    fn forward_owned(&mut self, input: &Matrix) -> Result<Matrix, NnError> {
+        let mut out = Matrix::default();
+        self.forward_train_into(input, &mut out).map(|()| out)
+    }
+
+    fn inference_owned(&self, input: &Matrix) -> Result<Matrix, NnError> {
+        let mut out = Matrix::default();
+        self.forward_inference_into(input, &mut out).map(|()| out)
+    }
+
+    fn backward_owned(&mut self, grad_output: &Matrix) -> Result<Matrix, NnError> {
+        let mut grad_input = Matrix::default();
+        self.backward_into(grad_output, Some(&mut grad_input))
+            .map(|()| grad_input)
+    }
+}
+
+impl<L: Layer + ?Sized> OwnedPasses for L {}
+
+thread_local! {
+    /// Heap allocations made by this thread.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting per thread: tests run on parallel
+/// threads, and each asks only about its own. (A `realloc` is counted
+/// through the provided method, which allocates anew.)
+struct CountingAllocator;
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+// SAFETY: every request is passed to `System` unchanged, so its
+// guarantees are `System`'s; the counter is a const-initialised `Cell`
+// that never allocates.
+#[allow(unsafe_code)]
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // A thread being torn down has no counter left, and nobody to ask.
+        let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+        // SAFETY: the caller's contract is `System::alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+/// How many times `work` reached the heap on this thread.
+pub(crate) fn allocations_in(work: impl FnOnce()) -> usize {
+    let before = ALLOCATIONS.with(Cell::get);
+    work();
+    ALLOCATIONS.with(Cell::get) - before
+}
 
 /// The old update loop: one `is_trainable` branch and one
 /// `regularization_pull` lookup per element.

@@ -1,22 +1,40 @@
-//! Recurrent next-character model: Embedding → GRU → Dense.
+//! The recurrent layer and the next-character model built from it.
 //!
 //! The paper's Poets experiment trains an LSTM on 80-character windows to
 //! predict the next character. We use a GRU (fewer parameters, same
-//! modelling class for this task) with full backpropagation through time,
-//! implemented directly on [`Matrix`] batches. Gradients are verified
-//! against numerical differentiation in the test suite.
+//! modelling class for this task) with full backpropagation through time.
+//! [`Gru`] is an ordinary [`Layer`]; [`char_rnn`] stacks it between an
+//! [`Embedding`] and a [`Dense`] output layer in a [`Sequential`], so the
+//! recurrent model trains, evaluates and is scored through the same code
+//! as every feed-forward one. Gradients are verified against numerical
+//! differentiation in the test suite.
 
-use dagfl_tensor::{
-    argmax, softmax_cross_entropy, xavier_uniform, MatmulBackend, MatmulBackendKind, Matrix,
-};
+use dagfl_tensor::{xavier_uniform, MatmulBackend, MatmulBackendKind, Matrix, ShapeError};
 use rand::Rng;
+use std::cell::RefCell;
 
 use crate::activations::sigmoid_scalar;
-use crate::{Evaluation, Model, NnError, SgdConfig};
+use crate::{Dense, Embedding, Layer, NnError, Sequential};
 
-/// A gated recurrent unit cell operating on whole batches.
+/// Positions in [`Gru`]'s parameter and gradient arrays — also the order
+/// of the layer's flat parameters.
+const WZ: usize = 0;
+const WR: usize = 1;
+const WH: usize = 2;
+const UZ: usize = 3;
+const UR: usize = 4;
+const UH: usize = 5;
+const BZ: usize = 6;
+const BR: usize = 7;
+const BH: usize = 8;
+
+/// A gated recurrent unit run over a whole sequence.
 ///
-/// Weight naming follows the standard GRU formulation:
+/// Input rows are sequences flattened timestep by timestep
+/// (`batch x (seq_len * input_size)`, what [`Embedding`] produces); the
+/// output is the hidden state after the last timestep
+/// (`batch x hidden_size`), starting from a zero state. Per timestep, in
+/// the standard formulation:
 ///
 /// ```text
 /// z = sigmoid(x Wz + h_prev Uz + bz)        (update gate)
@@ -24,78 +42,102 @@ use crate::{Evaluation, Model, NnError, SgdConfig};
 /// h~ = tanh(x Wh + (r ⊙ h_prev) Uh + bh)   (candidate)
 /// h = (1 - z) ⊙ h_prev + z ⊙ h~
 /// ```
+///
+/// The backward pass is backpropagation through time over the gates and
+/// states the training forward pass kept. Those, and every temporary of
+/// every pass, live on a tape whose matrices are reshaped, never
+/// reallocated, so a steady-state training step or evaluation allocates
+/// nothing.
 #[derive(Clone)]
-pub struct GruCell {
+pub struct Gru {
     input_size: usize,
     hidden_size: usize,
-    wz: Matrix,
-    wr: Matrix,
-    wh: Matrix,
-    uz: Matrix,
-    ur: Matrix,
-    uh: Matrix,
-    bz: Matrix,
-    br: Matrix,
-    bh: Matrix,
-    gwz: Matrix,
-    gwr: Matrix,
-    gwh: Matrix,
-    guz: Matrix,
-    gur: Matrix,
-    guh: Matrix,
-    gbz: Matrix,
-    gbr: Matrix,
-    gbh: Matrix,
-    backend: &'static dyn MatmulBackend,
+    /// `Wz Wr Wh Uz Ur Uh bz br bh`.
+    params: [Matrix; 9],
+    grads: [Matrix; 9],
+    pub(crate) backend: &'static dyn MatmulBackend,
+    /// Held from a training forward pass to its backward pass.
+    tape: Option<Tape>,
 }
 
-/// Everything a single GRU timestep caches for the backward pass.
-#[derive(Debug, Clone)]
-pub(crate) struct GruStepCache {
-    x: Matrix,
-    h_prev: Matrix,
+/// What one timestep leaves behind for backpropagation through time.
+#[derive(Debug, Clone, Default)]
+struct Step {
     z: Matrix,
     r: Matrix,
-    s: Matrix,
     hc: Matrix,
+    h: Matrix,
 }
 
-impl GruCell {
-    /// Creates a GRU cell with Xavier-uniform weights and zero biases.
+/// The working memory of one pass over a batch of sequences.
+#[derive(Debug, Clone, Default)]
+struct Tape {
+    /// The layer input of a training forward pass.
+    input: Matrix,
+    /// One entry per timestep of that pass; inference reuses the first.
+    steps: Vec<Step>,
+    /// The zero state before the first timestep.
+    h0: Matrix,
+    x: Matrix,
+    s: Matrix,
+    product: Matrix,
+    dzpre: Matrix,
+    drpre: Matrix,
+    dhpre: Matrix,
+    ds: Matrix,
+    dh: Matrix,
+    dh_prev: Matrix,
+    dx: Matrix,
+}
+
+thread_local! {
+    /// The tapes no pass on this thread is using. A tape holds four
+    /// matrices per timestep, several times the layer's parameters, and a
+    /// simulation keeps one model per client while a thread trains or
+    /// scores one at a time: lending the tape to the pass instead of
+    /// keeping one in every layer is what holds the resident set where it
+    /// was before tapes outlived a step.
+    static TAPES: RefCell<Vec<Tape>> = const { RefCell::new(Vec::new()) };
+}
+
+fn borrow_tape() -> Tape {
+    TAPES
+        .with(|tapes| tapes.borrow_mut().pop())
+        .unwrap_or_default()
+}
+
+fn return_tape(tape: Tape) {
+    TAPES.with(|tapes| tapes.borrow_mut().push(tape));
+}
+
+impl Gru {
+    /// Creates a GRU with Xavier-uniform weights and zero biases.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either dimension is zero.
     pub fn new<R: Rng>(rng: &mut R, input_size: usize, hidden_size: usize) -> Self {
-        let w = |rng: &mut R| xavier_uniform(rng, input_size, hidden_size);
-        let u = |rng: &mut R| xavier_uniform(rng, hidden_size, hidden_size);
+        assert!(
+            input_size > 0 && hidden_size > 0,
+            "GRU dimensions must be positive"
+        );
+        // Drawn in index order: the three `W`, the three `U`, zero biases.
+        let params: [Matrix; 9] = std::array::from_fn(|i| match i {
+            WZ..=WH => xavier_uniform(rng, input_size, hidden_size),
+            UZ..=UH => xavier_uniform(rng, hidden_size, hidden_size),
+            _ => Matrix::zeros(1, hidden_size),
+        });
         Self {
             input_size,
             hidden_size,
-            wz: w(rng),
-            wr: w(rng),
-            wh: w(rng),
-            uz: u(rng),
-            ur: u(rng),
-            uh: u(rng),
-            bz: Matrix::zeros(1, hidden_size),
-            br: Matrix::zeros(1, hidden_size),
-            bh: Matrix::zeros(1, hidden_size),
-            gwz: Matrix::zeros(input_size, hidden_size),
-            gwr: Matrix::zeros(input_size, hidden_size),
-            gwh: Matrix::zeros(input_size, hidden_size),
-            guz: Matrix::zeros(hidden_size, hidden_size),
-            gur: Matrix::zeros(hidden_size, hidden_size),
-            guh: Matrix::zeros(hidden_size, hidden_size),
-            gbz: Matrix::zeros(1, hidden_size),
-            gbr: Matrix::zeros(1, hidden_size),
-            gbh: Matrix::zeros(1, hidden_size),
+            grads: std::array::from_fn(|i| Matrix::zeros(params[i].rows(), params[i].cols())),
+            params,
             backend: MatmulBackendKind::default().as_dyn(),
+            tape: None,
         }
     }
 
-    /// Selects the backend the cell's matrix products run on.
-    pub fn set_matmul_backend(&mut self, backend: MatmulBackendKind) {
-        self.backend = backend.as_dyn();
-    }
-
-    /// Input feature dimension.
+    /// Feature dimension of one timestep.
     pub fn input_size(&self) -> usize {
         self.input_size
     }
@@ -105,226 +147,317 @@ impl GruCell {
         self.hidden_size
     }
 
-    fn gate(
-        &self,
-        x: &Matrix,
-        h_prev: &Matrix,
-        w: &Matrix,
-        u: &Matrix,
-        b: &Matrix,
-    ) -> Result<Matrix, NnError> {
-        let backend = self.backend;
-        let mut pre = backend.matmul(x, w)?;
-        pre.add_assign(&backend.matmul(h_prev, u)?)?;
-        pre.add_row_broadcast(b.as_slice())?;
-        Ok(pre)
-    }
-
-    /// One forward timestep; returns the new hidden state and the cache
-    /// required by [`GruCell::backward_step`].
-    pub(crate) fn forward_step(
-        &self,
-        x: &Matrix,
-        h_prev: &Matrix,
-    ) -> Result<(Matrix, GruStepCache), NnError> {
-        let z = self
-            .gate(x, h_prev, &self.wz, &self.uz, &self.bz)?
-            .map(sigmoid_scalar);
-        let r = self
-            .gate(x, h_prev, &self.wr, &self.ur, &self.br)?
-            .map(sigmoid_scalar);
-        let backend = self.backend;
-        let s = r.hadamard(h_prev)?;
-        let mut hc_pre = backend.matmul(x, &self.wh)?;
-        hc_pre.add_assign(&backend.matmul(&s, &self.uh)?)?;
-        hc_pre.add_row_broadcast(self.bh.as_slice())?;
-        let hc = hc_pre.map(f32::tanh);
-        // h = (1 - z) ⊙ h_prev + z ⊙ hc
-        let mut h = h_prev.clone();
-        for i in 0..h.rows() {
-            let hr = h.row_mut(i);
-            let zr = z.row(i);
-            let hcr = hc.row(i);
-            for ((hv, &zv), &hcv) in hr.iter_mut().zip(zr).zip(hcr) {
-                *hv = (1.0 - zv) * *hv + zv * hcv;
-            }
+    /// The number of timesteps in `input`.
+    fn seq_len(&self, input: &Matrix) -> Result<usize, NnError> {
+        if input.cols() % self.input_size != 0 {
+            return Err(NnError::Shape(ShapeError::new(
+                "gru_forward",
+                input.shape(),
+                (1, self.input_size),
+            )));
         }
-        let cache = GruStepCache {
-            x: x.clone(),
-            h_prev: h_prev.clone(),
-            z,
-            r,
-            s,
-            hc,
-        };
-        Ok((h, cache))
+        Ok(input.cols() / self.input_size)
     }
 
-    /// Inference-only forward step (no cache construction beyond the state).
-    pub(crate) fn forward_step_inference(
+    /// The inference pass over weights reached through `product`
+    /// (`product(a, i, out)` is `out = a · params[i]`) and `bias`. Only
+    /// the current state is kept.
+    fn infer(
         &self,
-        x: &Matrix,
-        h_prev: &Matrix,
-    ) -> Result<Matrix, NnError> {
-        Ok(self.forward_step(x, h_prev)?.0)
+        product: impl Fn(&Matrix, usize, &mut Matrix) -> Result<(), ShapeError>,
+        bias: [&[f32]; 3],
+        input: &Matrix,
+        out: &mut Matrix,
+    ) -> Result<(), NnError> {
+        let seq_len = self.seq_len(input)?;
+        let mut tape = borrow_tape();
+        if tape.steps.is_empty() {
+            tape.steps.push(Step::default());
+        }
+        out.reset(input.rows(), self.hidden_size);
+        let inferred = (0..seq_len).try_for_each(|t| {
+            let Tape {
+                steps,
+                x,
+                s,
+                product: tmp,
+                ..
+            } = &mut tape;
+            timestep(input, t, self.input_size, x);
+            forward_step(&product, bias, x, out, &mut steps[0], s, tmp)?;
+            std::mem::swap(out, &mut steps[0].h);
+            Ok(())
+        });
+        return_tape(tape);
+        inferred
     }
 
-    /// One backward timestep. Accumulates parameter gradients and returns
-    /// `(grad_h_prev, grad_x)` — each only if the caller has a consumer
-    /// for it (`need_dh_prev`, `need_dx`); the products feeding an
-    /// unwanted one are not run.
-    pub(crate) fn backward_step(
+    /// Backpropagation through time over `tape`, `t` descending. Per
+    /// timestep every parameter gradient is a product into a buffer that
+    /// is then added to the running sum; `dh_prev` is not formed at
+    /// `t = 0` and `dx` only when `grad_input` is wanted.
+    fn backpropagate(
         &mut self,
-        grad_h: &Matrix,
-        cache: &GruStepCache,
-        need_dh_prev: bool,
-        need_dx: bool,
-    ) -> Result<(Option<Matrix>, Option<Matrix>), NnError> {
-        let GruStepCache {
-            x,
-            h_prev,
-            z,
-            r,
-            s,
-            hc,
-        } = cache;
-        // dz = dh ⊙ (hc - h_prev); dzpre = dz ⊙ z(1-z)
-        let dz = grad_h.hadamard(&hc.sub(h_prev)?)?;
-        let dzpre = dz.hadamard(&z.map(|v| v * (1.0 - v)))?;
-        // dhc = dh ⊙ z; dhpre = dhc ⊙ (1 - hc^2)
-        let dhc = grad_h.hadamard(z)?;
-        let dhpre = dhc.hadamard(&hc.map(|v| 1.0 - v * v))?;
-        let backend = self.backend;
-        // ds = dhpre Uh^T; dr = ds ⊙ h_prev; drpre = dr ⊙ r(1-r)
-        let ds = backend.matmul_transpose(&dhpre, &self.uh)?;
-        let dr = ds.hadamard(h_prev)?;
-        let drpre = dr.hadamard(&r.map(|v| v * (1.0 - v)))?;
-        // dh_prev = dh ⊙ (1-z) + ds ⊙ r + dzpre Uz^T + drpre Ur^T
-        let dh_prev = if need_dh_prev {
-            let mut dh_prev = grad_h.hadamard(&z.map(|v| 1.0 - v))?;
-            dh_prev.add_assign(&ds.hadamard(r)?)?;
-            dh_prev.add_assign(&backend.matmul_transpose(&dzpre, &self.uz)?)?;
-            dh_prev.add_assign(&backend.matmul_transpose(&drpre, &self.ur)?)?;
-            Some(dh_prev)
-        } else {
-            None
-        };
-        // dx = dzpre Wz^T + drpre Wr^T + dhpre Wh^T
-        let dx = if need_dx {
-            let mut dx = backend.matmul_transpose(&dzpre, &self.wz)?;
-            dx.add_assign(&backend.matmul_transpose(&drpre, &self.wr)?)?;
-            dx.add_assign(&backend.matmul_transpose(&dhpre, &self.wh)?)?;
-            Some(dx)
-        } else {
-            None
-        };
-        // Parameter gradients (accumulated across timesteps).
-        self.gwz.add_assign(&backend.transpose_matmul(x, &dzpre)?)?;
-        self.gwr.add_assign(&backend.transpose_matmul(x, &drpre)?)?;
-        self.gwh.add_assign(&backend.transpose_matmul(x, &dhpre)?)?;
-        self.guz
-            .add_assign(&backend.transpose_matmul(h_prev, &dzpre)?)?;
-        self.gur
-            .add_assign(&backend.transpose_matmul(h_prev, &drpre)?)?;
-        self.guh.add_assign(&backend.transpose_matmul(s, &dhpre)?)?;
-        let add_bias = |b: &mut Matrix, g: &Matrix| {
-            for (bv, gv) in b.as_mut_slice().iter_mut().zip(g.column_sums()) {
-                *bv += gv;
+        tape: &mut Tape,
+        grad_output: &Matrix,
+        mut grad_input: Option<&mut Matrix>,
+    ) -> Result<(), NnError> {
+        let (input_size, params, grads, backend) =
+            (self.input_size, &self.params, &mut self.grads, self.backend);
+        if grad_output.shape() != tape.h0.shape() {
+            return Err(NnError::Shape(ShapeError::new(
+                "gru_backward",
+                grad_output.shape(),
+                tape.h0.shape(),
+            )));
+        }
+        for grad in grads.iter_mut() {
+            grad.as_mut_slice().fill(0.0);
+        }
+        if let Some(grad_input) = grad_input.as_deref_mut() {
+            grad_input.reset(tape.input.rows(), tape.input.cols());
+        }
+        tape.dh.copy_from(grad_output);
+        for t in (0..tape.steps.len()).rev() {
+            let h_prev = if t > 0 {
+                &tape.steps[t - 1].h
+            } else {
+                &tape.h0
+            };
+            let Step { z, r, hc, .. } = &tape.steps[t];
+            let (dzpre, drpre, dhpre) = (&mut tape.dzpre, &mut tape.drpre, &mut tape.dhpre);
+            let (dh, ds, product) = (&mut tape.dh, &mut tape.ds, &mut tape.product);
+            elementwise([dh, hc, h_prev, z], dzpre, |[dh, hc, h, z]| {
+                (dh * (hc - h)) * (z * (1.0 - z))
+            });
+            elementwise([dh, z, hc], dhpre, |[dh, z, hc]| (dh * z) * (1.0 - hc * hc));
+            // ds is the gradient of r ⊙ h_prev.
+            backend.matmul_transpose_into(dhpre, &params[UH], ds)?;
+            elementwise([ds, h_prev, r], drpre, |[ds, h, r]| {
+                (ds * h) * (r * (1.0 - r))
+            });
+            if t > 0 {
+                // dh_prev = dh ⊙ (1-z) + ds ⊙ r + dzpre Uz^T + drpre Ur^T
+                elementwise([dh, z, ds, r], &mut tape.dh_prev, |[dh, z, ds, r]| {
+                    dh * (1.0 - z) + ds * r
+                });
+                for (dpre, u) in [(&*dzpre, UZ), (&*drpre, UR)] {
+                    backend.matmul_transpose_into(dpre, &params[u], product)?;
+                    tape.dh_prev.add_assign(product)?;
+                }
             }
-        };
-        add_bias(&mut self.gbz, &dzpre);
-        add_bias(&mut self.gbr, &drpre);
-        add_bias(&mut self.gbh, &dhpre);
-        Ok((dh_prev, dx))
-    }
-
-    fn zero_grads(&mut self) {
-        for g in [
-            &mut self.gwz,
-            &mut self.gwr,
-            &mut self.gwh,
-            &mut self.guz,
-            &mut self.gur,
-            &mut self.guh,
-            &mut self.gbz,
-            &mut self.gbr,
-            &mut self.gbh,
-        ] {
-            g.map_in_place(|_| 0.0);
+            if let Some(grad_input) = grad_input.as_deref_mut() {
+                // dx = dzpre Wz^T + drpre Wr^T + dhpre Wh^T
+                backend.matmul_transpose_into(dzpre, &params[WZ], &mut tape.dx)?;
+                for (dpre, w) in [(&*drpre, WR), (&*dhpre, WH)] {
+                    backend.matmul_transpose_into(dpre, &params[w], product)?;
+                    tape.dx.add_assign(product)?;
+                }
+                for b in 0..tape.dx.rows() {
+                    grad_input.row_mut(b)[t * input_size..(t + 1) * input_size]
+                        .copy_from_slice(tape.dx.row(b));
+                }
+            }
+            timestep(&tape.input, t, input_size, &mut tape.x);
+            elementwise([r, h_prev], &mut tape.s, |[r, h]| r * h);
+            for (dpre, w, u, state, b) in [
+                (&*dzpre, WZ, UZ, h_prev, BZ),
+                (&*drpre, WR, UR, h_prev, BR),
+                (&*dhpre, WH, UH, &tape.s, BH),
+            ] {
+                backend.transpose_matmul_into(&tape.x, dpre, product)?;
+                grads[w].add_assign(product)?;
+                backend.transpose_matmul_into(state, dpre, product)?;
+                grads[u].add_assign(product)?;
+                dpre.column_sums_into(product);
+                grads[b].add_assign(product)?;
+            }
+            if t > 0 {
+                std::mem::swap(&mut tape.dh, &mut tape.dh_prev);
+            }
         }
-    }
-
-    fn visit_parameters(&self, visitor: &mut dyn FnMut(&Matrix)) {
-        for m in [
-            &self.wz, &self.wr, &self.wh, &self.uz, &self.ur, &self.uh, &self.bz, &self.br,
-            &self.bh,
-        ] {
-            visitor(m);
-        }
-    }
-
-    fn apply_update(&mut self, update: &mut dyn FnMut(&mut Matrix, &Matrix)) {
-        update(&mut self.wz, &self.gwz);
-        update(&mut self.wr, &self.gwr);
-        update(&mut self.wh, &self.gwh);
-        update(&mut self.uz, &self.guz);
-        update(&mut self.ur, &self.gur);
-        update(&mut self.uh, &self.guh);
-        update(&mut self.bz, &self.gbz);
-        update(&mut self.br, &self.gbr);
-        update(&mut self.bh, &self.gbh);
-    }
-
-    fn load_parameters(&mut self, source: &mut dyn FnMut(&mut Matrix)) {
-        for m in [
-            &mut self.wz,
-            &mut self.wr,
-            &mut self.wh,
-            &mut self.uz,
-            &mut self.ur,
-            &mut self.uh,
-            &mut self.bz,
-            &mut self.br,
-            &mut self.bh,
-        ] {
-            source(m);
-        }
-    }
-
-    fn num_parameters(&self) -> usize {
-        3 * (self.input_size * self.hidden_size)
-            + 3 * (self.hidden_size * self.hidden_size)
-            + 3 * self.hidden_size
+        Ok(())
     }
 }
 
-impl std::fmt::Debug for GruCell {
+/// Copies timestep `t` of every sequence in `input` into `out`
+/// (`batch x width`).
+fn timestep(input: &Matrix, t: usize, width: usize, out: &mut Matrix) {
+    out.reset(input.rows(), width);
+    for b in 0..input.rows() {
+        out.row_mut(b)
+            .copy_from_slice(&input.row(b)[t * width..(t + 1) * width]);
+    }
+}
+
+/// `out[i] = f([inputs[0][i], inputs[1][i], ..])` over equally shaped
+/// matrices.
+fn elementwise<const N: usize>(
+    inputs: [&Matrix; N],
+    out: &mut Matrix,
+    f: impl Fn([f32; N]) -> f32,
+) {
+    out.reset(inputs[0].rows(), inputs[0].cols());
+    let out = out.as_mut_slice();
+    // Slices of one known length let the loop run without bounds checks.
+    let inputs = inputs.map(|m| &m.as_slice()[..out.len()]);
+    for (i, o) in out.iter_mut().enumerate() {
+        *o = f(inputs.map(|values| values[i]));
+    }
+}
+
+/// One forward timestep: fills `step` from `x` and `h_prev`. Each gate is
+/// `x·W`, `+= h·U`, `+= b` in that order.
+fn forward_step(
+    product: &impl Fn(&Matrix, usize, &mut Matrix) -> Result<(), ShapeError>,
+    bias: [&[f32]; 3],
+    x: &Matrix,
+    h_prev: &Matrix,
+    Step { z, r, hc, h }: &mut Step,
+    s: &mut Matrix,
+    tmp: &mut Matrix,
+) -> Result<(), ShapeError> {
+    let mut pre_activation = |w, state: &Matrix, u, b, out: &mut Matrix| {
+        product(x, w, out)?;
+        product(state, u, tmp)?;
+        out.add_assign(tmp)?;
+        out.add_row_broadcast(b)
+    };
+    pre_activation(WZ, h_prev, UZ, bias[0], z)?;
+    z.map_in_place(sigmoid_scalar);
+    pre_activation(WR, h_prev, UR, bias[1], r)?;
+    r.map_in_place(sigmoid_scalar);
+    elementwise([r, h_prev], s, |[r, h]| r * h);
+    pre_activation(WH, s, UH, bias[2], hc)?;
+    hc.map_in_place(f32::tanh);
+    elementwise([z, h_prev, hc], h, |[z, h, hc]| (1.0 - z) * h + z * hc);
+    Ok(())
+}
+
+impl Layer for Gru {
+    fn name(&self) -> &'static str {
+        "Gru"
+    }
+
+    fn forward_train_into(&mut self, input: &Matrix, out: &mut Matrix) -> Result<(), NnError> {
+        let seq_len = self.seq_len(input)?;
+        let (params, backend) = (&self.params, self.backend);
+        let product =
+            |a: &Matrix, i: usize, out: &mut Matrix| backend.matmul_into(a, &params[i], out);
+        let bias = [BZ, BR, BH].map(|i| params[i].as_slice());
+        let Tape {
+            input: saved,
+            steps,
+            h0,
+            x,
+            s,
+            product: tmp,
+            ..
+        } = self.tape.get_or_insert_with(borrow_tape);
+        saved.copy_from(input);
+        steps.resize_with(seq_len, Step::default);
+        h0.reset(input.rows(), self.hidden_size);
+        for t in 0..seq_len {
+            let (done, rest) = steps.split_at_mut(t);
+            let h_prev = done.last().map_or(&*h0, |step| &step.h);
+            timestep(input, t, self.input_size, x);
+            forward_step(&product, bias, x, h_prev, &mut rest[0], s, tmp)?;
+        }
+        out.copy_from(steps.last().map_or(&*h0, |step| &step.h));
+        Ok(())
+    }
+
+    fn forward_inference_into(&self, input: &Matrix, out: &mut Matrix) -> Result<(), NnError> {
+        let product = |a: &Matrix, i: usize, out: &mut Matrix| {
+            self.backend.matmul_into(a, &self.params[i], out)
+        };
+        let bias = [BZ, BR, BH].map(|i| self.params[i].as_slice());
+        self.infer(product, bias, input, out)
+    }
+
+    fn forward_inference_params(
+        &self,
+        params: &mut &[f32],
+        input: &Matrix,
+        out: &mut Matrix,
+    ) -> Option<Result<(), NnError>> {
+        if params.len() < self.num_parameters() {
+            // As in `Dense`: an inconsistent model falls back.
+            return None;
+        }
+        let mut slices = [&[][..]; 9];
+        for (slice, own) in slices.iter_mut().zip(&self.params) {
+            (*slice, *params) = params.split_at(own.len());
+        }
+        let product = |a: &Matrix, i: usize, out: &mut Matrix| {
+            a.matmul_slice_into(slices[i], self.hidden_size, out)
+        };
+        let bias = [slices[BZ], slices[BR], slices[BH]];
+        Some(self.infer(product, bias, input, out))
+    }
+
+    fn backward_into(
+        &mut self,
+        grad_output: &Matrix,
+        grad_input: Option<&mut Matrix>,
+    ) -> Result<(), NnError> {
+        let mut tape = self.tape.take().expect("backward called before forward");
+        let backpropagated = self.backpropagate(&mut tape, grad_output, grad_input);
+        return_tape(tape);
+        backpropagated
+    }
+
+    fn set_backend(&mut self, backend: MatmulBackendKind) {
+        self.backend = backend.as_dyn();
+    }
+
+    fn visit_parameters(&self, visitor: &mut dyn FnMut(&Matrix)) {
+        self.params.iter().for_each(visitor);
+    }
+
+    fn apply_update(&mut self, update: &mut dyn FnMut(&mut Matrix, &Matrix)) {
+        for (param, grad) in self.params.iter_mut().zip(&self.grads) {
+            update(param, grad);
+        }
+    }
+
+    fn load_parameters(&mut self, source: &mut dyn FnMut(&mut Matrix)) {
+        self.params.iter_mut().for_each(source);
+    }
+
+    fn boxed_clone(&self) -> Box<dyn Layer> {
+        Box::new(self.clone())
+    }
+}
+
+impl std::fmt::Debug for Gru {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GruCell")
+        f.debug_struct("Gru")
             .field("input_size", &self.input_size)
             .field("hidden_size", &self.hidden_size)
             .finish()
     }
 }
 
-/// Next-character prediction model: Embedding → GRU → Dense over the final
-/// hidden state.
+/// The next-character prediction model: [`Embedding`] → [`Gru`] →
+/// [`Dense`] over the final hidden state, for `vocab` tokens.
 ///
 /// Inputs are matrices whose rows are fixed-length token-id sequences
 /// (stored as `f32`, e.g. `x[(i, t)] = 42.0` means token 42 at position `t`
 /// of sample `i`). The label of a sample is the id of the character that
-/// follows the sequence.
+/// follows the sequence. The output layer is Xavier-initialised like the
+/// rest of the stack.
 ///
 /// # Example
 ///
 /// ```
-/// use dagfl_nn::{CharRnn, Model, SgdConfig};
+/// use dagfl_nn::{char_rnn, Model, SgdConfig};
 /// use dagfl_tensor::Matrix;
 /// use rand::{rngs::StdRng, SeedableRng};
 ///
 /// # fn main() -> Result<(), dagfl_nn::NnError> {
 /// let mut rng = StdRng::seed_from_u64(0);
-/// let mut model = CharRnn::new(&mut rng, 16, 4, 8);
+/// let mut model = char_rnn(&mut rng, 16, 4, 8);
 /// // Two sequences of 5 tokens each.
 /// let x = Matrix::from_fn(2, 5, |r, t| ((r + t) % 16) as f32);
 /// let loss = model.train_batch(&x, &[3, 7], &SgdConfig::new(0.1))?;
@@ -332,308 +465,25 @@ impl std::fmt::Debug for GruCell {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone)]
-pub struct CharRnn {
-    vocab: usize,
-    embed_dim: usize,
-    embedding: Matrix,
-    cell: GruCell,
-    out_w: Matrix,
-    out_b: Matrix,
-    grad_embedding: Matrix,
-    grad_out_w: Matrix,
-    grad_out_b: Matrix,
-}
-
-impl CharRnn {
-    /// Creates a model for `vocab` tokens with the given embedding and
-    /// hidden dimensions.
-    pub fn new<R: Rng>(rng: &mut R, vocab: usize, embed_dim: usize, hidden: usize) -> Self {
-        Self {
-            vocab,
-            embed_dim,
-            embedding: xavier_uniform(rng, vocab, embed_dim),
-            cell: GruCell::new(rng, embed_dim, hidden),
-            out_w: xavier_uniform(rng, hidden, vocab),
-            out_b: Matrix::zeros(1, vocab),
-            grad_embedding: Matrix::zeros(vocab, embed_dim),
-            grad_out_w: Matrix::zeros(hidden, vocab),
-            grad_out_b: Matrix::zeros(1, vocab),
-        }
-    }
-
-    /// Vocabulary size (number of output classes).
-    pub fn vocab(&self) -> usize {
-        self.vocab
-    }
-
-    /// Hidden state dimension of the GRU.
-    pub fn hidden_size(&self) -> usize {
-        self.cell.hidden_size()
-    }
-
-    fn tokens_of_row(&self, x: &Matrix, row: usize) -> Result<Vec<usize>, NnError> {
-        x.row(row)
-            .iter()
-            .map(|&t| {
-                let id = t as usize;
-                if id >= self.vocab || t < 0.0 {
-                    Err(NnError::LabelOutOfRange {
-                        label: id,
-                        classes: self.vocab,
-                    })
-                } else {
-                    Ok(id)
-                }
-            })
-            .collect()
-    }
-
-    /// Embeds timestep `t` of every sequence in the batch.
-    fn embed_step(&self, tokens: &[Vec<usize>], t: usize) -> Matrix {
-        let mut out = Matrix::zeros(tokens.len(), self.embed_dim);
-        for (b, seq) in tokens.iter().enumerate() {
-            out.row_mut(b).copy_from_slice(self.embedding.row(seq[t]));
-        }
-        out
-    }
-
-    fn validate_batch(&self, x: &Matrix, y: &[usize]) -> Result<Vec<Vec<usize>>, NnError> {
-        if x.rows() != y.len() {
-            return Err(NnError::BatchMismatch {
-                inputs: x.rows(),
-                labels: y.len(),
-            });
-        }
-        if let Some(&bad) = y.iter().find(|&&label| label >= self.vocab) {
-            return Err(NnError::LabelOutOfRange {
-                label: bad,
-                classes: self.vocab,
-            });
-        }
-        (0..x.rows()).map(|r| self.tokens_of_row(x, r)).collect()
-    }
-
-    /// Runs the network to the final hidden state without caching.
-    fn final_hidden(&self, tokens: &[Vec<usize>]) -> Result<Matrix, NnError> {
-        let seq_len = tokens.first().map_or(0, Vec::len);
-        let mut h = Matrix::zeros(tokens.len(), self.cell.hidden_size());
-        for t in 0..seq_len {
-            let x_t = self.embed_step(tokens, t);
-            h = self.cell.forward_step_inference(&x_t, &h)?;
-        }
-        Ok(h)
-    }
-
-    fn logits_from_hidden(&self, h: &Matrix) -> Result<Matrix, NnError> {
-        let mut logits = self.cell.backend.matmul(h, &self.out_w)?;
-        logits.add_row_broadcast(self.out_b.as_slice())?;
-        Ok(logits)
-    }
-
-    /// Forward + backward over the whole sequence; leaves gradients in the
-    /// layer fields and returns the batch loss.
-    ///
-    /// `frozen_prefix` is the number of leading flat parameters the caller
-    /// will not update. As in [`Sequential`](crate::Sequential), a
-    /// backward product runs only if its result has a consumer: the
-    /// gradients of a fully frozen leading block (embedding, then the GRU
-    /// cell, then the output layer) are not computed, nor is anything that
-    /// only feeds them, and `dh_prev` is never formed at `t = 0`.
-    fn forward_backward(
-        &mut self,
-        x: &Matrix,
-        y: &[usize],
-        frozen_prefix: usize,
-    ) -> Result<f32, NnError> {
-        let tokens = self.validate_batch(x, y)?;
-        let batch = tokens.len();
-        let seq_len = tokens.first().map_or(0, Vec::len);
-        // Zero accumulated gradients.
-        self.cell.zero_grads();
-        self.grad_embedding.map_in_place(|_| 0.0);
-        // Forward with caches.
-        let mut h = Matrix::zeros(batch, self.cell.hidden_size());
-        let mut caches = Vec::with_capacity(seq_len);
-        for t in 0..seq_len {
-            let x_t = self.embed_step(&tokens, t);
-            let (h_new, cache) = self.cell.forward_step(&x_t, &h)?;
-            caches.push(cache);
-            h = h_new;
-        }
-        let logits = self.logits_from_hidden(&h)?;
-        let (mut grad_logits, loss) = softmax_cross_entropy(&logits, y);
-        let scale = 1.0 / batch.max(1) as f32;
-        for (r, &label) in y.iter().enumerate() {
-            grad_logits[(r, label)] -= 1.0;
-        }
-        grad_logits.scale_assign(scale);
-        // Flat order: embedding, cell, output layer. Backward stops above
-        // the last fully frozen block.
-        let embedding_end = self.embedding.len();
-        let cell_end = embedding_end + self.cell.num_parameters();
-        if frozen_prefix >= self.num_parameters() {
-            return Ok(loss);
-        }
-        // Output layer gradients.
-        let backend = self.cell.backend;
-        backend.transpose_matmul_into(&h, &grad_logits, &mut self.grad_out_w)?;
-        grad_logits.column_sums_into(&mut self.grad_out_b);
-        if frozen_prefix >= cell_end {
-            return Ok(loss);
-        }
-        // BPTT; `dx` only feeds the embedding gradient.
-        let need_dx = frozen_prefix < embedding_end;
-        let mut dh = backend.matmul_transpose(&grad_logits, &self.out_w)?;
-        for (t, cache) in caches.iter().enumerate().rev() {
-            let (dh_prev, dx) = self.cell.backward_step(&dh, cache, t > 0, need_dx)?;
-            if let Some(dx) = dx {
-                for (b, seq) in tokens.iter().enumerate() {
-                    let token = seq[t];
-                    let grow = self.grad_embedding.row_mut(token);
-                    for (g, &d) in grow.iter_mut().zip(dx.row(b)) {
-                        *g += d;
-                    }
-                }
-            }
-            if let Some(dh_prev) = dh_prev {
-                dh = dh_prev;
-            }
-        }
-        Ok(loss)
-    }
-
-    fn visit_all(&self, visitor: &mut dyn FnMut(&Matrix)) {
-        visitor(&self.embedding);
-        self.cell.visit_parameters(visitor);
-        visitor(&self.out_w);
-        visitor(&self.out_b);
-    }
-
-    fn apply_all(&mut self, update: &mut dyn FnMut(&mut Matrix, &Matrix)) {
-        update(&mut self.embedding, &self.grad_embedding);
-        self.cell.apply_update(update);
-        update(&mut self.out_w, &self.grad_out_w);
-        update(&mut self.out_b, &self.grad_out_b);
-    }
-}
-
-impl Model for CharRnn {
-    fn num_parameters(&self) -> usize {
-        self.vocab * self.embed_dim
-            + self.cell.num_parameters()
-            + self.cell.hidden_size() * self.vocab
-            + self.vocab
-    }
-
-    fn parameters(&self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.num_parameters());
-        self.visit_all(&mut |m| out.extend_from_slice(m.as_slice()));
-        out
-    }
-
-    fn set_parameters(&mut self, params: &[f32]) -> Result<(), NnError> {
-        let expected = self.num_parameters();
-        if params.len() != expected {
-            return Err(NnError::ParameterCount {
-                expected,
-                actual: params.len(),
-            });
-        }
-        let mut offset = 0;
-        let mut load = |m: &mut Matrix| {
-            let len = m.len();
-            m.as_mut_slice()
-                .copy_from_slice(&params[offset..offset + len]);
-            offset += len;
-        };
-        load(&mut self.embedding);
-        self.cell.load_parameters(&mut load);
-        load(&mut self.out_w);
-        load(&mut self.out_b);
-        debug_assert_eq!(offset, expected);
-        Ok(())
-    }
-
-    fn set_matmul_backend(&mut self, backend: MatmulBackendKind) {
-        self.cell.set_matmul_backend(backend);
-    }
-
-    fn train_batch(&mut self, x: &Matrix, y: &[usize], opt: &SgdConfig) -> Result<f32, NnError> {
-        let loss = self.forward_backward(x, y, opt.frozen_prefix())?;
-        let mut offset = 0;
-        self.apply_all(&mut |param, grad| {
-            opt.step(param.as_mut_slice(), grad.as_slice(), offset);
-            offset += grad.len();
-        });
-        Ok(loss)
-    }
-
-    fn loss_and_gradient(&mut self, x: &Matrix, y: &[usize]) -> Result<(f32, Vec<f32>), NnError> {
-        let loss = self.forward_backward(x, y, 0)?;
-        let mut grads = Vec::with_capacity(self.num_parameters());
-        self.apply_all(&mut |_, grad| grads.extend_from_slice(grad.as_slice()));
-        Ok((loss, grads))
-    }
-
-    fn evaluate(&self, x: &Matrix, y: &[usize]) -> Result<Evaluation, NnError> {
-        let tokens = self.validate_batch(x, y)?;
-        if y.is_empty() {
-            return Ok(Evaluation::default());
-        }
-        let h = self.final_hidden(&tokens)?;
-        let logits = self.logits_from_hidden(&h)?;
-        let (probs, loss) = softmax_cross_entropy(&logits, y);
-        let mut correct = 0;
-        for (r, &label) in y.iter().enumerate() {
-            if argmax(probs.row(r)) == label {
-                correct += 1;
-            }
-        }
-        Ok(Evaluation {
-            loss,
-            accuracy: correct as f32 / y.len() as f32,
-            correct,
-            total: y.len(),
-        })
-    }
-
-    fn predict(&self, x: &Matrix) -> Result<Vec<usize>, NnError> {
-        let tokens: Result<Vec<_>, _> = (0..x.rows()).map(|r| self.tokens_of_row(x, r)).collect();
-        let tokens = tokens?;
-        if tokens.is_empty() {
-            return Ok(Vec::new());
-        }
-        let h = self.final_hidden(&tokens)?;
-        let logits = self.logits_from_hidden(&h)?;
-        Ok((0..logits.rows()).map(|r| argmax(logits.row(r))).collect())
-    }
-
-    fn boxed_clone(&self) -> Box<dyn Model> {
-        Box::new(self.clone())
-    }
-}
-
-impl std::fmt::Debug for CharRnn {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CharRnn")
-            .field("vocab", &self.vocab)
-            .field("embed_dim", &self.embed_dim)
-            .field("hidden", &self.cell.hidden_size())
-            .field("num_parameters", &self.num_parameters())
-            .finish()
-    }
+pub fn char_rnn<R: Rng>(rng: &mut R, vocab: usize, embed_dim: usize, hidden: usize) -> Sequential {
+    Sequential::new(vec![
+        Box::new(Embedding::new(rng, vocab, embed_dim)),
+        Box::new(Gru::new(rng, embed_dim, hidden)),
+        Box::new(Dense::xavier(rng, hidden, vocab)),
+    ])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference::{assert_same_bits, assert_training_matches_reference, reference_update};
+    use crate::reference::{assert_same_bits, assert_training_matches_reference, OwnedPasses};
+    use crate::sequential::tests::reference_step;
+    use crate::{Evaluation, Model, SgdConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn toy_model(seed: u64) -> CharRnn {
-        CharRnn::new(&mut StdRng::seed_from_u64(seed), 6, 3, 5)
+    fn toy_model(seed: u64) -> Sequential {
+        char_rnn(&mut StdRng::seed_from_u64(seed), 6, 3, 5)
     }
 
     /// A tiny deterministic language: token t is always followed by
@@ -650,6 +500,10 @@ mod tests {
         (Matrix::from_rows(&refs).unwrap(), labels)
     }
 
+    /// The flat lengths of the three blocks of `toy_model`: embedding,
+    /// GRU, output layer.
+    const BLOCKS: [usize; 3] = [6 * 3, 3 * 3 * 5 + 3 * 5 * 5 + 3 * 5, 5 * 6 + 6];
+
     #[test]
     fn parameter_roundtrip() {
         let model = toy_model(0);
@@ -658,6 +512,18 @@ mod tests {
         let mut other = toy_model(1);
         other.set_parameters(&params).unwrap();
         assert_eq!(other.parameters(), params);
+        // The flat order is `embedding, wz wr wh uz ur uh bz br bh, out_w,
+        // out_b`, drawn from the RNG in that order.
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut expected = xavier_uniform(&mut rng, 6, 3).into_vec();
+        for (rows, cols) in [(3, 5), (3, 5), (3, 5), (5, 5), (5, 5), (5, 5)] {
+            expected.extend(xavier_uniform(&mut rng, rows, cols).into_vec());
+        }
+        expected.extend([0.0; 3 * 5]);
+        expected.extend(xavier_uniform(&mut rng, 5, 6).into_vec());
+        expected.extend([0.0; 6]);
+        assert_same_bits(&params, &expected, "flat parameter order");
+        assert_eq!(params.len(), BLOCKS.iter().sum::<usize>());
     }
 
     #[test]
@@ -739,46 +605,34 @@ mod tests {
         assert_eq!(correct, eval.correct);
     }
 
-    /// The pre-cut training step: the full gradient (as
-    /// `loss_and_gradient` computes it) followed by the old per-element
-    /// update.
-    fn reference_step(model: &mut CharRnn, x: &Matrix, y: &[usize], opt: &SgdConfig) -> f32 {
-        let loss = model.forward_backward(x, y, 0).unwrap();
-        let mut offset = 0;
-        model.apply_all(&mut |param, grad| {
-            reference_update(opt, param.as_mut_slice(), grad.as_slice(), offset);
-            offset += grad.len();
-        });
-        loss
-    }
-
     #[test]
     fn train_batch_is_bit_identical_to_the_reference_step() {
         let model = toy_model(7);
         let (x, y) = cyclic_batch(6, 4);
-        let embedding = model.embedding.len();
-        assert_training_matches_reference("char-rnn", &model, embedding, &x, &y, reference_step);
+        assert_training_matches_reference("char-rnn", &model, BLOCKS[0], &x, &y, reference_step);
     }
 
     #[test]
     fn frozen_blocks_stop_the_backward_pass_above_them() {
         let (x, y) = cyclic_batch(6, 4);
-        let mut model = toy_model(8);
-        let (embedding, cell) = (model.embedding.len(), model.cell.num_parameters());
-        let mut full = Vec::new();
-        model.forward_backward(&x, &y, 0).unwrap();
-        model.apply_all(&mut |_, grad| full.extend_from_slice(grad.as_slice()));
+        let model = toy_model(8);
+        let [embedding, gru, _] = BLOCKS;
+        let gradient_of = |frozen| {
+            let mut model = model.clone();
+            model.forward_backward(&x, &y, frozen).unwrap();
+            model.collect_gradients()
+        };
+        let full = gradient_of(0);
         // Whatever sits above the frozen prefix keeps its exact gradient;
         // a fully frozen block below it stays zeroed, because nothing
-        // computed it.
+        // computed it: `Gru::backward_into` got no grad-input buffer
+        // (embedding frozen) or was not called (GRU frozen too).
         for (frozen, computed_from) in [
             (embedding - 1, 0),
             (embedding, embedding),
-            (embedding + cell, embedding + cell),
+            (embedding + gru, embedding + gru),
         ] {
-            let mut cut = Vec::new();
-            model.forward_backward(&x, &y, frozen).unwrap();
-            model.apply_all(&mut |_, grad| cut.extend_from_slice(grad.as_slice()));
+            let cut = gradient_of(frozen);
             assert_same_bits(
                 &cut[computed_from..],
                 &full[computed_from..],
@@ -790,38 +644,49 @@ mod tests {
 
     #[test]
     fn backward_step_outputs_do_not_change_parameter_gradients() {
-        let cell = GruCell::new(&mut StdRng::seed_from_u64(9), 3, 4);
-        let x = Matrix::from_fn(2, 3, |r, c| (r as f32 - c as f32) * 0.4);
-        let h_prev = Matrix::from_fn(2, 4, |r, c| ((r + c) % 3) as f32 * 0.3 - 0.2);
-        let (_, cache) = cell.forward_step(&x, &h_prev).unwrap();
+        let mut gru = Gru::new(&mut StdRng::seed_from_u64(9), 3, 4);
+        // Two sequences of three timesteps.
+        let x = Matrix::from_fn(2, 9, |r, c| (r as f32 - c as f32) * 0.2);
+        gru.forward_owned(&x).unwrap();
         let grad_h = Matrix::from_fn(2, 4, |r, c| (r * 4 + c) as f32 * 0.1 - 0.3);
-        let grads_of = |cell: &mut GruCell| {
+        let grads_of = |gru: &mut Gru| {
             let mut grads = Vec::new();
-            cell.apply_update(&mut |_, g| grads.extend_from_slice(g.as_slice()));
+            gru.apply_update(&mut |_, g| grads.extend_from_slice(g.as_slice()));
             grads
         };
-        let mut wanted = cell.clone();
-        let (dh_prev, dx) = wanted.backward_step(&grad_h, &cache, true, true).unwrap();
-        assert_eq!(dh_prev.unwrap().shape(), (2, 4));
-        assert_eq!(dx.unwrap().shape(), (2, 3));
-        let mut unwanted = cell.clone();
-        let (dh_prev, dx) = unwanted
-            .backward_step(&grad_h, &cache, false, false)
-            .unwrap();
-        assert!(dh_prev.is_none() && dx.is_none());
+        let mut wanted = gru.clone();
+        let dx = wanted.backward_owned(&grad_h).unwrap();
+        assert_eq!(dx.shape(), x.shape());
+        assert!(dx.as_slice().iter().all(|&d| d != 0.0));
+        let mut unwanted = gru.clone();
+        unwanted.backward_into(&grad_h, None).unwrap();
         assert_same_bits(
             &grads_of(&mut unwanted),
             &grads_of(&mut wanted),
             "GRU parameter gradients",
         );
+        let wrong_shape = Matrix::zeros(2, 5);
+        assert!(matches!(
+            gru.backward_into(&wrong_shape, None),
+            Err(NnError::Shape(_))
+        ));
     }
 
     #[test]
     fn gru_cell_dimensions() {
-        let cell = GruCell::new(&mut StdRng::seed_from_u64(0), 4, 7);
-        assert_eq!(cell.input_size(), 4);
-        assert_eq!(cell.hidden_size(), 7);
-        assert_eq!(cell.num_parameters(), 3 * 4 * 7 + 3 * 7 * 7 + 3 * 7);
+        let mut gru = Gru::new(&mut StdRng::seed_from_u64(0), 4, 7);
+        assert_eq!(gru.input_size(), 4);
+        assert_eq!(gru.hidden_size(), 7);
+        assert_eq!(gru.num_parameters(), 3 * 4 * 7 + 3 * 7 * 7 + 3 * 7);
+        // Three timesteps in, the last hidden state out; a width that is
+        // no whole number of timesteps is an error.
+        let h = gru.forward_owned(&Matrix::zeros(2, 12)).unwrap();
+        assert_eq!(h.shape(), (2, 7));
+        assert_eq!(gru.inference_owned(&Matrix::zeros(2, 12)).unwrap(), h);
+        assert!(matches!(
+            gru.forward_owned(&Matrix::zeros(2, 13)),
+            Err(NnError::Shape(_))
+        ));
     }
 
     #[test]

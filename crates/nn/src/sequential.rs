@@ -1,17 +1,22 @@
 //! The [`Layer`] trait and [`Sequential`] feed-forward models.
 
 use dagfl_tensor::{
-    argmax, cross_entropy_from_probs, fused_softmax_cross_entropy, softmax_cross_entropy,
-    softmax_in_place, MatmulBackendKind, Matrix,
+    argmax, cross_entropy_from_probs, fused_softmax_cross_entropy, softmax_in_place,
+    MatmulBackendKind, Matrix,
 };
 
 use crate::{EvalScratch, Evaluation, Model, NnError, SgdConfig, TrainScratch};
 
 /// A differentiable layer in a [`Sequential`] model.
 ///
-/// Layers are stateful: [`Layer::forward`] caches whatever the subsequent
-/// [`Layer::backward_into`] call needs, while [`Layer::forward_inference`] runs
-/// without mutating the layer (used for evaluation and prediction).
+/// Layers are stateful: [`Layer::forward_train_into`] caches whatever the
+/// subsequent [`Layer::backward_into`] call needs, while
+/// [`Layer::forward_inference_into`] runs without mutating the layer (used
+/// for evaluation and prediction). Every pass writes into a buffer the
+/// caller owns and reuses; what a layer must keep between passes lives in
+/// buffers the layer owns and reshapes, so a steady-state training step
+/// (see [`TrainScratch`](crate::TrainScratch)) touches the heap zero
+/// times.
 ///
 /// Parameterised layers expose their parameters and gradients through
 /// [`Layer::visit_parameters`] / [`Layer::apply_update`]; stateless layers
@@ -20,35 +25,26 @@ pub trait Layer: Send {
     /// A short human-readable layer name (for debugging output).
     fn name(&self) -> &'static str;
 
-    /// Training-mode forward pass; caches activations for the backward pass.
+    /// Training-mode forward pass; caches activations for the backward
+    /// pass.
+    ///
+    /// `out` is reshaped (reusing its allocation) and fully overwritten;
+    /// `input` and `out` must be distinct matrices.
     ///
     /// # Errors
     ///
     /// Returns an error if `input` has the wrong width for this layer.
-    fn forward(&mut self, input: &Matrix) -> Result<Matrix, NnError>;
+    fn forward_train_into(&mut self, input: &Matrix, out: &mut Matrix) -> Result<(), NnError>;
 
     /// Inference-mode forward pass; does not mutate the layer.
     ///
-    /// # Errors
-    ///
-    /// Returns an error if `input` has the wrong width for this layer.
-    fn forward_inference(&self, input: &Matrix) -> Result<Matrix, NnError>;
-
-    /// Inference-mode forward pass into a reusable output buffer.
-    ///
     /// `out` is reshaped (reusing its allocation) and fully overwritten;
-    /// `input` and `out` must be distinct matrices. The default
-    /// implementation falls back to the allocating
-    /// [`Layer::forward_inference`]; hot-path layers override it with an
-    /// allocation-free kernel.
+    /// `input` and `out` must be distinct matrices.
     ///
     /// # Errors
     ///
     /// Returns an error if `input` has the wrong width for this layer.
-    fn forward_inference_into(&self, input: &Matrix, out: &mut Matrix) -> Result<(), NnError> {
-        *out = self.forward_inference(input)?;
-        Ok(())
-    }
+    fn forward_inference_into(&self, input: &Matrix, out: &mut Matrix) -> Result<(), NnError>;
 
     /// Inference-mode forward pass reading this layer's parameters from
     /// the front of `params` (the layer's slice of a flat parameter
@@ -78,24 +74,6 @@ pub trait Layer: Send {
         }
     }
 
-    /// Training-mode forward pass into a reusable output buffer.
-    ///
-    /// `out` is reshaped (reusing its allocation) and fully overwritten;
-    /// `input` and `out` must be distinct matrices. The default
-    /// implementation falls back to the allocating [`Layer::forward`];
-    /// training-path layers override it with an allocation-free kernel
-    /// so a steady-state training step (see
-    /// [`TrainScratch`](crate::TrainScratch)) touches the heap zero
-    /// times.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `input` has the wrong width for this layer.
-    fn forward_train_into(&mut self, input: &Matrix, out: &mut Matrix) -> Result<(), NnError> {
-        *out = self.forward(input)?;
-        Ok(())
-    }
-
     /// Backward pass — the one entry point every layer implements.
     ///
     /// Consumes the gradient w.r.t. this layer's output, stores the
@@ -122,19 +100,6 @@ pub trait Layer: Send {
         grad_output: &Matrix,
         grad_input: Option<&mut Matrix>,
     ) -> Result<(), NnError>;
-
-    /// Allocating convenience for [`Layer::backward_into`]: returns the
-    /// gradient w.r.t. the layer's input.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `grad_output` does not match the shape produced
-    /// by the preceding [`Layer::forward`] call.
-    fn backward(&mut self, grad_output: &Matrix) -> Result<Matrix, NnError> {
-        let mut grad_input = Matrix::default();
-        self.backward_into(grad_output, Some(&mut grad_input))?;
-        Ok(grad_input)
-    }
 
     /// Selects the [`MatmulBackend`](dagfl_tensor::MatmulBackend) this
     /// layer's matrix products run on. A no-op for layers without
@@ -221,18 +186,29 @@ impl Sequential {
         &self.layers
     }
 
+    /// The inference forward pass, ping-ponging the activations between
+    /// the two scratch buffers; returns the one holding the logits.
+    fn infer<'s>(
+        &self,
+        x: &Matrix,
+        scratch: &'s mut EvalScratch,
+    ) -> Result<&'s mut Matrix, NnError> {
+        let (mut cur, mut next) = scratch.buffers();
+        self.layers[0].forward_inference_into(x, cur)?;
+        for layer in &self.layers[1..] {
+            layer.forward_inference_into(cur, next)?;
+            std::mem::swap(&mut cur, &mut next);
+        }
+        Ok(cur)
+    }
+
     /// Runs the inference forward pass and returns the raw logits.
     ///
     /// # Errors
     ///
     /// Returns an error if `x` has the wrong width for the first layer.
     pub fn logits(&self, x: &Matrix) -> Result<Matrix, NnError> {
-        let mut activ = None;
-        for layer in &self.layers {
-            let input = activ.as_ref().unwrap_or(x);
-            activ = Some(layer.forward_inference(input)?);
-        }
-        Ok(activ.expect("at least one layer"))
+        Ok(std::mem::take(self.infer(x, &mut EvalScratch::new())?))
     }
 
     /// Runs the inference forward pass and returns class probabilities.
@@ -277,20 +253,15 @@ impl Sequential {
     /// steady-state step allocates nothing: the loss gradient is formed in
     /// place on the logits buffer (softmax, then subtract the one-hot and
     /// scale by `1/batch`) instead of going through the allocating
-    /// [`softmax_cross_entropy`] — same operations, same order, bitwise
-    /// identical loss and gradients.
-    fn forward_backward(
+    /// [`softmax_cross_entropy`](dagfl_tensor::softmax_cross_entropy) —
+    /// same operations, same order, bitwise identical loss and gradients.
+    pub(crate) fn forward_backward(
         &mut self,
         x: &Matrix,
         y: &[usize],
         frozen_prefix: usize,
     ) -> Result<f32, NnError> {
-        if x.rows() != y.len() {
-            return Err(NnError::BatchMismatch {
-                inputs: x.rows(),
-                labels: y.len(),
-            });
-        }
+        check_batch(x, y)?;
         let cut = self.backward_cut(frozen_prefix);
         let Self { layers, scratch } = self;
         let (mut cur, mut next, mut gcur, mut gnext) = scratch.parts();
@@ -299,13 +270,7 @@ impl Sequential {
             layer.forward_train_into(cur, next)?;
             std::mem::swap(&mut cur, &mut next);
         }
-        let classes = cur.cols();
-        if let Some(&bad) = y.iter().find(|&&label| label >= classes) {
-            return Err(NnError::LabelOutOfRange {
-                label: bad,
-                classes,
-            });
-        }
+        check_labels(y, cur.cols())?;
         // d(mean CE)/d(logits) = (p - onehot) / batch
         gcur.copy_from(cur);
         softmax_in_place(gcur);
@@ -338,7 +303,7 @@ impl Sequential {
         }
     }
 
-    fn collect_gradients(&mut self) -> Vec<f32> {
+    pub(crate) fn collect_gradients(&mut self) -> Vec<f32> {
         let mut grads = Vec::with_capacity(self.num_parameters());
         for layer in &mut self.layers {
             layer.apply_update(&mut |_, grad| grads.extend_from_slice(grad.as_slice()));
@@ -347,17 +312,30 @@ impl Sequential {
     }
 }
 
+/// One label per input row.
+fn check_batch(x: &Matrix, y: &[usize]) -> Result<(), NnError> {
+    if x.rows() != y.len() {
+        return Err(NnError::BatchMismatch {
+            inputs: x.rows(),
+            labels: y.len(),
+        });
+    }
+    Ok(())
+}
+
+/// Every label names one of the `classes` logit columns.
+fn check_labels(y: &[usize], classes: usize) -> Result<(), NnError> {
+    match y.iter().find(|&&label| label >= classes) {
+        Some(&label) => Err(NnError::LabelOutOfRange { label, classes }),
+        None => Ok(()),
+    }
+}
+
 /// Label check + fused softmax/cross-entropy/accuracy over final logits
 /// (shared by the scratch and flat-params evaluation paths). `logits` is
 /// consumed in place.
 fn evaluation_from_logits(logits: &mut Matrix, y: &[usize]) -> Result<Evaluation, NnError> {
-    let classes = logits.cols();
-    if let Some(&bad) = y.iter().find(|&&label| label >= classes) {
-        return Err(NnError::LabelOutOfRange {
-            label: bad,
-            classes,
-        });
-    }
+    check_labels(y, logits.cols())?;
     let (loss, correct) = fused_softmax_cross_entropy(logits, y);
     Ok(Evaluation {
         loss,
@@ -438,56 +416,17 @@ impl Model for Sequential {
         Ok((loss, self.collect_gradients()))
     }
 
-    fn evaluate(&self, x: &Matrix, y: &[usize]) -> Result<Evaluation, NnError> {
-        if x.rows() != y.len() {
-            return Err(NnError::BatchMismatch {
-                inputs: x.rows(),
-                labels: y.len(),
-            });
-        }
-        if y.is_empty() {
-            return Ok(Evaluation::default());
-        }
-        let logits = self.logits(x)?;
-        let (probs, loss) = softmax_cross_entropy(&logits, y);
-        let mut correct = 0;
-        for (r, &label) in y.iter().enumerate() {
-            if argmax(probs.row(r)) == label {
-                correct += 1;
-            }
-        }
-        Ok(Evaluation {
-            loss,
-            accuracy: correct as f32 / y.len() as f32,
-            correct,
-            total: y.len(),
-        })
-    }
-
     fn evaluate_with_scratch(
         &self,
         x: &Matrix,
         y: &[usize],
         scratch: &mut EvalScratch,
     ) -> Result<Evaluation, NnError> {
-        if x.rows() != y.len() {
-            return Err(NnError::BatchMismatch {
-                inputs: x.rows(),
-                labels: y.len(),
-            });
-        }
+        check_batch(x, y)?;
         if y.is_empty() {
             return Ok(Evaluation::default());
         }
-        // Ping-pong the activations between the two scratch buffers —
-        // no per-layer allocation, unlike `logits()`.
-        let (mut cur, mut next) = scratch.buffers();
-        self.layers[0].forward_inference_into(x, cur)?;
-        for layer in &self.layers[1..] {
-            layer.forward_inference_into(cur, next)?;
-            std::mem::swap(&mut cur, &mut next);
-        }
-        evaluation_from_logits(cur, y)
+        evaluation_from_logits(self.infer(x, scratch)?, y)
     }
 
     fn evaluate_flat_params(
@@ -497,11 +436,8 @@ impl Model for Sequential {
         y: &[usize],
         scratch: &mut EvalScratch,
     ) -> Option<Result<Evaluation, NnError>> {
-        if x.rows() != y.len() {
-            return Some(Err(NnError::BatchMismatch {
-                inputs: x.rows(),
-                labels: y.len(),
-            }));
+        if let Err(mismatch) = check_batch(x, y) {
+            return Some(Err(mismatch));
         }
         let expected = self.num_parameters();
         if params.len() != expected {
@@ -515,14 +451,12 @@ impl Model for Sequential {
         }
         let mut remaining = params;
         let (mut cur, mut next) = scratch.buffers();
-        match self.layers[0].forward_inference_params(&mut remaining, x, cur)? {
-            Ok(()) => {}
-            Err(e) => return Some(Err(e)),
+        if let Err(e) = self.layers[0].forward_inference_params(&mut remaining, x, cur)? {
+            return Some(Err(e));
         }
         for layer in &self.layers[1..] {
-            match layer.forward_inference_params(&mut remaining, cur, next)? {
-                Ok(()) => {}
-                Err(e) => return Some(Err(e)),
+            if let Err(e) = layer.forward_inference_params(&mut remaining, cur, next)? {
+                return Some(Err(e));
             }
             std::mem::swap(&mut cur, &mut next);
         }
@@ -541,10 +475,14 @@ impl Model for Sequential {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::reference::{assert_same_bits, assert_training_matches_reference, reference_update};
-    use crate::{CharRnn, Conv2d, Dense, Dropout, ImageShape, MaxPool2d, Relu};
+    use crate::reference::{
+        allocations_in, assert_same_bits, assert_training_matches_reference, reference_update,
+        OwnedPasses,
+    };
+    use crate::{char_rnn, Conv2d, Dense, Dropout, ImageShape, MaxPool2d, Relu};
+    use dagfl_tensor::softmax_cross_entropy;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -729,45 +667,6 @@ mod tests {
     }
 
     #[test]
-    fn forward_inference_into_default_matches_allocating_path() {
-        // A single-layer model exercises the non-overridden default for
-        // layers without a buffer-reusing kernel.
-        struct Offset;
-        impl Layer for Offset {
-            fn name(&self) -> &'static str {
-                "Offset"
-            }
-            fn forward(&mut self, input: &Matrix) -> Result<Matrix, NnError> {
-                Ok(input.map(|v| v + 1.0))
-            }
-            fn forward_inference(&self, input: &Matrix) -> Result<Matrix, NnError> {
-                Ok(input.map(|v| v + 1.0))
-            }
-            fn backward_into(
-                &mut self,
-                grad_output: &Matrix,
-                grad_input: Option<&mut Matrix>,
-            ) -> Result<(), NnError> {
-                if let Some(grad_input) = grad_input {
-                    grad_input.copy_from(grad_output);
-                }
-                Ok(())
-            }
-            fn boxed_clone(&self) -> Box<dyn Layer> {
-                Box::new(Offset)
-            }
-        }
-        let model = Sequential::new(vec![Box::new(Offset)]);
-        let x = Matrix::from_rows(&[&[1.0, -3.0], &[0.0, 2.0]]).unwrap();
-        let mut scratch = EvalScratch::new();
-        let fast = model
-            .evaluate_with_scratch(&x, &[0, 1], &mut scratch)
-            .unwrap();
-        let slow = model.evaluate(&x, &[0, 1]).unwrap();
-        assert_eq!(fast, slow);
-    }
-
-    #[test]
     fn proximal_term_pulls_towards_reference() {
         use std::sync::Arc;
         let (x, y) = toy_batch();
@@ -857,36 +756,52 @@ mod tests {
 
     #[test]
     fn steady_state_training_reuses_every_buffer() {
-        let mut model = tiny_model(13);
         let (x, y) = toy_batch();
-        let opt = SgdConfig::new(0.1);
-        // One warm-up step grows the scratch and per-layer gradient
-        // buffers to their steady-state sizes...
-        model.train_batch(&x, &y, &opt).unwrap();
-        let scratch_before = model.scratch.buffer_ptrs();
-        let mut grads_before = Vec::new();
-        for layer in &mut model.layers {
-            layer.apply_update(&mut |_, grad| grads_before.push(grad.as_slice().as_ptr()));
+        let (image_x, image_y) = image_batch();
+        let (token_x, token_y) = token_batch();
+        for (family, mut model, x, y) in [
+            ("mlp", tiny_model(13), &x, &y),
+            ("cnn", tiny_cnn(13), &image_x, &image_y),
+            ("char-rnn", tiny_char_rnn(13), &token_x, &token_y),
+        ] {
+            let opt = SgdConfig::new(0.1);
+            // One warm-up step grows the scratch, the per-layer gradient
+            // buffers and every cache a layer owns to their steady-state
+            // sizes...
+            model.train_batch(x, y, &opt).unwrap();
+            let scratch_before = model.scratch.buffer_ptrs();
+            let mut grads_before = Vec::new();
+            for layer in &mut model.layers {
+                layer.apply_update(&mut |_, grad| grads_before.push(grad.as_slice().as_ptr()));
+            }
+            // ...after which further steps must not touch the heap at all.
+            let allocations = allocations_in(|| {
+                for _ in 0..5 {
+                    model.train_batch(x, y, &opt).unwrap();
+                }
+            });
+            assert_eq!(allocations, 0, "{family}: a steady-state step allocated");
+            assert_eq!(model.scratch.buffer_ptrs(), scratch_before, "{family}");
+            let mut grads_after = Vec::new();
+            for layer in &mut model.layers {
+                layer.apply_update(&mut |_, grad| grads_after.push(grad.as_slice().as_ptr()));
+            }
+            assert_eq!(grads_after, grads_before, "{family}");
         }
-        // ...after which further steps must not reallocate any of them.
-        for _ in 0..5 {
-            model.train_batch(&x, &y, &opt).unwrap();
-        }
-        assert_eq!(model.scratch.buffer_ptrs(), scratch_before);
-        let mut grads_after = Vec::new();
-        for layer in &mut model.layers {
-            layer.apply_update(&mut |_, grad| grads_after.push(grad.as_slice().as_ptr()));
-        }
-        assert_eq!(grads_after, grads_before);
     }
 
-    /// The pre-cut training step: every layer's allocating `backward`, top
-    /// to bottom, whether or not anything consumes the result, followed
-    /// by the old per-element update.
-    fn reference_step(model: &mut Sequential, x: &Matrix, y: &[usize], opt: &SgdConfig) -> f32 {
+    /// The pre-cut training step: every layer's backward pass with a
+    /// fresh grad-input matrix, top to bottom, whether or not anything
+    /// consumes the result, followed by the old per-element update.
+    pub(crate) fn reference_step(
+        model: &mut Sequential,
+        x: &Matrix,
+        y: &[usize],
+        opt: &SgdConfig,
+    ) -> f32 {
         let mut activ = x.clone();
         for layer in &mut model.layers {
-            activ = layer.forward(&activ).unwrap();
+            activ = layer.forward_owned(&activ).unwrap();
         }
         let (mut grad, loss) = softmax_cross_entropy(&activ, y);
         for (r, &label) in y.iter().enumerate() {
@@ -894,7 +809,7 @@ mod tests {
         }
         grad.scale_assign(1.0 / y.len().max(1) as f32);
         for layer in model.layers.iter_mut().rev() {
-            grad = layer.backward(&grad).unwrap();
+            grad = layer.backward_owned(&grad).unwrap();
         }
         let mut offset = 0;
         for layer in &mut model.layers {
@@ -925,6 +840,16 @@ mod tests {
     fn image_batch() -> (Matrix, Vec<usize>) {
         let x = Matrix::from_fn(4, 16, |r, c| ((r * 16 + c) % 7) as f32 * 0.31 - 1.0);
         (x, vec![0, 1, 0, 1])
+    }
+
+    /// The GRU char-rnn of `ModelSpec::CharRnn`, five tokens wide.
+    fn tiny_char_rnn(seed: u64) -> Sequential {
+        char_rnn(&mut StdRng::seed_from_u64(seed), 5, 3, 4)
+    }
+
+    fn token_batch() -> (Matrix, Vec<usize>) {
+        let x = Matrix::from_fn(3, 4, |r, t| ((r + 2 * t) % 5) as f32);
+        (x, vec![0, 2, 4])
     }
 
     #[test]
@@ -1032,11 +957,8 @@ mod tests {
             ])) as Box<dyn Model>
         };
         assert_backends_train_identically("conv", conv, &x, &[0, 1, 0, 1]);
-        let x = Matrix::from_fn(3, 4, |r, t| ((r + 2 * t) % 5) as f32);
-        let char_rnn = || {
-            let mut rng = StdRng::seed_from_u64(17);
-            Box::new(CharRnn::new(&mut rng, 5, 3, 4)) as Box<dyn Model>
-        };
-        assert_backends_train_identically("char-rnn", char_rnn, &x, &[0, 2, 4]);
+        let (x, y) = token_batch();
+        let char_rnn = || Box::new(tiny_char_rnn(17)) as Box<dyn Model>;
+        assert_backends_train_identically("char-rnn", char_rnn, &x, &y);
     }
 }

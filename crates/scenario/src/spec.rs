@@ -16,7 +16,7 @@ use dagfl_datasets::{
     fmnist_clustered_streamed, poets, Cifar100Config, FedProxConfig, FederatedDataset,
     FmnistConfig, PoetsConfig, POETS_VOCAB,
 };
-use dagfl_nn::{CharRnn, Dense, Model, Relu, Sequential};
+use dagfl_nn::{char_rnn, Dense, Model, Relu, Sequential};
 
 use crate::text::{format_f32, format_f64, Document, Table, TextError, Value};
 
@@ -403,7 +403,7 @@ impl ModelSpec {
             ModelSpec::CharRnn { embed, hidden } => {
                 let (embed, hidden) = (*embed, *hidden);
                 Arc::new(move |rng: &mut StdRng| {
-                    Box::new(CharRnn::new(rng, classes, embed, hidden)) as Box<dyn Model>
+                    Box::new(char_rnn(rng, classes, embed, hidden)) as Box<dyn Model>
                 })
             }
         }

@@ -5,11 +5,10 @@
 //! behind the [`MatmulBackend`] trait so the layer code above never
 //! names a kernel. Two implementations ship in-tree:
 //!
-//! - [`NaiveBackend`] — the straightforward loops
-//!   ([`Matrix::matmul_naive_into`] and friends) writing into reusable
-//!   buffers. Kept as the bit-exactness oracle: every other backend
-//!   must reproduce its results bit-for-bit (pinned by the property
-//!   tests).
+//! - [`NaiveBackend`] — the straightforward loops, writing into
+//!   reusable buffers. Kept as the bit-exactness oracle: every other
+//!   backend must reproduce its results bit-for-bit (pinned by the
+//!   property tests).
 //! - [`TiledBackend`] — the register-tiled cascades of the evaluation
 //!   hot path, extended with a transpose-then-axpy `A * B^T` kernel
 //!   (the dot form is an unvectorisable serial chain) and an
@@ -32,8 +31,8 @@ use crate::matrix::Matrix;
 ///
 /// All methods write into reusable output buffers (reshaped, never
 /// reallocated in steady state); the provided allocating conveniences
-/// exist for call sites — recurrent cells mid-refactor, tests — where
-/// buffer threading is not worth it.
+/// exist for tests and the benchmark's correctness checks, where buffer
+/// threading is not worth it.
 ///
 /// Implementations must be bit-identical to [`NaiveBackend`]: per
 /// output cell, terms accumulate in ascending contraction order into a
@@ -122,26 +121,79 @@ impl MatmulBackend for NaiveBackend {
         "naive"
     }
 
+    /// The i-k-j loop, skipping zero left-hand entries.
     fn matmul_into(&self, a: &Matrix, b: &Matrix, out: &mut Matrix) -> Result<(), ShapeError> {
-        a.matmul_naive_into(b, out)
+        if a.cols() != b.rows() {
+            return Err(ShapeError::new("matmul_naive_into", a.shape(), b.shape()));
+        }
+        out.reset(a.rows(), b.cols());
+        for i in 0..a.rows() {
+            let out_row = out.row_mut(i);
+            for (k, &av) in a.row(i).iter().enumerate() {
+                if av == 0.0 {
+                    continue;
+                }
+                for (o, &bv) in out_row.iter_mut().zip(b.row(k)) {
+                    *o += av * bv;
+                }
+            }
+        }
+        Ok(())
     }
 
+    /// One dot product per output cell, no zero skip.
     fn matmul_transpose_into(
         &self,
         a: &Matrix,
         b: &Matrix,
         out: &mut Matrix,
     ) -> Result<(), ShapeError> {
-        a.matmul_transpose_naive_into(b, out)
+        if a.cols() != b.cols() {
+            return Err(ShapeError::new(
+                "matmul_transpose_naive_into",
+                a.shape(),
+                b.shape(),
+            ));
+        }
+        out.reset(a.rows(), b.rows());
+        for i in 0..a.rows() {
+            for j in 0..b.rows() {
+                let mut acc = 0.0;
+                for (&av, &bv) in a.row(i).iter().zip(b.row(j)) {
+                    acc += av * bv;
+                }
+                out[(i, j)] = acc;
+            }
+        }
+        Ok(())
     }
 
+    /// The k-outer loop, skipping zero left-hand entries.
     fn transpose_matmul_into(
         &self,
         a: &Matrix,
         b: &Matrix,
         out: &mut Matrix,
     ) -> Result<(), ShapeError> {
-        a.transpose_matmul_naive_into(b, out)
+        if a.rows() != b.rows() {
+            return Err(ShapeError::new(
+                "transpose_matmul_naive_into",
+                a.shape(),
+                b.shape(),
+            ));
+        }
+        out.reset(a.cols(), b.cols());
+        for k in 0..a.rows() {
+            for (i, &av) in a.row(k).iter().enumerate() {
+                if av == 0.0 {
+                    continue;
+                }
+                for (o, &bv) in out.row_mut(i).iter_mut().zip(b.row(k)) {
+                    *o += av * bv;
+                }
+            }
+        }
+        Ok(())
     }
 }
 

@@ -173,7 +173,7 @@ impl Matrix {
     }
 
     /// Iterator over the rows as slices.
-    pub fn rows_iter(&self) -> impl Iterator<Item = &[f32]> {
+    fn rows_iter(&self) -> impl Iterator<Item = &[f32]> {
         self.data.chunks_exact(self.cols.max(1))
     }
 
@@ -207,9 +207,10 @@ impl Matrix {
     /// accumulators stay in SIMD registers across the whole `k` loop
     /// instead of re-reading and re-writing the output row per `k`. Per
     /// output cell the terms are accumulated in exactly the same
-    /// ascending-`k` order as [`Matrix::matmul_naive_into`], including its
-    /// zero-LHS skip, so results match the naive kernel — which serves
-    /// as the reference oracle in the property tests — bit-for-bit.
+    /// ascending-`k` order as [`NaiveBackend`](crate::NaiveBackend),
+    /// including its zero-LHS skip, so results match the naive kernel —
+    /// which serves as the reference oracle in the property tests —
+    /// bit-for-bit.
     ///
     /// # Errors
     ///
@@ -286,7 +287,7 @@ impl Matrix {
     /// output cell the terms are still added through a single
     /// accumulator in ascending index order — only the loop nesting
     /// changes, not the operand values or their order — so every output
-    /// bit matches [`Matrix::matmul_transpose_naive_into`], the naive
+    /// bit matches [`NaiveBackend`](crate::NaiveBackend), the naive
     /// reference oracle (which, like this kernel, applies no zero-entry
     /// skip).
     ///
@@ -356,8 +357,8 @@ impl Matrix {
     /// wide row accumulate vectorises exactly as in the naive form.
     /// Per cell the terms are accumulated in the same ascending-`k`
     /// order with the same per-entry zero-LHS skip as
-    /// [`Matrix::transpose_matmul_naive_into`], which stays in-tree as
-    /// the bit-exactness oracle of the property tests.
+    /// [`NaiveBackend`](crate::NaiveBackend), which stays in-tree as the
+    /// bit-exactness oracle of the property tests.
     ///
     /// # Errors
     ///
@@ -398,119 +399,6 @@ impl Matrix {
         Ok(())
     }
 
-    /// The naive i-k-j matmul `self * other` writing into a reusable
-    /// output buffer. This is the [`NaiveBackend`] kernel: the
-    /// reference semantics (including the zero-LHS skip) without the
-    /// register tiling, so backend comparisons isolate the tiling from
-    /// the allocation strategy.
-    ///
-    /// [`NaiveBackend`]: crate::NaiveBackend
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] if `self.cols() != other.rows()`.
-    pub fn matmul_naive_into(&self, other: &Matrix, out: &mut Matrix) -> Result<(), ShapeError> {
-        if self.cols != other.rows {
-            return Err(ShapeError::new(
-                "matmul_naive_into",
-                self.shape(),
-                other.shape(),
-            ));
-        }
-        out.reset(self.rows, other.cols);
-        let n = other.cols;
-        for i in 0..self.rows {
-            let a_row = &self.data[i * self.cols..(i + 1) * self.cols];
-            let out_row = &mut out.data[i * n..(i + 1) * n];
-            for (k, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let b_row = &other.data[k * n..(k + 1) * n];
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a * b;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The naive per-cell dot product of `self * other^T` writing into
-    /// a reusable output buffer (the [`NaiveBackend`] counterpart of
-    /// [`Matrix::matmul_transpose_into`]).
-    ///
-    /// [`NaiveBackend`]: crate::NaiveBackend
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] if `self.cols() != other.cols()`.
-    pub fn matmul_transpose_naive_into(
-        &self,
-        other: &Matrix,
-        out: &mut Matrix,
-    ) -> Result<(), ShapeError> {
-        if self.cols != other.cols {
-            return Err(ShapeError::new(
-                "matmul_transpose_naive_into",
-                self.shape(),
-                other.shape(),
-            ));
-        }
-        out.reset(self.rows, other.rows);
-        let n = other.rows;
-        for i in 0..self.rows {
-            let a_row = &self.data[i * self.cols..(i + 1) * self.cols];
-            for j in 0..n {
-                let b_row = &other.data[j * self.cols..(j + 1) * self.cols];
-                let mut acc = 0.0;
-                for (&a, &b) in a_row.iter().zip(b_row) {
-                    acc += a * b;
-                }
-                out.data[i * n + j] = acc;
-            }
-        }
-        Ok(())
-    }
-
-    /// The naive k-outer `self^T * other` writing into a reusable output
-    /// buffer (the [`NaiveBackend`] counterpart of
-    /// [`Matrix::transpose_matmul_into`]).
-    ///
-    /// [`NaiveBackend`]: crate::NaiveBackend
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] if `self.rows() != other.rows()`.
-    pub fn transpose_matmul_naive_into(
-        &self,
-        other: &Matrix,
-        out: &mut Matrix,
-    ) -> Result<(), ShapeError> {
-        if self.rows != other.rows {
-            return Err(ShapeError::new(
-                "transpose_matmul_naive_into",
-                self.shape(),
-                other.shape(),
-            ));
-        }
-        out.reset(self.cols, other.cols);
-        let n = other.cols;
-        for k in 0..self.rows {
-            let a_row = &self.data[k * self.cols..(k + 1) * self.cols];
-            let b_row = &other.data[k * n..(k + 1) * n];
-            for (i, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let out_row = &mut out.data[i * n..(i + 1) * n];
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a * b;
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Copies `src` into `self` (shape and contents), reusing the
     /// existing allocation where possible.
     pub fn copy_from(&mut self, src: &Matrix) {
@@ -520,8 +408,8 @@ impl Matrix {
         self.data.extend_from_slice(&src.data);
     }
 
-    /// [`Matrix::column_sums`] into a reusable `1 x cols` output
-    /// buffer, accumulating rows in the same top-to-bottom order.
+    /// Sums over the rows into a reusable `1 x cols` output buffer,
+    /// accumulating rows top to bottom.
     pub fn column_sums_into(&self, out: &mut Matrix) {
         out.reset(1, self.cols);
         for row in self.rows_iter() {
@@ -532,8 +420,8 @@ impl Matrix {
     }
 
     /// Applies `f` element-wise over `self` and `other`, writing the
-    /// result into a reusable output buffer (the buffer-reusing form of
-    /// the `zip`-style operations such as [`Matrix::hadamard`]).
+    /// result into a reusable output buffer (`|a, b| a * b` is the
+    /// Hadamard product).
     ///
     /// # Errors
     ///
@@ -564,55 +452,6 @@ impl Matrix {
             }
         }
         out
-    }
-
-    /// Element-wise addition `self + other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] if the shapes differ.
-    pub fn add(&self, other: &Matrix) -> Result<Matrix, ShapeError> {
-        self.zip_with(other, "add", |a, b| a + b)
-    }
-
-    /// Element-wise subtraction `self - other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] if the shapes differ.
-    pub fn sub(&self, other: &Matrix) -> Result<Matrix, ShapeError> {
-        self.zip_with(other, "sub", |a, b| a - b)
-    }
-
-    /// Element-wise multiplication (Hadamard product).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] if the shapes differ.
-    pub fn hadamard(&self, other: &Matrix) -> Result<Matrix, ShapeError> {
-        self.zip_with(other, "hadamard", |a, b| a * b)
-    }
-
-    fn zip_with<F: Fn(f32, f32) -> f32>(
-        &self,
-        other: &Matrix,
-        op: &'static str,
-        f: F,
-    ) -> Result<Matrix, ShapeError> {
-        if self.shape() != other.shape() {
-            return Err(ShapeError::new(op, self.shape(), other.shape()));
-        }
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(&a, &b)| f(a, b))
-            .collect();
-        Ok(Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        })
     }
 
     /// In-place element-wise addition.
@@ -656,22 +495,6 @@ impl Matrix {
         }
     }
 
-    /// Returns a copy with every entry multiplied by `scale`.
-    pub fn scaled(&self, scale: f32) -> Matrix {
-        let mut out = self.clone();
-        out.scale_assign(scale);
-        out
-    }
-
-    /// Applies `f` to every entry, returning a new matrix.
-    pub fn map<F: Fn(f32) -> f32>(&self, f: F) -> Matrix {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&v| f(v)).collect(),
-        }
-    }
-
     /// Applies `f` to every entry in place.
     pub fn map_in_place<F: Fn(f32) -> f32>(&mut self, f: F) {
         for v in &mut self.data {
@@ -700,25 +523,9 @@ impl Matrix {
         Ok(())
     }
 
-    /// Sums over the rows, producing a length-`cols` vector.
-    pub fn column_sums(&self) -> Vec<f32> {
-        let mut sums = vec![0.0; self.cols];
-        for row in self.rows_iter() {
-            for (s, &v) in sums.iter_mut().zip(row) {
-                *s += v;
-            }
-        }
-        sums
-    }
-
     /// The sum of all entries.
     pub fn sum(&self) -> f32 {
         self.data.iter().sum()
-    }
-
-    /// The Frobenius norm (`sqrt` of the sum of squared entries).
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
     }
 
     /// Returns `true` if every entry is finite (no NaN/inf).
@@ -749,8 +556,8 @@ impl Matrix {
 /// so the streamed RHS row costs one load per multiply-add and the
 /// output is written exactly once. Per output cell the terms are
 /// accumulated in ascending-`k` order with a single accumulator and the
-/// naive kernel's zero-LHS skip — [`Matrix::matmul_naive_into`]'s results,
-/// bit-for-bit, for every input including non-finite entries.
+/// naive kernel's zero-LHS skip — [`NaiveBackend`](crate::NaiveBackend)'s
+/// results, bit-for-bit, for every input including non-finite entries.
 fn matmul_slice_kernel(a: &[f32], m: usize, k_len: usize, b: &[f32], n: usize, out: &mut Matrix) {
     out.reset(m, n);
     if n <= 16 {
@@ -1153,17 +960,26 @@ mod tests {
         let b = Matrix::from_fn(11, 9, |r, c| (r * 9 + c) as f32 * 0.1 - 4.0);
         let bt = Matrix::from_fn(9, 11, |r, c| ((r * 11 + c) as f32).sin());
         let ta = Matrix::from_fn(6, 9, |r, c| if r % 2 == 0 { 0.0 } else { (r * c) as f32 });
+        // A dirty, wrongly shaped buffer is reshaped and fully overwritten.
         let mut out = Matrix::filled(1, 1, 5.0);
-        a.matmul_naive_into(&b, &mut out).unwrap();
+        NaiveBackend.matmul_into(&a, &b, &mut out).unwrap();
         assert_eq!(out, NaiveBackend.matmul(&a, &b).unwrap());
-        a.matmul_transpose_naive_into(&bt, &mut out).unwrap();
+        NaiveBackend
+            .matmul_transpose_into(&a, &bt, &mut out)
+            .unwrap();
         assert_eq!(out, NaiveBackend.matmul_transpose(&a, &bt).unwrap());
-        a.transpose_matmul_naive_into(&ta, &mut out).unwrap();
+        NaiveBackend
+            .transpose_matmul_into(&a, &ta, &mut out)
+            .unwrap();
         assert_eq!(out, NaiveBackend.transpose_matmul(&a, &ta).unwrap());
         let bad = Matrix::zeros(3, 2);
-        assert!(a.matmul_naive_into(&bad, &mut out).is_err());
-        assert!(a.matmul_transpose_naive_into(&bad, &mut out).is_err());
-        assert!(a.transpose_matmul_naive_into(&bad, &mut out).is_err());
+        assert!(NaiveBackend.matmul_into(&a, &bad, &mut out).is_err());
+        assert!(NaiveBackend
+            .matmul_transpose_into(&a, &bad, &mut out)
+            .is_err());
+        assert!(NaiveBackend
+            .transpose_matmul_into(&a, &bad, &mut out)
+            .is_err());
     }
 
     #[test]
@@ -1186,7 +1002,8 @@ mod tests {
         let mut out = Matrix::filled(2, 2, 3.0);
         m.column_sums_into(&mut out);
         assert_eq!(out.shape(), (1, 7));
-        assert_eq!(out.as_slice(), m.column_sums().as_slice());
+        let sums: Vec<f32> = (0..7).map(|c| (0..5).map(|r| m[(r, c)]).sum()).collect();
+        assert_eq!(out.as_slice(), sums.as_slice());
     }
 
     #[test]
@@ -1195,7 +1012,7 @@ mod tests {
         let b = Matrix::from_fn(4, 6, |r, c| (r * 6 + c) as f32 * 0.25);
         let mut out = Matrix::default();
         a.zip_into(&b, &mut out, |x, y| x * y).unwrap();
-        assert_eq!(out, a.hadamard(&b).unwrap());
+        assert_eq!(out, Matrix::from_fn(4, 6, |r, c| a[(r, c)] * b[(r, c)]));
         let bad = Matrix::zeros(2, 2);
         assert!(a.zip_into(&bad, &mut out, |x, y| x + y).is_err());
     }
@@ -1233,7 +1050,7 @@ mod tests {
         let m = Matrix::from_fn(3, 5, |r, c| (r * 5 + c) as f32 - 7.0);
         let mut out = Matrix::filled(1, 9, 3.0);
         m.map_into(&mut out, |v| v.max(0.0));
-        assert_eq!(out, m.map(|v| v.max(0.0)));
+        assert_eq!(out, Matrix::from_fn(3, 5, |r, c| m[(r, c)].max(0.0)));
     }
 
     #[test]
@@ -1255,16 +1072,19 @@ mod tests {
     fn add_sub_roundtrip() {
         let a = Matrix::from_fn(2, 2, |r, c| (r + c) as f32);
         let b = Matrix::from_fn(2, 2, |r, c| (r * c) as f32 + 1.0);
-        let sum = a.add(&b).unwrap();
-        let back = sum.sub(&b).unwrap();
+        let mut back = a.clone();
+        back.add_assign(&b).unwrap();
+        back.add_scaled_assign(&b, -1.0).unwrap();
         assert!(back.max_abs_diff(&a).unwrap() < 1e-6);
+        assert!(back.add_assign(&Matrix::zeros(1, 2)).is_err());
     }
 
     #[test]
     fn hadamard_known_values() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
         let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]).unwrap();
-        let h = a.hadamard(&b).unwrap();
+        let mut h = Matrix::default();
+        a.zip_into(&b, &mut h, |x, y| x * y).unwrap();
         assert_eq!(
             h,
             Matrix::from_rows(&[&[5.0, 12.0], &[21.0, 32.0]]).unwrap()
@@ -1297,7 +1117,9 @@ mod tests {
     #[test]
     fn column_sums_known_values() {
         let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]).unwrap();
-        assert_eq!(m.column_sums(), vec![9.0, 12.0]);
+        let mut sums = Matrix::default();
+        m.column_sums_into(&mut sums);
+        assert_eq!(sums.as_slice(), &[9.0, 12.0]);
     }
 
     #[test]
@@ -1319,12 +1141,6 @@ mod tests {
         let a: &[f32] = &[1.0, 2.0];
         let b: &[f32] = &[3.0];
         assert!(Matrix::from_rows(&[a, b]).is_err());
-    }
-
-    #[test]
-    fn frobenius_norm_known_value() {
-        let m = Matrix::from_rows(&[&[3.0, 4.0]]).unwrap();
-        assert!((m.frobenius_norm() - 5.0).abs() < 1e-6);
     }
 
     #[test]
@@ -1351,8 +1167,11 @@ mod tests {
 
     #[test]
     fn scale_and_map_agree() {
-        let m = Matrix::from_fn(2, 3, |r, c| (r + c) as f32);
-        assert_eq!(m.scaled(2.0), m.map(|v| v * 2.0));
+        let mut scaled = Matrix::from_fn(2, 3, |r, c| (r + c) as f32);
+        let mut mapped = scaled.clone();
+        scaled.scale_assign(2.0);
+        mapped.map_in_place(|v| v * 2.0);
+        assert_eq!(scaled, mapped);
     }
 
     #[test]
