@@ -48,25 +48,6 @@ pub enum AnalysisSource {
 }
 
 impl AnalysisSource {
-    /// The canonical spelling used by scenario files and CLI flags.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Self::Parameters => "parameters",
-            Self::Approvals => "approvals",
-            Self::Both => "both",
-        }
-    }
-
-    /// Parses the canonical spelling.
-    pub fn parse(word: &str) -> Option<Self> {
-        match word {
-            "parameters" => Some(Self::Parameters),
-            "approvals" => Some(Self::Approvals),
-            "both" => Some(Self::Both),
-            _ => None,
-        }
-    }
-
     /// Whether the parameter-space (k-means) view runs.
     pub fn wants_parameters(self) -> bool {
         matches!(self, Self::Parameters | Self::Both)
@@ -295,17 +276,5 @@ mod tests {
             )
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn source_spellings_round_trip() {
-        for source in [
-            AnalysisSource::Parameters,
-            AnalysisSource::Approvals,
-            AnalysisSource::Both,
-        ] {
-            assert_eq!(AnalysisSource::parse(source.as_str()), Some(source));
-        }
-        assert_eq!(AnalysisSource::parse("graph"), None);
     }
 }

@@ -4,7 +4,7 @@ use std::error::Error;
 use std::path::Path;
 
 use dagfl_baselines::{FedConfig, FederatedServer, LocalOnly};
-use dagfl_core::{AsyncSimulation, CoreError, DagConfig, Simulation};
+use dagfl_core::{AsyncSimulation, DagConfig, Simulation};
 use dagfl_scenario::text::{Document, Value};
 use dagfl_scenario::{
     AnalysisSpec, ExecutionSpec, Scale, Scenario, ScenarioError, ScenarioRunner, SweepAxis,
@@ -12,36 +12,6 @@ use dagfl_scenario::{
 };
 
 use crate::args::{Command, ParseError, ParsedArgs, FLAGS, USAGE};
-
-/// The CLI flag a core config field is populated from, so validation
-/// errors name what the user actually typed.
-fn flag_for_field(field: &'static str) -> &'static str {
-    match field {
-        "delay.delay" | "delay.base" | "delay.fast" => "delay",
-        "delay.jitter" => "jitter",
-        "delay.slow" => "slow-delay",
-        "delay.slow_fraction" | "compute.slow_fraction" => "slow-fraction",
-        "compute.slowdown" => "slowdown",
-        "mean_interarrival" => "interarrival",
-        "train_time" => "train-time",
-        "total_activations" => "activations",
-        "learning_rate" => "lr",
-        "clients_per_round" => "clients-per-round",
-        "local_epochs" => "epochs",
-        "local_batches" => "batches",
-        "batch_size" => "batch-size",
-        "walk_stop_margin" => "stop-margin",
-        "faults.drop" => "drop",
-        "faults.duplicate" => "duplicate",
-        "faults.reorder" => "reorder",
-        "faults.extra_delay" => "extra-delay",
-        "faults.delay_boost" => "delay-boost",
-        "faults.partition" => "partition-start",
-        "faults.crash" => "crash-at",
-        // `rounds`, `alpha`, `seed`, ... already match their flags.
-        other => other,
-    }
-}
 
 /// The flag a scenario key is set from: the [`FLAGS`] row, or one of the
 /// keys [`scenario_from_flags`] writes itself.
@@ -58,25 +28,23 @@ fn flag_for_key(key: &str) -> Option<&'static str> {
     }
 }
 
-/// Rewrites a scenario-layer error about a key or a core field into the
-/// CLI's flag-error shape; anything else passes through.
-pub(crate) fn flag_error(err: ScenarioError) -> Box<dyn Error> {
+/// Rewrites a scenario-layer error about a key into the CLI's flag-error
+/// shape when this command line gave the flag that sets the key;
+/// anything else passes through under the key the file would spell.
+pub(crate) fn flag_error(args: &ParsedArgs, err: ScenarioError) -> Box<dyn Error> {
     let flag = match &err {
         ScenarioError::InvalidValue { key, .. } | ScenarioError::UnknownKey { key } => {
-            flag_for_key(key)
+            flag_for_key(key).filter(|flag| args.get(flag).is_some())
         }
-        ScenarioError::Core(CoreError::InvalidField { field, .. }) => Some(flag_for_field(field)),
         _ => None,
     };
     match (flag.map(str::to_string), err) {
         (Some(flag), ScenarioError::UnknownKey { key }) => {
             ParseError::Inapplicable { flag, key }.into()
         }
-        (
-            Some(flag),
-            ScenarioError::InvalidValue { value, .. }
-            | ScenarioError::Core(CoreError::InvalidField { value, .. }),
-        ) => ParseError::InvalidValue { flag, value }.into(),
+        (Some(flag), ScenarioError::InvalidValue { value, .. }) => {
+            ParseError::InvalidValue { flag, value }.into()
+        }
         (_, err) => err.into(),
     }
 }
@@ -167,12 +135,12 @@ pub(crate) fn scenario_from_flags(args: &ParsedArgs) -> Result<Scenario, Box<dyn
         let (section, key) = key.split_once('.').expect("FLAGS keys are section.key");
         doc.section_mut(section).set(key, Value::from_token(raw));
     }
-    let mut scenario = Scenario::from_document(&doc).map_err(flag_error)?;
+    let mut scenario = Scenario::from_document(&doc).map_err(|e| flag_error(args, e))?;
     if args.get("clients-per-round").is_none() {
         let clients = scenario.dataset.num_clients();
         scenario = scenario.clients_per_round(clients.min(6));
     }
-    scenario.validate().map_err(flag_error)?;
+    scenario.validate().map_err(|e| flag_error(args, e))?;
     Ok(scenario)
 }
 
@@ -383,8 +351,8 @@ fn run_scenario(args: &ParsedArgs) -> Result<(), Box<dyn Error>> {
     // scenario has no such key, and a count of 0 fails validation.
     let scenario = load_scenario(args)?
         .set_keys(&args.scenario_keys())
-        .map_err(flag_error)?;
-    let runner = ScenarioRunner::new(scenario).map_err(flag_error)?;
+        .map_err(|e| flag_error(args, e))?;
+    let runner = ScenarioRunner::new(scenario).map_err(|e| flag_error(args, e))?;
     eprintln!(
         "# scenario={} mode={}",
         runner.scenario().name,
@@ -420,8 +388,8 @@ fn analyze_command(args: &ParsedArgs) -> Result<(), Box<dyn Error>> {
     }
     let scenario = scenario
         .set_keys(&args.scenario_keys())
-        .map_err(flag_error)?;
-    let runner = ScenarioRunner::new(scenario).map_err(flag_error)?;
+        .map_err(|e| flag_error(args, e))?;
+    let runner = ScenarioRunner::new(scenario).map_err(|e| flag_error(args, e))?;
     eprintln!(
         "# scenario={} mode={}",
         runner.scenario().name,
@@ -723,8 +691,10 @@ mod tests {
             let args = ParsedArgs::parse(line).ok()?;
             args.scenario_keys().iter().find(|(k, _)| *k == key)?;
             let outcome = match args.command() {
-                Command::Run | Command::Analyze => load_scenario(&args)
-                    .and_then(|s| s.set_keys(&args.scenario_keys()).map_err(flag_error)),
+                Command::Run | Command::Analyze => load_scenario(&args).and_then(|s| {
+                    s.set_keys(&args.scenario_keys())
+                        .map_err(|e| flag_error(&args, e))
+                }),
                 _ => scenario_from_flags(&args),
             };
             Some(!outcome.is_err_and(|e| {
@@ -988,6 +958,24 @@ mod tests {
             err.contains("--workers") && err.contains("does not apply"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn file_errors_name_the_key_not_a_flag_nobody_typed() {
+        // A range error in a scenario file is reported under the file's
+        // key; only a flag this command line gave renames it.
+        let dir = temp_dir("dagfl_cli_file_key_error_test");
+        let path = dir.join("bad.toml");
+        let text = Scenario::preset_at("async-delay2", Scale::Quick)
+            .unwrap()
+            .to_toml()
+            .replace("interarrival = 1.0", "interarrival = 0.0");
+        std::fs::write(&path, text).unwrap();
+        let args = ParsedArgs::parse(["run", "--scenario", path.to_str().unwrap()]).unwrap();
+        let err = run_command(&args).unwrap_err().to_string();
+        assert!(err.contains("`execution.interarrival`"), "{err}");
+        assert!(!err.contains("flag"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     fn temp_dir(name: &str) -> std::path::PathBuf {

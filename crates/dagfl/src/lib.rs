@@ -116,7 +116,7 @@ mod tests {
         let _ = crate::Normalization::default();
         let _ = crate::KMeansConfig::default();
         let _ = crate::AnalysisSpec::default();
-        assert_eq!(crate::AnalysisSource::Both.as_str(), "both");
+        assert!(crate::AnalysisSource::default().wants_approvals());
         assert_eq!(crate::TransportSpec::default().mode(), "loopback");
         assert_eq!(crate::MatmulBackendKind::default().name(), "tiled");
     }

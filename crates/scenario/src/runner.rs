@@ -108,7 +108,7 @@ impl RunReport {
             self.scenario,
             self.mode,
             self.progress,
-            if self.mode == "async" {
+            if self.async_metrics.is_some() {
                 "activations"
             } else {
                 "rounds"
@@ -238,7 +238,6 @@ impl ScenarioRunner {
             base_pureness: dataset.base_pureness(),
         };
         let factory = self.scenario.build_factory(&dataset);
-        let window = self.scenario.output.recent_window;
         let mut report = match (&self.scenario.execution, &self.scenario.attack) {
             (ExecutionSpec::Rounds(dag), Some(attack)) => {
                 let config = PoisoningConfig {
@@ -257,36 +256,13 @@ impl ScenarioRunner {
                     .report()
                     .map(|r| r.poisoned_clients.clone())
                     .unwrap_or_default();
-                let sim = scenario.simulation();
                 RunReport {
-                    scenario: self.scenario.name.clone(),
-                    mode: "rounds",
-                    progress: sim.round(),
-                    recent_accuracy: sim.recent_accuracy(window),
-                    round_accuracy: sim.history().iter().map(|m| m.mean_accuracy()).collect(),
-                    round_loss: sim.history().iter().map(|m| m.mean_loss()).collect(),
-                    round_fresh_evals: sim.history().iter().map(|m| m.fresh_evaluations).collect(),
-                    round_cached_evals: sim
-                        .history()
-                        .iter()
-                        .map(|m| m.cached_evaluations)
-                        .collect(),
-                    fresh_evaluations: sim.history().iter().map(|m| m.fresh_evaluations).sum(),
-                    cached_evaluations: sim.history().iter().map(|m| m.cached_evaluations).sum(),
-                    dataset: summary,
-                    specialization: sim.specialization_metrics(),
-                    specialization_track: Vec::new(),
-                    analysis: None,
-                    analysis_track: Vec::new(),
-                    tangle: ExecutionMode::tangle_stats(sim),
-                    tangle_digest: tangle_digest(sim.tangle()),
-                    async_metrics: None,
                     poisoning: Some(PoisoningSummary {
                         measurements,
                         distribution,
                         poisoned_clients,
                     }),
-                    csv_path: None,
+                    ..self.rounds_report(scenario.simulation(), summary)
                 }
             }
             (ExecutionSpec::Rounds(dag), None) => {
@@ -328,30 +304,10 @@ impl ScenarioRunner {
                     None => None,
                 };
                 RunReport {
-                    scenario: self.scenario.name.clone(),
-                    mode: "rounds",
-                    progress: sim.round(),
-                    recent_accuracy: sim.recent_accuracy(window),
-                    round_accuracy: sim.history().iter().map(|m| m.mean_accuracy()).collect(),
-                    round_loss: sim.history().iter().map(|m| m.mean_loss()).collect(),
-                    round_fresh_evals: sim.history().iter().map(|m| m.fresh_evaluations).collect(),
-                    round_cached_evals: sim
-                        .history()
-                        .iter()
-                        .map(|m| m.cached_evaluations)
-                        .collect(),
-                    fresh_evaluations: sim.history().iter().map(|m| m.fresh_evaluations).sum(),
-                    cached_evaluations: sim.history().iter().map(|m| m.cached_evaluations).sum(),
-                    dataset: summary,
-                    specialization: sim.specialization_metrics(),
                     specialization_track: track,
                     analysis,
                     analysis_track,
-                    tangle: ExecutionMode::tangle_stats(&sim),
-                    tangle_digest: tangle_digest(sim.tangle()),
-                    async_metrics: None,
-                    poisoning: None,
-                    csv_path: None,
+                    ..self.rounds_report(&sim, summary)
                 }
             }
             (ExecutionSpec::Async { config, transport }, _) => {
@@ -375,9 +331,9 @@ impl ScenarioRunner {
                 let metrics = sim.metrics();
                 RunReport {
                     scenario: self.scenario.name.clone(),
-                    mode: "async",
+                    mode: self.scenario.execution.mode(),
                     progress: sim.activations(),
-                    recent_accuracy: sim.recent_accuracy(window),
+                    recent_accuracy: sim.recent_accuracy(self.scenario.output.recent_window),
                     round_accuracy: Vec::new(),
                     round_loss: Vec::new(),
                     round_fresh_evals: Vec::new(),
@@ -404,16 +360,36 @@ impl ScenarioRunner {
         Ok(report)
     }
 
+    /// The report of a rounds-mode run, as far as its simulation's
+    /// history and final state tell it.
+    fn rounds_report(&self, sim: &Simulation, dataset: DatasetSummary) -> RunReport {
+        let history = sim.history();
+        RunReport {
+            scenario: self.scenario.name.clone(),
+            mode: self.scenario.execution.mode(),
+            progress: sim.round(),
+            recent_accuracy: sim.recent_accuracy(self.scenario.output.recent_window),
+            round_accuracy: history.iter().map(|m| m.mean_accuracy()).collect(),
+            round_loss: history.iter().map(|m| m.mean_loss()).collect(),
+            round_fresh_evals: history.iter().map(|m| m.fresh_evaluations).collect(),
+            round_cached_evals: history.iter().map(|m| m.cached_evaluations).collect(),
+            fresh_evaluations: history.iter().map(|m| m.fresh_evaluations).sum(),
+            cached_evaluations: history.iter().map(|m| m.cached_evaluations).sum(),
+            dataset,
+            specialization: sim.specialization_metrics(),
+            specialization_track: Vec::new(),
+            analysis: None,
+            analysis_track: Vec::new(),
+            tangle: ExecutionMode::tangle_stats(sim),
+            tangle_digest: tangle_digest(sim.tangle()),
+            async_metrics: None,
+            poisoning: None,
+            csv_path: None,
+        }
+    }
+
     fn write_csv(&self, name: &str, report: &RunReport) -> Result<PathBuf, ScenarioError> {
-        let dir = std::env::var("DAGFL_RESULTS")
-            .map(PathBuf::from)
-            .unwrap_or_else(|_| PathBuf::from("results"));
-        let path = dir.join(format!("{name}.csv"));
-        let (header, rows): (Vec<&str>, Vec<Vec<String>>) = if report.mode == "async" {
-            let m = report
-                .async_metrics
-                .as_ref()
-                .expect("async run has metrics");
+        let (header, rows): (Vec<&str>, Vec<Vec<String>>) = if let Some(m) = &report.async_metrics {
             (
                 vec![
                     "activations",
@@ -457,15 +433,7 @@ impl ScenarioRunner {
                 "cached_evals",
             ];
             if report.analysis.is_some() {
-                header.extend([
-                    "analysis_k",
-                    "analysis_silhouette",
-                    "analysis_purity",
-                    "analysis_ari",
-                    "analysis_communities",
-                    "analysis_modularity",
-                    "analysis_agreement",
-                ]);
+                header.extend(ANALYSIS_COLUMNS);
             }
             let rows = report
                 .round_accuracy
@@ -501,10 +469,24 @@ impl ScenarioRunner {
                 .collect();
             (header, rows)
         };
-        write_csv(&path, &header, &rows)
-            .map_err(|e| ScenarioError::Io(format!("writing {}: {e}", path.display())))?;
-        Ok(path)
+        write_results_csv(name, &header, &rows)
     }
+}
+
+/// Writes `<results dir>/<name>.csv` (`DAGFL_RESULTS`, default
+/// `results/`), the home of run series and sweep comparisons.
+pub(crate) fn write_results_csv(
+    name: &str,
+    header: &[&str],
+    rows: &[Vec<String>],
+) -> Result<PathBuf, ScenarioError> {
+    let dir = std::env::var("DAGFL_RESULTS")
+        .map(PathBuf::from)
+        .unwrap_or_else(|_| PathBuf::from("results"));
+    let path = dir.join(format!("{name}.csv"));
+    write_csv(&path, header, rows)
+        .map_err(|e| ScenarioError::Io(format!("writing {}: {e}", path.display())))?;
+    Ok(path)
 }
 
 /// Runs the configured analytics over the simulation's current state:
@@ -541,9 +523,20 @@ fn analysis_snapshot(
     ))
 }
 
-/// The run-CSV analysis column group for one round: empty cells when no
+/// The analysis column group of run and sweep CSVs.
+pub(crate) const ANALYSIS_COLUMNS: [&str; 7] = [
+    "analysis_k",
+    "analysis_silhouette",
+    "analysis_purity",
+    "analysis_ari",
+    "analysis_communities",
+    "analysis_modularity",
+    "analysis_agreement",
+];
+
+/// The [`ANALYSIS_COLUMNS`] cells of one snapshot: empty when no
 /// snapshot landed on that round or a view was not requested.
-fn analysis_cells(snapshot: Option<&AnalysisSnapshot>) -> Vec<String> {
+pub(crate) fn analysis_cells(snapshot: Option<&AnalysisSnapshot>) -> Vec<String> {
     let Some(s) = snapshot else {
         return vec![String::new(); 7];
     };

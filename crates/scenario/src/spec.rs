@@ -1,6 +1,7 @@
 //! The declarative experiment specification: [`Scenario`] and its parts.
 
 use std::collections::BTreeSet;
+use std::mem::discriminant;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -18,7 +19,7 @@ use dagfl_datasets::{
 };
 use dagfl_nn::{char_rnn, Dense, Model, Relu, Sequential};
 
-use crate::text::{format_f32, format_f64, Document, Table, TextError, Value};
+use crate::text::{Document, Table, TextError, Value};
 
 /// Errors from building, parsing, validating or running a scenario.
 #[derive(Debug, Clone, PartialEq)]
@@ -187,14 +188,7 @@ fn rendering_threads() -> usize {
 impl DatasetSpec {
     /// The `kind` word used in scenario files.
     pub fn kind(&self) -> &'static str {
-        match self {
-            DatasetSpec::Fmnist { .. } => "fmnist",
-            DatasetSpec::FmnistStreamed { .. } => "fmnist-streamed",
-            DatasetSpec::FmnistAuthor { .. } => "fmnist-author",
-            DatasetSpec::Poets { .. } => "poets",
-            DatasetSpec::Cifar { .. } => "cifar",
-            DatasetSpec::FedProx { .. } => "fedprox",
-        }
+        word_of(&DATASETS, self)
     }
 
     /// Total clients the generated dataset will hold.
@@ -366,11 +360,7 @@ pub enum ModelSpec {
 impl ModelSpec {
     /// The `kind` word used in scenario files.
     pub fn kind(&self) -> &'static str {
-        match self {
-            ModelSpec::Mlp { .. } => "mlp",
-            ModelSpec::Linear => "linear",
-            ModelSpec::CharRnn { .. } => "char-rnn",
-        }
+        word_of(&models(), self)
     }
 
     /// Builds the shared [`ModelFactory`] for a dataset with the given
@@ -433,10 +423,7 @@ pub enum TransportSpec {
 impl TransportSpec {
     /// The `transport` word used in scenario files.
     pub fn mode(&self) -> &'static str {
-        match self {
-            TransportSpec::Loopback => "loopback",
-            TransportSpec::Tcp { .. } => "tcp",
-        }
+        word_of(&TRANSPORTS, self)
     }
 }
 
@@ -459,10 +446,7 @@ pub enum ExecutionSpec {
 impl ExecutionSpec {
     /// The `mode` word used in scenario files.
     pub fn mode(&self) -> &'static str {
-        match self {
-            ExecutionSpec::Rounds(_) => "rounds",
-            ExecutionSpec::Async { .. } => "async",
-        }
+        word_of(&modes(), self)
     }
 
     /// The embedded DAG configuration (hyperparameters, tip selection,
@@ -613,6 +597,21 @@ pub struct FaultSpec {
     /// Optional crash window as `(peer, at, restart)`; an absent
     /// `crash_restart` key means the peer never comes back.
     pub crash: Option<(usize, f64, f64)>,
+}
+
+impl Default for FaultSpec {
+    /// The inert plan an empty `[faults]` section reads as.
+    fn default() -> Self {
+        Self {
+            drop: 0.0,
+            duplicate: 0.0,
+            reorder: 0.0,
+            extra_delay: 0.0,
+            delay_boost: 1.0,
+            partition: None,
+            crash: None,
+        }
+    }
 }
 
 /// Specialization-analytics settings: the scenario-file projection of
@@ -831,7 +830,9 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// Returns the first inconsistency found.
+    /// Returns the first inconsistency found. A core range error is an
+    /// [`ScenarioError::InvalidValue`] under the file key the value is
+    /// read from (`execution.interarrival`, not `mean_interarrival`).
     pub fn validate(&self) -> Result<(), ScenarioError> {
         if self.name.trim().is_empty() || self.name.contains('\n') {
             return Err(ScenarioError::Invalid(
@@ -842,7 +843,7 @@ impl Scenario {
         self.validate_model()?;
         match &self.execution {
             ExecutionSpec::Rounds(dag) => {
-                dag.validate()?;
+                dag.validate().map_err(core_error)?;
                 if dag.clients_per_round > self.dataset.num_clients() {
                     return Err(ScenarioError::Invalid(format!(
                         "clients_per_round ({}) exceeds the dataset's {} clients",
@@ -857,7 +858,7 @@ impl Scenario {
                 }
             }
             ExecutionSpec::Async { config, transport } => {
-                config.validate()?;
+                config.validate().map_err(core_error)?;
                 if self.attack.is_some() {
                     return Err(ScenarioError::Invalid(
                         "poisoning attacks require rounds mode".into(),
@@ -888,7 +889,7 @@ impl Scenario {
                                 .into(),
                         ));
                     }
-                    faults.to_plan().validate().map_err(ScenarioError::Core)?;
+                    faults.to_plan().validate().map_err(core_error)?;
                 }
             }
         }
@@ -1055,20 +1056,21 @@ impl Scenario {
     /// inverse of [`Scenario::from_document`].
     pub fn to_document(&self) -> Document {
         let mut doc = Document::default();
-        doc.root.set("name", Value::Str(self.name.clone()));
-        write_dataset(doc.section_mut("dataset"), &self.dataset);
-        write_model(doc.section_mut("model"), &self.model);
-        write_execution(doc.section_mut("execution"), &self.execution);
-        if let Some(attack) = &self.attack {
-            write_attack(doc.section_mut("attack"), attack);
+        let mut s = self.clone();
+        write(&mut doc, "", &mut s.name, root);
+        write(&mut doc, "dataset", &mut s.dataset, dataset);
+        write(&mut doc, "model", &mut s.model, model);
+        write(&mut doc, "execution", &mut s.execution, execution);
+        if let Some(v) = &mut s.attack {
+            write(&mut doc, "attack", v, attack);
         }
-        if let Some(faults) = &self.faults {
-            write_faults(doc.section_mut("faults"), faults);
+        if let Some(v) = &mut s.faults {
+            write(&mut doc, "faults", v, faults);
         }
-        if let Some(analysis) = &self.analysis {
-            write_analysis(doc.section_mut("analysis"), analysis);
+        if let Some(v) = &mut s.analysis {
+            write(&mut doc, "analysis", v, analysis);
         }
-        write_output(doc.section_mut("output"), &self.output);
+        write(&mut doc, "output", &mut s.output, output);
         doc
     }
 
@@ -1106,29 +1108,23 @@ impl Scenario {
                 key: format!("[{section}]"),
             });
         }
-        let root = Reader::new("", Some(&doc.root));
-        let name = root.req_str("name")?;
-        root.finish()?;
-        let dataset =
-            read_section(doc, "dataset", read_dataset)?.ok_or(ScenarioError::MissingKey {
-                key: "dataset.kind".into(),
-            })?;
-        // Start from the builder's defaults for this dataset; a section
-        // that is present replaces its part.
-        let mut scenario = Scenario::new(name, dataset);
-        if let Some(model) = read_section(doc, "model", read_model)? {
-            scenario.model = model;
+        let mut name = String::new();
+        read(doc, "", &mut name, root)?;
+        // `kind` is required, so reading replaces this placeholder.
+        let mut spec = DATASETS[0].1.clone();
+        read(doc, "dataset", &mut spec, dataset)?;
+        // Start from the builder's defaults for this dataset and
+        // overwrite the keys the document holds. An absent section reads
+        // as an empty one, except `[model]`: its `kind` is required.
+        let mut scenario = Scenario::new(name, spec);
+        if doc.section("model").is_some() {
+            read(doc, "model", &mut scenario.model, model)?;
         }
-        let read_execution = |r: &Reader<'_>| read_execution(r, &scenario.dataset);
-        if let Some(execution) = read_section(doc, "execution", read_execution)? {
-            scenario.execution = execution;
-        }
-        scenario.attack = read_section(doc, "attack", read_attack)?;
-        scenario.faults = read_section(doc, "faults", read_faults)?;
-        scenario.analysis = read_section(doc, "analysis", read_analysis)?;
-        if let Some(output) = read_section(doc, "output", read_output)? {
-            scenario.output = output;
-        }
+        read(doc, "execution", &mut scenario.execution, execution)?;
+        scenario.attack = opt_section(doc, "attack", attack)?;
+        scenario.faults = opt_section(doc, "faults", faults)?;
+        scenario.analysis = opt_section(doc, "analysis", analysis)?;
+        read(doc, "output", &mut scenario.output, output)?;
         Ok(scenario)
     }
 
@@ -1190,324 +1186,171 @@ impl Scenario {
 }
 
 // ---------------------------------------------------------------------------
-// Serialization
+// Serialization: one visitor per section
 // ---------------------------------------------------------------------------
 
-fn usize_value(v: usize) -> Value {
-    Value::Number(v.to_string())
+/// A value a scenario key holds: its file form, and what a value of the
+/// wrong form was expected to be.
+pub(crate) trait Key: Clone {
+    /// What the reader expected instead of a value it cannot read.
+    const EXPECTED: &'static str;
+    /// The value's file form.
+    fn to_value(&self) -> Value;
+    /// Reads the file form, `None` if it does not hold this type.
+    fn from_value(value: &Value) -> Option<Self>;
 }
 
-fn u64_value(v: u64) -> Value {
-    Value::Number(v.to_string())
+/// The number types keys hold. Their `{:?}` form is the shortest that
+/// parses back bit for bit, and keeps a `.0` on integral floats.
+trait Number: Clone + std::fmt::Debug + std::str::FromStr {
+    /// What a key of this type expected.
+    const EXPECTED: &'static str;
 }
 
-fn f32_value(v: f32) -> Value {
-    Value::Number(format_f32(v))
+const INTEGER: &str = "a non-negative integer";
+impl Number for usize {
+    const EXPECTED: &'static str = INTEGER;
+}
+impl Number for u64 {
+    const EXPECTED: &'static str = INTEGER;
+}
+impl Number for u32 {
+    const EXPECTED: &'static str = INTEGER;
+}
+impl Number for u16 {
+    const EXPECTED: &'static str = "a port number (0-65535)";
+}
+impl Number for f32 {
+    const EXPECTED: &'static str = "a number";
+}
+impl Number for f64 {
+    const EXPECTED: &'static str = "a number";
 }
 
-fn f64_value(v: f64) -> Value {
-    Value::Number(format_f64(v))
-}
-
-fn write_dataset(table: &mut Table, dataset: &DatasetSpec) {
-    table.set("kind", Value::Str(dataset.kind().into()));
-    match *dataset {
-        DatasetSpec::Fmnist {
-            clients,
-            samples,
-            relaxation,
-            seed,
-        }
-        | DatasetSpec::FmnistStreamed {
-            clients,
-            samples,
-            relaxation,
-            seed,
-        } => {
-            table.set("clients", usize_value(clients));
-            table.set("samples", usize_value(samples));
-            table.set("relaxation", f32_value(relaxation));
-            table.set("seed", u64_value(seed));
-        }
-        DatasetSpec::FmnistAuthor {
-            clients,
-            samples,
-            seed,
-        }
-        | DatasetSpec::Cifar {
-            clients,
-            samples,
-            seed,
-        } => {
-            table.set("clients", usize_value(clients));
-            table.set("samples", usize_value(samples));
-            table.set("seed", u64_value(seed));
-        }
-        DatasetSpec::Poets {
-            clients_per_language,
-            samples,
-            seq_len,
-            seed,
-        } => {
-            table.set("clients_per_language", usize_value(clients_per_language));
-            table.set("samples", usize_value(samples));
-            table.set("seq_len", usize_value(seq_len));
-            table.set("seed", u64_value(seed));
-        }
-        DatasetSpec::FedProx {
-            clients,
-            min_samples,
-            max_samples,
-            seed,
-        } => {
-            table.set("clients", usize_value(clients));
-            table.set("min_samples", usize_value(min_samples));
-            table.set("max_samples", usize_value(max_samples));
-            table.set("seed", u64_value(seed));
+impl<T: Number> Key for T {
+    const EXPECTED: &'static str = <T as Number>::EXPECTED;
+    fn to_value(&self) -> Value {
+        Value::Number(format!("{self:?}"))
+    }
+    fn from_value(value: &Value) -> Option<Self> {
+        match value {
+            Value::Number(raw) => raw.parse().ok(),
+            _ => None,
         }
     }
 }
 
-fn write_model(table: &mut Table, model: &ModelSpec) {
-    table.set("kind", Value::Str(model.kind().into()));
-    match model {
-        ModelSpec::Mlp { hidden } => {
-            table.set(
-                "hidden",
-                Value::NumberList(hidden.iter().map(|h| h.to_string()).collect()),
-            );
-        }
-        ModelSpec::Linear => {}
-        ModelSpec::CharRnn { embed, hidden } => {
-            table.set("embed", usize_value(*embed));
-            table.set("hidden", usize_value(*hidden));
+impl Key for bool {
+    const EXPECTED: &'static str = "true or false";
+    fn to_value(&self) -> Value {
+        Value::Bool(*self)
+    }
+    fn from_value(value: &Value) -> Option<Self> {
+        match value {
+            Value::Bool(b) => Some(*b),
+            _ => None,
         }
     }
 }
 
-fn write_dag(table: &mut Table, dag: &DagConfig) {
-    table.set("rounds", usize_value(dag.rounds));
-    table.set("clients_per_round", usize_value(dag.clients_per_round));
-    table.set("local_epochs", usize_value(dag.local_epochs));
-    table.set("local_batches", usize_value(dag.local_batches));
-    table.set("batch_size", usize_value(dag.batch_size));
-    table.set("learning_rate", f32_value(dag.learning_rate));
-    match dag.tip_selector {
-        TipSelector::Accuracy {
-            alpha,
-            normalization,
-        } => {
-            table.set("selector", Value::Str("accuracy".into()));
-            table.set("alpha", f32_value(alpha));
-            table.set(
-                "normalization",
-                Value::Str(
-                    match normalization {
-                        Normalization::Simple => "simple",
-                        Normalization::Dynamic => "dynamic",
-                    }
-                    .into(),
-                ),
-            );
-        }
-        TipSelector::Random => {
-            table.set("selector", Value::Str("random".into()));
-        }
-        TipSelector::CumulativeWeight { alpha } => {
-            table.set("selector", Value::Str("cumulative".into()));
-            table.set("alpha", f32_value(alpha));
-        }
+impl Key for String {
+    const EXPECTED: &'static str = "a quoted string";
+    fn to_value(&self) -> Value {
+        Value::Str(self.clone())
     }
-    table.set(
-        "walk_depth_min",
-        Value::Number(dag.walk_depth.0.to_string()),
-    );
-    table.set(
-        "walk_depth_max",
-        Value::Number(dag.walk_depth.1.to_string()),
-    );
-    if let Some(margin) = dag.walk_stop_margin {
-        table.set("stop_margin", f32_value(margin));
-    }
-    table.set(
-        "publish_gate",
-        Value::Str(
-            match dag.publish_gate {
-                PublishGate::AveragedReference => "averaged",
-                PublishGate::BestParent => "best-parent",
-                PublishGate::Always => "always",
-            }
-            .into(),
-        ),
-    );
-    table.set("frozen_prefix", usize_value(dag.frozen_prefix));
-    table.set("publication_dropout", f32_value(dag.publication_dropout));
-    table.set("seed", u64_value(dag.seed));
-    table.set("parallel", Value::Bool(dag.parallel));
-}
-
-fn write_execution(table: &mut Table, execution: &ExecutionSpec) {
-    table.set("mode", Value::Str(execution.mode().into()));
-    write_dag(table, execution.dag());
-    if let ExecutionSpec::Async { config, transport } = execution {
-        table.set("transport", Value::Str(transport.mode().into()));
-        if let TransportSpec::Tcp { tracker, port } = transport {
-            table.set("tracker", Value::Str(tracker.clone()));
-            table.set("port", Value::Number(port.to_string()));
-        }
-        table.set("activations", usize_value(config.total_activations));
-        table.set("interarrival", f64_value(config.mean_interarrival));
-        table.set("train_time", f64_value(config.train_time));
-        if config.gossip_fanout != 0 {
-            table.set("fanout", usize_value(config.gossip_fanout));
-        }
-        if config.workers != 1 {
-            table.set("workers", usize_value(config.workers));
-        }
-        table.set(
-            "stale_policy",
-            Value::Str(
-                match config.stale_policy {
-                    StaleTipPolicy::PublishAnyway => "publish",
-                    StaleTipPolicy::Reselect => "reselect",
-                    StaleTipPolicy::Discard => "discard",
-                }
-                .into(),
-            ),
-        );
-        match config.delay {
-            DelayModel::Constant { delay } => {
-                table.set("delay_model", Value::Str("constant".into()));
-                table.set("delay", f64_value(delay));
-            }
-            DelayModel::UniformJitter { base, jitter } => {
-                table.set("delay_model", Value::Str("jitter".into()));
-                table.set("delay", f64_value(base));
-                table.set("jitter", f64_value(jitter));
-            }
-            DelayModel::Cohorts {
-                slow_fraction,
-                fast,
-                slow,
-                jitter,
-            } => {
-                table.set("delay_model", Value::Str("cohorts".into()));
-                table.set("delay", f64_value(fast));
-                table.set("slow_delay", f64_value(slow));
-                table.set("slow_fraction", f64_value(slow_fraction));
-                table.set("jitter", f64_value(jitter));
-            }
-        }
-        match config.compute {
-            ComputeProfile::Uniform => {
-                table.set("compute", Value::Str("uniform".into()));
-            }
-            ComputeProfile::TwoSpeed {
-                slow_fraction,
-                slowdown,
-            } => {
-                table.set("compute", Value::Str("two-speed".into()));
-                table.set("compute_slow_fraction", f64_value(slow_fraction));
-                table.set("slowdown", f64_value(slowdown));
-            }
-            ComputeProfile::MatchNetworkCohort { slowdown } => {
-                table.set("compute", Value::Str("match-network".into()));
-                table.set("slowdown", f64_value(slowdown));
-            }
+    fn from_value(value: &Value) -> Option<Self> {
+        match value {
+            Value::Str(s) => Some(s.clone()),
+            _ => None,
         }
     }
 }
 
-fn write_faults(table: &mut Table, faults: &FaultSpec) {
-    table.set("drop", f64_value(faults.drop));
-    table.set("duplicate", f64_value(faults.duplicate));
-    table.set("reorder", f64_value(faults.reorder));
-    table.set("extra_delay", f64_value(faults.extra_delay));
-    table.set("delay_boost", f64_value(faults.delay_boost));
-    if let Some((start, heal, split)) = faults.partition {
-        table.set("partition_start", f64_value(start));
-        table.set("partition_heal", f64_value(heal));
-        table.set("partition_split", usize_value(split));
+impl Key for Vec<usize> {
+    const EXPECTED: &'static str = "an array of non-negative integers";
+    fn to_value(&self) -> Value {
+        Value::NumberList(self.iter().map(usize::to_string).collect())
     }
-    if let Some((peer, at, restart)) = faults.crash {
-        table.set("crash_peer", usize_value(peer));
-        table.set("crash_at", f64_value(at));
-        if restart.is_finite() {
-            table.set("crash_restart", f64_value(restart));
+    fn from_value(value: &Value) -> Option<Self> {
+        match value {
+            Value::NumberList(items) => items.iter().map(|raw| raw.parse().ok()).collect(),
+            _ => None,
         }
     }
 }
 
-fn write_analysis(table: &mut Table, analysis: &AnalysisSpec) {
-    if !analysis.enabled {
-        table.set("enabled", Value::Bool(false));
+/// One pass over a section's keys, in file order, with the type each
+/// key holds. A section is described once, as a function over
+/// `impl Codec`, and both directions run it: [`Writer`] fills a table
+/// from a value, [`Reader`] overwrites a value (at its defaults) with
+/// the keys a table holds.
+pub(crate) trait Codec {
+    /// The dotted path of `key` in this section, for error messages.
+    fn path(&self, key: &str) -> String;
+
+    /// A key the section may lack, which `None` stands for.
+    fn opt<T: Key>(&mut self, key: &str, v: &mut Option<T>) -> Result<(), ScenarioError>;
+
+    /// A shape word. `rows` pairs every word with the variant it reads
+    /// as, at that variant's defaults: the writer emits the word of
+    /// `v`'s variant, the reader swaps in the row of the word it finds.
+    fn word<E: Clone>(
+        &mut self,
+        key: &str,
+        rows: &[(&'static str, E)],
+        v: &mut E,
+    ) -> Result<(), ScenarioError>;
+
+    /// A key without a default: the reader reports its absence.
+    fn require(&mut self, key: &str) -> Result<(), ScenarioError>;
+
+    /// A key the section always has.
+    fn key<T: Key>(&mut self, key: &str, v: &mut T) -> Result<(), ScenarioError> {
+        let mut slot = Some(v.clone());
+        self.opt(key, &mut slot)?;
+        if let Some(value) = slot {
+            *v = value;
+        }
+        Ok(())
     }
-    if let Some(k) = analysis.k {
-        table.set("k", usize_value(k));
+
+    /// A key written only while it differs from `omitted`, which an
+    /// absent key reads as.
+    fn key_or<T: Key + PartialEq>(
+        &mut self,
+        key: &str,
+        v: &mut T,
+        omitted: T,
+    ) -> Result<(), ScenarioError> {
+        let mut slot = (*v != omitted).then(|| v.clone());
+        self.opt(key, &mut slot)?;
+        *v = slot.unwrap_or(omitted);
+        Ok(())
+    }
+}
+
+fn key_path(section: &str, key: &str) -> String {
+    if section.is_empty() {
+        key.to_string()
     } else {
-        table.set("k_min", usize_value(analysis.k_min));
-        table.set("k_max", usize_value(analysis.k_max));
+        format!("{section}.{key}")
     }
-    table.set("cadence", usize_value(analysis.cadence));
-    table.set("source", Value::Str(analysis.source.as_str().into()));
 }
 
-fn write_attack(table: &mut Table, attack: &AttackSpec) {
-    table.set("fraction", f64_value(attack.fraction));
-    table.set("clean_rounds", usize_value(attack.clean_rounds));
-    table.set("attack_rounds", usize_value(attack.attack_rounds));
-    table.set("class_a", usize_value(attack.class_a));
-    table.set("class_b", usize_value(attack.class_b));
-    table.set("measure_every", usize_value(attack.measure_every));
+/// The word of `v`'s variant in a shape-word table.
+fn word_of<E>(rows: &[(&'static str, E)], v: &E) -> &'static str {
+    let row = rows
+        .iter()
+        .find(|(_, e)| discriminant(e) == discriminant(v));
+    row.expect("every variant has a row").0
 }
 
-fn write_output(table: &mut Table, output: &OutputSpec) {
-    if let Some(csv) = &output.csv {
-        table.set("csv", Value::Str(csv.clone()));
-    }
-    table.set("track_every", usize_value(output.track_every));
-    table.set("recent_window", usize_value(output.recent_window));
-}
-
-// ---------------------------------------------------------------------------
-// Parsing
-// ---------------------------------------------------------------------------
-
-/// The scenario sections, in canonical file order: the one list both
-/// the scenario reader and the sweep reader check section names against.
-pub(crate) const SECTIONS: [&str; 7] = [
-    "dataset",
-    "model",
-    "execution",
-    "attack",
-    "faults",
-    "analysis",
-    "output",
-];
-
-/// Reads one section, if present, and rejects the keys `read` left
-/// unconsumed.
-fn read_section<T>(
-    doc: &Document,
-    name: &str,
-    read: impl FnOnce(&Reader<'_>) -> Result<T, ScenarioError>,
-) -> Result<Option<T>, ScenarioError> {
-    let Some(table) = doc.section(name) else {
-        return Ok(None);
-    };
-    let reader = Reader::new(name, Some(table));
-    let value = read(&reader)?;
-    reader.finish()?;
-    Ok(Some(value))
-}
-
-/// A typed view over one section that tracks which keys were consumed,
-/// so leftovers are reported as unknown keys (shared with the sweep
-/// parser in `sweep.rs`).
+/// Reads a section. Every key it is asked for counts as consumed, so
+/// [`Reader::finish`] can report the rest as unknown.
 pub(crate) struct Reader<'a> {
     section: &'a str,
     table: Option<&'a Table>,
-    used: std::cell::RefCell<BTreeSet<String>>,
+    used: BTreeSet<String>,
 }
 
 impl<'a> Reader<'a> {
@@ -1515,20 +1358,12 @@ impl<'a> Reader<'a> {
         Self {
             section,
             table,
-            used: std::cell::RefCell::new(BTreeSet::new()),
+            used: BTreeSet::new(),
         }
     }
 
-    pub(crate) fn path(&self, key: &str) -> String {
-        if self.section.is_empty() {
-            key.to_string()
-        } else {
-            format!("{}.{key}", self.section)
-        }
-    }
-
-    pub(crate) fn get(&self, key: &str) -> Option<&'a Value> {
-        self.used.borrow_mut().insert(key.to_string());
+    fn get(&mut self, key: &str) -> Option<&'a Value> {
+        self.used.insert(key.to_string());
         self.table.and_then(|t| t.get(key))
     }
 
@@ -1546,447 +1381,660 @@ impl<'a> Reader<'a> {
         }
     }
 
-    pub(crate) fn str(&self, key: &str) -> Result<Option<String>, ScenarioError> {
-        match self.get(key) {
-            None => Ok(None),
-            Some(Value::Str(s)) => Ok(Some(s.clone())),
-            Some(other) => Err(self.invalid(key, other, "a quoted string")),
-        }
-    }
-
-    pub(crate) fn req_str(&self, key: &str) -> Result<String, ScenarioError> {
-        self.str(key)?.ok_or_else(|| ScenarioError::MissingKey {
-            key: self.path(key),
-        })
-    }
-
-    pub(crate) fn number<T: std::str::FromStr>(
-        &self,
-        key: &str,
-        expected: &str,
-    ) -> Result<Option<T>, ScenarioError> {
-        match self.get(key) {
-            None => Ok(None),
-            Some(value @ Value::Number(raw)) => match raw.parse::<T>() {
-                Ok(v) => Ok(Some(v)),
-                Err(_) => Err(self.invalid(key, value, expected)),
-            },
-            Some(other) => Err(self.invalid(key, other, expected)),
-        }
-    }
-
-    pub(crate) fn usize_or(&self, key: &str, default: usize) -> Result<usize, ScenarioError> {
-        Ok(self
-            .number::<usize>(key, "a non-negative integer")?
-            .unwrap_or(default))
-    }
-
-    pub(crate) fn u64_or(&self, key: &str, default: u64) -> Result<u64, ScenarioError> {
-        Ok(self
-            .number::<u64>(key, "a non-negative integer")?
-            .unwrap_or(default))
-    }
-
-    pub(crate) fn u32_or(&self, key: &str, default: u32) -> Result<u32, ScenarioError> {
-        Ok(self
-            .number::<u32>(key, "a non-negative integer")?
-            .unwrap_or(default))
-    }
-
-    pub(crate) fn f32_or(&self, key: &str, default: f32) -> Result<f32, ScenarioError> {
-        Ok(self.number::<f32>(key, "a number")?.unwrap_or(default))
-    }
-
-    pub(crate) fn f32_opt(&self, key: &str) -> Result<Option<f32>, ScenarioError> {
-        self.number::<f32>(key, "a number")
-    }
-
-    pub(crate) fn f64_or(&self, key: &str, default: f64) -> Result<f64, ScenarioError> {
-        Ok(self.number::<f64>(key, "a number")?.unwrap_or(default))
-    }
-
-    pub(crate) fn bool_or(&self, key: &str, default: bool) -> Result<bool, ScenarioError> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(Value::Bool(b)) => Ok(*b),
-            Some(other) => Err(self.invalid(key, other, "true or false")),
-        }
-    }
-
-    pub(crate) fn usize_list(&self, key: &str) -> Result<Option<Vec<usize>>, ScenarioError> {
-        match self.get(key) {
-            None => Ok(None),
-            Some(value @ Value::NumberList(items)) => items
-                .iter()
-                .map(|raw| {
-                    raw.parse::<usize>()
-                        .map_err(|_| self.invalid(key, value, "an array of non-negative integers"))
-                })
-                .collect::<Result<Vec<_>, _>>()
-                .map(Some),
-            Some(other) => Err(self.invalid(key, other, "an array of non-negative integers")),
-        }
-    }
-
     /// Errors on any key the schema never asked for.
-    pub(crate) fn finish(&self) -> Result<(), ScenarioError> {
-        if let Some(table) = self.table {
-            let used = self.used.borrow();
-            for (key, _) in table.iter() {
-                if !used.contains(key) {
-                    return Err(ScenarioError::UnknownKey {
-                        key: self.path(key),
-                    });
-                }
-            }
+    fn finish(&self) -> Result<(), ScenarioError> {
+        let unknown = self.table.and_then(|t| {
+            t.iter()
+                .find(|(key, _)| !self.used.contains(*key))
+                .map(|(key, _)| key)
+        });
+        match unknown {
+            Some(key) => Err(ScenarioError::UnknownKey {
+                key: self.path(key),
+            }),
+            None => Ok(()),
         }
+    }
+}
+
+impl Codec for Reader<'_> {
+    fn path(&self, key: &str) -> String {
+        key_path(self.section, key)
+    }
+
+    fn opt<T: Key>(&mut self, key: &str, v: &mut Option<T>) -> Result<(), ScenarioError> {
+        *v = match self.get(key) {
+            None => None,
+            Some(value) => {
+                Some(T::from_value(value).ok_or_else(|| self.invalid(key, value, T::EXPECTED))?)
+            }
+        };
+        Ok(())
+    }
+
+    fn word<E: Clone>(
+        &mut self,
+        key: &str,
+        rows: &[(&'static str, E)],
+        v: &mut E,
+    ) -> Result<(), ScenarioError> {
+        let mut word: Option<String> = None;
+        self.opt(key, &mut word)?;
+        let Some(word) = word else {
+            return Ok(());
+        };
+        let Some((_, row)) = rows.iter().find(|(w, _)| *w == word) else {
+            let words: Vec<&str> = rows.iter().map(|(w, _)| *w).collect();
+            let (last, rest) = words.split_last().expect("a shape word has alternatives");
+            let expected = format!("{} or {last}", rest.join(", "));
+            return Err(self.invalid(key, &Value::Str(word), &expected));
+        };
+        *v = row.clone();
+        Ok(())
+    }
+
+    fn require(&mut self, key: &str) -> Result<(), ScenarioError> {
+        match self.table.and_then(|t| t.get(key)) {
+            Some(_) => Ok(()),
+            None => Err(ScenarioError::MissingKey {
+                key: self.path(key),
+            }),
+        }
+    }
+}
+
+/// Writes a section: every key the value holds goes into the table, in
+/// visiting order.
+pub(crate) struct Writer<'a> {
+    section: &'a str,
+    table: &'a mut Table,
+}
+
+impl Codec for Writer<'_> {
+    fn path(&self, key: &str) -> String {
+        key_path(self.section, key)
+    }
+
+    fn opt<T: Key>(&mut self, key: &str, v: &mut Option<T>) -> Result<(), ScenarioError> {
+        if let Some(v) = v {
+            self.table.set(key, v.to_value());
+        }
+        Ok(())
+    }
+
+    fn word<E: Clone>(
+        &mut self,
+        key: &str,
+        rows: &[(&'static str, E)],
+        v: &mut E,
+    ) -> Result<(), ScenarioError> {
+        self.table.set(key, Value::Str(word_of(rows, v).into()));
+        Ok(())
+    }
+
+    fn require(&mut self, _: &str) -> Result<(), ScenarioError> {
         Ok(())
     }
 }
 
-fn read_dataset(reader: &Reader<'_>) -> Result<DatasetSpec, ScenarioError> {
-    let kind = reader.req_str("kind")?;
-    let seed = reader.u64_or("seed", 42)?;
-    match kind.as_str() {
-        "fmnist" => Ok(DatasetSpec::Fmnist {
-            clients: reader.usize_or("clients", 15)?,
-            samples: reader.usize_or("samples", 60)?,
-            relaxation: reader.f32_or("relaxation", 0.0)?,
-            seed,
-        }),
-        "fmnist-streamed" => Ok(DatasetSpec::FmnistStreamed {
-            clients: reader.usize_or("clients", 15)?,
-            samples: reader.usize_or("samples", 60)?,
-            relaxation: reader.f32_or("relaxation", 0.0)?,
-            seed,
-        }),
-        "fmnist-author" => Ok(DatasetSpec::FmnistAuthor {
-            clients: reader.usize_or("clients", 12)?,
-            samples: reader.usize_or("samples", 80)?,
-            seed,
-        }),
-        "poets" => Ok(DatasetSpec::Poets {
-            clients_per_language: reader.usize_or("clients_per_language", 6)?,
-            samples: reader.usize_or("samples", 400)?,
-            seq_len: reader.usize_or("seq_len", 12)?,
-            seed,
-        }),
-        "cifar" => Ok(DatasetSpec::Cifar {
-            clients: reader.usize_or("clients", 30)?,
-            samples: reader.usize_or("samples", 60)?,
-            seed,
-        }),
-        "fedprox" => Ok(DatasetSpec::FedProx {
-            clients: reader.usize_or("clients", 30)?,
-            min_samples: reader.usize_or("min_samples", 50)?,
-            max_samples: reader.usize_or("max_samples", 200)?,
-            seed,
-        }),
-        other => Err(ScenarioError::InvalidValue {
-            key: "dataset.kind".into(),
-            value: other.into(),
-            expected: "one of fmnist, fmnist-streamed, fmnist-author, poets, cifar, fedprox".into(),
-        }),
+/// Runs a section's visitor as a [`Reader`] of `doc`'s table `name`
+/// (`""` is the root; an absent section reads as an empty one) and
+/// rejects the keys the visit left unconsumed.
+pub(crate) fn read<'a, T>(
+    doc: &'a Document,
+    name: &'a str,
+    v: &mut T,
+    visit: impl FnOnce(&mut Reader<'a>, &mut T) -> Result<(), ScenarioError>,
+) -> Result<(), ScenarioError> {
+    let table = if name.is_empty() {
+        Some(&doc.root)
+    } else {
+        doc.section(name)
+    };
+    let mut reader = Reader::new(name, table);
+    visit(&mut reader, v)?;
+    reader.finish()
+}
+
+/// [`read`] for a section whose absence means "none": a present one
+/// starts from the defaults.
+fn opt_section<'a, T: Default>(
+    doc: &'a Document,
+    name: &'a str,
+    visit: impl FnOnce(&mut Reader<'a>, &mut T) -> Result<(), ScenarioError>,
+) -> Result<Option<T>, ScenarioError> {
+    let mut v = T::default();
+    match doc.section(name) {
+        Some(_) => read(doc, name, &mut v, visit).map(|()| Some(v)),
+        None => Ok(None),
     }
 }
 
-fn read_model(reader: &Reader<'_>) -> Result<ModelSpec, ScenarioError> {
-    let kind = reader.req_str("kind")?;
-    match kind.as_str() {
-        "mlp" => Ok(ModelSpec::Mlp {
-            hidden: reader.usize_list("hidden")?.unwrap_or_else(|| vec![64]),
-        }),
-        "linear" => Ok(ModelSpec::Linear),
-        "char-rnn" => Ok(ModelSpec::CharRnn {
-            embed: reader.usize_or("embed", 8)?,
-            hidden: reader.usize_or("hidden", 32)?,
-        }),
-        other => Err(ScenarioError::InvalidValue {
-            key: "model.kind".into(),
-            value: other.into(),
-            expected: "one of mlp, linear, char-rnn".into(),
-        }),
-    }
+/// Runs a section's visitor as a [`Writer`] into `doc`'s table `name`
+/// (`""` is the root).
+pub(crate) fn write<'a, T>(
+    doc: &'a mut Document,
+    name: &'a str,
+    v: &mut T,
+    visit: impl FnOnce(&mut Writer<'a>, &mut T) -> Result<(), ScenarioError>,
+) {
+    let table = if name.is_empty() {
+        &mut doc.root
+    } else {
+        doc.section_mut(name)
+    };
+    let mut writer = Writer {
+        section: name,
+        table,
+    };
+    // Every check a visitor makes is on keys the reader found; a value
+    // always has a consistent set.
+    visit(&mut writer, v).expect("writing a value cannot fail");
 }
 
-fn read_dag(reader: &Reader<'_>, dataset: &DatasetSpec) -> Result<DagConfig, ScenarioError> {
-    let defaults = DagConfig::default();
-    // `alpha` and `normalization` exist only under the selectors that
-    // have them, so elsewhere they are unknown keys, not dropped values.
-    let alpha = || reader.f32_or("alpha", 10.0);
-    let tip_selector = match reader.str("selector")?.as_deref() {
-        None | Some("accuracy") => TipSelector::Accuracy {
-            alpha: alpha()?,
-            normalization: match reader.str("normalization")?.as_deref() {
-                None | Some("simple") => Normalization::Simple,
-                Some("dynamic") => Normalization::Dynamic,
-                Some(other) => {
-                    return Err(ScenarioError::InvalidValue {
-                        key: reader.path("normalization"),
-                        value: other.into(),
-                        expected: "simple or dynamic".into(),
-                    })
-                }
-            },
+/// The scenario sections, in canonical file order: the one list both
+/// the scenario reader and the sweep reader check section names against.
+pub(crate) const SECTIONS: [&str; 7] = [
+    "dataset",
+    "model",
+    "execution",
+    "attack",
+    "faults",
+    "analysis",
+    "output",
+];
+
+/// `dataset.kind`: each generator with its default parameters.
+const DATASETS: [(&str, DatasetSpec); 6] = [
+    (
+        "fmnist",
+        DatasetSpec::Fmnist {
+            clients: 15,
+            samples: 60,
+            relaxation: 0.0,
+            seed: 42,
         },
-        Some("random") => TipSelector::Random,
-        Some("cumulative") => TipSelector::CumulativeWeight { alpha: alpha()? },
-        Some(other) => {
-            return Err(ScenarioError::InvalidValue {
-                key: reader.path("selector"),
-                value: other.into(),
-                expected: "accuracy, random or cumulative".into(),
-            })
-        }
-    };
-    let publish_gate = match reader.str("publish_gate")?.as_deref() {
-        None | Some("averaged") => PublishGate::AveragedReference,
-        Some("best-parent") => PublishGate::BestParent,
-        Some("always") => PublishGate::Always,
-        Some(other) => {
-            return Err(ScenarioError::InvalidValue {
-                key: reader.path("publish_gate"),
-                value: other.into(),
-                expected: "averaged, best-parent or always".into(),
-            })
-        }
-    };
-    Ok(DagConfig {
-        rounds: reader.usize_or("rounds", defaults.rounds)?,
-        clients_per_round: reader.usize_or(
-            "clients_per_round",
-            defaults.clients_per_round.min(dataset.num_clients().max(1)),
-        )?,
-        local_epochs: reader.usize_or("local_epochs", defaults.local_epochs)?,
-        local_batches: reader.usize_or("local_batches", defaults.local_batches)?,
-        batch_size: reader.usize_or("batch_size", defaults.batch_size)?,
-        learning_rate: reader.f32_or("learning_rate", defaults.learning_rate)?,
-        tip_selector,
-        walk_depth: (
-            reader.u32_or("walk_depth_min", defaults.walk_depth.0)?,
-            reader.u32_or("walk_depth_max", defaults.walk_depth.1)?,
+    ),
+    (
+        "fmnist-streamed",
+        DatasetSpec::FmnistStreamed {
+            clients: 15,
+            samples: 60,
+            relaxation: 0.0,
+            seed: 42,
+        },
+    ),
+    (
+        "fmnist-author",
+        DatasetSpec::FmnistAuthor {
+            clients: 12,
+            samples: 80,
+            seed: 42,
+        },
+    ),
+    (
+        "poets",
+        DatasetSpec::Poets {
+            clients_per_language: 6,
+            samples: 400,
+            seq_len: 12,
+            seed: 42,
+        },
+    ),
+    (
+        "cifar",
+        DatasetSpec::Cifar {
+            clients: 30,
+            samples: 60,
+            seed: 42,
+        },
+    ),
+    (
+        "fedprox",
+        DatasetSpec::FedProx {
+            clients: 30,
+            min_samples: 50,
+            max_samples: 200,
+            seed: 42,
+        },
+    ),
+];
+
+/// `model.kind`.
+fn models() -> [(&'static str, ModelSpec); 3] {
+    [
+        ("mlp", ModelSpec::Mlp { hidden: vec![64] }),
+        ("linear", ModelSpec::Linear),
+        (
+            "char-rnn",
+            ModelSpec::CharRnn {
+                embed: 8,
+                hidden: 32,
+            },
         ),
-        walk_stop_margin: reader.f32_opt("stop_margin")?,
-        publish_gate,
-        frozen_prefix: reader.usize_or("frozen_prefix", defaults.frozen_prefix)?,
-        publication_dropout: reader.f32_or("publication_dropout", defaults.publication_dropout)?,
-        seed: reader.u64_or("seed", defaults.seed)?,
-        parallel: reader.bool_or("parallel", defaults.parallel)?,
-    })
+    ]
 }
 
-fn read_faults(reader: &Reader<'_>) -> Result<FaultSpec, ScenarioError> {
-    let partition = match (
-        reader.number::<f64>("partition_start", "a number")?,
-        reader.number::<f64>("partition_heal", "a number")?,
-        reader.number::<usize>("partition_split", "a non-negative integer")?,
-    ) {
+/// `execution.mode`.
+fn modes() -> [(&'static str, ExecutionSpec); 2] {
+    [
+        ("rounds", ExecutionSpec::Rounds(DagConfig::default())),
+        (
+            "async",
+            ExecutionSpec::Async {
+                config: AsyncConfig::default(),
+                transport: TransportSpec::Loopback,
+            },
+        ),
+    ]
+}
+
+/// `execution.selector`.
+const SELECTORS: [(&str, TipSelector); 3] = [
+    (
+        "accuracy",
+        TipSelector::Accuracy {
+            alpha: 10.0,
+            normalization: Normalization::Simple,
+        },
+    ),
+    ("random", TipSelector::Random),
+    ("cumulative", TipSelector::CumulativeWeight { alpha: 10.0 }),
+];
+
+/// `execution.normalization`.
+const NORMALIZATIONS: [(&str, Normalization); 2] = [
+    ("simple", Normalization::Simple),
+    ("dynamic", Normalization::Dynamic),
+];
+
+/// `execution.publish_gate`.
+const PUBLISH_GATES: [(&str, PublishGate); 3] = [
+    ("averaged", PublishGate::AveragedReference),
+    ("best-parent", PublishGate::BestParent),
+    ("always", PublishGate::Always),
+];
+
+/// `execution.transport`.
+const TRANSPORTS: [(&str, TransportSpec); 2] = [
+    ("loopback", TransportSpec::Loopback),
+    (
+        "tcp",
+        TransportSpec::Tcp {
+            tracker: String::new(),
+            port: 0,
+        },
+    ),
+];
+
+/// `execution.stale_policy`.
+const STALE_POLICIES: [(&str, StaleTipPolicy); 3] = [
+    ("publish", StaleTipPolicy::PublishAnyway),
+    ("reselect", StaleTipPolicy::Reselect),
+    ("discard", StaleTipPolicy::Discard),
+];
+
+/// `execution.delay_model`.
+const DELAY_MODELS: [(&str, DelayModel); 3] = [
+    ("constant", DelayModel::Constant { delay: 2.0 }),
+    (
+        "jitter",
+        DelayModel::UniformJitter {
+            base: 2.0,
+            jitter: 0.0,
+        },
+    ),
+    (
+        "cohorts",
+        DelayModel::Cohorts {
+            slow_fraction: 0.3,
+            fast: 2.0,
+            slow: 8.0,
+            jitter: 0.0,
+        },
+    ),
+];
+
+/// `execution.compute`.
+const COMPUTE_PROFILES: [(&str, ComputeProfile); 3] = [
+    ("uniform", ComputeProfile::Uniform),
+    (
+        "two-speed",
+        ComputeProfile::TwoSpeed {
+            slow_fraction: 0.3,
+            slowdown: 4.0,
+        },
+    ),
+    (
+        "match-network",
+        ComputeProfile::MatchNetworkCohort { slowdown: 4.0 },
+    ),
+];
+
+/// `analysis.source`.
+const SOURCES: [(&str, AnalysisSource); 3] = [
+    ("parameters", AnalysisSource::Parameters),
+    ("approvals", AnalysisSource::Approvals),
+    ("both", AnalysisSource::Both),
+];
+
+/// Core validation's field names that differ from the key the value is
+/// read from. Any other field is its key: an undotted one under
+/// `[execution]`, a dotted one as it stands (`faults.drop`). A group
+/// check names the group's first key.
+const FIELD_KEYS: [(&str, &str); 14] = [
+    ("walk_depth", "execution.walk_depth_min"),
+    ("walk_stop_margin", "execution.stop_margin"),
+    ("total_activations", "execution.activations"),
+    ("mean_interarrival", "execution.interarrival"),
+    ("delay.delay", "execution.delay"),
+    ("delay.base", "execution.delay"),
+    ("delay.fast", "execution.delay"),
+    ("delay.jitter", "execution.jitter"),
+    ("delay.slow", "execution.slow_delay"),
+    ("delay.slow_fraction", "execution.slow_fraction"),
+    ("compute.slow_fraction", "execution.compute_slow_fraction"),
+    ("compute.slowdown", "execution.slowdown"),
+    ("faults.partition", "faults.partition_start"),
+    // The crash check is on `0 <= at <= restart`; `crash_peer` is free.
+    ("faults.crash", "faults.crash_at"),
+];
+
+/// A core range error as an invalid value of the key it was read from.
+fn core_error(e: CoreError) -> ScenarioError {
+    let CoreError::InvalidField {
+        field,
+        value,
+        constraint,
+    } = e
+    else {
+        return ScenarioError::Core(e);
+    };
+    let key = match FIELD_KEYS.iter().find(|(f, _)| *f == field) {
+        Some((_, key)) => key.to_string(),
+        None if field.contains('.') => field.to_string(),
+        None => format!("execution.{field}"),
+    };
+    ScenarioError::InvalidValue {
+        key,
+        value,
+        expected: constraint.trim_start_matches("must be ").to_string(),
+    }
+}
+
+/// The root table: the one-line name (shared with sweep files).
+pub(crate) fn root(c: &mut impl Codec, name: &mut String) -> Result<(), ScenarioError> {
+    c.require("name")?;
+    c.key("name", name)
+}
+
+/// `[dataset]`: the generator word, then its parameters.
+fn dataset(c: &mut impl Codec, v: &mut DatasetSpec) -> Result<(), ScenarioError> {
+    c.require("kind")?;
+    c.word("kind", &DATASETS, v)?;
+    match v {
+        DatasetSpec::Fmnist {
+            clients,
+            samples,
+            relaxation,
+            seed,
+        }
+        | DatasetSpec::FmnistStreamed {
+            clients,
+            samples,
+            relaxation,
+            seed,
+        } => {
+            c.key("clients", clients)?;
+            c.key("samples", samples)?;
+            c.key("relaxation", relaxation)?;
+            c.key("seed", seed)
+        }
+        DatasetSpec::FmnistAuthor {
+            clients,
+            samples,
+            seed,
+        }
+        | DatasetSpec::Cifar {
+            clients,
+            samples,
+            seed,
+        } => {
+            c.key("clients", clients)?;
+            c.key("samples", samples)?;
+            c.key("seed", seed)
+        }
+        DatasetSpec::Poets {
+            clients_per_language,
+            samples,
+            seq_len,
+            seed,
+        } => {
+            c.key("clients_per_language", clients_per_language)?;
+            c.key("samples", samples)?;
+            c.key("seq_len", seq_len)?;
+            c.key("seed", seed)
+        }
+        DatasetSpec::FedProx {
+            clients,
+            min_samples,
+            max_samples,
+            seed,
+        } => {
+            c.key("clients", clients)?;
+            c.key("min_samples", min_samples)?;
+            c.key("max_samples", max_samples)?;
+            c.key("seed", seed)
+        }
+    }
+}
+
+/// `[model]`: the architecture word; `hidden` is a list of widths for
+/// `mlp` and one width for `char-rnn`.
+fn model(c: &mut impl Codec, v: &mut ModelSpec) -> Result<(), ScenarioError> {
+    c.require("kind")?;
+    c.word("kind", &models(), v)?;
+    match v {
+        ModelSpec::Mlp { hidden } => c.key("hidden", hidden),
+        ModelSpec::Linear => Ok(()),
+        ModelSpec::CharRnn { embed, hidden } => {
+            c.key("embed", embed)?;
+            c.key("hidden", hidden)
+        }
+    }
+}
+
+/// `[execution]`: the mode word, the DAG keys every mode has, then the
+/// async keys — transport, budget and timing, stale-tip policy, and the
+/// delay and compute models.
+fn execution(c: &mut impl Codec, v: &mut ExecutionSpec) -> Result<(), ScenarioError> {
+    // A mode word swaps the variant, not the DAG keys (the builder
+    // clamped `clients_per_round` to the dataset).
+    let dag = *v.dag();
+    c.word("mode", &modes(), v)?;
+    *v.dag_mut() = dag;
+    dag_keys(c, v.dag_mut())?;
+    let ExecutionSpec::Async { config, transport } = v else {
+        return Ok(());
+    };
+    c.word("transport", &TRANSPORTS, transport)?;
+    match transport {
+        TransportSpec::Loopback => {
+            // Named here, so a file that forgets `transport = "tcp"`
+            // gets a pointed message instead of an unknown key.
+            let (mut tracker, mut port) = (None::<String>, None::<u16>);
+            c.opt("tracker", &mut tracker)?;
+            c.opt("port", &mut port)?;
+            if tracker.is_some() || port.is_some() {
+                return Err(ScenarioError::Invalid(format!(
+                    "`{}` and `{}` are only valid with transport = \"tcp\"",
+                    c.path("tracker"),
+                    c.path("port"),
+                )));
+            }
+        }
+        TransportSpec::Tcp { tracker, port } => {
+            c.require("tracker")?;
+            c.key("tracker", tracker)?;
+            c.key("port", port)?;
+        }
+    }
+    let defaults = AsyncConfig::default();
+    c.key("activations", &mut config.total_activations)?;
+    c.key("interarrival", &mut config.mean_interarrival)?;
+    c.key("train_time", &mut config.train_time)?;
+    c.key_or("fanout", &mut config.gossip_fanout, defaults.gossip_fanout)?;
+    c.key_or("workers", &mut config.workers, defaults.workers)?;
+    c.word("stale_policy", &STALE_POLICIES, &mut config.stale_policy)?;
+    c.word("delay_model", &DELAY_MODELS, &mut config.delay)?;
+    match &mut config.delay {
+        DelayModel::Constant { delay } => c.key("delay", delay)?,
+        DelayModel::UniformJitter { base, jitter } => {
+            c.key("delay", base)?;
+            c.key("jitter", jitter)?;
+        }
+        DelayModel::Cohorts {
+            slow_fraction,
+            fast,
+            slow,
+            jitter,
+        } => {
+            c.key("delay", fast)?;
+            c.key("slow_delay", slow)?;
+            c.key("slow_fraction", slow_fraction)?;
+            c.key("jitter", jitter)?;
+        }
+    }
+    c.word("compute", &COMPUTE_PROFILES, &mut config.compute)?;
+    match &mut config.compute {
+        ComputeProfile::Uniform => Ok(()),
+        ComputeProfile::TwoSpeed {
+            slow_fraction,
+            slowdown,
+        } => {
+            c.key("compute_slow_fraction", slow_fraction)?;
+            c.key("slowdown", slowdown)
+        }
+        ComputeProfile::MatchNetworkCohort { slowdown } => c.key("slowdown", slowdown),
+    }
+}
+
+/// The DAG keys of `[execution]`; `alpha` and `normalization` exist
+/// only under the selectors that have them.
+fn dag_keys(c: &mut impl Codec, dag: &mut DagConfig) -> Result<(), ScenarioError> {
+    c.key("rounds", &mut dag.rounds)?;
+    c.key("clients_per_round", &mut dag.clients_per_round)?;
+    c.key("local_epochs", &mut dag.local_epochs)?;
+    c.key("local_batches", &mut dag.local_batches)?;
+    c.key("batch_size", &mut dag.batch_size)?;
+    c.key("learning_rate", &mut dag.learning_rate)?;
+    c.word("selector", &SELECTORS, &mut dag.tip_selector)?;
+    match &mut dag.tip_selector {
+        TipSelector::Accuracy {
+            alpha,
+            normalization,
+        } => {
+            c.key("alpha", alpha)?;
+            c.word("normalization", &NORMALIZATIONS, normalization)?;
+        }
+        TipSelector::Random => {}
+        TipSelector::CumulativeWeight { alpha } => c.key("alpha", alpha)?,
+    }
+    c.key("walk_depth_min", &mut dag.walk_depth.0)?;
+    c.key("walk_depth_max", &mut dag.walk_depth.1)?;
+    c.opt("stop_margin", &mut dag.walk_stop_margin)?;
+    c.word("publish_gate", &PUBLISH_GATES, &mut dag.publish_gate)?;
+    c.key("frozen_prefix", &mut dag.frozen_prefix)?;
+    c.key("publication_dropout", &mut dag.publication_dropout)?;
+    c.key("seed", &mut dag.seed)?;
+    c.key("parallel", &mut dag.parallel)
+}
+
+/// `[attack]`.
+fn attack(c: &mut impl Codec, v: &mut AttackSpec) -> Result<(), ScenarioError> {
+    c.key("fraction", &mut v.fraction)?;
+    c.key("clean_rounds", &mut v.clean_rounds)?;
+    c.key("attack_rounds", &mut v.attack_rounds)?;
+    c.key("class_a", &mut v.class_a)?;
+    c.key("class_b", &mut v.class_b)?;
+    c.key("measure_every", &mut v.measure_every)
+}
+
+/// `[faults]`: the per-envelope faults, then a partition window and a
+/// crash window, each given whole or not at all (a crash without
+/// `crash_restart` never restarts).
+fn faults(c: &mut impl Codec, v: &mut FaultSpec) -> Result<(), ScenarioError> {
+    c.key("drop", &mut v.drop)?;
+    c.key("duplicate", &mut v.duplicate)?;
+    c.key("reorder", &mut v.reorder)?;
+    c.key("extra_delay", &mut v.extra_delay)?;
+    c.key("delay_boost", &mut v.delay_boost)?;
+    let mut start = v.partition.map(|p| p.0);
+    let mut heal = v.partition.map(|p| p.1);
+    let mut split = v.partition.map(|p| p.2);
+    c.opt("partition_start", &mut start)?;
+    c.opt("partition_heal", &mut heal)?;
+    c.opt("partition_split", &mut split)?;
+    v.partition = match (start, heal, split) {
         (None, None, None) => None,
         (Some(start), Some(heal), Some(split)) => Some((start, heal, split)),
         _ => {
             return Err(ScenarioError::Invalid(format!(
                 "`{}`, `{}` and `{}` must be given together",
-                reader.path("partition_start"),
-                reader.path("partition_heal"),
-                reader.path("partition_split"),
+                c.path("partition_start"),
+                c.path("partition_heal"),
+                c.path("partition_split"),
             )))
         }
     };
-    let crash = match (
-        reader.number::<usize>("crash_peer", "a non-negative integer")?,
-        reader.number::<f64>("crash_at", "a number")?,
-        reader.number::<f64>("crash_restart", "a number")?,
-    ) {
+    let mut peer = v.crash.map(|crash| crash.0);
+    let mut at = v.crash.map(|crash| crash.1);
+    let mut restart = v.crash.map(|crash| crash.2).filter(|r| r.is_finite());
+    c.opt("crash_peer", &mut peer)?;
+    c.opt("crash_at", &mut at)?;
+    c.opt("crash_restart", &mut restart)?;
+    v.crash = match (peer, at, restart) {
         (None, None, None) => None,
         (Some(peer), Some(at), restart) => Some((peer, at, restart.unwrap_or(f64::INFINITY))),
         _ => {
             return Err(ScenarioError::Invalid(format!(
                 "`{}` and `{}` must be given together",
-                reader.path("crash_peer"),
-                reader.path("crash_at"),
+                c.path("crash_peer"),
+                c.path("crash_at"),
             )))
         }
     };
-    Ok(FaultSpec {
-        drop: reader.f64_or("drop", 0.0)?,
-        duplicate: reader.f64_or("duplicate", 0.0)?,
-        reorder: reader.f64_or("reorder", 0.0)?,
-        extra_delay: reader.f64_or("extra_delay", 0.0)?,
-        delay_boost: reader.f64_or("delay_boost", 1.0)?,
-        partition,
-        crash,
-    })
+    Ok(())
 }
 
-fn read_execution(
-    reader: &Reader<'_>,
-    dataset: &DatasetSpec,
-) -> Result<ExecutionSpec, ScenarioError> {
-    let mode = reader.str("mode")?.unwrap_or_else(|| "rounds".into());
-    let dag = read_dag(reader, dataset)?;
-    match mode.as_str() {
-        "rounds" => Ok(ExecutionSpec::Rounds(dag)),
-        "async" => {
-            let defaults = AsyncConfig::default();
-            let stale_policy = match reader.str("stale_policy")?.as_deref() {
-                None | Some("publish") => StaleTipPolicy::PublishAnyway,
-                Some("reselect") => StaleTipPolicy::Reselect,
-                Some("discard") => StaleTipPolicy::Discard,
-                Some(other) => {
-                    return Err(ScenarioError::InvalidValue {
-                        key: reader.path("stale_policy"),
-                        value: other.into(),
-                        expected: "publish, reselect or discard".into(),
-                    })
-                }
-            };
-            let base = reader.f64_or("delay", 2.0)?;
-            let jitter = || reader.f64_or("jitter", 0.0);
-            let delay = match reader.str("delay_model")?.as_deref() {
-                None | Some("constant") => DelayModel::Constant { delay: base },
-                Some("jitter") => DelayModel::UniformJitter {
-                    base,
-                    jitter: jitter()?,
-                },
-                Some("cohorts") => DelayModel::Cohorts {
-                    slow_fraction: reader.f64_or("slow_fraction", 0.3)?,
-                    fast: base,
-                    slow: reader.f64_or("slow_delay", 8.0)?,
-                    jitter: jitter()?,
-                },
-                Some(other) => {
-                    return Err(ScenarioError::InvalidValue {
-                        key: reader.path("delay_model"),
-                        value: other.into(),
-                        expected: "constant, jitter or cohorts".into(),
-                    })
-                }
-            };
-            let compute = match reader.str("compute")?.as_deref() {
-                None | Some("uniform") => ComputeProfile::Uniform,
-                Some("two-speed") => ComputeProfile::TwoSpeed {
-                    slow_fraction: reader.f64_or("compute_slow_fraction", 0.3)?,
-                    slowdown: reader.f64_or("slowdown", 4.0)?,
-                },
-                Some("match-network") => ComputeProfile::MatchNetworkCohort {
-                    slowdown: reader.f64_or("slowdown", 4.0)?,
-                },
-                Some(other) => {
-                    return Err(ScenarioError::InvalidValue {
-                        key: reader.path("compute"),
-                        value: other.into(),
-                        expected: "uniform, two-speed or match-network".into(),
-                    })
-                }
-            };
-            let transport = read_transport(reader)?;
-            Ok(ExecutionSpec::Async {
-                config: AsyncConfig {
-                    dag,
-                    total_activations: reader
-                        .usize_or("activations", defaults.total_activations)?,
-                    mean_interarrival: reader.f64_or("interarrival", defaults.mean_interarrival)?,
-                    delay,
-                    compute,
-                    train_time: reader.f64_or("train_time", defaults.train_time)?,
-                    stale_policy,
-                    gossip_fanout: reader.usize_or("fanout", defaults.gossip_fanout)?,
-                    workers: reader.usize_or("workers", defaults.workers)?,
-                },
-                transport,
-            })
-        }
-        other => Err(ScenarioError::InvalidValue {
-            key: "execution.mode".into(),
-            value: other.into(),
-            expected: "rounds or async".into(),
-        }),
-    }
-}
-
-/// Reads `transport` / `tracker` / `port` from an async execution
-/// section. The tcp-only keys are rejected explicitly under loopback,
-/// so a file that forgets `transport = "tcp"` fails with a pointed
-/// message instead of a generic unknown-key error.
-fn read_transport(reader: &Reader<'_>) -> Result<TransportSpec, ScenarioError> {
-    let mode = reader.str("transport")?;
-    let tracker = reader.str("tracker")?;
-    let port: Option<u16> = reader.number("port", "a port number (0-65535)")?;
-    match mode.as_deref() {
-        None | Some("loopback") => {
-            if tracker.is_some() || port.is_some() {
-                return Err(ScenarioError::Invalid(format!(
-                    "`{}` and `{}` are only valid with transport = \"tcp\"",
-                    reader.path("tracker"),
-                    reader.path("port"),
-                )));
-            }
-            Ok(TransportSpec::Loopback)
-        }
-        Some("tcp") => Ok(TransportSpec::Tcp {
-            tracker: tracker.ok_or_else(|| ScenarioError::MissingKey {
-                key: reader.path("tracker"),
-            })?,
-            port: port.unwrap_or(0),
-        }),
-        Some(other) => Err(ScenarioError::InvalidValue {
-            key: reader.path("transport"),
-            value: other.into(),
-            expected: "loopback or tcp".into(),
-        }),
-    }
-}
-
-fn read_attack(reader: &Reader<'_>) -> Result<AttackSpec, ScenarioError> {
-    let defaults = AttackSpec::default();
-    Ok(AttackSpec {
-        fraction: reader.f64_or("fraction", defaults.fraction)?,
-        clean_rounds: reader.usize_or("clean_rounds", defaults.clean_rounds)?,
-        attack_rounds: reader.usize_or("attack_rounds", defaults.attack_rounds)?,
-        class_a: reader.usize_or("class_a", defaults.class_a)?,
-        class_b: reader.usize_or("class_b", defaults.class_b)?,
-        measure_every: reader.usize_or("measure_every", defaults.measure_every)?,
-    })
-}
-
-fn read_analysis(reader: &Reader<'_>) -> Result<AnalysisSpec, ScenarioError> {
-    let defaults = AnalysisSpec::default();
-    let k = reader.number::<usize>("k", "a positive integer")?;
-    let k_min = reader.number::<usize>("k_min", "a positive integer")?;
-    let k_max = reader.number::<usize>("k_max", "a positive integer")?;
-    if k.is_some() && (k_min.is_some() || k_max.is_some()) {
+/// `[analysis]`: `k` fixes the cluster count; without it, `k_min` and
+/// `k_max` bound the silhouette sweep.
+fn analysis(c: &mut impl Codec, v: &mut AnalysisSpec) -> Result<(), ScenarioError> {
+    c.key_or("enabled", &mut v.enabled, AnalysisSpec::default().enabled)?;
+    c.opt("k", &mut v.k)?;
+    let mut k_min = v.k.is_none().then_some(v.k_min);
+    let mut k_max = v.k.is_none().then_some(v.k_max);
+    c.opt("k_min", &mut k_min)?;
+    c.opt("k_max", &mut k_max)?;
+    if v.k.is_some() && (k_min.is_some() || k_max.is_some()) {
         return Err(ScenarioError::Invalid(format!(
             "`{}` fixes the cluster count; it cannot be combined with `{}`/`{}`",
-            reader.path("k"),
-            reader.path("k_min"),
-            reader.path("k_max"),
+            c.path("k"),
+            c.path("k_min"),
+            c.path("k_max"),
         )));
     }
-    let source = match reader.str("source")?.as_deref() {
-        None => defaults.source,
-        Some(word) => AnalysisSource::parse(word).ok_or_else(|| ScenarioError::InvalidValue {
-            key: reader.path("source"),
-            value: word.into(),
-            expected: "parameters, approvals or both".into(),
-        })?,
-    };
-    Ok(AnalysisSpec {
-        enabled: reader.bool_or("enabled", defaults.enabled)?,
-        k,
-        k_min: k_min.unwrap_or(defaults.k_min),
-        k_max: k_max.unwrap_or(defaults.k_max),
-        cadence: reader.usize_or("cadence", defaults.cadence)?,
-        source,
-    })
+    v.k_min = k_min.unwrap_or(v.k_min);
+    v.k_max = k_max.unwrap_or(v.k_max);
+    c.key("cadence", &mut v.cadence)?;
+    c.word("source", &SOURCES, &mut v.source)
 }
 
-fn read_output(reader: &Reader<'_>) -> Result<OutputSpec, ScenarioError> {
-    let defaults = OutputSpec::default();
-    Ok(OutputSpec {
-        csv: reader.str("csv")?,
-        track_every: reader.usize_or("track_every", defaults.track_every)?,
-        recent_window: reader.usize_or("recent_window", defaults.recent_window)?,
-    })
+/// `[output]`.
+fn output(c: &mut impl Codec, v: &mut OutputSpec) -> Result<(), ScenarioError> {
+    c.opt("csv", &mut v.csv)?;
+    c.key("track_every", &mut v.track_every)?;
+    c.key("recent_window", &mut v.recent_window)
 }
 
 #[cfg(test)]
@@ -2030,8 +2078,64 @@ mod tests {
         assert_eq!(s.execution.dag().seed, 7);
     }
 
+    /// `(section, key, word, digest)`: a section holding only the word
+    /// (and `mode = "async"` where the key needs it) and the FNV-1a of
+    /// the canonical text it read to before the visitor rewrite.
+    const SHAPE_WORDS: [(&str, &str, &str, u64); 33] = [
+        ("dataset", "kind", "fmnist", 0x230dbfa3f3f13821),
+        ("dataset", "kind", "fmnist-streamed", 0xacbf32b630ed56cd),
+        ("dataset", "kind", "fmnist-author", 0xd37cc696f936815a),
+        ("dataset", "kind", "poets", 0xf3d582fcc5b0d9a4),
+        ("dataset", "kind", "cifar", 0x63b11b71c45bdef5),
+        ("dataset", "kind", "fedprox", 0xde01522f07a43bef),
+        ("model", "kind", "mlp", 0x230dbfa3f3f13821),
+        ("model", "kind", "linear", 0xb93dc6e35d969882),
+        ("model", "kind", "char-rnn", 0x2cd2e8ff93f4d87a),
+        ("execution", "mode", "rounds", 0x230dbfa3f3f13821),
+        ("execution", "mode", "async", 0xe705d62cc4cbf65e),
+        ("execution", "selector", "accuracy", 0x230dbfa3f3f13821),
+        ("execution", "selector", "random", 0xddec46eba6f6b389),
+        ("execution", "selector", "cumulative", 0xe49b7adf75c09e43),
+        ("execution", "normalization", "simple", 0x230dbfa3f3f13821),
+        ("execution", "normalization", "dynamic", 0x3e94885e6416d8ce),
+        ("execution", "publish_gate", "averaged", 0x230dbfa3f3f13821),
+        (
+            "execution",
+            "publish_gate",
+            "best-parent",
+            0xc739c41004acaa81,
+        ),
+        ("execution", "publish_gate", "always", 0x511e7b926d443365),
+        ("execution", "transport", "loopback", 0xe705d62cc4cbf65e),
+        ("execution", "transport", "tcp", 0xa5654bc10de77140),
+        ("execution", "stale_policy", "publish", 0xe705d62cc4cbf65e),
+        ("execution", "stale_policy", "reselect", 0x054c55f77e6e3bc8),
+        ("execution", "stale_policy", "discard", 0x2cf442afa66cc553),
+        ("execution", "delay_model", "constant", 0xe705d62cc4cbf65e),
+        ("execution", "delay_model", "jitter", 0x41db2904dec0afdf),
+        ("execution", "delay_model", "cohorts", 0xf7d283c752320eb7),
+        ("execution", "compute", "uniform", 0xe705d62cc4cbf65e),
+        ("execution", "compute", "two-speed", 0xd9faae3f8a4bffee),
+        ("execution", "compute", "match-network", 0xdab572877d0f6864),
+        ("analysis", "source", "parameters", 0x7c1bd48db05602a3),
+        ("analysis", "source", "approvals", 0x1cc0bc2d451de2c7),
+        ("analysis", "source", "both", 0xd6b8788cd36468c6),
+    ];
+
+    /// FNV-1a, for pinning texts captured at an earlier commit.
+    fn fnv(text: &str) -> u64 {
+        text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
     #[test]
     fn round_trips_every_execution_shape() {
+        let with_dag = |edit: fn(&mut DagConfig)| {
+            let mut s = tiny();
+            edit(s.execution.dag_mut());
+            s
+        };
         let cases = vec![
             tiny(),
             tiny()
@@ -2093,12 +2197,100 @@ mod tests {
                     tracker: "127.0.0.1:7878".into(),
                     port: 9000,
                 }),
+            with_dag(|dag| {
+                dag.tip_selector = TipSelector::Accuracy {
+                    alpha: 3.0,
+                    normalization: Normalization::Dynamic,
+                };
+                dag.walk_stop_margin = Some(0.2);
+                dag.publish_gate = PublishGate::BestParent;
+            }),
+            with_dag(|dag| dag.publish_gate = PublishGate::Always),
+            tiny().asynchronous(AsyncConfig {
+                delay: DelayModel::UniformJitter {
+                    base: 1.0,
+                    jitter: 0.5,
+                },
+                compute: ComputeProfile::TwoSpeed {
+                    slow_fraction: 0.2,
+                    slowdown: 3.0,
+                },
+                stale_policy: StaleTipPolicy::Discard,
+                gossip_fanout: 2,
+                workers: 3,
+                ..AsyncConfig::default()
+            }),
+            tiny()
+                .asynchronous(AsyncConfig::default())
+                .with_faults(FaultSpec {
+                    crash: Some((1, 3.0, 5.0)),
+                    ..chaos_faults()
+                }),
+            tiny().with_analysis(AnalysisSpec {
+                enabled: false,
+                k: Some(3),
+                ..AnalysisSpec::default()
+            }),
+            tiny().with_analysis(AnalysisSpec {
+                k_min: 3,
+                k_max: 5,
+                cadence: 2,
+                source: AnalysisSource::Approvals,
+                ..AnalysisSpec::default()
+            }),
+            Scenario::new(
+                "streamed",
+                DatasetSpec::FmnistStreamed {
+                    clients: 5,
+                    samples: 20,
+                    relaxation: 0.1,
+                    seed: 9,
+                },
+            )
+            .with_model(ModelSpec::Mlp { hidden: vec![8, 4] }),
+            Scenario::new(
+                "cifar",
+                DatasetSpec::Cifar {
+                    clients: 6,
+                    samples: 20,
+                    seed: 4,
+                },
+            )
+            .with_model(ModelSpec::Linear),
         ];
-        for scenario in cases {
+        // The bytes the writer emitted before it became a visitor: a
+        // writer that drops a key the reader would default anyway, or
+        // moves one, reads back equal but fails here.
+        let written: Vec<&str> = include_str!("../tests/written_shapes.txt")
+            .split("# ---\n")
+            .collect();
+        assert_eq!(written.len(), cases.len());
+        for (scenario, expected) in cases.into_iter().zip(written) {
             let text = scenario.to_toml();
+            assert_eq!(text, expected);
             let reparsed = Scenario::from_toml(&text)
                 .unwrap_or_else(|e| panic!("reparsing `{}` failed: {e}\n{text}", scenario.name));
             assert_eq!(scenario, reparsed, "{text}");
+        }
+        // A section holding only a shape word reads to that word's
+        // defaults: `(section, key, word, digest of the canonical text)`,
+        // the digests captured before the rewrite.
+        for (section, key, word, digest) in SHAPE_WORDS {
+            let mut doc = Document::default();
+            doc.root.set("name", Value::Str("x".into()));
+            doc.section_mut("dataset")
+                .set("kind", Value::Str("fmnist".into()));
+            if ["transport", "stale_policy", "delay_model", "compute"].contains(&key) {
+                doc.section_mut("execution")
+                    .set("mode", Value::Str("async".into()));
+            }
+            doc.section_mut(section).set(key, Value::Str(word.into()));
+            if word == "tcp" {
+                doc.section_mut(section)
+                    .set("tracker", Value::Str("127.0.0.1:7878".into()));
+            }
+            let text = Scenario::from_document(&doc).unwrap().to_toml();
+            assert_eq!(fnv(&text), digest, "{section}.{key} = {word}:\n{text}");
         }
     }
 
@@ -2167,7 +2359,10 @@ mod tests {
                 drop: 1.5,
                 ..chaos_faults()
             });
-        assert!(matches!(bad_prob.validate(), Err(ScenarioError::Core(_))));
+        assert!(matches!(
+            bad_prob.validate(),
+            Err(ScenarioError::InvalidValue { ref key, .. }) if key == "faults.drop"
+        ));
     }
 
     #[test]

@@ -45,12 +45,16 @@
 
 use std::path::{Path, PathBuf};
 
-use dagfl_core::csv::{to_csv_string, write_csv};
+use dagfl_core::csv::to_csv_string;
 use dagfl_core::{derive_seed, fan_out};
 
 use crate::presets::Scale;
-use crate::runner::{RunReport, ScenarioRunner};
-use crate::spec::{ExecutionSpec, Reader, Scenario, ScenarioError, SECTIONS};
+use crate::runner::{
+    analysis_cells, write_results_csv, RunReport, ScenarioRunner, ANALYSIS_COLUMNS,
+};
+use crate::spec::{
+    read, root, write, Codec, ExecutionSpec, Reader, Scenario, ScenarioError, SECTIONS,
+};
 use crate::text::{Document, Value};
 
 /// The longest expansion a single range axis may produce; a backstop
@@ -445,26 +449,14 @@ impl SweepSpec {
     /// [`SweepSpec::from_toml`].
     pub fn to_toml(&self) -> String {
         let mut doc = Document::default();
-        doc.root.set("name", Value::Str(self.name.clone()));
-        {
-            let sweep = doc.section_mut("sweep");
-            match &self.base {
-                SweepBase::Preset(preset) => sweep.set("preset", Value::Str(preset.clone())),
-                SweepBase::File(path) => {
-                    sweep.set("scenario", Value::Str(path.display().to_string()));
-                }
-                SweepBase::Inline(scenario) => {
-                    sweep.set("scenario_name", Value::Str(scenario.name.clone()));
-                }
-            }
-            if let Some(cap) = self.max_cells {
-                sweep.set("max_cells", Value::Number(cap.to_string()));
-            }
-            if let Some(csv) = &self.comparison_csv {
-                sweep.set("comparison_csv", Value::Str(csv.clone()));
-            }
-            sweep.set("cell_csv", Value::Bool(self.cell_csv));
-        }
+        let mut spec = self.clone();
+        write(&mut doc, "", &mut spec.name, root);
+        let mut base = match &self.base {
+            SweepBase::Preset(preset) => [Some(preset.clone()), None, None],
+            SweepBase::File(path) => [None, Some(path.display().to_string()), None],
+            SweepBase::Inline(scenario) => [None, None, Some(scenario.name.clone())],
+        };
+        write(&mut doc, "sweep", &mut spec, |c, v| sweep(c, &mut base, v));
         if let SweepBase::Inline(scenario) = &self.base {
             let base_doc = scenario.to_document();
             for section in SECTIONS {
@@ -502,24 +494,21 @@ impl SweepSpec {
                 key: format!("[{section}]"),
             });
         }
-        let root = Reader::new("", Some(&doc.root));
-        let name = root.req_str("name")?;
-        root.finish()?;
-        let sweep_table = doc.section("sweep").ok_or(ScenarioError::MissingKey {
-            key: "[sweep]".into(),
-        })?;
-        let reader = Reader::new("sweep", Some(sweep_table));
-        let preset = reader.str("preset")?;
-        let file = reader.str("scenario")?;
-        let inline_name = reader.str("scenario_name")?;
-        let max_cells = reader.number::<usize>("max_cells", "a positive integer")?;
-        let comparison_csv = reader.str("comparison_csv")?;
-        let cell_csv = reader.bool_or("cell_csv", false)?;
-        reader.finish()?;
-        let base = match (preset, file, inline_name) {
-            (Some(preset), None, None) => SweepBase::Preset(preset),
-            (None, Some(path), None) => SweepBase::File(PathBuf::from(path)),
-            (None, None, Some(scenario_name)) => {
+        let mut name = String::new();
+        read(&doc, "", &mut name, root)?;
+        if doc.section("sweep").is_none() {
+            return Err(ScenarioError::MissingKey {
+                key: "[sweep]".into(),
+            });
+        }
+        // The `[sweep]` keys replace the placeholder base.
+        let mut spec = SweepSpec::new(name, SweepBase::Preset(String::new()));
+        let mut base = [None, None, None];
+        read(&doc, "sweep", &mut spec, |c, v| sweep(c, &mut base, v))?;
+        spec.base = match base {
+            [Some(preset), None, None] => SweepBase::Preset(preset),
+            [None, Some(path), None] => SweepBase::File(PathBuf::from(path)),
+            [None, None, Some(scenario_name)] => {
                 let mut base_doc = Document::default();
                 base_doc.root.set("name", Value::Str(scenario_name));
                 for section in SECTIONS {
@@ -537,7 +526,7 @@ impl SweepSpec {
                 ))
             }
         };
-        if !matches!(base, SweepBase::Inline(_))
+        if !matches!(spec.base, SweepBase::Inline(_))
             && SECTIONS.iter().any(|s| doc.section(s).is_some())
         {
             return Err(ScenarioError::Invalid(
@@ -547,7 +536,6 @@ impl SweepSpec {
         let axes_table = doc.section("axes").ok_or(ScenarioError::MissingKey {
             key: "[axes]".into(),
         })?;
-        let mut axes = Vec::new();
         for (key, value) in axes_table.iter() {
             let values = match value {
                 Value::NumberList(items) => items.clone(),
@@ -564,19 +552,12 @@ impl SweepSpec {
                     ))
                 }
             };
-            axes.push(SweepAxis {
+            spec.axes.push(SweepAxis {
                 field: key.to_string(),
                 values,
             });
         }
-        Ok(SweepSpec {
-            name,
-            base,
-            axes,
-            max_cells,
-            comparison_csv,
-            cell_csv,
-        })
+        Ok(spec)
     }
 
     /// Reads and parses a sweep file.
@@ -617,6 +598,24 @@ impl SweepSpec {
         std::fs::write(path, self.to_toml())
             .map_err(|e| ScenarioError::Io(format!("writing {}: {e}", path.display())))
     }
+}
+
+/// The `[sweep]` section: the base as its three keys (`preset`, the
+/// `scenario` file or an inline `scenario_name`, of which a file sets
+/// exactly one; resolved once the section is read), then the output
+/// options.
+fn sweep(
+    c: &mut impl Codec,
+    base: &mut [Option<String>; 3],
+    v: &mut SweepSpec,
+) -> Result<(), ScenarioError> {
+    let [preset, file, scenario_name] = base;
+    c.opt("preset", preset)?;
+    c.opt("scenario", file)?;
+    c.opt("scenario_name", scenario_name)?;
+    c.opt("max_cells", &mut v.max_cells)?;
+    c.opt("comparison_csv", &mut v.comparison_csv)?;
+    c.key("cell_csv", &mut v.cell_csv)
 }
 
 // ---------------------------------------------------------------------------
@@ -698,18 +697,7 @@ impl SweepReport {
         // ran with `[analysis]`, so pre-analysis sweep CSVs stay
         // byte-identical.
         if self.has_analysis() {
-            header.extend(
-                [
-                    "analysis_k",
-                    "analysis_silhouette",
-                    "analysis_purity",
-                    "analysis_ari",
-                    "analysis_communities",
-                    "analysis_modularity",
-                    "analysis_agreement",
-                ]
-                .map(String::from),
-            );
+            header.extend(ANALYSIS_COLUMNS.map(String::from));
         }
         header
     }
@@ -762,31 +750,7 @@ impl SweepReport {
                 row.push(r.fresh_evaluations.to_string());
                 row.push(r.cached_evaluations.to_string());
                 if self.has_analysis() {
-                    match &r.analysis {
-                        Some(s) => {
-                            match &s.parameters {
-                                Some(p) => {
-                                    row.push(p.k.to_string());
-                                    row.push(format!("{:.4}", p.silhouette));
-                                    row.push(format!("{:.4}", p.purity));
-                                    row.push(format!("{:.4}", p.ari));
-                                }
-                                None => row.extend(std::iter::repeat(String::new()).take(4)),
-                            }
-                            match &s.graph {
-                                Some(g) => {
-                                    row.push(g.community_count.to_string());
-                                    row.push(format!("{:.4}", g.modularity));
-                                }
-                                None => row.extend(std::iter::repeat(String::new()).take(2)),
-                            }
-                            row.push(
-                                s.agreement_ari
-                                    .map_or_else(String::new, |a| format!("{a:.4}")),
-                            );
-                        }
-                        None => row.extend(std::iter::repeat(String::new()).take(7)),
-                    }
+                    row.extend(analysis_cells(r.analysis.as_ref()));
                 }
                 row
             })
@@ -821,7 +785,7 @@ impl SweepReport {
                 r.recent_accuracy,
                 r.specialization.approval_pureness,
                 r.progress,
-                if r.mode == "async" {
+                if r.async_metrics.is_some() {
                     "activations"
                 } else {
                     "rounds"
@@ -839,15 +803,9 @@ impl SweepReport {
     }
 
     fn write_comparison_csv(&self, name: &str) -> Result<PathBuf, ScenarioError> {
-        let dir = std::env::var("DAGFL_RESULTS")
-            .map(PathBuf::from)
-            .unwrap_or_else(|_| PathBuf::from("results"));
-        let path = dir.join(format!("{name}.csv"));
         let header = self.comparison_header();
         let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-        write_csv(&path, &header_refs, &self.comparison_rows())
-            .map_err(|e| ScenarioError::Io(format!("writing {}: {e}", path.display())))?;
-        Ok(path)
+        write_results_csv(name, &header_refs, &self.comparison_rows())
     }
 }
 
@@ -1184,6 +1142,16 @@ mod tests {
                 "{axis}: {err}"
             );
         }
+        // An axis the base has, whose value a range check rejects, is
+        // named by the key the axis spells, not by core's field name.
+        let asynchronous = Scenario::preset_at("async-delay2", Scale::Quick).unwrap();
+        let err = SweepSpec::over_scenario("bad", asynchronous)
+            .axis("execution.interarrival", ["0"])
+            .validate()
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("`execution.interarrival`"), "{err}");
+        assert!(!err.contains("mean_interarrival"), "{err}");
     }
 
     #[test]
