@@ -18,10 +18,7 @@ use dagfl_datasets::FederatedDataset;
 use dagfl_graphs::{louvain, misclassification_fraction, modularity, partition_count, Graph};
 use dagfl_tangle::TangleStats;
 
-use crate::{
-    AsyncSimulation, CoreError, ShardedModelTangle, Simulation, SpecializationMetrics,
-    {approval_pureness_of, client_graph_of},
-};
+use crate::{AsyncSimulation, CoreError, ShardedModelTangle, Simulation, SpecializationMetrics};
 
 /// A simulator that can run a Specializing-DAG workload to completion
 /// and expose its tangle for analysis, regardless of whether progress is
@@ -52,15 +49,15 @@ pub trait ExecutionMode {
     /// evaluations.
     fn recent_accuracy(&self, n: usize) -> f32;
 
-    /// The derived client graph `G_clients` (§4.3).
-    fn client_graph(&self) -> Graph {
-        client_graph_of(self.tangle(), self.dataset().num_clients())
-    }
+    /// The derived client graph `G_clients` (§4.3), as the simulator
+    /// maintains it at publish time; [`crate::client_graph_of`]
+    /// re-derives it by a full scan.
+    fn client_graph(&self) -> Graph;
 
-    /// Approval pureness of the visible tangle (Table 2).
-    fn approval_pureness(&self) -> f64 {
-        approval_pureness_of(self.tangle(), &self.dataset().cluster_labels())
-    }
+    /// Approval pureness of the visible tangle (Table 2), as the
+    /// simulator maintains it at publish time;
+    /// [`crate::approval_pureness_of`] re-derives it by a full scan.
+    fn approval_pureness(&self) -> f64;
 
     /// Structural statistics of the visible tangle.
     fn tangle_stats(&self) -> TangleStats {
@@ -110,6 +107,14 @@ impl ExecutionMode for Simulation {
     fn recent_accuracy(&self, n: usize) -> f32 {
         Simulation::recent_accuracy(self, n)
     }
+
+    fn client_graph(&self) -> Graph {
+        Simulation::client_graph(self)
+    }
+
+    fn approval_pureness(&self) -> f64 {
+        Simulation::approval_pureness(self)
+    }
 }
 
 impl ExecutionMode for AsyncSimulation {
@@ -135,6 +140,14 @@ impl ExecutionMode for AsyncSimulation {
 
     fn recent_accuracy(&self, n: usize) -> f32 {
         AsyncSimulation::recent_accuracy(self, n)
+    }
+
+    fn client_graph(&self) -> Graph {
+        AsyncSimulation::client_graph(self)
+    }
+
+    fn approval_pureness(&self) -> f64 {
+        AsyncSimulation::approval_pureness(self)
     }
 }
 
@@ -184,7 +197,7 @@ mod tests {
                     local_batches: 2,
                     ..DagConfig::default()
                 },
-                total_activations: 6,
+                total_activations: 30,
                 delay: DelayModel::constant(1.0),
                 ..AsyncConfig::default()
             },
@@ -213,6 +226,27 @@ mod tests {
         let modes = both_modes();
         assert_eq!(modes[0].mode_name(), "rounds");
         assert_eq!(modes[1].mode_name(), "async");
+    }
+
+    #[test]
+    fn maintained_graph_and_pureness_equal_the_rescans() {
+        use crate::{approval_pureness_of, client_graph_of};
+        for mode in &mut both_modes() {
+            mode.run_to_completion().unwrap();
+            let name = mode.mode_name();
+            let rescan = client_graph_of(mode.tangle(), mode.dataset().num_clients());
+            assert!(
+                rescan.total_weight() > 0.0,
+                "{name}: no approvals to compare"
+            );
+            assert_eq!(mode.client_graph().edges(), rescan.edges(), "{name}");
+            let labels = mode.dataset().cluster_labels();
+            assert_eq!(
+                mode.approval_pureness(),
+                approval_pureness_of(mode.tangle(), &labels),
+                "{name}"
+            );
+        }
     }
 
     #[test]

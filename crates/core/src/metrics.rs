@@ -1,10 +1,12 @@
 //! Per-round and specialization metrics.
 
+use std::convert::Infallible;
 use std::time::Duration;
 
 use dagfl_graphs::Graph;
 use dagfl_tangle::{TangleRead, TxId};
 
+use crate::fanout::{fan_out, machine_workers};
 use crate::ModelPayload;
 
 /// Builds the derived client graph `G_clients` (§4.3) from a tangle: the
@@ -70,11 +72,91 @@ pub fn approval_pureness_of<T: TangleRead<ModelPayload>>(tangle: &T, clusters: &
     }
 }
 
+/// The FNV-1a 64-bit offset basis: the state of a hash over no bytes.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+const FNV_PRIME: u64 = 0x1000_0000_01b3;
+
 /// FNV-1a over a sequence of little-endian `u64` words.
-fn fnv_mix(h: &mut u64, v: u64) {
+pub(crate) fn fnv_mix(h: &mut u64, v: u64) {
     for byte in v.to_le_bytes() {
-        *h = (*h ^ u64::from(byte)).wrapping_mul(0x1000_0000_01b3);
+        *h = (*h ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
     }
+}
+
+/// Payloads per fan-out job of [`fnv_weights`]: enough weights that a
+/// job dwarfs handing it out, few enough that the jobs balance.
+const FNV_JOB: usize = 256;
+
+/// Advances each `states[i]` by [`fnv_mix`] of every weight of
+/// `payloads[i]`, the weight's bits widened to `u64` — bit for bit what
+/// the byte-serial loop computes.
+///
+/// FNV-1a is one chain of dependent multiplies per payload, so a serial
+/// loop waits on multiply latency. Here four payloads' chains advance
+/// per step over their common prefix (each tail then runs alone), and
+/// jobs of [`FNV_JOB`] payloads fan out over the machine's cores. Every
+/// chain still sees the same bytes in the same order, so the states do
+/// not depend on the grouping or the worker count.
+///
+/// # Panics
+///
+/// Panics if `states` and `payloads` differ in length.
+pub(crate) fn fnv_weights(states: &mut [u64], payloads: &[&[f32]]) {
+    assert_eq!(states.len(), payloads.len(), "one state per payload");
+    let jobs = states.chunks_mut(FNV_JOB).zip(payloads.chunks(FNV_JOB));
+    let Ok(_) = fan_out(machine_workers(), jobs, |_, (states, payloads)| {
+        let mut quads = states.chunks_exact_mut(4).zip(payloads.chunks_exact(4));
+        for (states, payloads) in &mut quads {
+            let states: &mut [u64; 4] = states.try_into().expect("chunks of four");
+            fnv_four(states, [payloads[0], payloads[1], payloads[2], payloads[3]]);
+        }
+        let tail = states.len() / 4 * 4;
+        for (state, payload) in states[tail..].iter_mut().zip(&payloads[tail..]) {
+            fnv_serial(state, payload);
+        }
+        Ok::<_, Infallible>(())
+    });
+}
+
+/// Four chains, one weight of each per step, then each chain's tail.
+fn fnv_four(states: &mut [u64; 4], payloads: [&[f32]; 4]) {
+    let common = payloads.iter().map(|p| p.len()).min().unwrap_or(0);
+    let mut h = *states;
+    // Indexing each whole payload keeps the four chains scalar. Slicing
+    // them to `common` first lets LLVM pack the chains into one AVX2
+    // vector, which has no 64-bit multiply: that measured twice as slow.
+    for i in 0..common {
+        for (h, payload) in h.iter_mut().zip(payloads) {
+            fnv_weight(h, payload[i]);
+        }
+    }
+    for ((state, h), payload) in states.iter_mut().zip(h).zip(payloads) {
+        *state = h;
+        fnv_serial(state, &payload[common..]);
+    }
+}
+
+fn fnv_serial(state: &mut u64, weights: &[f32]) {
+    for &w in weights {
+        fnv_weight(state, w);
+    }
+}
+
+/// [`fnv_mix`] of one weight widened to `u64`. The four high bytes are
+/// zero, so their four xor-multiply steps are one multiply by the prime's
+/// fourth power — wrapping multiplication is associative, so the state
+/// is the same.
+#[inline(always)]
+fn fnv_weight(h: &mut u64, w: f32) {
+    const PRIME_POW4: u64 = FNV_PRIME
+        .wrapping_mul(FNV_PRIME)
+        .wrapping_mul(FNV_PRIME)
+        .wrapping_mul(FNV_PRIME);
+    for byte in w.to_bits().to_le_bytes() {
+        *h = (*h ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+    }
+    *h = h.wrapping_mul(PRIME_POW4);
 }
 
 /// A deterministic digest of a tangle's full contents — parameter bits,
@@ -90,25 +172,29 @@ fn fnv_mix(h: &mut u64, v: u64) {
 /// iteration order *and the insertion order* — any two
 /// dependency-respecting interleavings of the same transactions agree
 /// (up to hash collisions).
+///
+/// The payloads are hashed four chains at a time, on every core, which
+/// yields the same value as byte-serial FNV-1a.
 pub fn tangle_digest<T: TangleRead<ModelPayload>>(tangle: &T) -> u64 {
     let len = tangle.len();
     // Pass 1: per-transaction content hashes (payload, issuer, round).
-    let mut content = vec![0u64; len];
-    for index in 0..len as u64 {
-        let id = TxId::from_index(index);
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        if let Ok(payload) = tangle.payload_of(id) {
-            for &p in payload.params() {
-                fnv_mix(&mut h, u64::from(p.to_bits()));
-            }
-        }
+    let payloads: Vec<&[f32]> = (0..len as u64)
+        .map(|index| {
+            tangle
+                .payload_of(TxId::from_index(index))
+                .map_or(&[][..], ModelPayload::params)
+        })
+        .collect();
+    let mut content = vec![FNV_OFFSET; len];
+    fnv_weights(&mut content, &payloads);
+    for (index, h) in content.iter_mut().enumerate() {
+        let id = TxId::from_index(index as u64);
         if let Ok(issuer) = tangle.issuer_of(id) {
-            fnv_mix(&mut h, issuer.map_or(u64::MAX, u64::from));
+            fnv_mix(h, issuer.map_or(u64::MAX, u64::from));
         }
         if let Ok(round) = tangle.round_of(id) {
-            fnv_mix(&mut h, u64::from(round));
+            fnv_mix(h, u64::from(round));
         }
-        content[index as usize] = h;
     }
     // Pass 2: fold in the approval structure. Parents always precede
     // children (the `TangleRead` contract), so their content hashes are
@@ -276,6 +362,109 @@ pub struct SpecializationMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fanout::tests::with_workers;
+    use crate::ShardedModelTangle;
+
+    /// The byte-serial two-pass digest [`tangle_digest`] replaced: the
+    /// oracle its kernel must match bit for bit.
+    fn serial_tangle_digest<T: TangleRead<ModelPayload>>(tangle: &T) -> u64 {
+        let len = tangle.len();
+        let mut content = vec![0u64; len];
+        for index in 0..len as u64 {
+            let id = TxId::from_index(index);
+            let mut h = FNV_OFFSET;
+            if let Ok(payload) = tangle.payload_of(id) {
+                for &p in payload.params() {
+                    fnv_mix(&mut h, u64::from(p.to_bits()));
+                }
+            }
+            if let Ok(issuer) = tangle.issuer_of(id) {
+                fnv_mix(&mut h, issuer.map_or(u64::MAX, u64::from));
+            }
+            if let Ok(round) = tangle.round_of(id) {
+                fnv_mix(&mut h, u64::from(round));
+            }
+            content[index as usize] = h;
+        }
+        let mut digest = 0u64;
+        let mut parents = Vec::new();
+        for index in 0..len as u64 {
+            let id = TxId::from_index(index);
+            let mut h = content[index as usize];
+            if tangle.parents_into(id, &mut parents).is_ok() {
+                fnv_mix(&mut h, parents.len() as u64);
+                let mut combined = 0u64;
+                for parent in &parents {
+                    combined = combined.wrapping_add(content[parent.index() as usize]);
+                }
+                fnv_mix(&mut h, combined);
+            }
+            digest = digest.wrapping_add(h);
+        }
+        digest
+    }
+
+    /// Payload lengths the kernel tests mix within one group of four:
+    /// empty, shorter than, equal to and longer than a group, and long.
+    const LENGTHS: [usize; 6] = [0, 1, 3, 4, 5, 257];
+
+    /// `len` weights that differ from every other payload's.
+    fn weights(payload: usize, len: usize) -> Vec<f32> {
+        (0..len)
+            .map(|j| (payload * 1000 + j) as f32 * 0.37 - 11.0)
+            .collect()
+    }
+
+    #[test]
+    fn fnv_weights_matches_serial_fnv_mix() {
+        // 0 to 9 payloads fill one job (groups of four plus a tail);
+        // 2 * FNV_JOB + 9 make three jobs for the fan-out to split.
+        for count in (0..=9).chain([2 * FNV_JOB + 9]) {
+            let payloads: Vec<Vec<f32>> = (0..count)
+                .map(|i| weights(i, LENGTHS[(i + count) % LENGTHS.len()]))
+                .collect();
+            let slices: Vec<&[f32]> = payloads.iter().map(Vec::as_slice).collect();
+            let starts: Vec<u64> = (0..count as u64).map(|i| FNV_OFFSET ^ i).collect();
+            let expected: Vec<u64> = starts
+                .iter()
+                .zip(&payloads)
+                .map(|(&start, payload)| {
+                    let mut h = start;
+                    for &w in payload {
+                        fnv_mix(&mut h, u64::from(w.to_bits()));
+                    }
+                    h
+                })
+                .collect();
+            for workers in [1, 2, 3, 7] {
+                let mut states = starts.clone();
+                with_workers(workers, || fnv_weights(&mut states, &slices));
+                assert_eq!(states, expected, "{count} payloads, {workers} workers");
+            }
+        }
+    }
+
+    #[test]
+    fn tangle_digest_matches_the_byte_serial_oracle() {
+        let tangle = ShardedModelTangle::new(ModelPayload::new(weights(0, 3)));
+        let mut ids = vec![tangle.genesis()];
+        for i in 1..2 * FNV_JOB + 9 {
+            let payload = ModelPayload::new(weights(i, LENGTHS[i % LENGTHS.len()]));
+            let parents = [ids[i / 2], ids[i - 1]];
+            let id = tangle
+                .attach_with_meta(payload, &parents, Some((i % 5) as u32), i as u32)
+                .expect("parents exist");
+            ids.push(id);
+        }
+        let oracle = serial_tangle_digest(&tangle);
+        for workers in [1, 2, 3, 7] {
+            assert_eq!(
+                with_workers(workers, || tangle_digest(&tangle)),
+                oracle,
+                "{workers} workers"
+            );
+        }
+    }
 
     fn metrics(accs: Vec<f32>, losses: Vec<f32>) -> RoundMetrics {
         RoundMetrics {

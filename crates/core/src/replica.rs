@@ -22,6 +22,7 @@ use parking_lot::Mutex;
 
 use dagfl_tangle::{TangleError, TangleRead, TxId};
 
+use crate::metrics::{fnv_mix, fnv_weights, FNV_OFFSET};
 use crate::{CoreError, Envelope, GossipMessage, ModelPayload, TxMessage};
 
 /// The genesis always carries network id 0, in every transport.
@@ -482,28 +483,35 @@ impl Replica {
 
     /// An order-independent digest of the replica's contents (ids,
     /// approvals, weights, metadata). Two replicas hold the same
-    /// transaction set if and only if their digests match — the
-    /// convergence check of the networked mode.
+    /// transaction set exactly when their digests match, up to hash
+    /// collisions — the convergence check of the networked mode.
+    ///
+    /// Each record is one FNV-1a chain over its network id, parent
+    /// count, parents, weights, issuer and round; the chains are summed
+    /// with wrapping addition. The weights go through the kernel
+    /// [`tangle_digest`](crate::tangle_digest) uses — four chains at a
+    /// time, on every core — which yields the same value as byte-serial
+    /// FNV-1a.
     pub fn digest(&self) -> u64 {
-        let mut total: u64 = 0;
-        for record in &self.view.records {
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325; // FNV-1a offset basis
-            let mut mix = |value: u64| {
-                for byte in value.to_le_bytes() {
-                    h ^= byte as u64;
-                    h = h.wrapping_mul(0x1000_0000_01b3);
+        let records = &self.view.records;
+        let mut states: Vec<u64> = records
+            .iter()
+            .map(|record| {
+                let mut h = FNV_OFFSET;
+                fnv_mix(&mut h, record.net_id);
+                fnv_mix(&mut h, record.parents.len() as u64);
+                for &p in record.parents.iter() {
+                    fnv_mix(&mut h, p);
                 }
-            };
-            mix(record.net_id);
-            mix(record.parents.len() as u64);
-            for &p in record.parents.iter() {
-                mix(p);
-            }
-            for w in record.payload.params() {
-                mix(w.to_bits() as u64);
-            }
-            mix(record.issuer.map_or(u64::MAX, |i| i as u64));
-            mix(record.round as u64);
+                h
+            })
+            .collect();
+        let payloads: Vec<&[f32]> = records.iter().map(|r| r.payload.params()).collect();
+        fnv_weights(&mut states, &payloads);
+        let mut total: u64 = 0;
+        for (mut h, record) in states.into_iter().zip(records) {
+            fnv_mix(&mut h, record.issuer.map_or(u64::MAX, u64::from));
+            fnv_mix(&mut h, u64::from(record.round));
             total = total.wrapping_add(h);
         }
         total
@@ -683,6 +691,51 @@ mod tests {
         let mut c = fresh();
         c.insert(&msg(5, &[0])).unwrap();
         assert_ne!(a.digest(), c.digest(), "different sets must differ");
+    }
+
+    /// The byte-serial form of [`Replica::digest`]: the oracle its
+    /// kernel must match bit for bit.
+    fn serial_digest(replica: &Replica) -> u64 {
+        let mut total: u64 = 0;
+        for record in &replica.view.records {
+            let mut h = FNV_OFFSET;
+            fnv_mix(&mut h, record.net_id);
+            fnv_mix(&mut h, record.parents.len() as u64);
+            for &p in record.parents.iter() {
+                fnv_mix(&mut h, p);
+            }
+            for w in record.payload.params() {
+                fnv_mix(&mut h, u64::from(w.to_bits()));
+            }
+            fnv_mix(&mut h, record.issuer.map_or(u64::MAX, u64::from));
+            fnv_mix(&mut h, u64::from(record.round));
+            total = total.wrapping_add(h);
+        }
+        total
+    }
+
+    #[test]
+    fn digest_matches_the_byte_serial_form() {
+        use crate::fanout::tests::with_workers;
+        // Enough records for several fan-out jobs, with payload lengths
+        // that differ within every group of four.
+        let mut r = fresh();
+        for id in 1..600u64 {
+            let len = [0, 1, 3, 4, 5, 257][id as usize % 6];
+            r.insert(&TxMessage {
+                params: Arc::new((0..len).map(|j| (id * 1000 + j) as f32 * 0.37).collect()),
+                ..msg(id, &[id / 2, id - 1])
+            })
+            .unwrap();
+        }
+        let serial = serial_digest(&r);
+        for workers in [1, 2, 3, 7] {
+            assert_eq!(
+                with_workers(workers, || r.digest()),
+                serial,
+                "{workers} workers"
+            );
+        }
     }
 
     #[test]

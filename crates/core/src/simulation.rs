@@ -7,14 +7,14 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use dagfl_datasets::FederatedDataset;
-use dagfl_graphs::{louvain, misclassification_fraction, modularity, partition_count, Graph};
+use dagfl_graphs::Graph;
 use dagfl_nn::Evaluation;
 use dagfl_tangle::TxId;
 
 use crate::fanout::{disjoint_mut, fan_out, machine_workers};
 use crate::{
-    ClientGraphTracker, CoreError, DagClient, DagConfig, ModelFactory, ModelPayload, RoundMetrics,
-    ShardedModelTangle, SpecializationMetrics, TrainOutcome,
+    ClientGraphTracker, CoreError, DagClient, DagConfig, ExecutionMode, ModelFactory, ModelPayload,
+    RoundMetrics, ShardedModelTangle, SpecializationMetrics, TrainOutcome,
 };
 
 /// A client's reference evaluation: `(client id, evaluation, selected tips)`.
@@ -265,21 +265,10 @@ impl Simulation {
         self.graph.approval_pureness()
     }
 
-    /// Computes the §4.3 specialization metrics of the current tangle.
+    /// Computes the §4.3 specialization metrics of the current tangle,
+    /// with Louvain seeded by the run seed and the round.
     pub fn specialization_metrics(&self) -> SpecializationMetrics {
-        let graph = self.client_graph();
-        let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0xC0FF_EE00 ^ self.round as u64);
-        let partition = louvain(&graph, &mut rng);
-        SpecializationMetrics {
-            modularity: modularity(&graph, &partition),
-            partitions: partition_count(&partition),
-            misclassification: misclassification_fraction(
-                &partition,
-                &self.dataset.cluster_labels(),
-            ),
-            approval_pureness: self.approval_pureness(),
-            partition,
-        }
+        self.specialization_metrics_seeded(self.config.seed ^ 0xC0FF_EE00 ^ self.round as u64)
     }
 
     /// Evaluates every client's walk-selected reference model on its local

@@ -10,8 +10,14 @@
 //! char-rnn, and the MLP in async mode. When a change is *meant* to
 //! alter the numbers, copy the new values from the failure messages and
 //! say so in CHANGES.md.
+//!
+//! The replica row pins `Replica::digest` the same way: before it, replica
+//! digests were only compared with each other, so a hash change that
+//! moved every replica alike went unseen. Its constants were recorded on
+//! the commit before the interleaved FNV-1a kernel landed.
 
-use dagfl::scenario::{Scale, Scenario, ScenarioRunner};
+use dagfl::scenario::{ExecutionSpec, Scale, Scenario, ScenarioRunner};
+use dagfl::AsyncSimulation;
 
 fn assert_quick_digest(preset: &str, recorded: u64) {
     let scenario = Scenario::preset_at(preset, Scale::Quick).expect("known preset");
@@ -49,4 +55,28 @@ fn table1_cifar_digest_is_unchanged() {
 #[test]
 fn async_delay2_digest_is_unchanged() {
     assert_quick_digest("async-delay2", 0xc131_8f06_e63f_535c);
+}
+
+#[test]
+fn async_delay2_replica_digests_are_unchanged() {
+    let scenario = Scenario::preset_at("async-delay2", Scale::Quick).expect("known preset");
+    let ExecutionSpec::Async { config, .. } = scenario.execution else {
+        panic!("async-delay2 runs in async mode");
+    };
+    let dataset = scenario.dataset.build();
+    let factory = scenario.build_factory(&dataset);
+    let mut sim =
+        AsyncSimulation::try_new_with_faults(config, dataset, factory, Default::default())
+            .expect("preset validates");
+    sim.run().expect("preset runs");
+    let first = sim.replica_digest(0);
+    let sum = (0..sim.dataset().num_clients()).fold(0u64, |sum, client| {
+        sum.wrapping_add(sim.replica_digest(client))
+    });
+    let recorded = (0xf433_7d36_e0cb_a1ed, 0x598e_c6f0_e5c2_b603);
+    assert_eq!(
+        (first, sum),
+        recorded,
+        "async-delay2: replica 0 digest {first:#018x}, sum over clients {sum:#018x}"
+    );
 }
