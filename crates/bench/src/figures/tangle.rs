@@ -3,6 +3,7 @@
 
 use dagfl_core::{DagConfig, Simulation};
 use dagfl_scenario::{DatasetSpec, Scenario};
+use dagfl_tangle::TangleRead;
 
 use crate::experiments::{run_dag, task};
 use crate::output::{f, int};
@@ -26,8 +27,8 @@ pub fn fig04(session: &Session) {
     spec.rounds = spec.rounds.min(12);
     let sim = run_dag(spec, dataset, factory);
     let clusters = sim.dataset().cluster_labels();
-    let tangle = sim.tangle().to_tangle();
-    let dot = tangle.to_dot(|tx| match tx.issuer() {
+    let tangle = sim.tangle();
+    let dot = tangle.to_dot(|_, issuer| match issuer {
         Some(issuer) => {
             let cluster = clusters[issuer as usize];
             format!("style=filled fillcolor={} ", COLORS[cluster % COLORS.len()])

@@ -568,7 +568,7 @@ impl AsyncSimulation {
     /// envelope, then lets each replica pull every transaction it is
     /// missing from each other replica as a snapshot batch, to a
     /// fixpoint. This is the loopback analogue of the networked
-    /// `SnapshotRequest`/`delta_since` rejoin — after it, all replica
+    /// `SnapshotRequest` rejoin — after it, all replica
     /// digests agree unless a transaction was lost from *every*
     /// replica (impossible: the publisher always holds its own).
     ///

@@ -170,10 +170,7 @@ impl GarbageAttackScenario {
     /// Propagates model/tangle errors.
     pub fn measure(&mut self) -> Result<GarbageRoundMetrics, CoreError> {
         let evals = self.simulation.reference_evaluations()?;
-        // Materialize a single-owner snapshot once: `past_cone` is an
-        // inherent `Tangle` traversal, and payloads are `Arc`-shared so
-        // the copy is cheap.
-        let tangle = self.simulation.tangle.to_tangle();
+        let tangle = &self.simulation.tangle;
         let mut cone_counts = Vec::with_capacity(evals.len());
         let mut garbage_tips = 0usize;
         let mut tips_seen = 0usize;

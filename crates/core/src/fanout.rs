@@ -6,9 +6,7 @@
 //! index — so the worker count is a wall-clock choice, never a result.
 
 use std::panic::resume_unwind;
-use std::sync::OnceLock;
-
-use parking_lot::Mutex;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Runs `run(index, job)` for every job and returns the results in job
 /// order, or the error of the lowest failing index.
@@ -58,7 +56,7 @@ where
     let cursor = Mutex::new(jobs.enumerate());
     // `next` holds the cursor's lock for that call only: jobs run unlocked.
     let drain = || {
-        std::iter::from_fn(|| cursor.lock().next())
+        std::iter::from_fn(|| cursor.lock().unwrap_or_else(PoisonError::into_inner).next())
             .map(|(i, job)| (i, run(i, job)))
             .collect::<Vec<_>>()
     };

@@ -15,6 +15,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use dagfl_datasets::{flip_labels, FederatedDataset, PoisonReport};
+use dagfl_tangle::TangleRead;
 
 use crate::{CoreError, DagConfig, ModelFactory, RoundMetrics, Simulation};
 
@@ -158,16 +159,13 @@ impl PoisoningScenario {
             .map(|r| r.poisoned_clients.clone())
             .unwrap_or_default();
         let config = self.simulation.config;
-        // Materialize a single-owner snapshot once: `past_cone` is an
-        // inherent `Tangle` traversal, and payloads are `Arc`-shared so
-        // the copy is cheap.
-        let tangle = self.simulation.tangle.to_tangle();
+        let tangle = &self.simulation.tangle;
         let mut flip_fractions = Vec::new();
         let mut approved_counts = Vec::new();
         for idx in 0..self.simulation.dataset.num_clients() {
             let data = &self.simulation.dataset.clients()[idx];
             let client = &mut self.simulation.clients[idx];
-            let (params, (tip1, tip2)) = client.reference_model(&tangle, data, &config)?;
+            let (params, (tip1, tip2)) = client.reference_model(tangle, data, &config)?;
             // Poisoned transactions in the union of the reference past
             // cones.
             let mut cone = tangle.past_cone(tip1)?;
@@ -176,9 +174,9 @@ impl PoisoningScenario {
                 .iter()
                 .filter(|&&id| {
                     tangle
-                        .get(id)
+                        .issuer_of(id)
                         .ok()
-                        .and_then(|tx| tx.issuer())
+                        .flatten()
                         .is_some_and(|issuer| poisoned.contains(&issuer))
                 })
                 .count();

@@ -16,9 +16,7 @@
 //! holds costs one `Arc` clone instead of a fresh allocation.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use dagfl_tangle::{TangleError, TangleRead, TxId};
 
@@ -64,20 +62,27 @@ impl SegmentRegistry {
         Self::default()
     }
 
+    /// The record map, locked. Records are only ever inserted whole, so a
+    /// panic elsewhere cannot leave the map half-written: poison is
+    /// ignored.
+    fn records(&self) -> MutexGuard<'_, HashMap<u64, Arc<TxRecord>>> {
+        self.records.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Number of distinct transactions interned so far.
     pub fn len(&self) -> usize {
-        self.records.lock().len()
+        self.records().len()
     }
 
     /// Whether no transaction has been interned yet.
     pub fn is_empty(&self) -> bool {
-        self.records.lock().is_empty()
+        self.records().is_empty()
     }
 
     /// Returns the record for `net_id`, interning it from `msg` (with
     /// the given deduplicated parents) if absent.
     fn intern(&self, msg: &TxMessage, deduped_parents: &[u64]) -> Arc<TxRecord> {
-        let mut records = self.records.lock();
+        let mut records = self.records();
         Arc::clone(records.entry(msg.id).or_insert_with(|| {
             Arc::new(TxRecord {
                 net_id: msg.id,
@@ -91,7 +96,7 @@ impl SegmentRegistry {
 
     /// Interns a genesis payload under [`GENESIS_NET_ID`].
     fn intern_genesis(&self, genesis: ModelPayload) -> Arc<TxRecord> {
-        let mut records = self.records.lock();
+        let mut records = self.records();
         Arc::clone(records.entry(GENESIS_NET_ID).or_insert_with(|| {
             Arc::new(TxRecord {
                 net_id: GENESIS_NET_ID,
@@ -178,18 +183,6 @@ impl ReplicaTangle {
     /// The local id of the genesis transaction.
     pub fn genesis(&self) -> TxId {
         TxId::from_index(0)
-    }
-
-    /// All approval edges as `(child, parent)` pairs of local ids, in
-    /// insertion order (the analogue of [`dagfl_tangle::Tangle::edges`]).
-    pub fn edges(&self) -> Vec<(TxId, TxId)> {
-        let mut edges = Vec::new();
-        for (index, record) in self.records.iter().enumerate() {
-            for net_parent in record.parents.iter() {
-                edges.push((TxId::from_index(index as u64), self.to_local[net_parent]));
-            }
-        }
-        edges
     }
 }
 

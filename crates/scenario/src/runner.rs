@@ -86,8 +86,9 @@ pub struct RunReport {
     pub tangle: TangleStats,
     /// Order-independent content digest of the final tangle
     /// ([`dagfl_core::tangle_digest`]): two runs agree on approvals,
-    /// parameters, issuers and rounds iff the digests match, so CI can
-    /// compare worker counts without shipping whole reports around.
+    /// parameters, issuers and rounds exactly when the digests match,
+    /// up to hash collisions, so CI can compare worker counts without
+    /// shipping whole reports around.
     pub tangle_digest: u64,
     /// Throughput metrics (async mode only).
     pub async_metrics: Option<AsyncMetrics>,

@@ -18,9 +18,6 @@ pub enum TangleError {
     /// A random walk was asked to start from a transaction not in the
     /// tangle.
     InvalidWalkStart(TxId),
-    /// A snapshot or delta is malformed (empty, parented genesis, or a
-    /// record referencing a transaction it cannot know yet).
-    InvalidSnapshot(&'static str),
 }
 
 impl fmt::Display for TangleError {
@@ -34,7 +31,6 @@ impl fmt::Display for TangleError {
             TangleError::InvalidWalkStart(id) => {
                 write!(f, "random walk start {id} is not in the tangle")
             }
-            TangleError::InvalidSnapshot(why) => write!(f, "invalid snapshot: {why}"),
         }
     }
 }

@@ -1,6 +1,4 @@
-//! DAG introspection: summary statistics and Graphviz export.
-
-use crate::{Tangle, Transaction, TxId};
+//! DAG introspection: summary statistics.
 
 /// Structural summary of a tangle.
 #[derive(Debug, Clone, PartialEq)]
@@ -19,98 +17,33 @@ pub struct TangleStats {
     pub mean_children: f64,
 }
 
-impl<P> Tangle<P> {
-    /// Structural summary statistics, read from counters maintained
-    /// incrementally on attach — `O(1)` instead of a full re-scan.
-    /// (`max_depth` uses the identity "longest path from the genesis ==
-    /// maximum depth-from-tips"; the regression tests pin every field
-    /// against a recomputed oracle.)
-    pub fn stats(&self) -> TangleStats {
-        let transactions = self.len();
-        let tips = self.tip_count();
-        let edges = self.edge_count();
-        let max_depth = self.max_height();
+impl TangleStats {
+    /// Derives the means from the four structural counts every store
+    /// maintains incrementally.
+    pub(crate) fn from_counts(
+        transactions: usize,
+        tips: usize,
+        edges: usize,
+        max_depth: u32,
+    ) -> Self {
         // Only the genesis has no parents, so every other transaction is
         // non-genesis.
-        let non_genesis = transactions - 1;
-        let non_tips = transactions - tips;
+        let mean_over = |n: usize| if n == 0 { 0.0 } else { edges as f64 / n as f64 };
         TangleStats {
             transactions,
             tips,
             edges,
             max_depth,
-            mean_parents: if non_genesis == 0 {
-                0.0
-            } else {
-                edges as f64 / non_genesis as f64
-            },
-            mean_children: if non_tips == 0 {
-                0.0
-            } else {
-                edges as f64 / non_tips as f64
-            },
+            mean_parents: mean_over(transactions - 1),
+            mean_children: mean_over(transactions - tips),
         }
-    }
-
-    /// Renders the DAG in Graphviz DOT format (edges point from approver
-    /// to approved, i.e. backwards in time, as in the paper's figures).
-    ///
-    /// `style` receives every transaction and may return extra node
-    /// attributes (e.g. `fillcolor=...` to colour by cluster); return an
-    /// empty string for defaults. Tips are always drawn grey, matching
-    /// Figure 2.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use dagfl_tangle::Tangle;
-    ///
-    /// # fn main() -> Result<(), dagfl_tangle::TangleError> {
-    /// let mut t = Tangle::new(());
-    /// let g = t.genesis();
-    /// t.attach((), &[g])?;
-    /// let dot = t.to_dot(|_| String::new());
-    /// assert!(dot.starts_with("digraph tangle"));
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn to_dot<F: Fn(&Transaction<P>) -> String>(&self, style: F) -> String {
-        let mut out = String::from("digraph tangle {\n  rankdir=RL;\n  node [shape=circle];\n");
-        for tx in self.iter() {
-            let id = tx.id();
-            let mut attrs = String::new();
-            if self.is_tip(id) {
-                attrs.push_str("style=filled fillcolor=lightgray ");
-            }
-            let extra = style(tx);
-            if !extra.is_empty() {
-                attrs.push_str(&extra);
-            }
-            let label = match tx.issuer() {
-                Some(issuer) => format!("label=\"{}\\nc{}\"", id, issuer),
-                None => format!("label=\"{id}\""),
-            };
-            out.push_str(&format!("  \"{id}\" [{label} {attrs}];\n"));
-        }
-        for (child, parent) in self.edges() {
-            out.push_str(&format!("  \"{child}\" -> \"{parent}\";\n"));
-        }
-        out.push_str("}\n");
-        out
-    }
-
-    /// Transactions published in the given round (by recorded metadata).
-    pub fn transactions_in_round(&self, round: u32) -> Vec<TxId> {
-        self.iter()
-            .filter(|tx| !tx.is_genesis() && tx.round() == round)
-            .map(Transaction::id)
-            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Tangle, TangleRead, TxId};
 
     fn diamond() -> Tangle<()> {
         let mut t = Tangle::new(());
@@ -223,7 +156,7 @@ mod tests {
     #[test]
     fn dot_contains_all_nodes_and_edges() {
         let t = diamond();
-        let dot = t.to_dot(|_| String::new());
+        let dot = t.to_dot(|_, _| String::new());
         assert!(dot.contains("digraph tangle"));
         for tx in t.iter() {
             assert!(dot.contains(&format!("\"{}\"", tx.id())));
@@ -234,8 +167,8 @@ mod tests {
     #[test]
     fn dot_marks_tips_grey_and_applies_style() {
         let t = diamond();
-        let dot = t.to_dot(|tx| {
-            if tx.is_genesis() {
+        let dot = t.to_dot(|id, _| {
+            if id == t.genesis() {
                 "shape=box ".into()
             } else {
                 String::new()
@@ -250,17 +183,7 @@ mod tests {
         let mut t = Tangle::new(());
         let g = t.genesis();
         t.attach_with_meta((), &[g], Some(7), 3).unwrap();
-        let dot = t.to_dot(|_| String::new());
+        let dot = t.to_dot(|_, _| String::new());
         assert!(dot.contains("c7"));
-    }
-
-    #[test]
-    fn transactions_in_round_filters_by_metadata() {
-        let mut t = Tangle::new(());
-        let g = t.genesis();
-        let a = t.attach_with_meta((), &[g], Some(0), 1).unwrap();
-        let _b = t.attach_with_meta((), &[g], Some(1), 2).unwrap();
-        assert_eq!(t.transactions_in_round(1), vec![a]);
-        assert!(t.transactions_in_round(9).is_empty());
     }
 }

@@ -9,20 +9,20 @@
 //! This crate provides the ledger mechanics, generic over the transaction
 //! payload:
 //!
-//! * [`Tangle`] — append-only transaction store with approval edges, tip
-//!   tracking and past/future-cone queries,
-//! * [`ShardedTangle`] — a concurrent store with the same contract whose
-//!   read path never takes a global lock: transactions live in immutable
-//!   once-written segments, the children/tip index is split across
-//!   independently-locked shards, and appends go through `&self`,
-//! * [`TangleRead`] — the read-only view trait both stores implement, so
-//!   walks and metrics are generic over the storage backend,
-//! * [`TangleSnapshot`] — order-preserving export/import of a tangle's
-//!   state with deltas ([`TangleSnapshot::delta_since`]) so late-joining
-//!   replicas can catch up,
-//! * cumulative weights and depth-from-tips ([`Tangle::cumulative_weights`],
-//!   [`Tangle::depths_from_tips`]) as used by classic tangle tip selection
-//!   and by Popov's walk-start sampling,
+//! * [`TangleRead`] — the read surface every store implements: a few
+//!   required accessors, plus every algorithm over a tangle written once
+//!   as a provided method — cumulative weights and depth-from-tips
+//!   ([`TangleRead::cumulative_weights`], [`TangleRead::depths_from_tips`])
+//!   as used by classic tangle tip selection and Popov's walk-start
+//!   sampling, past cones, edges and Graphviz export
+//!   ([`TangleRead::to_dot`]),
+//! * [`ShardedTangle`] — the concurrent store the simulators run on,
+//!   whose read path never takes a global lock: transactions live in
+//!   immutable once-written segments, the children/tip index is split
+//!   across independently-locked shards, and appends go through `&self`,
+//! * [`Tangle`] — the sequential store behind `&mut self`, kept as the
+//!   oracle the other stores are tested against,
+//! * [`TangleSnapshot`] — an order-preserving export of a tangle's state,
 //! * a pluggable random-walk engine ([`RandomWalker`], [`WalkBias`]) with
 //!   [`UniformBias`] (the paper's "random tip selector" baseline) and
 //!   [`CumulativeWeightBias`] (classic IOTA MCMC). The paper's

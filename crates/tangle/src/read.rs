@@ -1,14 +1,15 @@
-//! A read-only view trait abstracting over tangle storage backends.
+//! The read surface every tangle store shares, and the one home of the
+//! algorithms over it.
 //!
-//! Tip selection, weight computations and specialization metrics only
-//! ever *read* the DAG. [`TangleRead`] captures exactly that surface so
-//! the same walk/metric code runs unchanged against the single-owner
-//! [`Tangle`], the concurrent [`ShardedTangle`](crate::ShardedTangle),
-//! and the per-client replica views in `dagfl-core`.
-//!
-//! The provided weight/depth/sampling methods mirror the inherent
-//! `Tangle` algorithms line for line — same iteration order, same
-//! number of RNG draws — so results are bit-identical across backends.
+//! Tip selection, weight computations, cones, export and specialization
+//! metrics only ever *read* the DAG. [`TangleRead`] captures exactly
+//! that surface: a store implements the required accessors, and every
+//! algorithm is a provided method written once over them — so the same
+//! code runs unchanged against the sequential [`Tangle`], the concurrent
+//! [`ShardedTangle`](crate::ShardedTangle), and the per-client replica
+//! views in `dagfl-core`, with bit-identical results.
+
+use std::collections::HashSet;
 
 use rand::Rng;
 
@@ -110,9 +111,50 @@ pub trait TangleRead<P> {
         Ok(out)
     }
 
-    /// Exact cumulative weight of every transaction (see
-    /// [`Tangle::cumulative_weights`]); identical algorithm, expressed
-    /// through this trait's accessors.
+    /// All approval edges as `(child, parent)` pairs, in insertion order.
+    fn edges(&self) -> Vec<(TxId, TxId)> {
+        let mut edges = Vec::new();
+        let mut parents = Vec::new();
+        for i in 0..self.len() {
+            let id = TxId(i as u64);
+            self.parents_into(id, &mut parents).expect("index in range");
+            edges.extend(parents.iter().map(|&p| (id, p)));
+        }
+        edges
+    }
+
+    /// The past cone of `id`: the transaction itself plus everything it
+    /// directly or indirectly approves.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TangleError::UnknownTransaction`] for ids not in this
+    /// tangle.
+    fn past_cone(&self, id: TxId) -> Result<HashSet<TxId>, TangleError> {
+        if !self.contains(id) {
+            return Err(TangleError::UnknownTransaction(id));
+        }
+        let mut seen = HashSet::new();
+        let mut stack = vec![id];
+        let mut parents = Vec::new();
+        while let Some(current) = stack.pop() {
+            if !seen.insert(current) {
+                continue;
+            }
+            self.parents_into(current, &mut parents)?;
+            stack.extend(parents.iter().filter(|p| !seen.contains(p)));
+        }
+        Ok(seen)
+    }
+
+    /// Exact cumulative weight of every transaction: the number of
+    /// transactions that directly or indirectly approve it, counting the
+    /// transaction itself as self-approving (Popov; Figure 3 of the paper).
+    ///
+    /// Computed with per-transaction descendant bitsets in reverse
+    /// topological order, so diamonds are not double-counted. Memory is
+    /// `O(n² / 64)` — appropriate for simulation-scale tangles (a 10 000
+    /// transaction tangle needs ~12 MiB transiently).
     fn cumulative_weights(&self) -> Vec<u64> {
         let n = self.len();
         let words = n.div_ceil(64);
@@ -142,9 +184,9 @@ pub trait TangleRead<P> {
         weights
     }
 
-    /// Depth of every transaction measured from the tips (see
-    /// [`Tangle::depths_from_tips`]); identical algorithm, expressed
-    /// through this trait's accessors.
+    /// Depth of every transaction measured from the tips: tips have depth
+    /// 0, every other transaction has `1 + max(depth of its approvers)`
+    /// (the longest approval path to any tip).
     fn depths_from_tips(&self) -> Vec<u32> {
         let n = self.len();
         let mut depths = vec![0u32; n];
@@ -189,12 +231,59 @@ pub trait TangleRead<P> {
         }
     }
 
-    /// Samples a random-walk start transaction whose depth from the
-    /// tips lies in `[min_depth, max_depth]` (see
-    /// [`Tangle::sample_walk_start`]); identical result and RNG draw
-    /// sequence.
+    /// Samples a random-walk start transaction whose depth from the tips
+    /// lies in `[min_depth, max_depth]`, as proposed by Popov (the paper
+    /// uses 15–25).
+    ///
+    /// Falls back to the deepest transaction (usually the genesis) while
+    /// the tangle is still too shallow to contain the requested band.
     fn sample_walk_start<R: Rng>(&self, min_depth: u32, max_depth: u32, rng: &mut R) -> TxId {
         self.walk_start_band(min_depth, max_depth).draw(rng)
+    }
+
+    /// Renders the DAG in Graphviz DOT format (edges point from approver
+    /// to approved, i.e. backwards in time, as in the paper's figures).
+    ///
+    /// `style` receives every transaction's id and issuer and may return
+    /// extra node attributes (e.g. `fillcolor=...` to colour by cluster);
+    /// return an empty string for defaults. Tips are always drawn grey,
+    /// matching Figure 2.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use dagfl_tangle::{Tangle, TangleRead};
+    ///
+    /// # fn main() -> Result<(), dagfl_tangle::TangleError> {
+    /// let mut t = Tangle::new(());
+    /// let g = t.genesis();
+    /// t.attach((), &[g])?;
+    /// let dot = t.to_dot(|_, _| String::new());
+    /// assert!(dot.starts_with("digraph tangle"));
+    /// # Ok(())
+    /// # }
+    /// ```
+    fn to_dot<F: Fn(TxId, Option<u32>) -> String>(&self, style: F) -> String {
+        let mut out = String::from("digraph tangle {\n  rankdir=RL;\n  node [shape=circle];\n");
+        for i in 0..self.len() {
+            let id = TxId(i as u64);
+            let issuer = self.issuer_of(id).expect("index in range");
+            let mut attrs = String::new();
+            if self.is_tip(id) {
+                attrs.push_str("style=filled fillcolor=lightgray ");
+            }
+            attrs.push_str(&style(id, issuer));
+            let label = match issuer {
+                Some(issuer) => format!("label=\"{id}\\nc{issuer}\""),
+                None => format!("label=\"{id}\""),
+            };
+            out.push_str(&format!("  \"{id}\" [{label} {attrs}];\n"));
+        }
+        for (child, parent) in self.edges() {
+            out.push_str(&format!("  \"{child}\" -> \"{parent}\";\n"));
+        }
+        out.push_str("}\n");
+        out
     }
 }
 
@@ -260,27 +349,11 @@ impl<P> TangleRead<P> for Tangle<P> {
     fn tips(&self) -> Vec<TxId> {
         Tangle::tips(self)
     }
-
-    // Delegate the heavy computations to the inherent implementations so
-    // the trait path is *the same code*, not merely the same algorithm.
-    fn cumulative_weights(&self) -> Vec<u64> {
-        Tangle::cumulative_weights(self)
-    }
-
-    fn depths_from_tips(&self) -> Vec<u32> {
-        Tangle::depths_from_tips(self)
-    }
-
-    fn sample_walk_start<R: Rng>(&self, min_depth: u32, max_depth: u32, rng: &mut R) -> TxId {
-        Tangle::sample_walk_start(self, min_depth, max_depth, rng)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn fixture() -> Tangle<u32> {
         let mut t = Tangle::new(0);
@@ -289,41 +362,6 @@ mod tests {
         let b = t.attach(2, &[g]).unwrap();
         t.attach_with_meta(3, &[a, b], Some(7), 2).unwrap();
         t
-    }
-
-    /// Runs the provided (default) trait bodies against a `Tangle` by
-    /// routing through a newtype that only forwards the required methods.
-    struct Forward<'a>(&'a Tangle<u32>);
-
-    impl TangleRead<u32> for Forward<'_> {
-        fn len(&self) -> usize {
-            Tangle::len(self.0)
-        }
-        fn payload_of(&self, id: TxId) -> Result<&u32, TangleError> {
-            Ok(self.0.get(id)?.payload())
-        }
-        fn issuer_of(&self, id: TxId) -> Result<Option<u32>, TangleError> {
-            Ok(self.0.get(id)?.issuer())
-        }
-        fn round_of(&self, id: TxId) -> Result<u32, TangleError> {
-            Ok(self.0.get(id)?.round())
-        }
-        fn parents_into(&self, id: TxId, out: &mut Vec<TxId>) -> Result<(), TangleError> {
-            out.clear();
-            out.extend_from_slice(self.0.get(id)?.parents());
-            Ok(())
-        }
-        fn children_into(&self, id: TxId, out: &mut Vec<TxId>) -> Result<(), TangleError> {
-            out.clear();
-            out.extend_from_slice(self.0.children(id)?);
-            Ok(())
-        }
-        fn is_tip(&self, id: TxId) -> bool {
-            Tangle::is_tip(self.0, id)
-        }
-        fn tips(&self) -> Vec<TxId> {
-            Tangle::tips(self.0)
-        }
     }
 
     #[test]
@@ -351,27 +389,62 @@ mod tests {
 
     #[test]
     fn provided_weight_bodies_match_inherent_algorithms() {
+        // Oracle: walk the inherent children lists. A transaction's weight
+        // is the size of its future cone; its depth is the longest
+        // approval path up to a tip.
         let t = fixture();
-        let f = Forward(&t);
-        assert_eq!(f.cumulative_weights(), t.cumulative_weights());
-        assert_eq!(f.depths_from_tips(), t.depths_from_tips());
+        let n = Tangle::len(&t);
+        let mut weights = Vec::new();
+        for i in 0..n {
+            let mut seen = HashSet::new();
+            let mut stack = vec![TxId(i as u64)];
+            while let Some(id) = stack.pop() {
+                if seen.insert(id) {
+                    stack.extend_from_slice(t.children(id).unwrap());
+                }
+            }
+            weights.push(seen.len() as u64);
+        }
+        let mut depths = vec![0u32; n];
+        for i in (0..n).rev() {
+            let children = t.children(TxId(i as u64)).unwrap();
+            depths[i] = children
+                .iter()
+                .map(|c| depths[c.0 as usize] + 1)
+                .max()
+                .unwrap_or(0);
+        }
+        assert_eq!(weights, vec![4, 2, 2, 1]);
+        assert_eq!(depths, vec![2, 1, 1, 0]);
+        assert_eq!(TangleRead::cumulative_weights(&t), weights);
+        assert_eq!(TangleRead::depths_from_tips(&t), depths);
     }
 
     #[test]
     fn provided_sampler_draws_identically_to_inherent() {
-        // Longer chain so the walk-start band filter is non-trivial.
+        use crate::ShardedTangle;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        // Longer chain so the walk-start band filter is non-trivial. The
+        // sharded store overrides the sampler with a memoised band; it
+        // must draw exactly what the provided body draws.
         let mut t = Tangle::new(0u32);
+        let s = ShardedTangle::new(0u32);
         let mut prev = t.genesis();
         for i in 1..40 {
-            prev = t.attach(i, &[prev]).unwrap();
+            let id = t.attach(i, &[prev]).unwrap();
+            assert_eq!(s.attach(i, &[prev]).unwrap(), id);
+            prev = id;
         }
         let mut rng_a = StdRng::seed_from_u64(11);
         let mut rng_b = StdRng::seed_from_u64(11);
-        let f = Forward(&t);
         for _ in 0..10 {
-            let inherent = t.sample_walk_start(15, 25, &mut rng_a);
-            let via_trait = f.sample_walk_start(15, 25, &mut rng_b);
-            assert_eq!(inherent, via_trait);
+            let provided = TangleRead::sample_walk_start(&t, 15, 25, &mut rng_a);
+            let memoised = TangleRead::sample_walk_start(&s, 15, 25, &mut rng_b);
+            assert_eq!(provided, memoised);
+            let depth = 39 - provided.0 as u32;
+            assert!((15..=25).contains(&depth), "depth {depth} outside the band");
         }
     }
 

@@ -27,17 +27,16 @@
 //! sees only fully published transactions. Both simulators only read
 //! from quiescent tangles — walks happen in a read-only phase,
 //! publications in a serial phase — and the equivalence tests below pin
-//! sequential behaviour to [`Tangle`] exactly.
+//! sequential behaviour to [`Tangle`](crate::Tangle) exactly.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
-use parking_lot::Mutex;
 use rand::Rng;
 
 use crate::read::{TangleRead, WalkStartBand};
-use crate::{Tangle, TangleError, TangleStats, Transaction, TxId};
+use crate::{TangleError, TangleSnapshot, TangleStats, Transaction, TxId};
 
 /// Transactions per lazily-allocated segment.
 const SEGMENT_SIZE: usize = 1024;
@@ -67,7 +66,13 @@ struct ShardState {
 /// One lazily-allocated run of `SEGMENT_SIZE` write-once slots.
 type Segment<P> = Box<[OnceLock<StoredTx<P>>]>;
 
-/// An append-only DAG store sharing [`Tangle`]'s contract — dense
+/// Locks `mutex`, ignoring poison: every critical section leaves its
+/// state consistent, so a panic elsewhere must not wedge the store.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// An append-only DAG store sharing [`Tangle`](crate::Tangle)'s contract — dense
 /// sequential ids, parents before children — but safe to read from any
 /// number of threads without a global lock, and to append to through
 /// `&self`.
@@ -148,44 +153,12 @@ impl<P> ShardedTangle<P> {
             },
         );
         {
-            let mut shard = this.shards[0].lock();
+            let mut shard = lock(&this.shards[0]);
             shard.children.push(Vec::new());
             shard.tips.insert(TxId(0));
         }
         this.len.store(1, Ordering::Release);
         this
-    }
-
-    /// Rebuilds a sharded tangle from a plain [`Tangle`], preserving ids
-    /// and metadata.
-    pub fn from_tangle(tangle: Tangle<P>) -> Self
-    where
-        P: Clone,
-    {
-        let mut iter = tangle.iter();
-        let genesis = iter.next().expect("tangle is never empty");
-        let this = Self::new(genesis.payload().clone());
-        for tx in iter {
-            this.attach_with_meta(tx.payload().clone(), tx.parents(), tx.issuer(), tx.round())
-                .expect("source tangle is well-formed");
-        }
-        this
-    }
-
-    /// Materialises the current contents as a plain [`Tangle`] (for DOT
-    /// export, snapshots and other single-owner consumers).
-    pub fn to_tangle(&self) -> Tangle<P>
-    where
-        P: Clone,
-    {
-        let mut iter = self.iter();
-        let genesis = iter.next().expect("tangle is never empty");
-        let mut out = Tangle::new(genesis.payload().clone());
-        for tx in iter {
-            out.attach_with_meta(tx.payload().clone(), tx.parents(), tx.issuer(), tx.round())
-                .expect("sharded tangle is well-formed");
-        }
-        out
     }
 
     /// The id of the genesis transaction.
@@ -240,7 +213,7 @@ impl<P> ShardedTangle<P> {
     /// appenders serialize internally on the append mutex.
     ///
     /// Duplicate parent ids are collapsed, exactly as in
-    /// [`Tangle::attach`].
+    /// [`Tangle::attach`](crate::Tangle::attach).
     ///
     /// # Errors
     ///
@@ -268,7 +241,7 @@ impl<P> ShardedTangle<P> {
         if parents.is_empty() {
             return Err(TangleError::MissingParents);
         }
-        let _guard = self.append.lock();
+        let _guard = lock(&self.append);
         let len = self.len.load(Ordering::Acquire);
         // Validate fully before mutating anything: a failed attach must
         // leave no trace, like `Tangle::attach_with_meta`.
@@ -307,13 +280,13 @@ impl<P> ShardedTangle<P> {
             },
         );
         for &p in &unique {
-            let mut shard = self.shards[self.shard_of(p)].lock();
+            let mut shard = lock(&self.shards[self.shard_of(p)]);
             let slot = self.slot_in_shard(p);
             shard.children[slot].push(id);
             shard.tips.remove(&p);
         }
         {
-            let mut shard = self.shards[self.shard_of(id)].lock();
+            let mut shard = lock(&self.shards[self.shard_of(id)]);
             debug_assert_eq!(shard.children.len(), self.slot_in_shard(id));
             shard.children.push(Vec::new());
             shard.tips.insert(id);
@@ -350,7 +323,7 @@ impl<P> ShardedTangle<P> {
         if (id.0 as usize) >= self.len() {
             return Err(TangleError::UnknownTransaction(id));
         }
-        let shard = self.shards[self.shard_of(id)].lock();
+        let shard = lock(&self.shards[self.shard_of(id)]);
         Ok(shard.children[self.slot_in_shard(id)].clone())
     }
 
@@ -359,7 +332,7 @@ impl<P> ShardedTangle<P> {
         if (id.0 as usize) >= self.len() {
             return false;
         }
-        let shard = self.shards[self.shard_of(id)].lock();
+        let shard = lock(&self.shards[self.shard_of(id)]);
         shard.tips.contains(&id)
     }
 
@@ -368,7 +341,7 @@ impl<P> ShardedTangle<P> {
         let len = self.len();
         let mut tips: Vec<TxId> = Vec::new();
         for shard in self.shards.iter() {
-            let shard = shard.lock();
+            let shard = lock(shard);
             tips.extend(shard.tips.iter().copied().filter(|t| (t.0 as usize) < len));
         }
         tips.sort();
@@ -385,38 +358,19 @@ impl<P> ShardedTangle<P> {
     /// Structural summary statistics, computed from the incremental
     /// counters in `O(tips)` — no full-graph re-scan.
     pub fn stats(&self) -> TangleStats {
-        let transactions = self.len();
-        let tips = self.tips().len();
-        let edges = self.edges.load(Ordering::Relaxed);
-        let max_depth = self.max_height.load(Ordering::Relaxed);
-        // Every non-genesis transaction has at least one parent, so the
-        // non-genesis count is simply len - 1.
-        let non_genesis = transactions - 1;
-        let non_tips = transactions - tips;
-        TangleStats {
-            transactions,
-            tips,
-            edges,
-            max_depth,
-            mean_parents: if non_genesis == 0 {
-                0.0
-            } else {
-                edges as f64 / non_genesis as f64
-            },
-            mean_children: if non_tips == 0 {
-                0.0
-            } else {
-                edges as f64 / non_tips as f64
-            },
-        }
+        TangleStats::from_counts(
+            self.len(),
+            self.tips().len(),
+            self.edges.load(Ordering::Relaxed),
+            self.max_height.load(Ordering::Relaxed),
+        )
     }
 }
 
 impl<P: Clone> ShardedTangle<P> {
-    /// Exports the current contents as a snapshot, identical to
-    /// [`Tangle::snapshot`] on the equivalent single-owner tangle.
-    pub fn snapshot(&self) -> crate::TangleSnapshot<P> {
-        crate::TangleSnapshot::from_records(self.iter().map(crate::SnapshotRecord::from).collect())
+    /// Exports the current contents as a snapshot.
+    pub fn snapshot(&self) -> TangleSnapshot<P> {
+        TangleSnapshot::from_records(self.iter().map(crate::SnapshotRecord::from).collect())
     }
 }
 
@@ -448,7 +402,7 @@ impl<P> TangleRead<P> for ShardedTangle<P> {
         if (id.0 as usize) >= ShardedTangle::len(self) {
             return Err(TangleError::UnknownTransaction(id));
         }
-        let shard = self.shards[self.shard_of(id)].lock();
+        let shard = lock(&self.shards[self.shard_of(id)]);
         out.clear();
         out.extend_from_slice(&shard.children[self.slot_in_shard(id)]);
         Ok(())
@@ -483,7 +437,7 @@ impl<P> ShardedTangle<P> {
         f: impl FnOnce(&WalkStartBand) -> T,
     ) -> T {
         let len = self.len();
-        let mut slot = self.walk_start.lock();
+        let mut slot = lock(&self.walk_start);
         let band = match &mut *slot {
             Some((lo, hi, band)) if (*lo, *hi, band.len) == (min_depth, max_depth, len) => band,
             // An attach may land between `len` above and the depth scan;
@@ -500,6 +454,7 @@ impl<P> ShardedTangle<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Tangle;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -796,18 +751,32 @@ mod tests {
     #[test]
     fn round_trips_through_tangle_preserve_everything() {
         let (plain, sharded) = random_grow(2, 120, 5);
-        let materialised = sharded.to_tangle();
+        // Replays one store into the other in id order: ids, parents and
+        // metadata must all survive.
+        let mut materialised = Tangle::new(0u64);
+        let rebuilt = ShardedTangle::new(0u64);
+        for (tx, original) in sharded.iter().zip(plain.iter()).skip(1) {
+            let (payload, parents) = (*tx.payload(), tx.parents());
+            materialised
+                .attach_with_meta(payload, parents, tx.issuer(), tx.round())
+                .unwrap();
+            let (payload, parents) = (*original.payload(), original.parents());
+            rebuilt
+                .attach_with_meta(payload, parents, original.issuer(), original.round())
+                .unwrap();
+        }
         assert_equivalent(&materialised, &sharded);
-        let rebuilt = ShardedTangle::from_tangle(plain);
         assert_equivalent(&materialised, &rebuilt);
     }
 
     #[test]
     fn snapshot_matches_plain_tangle_snapshot() {
         let (plain, sharded) = random_grow(5, 80, 2);
-        assert_eq!(plain.snapshot(), sharded.snapshot());
-        let rebuilt = Tangle::from_snapshot(sharded.snapshot()).unwrap();
-        assert_equivalent(&rebuilt, &sharded);
+        let snapshot = sharded.snapshot();
+        assert_eq!(snapshot.len(), plain.len());
+        for (tx, record) in plain.iter().zip(snapshot.records()) {
+            assert_eq!(&crate::SnapshotRecord::from(tx), record);
+        }
     }
 
     #[test]

@@ -1,20 +1,13 @@
-//! Snapshot export/import of a tangle: a flat, order-preserving record
-//! list that can rebuild the DAG elsewhere, plus deltas for catch-up
-//! sync.
+//! Snapshot export of a tangle: a flat, order-preserving record list
+//! that can rebuild the DAG elsewhere.
 //!
 //! A snapshot is the tangle's transaction list in insertion
 //! (topological) order with parents expressed as indices into that
 //! list. Because ids are assigned sequentially, replaying the records
-//! in order through [`Tangle::attach_with_meta`] reproduces the exact
-//! same id assignment — a late-joining replica rebuilt from a snapshot
-//! is indistinguishable from one that received every transaction in
-//! order.
-//!
-//! Deltas support incremental sync: a peer that already holds the
-//! first `n` transactions only needs [`TangleSnapshot::delta_since`]`(n)`
-//! applied via [`Tangle::apply_delta`].
+//! in order through `attach_with_meta` reproduces the exact same id
+//! assignment.
 
-use crate::{Tangle, TangleError, Transaction, TxId};
+use crate::Transaction;
 
 /// One transaction of a snapshot: parents as topological indices plus
 /// the payload and metadata.
@@ -31,19 +24,20 @@ pub struct SnapshotRecord<P> {
     pub round: u32,
 }
 
-/// A serializable copy of a tangle's full state (or a suffix of it).
+/// A serializable copy of a tangle's full state.
 ///
 /// # Example
 ///
 /// ```
-/// use dagfl_tangle::Tangle;
+/// use dagfl_tangle::ShardedTangle;
 ///
 /// # fn main() -> Result<(), dagfl_tangle::TangleError> {
-/// let mut tangle = Tangle::new("genesis");
+/// let tangle = ShardedTangle::new("genesis");
 /// let g = tangle.genesis();
 /// tangle.attach("a", &[g])?;
-/// let rebuilt = Tangle::from_snapshot(tangle.snapshot())?;
-/// assert_eq!(rebuilt.len(), tangle.len());
+/// let snapshot = tangle.snapshot();
+/// assert_eq!(snapshot.len(), tangle.len());
+/// assert_eq!(snapshot.records()[1].parents, vec![g.index()]);
 /// # Ok(())
 /// # }
 /// ```
@@ -54,7 +48,7 @@ pub struct TangleSnapshot<P> {
 
 impl<P> TangleSnapshot<P> {
     /// Builds a snapshot directly from records (the first must be a
-    /// genesis record for a full snapshot; deltas start elsewhere).
+    /// genesis record).
     pub fn from_records(records: Vec<SnapshotRecord<P>>) -> Self {
         Self { records }
     }
@@ -72,108 +66,6 @@ impl<P> TangleSnapshot<P> {
     /// Whether the snapshot holds no records.
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
-    }
-
-    /// The records after the first `known` transactions — what a peer
-    /// that already holds a prefix of length `known` is missing.
-    pub fn delta_since(&self, known: usize) -> TangleSnapshot<P>
-    where
-        P: Clone,
-    {
-        let start = known.min(self.records.len());
-        Self {
-            records: self.records[start..].to_vec(),
-        }
-    }
-}
-
-impl<P: Clone> Tangle<P> {
-    /// Exports the full tangle as a snapshot.
-    pub fn snapshot(&self) -> TangleSnapshot<P> {
-        let records = self
-            .iter()
-            .map(|tx| SnapshotRecord {
-                parents: tx.parents().iter().map(|p| p.index()).collect(),
-                payload: tx.payload().clone(),
-                issuer: tx.issuer(),
-                round: tx.round(),
-            })
-            .collect();
-        TangleSnapshot { records }
-    }
-}
-
-impl<P> Tangle<P> {
-    /// Rebuilds a tangle from a full snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TangleError::InvalidSnapshot`] if the snapshot is
-    /// empty, its first record is not a genesis (has parents), any
-    /// later record has no parents, or a parent index points at or
-    /// past its own record.
-    pub fn from_snapshot(snapshot: TangleSnapshot<P>) -> Result<Self, TangleError> {
-        let mut records = snapshot.records.into_iter();
-        let genesis = records
-            .next()
-            .ok_or(TangleError::InvalidSnapshot("snapshot is empty"))?;
-        if !genesis.parents.is_empty() {
-            return Err(TangleError::InvalidSnapshot(
-                "first record must be the genesis (no parents)",
-            ));
-        }
-        let mut tangle = Tangle::new(genesis.payload);
-        for record in records {
-            tangle.apply_record(record)?;
-        }
-        Ok(tangle)
-    }
-
-    /// Appends the records of a delta produced by
-    /// [`TangleSnapshot::delta_since`]`(self.len())` on a tangle this
-    /// one is a prefix of. Returns the number of transactions added.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TangleError::InvalidSnapshot`] if a record has no
-    /// parents or references a transaction that is still unknown —
-    /// i.e. the delta was cut for a different prefix length.
-    pub fn apply_delta(&mut self, delta: TangleSnapshot<P>) -> Result<usize, TangleError> {
-        let mut added = 0;
-        for record in delta.records {
-            self.apply_record(record)?;
-            added += 1;
-        }
-        Ok(added)
-    }
-
-    fn apply_record(&mut self, record: SnapshotRecord<P>) -> Result<TxId, TangleError> {
-        if record.parents.is_empty() {
-            return Err(TangleError::InvalidSnapshot(
-                "non-genesis record without parents",
-            ));
-        }
-        let len = self.len() as u64;
-        let parents: Vec<TxId> = record
-            .parents
-            .iter()
-            .map(|&p| {
-                if p < len {
-                    Ok(TxId(p))
-                } else {
-                    Err(TangleError::InvalidSnapshot(
-                        "record references a transaction after itself",
-                    ))
-                }
-            })
-            .collect::<Result<_, _>>()?;
-        self.attach_with_meta(record.payload, &parents, record.issuer, record.round)
-    }
-}
-
-impl<P: Clone> From<&Tangle<P>> for TangleSnapshot<P> {
-    fn from(tangle: &Tangle<P>) -> Self {
-        tangle.snapshot()
     }
 }
 
@@ -193,9 +85,10 @@ impl<P: Clone> From<&Transaction<P>> for SnapshotRecord<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ShardedTangle, Tangle, TangleRead, TxId};
 
-    fn sample() -> Tangle<u32> {
-        let mut t = Tangle::new(0);
+    fn sample() -> ShardedTangle<u32> {
+        let t = ShardedTangle::new(0);
         let g = t.genesis();
         let a = t.attach(1, &[g]).unwrap();
         let b = t.attach_with_meta(2, &[g, a], Some(1), 7).unwrap();
@@ -206,7 +99,15 @@ mod tests {
     #[test]
     fn snapshot_round_trips_structure_and_meta() {
         let t = sample();
-        let rebuilt = Tangle::from_snapshot(t.snapshot()).unwrap();
+        // Replaying the records in order rebuilds the same DAG.
+        let mut records = t.snapshot().records().to_vec().into_iter();
+        let mut rebuilt = Tangle::new(records.next().unwrap().payload);
+        for record in records {
+            let parents: Vec<TxId> = record.parents.iter().map(|&p| TxId(p)).collect();
+            rebuilt
+                .attach_with_meta(record.payload, &parents, record.issuer, record.round)
+                .unwrap();
+        }
         assert_eq!(rebuilt.len(), t.len());
         assert_eq!(rebuilt.edges(), t.edges());
         assert_eq!(rebuilt.tips(), t.tips());
@@ -219,75 +120,21 @@ mod tests {
     }
 
     #[test]
-    fn delta_since_catches_a_prefix_up() {
-        let full = sample();
-        // A replica that only has the first two transactions.
-        let snap = full.snapshot();
-        let mut partial =
-            Tangle::from_snapshot(TangleSnapshot::from_records(snap.records()[..2].to_vec()))
-                .unwrap();
-        assert_eq!(partial.len(), 2);
-        let added = partial
-            .apply_delta(snap.delta_since(partial.len()))
-            .unwrap();
-        assert_eq!(added, 2);
-        assert_eq!(partial.edges(), full.edges());
-    }
-
-    #[test]
-    fn delta_since_full_length_is_empty() {
-        let t = sample();
-        let snap = t.snapshot();
-        assert!(snap.delta_since(t.len()).is_empty());
-        assert!(snap.delta_since(t.len() + 5).is_empty());
-        assert_eq!(snap.delta_since(0).len(), t.len());
-    }
-
-    #[test]
-    fn empty_snapshot_is_rejected() {
-        let err = Tangle::<u32>::from_snapshot(TangleSnapshot::from_records(vec![])).unwrap_err();
-        assert!(matches!(err, TangleError::InvalidSnapshot(_)));
-    }
-
-    #[test]
-    fn snapshot_with_parented_genesis_is_rejected() {
-        let records = vec![SnapshotRecord {
-            parents: vec![0],
-            payload: 1u32,
-            issuer: None,
-            round: 0,
-        }];
-        let err = Tangle::from_snapshot(TangleSnapshot::from_records(records)).unwrap_err();
-        assert!(matches!(err, TangleError::InvalidSnapshot(_)));
-    }
-
-    #[test]
-    fn forward_reference_is_rejected() {
-        let records = vec![
-            SnapshotRecord {
-                parents: vec![],
-                payload: 0u32,
-                issuer: None,
-                round: 0,
-            },
-            SnapshotRecord {
-                parents: vec![2],
-                payload: 1,
-                issuer: None,
-                round: 0,
-            },
-        ];
-        let err = Tangle::from_snapshot(TangleSnapshot::from_records(records)).unwrap_err();
-        assert!(matches!(err, TangleError::InvalidSnapshot(_)));
-    }
-
-    #[test]
     fn record_from_transaction_matches_snapshot() {
         let t = sample();
         let snap = t.snapshot();
+        assert_eq!(snap.len(), t.len());
         for (tx, rec) in t.iter().zip(snap.records()) {
             assert_eq!(&SnapshotRecord::from(tx), rec);
         }
-        assert_eq!(&TangleSnapshot::from(&t), &snap);
+        assert_eq!(
+            snap.records()[2],
+            SnapshotRecord {
+                parents: vec![0, 1],
+                payload: 2,
+                issuer: Some(1),
+                round: 7,
+            }
+        );
     }
 }

@@ -1,11 +1,15 @@
-//! The append-only DAG store: attach, lookup, tip tracking and cone
-//! queries.
+//! The sequential DAG store: attach, lookup and tip tracking behind a
+//! plain `&mut self` — the reference the concurrent store and the replica
+//! view are tested against.
 
 use std::collections::HashSet;
 
-use crate::{TangleError, Transaction, TxId};
+use crate::{TangleError, TangleStats, Transaction, TxId};
 
-/// An append-only DAG of transactions with approval edges.
+/// An append-only DAG of transactions with approval edges: the
+/// sequential oracle. Every algorithm over it (weights, depths, cones,
+/// edges, DOT export) is a provided method of
+/// [`TangleRead`](crate::TangleRead).
 ///
 /// The tangle starts from a single genesis transaction. Every further
 /// transaction approves one or more existing transactions; approvals can
@@ -141,22 +145,6 @@ impl<P> Tangle<P> {
         Ok(id)
     }
 
-    /// Total approval edges, maintained incrementally.
-    pub(crate) fn edge_count(&self) -> usize {
-        self.edges
-    }
-
-    /// Longest approval path from the genesis to any transaction —
-    /// equal to the maximum depth-from-tips — maintained incrementally.
-    pub(crate) fn max_height(&self) -> u32 {
-        self.max_height
-    }
-
-    /// Number of current tips, without sorting.
-    pub(crate) fn tip_count(&self) -> usize {
-        self.tips.len()
-    }
-
     /// Looks up a transaction by id.
     ///
     /// # Errors
@@ -199,69 +187,30 @@ impl<P> Tangle<P> {
         self.transactions.iter()
     }
 
-    /// The past cone of `id`: the transaction itself plus everything it
-    /// directly or indirectly approves.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TangleError::UnknownTransaction`] for ids not in this
-    /// tangle.
-    pub fn past_cone(&self, id: TxId) -> Result<HashSet<TxId>, TangleError> {
-        self.get(id)?;
-        let mut seen = HashSet::new();
-        let mut stack = vec![id];
-        while let Some(current) = stack.pop() {
-            if !seen.insert(current) {
-                continue;
-            }
-            for &p in self.transactions[current.0 as usize].parents() {
-                if !seen.contains(&p) {
-                    stack.push(p);
-                }
-            }
-        }
-        Ok(seen)
-    }
-
-    /// The future cone of `id`: the transaction itself plus everything that
-    /// directly or indirectly approves it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TangleError::UnknownTransaction`] for ids not in this
-    /// tangle.
-    pub fn future_cone(&self, id: TxId) -> Result<HashSet<TxId>, TangleError> {
-        self.get(id)?;
-        let mut seen = HashSet::new();
-        let mut stack = vec![id];
-        while let Some(current) = stack.pop() {
-            if !seen.insert(current) {
-                continue;
-            }
-            for &c in &self.children[current.0 as usize] {
-                if !seen.contains(&c) {
-                    stack.push(c);
-                }
-            }
-        }
-        Ok(seen)
-    }
-
-    /// All approval edges as `(child, parent)` pairs, in insertion order.
-    pub fn edges(&self) -> Vec<(TxId, TxId)> {
-        let mut edges = Vec::new();
-        for tx in &self.transactions {
-            for &p in tx.parents() {
-                edges.push((tx.id(), p));
-            }
-        }
-        edges
+    /// Structural summary statistics, read from counters maintained
+    /// incrementally on attach — `O(1)` instead of a full re-scan.
+    /// (`max_depth` uses the identity "longest path from the genesis ==
+    /// maximum depth-from-tips"; the regression tests pin every field
+    /// against a recomputed oracle.)
+    pub fn stats(&self) -> TangleStats {
+        TangleStats::from_counts(self.len(), self.tips.len(), self.edges, self.max_height)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TangleRead;
+
+    /// The future cone of `id` — itself plus everything that directly or
+    /// indirectly approves it — as the transactions whose past cone
+    /// holds `id`.
+    fn future_cone(t: &Tangle<u32>, id: TxId) -> HashSet<TxId> {
+        t.iter()
+            .map(Transaction::id)
+            .filter(|&other| t.past_cone(other).unwrap().contains(&id))
+            .collect()
+    }
 
     fn diamond() -> (Tangle<u32>, [TxId; 4]) {
         let mut t = Tangle::new(0);
@@ -346,14 +295,14 @@ mod tests {
     #[test]
     fn future_cone_of_genesis_is_everything() {
         let (t, ids) = diamond();
-        let cone = t.future_cone(ids[0]).unwrap();
+        let cone = future_cone(&t, ids[0]);
         assert_eq!(cone.len(), 4);
     }
 
     #[test]
     fn future_cone_of_tip_is_self() {
         let (t, [_, _, _, c]) = diamond();
-        let cone = t.future_cone(c).unwrap();
+        let cone = future_cone(&t, c);
         assert_eq!(cone.len(), 1);
         assert!(cone.contains(&c));
     }
@@ -362,7 +311,6 @@ mod tests {
     fn cones_of_unknown_id_error() {
         let t = Tangle::new(());
         assert!(t.past_cone(TxId(3)).is_err());
-        assert!(t.future_cone(TxId(3)).is_err());
         assert!(t.get(TxId(3)).is_err());
         assert!(t.children(TxId(3)).is_err());
     }

@@ -1,94 +1,12 @@
-//! Cumulative weights and depth-from-tips for tip selection.
-
-use rand::Rng;
-
-use crate::{Tangle, TxId};
-
-impl<P> Tangle<P> {
-    /// Exact cumulative weight of every transaction: the number of
-    /// transactions that directly or indirectly approve it, counting the
-    /// transaction itself as self-approving (Popov; Figure 3 of the paper).
-    ///
-    /// Computed with per-transaction descendant bitsets in reverse
-    /// topological order, so diamonds are not double-counted. Memory is
-    /// `O(n² / 64)` — appropriate for simulation-scale tangles (a 10 000
-    /// transaction tangle needs ~12 MiB transiently).
-    pub fn cumulative_weights(&self) -> Vec<u64> {
-        let n = self.len();
-        let words = n.div_ceil(64);
-        // bitsets[i] holds the strict descendants of transaction i.
-        let mut bitsets: Vec<Vec<u64>> = vec![vec![0u64; words]; n];
-        let mut weights = vec![0u64; n];
-        for i in (0..n).rev() {
-            let id = TxId(i as u64);
-            // Safe: every index below len exists.
-            let children: Vec<TxId> = self.children(id).expect("index in range").to_vec();
-            // Split borrow: take the bitset out, merge children in, put back.
-            let mut own = std::mem::take(&mut bitsets[i]);
-            for c in children {
-                let ci = c.index() as usize;
-                own[ci / 64] |= 1u64 << (ci % 64);
-                for (w, &cw) in own.iter_mut().zip(&bitsets[ci]) {
-                    *w |= cw;
-                }
-            }
-            weights[i] = own.iter().map(|w| w.count_ones() as u64).sum::<u64>() + 1;
-            bitsets[i] = own;
-        }
-        weights
-    }
-
-    /// Depth of every transaction measured from the tips: tips have depth
-    /// 0, every other transaction has `1 + max(depth of its approvers)`
-    /// (the longest approval path to any tip).
-    pub fn depths_from_tips(&self) -> Vec<u32> {
-        let n = self.len();
-        let mut depths = vec![0u32; n];
-        for i in (0..n).rev() {
-            let id = TxId(i as u64);
-            let children = self.children(id).expect("index in range");
-            depths[i] = children
-                .iter()
-                .map(|c| depths[c.index() as usize] + 1)
-                .max()
-                .unwrap_or(0);
-        }
-        depths
-    }
-
-    /// Samples a random-walk start transaction whose depth from the tips
-    /// lies in `[min_depth, max_depth]`, as proposed by Popov (the paper
-    /// uses 15–25).
-    ///
-    /// Falls back to the deepest transaction (usually the genesis) while
-    /// the tangle is still too shallow to contain the requested band.
-    pub fn sample_walk_start<R: Rng>(&self, min_depth: u32, max_depth: u32, rng: &mut R) -> TxId {
-        debug_assert!(min_depth <= max_depth);
-        let depths = self.depths_from_tips();
-        let candidates: Vec<TxId> = depths
-            .iter()
-            .enumerate()
-            .filter(|(_, &d)| d >= min_depth && d <= max_depth)
-            .map(|(i, _)| TxId(i as u64))
-            .collect();
-        if candidates.is_empty() {
-            // Deepest transaction: ties resolve to the earliest (genesis).
-            let (idx, _) = depths
-                .iter()
-                .enumerate()
-                .max_by_key(|&(i, &d)| (d, std::cmp::Reverse(i)))
-                .expect("tangle is never empty");
-            return TxId(idx as u64);
-        }
-        candidates[rng.gen_range(0..candidates.len())]
-    }
-}
+//! Unit tests of the cumulative-weight, depth and walk-start algorithms
+//! of [`TangleRead`](crate::TangleRead), on hand-built tangles.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    use crate::{Tangle, TangleRead};
 
     /// genesis -> a -> b -> c (a chain).
     fn chain(n: usize) -> Tangle<usize> {

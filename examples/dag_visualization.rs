@@ -13,6 +13,7 @@
 use std::error::Error;
 
 use dagfl::datasets::{fmnist_clustered, FmnistConfig};
+use dagfl::tangle::TangleRead;
 use dagfl::{DagConfig, ModelSpec, Simulation};
 
 fn main() -> Result<(), Box<dyn Error>> {
@@ -36,7 +37,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     sim.run()?;
 
     let clusters = sim.dataset().cluster_labels();
-    let tangle = sim.tangle().to_tangle();
+    let tangle = sim.tangle();
 
     // Structural statistics of the grown DAG.
     let stats = tangle.stats();
@@ -50,7 +51,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     // Export with one colour per ground-truth cluster; rendering shows
     // the same-coloured transactions chaining together (Figure 4).
     const COLORS: [&str; 3] = ["lightblue", "lightsalmon", "palegreen"];
-    let dot = tangle.to_dot(|tx| match tx.issuer() {
+    let dot = tangle.to_dot(|_, issuer| match issuer {
         Some(issuer) => format!(
             "style=filled fillcolor={} ",
             COLORS[clusters[issuer as usize] % COLORS.len()]

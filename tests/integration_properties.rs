@@ -3,6 +3,7 @@
 use dagfl::datasets::{fmnist_clustered, FmnistConfig};
 use dagfl::graphs::{louvain, modularity};
 use dagfl::nn::average_parameters;
+use dagfl::tangle::TangleRead;
 use dagfl::{DagConfig, ModelSpec, Normalization, Simulation, TipSelector};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -45,7 +46,7 @@ proptest! {
         let p = sim.approval_pureness();
         prop_assert!((0.0..=1.0).contains(&p));
         // The tangle is acyclic and all issuers are valid client ids.
-        let tangle = sim.tangle().to_tangle();
+        let tangle = sim.tangle();
         for tx in tangle.iter() {
             for parent in tx.parents() {
                 prop_assert!(parent.index() < tx.id().index());
@@ -100,7 +101,7 @@ proptest! {
 #[test]
 fn genesis_always_remains_reachable() {
     let sim = tiny_sim(42, 10.0, 4);
-    let tangle = sim.tangle().to_tangle();
+    let tangle = sim.tangle();
     let genesis = tangle.genesis();
     for tx in tangle.iter() {
         let cone = tangle.past_cone(tx.id()).expect("cone exists");

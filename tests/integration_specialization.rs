@@ -77,7 +77,7 @@ fn accuracy_improves_over_training() {
 #[test]
 fn tangle_keeps_growing_and_stays_consistent() {
     let sim = run_simulation(10);
-    let tangle = sim.tangle().to_tangle();
+    let tangle = sim.tangle();
     assert!(tangle.len() > 10, "too few publications: {}", tangle.len());
     // Every non-genesis transaction records its issuer and approves
     // existing transactions.
