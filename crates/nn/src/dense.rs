@@ -324,13 +324,15 @@ mod tests {
         let frozen = SgdConfig::new(0.1).with_frozen_prefix(embedding.num_parameters());
         let mut model = Sequential::new(vec![Box::new(embedding), Box::new(gru), Box::new(output)]);
         let x = Matrix::from_fn(4, 3, |r, t| ((r + 2 * t) % 5) as f32);
-        // A·Bᵀ: the output layer's `dh`; per timestep `ds` and the three
-        // products of `dx`; the two of `dh_prev`, but not at `t = 0`.
+        // The GRU's grad-input products are A·B against weights it
+        // transposed once per pass: per timestep `ds` and the three
+        // products of `dx`; the two of `dh_prev`, but not at `t = 0`. The
+        // one A·Bᵀ left is the output layer's `dh`.
         model.train_batch(&x, &y, &SgdConfig::new(0.1)).unwrap();
-        assert_eq!(products(), [3 * 6 + 1, 3 * 6 + 1, 1 + 3 * (1 + 3) + 2 * 2]);
+        assert_eq!(products(), [3 * 6 + 1 + 3 * (1 + 3) + 2 * 2, 3 * 6 + 1, 1]);
         // While the embedding is frozen nothing consumes `dx`.
         model.train_batch(&x, &y, &frozen).unwrap();
-        assert_eq!(products(), [3 * 6 + 1, 3 * 6 + 1, 1 + 3 + 2 * 2]);
+        assert_eq!(products(), [3 * 6 + 1 + 3 + 2 * 2, 3 * 6 + 1, 1]);
         model.evaluate(&x, &y).unwrap();
         assert_eq!(products(), [3 * 6 + 1, 0, 0]);
     }

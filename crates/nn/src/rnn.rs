@@ -72,6 +72,10 @@ struct Step {
 /// The working memory of one pass over a batch of sequences.
 #[derive(Debug, Clone, Default)]
 struct Tape {
+    /// `Wzᵀ Wrᵀ Whᵀ Uzᵀ Urᵀ Uhᵀ`, indexed like the parameters: the
+    /// weights of the grad-input products, transposed once per backward
+    /// pass so every timestep multiplies by them as `A·B`.
+    transposed: [Matrix; 6],
     /// The layer input of a training forward pass.
     input: Matrix,
     /// One entry per timestep of that pass; inference reuses the first.
@@ -192,7 +196,10 @@ impl Gru {
         inferred
     }
 
-    /// Backpropagation through time over `tape`, `t` descending. Per
+    /// Backpropagation through time over `tape`, `t` descending. The
+    /// weights the state and input gradients multiply by are transposed
+    /// into the tape once, up front — the `W`s only when `grad_input` is
+    /// wanted — and every timestep then multiplies by them as `A·B`. Per
     /// timestep every parameter gradient is a product into a buffer that
     /// is then added to the running sum; `dh_prev` is not formed at
     /// `t = 0` and `dx` only when `grad_input` is wanted.
@@ -217,6 +224,17 @@ impl Gru {
         if let Some(grad_input) = grad_input.as_deref_mut() {
             grad_input.reset(tape.input.rows(), tape.input.cols());
         }
+        let first = if grad_input.is_some() { WZ } else { UZ };
+        for (weight, transposed) in params[first..].iter().zip(&mut tape.transposed[first..]) {
+            weight.transpose_into(transposed);
+        }
+        // `a · Wᵀ` below is `matmul_into(a, Wᵀ)`, which skips zero entries
+        // of `a` where a dot product over `W`'s rows would add them. For
+        // finite weights that cannot change a bit: each accumulator starts
+        // at +0.0 and, under round-to-nearest, never becomes -0.0
+        // (`x + (-x) = +0.0`, `+0.0 + (-0.0) = +0.0`), so adding a ±0
+        // product leaves it unchanged.
+        let transposed = &tape.transposed;
         tape.dh.copy_from(grad_output);
         for t in (0..tape.steps.len()).rev() {
             let h_prev = if t > 0 {
@@ -232,7 +250,7 @@ impl Gru {
             });
             elementwise([dh, z, hc], dhpre, |[dh, z, hc]| (dh * z) * (1.0 - hc * hc));
             // ds is the gradient of r ⊙ h_prev.
-            backend.matmul_transpose_into(dhpre, &params[UH], ds)?;
+            backend.matmul_into(dhpre, &transposed[UH], ds)?;
             elementwise([ds, h_prev, r], drpre, |[ds, h, r]| {
                 (ds * h) * (r * (1.0 - r))
             });
@@ -242,15 +260,15 @@ impl Gru {
                     dh * (1.0 - z) + ds * r
                 });
                 for (dpre, u) in [(&*dzpre, UZ), (&*drpre, UR)] {
-                    backend.matmul_transpose_into(dpre, &params[u], product)?;
+                    backend.matmul_into(dpre, &transposed[u], product)?;
                     tape.dh_prev.add_assign(product)?;
                 }
             }
             if let Some(grad_input) = grad_input.as_deref_mut() {
                 // dx = dzpre Wz^T + drpre Wr^T + dhpre Wh^T
-                backend.matmul_transpose_into(dzpre, &params[WZ], &mut tape.dx)?;
+                backend.matmul_into(dzpre, &transposed[WZ], &mut tape.dx)?;
                 for (dpre, w) in [(&*drpre, WR), (&*dhpre, WH)] {
-                    backend.matmul_transpose_into(dpre, &params[w], product)?;
+                    backend.matmul_into(dpre, &transposed[w], product)?;
                     tape.dx.add_assign(product)?;
                 }
                 for b in 0..tape.dx.rows() {
@@ -479,6 +497,7 @@ mod tests {
     use crate::reference::{assert_same_bits, assert_training_matches_reference, OwnedPasses};
     use crate::sequential::tests::reference_step;
     use crate::{Evaluation, Model, SgdConfig};
+    use dagfl_tensor::NaiveBackend;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -670,6 +689,136 @@ mod tests {
             gru.backward_into(&wrong_shape, None),
             Err(NnError::Shape(_))
         ));
+    }
+
+    /// Backpropagation through time over the tape of `gru`'s last
+    /// training forward pass, by the textbook formula: every grad-input
+    /// product is [`NaiveBackend`]'s dot-product `A·Bᵀ` (no zero skip)
+    /// against the untransposed weight, every other product naive too,
+    /// every result fresh.
+    fn oracle_backward(
+        gru: &Gru,
+        grad_output: &Matrix,
+        want_dx: bool,
+    ) -> (Vec<Matrix>, Option<Matrix>) {
+        let tape = gru.tape.as_ref().expect("a training forward pass first");
+        let (p, width) = (&gru.params, gru.input_size);
+        let times_transposed = |a: &Matrix, w: usize| {
+            let mut out = Matrix::default();
+            NaiveBackend
+                .matmul_transpose_into(a, &p[w], &mut out)
+                .unwrap();
+            out
+        };
+        let transposed_times = |a: &Matrix, b: &Matrix| {
+            let mut out = Matrix::default();
+            NaiveBackend.transpose_matmul_into(a, b, &mut out).unwrap();
+            out
+        };
+        fn fresh<const N: usize>(inputs: [&Matrix; N], f: impl Fn([f32; N]) -> f32) -> Matrix {
+            let mut out = Matrix::default();
+            elementwise(inputs, &mut out, f);
+            out
+        }
+        let mut grads: Vec<Matrix> = p
+            .iter()
+            .map(|w| Matrix::zeros(w.rows(), w.cols()))
+            .collect();
+        let mut dx_all = want_dx.then(|| Matrix::zeros(tape.input.rows(), tape.input.cols()));
+        let mut dh = grad_output.clone();
+        for t in (0..tape.steps.len()).rev() {
+            let h_prev = if t > 0 {
+                &tape.steps[t - 1].h
+            } else {
+                &tape.h0
+            };
+            let Step { z, r, hc, .. } = &tape.steps[t];
+            let dzpre = fresh([&dh, hc, h_prev, z], |[dh, hc, h, z]| {
+                (dh * (hc - h)) * (z * (1.0 - z))
+            });
+            let dhpre = fresh([&dh, z, hc], |[dh, z, hc]| (dh * z) * (1.0 - hc * hc));
+            let ds = times_transposed(&dhpre, UH);
+            let drpre = fresh([&ds, h_prev, r], |[ds, h, r]| (ds * h) * (r * (1.0 - r)));
+            if let Some(dx_all) = &mut dx_all {
+                let mut dx = times_transposed(&dzpre, WZ);
+                dx.add_assign(&times_transposed(&drpre, WR)).unwrap();
+                dx.add_assign(&times_transposed(&dhpre, WH)).unwrap();
+                for b in 0..dx.rows() {
+                    dx_all.row_mut(b)[t * width..(t + 1) * width].copy_from_slice(dx.row(b));
+                }
+            }
+            let mut x = Matrix::default();
+            timestep(&tape.input, t, width, &mut x);
+            let s = fresh([r, h_prev], |[r, h]| r * h);
+            for (dpre, w, u, state, b) in [
+                (&dzpre, WZ, UZ, h_prev, BZ),
+                (&drpre, WR, UR, h_prev, BR),
+                (&dhpre, WH, UH, &s, BH),
+            ] {
+                grads[w].add_assign(&transposed_times(&x, dpre)).unwrap();
+                grads[u].add_assign(&transposed_times(state, dpre)).unwrap();
+                let mut sums = Matrix::default();
+                dpre.column_sums_into(&mut sums);
+                grads[b].add_assign(&sums).unwrap();
+            }
+            if t > 0 {
+                let mut dh_prev = fresh([&dh, z, &ds, r], |[dh, z, ds, r]| dh * (1.0 - z) + ds * r);
+                dh_prev.add_assign(&times_transposed(&dzpre, UZ)).unwrap();
+                dh_prev.add_assign(&times_transposed(&drpre, UR)).unwrap();
+                dh = dh_prev;
+            }
+        }
+        (grads, dx_all)
+    }
+
+    #[test]
+    fn backward_matches_the_dot_product_oracle_bit_for_bit() {
+        let mut gru = Gru::new(&mut StdRng::seed_from_u64(11), 3, 4);
+        // Five sequences of four timesteps; every third input is an exact
+        // zero, and rows 1 and 3 of the output gradient are all zero, so
+        // whole rows of every gate gradient are zero at every timestep:
+        // the entries `matmul_into` skips and the oracle's dot products
+        // add.
+        let x = Matrix::from_fn(5, 12, |r, c| {
+            if (r + c) % 3 == 0 {
+                0.0
+            } else {
+                (r as f32 * 0.3 - c as f32 * 0.17).sin()
+            }
+        });
+        let grad_h = Matrix::from_fn(5, 4, |r, c| {
+            if r % 2 == 1 {
+                0.0
+            } else {
+                (r * 4 + c) as f32 * 0.1 - 0.7
+            }
+        });
+        for kind in [MatmulBackendKind::Naive, MatmulBackendKind::Tiled] {
+            gru.set_backend(kind);
+            gru.forward_owned(&x).unwrap();
+            for want_dx in [false, true] {
+                let (oracle_grads, oracle_dx) = oracle_backward(&gru, &grad_h, want_dx);
+                let mut run = gru.clone();
+                let mut dx = Matrix::default();
+                run.backward_into(&grad_h, want_dx.then_some(&mut dx))
+                    .unwrap();
+                let context = format!("{kind:?}, dx wanted: {want_dx}");
+                for (i, (grad, oracle)) in run.grads.iter().zip(&oracle_grads).enumerate() {
+                    assert_eq!(grad.shape(), oracle.shape(), "{context}, parameter {i}");
+                    assert_same_bits(
+                        grad.as_slice(),
+                        oracle.as_slice(),
+                        &format!("{context}, parameter {i}"),
+                    );
+                }
+                if let Some(oracle_dx) = oracle_dx {
+                    assert_eq!(dx.shape(), x.shape(), "{context}");
+                    assert_same_bits(dx.as_slice(), oracle_dx.as_slice(), &context);
+                    assert!(dx.row(1).iter().all(|&d| d == 0.0), "{context}");
+                    assert!(dx.row(0).iter().any(|&d| d != 0.0), "{context}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -21,8 +21,9 @@
 //! switch a model to the oracle by value through [`MatmulBackendKind`]
 //! (`Copy`), resolved to a `&'static dyn MatmulBackend` at the call
 //! site, so model structs stay `Clone` and cheap to ship across
-//! threads. The trait is the seam a future GPU backend slots into (see
-//! ROADMAP).
+//! threads. The trait is the seam a GPU backend would slot into; that
+//! backend is parked (ROADMAP) because it needs a crate that is not
+//! vendored.
 
 use crate::error::ShapeError;
 use crate::matrix::Matrix;

@@ -281,9 +281,14 @@ impl Matrix {
     /// of the product). The per-cell dot product is a serial `f32`
     /// dependency chain that no amount of unrolling can vectorise, so
     /// this kernel first materialises the RHS transpose into a
-    /// thread-local scratch buffer (reused across calls — steady-state
-    /// training performs no allocation here) and then runs the
-    /// cache-friendly axpy loop over contiguous transposed rows. Per
+    /// thread-local scratch buffer with [`Matrix::transpose_into`]
+    /// (reused across calls — steady-state training performs no
+    /// allocation here) and then runs the cache-friendly axpy loop over
+    /// contiguous transposed rows. That transpose is paid on every call,
+    /// so it suits a caller that multiplies by a weight once per batch —
+    /// `Dense` and `Conv2d` — while the GRU, which would pay it at every
+    /// timestep, transposes its weights once per backward pass and calls
+    /// [`Matrix::matmul_into`] instead. Per
     /// output cell the terms are still added through a single
     /// accumulator in ascending index order — only the loop nesting
     /// changes, not the operand values or their order — so every output
@@ -315,12 +320,7 @@ impl Matrix {
         out.reset(self.rows, n);
         TRANSPOSED.with(|cell| {
             let mut scratch = cell.borrow_mut();
-            scratch.reset(d, n);
-            for (j, row) in other.rows_iter().enumerate() {
-                for (t, &v) in row.iter().enumerate() {
-                    scratch.data[t * n + j] = v;
-                }
-            }
+            other.transpose_into(&mut scratch);
             for i in 0..self.rows {
                 let a_row = &self.data[i * d..(i + 1) * d];
                 let out_row = &mut out.data[i * n..(i + 1) * n];
@@ -445,13 +445,20 @@ impl Matrix {
 
     /// Returns the transpose of this matrix.
     pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out[(c, r)] = self[(r, c)];
+        let mut out = Matrix::default();
+        self.transpose_into(&mut out);
+        out
+    }
+
+    /// Writes the transpose of this matrix into a reusable output buffer
+    /// (reshaped to `cols x rows`, reusing its allocation).
+    pub fn transpose_into(&self, out: &mut Matrix) {
+        out.reset(self.cols, self.rows);
+        for (r, row) in self.rows_iter().enumerate() {
+            for (c, &v) in row.iter().enumerate() {
+                out.data[c * self.rows + r] = v;
             }
         }
-        out
     }
 
     /// In-place element-wise addition.

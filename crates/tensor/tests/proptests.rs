@@ -114,6 +114,26 @@ proptest! {
     }
 
     #[test]
+    fn transpose_into_a_reused_buffer_is_the_transpose(
+        m in matrix_strategy(8),
+        (rows, cols) in (0usize..=9, 0usize..=9),
+    ) {
+        // A dirty buffer of the wrong shape, as a pooled one would be.
+        let mut t = Matrix::filled(rows, cols, f32::NAN);
+        m.transpose_into(&mut t);
+        prop_assert_eq!(t.shape(), (m.cols(), m.rows()));
+        for r in 0..m.rows() {
+            for c in 0..m.cols() {
+                prop_assert_eq!(t[(c, r)].to_bits(), m[(r, c)].to_bits());
+            }
+        }
+        prop_assert_eq!(&t, &m.transpose());
+        let mut back = Matrix::filled(cols, rows, -1.0);
+        t.transpose_into(&mut back);
+        prop_assert_eq!(back, m);
+    }
+
+    #[test]
     fn addition_commutes((a, b) in matrix_pair(8)) {
         let (mut ab, mut ba) = (a.clone(), b.clone());
         ab.add_assign(&b).unwrap();
