@@ -16,7 +16,7 @@
 //! single-threaded like the simulator's.
 
 use std::collections::HashSet;
-use std::io;
+use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
@@ -25,7 +25,7 @@ use std::thread;
 
 use rand::rngs::StdRng;
 
-use crate::wire::{read_message, write_message};
+use crate::wire::{encode, read_message, write_message};
 use crate::{
     CoreError, Envelope, GossipMessage, PeerInfo, Transport, TransportStats, WireError, WireMessage,
 };
@@ -176,22 +176,21 @@ impl TcpTransport {
     ///
     /// Returns [`WireError::Io`] if the connection is gone.
     pub fn send_to_conn(&mut self, conn: usize, message: &WireMessage) -> Result<(), WireError> {
-        let result = {
-            let mut conns = lock(&self.conns);
-            let peer = conns
-                .get_mut(conn)
-                .filter(|p| p.alive)
-                .ok_or_else(|| WireError::Io(format!("connection {conn} is closed")))?;
-            let result = write_message(&mut peer.stream, message);
-            if result.is_err() {
-                peer.alive = false;
-            }
-            result
-        };
-        if result.is_err() {
-            self.stats.dropped += 1;
+        let frame = encode(message);
+        match self.write_frame(&frame, Some(&[conn])) {
+            (1, _) => Ok(()),
+            (_, Some(error)) => Err(error.into()),
+            _ => Err(WireError::Io(format!("connection {conn} is closed"))),
         }
-        result
+    }
+
+    /// Writes one frame on each live connection in `conns`, encoding it
+    /// once whatever their number; returns how many received it.
+    /// Closed connections are skipped; write failures are handled as
+    /// in [`TcpTransport::broadcast_wire`].
+    pub fn send_to_conns(&mut self, conns: &[usize], message: &WireMessage) -> usize {
+        let frame = encode(message);
+        self.write_frame(&frame, Some(conns)).0
     }
 
     /// Writes one frame on every live connection; returns how many
@@ -199,28 +198,45 @@ impl TcpTransport {
     /// erroring — a departed peer must not abort the survivors — and
     /// count as dropped deliveries in [`Transport::stats`].
     pub fn broadcast_wire(&mut self, message: &WireMessage) -> usize {
-        let frame = crate::wire::encode(message);
-        let mut sent = 0;
-        let mut failed = 0;
+        let frame = encode(message);
+        self.write_frame(&frame, None).0
+    }
+
+    /// The one place frames meet sockets: writes an encoded `frame` on
+    /// every live connection among `targets` (all of them for `None`)
+    /// under one hold of the `conns` lock. A failed write marks its
+    /// connection dead and counts as a dropped delivery. Returns how
+    /// many connections received the frame and the last write error.
+    fn write_frame(
+        &mut self,
+        frame: &[u8],
+        targets: Option<&[usize]>,
+    ) -> (usize, Option<io::Error>) {
+        let (mut sent, mut error) = (0, None);
+        let mut conns = lock(&self.conns);
+        let mut write = |peer: &mut PeerConn| match peer
+            .stream
+            .write_all(frame)
+            .and_then(|()| peer.stream.flush())
         {
-            let mut conns = lock(&self.conns);
-            for peer in conns.iter_mut().filter(|p| p.alive) {
-                use std::io::Write;
-                if peer
-                    .stream
-                    .write_all(&frame)
-                    .and_then(|()| peer.stream.flush())
-                    .is_ok()
-                {
-                    sent += 1;
-                } else {
-                    peer.alive = false;
-                    failed += 1;
+            Ok(()) => sent += 1,
+            Err(e) => {
+                peer.alive = false;
+                self.stats.dropped += 1;
+                error = Some(e);
+            }
+        };
+        match targets {
+            Some(targets) => {
+                for &conn in targets {
+                    if let Some(peer) = conns.get_mut(conn).filter(|p| p.alive) {
+                        write(peer);
+                    }
                 }
             }
+            None => conns.iter_mut().filter(|p| p.alive).for_each(write),
         }
-        self.stats.dropped += failed;
-        sent
+        (sent, error)
     }
 
     /// The client ids of every live connection that has said hello.
@@ -635,6 +651,31 @@ mod tests {
             })
             .unwrap();
         assert_eq!(req, vec![0, 9]);
+    }
+
+    #[test]
+    fn send_to_conns_writes_each_live_target_once() {
+        let mut a = TcpTransport::bind("127.0.0.1:0", 0).unwrap();
+        let mut b = TcpTransport::bind("127.0.0.1:0", 1).unwrap();
+        let conn = b.connect(&a.local_addr().to_string()).unwrap();
+        let done = WireMessage::Done { client: 1 };
+        assert_eq!(b.send_to_conns(&[], &done), 0);
+        // An unknown index is skipped like a closed connection.
+        assert_eq!(b.send_to_conns(&[conn + 5, conn], &done), 1);
+        assert!(b
+            .send_to_conn(conn + 5, &done)
+            .unwrap_err()
+            .to_string()
+            .contains("closed"));
+        let mut seen = Vec::new();
+        wait_for(
+            || {
+                seen.extend(a.take_control());
+                seen.iter().any(|e| matches!(e, ControlEvent::Done { .. }))
+            },
+            "done",
+        );
+        assert_eq!(b.stats().dropped, 0);
     }
 
     #[test]

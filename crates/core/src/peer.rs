@@ -400,12 +400,9 @@ pub fn run_peer(
                 };
                 replica.insert(&message)?;
                 published += 1;
-                let wire = WireMessage::Transaction(message);
                 let targets =
                     gossip_targets(transport.live_connections(), config.fanout, &mut gossip_rng);
-                for conn in targets {
-                    let _ = transport.send_to_conn(conn, &wire);
-                }
+                transport.send_to_conns(&targets, &WireMessage::Transaction(message));
             }
             if activations == config.activations {
                 transport.broadcast_wire(&WireMessage::Done {

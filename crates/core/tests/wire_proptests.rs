@@ -75,6 +75,112 @@ fn arb_message() -> impl Strategy<Value = WireMessage> {
         })
 }
 
+/// Offsets of every field boundary in `encode(msg)`, from 0 to the frame
+/// length, computed from the documented layout rather than by the codec.
+fn field_bounds(msg: &WireMessage) -> Vec<usize> {
+    struct Bounds(Vec<usize>);
+    impl Bounds {
+        fn field(&mut self, size: usize) {
+            let end = self.0.last().copied().unwrap_or(0) + size;
+            self.0.push(end);
+        }
+        fn string(&mut self, s: &str) {
+            self.field(4);
+            self.field(s.len());
+        }
+        fn tx(&mut self, tx: &TxMessage) {
+            self.field(8);
+            self.field(4);
+            tx.parents.iter().for_each(|_| self.field(8));
+            self.field(1);
+            if tx.issuer.is_some() {
+                self.field(4);
+            }
+            self.field(4);
+            self.field(4);
+            tx.params.iter().for_each(|_| self.field(4));
+        }
+    }
+    // Length prefix, version, kind.
+    let mut b = Bounds(vec![0, 4, 5, 6]);
+    match msg {
+        WireMessage::Hello { .. } | WireMessage::Leave { .. } | WireMessage::Done { .. } => {
+            b.field(4);
+        }
+        WireMessage::Transaction(tx) => b.tx(tx),
+        WireMessage::SnapshotRequest { have } => {
+            b.field(4);
+            have.iter().for_each(|_| b.field(8));
+        }
+        WireMessage::Snapshot { transactions } => {
+            b.field(4);
+            transactions.iter().for_each(|tx| b.tx(tx));
+        }
+        WireMessage::Join { addr, .. } => {
+            b.field(4);
+            b.string(addr);
+        }
+        WireMessage::PeerList { peers } => {
+            b.field(4);
+            for peer in peers {
+                b.field(4);
+                b.string(&peer.addr);
+            }
+        }
+    }
+    b.0
+}
+
+/// One structure-aware corruption of a well-formed frame, chosen by
+/// `how % 3` and placed by `pick`; `value` picks what is written.
+///
+/// 0. Overwrite the `u32` starting at a body field boundary with a
+///    boundary value: 0, 1, a count that exactly fills the bytes after
+///    it, 2^31 or `u32::MAX` — this is how counts get their lies.
+/// 1. Flip bits of one byte at offset ≥ 6: the first byte of a body
+///    field (even `pick`: tags, low count bytes) or any body byte. Low
+///    masks turn an issuer tag into an invalid one; high ones break
+///    UTF-8 and signs.
+/// 2. Cut the frame at a field boundary, leaving the length prefix as it
+///    was or (odd `value`) making it match the cut.
+fn mutate(frame: &[u8], bounds: &[usize], how: u8, pick: usize, value: u8) -> Vec<u8> {
+    let mut out = frame.to_vec();
+    let starts: Vec<usize> = bounds
+        .iter()
+        .copied()
+        .filter(|&at| (6..frame.len()).contains(&at))
+        .collect();
+    match how % 3 {
+        0 => {
+            let slots: Vec<usize> = starts
+                .into_iter()
+                .filter(|&at| at + 4 <= frame.len())
+                .collect();
+            let at = slots[pick % slots.len()];
+            let fills = ((frame.len() - at - 4) / 4) as u32;
+            let word = [0, 1, fills, 1 << 31, u32::MAX][usize::from(value) % 5];
+            out[at..at + 4].copy_from_slice(&word.to_le_bytes());
+        }
+        1 => {
+            let at = if pick % 2 == 0 {
+                starts[pick / 2 % starts.len()]
+            } else {
+                6 + pick / 2 % (frame.len() - 6)
+            };
+            out[at] ^= [0x01, 0x02, 0x03, 0x80, value.max(1)][usize::from(value) % 5];
+        }
+        _ => {
+            let at = bounds[pick % (bounds.len() - 1)];
+            out.truncate(at);
+            if value % 2 == 1 && at >= 4 {
+                let len = (at - 4) as u32;
+                out[..4].copy_from_slice(&len.to_le_bytes());
+            }
+        }
+    }
+    out
+}
+
 /// Frames are canonical: decoding and re-encoding reproduces the exact
 /// bytes, so equality of values and equality of frames coincide (this
 /// is how NaN-carrying payloads are compared without `==`).
@@ -170,6 +276,37 @@ proptest! {
         );
         if (lied as usize) > MAX_FRAME {
             prop_assert!(matches!(outcome, Err(WireError::Oversized(_))));
+        }
+    }
+}
+
+proptest! {
+    // A case costs microseconds and one mutation rarely hits a tag, so
+    // this block runs at least 1,024 cases (more if `PROPTEST_CASES` asks).
+    #![proptest_config(ProptestConfig::with_cases(ProptestConfig::default().cases.max(1024)))]
+
+    /// A hostile peer edits real frames where it hurts — counts, tags,
+    /// lengths, cut points — instead of sending noise that dies at the
+    /// version byte. Neither `decode` nor `read_message` may panic, and
+    /// whatever they accept must be canonical: it re-encodes to exactly
+    /// the mutated bytes, so no corrupted frame decodes as some other
+    /// frame's message.
+    #[test]
+    fn mutated_frames_are_rejected_or_canonical(
+        msg in arb_message(),
+        (how, pick, value) in (any::<u8>(), any::<usize>(), any::<u8>()),
+    ) {
+        let frame = encode(&msg);
+        let bounds = field_bounds(&msg);
+        prop_assert_eq!(bounds.last().copied(), Some(frame.len()));
+        let mutated = mutate(&frame, &bounds, how, pick, value);
+        if let Ok(back) = decode(&mutated) {
+            prop_assert_eq!(encode(&back), mutated);
+        }
+        let mut stream = mutated.as_slice();
+        if let Ok(back) = read_message(&mut stream) {
+            prop_assert!(stream.is_empty());
+            prop_assert_eq!(encode(&back), mutated);
         }
     }
 }
