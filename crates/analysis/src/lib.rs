@@ -1,5 +1,5 @@
 //! **dagfl-analysis** — the specialization analytics subsystem:
-//! unsupervised clustering over client models and approval graphs.
+//! clustering over client models beside the §4.3 approval-graph partition.
 //!
 //! The paper demonstrates *implicit* model specialization by eyeballing
 //! approval-graph structure. This crate measures it, without ground
@@ -14,13 +14,14 @@
 //!   — the quality metrics; silhouette is unsupervised and drives
 //!   auto-k, purity and ARI score against the dataset's ground-truth
 //!   clusters.
-//! * [`affinity_matrix`] / [`label_propagation`] — the approval-graph
-//!   view: pairwise approval-count affinities and deterministic
-//!   label-propagation community detection, scored with
-//!   [`modularity`](dagfl_graphs::modularity).
 //! * [`analyze`] — the per-round pipeline producing an
-//!   [`AnalysisSnapshot`]: both views plus their agreement (ARI between
-//!   the parameter-space and graph-space partitions).
+//!   [`AnalysisSnapshot`]: the k-means view, the approval-graph view and
+//!   their agreement (ARI between the two partitions). The graph view is
+//!   the §4.3 Louvain partition itself
+//!   ([`specialization_partition`](dagfl_core::graph::specialization_partition)
+//!   under [`specialization_seed`](dagfl_core::specialization_seed)), so on
+//!   a round that also records the specialization metrics the two agree
+//!   bit for bit.
 //!
 //! The scenario layer drives [`analyze`] on a cadence and folds the
 //! snapshots into `RunReport`s and sweep CSVs; `dagfl analyze` prints
@@ -47,12 +48,10 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
-mod community;
 mod kmeans;
 mod metrics;
 mod pipeline;
 
-pub use community::{affinity_matrix, label_propagation, DEFAULT_LABEL_PROPAGATION_SWEEPS};
 pub use kmeans::{auto_k, kmeans, KMeansConfig, KMeansResult};
 pub use metrics::{adjusted_rand_index, cluster_purity, silhouette_score};
 pub use pipeline::{

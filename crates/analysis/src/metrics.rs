@@ -10,6 +10,8 @@
 //! k-means vs approval-graph communities), since it is symmetric and
 //! invariant under label permutation.
 
+use dagfl_core::graph::majority_count;
+
 use crate::kmeans::squared_distance;
 
 /// Mean silhouette coefficient of a clustering, in `[-1, 1]`.
@@ -90,23 +92,7 @@ pub fn cluster_purity(assignments: &[usize], truth: &[usize]) -> f64 {
     if n == 0 {
         return 0.0;
     }
-    let mut clusters: Vec<usize> = assignments.to_vec();
-    clusters.sort_unstable();
-    clusters.dedup();
-    let mut credited = 0usize;
-    for &c in &clusters {
-        let mut counts: Vec<(usize, usize)> = Vec::new();
-        for (a, &t) in assignments.iter().zip(truth) {
-            if *a == c {
-                match counts.iter_mut().find(|(label, _)| *label == t) {
-                    Some((_, count)) => *count += 1,
-                    None => counts.push((t, 1)),
-                }
-            }
-        }
-        credited += counts.iter().map(|(_, count)| *count).max().unwrap_or(0);
-    }
-    credited as f64 / n as f64
+    majority_count(assignments, truth) as f64 / n as f64
 }
 
 /// The adjusted Rand index between two partitions, chance-corrected so

@@ -9,9 +9,9 @@
 //! runner embeds snapshots in `RunReport`s, so this purity is what the
 //! `--jobs`-invariance tests ultimately lean on.
 
-use dagfl_graphs::Graph;
+use dagfl_core::graph::{modularity, partition_count, specialization_partition, Graph};
+use dagfl_core::specialization_seed;
 
-use crate::community::{label_propagation, DEFAULT_LABEL_PROPAGATION_SWEEPS};
 use crate::kmeans::{auto_k, kmeans, KMeansConfig};
 use crate::metrics::{adjusted_rand_index, cluster_purity, silhouette_score};
 
@@ -66,7 +66,9 @@ pub struct AnalysisConfig {
     pub k: KSelection,
     /// Which views to compute.
     pub source: AnalysisSource,
-    /// Master seed; k-means draws derive from it.
+    /// Master seed: k-means draws derive from it, and the graph view's
+    /// Louvain order from it and the round, as the run's own §4.3
+    /// partition does.
     pub seed: u64,
 }
 
@@ -85,7 +87,7 @@ pub struct ParameterClustering {
     pub ari: f64,
 }
 
-/// The approval-graph (label-propagation) half of a snapshot.
+/// The approval-graph half of a snapshot: the §4.3 Louvain partition.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GraphClustering {
     /// Community index per client, in client order.
@@ -119,7 +121,11 @@ pub struct AnalysisSnapshot {
 /// `params` holds one flat parameter vector per client and `graph` the
 /// client approval graph; either may be `None` when the source does not
 /// need it. `truth` is the dataset's ground-truth cluster label per
-/// client, used for purity and ARI.
+/// client, used for purity and ARI. The graph view partitions with
+/// [`specialization_partition`] seeded by
+/// [`specialization_seed`]`(config.seed, round)`: after `round` rounds
+/// of a run seeded with `config.seed`, it is the partition the run's
+/// specialization metrics report.
 pub fn analyze(
     round: usize,
     params: Option<&[Vec<f32>]>,
@@ -150,13 +156,13 @@ pub fn analyze(
     };
     let graph = match (config.source.wants_approvals(), graph) {
         (true, Some(g)) => {
-            let communities = label_propagation(g, DEFAULT_LABEL_PROPAGATION_SWEEPS);
-            let community_count = communities.iter().copied().max().map_or(0, |m| m + 1);
+            let communities =
+                specialization_partition(g, specialization_seed(config.seed, round as u64));
             Some(GraphClustering {
-                modularity: dagfl_graphs::modularity(g, &communities),
+                modularity: modularity(g, &communities),
                 purity: cluster_purity(&communities, truth),
                 ari: adjusted_rand_index(&communities, truth),
-                community_count,
+                community_count: partition_count(&communities),
                 communities,
             })
         }

@@ -2,10 +2,10 @@
 //! metric-range contracts.
 
 use dagfl_analysis::{
-    adjusted_rand_index, kmeans, label_propagation, silhouette_score, KMeansConfig,
-    DEFAULT_LABEL_PROPAGATION_SWEEPS,
+    adjusted_rand_index, analyze, cluster_purity, kmeans, silhouette_score, AnalysisConfig,
+    AnalysisSource, KMeansConfig,
 };
-use dagfl_graphs::Graph;
+use dagfl_core::graph::Graph;
 use proptest::prelude::*;
 
 /// A set of same-length points with bounded coordinates.
@@ -18,16 +18,65 @@ fn arbitrary_points(max_points: usize, max_dim: usize) -> impl Strategy<Value = 
     })
 }
 
-fn arbitrary_graph(max_nodes: usize, max_edges: usize) -> impl Strategy<Value = Graph> {
+/// A node count and integer-weighted edges over it: the weights the
+/// program builds are approval counts.
+fn integer_edges(
+    max_nodes: usize,
+    max_edges: usize,
+) -> impl Strategy<Value = (usize, Vec<(usize, usize, u8)>)> {
     (1..=max_nodes).prop_flat_map(move |n| {
-        proptest::collection::vec((0..n, 0..n, 0.1f64..5.0), 0..max_edges).prop_map(move |edges| {
-            let mut g = Graph::new(n);
-            for (a, b, w) in edges {
-                g.add_edge(a, b, w);
-            }
-            g
-        })
+        (
+            n..=n,
+            proptest::collection::vec((0..n, 0..n, 1u8..=5), 0..max_edges),
+        )
     })
+}
+
+fn build(n: usize, edges: &[(usize, usize, u8)]) -> Graph {
+    let mut g = Graph::new(n);
+    for &(a, b, w) in edges {
+        g.add_edge(a, b, f64::from(w));
+    }
+    g
+}
+
+/// The approval-graph view alone, against ground truth `i % 3`.
+fn graph_view(round: usize, graph: &Graph, seed: u64) -> dagfl_analysis::GraphClustering {
+    let truth: Vec<usize> = (0..graph.num_nodes()).map(|i| i % 3).collect();
+    let config = AnalysisConfig {
+        source: AnalysisSource::Approvals,
+        seed,
+        ..AnalysisConfig::default()
+    };
+    analyze(round, None, Some(graph), &truth, &config)
+        .graph
+        .expect("approvals requested")
+}
+
+/// Cluster purity as it was first written, one scan per cluster: the
+/// oracle `cluster_purity` must match bit for bit.
+fn purity_oracle(assignments: &[usize], truth: &[usize]) -> f64 {
+    let n = assignments.len();
+    if n == 0 {
+        return 0.0;
+    }
+    let mut clusters: Vec<usize> = assignments.to_vec();
+    clusters.sort_unstable();
+    clusters.dedup();
+    let mut credited = 0usize;
+    for &c in &clusters {
+        let mut counts: Vec<(usize, usize)> = Vec::new();
+        for (a, &t) in assignments.iter().zip(truth) {
+            if *a == c {
+                match counts.iter_mut().find(|(label, _)| *label == t) {
+                    Some((_, count)) => *count += 1,
+                    None => counts.push((t, 1)),
+                }
+            }
+        }
+        credited += counts.iter().map(|(_, count)| *count).max().unwrap_or(0);
+    }
+    credited as f64 / n as f64
 }
 
 proptest! {
@@ -98,23 +147,48 @@ proptest! {
     }
 
     #[test]
-    fn label_propagation_terminates_and_labels_every_node(
-        g in arbitrary_graph(14, 40),
+    fn analyze_graph_view_labels_every_node(
+        (n, edges) in integer_edges(14, 40),
+        round in 0usize..50,
+        seed in any::<u64>(),
     ) {
-        // The sweep cap bounds the loop on any input; the call returning
-        // at all is the termination property.
-        let labels = label_propagation(&g, DEFAULT_LABEL_PROPAGATION_SWEEPS);
-        prop_assert_eq!(labels.len(), g.num_nodes());
-        // Labels are compacted to 0..count.
-        let count = labels.iter().copied().max().map_or(0, |m| m + 1);
-        prop_assert!(labels.iter().all(|&l| l < count || count == 0));
+        let view = graph_view(round, &build(n, &edges), seed);
+        prop_assert_eq!(view.communities.len(), n);
+        // Labels are dense: 0..community_count.
+        prop_assert!(view.communities.iter().all(|&l| l < view.community_count));
+        prop_assert!((1..=n).contains(&view.community_count));
     }
 
     #[test]
-    fn label_propagation_is_deterministic(g in arbitrary_graph(10, 25)) {
-        let a = label_propagation(&g, DEFAULT_LABEL_PROPAGATION_SWEEPS);
-        let b = label_propagation(&g, DEFAULT_LABEL_PROPAGATION_SWEEPS);
-        prop_assert_eq!(a, b);
+    fn analyze_graph_view_is_bit_deterministic(
+        (n, edges) in integer_edges(10, 25),
+        round in 0usize..50,
+        seed in any::<u64>(),
+    ) {
+        // Twice on one graph and once on a rebuilt copy: the same
+        // partition and the same bits in every score.
+        let g = build(n, &edges);
+        let a = graph_view(round, &g, seed);
+        for b in [graph_view(round, &g, seed), graph_view(round, &build(n, &edges), seed)] {
+            prop_assert_eq!(&a.communities, &b.communities);
+            prop_assert_eq!(a.community_count, b.community_count);
+            prop_assert_eq!(a.modularity.to_bits(), b.modularity.to_bits());
+            prop_assert_eq!(a.purity.to_bits(), b.purity.to_bits());
+            prop_assert_eq!(a.ari.to_bits(), b.ari.to_bits());
+        }
+    }
+
+    #[test]
+    fn purity_matches_the_per_cluster_scan_oracle(
+        labels in proptest::collection::vec(0usize..5, 0..30),
+        truth in proptest::collection::vec(0usize..5, 0..30),
+    ) {
+        let n = labels.len().min(truth.len());
+        let (labels, truth) = (&labels[..n], &truth[..n]);
+        prop_assert_eq!(
+            cluster_purity(labels, truth).to_bits(),
+            purity_oracle(labels, truth).to_bits()
+        );
     }
 
     #[test]

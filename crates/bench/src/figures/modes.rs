@@ -1,8 +1,8 @@
 //! The round-based simulator against the event-driven one (§5.3.3).
 
 use dagfl_core::{
-    AsyncConfig, AsyncSimulation, ComputeProfile, DelayModel, ExecutionMode, Simulation,
-    StaleTipPolicy,
+    specialization_seed, AsyncConfig, AsyncSimulation, ComputeProfile, DelayModel, ExecutionMode,
+    Simulation, StaleTipPolicy,
 };
 
 use crate::experiments::{late_accuracy, task};
@@ -90,7 +90,7 @@ fn async_scenarios() -> [(&'static str, AsyncConfig); 3] {
 fn shared_columns(mode: &mut dyn ExecutionMode, seed: u64, window: usize) -> Vec<String> {
     mode.run_to_completion().expect("simulation failed");
     let stats = mode.tangle_stats();
-    let spec = mode.specialization_metrics_seeded(seed ^ 0xC0FF_EE00);
+    let spec = mode.specialization_metrics_seeded(specialization_seed(seed, 0));
     vec![
         mode.mode_name().to_string(),
         seed.to_string(),

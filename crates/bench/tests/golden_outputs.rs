@@ -120,8 +120,8 @@ const GOLDEN: &[(&str, u64, &str)] = &[
     ),
     (
         "sweep_fig05_alpha.csv",
-        0xab72613bba1c4d9f,
-        "054971ca34526359",
+        0xa372abc03857be95,
+        "0549ee7552337351",
     ),
     (
         "sweep_fig06_alpha.csv",

@@ -11,19 +11,10 @@
 //! * the **cluster divergence matrix** — pairwise L2 distance between the
 //!   clusters' mean consensus parameters.
 
-use std::collections::HashMap;
-
-use dagfl_nn::average_parameters;
+use dagfl_nn::{average_parameters, NnError};
 use dagfl_tensor::{l2_distance, Matrix};
 
 use crate::{CoreError, Simulation};
-
-/// Pooled test data of one ground-truth cluster.
-#[derive(Debug, Clone)]
-struct ClusterPool {
-    x: Matrix,
-    y: Vec<usize>,
-}
 
 /// The cross-cluster evaluation: `accuracy[a][b]` is cluster `a`'s mean
 /// consensus model evaluated on cluster `b`'s pooled test data, plus the
@@ -98,10 +89,7 @@ impl ClusterSpecialization {
 ///
 /// Panics if the dataset has no clients (impossible for constructed
 /// datasets).
-#[allow(clippy::needless_range_loop)] // idx indexes clients, datasets and labels together
 pub fn cluster_specialization(sim: &mut Simulation) -> Result<ClusterSpecialization, CoreError> {
-    // 1. Collect per cluster: member reference parameters and pooled test
-    //    data.
     let cluster_labels = sim.dataset().cluster_labels();
     let mut clusters: Vec<usize> = cluster_labels.clone();
     clusters.sort_unstable();
@@ -113,63 +101,40 @@ pub fn cluster_specialization(sim: &mut Simulation) -> Result<ClusterSpecializat
             clusters.len()
         )));
     }
-
-    // Reference parameters per client.
-    let config = sim.config;
-    let tangle = &sim.tangle;
-    let mut per_cluster_params: HashMap<usize, Vec<Vec<f32>>> = HashMap::new();
-    for idx in 0..sim.dataset.num_clients() {
-        let data = &sim.dataset.clients()[idx];
-        let client = &mut sim.clients[idx];
-        let (params, _) = client.reference_model(tangle, data, &config)?;
-        per_cluster_params
-            .entry(cluster_labels[idx])
-            .or_default()
-            .push(params);
+    let params = sim.reference_parameters()?;
+    // Per cluster, in client order: the mean reference parameters and
+    // the members' test data stacked into one pool.
+    let mut mean_params = Vec::with_capacity(clusters.len());
+    let mut pools = Vec::with_capacity(clusters.len());
+    for &c in &clusters {
+        let members: Vec<usize> = (0..params.len())
+            .filter(|&idx| cluster_labels[idx] == c)
+            .collect();
+        let refs: Vec<&[f32]> = members.iter().map(|&idx| params[idx].as_slice()).collect();
+        mean_params.push(average_parameters(&refs));
+        let data: Vec<_> = members
+            .iter()
+            .map(|&idx| &sim.dataset.clients()[idx])
+            .collect();
+        let rows: Vec<&[f32]> = data
+            .iter()
+            .flat_map(|d| (0..d.test_x().rows()).map(|r| d.test_x().row(r)))
+            .collect();
+        let x = Matrix::from_rows(&rows).map_err(NnError::from)?;
+        let y: Vec<usize> = data.iter().flat_map(|d| d.test_y()).copied().collect();
+        pools.push((x, y));
     }
 
-    // Pooled test data per cluster.
-    let mut pools: HashMap<usize, ClusterPool> = HashMap::new();
-    for (idx, data) in sim.dataset.clients().iter().enumerate() {
-        let cluster = cluster_labels[idx];
-        let entry = pools.entry(cluster).or_insert_with(|| ClusterPool {
-            x: Matrix::zeros(0, data.test_x().cols()),
-            y: Vec::new(),
-        });
-        // Append rows.
-        let mut combined =
-            Matrix::zeros(entry.x.rows() + data.test_x().rows(), data.test_x().cols());
-        for r in 0..entry.x.rows() {
-            combined.row_mut(r).copy_from_slice(entry.x.row(r));
-        }
-        for r in 0..data.test_x().rows() {
-            combined
-                .row_mut(entry.x.rows() + r)
-                .copy_from_slice(data.test_x().row(r));
-        }
-        entry.x = combined;
-        entry.y.extend_from_slice(data.test_y());
-    }
-
-    // 2. Mean parameters per cluster.
-    let mean_params: HashMap<usize, Vec<f32>> = per_cluster_params
-        .iter()
-        .map(|(&c, params)| {
-            let refs: Vec<&[f32]> = params.iter().map(Vec::as_slice).collect();
-            (c, average_parameters(&refs))
-        })
-        .collect();
-
-    // 3. Cross-evaluate using client 0's scratch model.
+    // Cross-evaluate using client 0's scratch model.
     let k = clusters.len();
     let mut accuracy = vec![vec![0.0f32; k]; k];
     let mut divergence = vec![vec![0.0f32; k]; k];
-    for (a_idx, &a) in clusters.iter().enumerate() {
-        for (b_idx, &b) in clusters.iter().enumerate() {
-            let pool = &pools[&b];
-            let eval = sim.clients[0].evaluate_with(&mean_params[&a], &pool.x, &pool.y)?;
-            accuracy[a_idx][b_idx] = eval.accuracy;
-            divergence[a_idx][b_idx] = l2_distance(&mean_params[&a], &mean_params[&b]);
+    for a in 0..k {
+        for (b, (x, y)) in pools.iter().enumerate() {
+            accuracy[a][b] = sim.clients[0]
+                .evaluate_with(&mean_params[a], x, y)?
+                .accuracy;
+            divergence[a][b] = l2_distance(&mean_params[a], &mean_params[b]);
         }
     }
     Ok(ClusterSpecialization {

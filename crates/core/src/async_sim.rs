@@ -44,11 +44,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use dagfl_datasets::FederatedDataset;
-use dagfl_graphs::Graph;
 use dagfl_nn::average_parameters;
 use dagfl_tangle::{TangleRead, TxId};
 
 use crate::fanout::{disjoint_mut, fan_out};
+use crate::graph::Graph;
 use crate::{
     ClientGraphTracker, ComputeProfile, CoreError, DagClient, DagConfig, DelayModel, Envelope,
     FaultPlan, FaultyTransport, GossipMessage, LoopbackTransport, ModelFactory, ModelPayload,

@@ -11,12 +11,12 @@
 //! [`AsyncSimulation`](crate::AsyncSimulation) through one `dyn`
 //! interface and compare them on identical budgets.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
 use dagfl_datasets::FederatedDataset;
-use dagfl_graphs::{louvain, misclassification_fraction, modularity, partition_count, Graph};
 use dagfl_tangle::TangleStats;
+
+use crate::graph::{
+    misclassification_fraction, modularity, partition_count, specialization_partition, Graph,
+};
 
 use crate::{AsyncSimulation, CoreError, ShardedModelTangle, Simulation, SpecializationMetrics};
 
@@ -68,8 +68,7 @@ pub trait ExecutionMode {
     /// so comparisons across modes stay reproducible.
     fn specialization_metrics_seeded(&self, seed: u64) -> SpecializationMetrics {
         let graph = self.client_graph();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let partition = louvain(&graph, &mut rng);
+        let partition = specialization_partition(&graph, seed);
         SpecializationMetrics {
             modularity: modularity(&graph, &partition),
             partitions: partition_count(&partition),
@@ -157,6 +156,7 @@ mod tests {
     use crate::{AsyncConfig, DagConfig, DelayModel, ModelFactory};
     use dagfl_datasets::{fmnist_clustered, FmnistConfig};
     use dagfl_nn::{Dense, Model, Relu, Sequential};
+    use rand::rngs::StdRng;
     use std::sync::Arc;
 
     fn dataset() -> FederatedDataset {

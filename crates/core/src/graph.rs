@@ -1,4 +1,51 @@
+//! The derived client graph `G_clients` and the §4.3 metrics over it.
+//!
+//! The paper quantifies cluster formation in the DAG through a client
+//! graph whose edge weight is the number of mutual approvals between two
+//! clients, and three metrics of its Louvain partition:
+//!
+//! * its **modularity** ([`modularity`]),
+//! * the **number of partitions** [`louvain`] finds ([`partition_count`]),
+//! * the **misclassification fraction** against the ground-truth clusters
+//!   ([`misclassification_fraction`]).
+//!
+//! [`specialization_partition`] is the one place that partition is drawn:
+//! [`ExecutionMode::specialization_metrics_seeded`](crate::ExecutionMode::specialization_metrics_seeded)
+//! and the analysis layer's graph view both read it.
+//!
+//! # Example
+//!
+//! ```
+//! use dagfl_core::graph::{louvain, modularity, Graph};
+//! use rand::{rngs::StdRng, SeedableRng};
+//!
+//! // Two triangles joined by a single weak edge.
+//! let mut g = Graph::new(6);
+//! for (a, b) in [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)] {
+//!     g.add_edge(a, b, 1.0);
+//! }
+//! g.add_edge(2, 3, 0.1);
+//! let partition = louvain(&g, &mut StdRng::seed_from_u64(0));
+//! assert_eq!(partition[0], partition[1]);
+//! assert_ne!(partition[0], partition[5]);
+//! assert!(modularity(&g, &partition) > 0.4);
+//! ```
+
 use std::collections::HashMap;
+
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+pub use crate::louvain::louvain;
+pub use crate::metrics::{
+    compact_labels, majority_count, misclassification_fraction, modularity, partition_count,
+};
+
+/// The §4.3 partition of `graph`: Louvain, with its node visit order
+/// drawn from `seed`.
+pub fn specialization_partition(graph: &Graph, seed: u64) -> Vec<usize> {
+    louvain(graph, &mut StdRng::seed_from_u64(seed))
+}
 
 /// An undirected graph with non-negative edge weights over nodes `0..n`.
 ///
@@ -28,17 +75,6 @@ impl Graph {
         self.adjacency.len()
     }
 
-    /// Number of distinct edges with non-zero weight (self-loops included).
-    pub fn num_edges(&self) -> usize {
-        let pair_edges: usize = self
-            .adjacency
-            .iter()
-            .enumerate()
-            .map(|(i, adj)| adj.keys().filter(|&&j| j > i).count())
-            .sum();
-        pair_edges + self.loops.iter().filter(|&&w| w > 0.0).count()
-    }
-
     /// Adds `weight` to the edge between `a` and `b` (accumulating).
     ///
     /// # Panics
@@ -64,20 +100,6 @@ impl Graph {
             *self.adjacency[b].entry(a).or_insert(0.0) += weight;
         }
         self.edge_weight_total += weight;
-    }
-
-    /// The weight between `a` and `b` (0 if absent). For `a == b` this is
-    /// the self-loop weight (counted once).
-    pub fn weight(&self, a: usize, b: usize) -> f64 {
-        if a == b {
-            self.loops.get(a).copied().unwrap_or(0.0)
-        } else {
-            self.adjacency
-                .get(a)
-                .and_then(|adj| adj.get(&b))
-                .copied()
-                .unwrap_or(0.0)
-        }
     }
 
     /// The self-loop weight of `a`.
@@ -128,7 +150,7 @@ mod tests {
     fn new_graph_is_edgeless() {
         let g = Graph::new(4);
         assert_eq!(g.num_nodes(), 4);
-        assert_eq!(g.num_edges(), 0);
+        assert!(g.edges().is_empty());
         assert_eq!(g.total_weight(), 0.0);
         assert_eq!(g.degree(0), 0.0);
     }
@@ -137,9 +159,8 @@ mod tests {
     fn add_edge_is_symmetric() {
         let mut g = Graph::new(3);
         g.add_edge(0, 1, 2.5);
-        assert_eq!(g.weight(0, 1), 2.5);
-        assert_eq!(g.weight(1, 0), 2.5);
-        assert_eq!(g.num_edges(), 1);
+        assert_eq!(g.edges(), vec![(0, 1, 2.5)]);
+        assert_eq!(g.neighbors(1).collect::<Vec<_>>(), vec![(0, 2.5)]);
         assert_eq!(g.total_weight(), 2.5);
     }
 
@@ -148,8 +169,7 @@ mod tests {
         let mut g = Graph::new(2);
         g.add_edge(0, 1, 1.0);
         g.add_edge(1, 0, 2.0);
-        assert_eq!(g.weight(0, 1), 3.0);
-        assert_eq!(g.num_edges(), 1);
+        assert_eq!(g.edges(), vec![(0, 1, 3.0)]);
         assert_eq!(g.total_weight(), 3.0);
     }
 
@@ -168,7 +188,7 @@ mod tests {
     fn zero_weight_edges_are_ignored() {
         let mut g = Graph::new(2);
         g.add_edge(0, 1, 0.0);
-        assert_eq!(g.num_edges(), 0);
+        assert!(g.edges().is_empty());
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //!
 //! This crate implements the paper's core contribution on top of the
 //! workspace substrates ([`dagfl-tangle`] for the ledger, [`dagfl-nn`] for
-//! models, [`dagfl-datasets`] for federated data, [`dagfl-graphs`] for the
-//! specialization metrics):
+//! models, [`dagfl-datasets`] for federated data):
 //!
 //! 1. **Accuracy-aware tip selection** ([`AccuracyBias`] over a
 //!    [`ModelEvaluator`]): a biased random walk through the DAG whose
@@ -19,7 +18,8 @@
 //! 3. **The round simulator** ([`Simulation`]): discrete rounds with a
 //!    configurable number of concurrently active clients (the paper's
 //!    simulation methodology, §5.3), per-round metrics, the derived client
-//!    graph `G_clients` and the specialization metrics of §4.3.
+//!    graph `G_clients` ([`graph`]) and the specialization metrics of
+//!    §4.3: its Louvain partition, modularity and misclassification.
 //! 4. **The asynchronous execution mode** ([`AsyncSimulation`]): the
 //!    round-free reality of §5.3.3 as a discrete-event simulation —
 //!    per-client tangle replicas, per-link [`DelayModel`]s, compute-speed
@@ -78,7 +78,6 @@
 //! [`dagfl-tangle`]: ../dagfl_tangle/index.html
 //! [`dagfl-nn`]: ../dagfl_nn/index.html
 //! [`dagfl-datasets`]: ../dagfl_datasets/index.html
-//! [`dagfl-graphs`]: ../dagfl_graphs/index.html
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
@@ -95,6 +94,8 @@ mod evaluator;
 mod exec;
 mod fanout;
 mod fault;
+pub mod graph;
+mod louvain;
 mod metrics;
 mod net;
 mod payload;
@@ -128,7 +129,7 @@ pub use payload::{ModelFactory, ModelPayload, ModelTangle, ShardedModelTangle};
 pub use peer::{run_peer, PeerConfig, PeerReport};
 pub use poisoning::{mean_accuracy_series, PoisonRoundMetrics, PoisoningConfig, PoisoningScenario};
 pub use replica::{Replica, ReplicaTangle, SegmentRegistry, GENESIS_NET_ID};
-pub use seed::derive_seed;
+pub use seed::{derive_seed, specialization_seed};
 pub use simulation::{ReferenceEvaluation, Simulation};
 pub use tip_selection::AccuracyBias;
 pub use transport::{

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::{compact_labels, Graph};
+use crate::graph::{compact_labels, Graph};
 
 /// Detects communities by greedy modularity optimisation.
 ///
@@ -21,7 +21,7 @@ use crate::{compact_labels, Graph};
 /// # Example
 ///
 /// ```
-/// use dagfl_graphs::{louvain, Graph};
+/// use dagfl_core::graph::{louvain, Graph};
 /// use rand::{rngs::StdRng, SeedableRng};
 ///
 /// let mut g = Graph::new(4);
@@ -132,7 +132,7 @@ fn aggregate(graph: &Graph, community: &[usize], communities: usize) -> Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{modularity, partition_count};
+    use crate::graph::{modularity, partition_count};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -1,12 +1,12 @@
 //! Per-round and specialization metrics.
 
+use dagfl_tangle::{TangleRead, TxId};
+use std::collections::{BTreeMap, HashMap};
 use std::convert::Infallible;
 use std::time::Duration;
 
-use dagfl_graphs::Graph;
-use dagfl_tangle::{TangleRead, TxId};
-
 use crate::fanout::{fan_out, machine_workers};
+use crate::graph::Graph;
 use crate::ModelPayload;
 
 /// Builds the derived client graph `G_clients` (§4.3) from a tangle: the
@@ -216,6 +216,119 @@ pub fn tangle_digest<T: TangleRead<ModelPayload>>(tangle: &T) -> u64 {
         digest = digest.wrapping_add(h);
     }
     digest
+}
+
+/// Newman–Girvan modularity of a partition, in `[-1/2, 1]`.
+///
+/// Uses the community form `Q = Σ_C [Σ_in(C)/(2m) − (Σ_tot(C)/(2m))²]`,
+/// where `Σ_in(C)` counts intra-community adjacency in both directions
+/// (self-loops twice), `Σ_tot(C)` is the summed weighted degree and `m` the
+/// total edge weight. The per-community terms are summed in ascending
+/// label order, so the same graph and partition give the same bits on
+/// every call.
+///
+/// Returns `0.0` for an edgeless graph (no structure to measure).
+///
+/// # Panics
+///
+/// Panics if `partition.len() != graph.num_nodes()`.
+pub fn modularity(graph: &Graph, partition: &[usize]) -> f64 {
+    assert_eq!(
+        partition.len(),
+        graph.num_nodes(),
+        "partition must label every node"
+    );
+    let m = graph.total_weight();
+    if m <= 0.0 {
+        return 0.0;
+    }
+    let two_m = 2.0 * m;
+    // `(Σ_in, Σ_tot)` per community.
+    let mut sums: BTreeMap<usize, (f64, f64)> = BTreeMap::new();
+    for node in 0..graph.num_nodes() {
+        let c = partition[node];
+        let sum = sums.entry(c).or_insert((0.0, 0.0));
+        sum.1 += graph.degree(node);
+        sum.0 += 2.0 * graph.loop_weight(node);
+        for (neighbor, w) in graph.neighbors(node) {
+            if partition[neighbor] == c {
+                // Each intra edge is visited from both endpoints, which
+                // yields the required double counting.
+                sum.0 += w;
+            }
+        }
+    }
+    sums.values().fold(0.0, |q, &(inn, tot)| {
+        q + (inn / two_m - (tot / two_m) * (tot / two_m))
+    })
+}
+
+/// Number of distinct labels in a partition.
+pub fn partition_count(partition: &[usize]) -> usize {
+    let mut labels: Vec<usize> = partition.to_vec();
+    labels.sort_unstable();
+    labels.dedup();
+    labels.len()
+}
+
+/// Renumbers partition labels to the dense range `0..k`, preserving the
+/// order of first appearance.
+pub fn compact_labels(partition: &[usize]) -> Vec<usize> {
+    let mut mapping = HashMap::new();
+    let mut next = 0;
+    partition
+        .iter()
+        .map(|&label| {
+            *mapping.entry(label).or_insert_with(|| {
+                let id = next;
+                next += 1;
+                id
+            })
+        })
+        .collect()
+}
+
+/// How many members share their group's most common ground-truth label,
+/// summed over the groups of `partition`: the correctly classified
+/// members of [`misclassification_fraction`] and the credited points of
+/// cluster purity.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+pub fn majority_count(partition: &[usize], truth: &[usize]) -> usize {
+    assert_eq!(
+        partition.len(),
+        truth.len(),
+        "label slices differ in length"
+    );
+    let mut members: HashMap<(usize, usize), usize> = HashMap::new();
+    for (&p, &t) in partition.iter().zip(truth) {
+        *members.entry((p, t)).or_default() += 1;
+    }
+    let mut majority: HashMap<usize, usize> = HashMap::new();
+    for ((p, _), count) in members {
+        let best = majority.entry(p).or_default();
+        *best = (*best).max(count);
+    }
+    majority.values().sum()
+}
+
+/// The paper's misclassification fraction (§4.3): the fraction of clients
+/// that ended up in a partition whose relative majority belongs to a
+/// different ground-truth cluster.
+///
+/// Returns `0.0` for empty input.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+pub fn misclassification_fraction(partition: &[usize], truth: &[usize]) -> f64 {
+    let n = partition.len();
+    if n == 0 {
+        return 0.0;
+    }
+    (n - majority_count(partition, truth)) as f64 / n as f64
 }
 
 /// Incrementally-maintained client graph and pureness counters: the
@@ -504,5 +617,124 @@ mod tests {
         m.fresh_evaluations = 3;
         m.cached_evaluations = 9;
         assert!((m.fresh_eval_ratio() - 0.25).abs() < 1e-12);
+    }
+
+    /// Two disjoint triangles.
+    fn two_triangles() -> Graph {
+        let mut g = Graph::new(6);
+        for (a, b) in [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)] {
+            g.add_edge(a, b, 1.0);
+        }
+        g
+    }
+
+    #[test]
+    fn modularity_of_perfect_split_is_half() {
+        // Two disconnected communities of equal weight: Q = 1/2.
+        let g = two_triangles();
+        let q = modularity(&g, &[0, 0, 0, 1, 1, 1]);
+        assert!((q - 0.5).abs() < 1e-9, "expected 0.5, got {q}");
+    }
+
+    #[test]
+    fn modularity_of_single_community_is_zero() {
+        let g = two_triangles();
+        let q = modularity(&g, &[0; 6]);
+        assert!(q.abs() < 1e-9);
+    }
+
+    #[test]
+    fn modularity_of_singletons_is_negative() {
+        let g = two_triangles();
+        let q = modularity(&g, &[0, 1, 2, 3, 4, 5]);
+        assert!(q < 0.0);
+    }
+
+    #[test]
+    fn modularity_bounds_hold() {
+        let g = two_triangles();
+        for partition in [
+            vec![0, 0, 0, 1, 1, 1],
+            vec![0, 1, 0, 1, 0, 1],
+            vec![0, 0, 1, 1, 2, 2],
+        ] {
+            let q = modularity(&g, &partition);
+            assert!((-0.5..=1.0).contains(&q), "q = {q} out of bounds");
+        }
+    }
+
+    #[test]
+    fn modularity_of_edgeless_graph_is_zero() {
+        let g = Graph::new(3);
+        assert_eq!(modularity(&g, &[0, 1, 2]), 0.0);
+    }
+
+    #[test]
+    fn modularity_with_self_loop_matches_hand_computation() {
+        // One edge (0,1,w=1) and a self-loop at 2 (w=1): m = 2.
+        // Partition all separate: k = [1, 1, 2].
+        // Q = (0/4 - (1/4)^2) * 2 + (2/4 - (2/4)^2) = -2/16 + 1/4 = 0.125.
+        let mut g = Graph::new(3);
+        g.add_edge(0, 1, 1.0);
+        g.add_edge(2, 2, 1.0);
+        let q = modularity(&g, &[0, 1, 2]);
+        assert!((q - 0.125).abs() < 1e-9, "got {q}");
+    }
+
+    #[test]
+    #[should_panic(expected = "every node")]
+    fn modularity_rejects_short_partition() {
+        let g = two_triangles();
+        modularity(&g, &[0, 0]);
+    }
+
+    #[test]
+    fn partition_count_counts_distinct() {
+        assert_eq!(partition_count(&[3, 3, 7, 1]), 3);
+        assert_eq!(partition_count(&[]), 0);
+    }
+
+    #[test]
+    fn compact_labels_preserves_structure() {
+        let compact = compact_labels(&[9, 4, 9, 2]);
+        assert_eq!(compact, vec![0, 1, 0, 2]);
+    }
+
+    #[test]
+    fn majority_labels_finds_relative_majority() {
+        // Group 0 = {7, 7, 8} credits its two 7s, group 1 = {9, 9} both.
+        assert_eq!(majority_count(&[0, 0, 0, 1, 1], &[7, 7, 8, 9, 9]), 4);
+        // A tie credits one side of it.
+        assert_eq!(majority_count(&[0, 0], &[1, 2]), 1);
+        assert_eq!(majority_count(&[], &[]), 0);
+    }
+
+    #[test]
+    fn misclassification_fraction_perfect_partition() {
+        let partition = [0, 0, 1, 1];
+        let truth = [5, 5, 6, 6];
+        assert_eq!(misclassification_fraction(&partition, &truth), 0.0);
+    }
+
+    #[test]
+    fn misclassification_fraction_counts_minority_members() {
+        // Group 0 = {A, A, B}: B is misclassified. Group 1 = {B}: fine.
+        let partition = [0, 0, 0, 1];
+        let truth = [0, 0, 1, 1];
+        assert!((misclassification_fraction(&partition, &truth) - 0.25).abs() < 1e-9);
+    }
+
+    #[test]
+    fn misclassification_fraction_empty_is_zero() {
+        assert_eq!(misclassification_fraction(&[], &[]), 0.0);
+    }
+
+    #[test]
+    fn misclassification_merged_clusters_penalised() {
+        // All clients in one partition but two ground-truth clusters of
+        // unequal size: the minority cluster is fully misclassified.
+        let partition = [0, 0, 0, 0, 0];
+        let truth = [1, 1, 1, 2, 2];
+        assert!((misclassification_fraction(&partition, &truth) - 0.4).abs() < 1e-9);
     }
 }

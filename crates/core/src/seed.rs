@@ -41,6 +41,13 @@ pub fn derive_seed(master: u64, stream: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The seed of the §4.3 Louvain partition after `round` completed
+/// rounds of a run seeded with `seed`. Asynchronous runs, which have no
+/// rounds, pass 0.
+pub fn specialization_seed(seed: u64, round: u64) -> u64 {
+    seed ^ 0xC0FF_EE00 ^ round
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

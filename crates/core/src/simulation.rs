@@ -7,14 +7,15 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use dagfl_datasets::FederatedDataset;
-use dagfl_graphs::Graph;
 use dagfl_nn::Evaluation;
 use dagfl_tangle::TxId;
 
 use crate::fanout::{disjoint_mut, fan_out, machine_workers};
+use crate::graph::Graph;
 use crate::{
-    ClientGraphTracker, CoreError, DagClient, DagConfig, ExecutionMode, ModelFactory, ModelPayload,
-    RoundMetrics, ShardedModelTangle, SpecializationMetrics, TrainOutcome,
+    specialization_seed, ClientGraphTracker, CoreError, DagClient, DagConfig, ExecutionMode,
+    ModelFactory, ModelPayload, RoundMetrics, ShardedModelTangle, SpecializationMetrics,
+    TrainOutcome,
 };
 
 /// A client's reference evaluation: `(client id, evaluation, selected tips)`.
@@ -268,7 +269,7 @@ impl Simulation {
     /// Computes the §4.3 specialization metrics of the current tangle,
     /// with Louvain seeded by the run seed and the round.
     pub fn specialization_metrics(&self) -> SpecializationMetrics {
-        self.specialization_metrics_seeded(self.config.seed ^ 0xC0FF_EE00 ^ self.round as u64)
+        self.specialization_metrics_seeded(specialization_seed(self.config.seed, self.round as u64))
     }
 
     /// Evaluates every client's walk-selected reference model on its local

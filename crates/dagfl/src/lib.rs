@@ -12,11 +12,11 @@
 //! | [`nn`] | layers, GRU, SGD (+ FedProx proximal term), parameter averaging |
 //! | [`datasets`] | synthetic federated datasets + poisoning transforms |
 //! | [`tangle`] | the DAG ledger substrate and random-walk engine |
-//! | [`graphs`] | modularity, Louvain and the specialization metrics |
+//! | [`graphs`] | the client graph, modularity, Louvain and the specialization metrics |
 //! | [`dag`] | the Specializing DAG itself: biased tip selection, simulation, poisoning scenarios |
 //! | [`baselines`] | FedAvg and FedProx |
 //! | [`scenario`] | the declarative layer: one spec to build, validate, run and report any experiment |
-//! | [`analysis`] | specialization analytics: seeded k-means, silhouette/purity/ARI, community detection |
+//! | [`analysis`] | specialization analytics: seeded k-means, silhouette/purity/ARI, the Louvain graph view |
 //!
 //! The most common entry points are re-exported at the crate root.
 //!
@@ -80,16 +80,16 @@
 pub use dagfl_analysis as analysis;
 pub use dagfl_baselines as baselines;
 pub use dagfl_core as dag;
+pub use dagfl_core::graph as graphs;
 pub use dagfl_datasets as datasets;
-pub use dagfl_graphs as graphs;
 pub use dagfl_nn as nn;
 pub use dagfl_scenario as scenario;
 pub use dagfl_tangle as tangle;
 pub use dagfl_tensor as tensor;
 
 pub use dagfl_analysis::{
-    adjusted_rand_index, analyze, auto_k, cluster_purity, kmeans, label_propagation,
-    silhouette_score, AnalysisConfig, AnalysisSnapshot, AnalysisSource, KMeansConfig, KSelection,
+    adjusted_rand_index, analyze, auto_k, cluster_purity, kmeans, silhouette_score, AnalysisConfig,
+    AnalysisSnapshot, AnalysisSource, KMeansConfig, KSelection,
 };
 pub use dagfl_baselines::{FedConfig, FederatedServer};
 pub use dagfl_core::{

@@ -5,8 +5,8 @@ use std::path::PathBuf;
 use dagfl_analysis::AnalysisSnapshot;
 use dagfl_core::csv::write_csv;
 use dagfl_core::{
-    tangle_digest, AsyncMetrics, AsyncSimulation, ExecutionMode, PoisonRoundMetrics,
-    PoisoningConfig, PoisoningScenario, Simulation, SpecializationMetrics,
+    specialization_seed, tangle_digest, AsyncMetrics, AsyncSimulation, ExecutionMode,
+    PoisonRoundMetrics, PoisoningConfig, PoisoningScenario, Simulation, SpecializationMetrics,
 };
 use dagfl_tangle::TangleStats;
 
@@ -343,7 +343,7 @@ impl ScenarioRunner {
                     cached_evaluations: metrics.cached_evaluations,
                     dataset: summary,
                     specialization: sim
-                        .specialization_metrics_seeded(config.dag.seed ^ 0xC0FF_EE00),
+                        .specialization_metrics_seeded(specialization_seed(config.dag.seed, 0)),
                     specialization_track: Vec::new(),
                     analysis: None,
                     analysis_track: Vec::new(),

@@ -77,6 +77,32 @@ fn analysis_preset_runs_are_deterministic() {
 }
 
 #[test]
+fn analysis_graph_view_is_the_specialization_partition() {
+    // At quick scale fig05 tracks the §4.3 metrics and takes an analysis
+    // snapshot every 3 rounds: on each such round both partition the same
+    // client graph with the same seeded Louvain.
+    let report = run(Scenario::preset_at("fig05-alpha10", Scale::Quick).expect("fig05 preset"));
+    let tracked: Vec<usize> = report.specialization_track.iter().map(|t| t.0).collect();
+    let analysed: Vec<usize> = report.analysis_track.iter().map(|s| s.round).collect();
+    assert!(!tracked.is_empty());
+    assert_eq!(tracked, analysed, "track_every and cadence differ");
+    for ((round, spec), snapshot) in report
+        .specialization_track
+        .iter()
+        .zip(&report.analysis_track)
+    {
+        let graph = snapshot.graph.as_ref().expect("graph view present");
+        assert_eq!(graph.communities, spec.partition, "round {round}");
+        assert_eq!(
+            graph.modularity.to_bits(),
+            spec.modularity.to_bits(),
+            "round {round}"
+        );
+        assert_eq!(graph.community_count, spec.partitions, "round {round}");
+    }
+}
+
+#[test]
 fn analysis_sweeps_are_scheduling_independent() {
     let spec = SweepSpec::over_preset("analysis-sweep", "analysis-smoke").axis("seed", [42, 43]);
     let runner = SweepRunner::at_scale(spec, Scale::Quick).expect("sweep validates");
