@@ -13,7 +13,7 @@ use dagfl_tensor::{xavier_uniform, MatmulBackend, MatmulBackendKind, Matrix, Sha
 use rand::Rng;
 use std::cell::RefCell;
 
-use crate::activations::sigmoid_scalar;
+use crate::activations::{sigmoid_in_place, tanh_in_place};
 use crate::{Dense, Embedding, Layer, NnError, Sequential};
 
 /// Positions in [`Gru`]'s parameter and gradient arrays — also the order
@@ -325,7 +325,9 @@ fn elementwise<const N: usize>(
 }
 
 /// One forward timestep: fills `step` from `x` and `h_prev`. Each gate is
-/// `x·W`, `+= h·U`, `+= b` in that order.
+/// `x·W`, `+= h·U`, `+= b` in that order, then one slice kernel over the
+/// whole gate: [`sigmoid_in_place`] for `z` and `r`, [`tanh_in_place`]
+/// for the candidate, bit-identical to the per-element libm forms.
 fn forward_step(
     product: &impl Fn(&Matrix, usize, &mut Matrix) -> Result<(), ShapeError>,
     bias: [&[f32]; 3],
@@ -342,12 +344,12 @@ fn forward_step(
         out.add_row_broadcast(b)
     };
     pre_activation(WZ, h_prev, UZ, bias[0], z)?;
-    z.map_in_place(sigmoid_scalar);
+    sigmoid_in_place(z.as_mut_slice());
     pre_activation(WR, h_prev, UR, bias[1], r)?;
-    r.map_in_place(sigmoid_scalar);
+    sigmoid_in_place(r.as_mut_slice());
     elementwise([r, h_prev], s, |[r, h]| r * h);
     pre_activation(WH, s, UH, bias[2], hc)?;
-    hc.map_in_place(f32::tanh);
+    tanh_in_place(hc.as_mut_slice());
     elementwise([z, h_prev, hc], h, |[z, h, hc]| (1.0 - z) * h + z * hc);
     Ok(())
 }
