@@ -1,7 +1,7 @@
 //! Experiment runners shared by the registry rows.
 
 use dagfl_baselines::{FedConfig, FederatedServer};
-use dagfl_core::{DagConfig, ModelFactory, Simulation, SpecializationMetrics};
+use dagfl_core::{DagConfig, ModelFactory, Simulation};
 use dagfl_datasets::FederatedDataset;
 use dagfl_scenario::Scenario;
 
@@ -38,29 +38,6 @@ pub fn run_dag(config: DagConfig, dataset: FederatedDataset, factory: ModelFacto
     let mut sim = Simulation::new(config, dataset, factory);
     sim.run().expect("DAG simulation failed");
     sim
-}
-
-/// Runs a DAG simulation, recording the specialization metrics every
-/// `every` rounds. Returns the simulation and `(round, metrics)` pairs.
-///
-/// # Panics
-///
-/// Panics on simulation errors.
-pub fn run_dag_tracking_specialization(
-    config: DagConfig,
-    dataset: FederatedDataset,
-    factory: ModelFactory,
-    every: usize,
-) -> (Simulation, Vec<(usize, SpecializationMetrics)>) {
-    let mut sim = Simulation::new(config, dataset, factory);
-    let mut tracked = Vec::new();
-    for round in 0..config.rounds {
-        sim.run_round().expect("DAG round failed");
-        if (round + 1) % every == 0 {
-            tracked.push((round + 1, sim.specialization_metrics()));
-        }
-    }
-    (sim, tracked)
 }
 
 /// Runs a centralized baseline (FedAvg for `mu == 0`, FedProx otherwise).
@@ -111,14 +88,5 @@ mod tests {
         let (config, dataset, factory) = tiny(2);
         let sim = run_dag(config, dataset, factory);
         assert_eq!(sim.round(), 2);
-    }
-
-    #[test]
-    fn tracking_records_requested_rounds() {
-        let (config, dataset, factory) = tiny(4);
-        let (_, tracked) = run_dag_tracking_specialization(config, dataset, factory, 2);
-        assert_eq!(tracked.len(), 2);
-        assert_eq!(tracked[0].0, 2);
-        assert_eq!(tracked[1].0, 4);
     }
 }

@@ -58,16 +58,6 @@ pub fn write_csv(path: &Path, header: &[&str], rows: &[Vec<String>]) -> io::Resu
     file.write_all(to_csv_string(header, rows).as_bytes())
 }
 
-/// Formats an `f32` with enough precision for plotting.
-pub fn fmt_f32(v: f32) -> String {
-    format!("{v:.6}")
-}
-
-/// Formats an `f64` with enough precision for plotting.
-pub fn fmt_f64(v: f64) -> String {
-    format!("{v:.6}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,11 +105,5 @@ mod tests {
         let content = std::fs::read_to_string(&path).unwrap();
         assert_eq!(content, "x\n1\n");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn float_formatting_is_stable() {
-        assert_eq!(fmt_f32(0.5), "0.500000");
-        assert_eq!(fmt_f64(1.0 / 3.0), "0.333333");
     }
 }

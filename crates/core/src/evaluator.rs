@@ -160,7 +160,8 @@ impl ModelEvaluator {
                 self.counters.fresh += 1;
                 let params = payload.params();
                 // Zero-copy path: evaluate straight from the payload
-                // slice; models without one get the parameters loaded.
+                // slice. Every `dagfl-nn` model has it; a model without
+                // one gets the parameters loaded.
                 let evaluation =
                     match self
                         .model

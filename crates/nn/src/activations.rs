@@ -1,4 +1,4 @@
-//! Element-wise activation layers.
+//! The [`Relu`] layer and the slice kernels behind the GRU's gates.
 
 use dagfl_tensor::Matrix;
 
@@ -47,100 +47,6 @@ impl Layer for Relu {
         grad_output.zip_into(&self.cached_input, grad_input, |g, v| {
             g * (if v > 0.0 { 1.0 } else { 0.0 })
         })?;
-        Ok(())
-    }
-
-    fn boxed_clone(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
-    }
-}
-
-/// Hyperbolic tangent activation.
-#[derive(Debug, Clone, Default)]
-pub struct Tanh {
-    cached_output: Matrix,
-}
-
-impl Tanh {
-    /// Creates a tanh activation layer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Layer for Tanh {
-    fn name(&self) -> &'static str {
-        "Tanh"
-    }
-
-    fn forward_inference_into(&self, input: &Matrix, out: &mut Matrix) -> Result<(), NnError> {
-        out.copy_from(input);
-        tanh_in_place(out.as_mut_slice());
-        Ok(())
-    }
-
-    fn forward_train_into(&mut self, input: &Matrix, out: &mut Matrix) -> Result<(), NnError> {
-        self.forward_inference_into(input, out)?;
-        self.cached_output.copy_from(out);
-        Ok(())
-    }
-
-    fn backward_into(
-        &mut self,
-        grad_output: &Matrix,
-        grad_input: Option<&mut Matrix>,
-    ) -> Result<(), NnError> {
-        let Some(grad_input) = grad_input else {
-            return Ok(());
-        };
-        grad_output.zip_into(&self.cached_output, grad_input, |g, y| g * (1.0 - y * y))?;
-        Ok(())
-    }
-
-    fn boxed_clone(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
-    }
-}
-
-/// Logistic sigmoid activation.
-#[derive(Debug, Clone, Default)]
-pub struct Sigmoid {
-    cached_output: Matrix,
-}
-
-impl Sigmoid {
-    /// Creates a sigmoid activation layer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Layer for Sigmoid {
-    fn name(&self) -> &'static str {
-        "Sigmoid"
-    }
-
-    fn forward_inference_into(&self, input: &Matrix, out: &mut Matrix) -> Result<(), NnError> {
-        out.copy_from(input);
-        sigmoid_in_place(out.as_mut_slice());
-        Ok(())
-    }
-
-    fn forward_train_into(&mut self, input: &Matrix, out: &mut Matrix) -> Result<(), NnError> {
-        self.forward_inference_into(input, out)?;
-        self.cached_output.copy_from(out);
-        Ok(())
-    }
-
-    fn backward_into(
-        &mut self,
-        grad_output: &Matrix,
-        grad_input: Option<&mut Matrix>,
-    ) -> Result<(), NnError> {
-        let Some(grad_input) = grad_input else {
-            return Ok(());
-        };
-        grad_output.zip_into(&self.cached_output, grad_input, |g, y| g * (y * (1.0 - y)))?;
         Ok(())
     }
 
@@ -308,49 +214,8 @@ mod tests {
     }
 
     #[test]
-    fn tanh_matches_std() {
-        let mut t = Tanh::new();
-        let x = Matrix::from_rows(&[&[0.0, 1.0, -1.0]]).unwrap();
-        let y = t.forward_owned(&x).unwrap();
-        assert!((y[(0, 0)] - 0.0).abs() < 1e-6);
-        assert!((y[(0, 1)] - 1f32.tanh()).abs() < 1e-6);
-        assert!((y[(0, 2)] + 1f32.tanh()).abs() < 1e-6);
-    }
-
-    #[test]
-    fn tanh_gradient_at_zero_is_one() {
-        let mut t = Tanh::new();
-        let x = Matrix::zeros(1, 1);
-        t.forward_owned(&x).unwrap();
-        let g = Matrix::filled(1, 1, 2.0);
-        let gi = t.backward_owned(&g).unwrap();
-        assert!((gi[(0, 0)] - 2.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn sigmoid_symmetry_and_range() {
-        let mut s = Sigmoid::new();
-        let x = Matrix::from_rows(&[&[0.0, 100.0, -100.0]]).unwrap();
-        let y = s.forward_owned(&x).unwrap();
-        assert!((y[(0, 0)] - 0.5).abs() < 1e-6);
-        assert!((y[(0, 1)] - 1.0).abs() < 1e-6);
-        assert!(y[(0, 2)].abs() < 1e-6);
-        assert!(y.is_finite());
-    }
-
-    #[test]
-    fn sigmoid_gradient_peak_at_zero() {
-        let mut s = Sigmoid::new();
-        s.forward_owned(&Matrix::zeros(1, 1)).unwrap();
-        let gi = s.backward_owned(&Matrix::filled(1, 1, 1.0)).unwrap();
-        assert!((gi[(0, 0)] - 0.25).abs() < 1e-6);
-    }
-
-    #[test]
     fn activations_have_no_parameters() {
         assert_eq!(Relu::new().num_parameters(), 0);
-        assert_eq!(Tanh::new().num_parameters(), 0);
-        assert_eq!(Sigmoid::new().num_parameters(), 0);
     }
 
     #[test]

@@ -3,14 +3,15 @@
 use dagfl_tensor::{he_uniform, xavier_uniform, MatmulBackend, MatmulBackendKind, Matrix};
 use rand::Rng;
 
+use crate::sequential::take_params;
 use crate::{Layer, NnError};
 
 /// A fully connected (affine) layer: `y = x W + b`.
 ///
 /// Weights are stored as `in_features x out_features` so the forward pass is
 /// a single row-major matrix product; initialisation is He-uniform
-/// ([`Dense::new`], matching the ReLU stacks used by the paper's CNN/MLP
-/// models) or Xavier-uniform ([`Dense::xavier`]). Every product over
+/// ([`Dense::new`], matching the ReLU stacks of the `mlp` models) or
+/// Xavier-uniform ([`Dense::xavier`]). Every product over
 /// the layer's own weights — the training and inference forward passes,
 /// grad-weight, grad-input — runs on the layer's selected
 /// [`MatmulBackend`](dagfl_tensor::MatmulBackend); only the flat-parameter
@@ -93,23 +94,13 @@ impl Layer for Dense {
         params: &mut &[f32],
         input: &Matrix,
         out: &mut Matrix,
-    ) -> Option<Result<(), NnError>> {
+    ) -> Result<(), NnError> {
         // Layout per `visit_parameters`: weights (in x out), then bias.
         let (in_f, out_f) = (self.in_features(), self.out_features());
-        if params.len() < in_f * out_f + out_f {
-            // The caller pre-validates the total count; a short slice
-            // here means an inconsistent model, so fall back.
-            return None;
-        }
-        let (weight, rest) = params.split_at(in_f * out_f);
-        let (bias, rest) = rest.split_at(out_f);
-        *params = rest;
-        Some(
-            input
-                .matmul_slice_into(weight, out_f, out)
-                .and_then(|()| out.add_row_broadcast(bias))
-                .map_err(NnError::from),
-        )
+        let (weight, bias) = take_params(params, in_f * out_f + out_f)?.split_at(in_f * out_f);
+        input.matmul_slice_into(weight, out_f, out)?;
+        out.add_row_broadcast(bias)?;
+        Ok(())
     }
 
     fn backward_into(

@@ -3,6 +3,7 @@
 use dagfl_tensor::{xavier_uniform, Matrix};
 use rand::Rng;
 
+use crate::sequential::take_params;
 use crate::{Layer, NnError};
 
 /// Maps integer token ids (stored as `f32` matrix entries) to dense
@@ -104,14 +105,9 @@ impl Layer for Embedding {
         params: &mut &[f32],
         input: &Matrix,
         out: &mut Matrix,
-    ) -> Option<Result<(), NnError>> {
-        if params.len() < self.table.len() {
-            // As in `Dense`: an inconsistent model falls back.
-            return None;
-        }
-        let (table, rest) = params.split_at(self.table.len());
-        *params = rest;
-        Some(lookup(table, (self.vocab, self.dim), input, out, |_| {}))
+    ) -> Result<(), NnError> {
+        let table = take_params(params, self.table.len())?;
+        lookup(table, (self.vocab, self.dim), input, out, |_| {})
     }
 
     /// Accumulates position-descending, then batch-row ascending: the

@@ -29,8 +29,6 @@ pub enum NnError {
         /// Number of classes the model predicts.
         classes: usize,
     },
-    /// Encoded parameter bytes were malformed.
-    Codec(String),
 }
 
 impl fmt::Display for NnError {
@@ -47,7 +45,6 @@ impl fmt::Display for NnError {
             NnError::LabelOutOfRange { label, classes } => {
                 write!(f, "label {label} out of range for {classes} classes")
             }
-            NnError::Codec(msg) => write!(f, "parameter codec error: {msg}"),
         }
     }
 }

@@ -6,10 +6,9 @@
 //! [`dagfl-tensor`]:
 //!
 //! * a [`Layer`] trait — every pass writes into a caller-owned buffer —
-//!   with [`Dense`], [`Relu`]/[`Tanh`]/[`Sigmoid`] activations, [`Conv2d`]
-//!   and [`MaxPool2d`] (the LEAF CNN building blocks), [`Dropout`],
-//!   [`Embedding`] and [`Gru`] (backpropagation through time inside the
-//!   layer),
+//!   with the layers the workspace's models are built from: [`Dense`],
+//!   [`Relu`], [`Embedding`] and [`Gru`] (backpropagation through time
+//!   inside the layer),
 //! * [`Sequential`], the one model: a stack of layers trained with
 //!   softmax cross-entropy. The next-character model of the Poets
 //!   experiment is the stack [`char_rnn`] builds
@@ -18,9 +17,8 @@
 //!   in the workspace programs against: flat parameter vectors (for model
 //!   averaging on the DAG), mini-batch SGD training (with the FedProx
 //!   proximal term), and evaluation,
-//! * parameter-vector helpers ([`average_parameters`]) and a dependency-free
-//!   binary codec ([`encode_parameters`]/[`decode_parameters`]) for
-//!   snapshotting model weights,
+//! * parameter-vector helpers ([`average_parameters`],
+//!   [`weighted_average_parameters`]),
 //! * a swappable compute seam: every matrix product in the training
 //!   pipeline runs on a [`MatmulBackendKind`]-selected backend (naive
 //!   oracle or register-tiled, bit-identical), and steady-state training
@@ -57,9 +55,7 @@
 #![deny(unsafe_code)]
 
 mod activations;
-mod conv;
 mod dense;
-mod dropout;
 mod embedding;
 mod error;
 mod eval;
@@ -73,18 +69,14 @@ mod rnn;
 mod sequential;
 mod train;
 
-pub use activations::{Relu, Sigmoid, Tanh};
-pub use conv::{Conv2d, ImageShape, MaxPool2d};
+pub use activations::Relu;
 pub use dense::Dense;
-pub use dropout::Dropout;
 pub use embedding::Embedding;
 pub use error::NnError;
 pub use eval::EvalScratch;
 pub use model::{Evaluation, Model};
 pub use optimizer::SgdConfig;
-pub use params::{
-    average_parameters, decode_parameters, encode_parameters, weighted_average_parameters,
-};
+pub use params::{average_parameters, weighted_average_parameters};
 pub use rnn::{char_rnn, Gru};
 pub use sequential::{Layer, Sequential};
 pub use train::TrainScratch;

@@ -117,9 +117,12 @@ pub trait Model: Send {
     /// parameters are untouched and results are bit-identical to
     /// `set_parameters(params)` + [`Model::evaluate_with_scratch`].
     ///
-    /// Returns `None` when the model has no zero-copy path (the caller
-    /// falls back to loading the parameters); `Some(Err(_))` for shape
-    /// or parameter-count mismatches.
+    /// Every layer in this crate has the zero-copy path, so
+    /// [`Sequential`] always answers `Some`: `Some(Err(_))` for shape or
+    /// parameter-count mismatches. `None` is left for a model without
+    /// the path, whose caller falls back to loading the parameters.
+    ///
+    /// [`Sequential`]: crate::Sequential
     fn evaluate_flat_params(
         &self,
         params: &[f32],

@@ -1,7 +1,5 @@
-//! Flat parameter-vector helpers: averaging (the heart of federated
-//! learning) and a dependency-free binary codec for snapshots.
-
-use crate::NnError;
+//! Flat parameter-vector helpers: averaging, the heart of federated
+//! learning.
 
 /// The wide and narrow element-tile widths of the chunked accumulator.
 /// 32 `f32` lanes fill four AVX2 registers, matching the matmul kernels'
@@ -103,61 +101,6 @@ pub fn weighted_average_parameters(vectors: &[&[f32]], weights: &[f32]) -> Vec<f
     out
 }
 
-const MAGIC: &[u8; 4] = b"DFLP";
-const VERSION: u8 = 1;
-
-/// Encodes a parameter vector into a self-describing little-endian binary
-/// blob (`DFLP` magic, version byte, length, payload).
-pub fn encode_parameters(params: &[f32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + 1 + 8 + params.len() * 4);
-    out.extend_from_slice(MAGIC);
-    out.push(VERSION);
-    out.extend_from_slice(&(params.len() as u64).to_le_bytes());
-    for p in params {
-        out.extend_from_slice(&p.to_le_bytes());
-    }
-    out
-}
-
-/// Decodes a blob produced by [`encode_parameters`].
-///
-/// # Errors
-///
-/// Returns [`NnError::Codec`] for truncated data, a wrong magic number or an
-/// unsupported version.
-pub fn decode_parameters(bytes: &[u8]) -> Result<Vec<f32>, NnError> {
-    if bytes.len() < 13 {
-        return Err(NnError::Codec(format!(
-            "blob too short: {} bytes",
-            bytes.len()
-        )));
-    }
-    if &bytes[..4] != MAGIC {
-        return Err(NnError::Codec("bad magic number".into()));
-    }
-    if bytes[4] != VERSION {
-        return Err(NnError::Codec(format!("unsupported version {}", bytes[4])));
-    }
-    let mut len_bytes = [0u8; 8];
-    len_bytes.copy_from_slice(&bytes[5..13]);
-    let len = u64::from_le_bytes(len_bytes) as usize;
-    let payload = &bytes[13..];
-    if payload.len() != len * 4 {
-        return Err(NnError::Codec(format!(
-            "expected {} payload bytes, got {}",
-            len * 4,
-            payload.len()
-        )));
-    }
-    let mut out = Vec::with_capacity(len);
-    for chunk in payload.chunks_exact(4) {
-        let mut b = [0u8; 4];
-        b.copy_from_slice(chunk);
-        out.push(f32::from_le_bytes(b));
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,47 +196,5 @@ mod tests {
     fn weighted_average_zero_weights_panics() {
         let a = vec![0.0];
         weighted_average_parameters(&[&a], &[0.0]);
-    }
-
-    #[test]
-    fn codec_roundtrip() {
-        let params = vec![0.0, -1.5, 3.25, f32::MIN_POSITIVE, 1e30];
-        let bytes = encode_parameters(&params);
-        assert_eq!(decode_parameters(&bytes).unwrap(), params);
-    }
-
-    #[test]
-    fn codec_roundtrip_empty() {
-        let bytes = encode_parameters(&[]);
-        assert_eq!(decode_parameters(&bytes).unwrap(), Vec::<f32>::new());
-    }
-
-    #[test]
-    fn codec_rejects_short_blob() {
-        assert!(matches!(
-            decode_parameters(&[1, 2, 3]),
-            Err(NnError::Codec(_))
-        ));
-    }
-
-    #[test]
-    fn codec_rejects_bad_magic() {
-        let mut bytes = encode_parameters(&[1.0]);
-        bytes[0] = b'X';
-        assert!(matches!(decode_parameters(&bytes), Err(NnError::Codec(_))));
-    }
-
-    #[test]
-    fn codec_rejects_bad_version() {
-        let mut bytes = encode_parameters(&[1.0]);
-        bytes[4] = 99;
-        assert!(matches!(decode_parameters(&bytes), Err(NnError::Codec(_))));
-    }
-
-    #[test]
-    fn codec_rejects_truncated_payload() {
-        let mut bytes = encode_parameters(&[1.0, 2.0]);
-        bytes.truncate(bytes.len() - 2);
-        assert!(matches!(decode_parameters(&bytes), Err(NnError::Codec(_))));
     }
 }

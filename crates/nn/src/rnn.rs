@@ -14,6 +14,7 @@ use rand::Rng;
 use std::cell::RefCell;
 
 use crate::activations::{sigmoid_in_place, tanh_in_place};
+use crate::sequential::take_params;
 use crate::{Dense, Embedding, Layer, NnError, Sequential};
 
 /// Positions in [`Gru`]'s parameter and gradient arrays — also the order
@@ -400,20 +401,17 @@ impl Layer for Gru {
         params: &mut &[f32],
         input: &Matrix,
         out: &mut Matrix,
-    ) -> Option<Result<(), NnError>> {
-        if params.len() < self.num_parameters() {
-            // As in `Dense`: an inconsistent model falls back.
-            return None;
-        }
+    ) -> Result<(), NnError> {
+        let mut block = take_params(params, self.num_parameters())?;
         let mut slices = [&[][..]; 9];
         for (slice, own) in slices.iter_mut().zip(&self.params) {
-            (*slice, *params) = params.split_at(own.len());
+            (*slice, block) = block.split_at(own.len());
         }
         let product = |a: &Matrix, i: usize, out: &mut Matrix| {
             a.matmul_slice_into(slices[i], self.hidden_size, out)
         };
         let bias = [slices[BZ], slices[BR], slices[BH]];
-        Some(self.infer(product, bias, input, out))
+        self.infer(product, bias, input, out)
     }
 
     fn backward_into(

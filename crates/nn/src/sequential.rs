@@ -53,25 +53,26 @@ pub trait Layer: Send {
     ///
     /// This is the zero-copy candidate-evaluation path: scoring a
     /// candidate model does not have to copy its parameters into the
-    /// scratch model first. Returns `None` when the layer has no such
-    /// fast path (the caller falls back to `set_parameters` +
-    /// [`Layer::forward_inference_into`]); layers *with* parameters that
-    /// implement it must produce bit-identical results to loading the
-    /// same values via `load_parameters`.
+    /// scratch model first. Results must be bit-identical to loading the
+    /// same values via `load_parameters` and calling
+    /// [`Layer::forward_inference_into`]. The default serves
+    /// parameterless layers, which consume nothing; every layer with
+    /// parameters overrides it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::ParameterCount`] if `params` holds fewer values
+    /// than the layer owns, and the errors of
+    /// [`Layer::forward_inference_into`].
     fn forward_inference_params(
         &self,
         params: &mut &[f32],
         input: &Matrix,
         out: &mut Matrix,
-    ) -> Option<Result<(), NnError>> {
-        if self.num_parameters() == 0 {
-            // Parameterless layers (activations, pooling, inference-mode
-            // dropout) consume nothing and forward as usual.
-            let _ = params;
-            Some(self.forward_inference_into(input, out))
-        } else {
-            None
-        }
+    ) -> Result<(), NnError> {
+        debug_assert_eq!(self.num_parameters(), 0, "{} owns parameters", self.name());
+        let _ = params;
+        self.forward_inference_into(input, out)
     }
 
     /// Backward pass — the one entry point every layer implements.
@@ -87,7 +88,7 @@ pub trait Layer: Send {
     /// [`Sequential`]'s training step). The layer must then do exactly
     /// the work its parameter gradients need and nothing else —
     /// [`Dense`](crate::Dense) skips its `g · Wᵀ` product,
-    /// [`Conv2d`](crate::Conv2d) that product and `col2im`, and
+    /// [`Gru`](crate::Gru) the products of its input gradient, and
     /// parameterless layers do nothing at all. The parameter gradients
     /// must be bit-identical in both forms.
     ///
@@ -103,8 +104,9 @@ pub trait Layer: Send {
 
     /// Selects the [`MatmulBackend`](dagfl_tensor::MatmulBackend) this
     /// layer's matrix products run on. A no-op for layers without
-    /// matmuls (activations, pooling, dropout); all backends are
-    /// bit-identical, so switching never changes results.
+    /// matmuls ([`Relu`](crate::Relu), [`Embedding`](crate::Embedding));
+    /// all backends are bit-identical, so switching never changes
+    /// results.
     fn set_backend(&mut self, backend: MatmulBackendKind) {
         let _ = backend;
     }
@@ -140,6 +142,21 @@ impl Clone for Box<dyn Layer> {
     fn clone(&self) -> Self {
         self.boxed_clone()
     }
+}
+
+/// Splits the first `len` values off `params`: how a layer's
+/// [`Layer::forward_inference_params`] takes its slice of a flat
+/// parameter vector.
+pub(crate) fn take_params<'p>(params: &mut &'p [f32], len: usize) -> Result<&'p [f32], NnError> {
+    if params.len() < len {
+        return Err(NnError::ParameterCount {
+            expected: len,
+            actual: params.len(),
+        });
+    }
+    let (taken, rest) = params.split_at(len);
+    *params = rest;
+    Ok(taken)
 }
 
 /// A feed-forward stack of [`Layer`]s trained with softmax cross-entropy.
@@ -310,6 +327,37 @@ impl Sequential {
         }
         grads
     }
+
+    /// [`Model::evaluate_flat_params`]: the inference forward pass with
+    /// every layer reading its weights from `params`.
+    fn evaluate_params(
+        &self,
+        params: &[f32],
+        x: &Matrix,
+        y: &[usize],
+        scratch: &mut EvalScratch,
+    ) -> Result<Evaluation, NnError> {
+        check_batch(x, y)?;
+        let expected = self.num_parameters();
+        if params.len() != expected {
+            return Err(NnError::ParameterCount {
+                expected,
+                actual: params.len(),
+            });
+        }
+        if y.is_empty() {
+            return Ok(Evaluation::default());
+        }
+        let mut remaining = params;
+        let (mut cur, mut next) = scratch.buffers();
+        self.layers[0].forward_inference_params(&mut remaining, x, cur)?;
+        for layer in &self.layers[1..] {
+            layer.forward_inference_params(&mut remaining, cur, next)?;
+            std::mem::swap(&mut cur, &mut next);
+        }
+        debug_assert!(remaining.is_empty(), "layers must consume all parameters");
+        evaluation_from_logits(cur, y)
+    }
 }
 
 /// One label per input row.
@@ -436,32 +484,7 @@ impl Model for Sequential {
         y: &[usize],
         scratch: &mut EvalScratch,
     ) -> Option<Result<Evaluation, NnError>> {
-        if let Err(mismatch) = check_batch(x, y) {
-            return Some(Err(mismatch));
-        }
-        let expected = self.num_parameters();
-        if params.len() != expected {
-            return Some(Err(NnError::ParameterCount {
-                expected,
-                actual: params.len(),
-            }));
-        }
-        if y.is_empty() {
-            return Some(Ok(Evaluation::default()));
-        }
-        let mut remaining = params;
-        let (mut cur, mut next) = scratch.buffers();
-        if let Err(e) = self.layers[0].forward_inference_params(&mut remaining, x, cur)? {
-            return Some(Err(e));
-        }
-        for layer in &self.layers[1..] {
-            if let Err(e) = layer.forward_inference_params(&mut remaining, cur, next)? {
-                return Some(Err(e));
-            }
-            std::mem::swap(&mut cur, &mut next);
-        }
-        debug_assert!(remaining.is_empty(), "layers must consume all parameters");
-        Some(evaluation_from_logits(cur, y))
+        Some(self.evaluate_params(params, x, y, scratch))
     }
 
     fn predict(&self, x: &Matrix) -> Result<Vec<usize>, NnError> {
@@ -481,7 +504,7 @@ pub(crate) mod tests {
         allocations_in, assert_same_bits, assert_training_matches_reference, reference_update,
         OwnedPasses,
     };
-    use crate::{char_rnn, Conv2d, Dense, Dropout, ImageShape, MaxPool2d, Relu};
+    use crate::{char_rnn, Dense, Embedding, Gru, Relu};
     use dagfl_tensor::softmax_cross_entropy;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -667,6 +690,42 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn a_short_flat_parameter_slice_is_an_error() {
+        let mut rng = StdRng::seed_from_u64(6);
+        let layers: [(Box<dyn Layer>, Matrix); 3] = [
+            (Box::new(Dense::new(&mut rng, 4, 3)), Matrix::zeros(2, 4)),
+            (
+                Box::new(Embedding::new(&mut rng, 5, 2)),
+                Matrix::zeros(2, 3),
+            ),
+            (Box::new(Gru::new(&mut rng, 2, 3)), Matrix::zeros(2, 6)),
+        ];
+        for (layer, input) in layers {
+            let owned = layer.num_parameters();
+            let params = vec![0.1; owned];
+            let mut out = Matrix::default();
+            let mut full = &params[..];
+            layer
+                .forward_inference_params(&mut full, &input, &mut out)
+                .unwrap();
+            assert!(full.is_empty(), "{} left parameters", layer.name());
+            let mut short = &params[1..];
+            let err = layer
+                .forward_inference_params(&mut short, &input, &mut out)
+                .unwrap_err();
+            assert_eq!(
+                err,
+                NnError::ParameterCount {
+                    expected: owned,
+                    actual: owned - 1
+                },
+                "{}",
+                layer.name()
+            );
+        }
+    }
+
+    #[test]
     fn proximal_term_pulls_towards_reference() {
         use std::sync::Arc;
         let (x, y) = toy_batch();
@@ -757,11 +816,9 @@ pub(crate) mod tests {
     #[test]
     fn steady_state_training_reuses_every_buffer() {
         let (x, y) = toy_batch();
-        let (image_x, image_y) = image_batch();
         let (token_x, token_y) = token_batch();
         for (family, mut model, x, y) in [
             ("mlp", tiny_model(13), &x, &y),
-            ("cnn", tiny_cnn(13), &image_x, &image_y),
             ("char-rnn", tiny_char_rnn(13), &token_x, &token_y),
         ] {
             let opt = SgdConfig::new(0.1);
@@ -821,27 +878,6 @@ pub(crate) mod tests {
         loss
     }
 
-    /// Conv → ReLU → max-pool → dropout → Dense: every layer kind whose
-    /// backward the cut can skip, with the parameterised one at the bottom.
-    fn tiny_cnn(seed: u64) -> Sequential {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let conv = Conv2d::new(&mut rng, ImageShape::new(1, 4, 4), 2, 3, 1, 1);
-        let pool = MaxPool2d::new(conv.out_shape(), 2, 2);
-        let flat = pool.out_shape().len();
-        Sequential::new(vec![
-            Box::new(conv),
-            Box::new(Relu::new()),
-            Box::new(pool),
-            Box::new(Dropout::new(0.25, seed)),
-            Box::new(Dense::new(&mut rng, flat, 2)),
-        ])
-    }
-
-    fn image_batch() -> (Matrix, Vec<usize>) {
-        let x = Matrix::from_fn(4, 16, |r, c| ((r * 16 + c) % 7) as f32 * 0.31 - 1.0);
-        (x, vec![0, 1, 0, 1])
-    }
-
     /// The GRU char-rnn of `ModelSpec::CharRnn`, five tokens wide.
     fn tiny_char_rnn(seed: u64) -> Sequential {
         char_rnn(&mut StdRng::seed_from_u64(seed), 5, 3, 4)
@@ -858,10 +894,6 @@ pub(crate) mod tests {
         let mlp = tiny_model(31);
         let layer0 = mlp.layers[0].num_parameters();
         assert_training_matches_reference("mlp", &mlp, layer0, &x, &y, reference_step);
-        let (x, y) = image_batch();
-        let cnn = tiny_cnn(32);
-        let layer0 = cnn.layers[0].num_parameters();
-        assert_training_matches_reference("cnn", &cnn, layer0, &x, &y, reference_step);
     }
 
     #[test]
@@ -941,22 +973,10 @@ pub(crate) mod tests {
     #[test]
     fn naive_and_tiled_training_is_bit_identical() {
         // One case per model family a scenario can build: the Dense
-        // stack, a Conv2d stack (as the gradcheck suite builds it) and
-        // the GRU char-rnn of `ModelSpec::CharRnn`.
+        // stack of `mlp` and `linear`, and the GRU char-rnn of
+        // `ModelSpec::CharRnn`.
         let (x, y) = toy_batch();
         assert_backends_train_identically("dense", || Box::new(tiny_model(17)), &x, &y);
-        let x = Matrix::from_fn(4, 16, |r, c| ((r * 16 + c) % 7) as f32 * 0.31 - 1.0);
-        let conv = || {
-            let mut rng = StdRng::seed_from_u64(17);
-            let conv = Conv2d::new(&mut rng, ImageShape::new(1, 4, 4), 2, 3, 1, 1);
-            let flat = conv.out_shape().len();
-            Box::new(Sequential::new(vec![
-                Box::new(conv),
-                Box::new(Relu::new()),
-                Box::new(Dense::new(&mut rng, flat, 2)),
-            ])) as Box<dyn Model>
-        };
-        assert_backends_train_identically("conv", conv, &x, &[0, 1, 0, 1]);
         let (x, y) = token_batch();
         let char_rnn = || Box::new(tiny_char_rnn(17)) as Box<dyn Model>;
         assert_backends_train_identically("char-rnn", char_rnn, &x, &y);

@@ -2130,6 +2130,20 @@ mod tests {
     }
 
     #[test]
+    fn float_formatting_round_trips() {
+        for v in [0.05f32, 1.0, 0.1, f32::MAX, 1e-30] {
+            let value = v.to_value();
+            let Value::Number(s) = &value else {
+                panic!("{value:?} is not a number");
+            };
+            assert!(s.contains('.') || s.contains('e'), "{s} looks integral");
+            let back = f32::from_value(&value).map(f32::to_bits);
+            assert_eq!(back, Some(v.to_bits()), "{s}");
+        }
+        assert_eq!(2.0f64.to_value(), Value::Number("2.0".into()));
+    }
+
+    #[test]
     fn round_trips_every_execution_shape() {
         let with_dag = |edit: fn(&mut DagConfig)| {
             let mut s = tiny();

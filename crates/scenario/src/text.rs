@@ -345,17 +345,6 @@ fn escape(s: &str) -> String {
         .collect()
 }
 
-/// Formats an `f64` so it parses back bit-for-bit and is always
-/// recognisable as a float (`{:?}` keeps a `.0` on integral values).
-pub fn format_f64(v: f64) -> String {
-    format!("{v:?}")
-}
-
-/// Formats an `f32` with its shortest round-trip representation.
-pub fn format_f32(v: f32) -> String {
-    format!("{v:?}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -424,16 +413,6 @@ mod tests {
             .set("s", Value::Str("quote \" slash \\ nl \n tab \t".into()));
         let reparsed = Document::parse(&doc.to_text()).unwrap();
         assert_eq!(reparsed, doc);
-    }
-
-    #[test]
-    fn float_formatting_round_trips() {
-        for v in [0.05f32, 1.0, 0.1, f32::MAX, 1e-30] {
-            let s = format_f32(v);
-            assert_eq!(s.parse::<f32>().unwrap(), v, "{s}");
-            assert!(s.contains('.') || s.contains('e'), "{s} looks integral");
-        }
-        assert_eq!(format_f64(2.0), "2.0");
     }
 
     #[test]

@@ -286,7 +286,7 @@ impl Matrix {
     /// allocation here) and then runs the cache-friendly axpy loop over
     /// contiguous transposed rows. That transpose is paid on every call,
     /// so it suits a caller that multiplies by a weight once per batch —
-    /// `Dense` and `Conv2d` — while the GRU, which would pay it at every
+    /// `Dense`, its one caller — while the GRU, which would pay it at every
     /// timestep, transposes its weights once per backward pass and calls
     /// [`Matrix::matmul_into`] instead. Per
     /// output cell the terms are still added through a single

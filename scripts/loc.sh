@@ -1,0 +1,31 @@
+#!/usr/bin/env bash
+# The line counts ROADMAP budgets are stated in:
+#
+#   * non-test lines: every `.rs` file under `crates/*/src`, counted up to
+#     its first `#[cfg(test)]` line (the whole file if it has none), per
+#     crate and in total;
+#   * every line of every `.rs` file under `crates/`, `tests/` and
+#     `examples/`.
+#
+# Usage: scripts/loc.sh   (counts the checkout the script lives in)
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+# Lines of the given files before each one's first `#[cfg(test)]`.
+non_test() {
+    awk '/^[[:space:]]*#\[cfg\(test\)\]/ { nextfile } { n++ } END { print n + 0 }' "$@"
+}
+
+echo "non-test lines (crates/*/src, up to the first #[cfg(test)]):"
+total=0
+for src in crates/*/src; do
+    crate="$(basename "$(dirname "$src")")"
+    mapfile -t files < <(find "$src" -name '*.rs' | sort)
+    count="$(non_test "${files[@]}")"
+    printf '  %-10s %7d\n' "$crate" "$count"
+    total=$((total + count))
+done
+printf '  %-10s %7d\n' total "$total"
+
+mapfile -t files < <(find crates tests examples -name '*.rs' | sort)
+printf 'all .rs lines under crates/, tests/, examples/: %d\n' "$(cat "${files[@]}" | wc -l)"

@@ -152,13 +152,3 @@ fn char_rnn_dag_is_reproducible() {
     };
     assert_eq!(run(), run());
 }
-
-#[test]
-fn model_parameters_roundtrip_through_codec() {
-    use dagfl::nn::{decode_parameters, encode_parameters};
-    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(0);
-    let model = mlp_factory(196)(&mut rng);
-    let params = model.parameters();
-    let decoded = decode_parameters(&encode_parameters(&params)).expect("decodes");
-    assert_eq!(params, decoded);
-}
