@@ -1,6 +1,6 @@
 //! The [`Relu`] layer and the slice kernels behind the GRU's gates.
 
-use dagfl_tensor::Matrix;
+use dagfl_tensor::{exp_in_place, Matrix};
 
 use crate::{Layer, NnError};
 
@@ -91,7 +91,11 @@ pub(crate) fn tanh_in_place(xs: &mut [f32]) {
 fn tanh_lane(x: f32) -> f32 {
     let ax = x.abs();
     let big = ax >= 1.0;
-    let t = expm1_lane(if big { 2.0 * ax } else { -2.0 * ax });
+    // `±2|x|`, negated by its sign bit: a select between two `expm1_lane`
+    // arguments would be if-converted into two evaluations.
+    let t = expm1_lane(f32::from_bits(
+        (2.0 * ax).to_bits() | (u32::from(!big) << 31),
+    ));
     // `1 - 2 / (t + 2)` or `-t / (t + 2)`: one division serves both arms.
     let q = (if big { 2.0 } else { -t }) / (t + 2.0);
     let z = if big { 1.0 - q } else { q };
@@ -176,15 +180,19 @@ fn expm1_lane(x: f32) -> f32 {
 
 /// The logistic function of every element, bit-identical to the
 /// two-branch `x >= 0 ? 1 / (1 + e^-x) : e^x / (1 + e^x)`: both arms
-/// are `num / (1 + e)` with `e = exp(-|x|)`. `exp` stays libm; the exps
-/// of a chunk are taken first, so the select and division vectorise.
+/// are `num / (1 + e)` with `e = exp(-|x|)`. The exps of a block come
+/// from [`exp_in_place`] (libm's `expf`, bit for bit, in lanes); then
+/// the select and division vectorise. A block is 8 chunks: with one
+/// `exp_in_place` call per chunk the kernel took half as long again.
 pub(crate) fn sigmoid_in_place(xs: &mut [f32]) {
-    let mut exps = [0.0f32; LANES];
-    for chunk in xs.chunks_mut(LANES) {
+    let mut exps = [0.0f32; 8 * LANES];
+    for chunk in xs.chunks_mut(exps.len()) {
+        let exps = &mut exps[..chunk.len()];
         for (e, &x) in exps.iter_mut().zip(&*chunk) {
-            *e = (if x >= 0.0 { -x } else { x }).exp();
+            *e = if x >= 0.0 { -x } else { x };
         }
-        for (x, &e) in chunk.iter_mut().zip(&exps) {
+        exp_in_place(exps);
+        for (x, &e) in chunk.iter_mut().zip(&*exps) {
             *x = (if *x >= 0.0 { 1.0 } else { e }) / (1.0 + e);
         }
     }

@@ -328,7 +328,9 @@ fn elementwise<const N: usize>(
 /// One forward timestep: fills `step` from `x` and `h_prev`. Each gate is
 /// `x·W`, `+= h·U`, `+= b` in that order, then one slice kernel over the
 /// whole gate: [`sigmoid_in_place`] for `z` and `r`, [`tanh_in_place`]
-/// for the candidate, bit-identical to the per-element libm forms.
+/// for the candidate, bit-identical to the per-element libm forms. Both
+/// run in lanes: the sigmoid's exps come from `dagfl_tensor::exp_in_place`,
+/// the candidate's `tanhf` from a transcription of fdlibm.
 fn forward_step(
     product: &impl Fn(&Matrix, usize, &mut Matrix) -> Result<(), ShapeError>,
     bias: [&[f32]; 3],

@@ -49,7 +49,7 @@ pub use error::ShapeError;
 pub use init::{he_normal, he_uniform, normal_init, uniform_init, xavier_normal, xavier_uniform};
 pub use matrix::Matrix;
 pub use ops::{
-    argmax, cross_entropy_from_probs, fused_softmax_cross_entropy, log_sum_exp, one_hot, softmax,
-    softmax_cross_entropy, softmax_in_place,
+    argmax, cross_entropy_from_probs, exp_in_place, fused_softmax_cross_entropy, log_sum_exp,
+    one_hot, softmax, softmax_cross_entropy, softmax_in_place,
 };
 pub use stats::{max, mean, min, stddev, variance, Summary};

@@ -12,8 +12,10 @@
 #
 # A gain is claimable when the change wins at least nine tenths of the
 # pairs and the medians differ by more than the parent's own
-# quartile-to-quartile spread; the script prints both facts and leaves the
-# verdict to the reader.
+# quartile-to-quartile spread; a change is too slow when its median is
+# worse than the parent's by more than the metric's `bound` in
+# BENCHMARK.json. Per metric the script prints both facts and a verdict
+# line naming either outcome; it gates nothing.
 #
 # Usage: scripts/ab_bench.sh PARENT_DIR CHANGE_DIR WORKLOAD [PAIRS] [FIRST_SEED]
 #
@@ -101,6 +103,14 @@ for metric in spec["end_to_end"]:
     delta = (stats["change"][1] - base) / base if base else float("nan")
     spread = (stats["parent"][2] - stats["parent"][0]) / base if base else float("nan")
     print(f"{'':<14}change vs parent median {delta:+.1%}; parent q3-q1 {spread:.1%} of its median")
+    better = delta < 0 if lower else delta > 0
+    if (-delta if lower else delta) < -metric["bound"]:
+        verdict = "WORSE than bound"
+    elif better and wins["change"] >= 0.9 * len(seeds) and abs(delta) > spread:
+        verdict = "claimable"
+    else:
+        verdict = "not claimable, within bound"
+    print(f"{'':<14}verdict: {verdict} (change won {wins['change']}/{len(seeds)}, bound {metric['bound']:.0%})")
     for side in ("parent", "change"):
         print(f"{'':<14}{side} runs: " + " ".join(f"{v:.4g}" for v in runs[side]))
 
