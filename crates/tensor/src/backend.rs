@@ -9,13 +9,11 @@
 //!   reusable buffers. Kept as the bit-exactness oracle: every other
 //!   backend must reproduce its results bit-for-bit (pinned by the
 //!   property tests).
-//! - [`TiledBackend`] — the register-tiled cascades of the evaluation
-//!   hot path, extended with a transpose-then-axpy `A * B^T` kernel
-//!   (the dot form is an unvectorisable serial chain) and an
-//!   output-blocked `A^T * B` kernel for the grad shapes. Per output
-//!   cell each kernel accumulates the same terms in the same ascending
-//!   order (including the zero-LHS skip where the oracle has one), so
-//!   results are bitwise identical — just faster.
+//! - [`TiledBackend`] — one register-tiled kernel for all three shapes
+//!   (`A * B^T` against a transposed copy of `B`, `A^T * B` reading `A`
+//!   in place). Per output cell it accumulates the same terms in the
+//!   same ascending order (with the zero-LHS skip where the oracle has
+//!   one), so results are bitwise identical — just faster.
 //!
 //! Production code always runs tiled; tests and the benchmark ladder
 //! switch a model to the oracle by value through [`MatmulBackendKind`]
@@ -198,8 +196,8 @@ impl MatmulBackend for NaiveBackend {
     }
 }
 
-/// The fast backend: the register-tiled evaluation-path cascades plus
-/// the restructured grad kernels, bit-identical to [`NaiveBackend`].
+/// The fast backend: the register-tiled product kernel, bit-identical
+/// to [`NaiveBackend`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TiledBackend;
 

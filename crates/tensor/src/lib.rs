@@ -7,14 +7,14 @@
 //! activation/normalisation kernels and reproducible random initialisation.
 //!
 //! The hot paths — evaluation *and*, since the [`MatmulBackend`] port,
-//! training — run on blocked, buffer-reusing kernels
-//! ([`Matrix::matmul_into`], [`Matrix::matmul_transpose_into`],
-//! [`Matrix::transpose_matmul_into`], [`fused_softmax_cross_entropy`])
-//! whose per-cell accumulation order matches the naive versions
-//! exactly, so swapping kernels never changes a result: the naive
-//! loops stay in-tree as [`NaiveBackend`], the reference oracle pinned
-//! by the property tests, while [`TiledBackend`] (the default) runs the
-//! register-tiled cascades.
+//! training — run on buffer-reusing kernels ([`Matrix::matmul_into`],
+//! [`Matrix::matmul_transpose_into`], [`Matrix::transpose_matmul_into`],
+//! one register-tiled product underneath, and
+//! [`fused_softmax_cross_entropy`]) whose per-cell accumulation order
+//! matches the naive versions exactly, so swapping kernels never changes
+//! a result: the naive loops stay in-tree as [`NaiveBackend`], the
+//! reference oracle pinned by the property tests, while [`TiledBackend`]
+//! (the default) runs the tiled kernel.
 //!
 //! # Example
 //!

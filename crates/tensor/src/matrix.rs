@@ -199,18 +199,10 @@ impl Matrix {
         out
     }
 
-    /// Blocked matrix multiplication `self * other` into a reusable
-    /// output buffer.
-    ///
-    /// This is the inference-path kernel: `out` is reshaped (reusing its
-    /// allocation) instead of freshly allocated, and column tiles of
-    /// accumulators stay in SIMD registers across the whole `k` loop
-    /// instead of re-reading and re-writing the output row per `k`. Per
-    /// output cell the terms are accumulated in exactly the same
-    /// ascending-`k` order as [`NaiveBackend`](crate::NaiveBackend),
-    /// including its zero-LHS skip, so results match the naive kernel —
-    /// which serves as the reference oracle in the property tests —
-    /// bit-for-bit.
+    /// Matrix multiplication `self * other` into a reusable output
+    /// buffer, on the register-tiled kernel every product here shares:
+    /// bit-identical to [`NaiveBackend`](crate::NaiveBackend), the oracle
+    /// of the property tests, including its zero-LHS skip.
     ///
     /// # Errors
     ///
@@ -219,27 +211,21 @@ impl Matrix {
         if self.cols != other.rows {
             return Err(ShapeError::new("matmul_into", self.shape(), other.shape()));
         }
-        matmul_slice_kernel(
-            &self.data,
-            self.rows,
-            self.cols,
+        product(
+            RowMajor(&self.data),
+            self.shape(),
             &other.data,
             other.cols,
+            true,
             out,
         );
         Ok(())
     }
 
     /// [`Matrix::matmul_into`] with the right-hand side given as a raw
-    /// row-major slice of width `rhs_cols` (so `rhs.len() / rhs_cols`
-    /// rows).
-    ///
-    /// This is the zero-copy inference kernel: candidate model
-    /// parameters arrive as flat `Vec<f32>` payloads, and evaluating
-    /// them directly from the payload slice skips the
-    /// `set_parameters` round-trip (a full copy of the weights) per
-    /// candidate. Results are bit-identical to materialising the slice
-    /// as a [`Matrix`] first.
+    /// row-major slice of width `rhs_cols`: the same product kernel reads
+    /// a candidate model's flat parameter payload in place, with no
+    /// `set_parameters` copy, bit-identical to materialising it first.
     ///
     /// # Errors
     ///
@@ -269,32 +255,19 @@ impl Matrix {
                 (rhs.len() / rhs_cols, rhs_cols),
             ));
         }
-        matmul_slice_kernel(&self.data, self.rows, self.cols, rhs, rhs_cols, out);
+        product(RowMajor(&self.data), self.shape(), rhs, rhs_cols, true, out);
         Ok(())
     }
 
-    /// Blocked transposed-RHS matrix multiplication `self * other^T`
-    /// into a reusable output buffer.
+    /// Matrix multiplication with a transposed right-hand side,
+    /// `self * other^T`, into a reusable output buffer.
     ///
-    /// The counterpart of [`Matrix::matmul_into`] for a right-hand side
-    /// stored row-major in transposed layout (each RHS *row* is a column
-    /// of the product). The per-cell dot product is a serial `f32`
-    /// dependency chain that no amount of unrolling can vectorise, so
-    /// this kernel first materialises the RHS transpose into a
-    /// thread-local scratch buffer with [`Matrix::transpose_into`]
-    /// (reused across calls — steady-state training performs no
-    /// allocation here) and then runs the cache-friendly axpy loop over
-    /// contiguous transposed rows. That transpose is paid on every call,
-    /// so it suits a caller that multiplies by a weight once per batch —
-    /// `Dense`, its one caller — while the GRU, which would pay it at every
-    /// timestep, transposes its weights once per backward pass and calls
-    /// [`Matrix::matmul_into`] instead. Per
-    /// output cell the terms are still added through a single
-    /// accumulator in ascending index order — only the loop nesting
-    /// changes, not the operand values or their order — so every output
-    /// bit matches [`NaiveBackend`](crate::NaiveBackend), the naive
-    /// reference oracle (which, like this kernel, applies no zero-entry
-    /// skip).
+    /// The RHS is transposed into a reused thread-local scratch, which the
+    /// kernel of [`Matrix::matmul_into`] then reads. That transpose is paid
+    /// per call, which suits `Dense` (one product per weight and batch);
+    /// the GRU transposes its weights once per backward pass and calls
+    /// [`Matrix::matmul_into`]. Bit-identical to
+    /// [`NaiveBackend`](crate::NaiveBackend), which skips no zero entry.
     ///
     /// # Errors
     ///
@@ -315,22 +288,17 @@ impl Matrix {
             static TRANSPOSED: std::cell::RefCell<Matrix> =
                 std::cell::RefCell::new(Matrix::default());
         }
-        let n = other.rows;
-        let d = self.cols;
-        out.reset(self.rows, n);
         TRANSPOSED.with(|cell| {
-            let mut scratch = cell.borrow_mut();
-            other.transpose_into(&mut scratch);
-            for i in 0..self.rows {
-                let a_row = &self.data[i * d..(i + 1) * d];
-                let out_row = &mut out.data[i * n..(i + 1) * n];
-                for (t, &a) in a_row.iter().enumerate() {
-                    let b_row = &scratch.data[t * n..(t + 1) * n];
-                    for (o, &b) in out_row.iter_mut().zip(b_row) {
-                        *o += a * b;
-                    }
-                }
-            }
+            let mut bt = cell.borrow_mut();
+            other.transpose_into(&mut bt);
+            product(
+                RowMajor(&self.data),
+                self.shape(),
+                &bt.data,
+                bt.cols,
+                false,
+                out,
+            );
         });
         Ok(())
     }
@@ -344,21 +312,13 @@ impl Matrix {
         out.data.extend(self.data.iter().map(|&v| f(v)));
     }
 
-    /// Tiled matrix multiplication of the transpose of `self` with
-    /// `other` — `self^T * other` — into a reusable output buffer.
+    /// Matrix multiplication of the transpose of `self` with `other`,
+    /// `self^T * other`, into a reusable output buffer.
     ///
-    /// This is the grad-weight shape of the training backward pass
-    /// (`input^T * grad_output`, with the small batch dimension as the
-    /// contraction). The naive kernel walks `k` in the outer loop and
-    /// streams the *entire* output matrix through the cache once per
-    /// `k`; this kernel blocks the output rows so a 32-row band of the
-    /// output (plus the whole RHS) stays L1-resident across the full
-    /// `k` loop, turning the dominant traffic into L1 hits while the
-    /// wide row accumulate vectorises exactly as in the naive form.
-    /// Per cell the terms are accumulated in the same ascending-`k`
-    /// order with the same per-entry zero-LHS skip as
-    /// [`NaiveBackend`](crate::NaiveBackend), which stays in-tree as the
-    /// bit-exactness oracle of the property tests.
+    /// The grad-weight shape (`input^T * grad_output`); the product kernel
+    /// reads `self` column-major in place, no transpose made.
+    /// Bit-identical to [`NaiveBackend`](crate::NaiveBackend), including
+    /// its zero-LHS skip.
     ///
     /// # Errors
     ///
@@ -375,27 +335,15 @@ impl Matrix {
                 other.shape(),
             ));
         }
-        const ROW_BLOCK: usize = 32;
-        let (k_len, m, n) = (self.rows, self.cols, other.cols);
-        out.reset(m, n);
-        let mut i0 = 0;
-        while i0 < m {
-            let ib = (m - i0).min(ROW_BLOCK);
-            let band = &mut out.data[i0 * n..(i0 + ib) * n];
-            for k in 0..k_len {
-                let a_seg = &self.data[k * m + i0..k * m + i0 + ib];
-                let b_row = &other.data[k * n..(k + 1) * n];
-                for (out_row, &av) in band.chunks_exact_mut(n.max(1)).zip(a_seg) {
-                    if av == 0.0 {
-                        continue;
-                    }
-                    for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                        *o += av * bv;
-                    }
-                }
-            }
-            i0 += ib;
-        }
+        let lhs = ColMajor(&self.data, self.cols);
+        product(
+            lhs,
+            (self.cols, self.rows),
+            &other.data,
+            other.cols,
+            true,
+            out,
+        );
         Ok(())
     }
 
@@ -554,208 +502,261 @@ impl Matrix {
     }
 }
 
-/// The register-tiled matmul kernel shared by [`Matrix::matmul_into`]
-/// and [`Matrix::matmul_slice_into`]: `out = a * b`, with `a` of shape
-/// `m x k` and `b` of shape `k x n`, all row-major.
+/// Whether a block of LHS entries holds no zero, some, or only zeros.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Zeros {
+    None,
+    Some,
+    All,
+}
+
+impl Zeros {
+    /// Classifies the entries of `chunks` by their magnitude bits, zero
+    /// exactly for `±0.0` (a NaN is not zero), stopping after the first
+    /// chunk that settles `Some` (so a short first chunk pays off on
+    /// sparse blocks). No entries at all count as `All`.
+    #[inline(always)]
+    fn of<'a>(chunks: impl Iterator<Item = &'a [f32]>) -> Zeros {
+        let (mut lo, mut hi) = (u32::MAX, 0);
+        for chunk in chunks {
+            for v in chunk {
+                lo = lo.min(v.to_bits() & !(1 << 31));
+                hi = hi.max(v.to_bits() & !(1 << 31));
+            }
+            if lo == 0 && hi != 0 {
+                return Zeros::Some;
+            }
+        }
+        match hi {
+            0 => Zeros::All,
+            _ => Zeros::None,
+        }
+    }
+}
+
+/// The `m x k` left operand as the tile reads it: [`RowMajor`] for `A·B`
+/// and `A·Bᵀ`, [`ColMajor`] for `Aᵀ·B`'s stored `k x m` operand.
+trait Lhs: Copy {
+    /// Step `k` (below `k_len`) to entries `(i..i + R, k)`.
+    fn rows<const R: usize>(self, i: usize, k_len: usize) -> impl Fn(usize) -> [f32; R] + Copy;
+
+    /// Which of entries `(i..i + rows, 0..k_len)` are zero.
+    fn zeros(self, i: usize, rows: usize, k_len: usize) -> Zeros;
+}
+
+/// A row-major LHS: entry `(i, k)` at `data[i * k_len + k]`.
+#[derive(Clone, Copy)]
+struct RowMajor<'a>(&'a [f32]);
+
+impl Lhs for RowMajor<'_> {
+    #[inline(always)]
+    fn rows<const R: usize>(self, i: usize, k_len: usize) -> impl Fn(usize) -> [f32; R] + Copy {
+        let mut rows: [&[f32]; R] = [&[]; R];
+        for (r, row) in rows.iter_mut().enumerate() {
+            *row = &self.0[(i + r) * k_len..][..k_len];
+        }
+        move |k| std::array::from_fn(|r| rows[r][k])
+    }
+
+    fn zeros(self, i: usize, rows: usize, k_len: usize) -> Zeros {
+        let block = &self.0[i * k_len..][..rows * k_len];
+        let (head, rest) = block.split_at(block.len().min(16));
+        Zeros::of([head].into_iter().chain(rest.chunks(256)))
+    }
+}
+
+/// A column-major LHS of `m` rows: entry `(i, k)` at `data[k * m + i]`,
+/// so the entries a tile takes at one step `k` are contiguous.
+#[derive(Clone, Copy)]
+struct ColMajor<'a>(&'a [f32], usize);
+
+impl Lhs for ColMajor<'_> {
+    #[inline(always)]
+    fn rows<const R: usize>(self, i: usize, _: usize) -> impl Fn(usize) -> [f32; R] + Copy {
+        let ColMajor(data, m) = self;
+        move |k| data[k * m + i..][..R].try_into().expect("R entries")
+    }
+
+    fn zeros(self, i: usize, rows: usize, k_len: usize) -> Zeros {
+        let ColMajor(data, m) = self;
+        let steps = data.chunks_exact(m.max(1)).take(k_len);
+        Zeros::of(steps.map(|step| &step[i..i + rows]))
+    }
+}
+
+/// How one 8- or 16-wide tile reads the `n % 16` last columns of the
+/// row-major `k_len x n` RHS `b`: rows `0..k_in` in place, each read
+/// running on into the next row (columns it never writes out), and the
+/// last rows (under 8, as a `W`-wide read overruns by `W - w < 8` values),
+/// whose read would run off the end of `b`, from `pad`, zero-padded.
+fn tail<'a>(b: &[f32], k_len: usize, n: usize, pad: &'a mut [f32]) -> (usize, &'a [f32]) {
+    let (full, w) = (n - n % 16, n % 16);
+    let width = if w <= 8 { 8 } else { 16 };
+    let k_in = (b.len() + n).saturating_sub(full + width) / n;
+    for (row, k) in pad.chunks_exact_mut(width).zip(k_in..k_len) {
+        row[..w].copy_from_slice(&b[full + k * n..][..w]);
+    }
+    (k_in, &pad[..(k_len - k_in) * width])
+}
+
+/// The one product kernel: `out = lhs * b` for an `m x k_len` left
+/// operand and a row-major `k_len x n` matrix `b`.
 ///
-/// A cascade of fixed-width column tiles (64 → 32 → 8 → narrow tail)
-/// keeps the accumulators in SIMD registers across the whole `k` loop,
-/// so the streamed RHS row costs one load per multiply-add and the
-/// output is written exactly once. Per output cell the terms are
-/// accumulated in ascending-`k` order with a single accumulator and the
-/// naive kernel's zero-LHS skip — [`NaiveBackend`](crate::NaiveBackend)'s
-/// results, bit-for-bit, for every input including non-finite entries.
-fn matmul_slice_kernel(a: &[f32], m: usize, k_len: usize, b: &[f32], n: usize, out: &mut Matrix) {
-    out.reset(m, n);
-    if n <= 16 {
-        // Narrow outputs (classifier heads, linear models): the whole
-        // output row fits one accumulator tile, so amortise each RHS
-        // row load over four LHS rows instead of re-slicing per row.
-        // The `av != 0.0` skip mirrors the naive kernel exactly (and
-        // pays for itself: ReLU activations are frequently zero).
-        let mut i = 0;
-        while i + 4 <= m {
-            let a_rows = [
-                &a[i * k_len..(i + 1) * k_len],
-                &a[(i + 1) * k_len..(i + 2) * k_len],
-                &a[(i + 2) * k_len..(i + 3) * k_len],
-                &a[(i + 3) * k_len..(i + 4) * k_len],
-            ];
-            let mut acc = [[0.0f32; 16]; 4];
-            for k in 0..k_len {
-                let b_tile = &b[k * n..(k + 1) * n];
-                for (acc_row, a_row) in acc.iter_mut().zip(&a_rows) {
-                    let av = a_row[k];
-                    if av == 0.0 {
-                        continue;
-                    }
-                    for (c, &bv) in acc_row[..n].iter_mut().zip(b_tile) {
-                        *c += av * bv;
-                    }
-                }
-            }
-            for (r, acc_row) in acc.iter().enumerate() {
-                out.data[(i + r) * n..(i + r + 1) * n].copy_from_slice(&acc_row[..n]);
-            }
-            i += 4;
-        }
-        for i in i..m {
-            let a_row = &a[i * k_len..(i + 1) * k_len];
-            let mut acc = [0.0f32; 16];
-            for (k, &av) in a_row.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let b_tile = &b[k * n..(k + 1) * n];
-                for (c, &bv) in acc[..n].iter_mut().zip(b_tile) {
-                    *c += av * bv;
-                }
-            }
-            out.data[i * n..(i + 1) * n].copy_from_slice(&acc[..n]);
-        }
-        return;
-    }
-    let mut i = 0;
-    while i < m {
-        // Four dense LHS rows at a time: each streamed RHS row is
-        // reused across all four, quartering RHS cache traffic (the
-        // bound at realistic batch sizes). The zero scan decides the
-        // loop shape: dense rows (the common case for image inputs)
-        // take the branchless block; rows with zeros fall back to the
-        // single-row path with the naive kernel's zero-skip, which both
-        // preserves its exact semantics (a zero times a non-finite
-        // weight contributes nothing) and saves work on sparse
-        // activations.
-        if i + 4 <= m {
-            let rows = [
-                &a[i * k_len..(i + 1) * k_len],
-                &a[(i + 1) * k_len..(i + 2) * k_len],
-                &a[(i + 2) * k_len..(i + 3) * k_len],
-                &a[(i + 3) * k_len..(i + 4) * k_len],
-            ];
-            if rows.iter().all(|r| !r.contains(&0.0)) {
-                matmul_rows4(rows, b, n, &mut out.data[i * n..(i + 4) * n]);
-                i += 4;
-                continue;
-            }
-        }
-        let a_row = &a[i * k_len..(i + 1) * k_len];
-        let has_zero = a_row.contains(&0.0);
-        matmul_row1(a_row, b, n, &mut out.data[i * n..(i + 1) * n], has_zero);
-        i += 1;
-    }
-}
-
-/// Four dense (zero-free) LHS rows against the full RHS: 16-wide column
-/// tiles whose 4 x 16 accumulators stay in registers, with each RHS row
-/// loaded once per tile and reused across all four LHS rows (RHS cache
-/// traffic is the bound at realistic batch sizes).
-fn matmul_rows4(rows: [&[f32]; 4], b: &[f32], n: usize, out4: &mut [f32]) {
-    let [r0, r1, r2, r3] = rows;
-    let mut j0 = 0;
-    while j0 + 16 <= n {
-        let mut acc0 = [0.0f32; 16];
-        let mut acc1 = [0.0f32; 16];
-        let mut acc2 = [0.0f32; 16];
-        let mut acc3 = [0.0f32; 16];
-        for k in 0..r0.len() {
-            let b_tile = &b[k * n + j0..k * n + j0 + 16];
-            let (a0, a1, a2, a3) = (r0[k], r1[k], r2[k], r3[k]);
-            for j in 0..16 {
-                let bv = b_tile[j];
-                acc0[j] += a0 * bv;
-                acc1[j] += a1 * bv;
-                acc2[j] += a2 * bv;
-                acc3[j] += a3 * bv;
-            }
-        }
-        out4[j0..j0 + 16].copy_from_slice(&acc0);
-        out4[n + j0..n + j0 + 16].copy_from_slice(&acc1);
-        out4[2 * n + j0..2 * n + j0 + 16].copy_from_slice(&acc2);
-        out4[3 * n + j0..3 * n + j0 + 16].copy_from_slice(&acc3);
-        j0 += 16;
-    }
-    if j0 < n {
-        // Column tail (< 16): per-row accumulator tiles.
-        let w = n - j0;
-        for (r, a_row) in rows.iter().enumerate() {
-            let mut acc = [0.0f32; 16];
-            for (k, &av) in a_row.iter().enumerate() {
-                let b_tile = &b[k * n + j0..k * n + j0 + w];
-                for (c, &bv) in acc[..w].iter_mut().zip(b_tile) {
-                    *c += av * bv;
-                }
-            }
-            out4[r * n + j0..(r + 1) * n].copy_from_slice(&acc[..w]);
-        }
-    }
-}
-
-/// One LHS row against the full RHS: the 64/32/8-wide tile cascade plus
-/// a narrow tail, skipping zero LHS entries when the row has any.
-fn matmul_row1(a_row: &[f32], b: &[f32], n: usize, out_row: &mut [f32], has_zero: bool) {
-    let mut j0 = 0;
-    while j0 + 64 <= n {
-        matmul_tile::<64>(a_row, b, n, j0, out_row, has_zero);
-        j0 += 64;
-    }
-    while j0 + 32 <= n {
-        matmul_tile::<32>(a_row, b, n, j0, out_row, has_zero);
-        j0 += 32;
-    }
-    while j0 + 8 <= n {
-        matmul_tile::<8>(a_row, b, n, j0, out_row, has_zero);
-        j0 += 8;
-    }
-    if j0 < n {
-        // Tail of fewer than 8 columns: registers still hold the
-        // accumulators, the same ascending-`k` order applies.
-        let w = n - j0;
-        let mut acc = [0.0f32; 8];
-        for (k, &av) in a_row.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let b_tile = &b[k * n + j0..k * n + j0 + w];
-            for (c, &bv) in acc[..w].iter_mut().zip(b_tile) {
-                *c += av * bv;
-            }
-        }
-        out_row[j0..].copy_from_slice(&acc[..w]);
-    }
-}
-
-/// One `W`-wide column tile of [`matmul_slice_kernel`]: `W` accumulators
-/// held in registers over the full `k` loop.
-#[inline]
-fn matmul_tile<const W: usize>(
-    a_row: &[f32],
+/// Register tiles of 4 LHS rows x 16 columns (a lone row: 64, 32, 16,
+/// as many independent accumulator chains) hold their accumulators over
+/// the whole `k` loop and write the output once; the `n % 16` last
+/// columns run one 8- or 16-wide tile ([`tail`]).
+///
+/// Bit-identity with [`NaiveBackend`](crate::NaiveBackend): every output
+/// cell keeps one `f32` accumulator that starts at `+0.0` and adds
+/// `a * b` in ascending `k`, and Rust never contracts a multiply and an
+/// add into an FMA, so only the loop nesting differs. `A·Bᵀ` skips
+/// nothing, as its oracle. `A·B` and `Aᵀ·B` (`skip_zeros`) skip a zero
+/// LHS entry where the oracle does: a 4-row group without one runs
+/// branch-free, an all-zero one stays `+0.0`. A mixed group runs
+/// branch-free too where that is faster (`n ≤ 32` or `k ≤ 32`): the
+/// accumulator never becomes `-0.0`, so a `±0` product adds nothing,
+/// and the one term that differs, `0 * inf` or `0 * NaN`, is a NaN that
+/// stays in its accumulator, so a group with no NaN output is exact and
+/// one with a NaN is redone row by row. Each row then runs branch-free,
+/// stays `+0.0`, or runs the tile with a per-`k` skip.
+fn product(
+    lhs: impl Lhs,
+    (m, k_len): (usize, usize),
     b: &[f32],
     n: usize,
-    j0: usize,
-    out_row: &mut [f32],
-    has_zero: bool,
+    skip_zeros: bool,
+    out: &mut Matrix,
 ) {
-    let mut acc = [0.0f32; W];
-    if has_zero {
-        for (k, &av) in a_row.iter().enumerate() {
-            if av == 0.0 {
-                continue;
+    out.reset(m, n);
+    let zeros = |i, rows| match skip_zeros {
+        true => lhs.zeros(i, rows, k_len),
+        false => Zeros::None,
+    };
+    let whole = zeros(0, m);
+    let mut pad = None;
+    let tail = match n % 16 {
+        0 => (k_len, &[][..]),
+        _ => tail(b, k_len, n, pad.insert([0.0f32; 8 * 16])),
+    };
+    let mut i = 0;
+    while i < m && n > 0 {
+        let rows = if m - i >= 4 { 4 } else { 1 };
+        let group = match whole {
+            Zeros::Some if rows < m => zeros(i, rows),
+            _ => whole,
+        };
+        let out_rows = &mut out.data[i * n..(i + rows) * n];
+        let at = |i| lhs.rows::<4>(i, k_len);
+        i += rows;
+        match (rows, group) {
+            (_, Zeros::All) => continue,
+            (4, _) if group == Zeros::None || n <= 32 || k_len <= 32 => {
+                columns::<4, false>(at(i - 4), k_len, b, n, tail, out_rows);
+                if group == Zeros::None || !out_rows.iter().fold(false, |nan, v| nan | v.is_nan()) {
+                    continue;
+                }
             }
-            let b_tile = &b[k * n + j0..k * n + j0 + W];
-            for (c, &bv) in acc.iter_mut().zip(b_tile) {
-                *c += av * bv;
-            }
+            _ => {}
         }
-    } else {
-        for (k, &av) in a_row.iter().enumerate() {
-            let b_tile = &b[k * n + j0..k * n + j0 + W];
-            for (c, &bv) in acc.iter_mut().zip(b_tile) {
-                *c += av * bv;
+        for (r, out_row) in (i - rows..i).zip(out_rows.chunks_exact_mut(n)) {
+            let at = lhs.rows::<1>(r, k_len);
+            match if rows == 1 { group } else { zeros(r, 1) } {
+                Zeros::All => out_row.fill(0.0),
+                Zeros::None => columns::<1, false>(at, k_len, b, n, tail, out_row),
+                Zeros::Some => columns::<1, true>(at, k_len, b, n, tail, out_row),
             }
         }
     }
-    out_row[j0..j0 + W].copy_from_slice(&acc);
+}
+
+/// Every column tile of the `R` output rows whose LHS entries `at` reads.
+#[inline(always)]
+fn columns<const R: usize, const SKIP: bool>(
+    at: impl Fn(usize) -> [f32; R] + Copy,
+    k_len: usize,
+    b: &[f32],
+    n: usize,
+    (k_in, pad): (usize, &[f32]),
+    out: &mut [f32],
+) {
+    let full = n - n % 16;
+    let mut j = 0;
+    while R == 1 && j + 64 <= full {
+        let b_rows = b.chunks_exact(n).map(|row| &row[j..j + 64]);
+        tile::<R, 64, SKIP>(at, k_len, (b_rows, k_len, &[]), &mut out[j..], n, 64);
+        j += 64;
+    }
+    while R == 1 && j + 32 <= full {
+        let b_rows = b.chunks_exact(n).map(|row| &row[j..j + 32]);
+        tile::<R, 32, SKIP>(at, k_len, (b_rows, k_len, &[]), &mut out[j..], n, 32);
+        j += 32;
+    }
+    while j < full {
+        let b_rows = b.chunks_exact(n).map(|row| &row[j..j + 16]);
+        tile::<R, 16, SKIP>(at, k_len, (b_rows, k_len, &[]), &mut out[j..], n, 16);
+        j += 16;
+    }
+    if full < n {
+        let (data, out) = (b.get(full..).unwrap_or_default(), &mut out[full..]);
+        if n - full <= 8 {
+            let b_rows = (data.windows(8).step_by(n), k_in, pad);
+            tile::<R, 8, SKIP>(at, k_len, b_rows, out, n, n - full);
+        } else {
+            let b_rows = (data.windows(16).step_by(n), k_in, pad);
+            tile::<R, 16, SKIP>(at, k_len, b_rows, out, n, n - full);
+        }
+    }
+}
+
+/// One `R x W` register tile: the LHS entries `at` reads times RHS rows
+/// `0..k_in` from `in_place` and the rest from `pad`, over every `k`;
+/// writes its first `w` columns to its `R` rows of `out`, `n` apart.
+#[inline(always)]
+fn tile<'b, const R: usize, const W: usize, const SKIP: bool>(
+    at: impl Fn(usize) -> [f32; R],
+    k_len: usize,
+    (in_place, k_in, pad): (impl Iterator<Item = &'b [f32]>, usize, &[f32]),
+    out: &mut [f32],
+    n: usize,
+    w: usize,
+) {
+    let mut acc = [[0.0f32; W]; R];
+    let k_in = k_in.min(k_len);
+    for (k, b_row) in (0..k_in).zip(in_place) {
+        accumulate::<R, W, SKIP>(&mut acc, at(k), b_row);
+    }
+    for (k, b_row) in (k_in..k_len).zip(pad.chunks_exact(W)) {
+        accumulate::<R, W, SKIP>(&mut acc, at(k), b_row);
+    }
+    put(acc, out, n, w);
+}
+
+/// Writes a tile's first `w` columns to its rows of `out`, `n` apart; by
+/// value, as a copy out of `acc` itself keeps it out of registers.
+#[inline(always)]
+fn put<const R: usize, const W: usize>(acc: [[f32; W]; R], out: &mut [f32], n: usize, w: usize) {
+    for (r, acc_row) in acc.iter().enumerate() {
+        out[r * n..][..w].copy_from_slice(&acc_row[..w]);
+    }
+}
+
+/// One step of a tile: `acc[r] += a[r] * b_row` (if `a[r] != 0` under `SKIP`).
+#[inline(always)]
+fn accumulate<const R: usize, const W: usize, const SKIP: bool>(
+    acc: &mut [[f32; W]; R],
+    a: [f32; R],
+    b_row: &[f32],
+) {
+    for r in 0..R {
+        if SKIP && a[r] == 0.0 {
+            continue;
+        }
+        let b_row: &[f32; W] = b_row.try_into().expect("W columns");
+        for j in 0..W {
+            acc[r][j] += a[r] * b_row[j];
+        }
+    }
 }
 
 impl Index<(usize, usize)> for Matrix {
@@ -879,18 +880,92 @@ mod tests {
 
     #[test]
     fn matmul_into_matches_naive_for_non_finite_rhs() {
-        // A diverged candidate model can carry inf/NaN weights; the
-        // zero-LHS skip means a zero input times an inf weight stays
-        // skipped in both kernels, so even these results are identical.
-        let a = Matrix::from_rows(&[&[0.0, 2.0, 0.0], &[1.0, 0.0, 3.0]]).unwrap();
-        let mut weights = Matrix::from_fn(3, 20, |r, c| (r * 20 + c) as f32 * 0.5);
-        weights[(0, 0)] = f32::INFINITY;
-        weights[(2, 19)] = f32::NAN;
-        let naive = NaiveBackend.matmul(&a, &weights).unwrap();
-        let mut blocked = Matrix::default();
-        a.matmul_into(&weights, &mut blocked).unwrap();
-        for (x, y) in naive.as_slice().iter().zip(blocked.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits(), "{naive:?} vs {blocked:?}");
+        // A diverged candidate model can carry inf/NaN weights. In every
+        // product form, for a narrow (tail-tile) and a wide output, they
+        // sit in the RHS row that meets an all-zero LHS column, and in one
+        // row that meets a mixed one: `A·B` and `Aᵀ·B` skip the zeros as
+        // their oracle does, `A·Bᵀ` multiplies them into NaN as its
+        // no-skip oracle does. Every bit matches, except which payload a
+        // NaN keeps where two NaN terms meet: that follows the operand
+        // order the compiler picks for the add.
+        let a = Matrix::from_fn(6, 5, |r, c| match (r + c) % 4 {
+            _ if c == 1 => 0.0,
+            0 => 0.0,
+            _ => (r * 5 + c) as f32 * 0.5 - 3.0,
+        });
+        for n in [10, 40] {
+            let mut b = Matrix::from_fn(5, n, |r, c| ((r * n + c) as f32).sin());
+            for c in 0..n {
+                b[(1, c)] = if c % 2 == 0 { f32::INFINITY } else { f32::NAN };
+            }
+            b[(3, n - 1)] = f32::NEG_INFINITY;
+            let (at, bt) = (a.transpose(), b.transpose());
+            let mut got = Matrix::default();
+            let bits = |m: &Matrix| {
+                let nan = f32::NAN.to_bits();
+                let bits = m
+                    .as_slice()
+                    .iter()
+                    .map(|v| if v.is_nan() { nan } else { v.to_bits() });
+                bits.collect::<Vec<_>>()
+            };
+            for form in ["A·B", "Aᵀ·B", "A·Bᵀ"] {
+                let want = match form {
+                    "A·B" => {
+                        a.matmul_into(&b, &mut got).unwrap();
+                        NaiveBackend.matmul(&a, &b).unwrap()
+                    }
+                    "Aᵀ·B" => {
+                        at.transpose_matmul_into(&b, &mut got).unwrap();
+                        NaiveBackend.transpose_matmul(&at, &b).unwrap()
+                    }
+                    _ => {
+                        a.matmul_transpose_into(&bt, &mut got).unwrap();
+                        NaiveBackend.matmul_transpose(&a, &bt).unwrap()
+                    }
+                };
+                assert_eq!(bits(&got), bits(&want), "{form}, n = {n}");
+                let nans = want.as_slice().iter().filter(|v| v.is_nan()).count();
+                match form {
+                    "A·Bᵀ" => assert_eq!(nans, want.len(), "{form}: 0 * inf is NaN"),
+                    _ => {
+                        assert!(nans == 0 && want.as_slice()[..n - 1].iter().all(|v| v.is_finite()))
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_column_tail_leaves_nothing_behind_between_calls() {
+        // The tail tile reads past a row's end and pads the last rows; a
+        // wide, long product followed by narrower and shorter ones on
+        // the same thread must each still match the oracle bit for bit.
+        for (k, n) in [(70, 16), (70, 33), (9, 10), (4, 3), (1, 1), (12, 7)] {
+            let a = Matrix::from_fn(7, k, |r, c| {
+                if (r * 3 + c) % 5 == 0 {
+                    0.0
+                } else {
+                    ((r + c) as f32).cos()
+                }
+            });
+            let b = Matrix::from_fn(k, n, |r, c| ((r * n + c) as f32 * 0.7).sin());
+            let bt = b.transpose();
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let mut got = Matrix::default();
+            a.matmul_into(&b, &mut got).unwrap();
+            assert_eq!(
+                bits(&got),
+                bits(&NaiveBackend.matmul(&a, &b).unwrap()),
+                "A·B {k}x{n}"
+            );
+            a.matmul_transpose_into(&bt, &mut got).unwrap();
+            let want = NaiveBackend.matmul_transpose(&a, &bt).unwrap();
+            assert_eq!(bits(&got), bits(&want), "A·Bᵀ {k}x{n}");
+            let at = a.transpose();
+            at.transpose_matmul_into(&b, &mut got).unwrap();
+            let want = NaiveBackend.transpose_matmul(&at, &b).unwrap();
+            assert_eq!(bits(&got), bits(&want), "Aᵀ·B {k}x{n}");
         }
     }
 

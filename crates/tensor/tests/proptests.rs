@@ -29,15 +29,29 @@ fn matrix_pair(max_dim: usize) -> impl Strategy<Value = (Matrix, Matrix)> {
     })
 }
 
-/// A `rows x cols` matrix roughly one third of whose entries are exact
-/// zeros, so the kernels' zero-LHS skips fire on realistic (post-ReLU)
-/// sparsity patterns.
-fn sparse_sized(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
-    proptest::collection::vec(
-        (-150.0f32..150.0).prop_map(|v| if v.abs() < 50.0 { 0.0 } else { v }),
-        rows * cols,
-    )
-    .prop_map(move |data| Matrix::from_vec(rows, cols, data).expect("sized by construction"))
+/// A `rows x cols` matrix with no zero entry (`zeros` 0), about one third
+/// exact zeros (1, the sparsity of post-ReLU activations), or only zeros
+/// (2). Drawn as a left operand, these reach the product kernel's
+/// branch-free, mixed and all-zero row groups; with a third of the entries
+/// zero, a zero-free 4-row block is almost never drawn.
+fn with_zeros(rows: usize, cols: usize, zeros: usize) -> impl Strategy<Value = Matrix> {
+    proptest::collection::vec(-150.0f32..150.0, rows * cols).prop_map(move |data| {
+        let data = data.into_iter().map(|v| match zeros {
+            0 if v == 0.0 => 1.0,
+            0 => v,
+            1 if v.abs() < 50.0 => 0.0,
+            1 => v,
+            _ => 0.0,
+        });
+        Matrix::from_vec(rows, cols, data.collect()).expect("sized by construction")
+    })
+}
+
+/// An output width: half the draws are narrow (`1..=17`, every tail
+/// width of the kernel), half anywhere in `0..=max`.
+fn width(max: usize) -> impl Strategy<Value = usize> {
+    (0usize..=1, 1usize..=17, 0..=max)
+        .prop_map(|(narrow, n, any)| if narrow == 1 { n } else { any })
 }
 
 /// Asserts that two matrices are identical down to the bit pattern of
@@ -54,13 +68,15 @@ proptest! {
     // The TiledBackend kernels are pinned to the NaiveBackend oracle
     // bit-for-bit over all three training product shapes. Dimensions
     // start at 0 (empty operands) and straddle every tile width (4-row
-    // blocks, 8/16/32/64-wide column tiles), and a third of the LHS
-    // entries are exact zeros so the zero-LHS skip parity is exercised.
+    // blocks, 8/16/32/64-wide column tiles, every tail width), and the
+    // LHS is drawn zero-free, a third zeros or all zeros, so the
+    // branch-free, mixed and all-zero paths of the zero-LHS skip are
+    // all exercised.
 
     #[test]
     fn tiled_backend_matmul_matches_naive_oracle_bitwise(
-        (a, b) in (0usize..=20, 0usize..=20, 0usize..=70).prop_flat_map(|(m, k, n)| {
-            (sparse_sized(m, k), sparse_sized(k, n))
+        (a, b) in (0usize..=20, 0usize..=20, width(70), 0usize..3).prop_flat_map(|(m, k, n, d)| {
+            (with_zeros(m, k, d), with_zeros(k, n, 1))
         })
     ) {
         let (naive, tiled) = (
@@ -76,8 +92,8 @@ proptest! {
 
     #[test]
     fn tiled_backend_matmul_transpose_matches_naive_oracle_bitwise(
-        (a, b) in (0usize..=20, 0usize..=20, 0usize..=20).prop_flat_map(|(m, k, n)| {
-            (sparse_sized(m, k), sparse_sized(n, k))
+        (a, b) in (0usize..=20, 0usize..=20, width(40), 0usize..3).prop_flat_map(|(m, k, n, d)| {
+            (with_zeros(m, k, d), with_zeros(n, k, 1))
         })
     ) {
         let (naive, tiled) = (
@@ -93,8 +109,8 @@ proptest! {
 
     #[test]
     fn tiled_backend_transpose_matmul_matches_naive_oracle_bitwise(
-        (a, b) in (0usize..=20, 0usize..=40, 0usize..=40).prop_flat_map(|(k, m, n)| {
-            (sparse_sized(k, m), sparse_sized(k, n))
+        (a, b) in (0usize..=20, 0usize..=40, width(40), 0usize..3).prop_flat_map(|(k, m, n, d)| {
+            (with_zeros(k, m, d), with_zeros(k, n, 1))
         })
     ) {
         let (naive, tiled) = (
