@@ -47,11 +47,15 @@ fn with_zeros(rows: usize, cols: usize, zeros: usize) -> impl Strategy<Value = M
     })
 }
 
-/// An output width: half the draws are narrow (`1..=17`, every tail
-/// width of the kernel), half anywhere in `0..=max`.
+/// An output width: a third of the draws are narrow (`1..=17`, every
+/// tail width of the kernel), a third are 64 (where a mixed 4-row group
+/// with `k > 32` runs row by row), a third anywhere in `0..=max`.
 fn width(max: usize) -> impl Strategy<Value = usize> {
-    (0usize..=1, 1usize..=17, 0..=max)
-        .prop_map(|(narrow, n, any)| if narrow == 1 { n } else { any })
+    (0usize..3, 1usize..=17, 0..=max).prop_map(|(kind, narrow, any)| match kind {
+        0 => narrow,
+        1 => 64,
+        _ => any,
+    })
 }
 
 /// Asserts that two matrices are identical down to the bit pattern of
@@ -68,14 +72,17 @@ proptest! {
     // The TiledBackend kernels are pinned to the NaiveBackend oracle
     // bit-for-bit over all three training product shapes. Dimensions
     // start at 0 (empty operands) and straddle every tile width (4-row
-    // blocks, 8/16/32/64-wide column tiles, every tail width), and the
-    // LHS is drawn zero-free, a third zeros or all zeros, so the
+    // blocks, 8/16/32/64-wide column tiles, every tail width), the
+    // contraction runs to 48 (long past the under-8 last RHS rows the
+    // column tail pads, and past the `k > 32` of the row-by-row mixed
+    // groups), the cases of one property run in turn on one thread, and
+    // the LHS is drawn zero-free, a third zeros or all zeros, so the
     // branch-free, mixed and all-zero paths of the zero-LHS skip are
     // all exercised.
 
     #[test]
     fn tiled_backend_matmul_matches_naive_oracle_bitwise(
-        (a, b) in (0usize..=20, 0usize..=20, width(70), 0usize..3).prop_flat_map(|(m, k, n, d)| {
+        (a, b) in (0usize..=20, 0usize..=48, width(70), 0usize..3).prop_flat_map(|(m, k, n, d)| {
             (with_zeros(m, k, d), with_zeros(k, n, 1))
         })
     ) {
@@ -92,7 +99,7 @@ proptest! {
 
     #[test]
     fn tiled_backend_matmul_transpose_matches_naive_oracle_bitwise(
-        (a, b) in (0usize..=20, 0usize..=20, width(40), 0usize..3).prop_flat_map(|(m, k, n, d)| {
+        (a, b) in (0usize..=20, 0usize..=48, width(40), 0usize..3).prop_flat_map(|(m, k, n, d)| {
             (with_zeros(m, k, d), with_zeros(n, k, 1))
         })
     ) {
@@ -109,7 +116,7 @@ proptest! {
 
     #[test]
     fn tiled_backend_transpose_matmul_matches_naive_oracle_bitwise(
-        (a, b) in (0usize..=20, 0usize..=40, width(40), 0usize..3).prop_flat_map(|(k, m, n, d)| {
+        (a, b) in (0usize..=48, 0usize..=40, width(40), 0usize..3).prop_flat_map(|(k, m, n, d)| {
             (with_zeros(k, m, d), with_zeros(k, n, 1))
         })
     ) {
