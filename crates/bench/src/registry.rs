@@ -2,7 +2,7 @@
 
 use std::collections::BTreeSet;
 
-use dagfl_scenario::{Scale, Scenario, ScenarioRunner, SweepRunner, SweepSpec};
+use dagfl_scenario::{Scale, Scenario, ScenarioRunner, SweepRunner, SweepSpec, SWEEP_PRESETS};
 
 use crate::figures::{ablations, alpha, baselines, modes, tables, tangle};
 use crate::{poisoning_suite, Session};
@@ -282,7 +282,7 @@ pub fn index() -> String {
 /// Returns one line per invalid preset.
 pub fn validate(figures: &[&Figure], scale: Scale) -> Result<usize, Vec<String>> {
     let declared = figures.iter().flat_map(|figure| figure.presets);
-    let sweeps = SweepSpec::preset_names().iter().map(|(name, _)| name);
+    let sweeps = SWEEP_PRESETS.iter().map(|(name, ..)| name);
     let presets: BTreeSet<&str> = declared.chain(sweeps).copied().collect();
     let failures: Vec<String> = presets
         .iter()

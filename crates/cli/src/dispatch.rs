@@ -8,7 +8,7 @@ use dagfl_core::{AsyncSimulation, DagConfig, Simulation};
 use dagfl_scenario::text::{Document, Value};
 use dagfl_scenario::{
     AnalysisSpec, ExecutionSpec, Scale, Scenario, ScenarioError, ScenarioRunner, SweepAxis,
-    SweepRunner, SweepSpec,
+    SweepRunner, SweepSpec, PRESETS, SWEEP_PRESETS,
 };
 
 use crate::args::{Command, ParseError, ParsedArgs, FLAGS, USAGE};
@@ -550,11 +550,11 @@ fn scenarios_command(args: &ParsedArgs) -> Result<(), Box<dyn Error>> {
     println!(
         "available presets (quick scale; pass --full or set DAGFL_FULL=1 for the paper's scale):"
     );
-    for (name, description) in Scenario::preset_names() {
+    for (name, description, _) in PRESETS {
         println!("  {name:<24} {description}");
     }
     println!("\navailable sweeps (parameter grids; `dagfl sweep <name>`):");
-    for (name, description) in SweepSpec::preset_names() {
+    for (name, description, _) in SWEEP_PRESETS {
         println!("  {name:<24} {description}");
     }
     println!("\nrun one with `dagfl run --preset <name>` (add --full for paper scale);");
@@ -608,13 +608,13 @@ fn check_scenario_dir(dir: &Path) -> Result<(), Box<dyn Error>> {
 fn dump_presets(dir: &Path) -> Result<(), Box<dyn Error>> {
     // Pin the quick scale so checked-in files don't depend on the
     // caller's environment.
-    for (name, _) in Scenario::preset_names() {
+    for (name, ..) in PRESETS {
         let scenario = Scenario::preset_at(name, Scale::Quick)?;
         let path = dir.join(format!("{name}.toml"));
         scenario.save(&path)?;
         println!("wrote {}", path.display());
     }
-    for (name, _) in SweepSpec::preset_names() {
+    for (name, ..) in SWEEP_PRESETS {
         let spec = SweepSpec::preset(name)?;
         let path = dir.join(format!("{name}.toml"));
         spec.save(&path)?;

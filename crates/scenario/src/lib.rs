@@ -61,13 +61,25 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
+/// A registry row `(name, description, text)` whose text is the
+/// checked-in `scenarios/<name>.toml`.
+macro_rules! preset_file {
+    ($name:literal, $description:literal) => {
+        (
+            $name,
+            $description,
+            include_str!(concat!("../../../scenarios/", $name, ".toml")),
+        )
+    };
+}
+
 mod presets;
 mod runner;
 mod spec;
 mod sweep;
 pub mod text;
 
-pub use presets::{Scale, PRESET_NAMES};
+pub use presets::{Scale, PRESETS};
 pub use runner::{DatasetSummary, PoisoningSummary, RunReport, ScenarioRunner};
 pub use spec::{
     AnalysisSpec, AttackSpec, DatasetSpec, ExecutionSpec, FaultSpec, ModelSpec, OutputSpec,
@@ -75,5 +87,5 @@ pub use spec::{
 };
 pub use sweep::{
     is_sweep_toml, SweepAxis, SweepBase, SweepCell, SweepCellReport, SweepReport, SweepRunner,
-    SweepSpec, SWEEP_PRESET_NAMES,
+    SweepSpec, SWEEP_PRESETS,
 };

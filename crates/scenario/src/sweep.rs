@@ -924,41 +924,58 @@ pub fn is_sweep_toml(text: &str) -> bool {
 // The sweep preset registry
 // ---------------------------------------------------------------------------
 
-/// The canonical sweep preset names with one-line descriptions, in
-/// listing order. The checked-in `scenarios/sweep-*.toml` files are
-/// dumps of these specs (regenerated by `dagfl scenarios --dump`).
-pub const SWEEP_PRESET_NAMES: &[(&str, &str)] = &[
-    (
+/// Every sweep preset as `(name, description, text)`, in listing
+/// order; the text is the checked-in `scenarios/<name>.toml`.
+pub const SWEEP_PRESETS: &[(&str, &str, &str)] = &[
+    preset_file!(
         "sweep-smoke",
-        "2-cell seed sweep over the smoke scenario (CI smoke test, seconds)",
+        "2-cell seed sweep over the smoke scenario (CI smoke test, seconds)"
     ),
-    (
+    preset_file!(
         "sweep-fig05-alpha",
-        "Figure 5: alpha in {1, 10, 100} with tracked cluster metrics",
+        "Figure 5: alpha in {1, 10, 100} with tracked cluster metrics"
     ),
-    (
+    preset_file!(
         "sweep-fig06-alpha",
-        "Figure 6: alpha in {0.1, 1, 10, 100}, simple normalization",
+        "Figure 6: alpha in {0.1, 1, 10, 100}, simple normalization"
     ),
-    (
+    preset_file!(
         "sweep-fig07-alpha",
-        "Figure 7: alpha in {0.1, 1, 10, 100}, dynamic normalization",
+        "Figure 7: alpha in {0.1, 1, 10, 100}, dynamic normalization"
     ),
-    (
+    preset_file!(
         "sweep-fig08-alpha",
-        "Figure 8: alpha in {0.1, 1, 10, 100} on relaxed clusters",
+        "Figure 8: alpha in {0.1, 1, 10, 100} on relaxed clusters"
     ),
-    (
+    preset_file!(
         "sweep-poisoning-fraction",
-        "Figures 12-14: poisoned-client fraction in {0, 0.2, 0.3}",
+        "Figures 12-14: poisoned-client fraction in {0, 0.2, 0.3}"
     ),
-    (
+    preset_file!(
         "sweep-async-delay",
-        "async link delay in {0, 2, 10} at the round-matched budget",
+        "async link delay in {0, 2, 10} at the round-matched budget"
     ),
 ];
 
-fn build_preset(name: &str) -> Option<SweepSpec> {
+impl SweepSpec {
+    /// Resolves a sweep preset by name: its checked-in file.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScenarioError::UnknownPreset`] for unregistered names.
+    pub fn preset(name: &str) -> Result<SweepSpec, ScenarioError> {
+        let (.., text) = SWEEP_PRESETS
+            .iter()
+            .find(|(row, ..)| *row == name)
+            .ok_or_else(|| ScenarioError::UnknownPreset(name.to_string()))?;
+        SweepSpec::from_toml(text)
+    }
+}
+
+/// The Rust builders the files replace, kept only to show that every
+/// file resolves to the spec its builder made.
+#[cfg(test)]
+pub(crate) fn build_preset(name: &str) -> Option<SweepSpec> {
     let alpha_sweep = |base: &str, alphas: &[&str]| {
         SweepSpec::over_preset(name, base)
             .axis("execution.alpha", alphas.iter().copied())
@@ -985,22 +1002,6 @@ fn build_preset(name: &str) -> Option<SweepSpec> {
                 .with_comparison_csv("sweep_async_delay"),
         ),
         _ => None,
-    }
-}
-
-impl SweepSpec {
-    /// Resolves a sweep preset by name.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ScenarioError::UnknownPreset`] for unregistered names.
-    pub fn preset(name: &str) -> Result<SweepSpec, ScenarioError> {
-        build_preset(name).ok_or_else(|| ScenarioError::UnknownPreset(name.to_string()))
-    }
-
-    /// The canonical sweep preset names with one-line descriptions.
-    pub fn preset_names() -> &'static [(&'static str, &'static str)] {
-        SWEEP_PRESET_NAMES
     }
 }
 
@@ -1543,7 +1544,7 @@ mod tests {
 
     #[test]
     fn every_sweep_preset_builds_validates_and_round_trips() {
-        for (name, _) in SWEEP_PRESET_NAMES {
+        for (name, ..) in SWEEP_PRESETS {
             let spec = SweepSpec::preset(name).unwrap_or_else(|e| panic!("{name}: {e}"));
             assert_eq!(spec.name, *name);
             spec.validate().unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -1554,6 +1555,14 @@ mod tests {
             SweepSpec::preset("sweep-nothing"),
             Err(ScenarioError::UnknownPreset(_))
         ));
+    }
+
+    /// Transitional: every sweep file is the spec its builder made.
+    #[test]
+    fn files_are_the_sweeps_their_builders_made() {
+        for (name, ..) in SWEEP_PRESETS {
+            assert_eq!(SweepSpec::preset(name).ok(), build_preset(name), "{name}");
+        }
     }
 
     #[test]
