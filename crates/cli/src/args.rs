@@ -26,8 +26,7 @@ pub enum Command {
     /// Expand and run a parameter-grid sweep (`dagfl sweep <file>` or
     /// `--preset-base <name> --axes <spec>`).
     Sweep,
-    /// List scenario presets, or check/dump scenario files
-    /// (`--check <dir>` / `--dump <dir>`).
+    /// List scenario presets, or check scenario files (`--check <dir>`).
     Scenarios,
     /// Networked DAG-FL peer (gossip over TCP, tracker discovery).
     Peer,
@@ -237,7 +236,6 @@ pub(crate) const FLAGS: &[(&str, &str, u16)] = &[
     ("dry-run", "", SWEEP),
     ("csv", "", SWEEP),
     ("check", "", SCENARIOS),
-    ("dump", "", SCENARIOS),
 ];
 
 /// A parsed command line: the subcommand plus `--key value` options and
@@ -386,8 +384,8 @@ COMMANDS:
     analyze   cluster client models and the approval graph of a scenario
               run, print assignments and quality metrics
               (--scenario <file> | --preset <name>)
-    scenarios list scenario and sweep presets; --check <dir> validates
-              scenario and sweep files, --dump <dir> writes every preset
+    scenarios list scenario and sweep presets (each is its file under
+              scenarios/); --check <dir> validates scenario and sweep files
     dag       Specializing-DAG simulation (the paper's algorithm)
     fedavg    centralized federated averaging baseline
     fedprox   FedProx baseline (use --mu, --stragglers)

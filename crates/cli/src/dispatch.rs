@@ -538,14 +538,10 @@ fn sweep_command(args: &ParsedArgs) -> Result<(), Box<dyn Error>> {
 
 /// `dagfl scenarios`: list the scenario and sweep preset registries;
 /// `--check <dir>` validates every `*.toml` scenario *and* sweep file in
-/// a directory (the CI smoke job runs this over `scenarios/`);
-/// `--dump <dir>` writes every preset out as a file.
+/// a directory (the CI smoke job runs this over `scenarios/`).
 fn scenarios_command(args: &ParsedArgs) -> Result<(), Box<dyn Error>> {
     if let Some(dir) = args.get("check") {
         return check_scenario_dir(Path::new(dir));
-    }
-    if let Some(dir) = args.get("dump") {
-        return dump_presets(Path::new(dir));
     }
     println!(
         "available presets (quick scale; pass --full or set DAGFL_FULL=1 for the paper's scale):"
@@ -603,24 +599,6 @@ fn check_scenario_dir(dir: &Path) -> Result<(), Box<dyn Error>> {
     } else {
         Err(format!("invalid scenario files: {}", failures.join(", ")).into())
     }
-}
-
-fn dump_presets(dir: &Path) -> Result<(), Box<dyn Error>> {
-    // Pin the quick scale so checked-in files don't depend on the
-    // caller's environment.
-    for (name, ..) in PRESETS {
-        let scenario = Scenario::preset_at(name, Scale::Quick)?;
-        let path = dir.join(format!("{name}.toml"));
-        scenario.save(&path)?;
-        println!("wrote {}", path.display());
-    }
-    for (name, ..) in SWEEP_PRESETS {
-        let spec = SweepSpec::preset(name)?;
-        let path = dir.join(format!("{name}.toml"));
-        spec.save(&path)?;
-        println!("wrote {}", path.display());
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1137,10 +1115,11 @@ mod tests {
     }
 
     #[test]
-    fn scenarios_dump_then_check_round_trips() {
+    fn scenarios_check_passes_presets_and_fails_broken_files() {
         let dir = temp_dir("dagfl_cli_scenarios_check_test");
-        let args = ParsedArgs::parse(["scenarios", "--dump", dir.to_str().unwrap()]).unwrap();
-        run_command(&args).unwrap();
+        for (name, _, text) in PRESETS.iter().chain(SWEEP_PRESETS) {
+            std::fs::write(dir.join(format!("{name}.toml")), text).unwrap();
+        }
         let args = ParsedArgs::parse(["scenarios", "--check", dir.to_str().unwrap()]).unwrap();
         run_command(&args).unwrap();
         // One broken file fails the whole check.

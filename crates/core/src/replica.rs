@@ -377,8 +377,10 @@ impl Replica {
     /// network id)` for determinism, attaches every message whose
     /// parents are known (repeating until a fixpoint, since one
     /// attachment can solidify others) and buffers the rest. Duplicate
-    /// deliveries of known transactions are dropped. Returns the
-    /// number of transactions attached.
+    /// deliveries of known transactions are dropped, and so are
+    /// transactions that can never attach: one with no parents, or one
+    /// that lists itself as a parent. Returns the number of
+    /// transactions attached.
     pub fn apply(&mut self, incoming: Vec<Envelope>) -> usize {
         let mut due = std::mem::take(&mut self.buffered);
         for envelope in incoming {
@@ -388,6 +390,7 @@ impl Replica {
                 GossipMessage::Snapshot(batch) => due.extend(batch.into_iter().map(|m| (at, m))),
             }
         }
+        due.retain(|(_, msg)| !msg.parents.is_empty() && !msg.parents.contains(&msg.id));
         if due.is_empty() {
             return 0;
         }
@@ -587,6 +590,31 @@ mod tests {
         assert!(r.contains(5) && r.contains(7));
         // Parent precedes child in the local order.
         assert!(r.local_id(5).unwrap() < r.local_id(7).unwrap());
+    }
+
+    #[test]
+    fn apply_drops_transactions_that_can_never_attach() {
+        let mut r = fresh();
+        // No parents: `insert` rejects it, so it must not count as solid.
+        // A self-parent never solidifies and would stay buffered forever.
+        let attached = r.apply(vec![
+            envelope(0.0, msg(1, &[])),
+            envelope(0.0, msg(2, &[2])),
+            envelope(0.0, msg(3, &[0, 3])),
+            envelope(1.0, msg(4, &[0])),
+        ]);
+        assert_eq!(attached, 1);
+        assert!(r.contains(4));
+        assert!(!r.contains(1) && !r.contains(2) && !r.contains(3));
+        assert_eq!(r.buffered(), 0);
+        // The same hostile transactions inside a snapshot.
+        let attached = r.apply(vec![Envelope {
+            at: 2.0,
+            message: GossipMessage::Snapshot(vec![msg(5, &[]), msg(6, &[6, 4]), msg(7, &[4])]),
+        }]);
+        assert_eq!(attached, 1);
+        assert!(r.contains(7));
+        assert_eq!(r.buffered(), 0);
     }
 
     #[test]

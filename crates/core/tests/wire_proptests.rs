@@ -1,8 +1,9 @@
 //! Property tests for the networked wire format and the replica layer
 //! it feeds: arbitrary messages survive the encode/decode round trip
 //! bit-for-bit (NaN payloads included), corrupted frames are rejected
-//! rather than decoded as garbage, and a replica converges to the same
-//! tangle digest no matter the order gossip arrives in.
+//! rather than decoded as garbage, a replica survives whatever gossip a
+//! frame decodes to, and it converges to the same tangle digest no
+//! matter the order gossip arrives in.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -307,6 +308,33 @@ proptest! {
         if let Ok(back) = read_message(&mut stream) {
             prop_assert!(stream.is_empty());
             prop_assert_eq!(encode(&back), mutated);
+        }
+    }
+}
+
+proptest! {
+    /// A decoded gossip frame goes straight into a replica, so whatever
+    /// a hostile peer encodes — no parents, itself as a parent, parents
+    /// nobody has — `apply` must not panic, and a transaction attaches
+    /// only after every parent it lists.
+    #[test]
+    fn decoded_gossip_never_panics_a_replica(msg in arb_message()) {
+        let (sent, message) = match decode(&encode(&msg)).expect("well-formed frame must decode") {
+            WireMessage::Transaction(tx) => (vec![tx.clone()], GossipMessage::Transaction(tx)),
+            WireMessage::Snapshot { transactions } => {
+                (transactions.clone(), GossipMessage::Snapshot(transactions))
+            }
+            _ => return,
+        };
+        let mut replica = Replica::new(ModelPayload::new(vec![0.0]));
+        replica.apply(vec![Envelope { at: 0.0, message }]);
+        let attached = replica.network_ids();
+        for (position, id) in attached.iter().enumerate().skip(1) {
+            let tx = sent.iter().find(|tx| tx.id == *id).expect("attached from the frame");
+            prop_assert!(!tx.parents.is_empty(), "{tx:?}");
+            for parent in &tx.parents {
+                prop_assert!(attached[..position].contains(parent), "{tx:?}");
+            }
         }
     }
 }

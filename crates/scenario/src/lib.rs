@@ -25,7 +25,8 @@
 //! * **Presets** — [`Scenario::preset`] resolves the paper's
 //!   experiments by name (`"table1-fmnist"`, `"fig06-alpha10"`,
 //!   `"poisoning-p0.2"`, `"async-cohorts"`, ...) at quick or full
-//!   [`Scale`].
+//!   [`Scale`]. A preset is its checked-in `scenarios/<name>.toml`
+//!   ([`PRESETS`]); full scale sets a few Table 1 keys on it.
 //! * **Sweeps** — [`SweepSpec`] expands a base scenario over axes that
 //!   are scenario key paths (`execution.alpha = [0.1, 1, 10, 100]`, set
 //!   through [`Scenario::set_keys`]) or `replicate = 0..5` into a

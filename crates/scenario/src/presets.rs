@@ -113,8 +113,11 @@ const FAMILIES: &[(&str, &str, &str)] = &[
     ("async-delay", "async-delay2", "execution.delay"),
 ];
 
+/// `(key path, value)` pairs set on a preset's file.
+type Keys = &'static [(&'static str, &'static str)];
+
 /// Table 1's FMNIST-clustered row at the paper's scale.
-const FMNIST: &[(&str, &str)] = &[
+const FMNIST: Keys = &[
     ("dataset.clients", "99"),
     ("dataset.samples", "120"),
     ("execution.rounds", "100"),
@@ -124,13 +127,13 @@ const FMNIST: &[(&str, &str)] = &[
 
 /// The async runs' budget at the paper's scale: the round-based run's
 /// 100 rounds of 10 clients, reported over 5 rounds' worth.
-const ASYNC: &[(&str, &str)] = &[
+const ASYNC: Keys = &[
     ("execution.activations", "1000"),
     ("output.recent_window", "50"),
 ];
 
 /// The poisoning runs (Figs. 12-14) at the paper's scale.
-const POISONING: &[(&str, &str)] = &[
+const POISONING: Keys = &[
     ("dataset.clients", "40"),
     ("dataset.samples", "120"),
     ("execution.clients_per_round", "10"),
@@ -143,7 +146,7 @@ const POISONING: &[(&str, &str)] = &[
 /// The keys each preset sets at full scale, by the row whose file it
 /// reads. A row not listed (`smoke`, `quickstart`, the chaos and
 /// analysis harnesses) is the same at both scales.
-const FULL_SCALE: &[(&str, &[&[(&str, &str)]])] = &[
+const FULL_SCALE: &[(&str, &[Keys])] = &[
     ("table1-fmnist", &[FMNIST]),
     (
         "table1-poets",
@@ -233,7 +236,10 @@ impl Scenario {
     pub fn preset_at(name: &str, scale: Scale) -> Result<Scenario, ScenarioError> {
         let (row, keys) =
             resolve(name, scale).ok_or_else(|| ScenarioError::UnknownPreset(name.to_string()))?;
-        let (.., text) = PRESETS.iter().find(|(r, ..)| *r == row).expect("a row");
+        let (.., text) = PRESETS
+            .iter()
+            .find(|(r, ..)| *r == row)
+            .expect("every family reads a registered row");
         let mut scenario = Scenario::from_toml(text)?;
         if !keys.is_empty() {
             scenario = scenario.set_keys(&keys)?;
@@ -243,375 +249,12 @@ impl Scenario {
     }
 }
 
-/// The Rust builders the files replace, kept only to show that every
-/// file resolves to the scenario its builder made.
-#[cfg(test)]
-mod builders {
-    use dagfl_core::{
-        AsyncConfig, ComputeProfile, DagConfig, DelayModel, Normalization, StaleTipPolicy,
-        TipSelector,
-    };
-
-    use super::Scale;
-    use crate::spec::{AnalysisSpec, AttackSpec, DatasetSpec, FaultSpec, Scenario};
-
-    /// The FMNIST-clustered dataset at the given scale.
-    fn fmnist_dataset(scale: Scale, relaxation: f32) -> DatasetSpec {
-        DatasetSpec::Fmnist {
-            clients: scale.pick(15, 99),
-            samples: scale.pick(60, 120),
-            relaxation,
-            seed: 42,
-        }
-    }
-
-    /// The Table 1 FMNIST-clustered hyperparameter row at the given scale.
-    fn fmnist_dag(scale: Scale) -> DagConfig {
-        DagConfig {
-            rounds: scale.pick(30, 100),
-            clients_per_round: scale.pick(6, 10),
-            local_epochs: 1,
-            local_batches: scale.pick(5, 10),
-            batch_size: 10,
-            learning_rate: 0.05,
-            ..DagConfig::default()
-        }
-    }
-
-    fn alpha_scenario(
-        name: &str,
-        scale: Scale,
-        alpha: f32,
-        normalization: Normalization,
-        relaxation: f32,
-    ) -> Scenario {
-        Scenario::new(name, fmnist_dataset(scale, relaxation))
-            .with_execution(crate::spec::ExecutionSpec::Rounds(fmnist_dag(scale)))
-            .with_selector(TipSelector::Accuracy {
-                alpha,
-                normalization,
-            })
-    }
-
-    fn poisoning_scenario(
-        name: &str,
-        scale: Scale,
-        fraction: f64,
-        selector: TipSelector,
-    ) -> Scenario {
-        Scenario::new(
-            name,
-            DatasetSpec::FmnistAuthor {
-                clients: scale.pick(12, 40),
-                samples: scale.pick(80, 120),
-                seed: 42,
-            },
-        )
-        .with_execution(crate::spec::ExecutionSpec::Rounds(DagConfig {
-            clients_per_round: scale.pick(4, 10),
-            local_batches: scale.pick(5, 10),
-            ..DagConfig::default()
-        }))
-        .with_selector(selector)
-        .with_attack(AttackSpec {
-            fraction,
-            clean_rounds: scale.pick(20, 100),
-            attack_rounds: scale.pick(20, 100),
-            class_a: 3,
-            class_b: 8,
-            measure_every: scale.pick(4, 10),
-        })
-    }
-
-    fn async_scenario(name: &str, scale: Scale, delay: DelayModel) -> Scenario {
-        let dag = fmnist_dag(scale);
-        // The same training budget as the round-based reference run.
-        let activations = dag.rounds * dag.clients_per_round;
-        Scenario::new(name, fmnist_dataset(scale, 0.0))
-            .asynchronous(AsyncConfig {
-                dag,
-                total_activations: activations,
-                mean_interarrival: 1.0,
-                delay,
-                ..AsyncConfig::default()
-            })
-            .with_recent_window(dag.clients_per_round * 5)
-    }
-
-    pub(super) fn build(name: &str, scale: Scale) -> Option<Scenario> {
-        if let Some(alpha) = name.strip_prefix("fig05-alpha") {
-            let alpha: f32 = alpha.parse().ok().filter(|a| *a > 0.0)?;
-            return Some(
-                alpha_scenario(name, scale, alpha, Normalization::Simple, 0.0)
-                    .tracking(scale.pick(3, 10))
-                    // The analytics counterpart of the tracked §4.3 metrics:
-                    // k-means at the ground-truth cluster count, so the
-                    // sweep's purity column reads directly against alpha.
-                    .with_analysis(AnalysisSpec {
-                        k: Some(3),
-                        cadence: scale.pick(3, 10),
-                        ..AnalysisSpec::default()
-                    }),
-            );
-        }
-        if let Some(alpha) = name.strip_prefix("fig06-alpha") {
-            let alpha: f32 = alpha.parse().ok().filter(|a| *a > 0.0)?;
-            return Some(alpha_scenario(
-                name,
-                scale,
-                alpha,
-                Normalization::Simple,
-                0.0,
-            ));
-        }
-        if let Some(alpha) = name.strip_prefix("fig07-alpha") {
-            let alpha: f32 = alpha.parse().ok().filter(|a| *a > 0.0)?;
-            return Some(alpha_scenario(
-                name,
-                scale,
-                alpha,
-                Normalization::Dynamic,
-                0.0,
-            ));
-        }
-        if let Some(alpha) = name.strip_prefix("fig08-alpha") {
-            let alpha: f32 = alpha.parse().ok().filter(|a| *a > 0.0)?;
-            // 18% foreign-cluster data, the middle of the paper's 15-20%.
-            return Some(alpha_scenario(
-                name,
-                scale,
-                alpha,
-                Normalization::Simple,
-                0.18,
-            ));
-        }
-        match name {
-            "smoke" => Some(
-                Scenario::new(
-                    name,
-                    DatasetSpec::Fmnist {
-                        clients: 4,
-                        samples: 30,
-                        relaxation: 0.0,
-                        seed: 42,
-                    },
-                )
-                .rounds(2)
-                .clients_per_round(2)
-                .local_batches(2),
-            ),
-            "quickstart" => Some(
-                Scenario::new(
-                    name,
-                    DatasetSpec::Fmnist {
-                        clients: 15,
-                        samples: 80,
-                        relaxation: 0.0,
-                        seed: 42,
-                    },
-                )
-                .rounds(25)
-                .clients_per_round(5)
-                .with_model(crate::spec::ModelSpec::Mlp { hidden: vec![32] }),
-            ),
-            "table1-fmnist" => Some(
-                Scenario::new(name, fmnist_dataset(scale, 0.0))
-                    .with_execution(crate::spec::ExecutionSpec::Rounds(fmnist_dag(scale))),
-            ),
-            "table1-poets" => Some(
-                Scenario::new(
-                    name,
-                    DatasetSpec::Poets {
-                        clients_per_language: scale.pick(6, 20),
-                        samples: scale.pick(400, 600),
-                        seq_len: scale.pick(12, 20),
-                        seed: 42,
-                    },
-                )
-                .with_execution(crate::spec::ExecutionSpec::Rounds(DagConfig {
-                    rounds: scale.pick(40, 100),
-                    clients_per_round: scale.pick(6, 10),
-                    local_epochs: 1,
-                    local_batches: scale.pick(15, 35),
-                    batch_size: 10,
-                    // Table 1 uses SGD(0.8) for the LEAF LSTM; the smaller
-                    // GRU trains more stably at 0.3 on the scaled-down
-                    // corpus.
-                    learning_rate: scale.pick(0.3, 0.8),
-                    // Next-character accuracies differ only slightly between
-                    // the language clusters, so the spread-scaled dynamic
-                    // normalization (Eq. 3) is required (section 4.2).
-                    tip_selector: TipSelector::Accuracy {
-                        alpha: 10.0,
-                        normalization: Normalization::Dynamic,
-                    },
-                    ..DagConfig::default()
-                })),
-            ),
-            "table1-cifar" => Some(
-                Scenario::new(
-                    name,
-                    DatasetSpec::Cifar {
-                        clients: scale.pick(30, 94),
-                        samples: 60,
-                        seed: 42,
-                    },
-                )
-                .with_execution(crate::spec::ExecutionSpec::Rounds(DagConfig {
-                    rounds: scale.pick(30, 100),
-                    clients_per_round: scale.pick(6, 10),
-                    local_epochs: scale.pick(3, 5),
-                    local_batches: scale.pick(10, 45),
-                    batch_size: 10,
-                    learning_rate: scale.pick(0.03, 0.01),
-                    // Clients hold superclass *mixtures*, so candidate
-                    // accuracies differ only modestly; the dynamic
-                    // normalization keeps the walk discriminating.
-                    tip_selector: TipSelector::Accuracy {
-                        alpha: 10.0,
-                        normalization: Normalization::Dynamic,
-                    },
-                    ..DagConfig::default()
-                })),
-            ),
-            "poisoning-p0.0" => Some(poisoning_scenario(name, scale, 0.0, TipSelector::default())),
-            "poisoning-p0.2" => Some(poisoning_scenario(name, scale, 0.2, TipSelector::default())),
-            "poisoning-p0.3" => Some(poisoning_scenario(name, scale, 0.3, TipSelector::default())),
-            "poisoning-random-p0.2" => {
-                Some(poisoning_scenario(name, scale, 0.2, TipSelector::Random))
-            }
-            "chaos-smoke" => Some(
-                // Deliberately scale-independent: a correctness harness for
-                // the fault-injection seam, not a paper figure. Every fault
-                // kind is active at once, yet the run stays seconds-fast.
-                Scenario::new(
-                    name,
-                    DatasetSpec::Fmnist {
-                        clients: 6,
-                        samples: 30,
-                        relaxation: 0.0,
-                        seed: 42,
-                    },
-                )
-                .asynchronous(AsyncConfig {
-                    dag: DagConfig {
-                        clients_per_round: 3,
-                        local_batches: 2,
-                        ..DagConfig::default()
-                    },
-                    total_activations: 60,
-                    mean_interarrival: 1.0,
-                    delay: DelayModel::constant(1.0),
-                    gossip_fanout: 2,
-                    ..AsyncConfig::default()
-                })
-                .with_faults(FaultSpec {
-                    drop: 0.15,
-                    duplicate: 0.1,
-                    reorder: 0.1,
-                    extra_delay: 0.1,
-                    delay_boost: 2.0,
-                    partition: Some((10.0, 20.0, 3)),
-                    crash: Some((5, 25.0, 35.0)),
-                })
-                .with_recent_window(15),
-            ),
-            "analysis-smoke" => Some(
-                // Deliberately scale-independent: a correctness harness for
-                // the analytics pipeline, not a paper figure. Auto-k, both
-                // views and a mid-run cadence are all active, yet the run
-                // stays seconds-fast.
-                Scenario::new(
-                    name,
-                    DatasetSpec::Fmnist {
-                        clients: 6,
-                        samples: 30,
-                        relaxation: 0.0,
-                        seed: 42,
-                    },
-                )
-                .rounds(4)
-                .clients_per_round(3)
-                .local_batches(2)
-                .with_analysis(AnalysisSpec {
-                    cadence: 2,
-                    ..AnalysisSpec::default()
-                }),
-            ),
-            "scale-10k" => Some(
-                // The sharded-core scaling scenario: 10,000 clients at BOTH
-                // scales — the population is the point; `quick` only trims
-                // the activation budget and per-client data so the run
-                // finishes in CI minutes. Gossip keeps each replica's view
-                // (and memory) bounded, the shared segment registry stores
-                // every model exactly once, and four event-loop workers
-                // exercise the deterministic batch barrier.
-                Scenario::new(
-                    name,
-                    DatasetSpec::FmnistStreamed {
-                        clients: 10_000,
-                        samples: scale.pick(12, 60),
-                        relaxation: 0.0,
-                        seed: 42,
-                    },
-                )
-                .asynchronous(AsyncConfig {
-                    dag: DagConfig {
-                        local_batches: 2,
-                        batch_size: 5,
-                        ..DagConfig::default()
-                    },
-                    total_activations: scale.pick(2_000, 20_000),
-                    // Slow per-client cadence: with 10k clients the *global*
-                    // activation rate is still ~200/t, but the run now spans
-                    // enough logical time for gossip (delay 1.0) to land, so
-                    // later publications approve real tips instead of piling
-                    // onto the genesis.
-                    mean_interarrival: 50.0,
-                    delay: DelayModel::constant(1.0),
-                    train_time: 0.5,
-                    gossip_fanout: 8,
-                    workers: 4,
-                    ..AsyncConfig::default()
-                })
-                .with_model(crate::spec::ModelSpec::Mlp { hidden: vec![16] })
-                .with_recent_window(200),
-            ),
-            "async-delay0" => Some(async_scenario(name, scale, DelayModel::constant(0.0))),
-            "async-delay2" => Some(async_scenario(name, scale, DelayModel::constant(2.0))),
-            "async-delay10" => Some(async_scenario(name, scale, DelayModel::constant(10.0))),
-            "async-cohorts" => {
-                let mut scenario = async_scenario(
-                    name,
-                    scale,
-                    DelayModel::Cohorts {
-                        slow_fraction: 0.3,
-                        fast: 1.0,
-                        slow: 8.0,
-                        jitter: 1.0,
-                    },
-                );
-                if let crate::spec::ExecutionSpec::Async { config, .. } = &mut scenario.execution {
-                    // The same clients are network-slow and 4x compute-slow
-                    // (the realistic straggler regime), training takes
-                    // logical time, and superseded tips are re-selected.
-                    config.compute = ComputeProfile::MatchNetworkCohort { slowdown: 4.0 };
-                    config.train_time = 0.5;
-                    config.stale_policy = StaleTipPolicy::Reselect;
-                }
-                Some(scenario)
-            }
-            _ => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use dagfl_core::{ComputeProfile, DelayModel, StaleTipPolicy, TipSelector};
 
     use super::*;
-    use crate::spec::ExecutionSpec;
+    use crate::spec::{DatasetSpec, ExecutionSpec};
 
     #[test]
     fn every_listed_preset_builds_and_validates_at_both_scales() {
@@ -626,39 +269,6 @@ mod tests {
                 // Every preset survives a file round-trip.
                 let reparsed = Scenario::from_toml(&scenario.to_toml()).unwrap();
                 assert_eq!(scenario, reparsed, "{name}");
-            }
-        }
-    }
-
-    /// Transitional: every registered name, fig05-08 at four alphas,
-    /// two more poisoning fractions and two more delays resolve to the
-    /// scenario the deleted builders made, at both scales.
-    #[test]
-    fn files_resolve_to_the_scenarios_their_builders_made() {
-        let mut names: Vec<String> = PRESETS.iter().map(|(name, ..)| name.to_string()).collect();
-        for fig in ["fig05", "fig06", "fig07", "fig08"] {
-            for alpha in ["0.1", "1", "100", "2.5"] {
-                names.push(format!("{fig}-alpha{alpha}"));
-            }
-        }
-        names.extend(
-            [
-                "poisoning-p0.0",
-                "poisoning-p0.3",
-                "async-delay0",
-                "async-delay10",
-            ]
-            .map(String::from),
-        );
-        assert_eq!(names.len(), 36);
-        for name in &names {
-            for scale in [Scale::Quick, Scale::Full] {
-                let built = builders::build(name, scale).unwrap_or_else(|| panic!("{name}"));
-                assert_eq!(
-                    Scenario::preset_at(name, scale).unwrap(),
-                    built,
-                    "{name} at {scale:?}"
-                );
             }
         }
     }
@@ -689,21 +299,144 @@ mod tests {
         ));
     }
 
+    /// The only check on the full-scale values: every key of
+    /// `FULL_SCALE`, read back through the resolved scenario.
     #[test]
     fn table1_presets_match_the_paper_at_full_scale() {
-        let fmnist = Scenario::preset_at("table1-fmnist", Scale::Full).unwrap();
-        let dag = fmnist.execution.dag();
+        let full = |name| Scenario::preset_at(name, Scale::Full).unwrap();
+        let fmnist_row = |s: &Scenario| {
+            let dag = s.execution.dag();
+            (
+                s.dataset.num_clients(),
+                dag.rounds,
+                dag.clients_per_round,
+                dag.local_batches,
+                dag.learning_rate,
+            )
+        };
+        for name in [
+            "table1-fmnist",
+            "fig05-alpha10",
+            "fig06-alpha0.1",
+            "fig07-alpha1",
+            "fig08-alpha100",
+            "async-delay0",
+            "async-cohorts",
+        ] {
+            let scenario = full(name);
+            assert_eq!(fmnist_row(&scenario), (99, 100, 10, 10, 0.05), "{name}");
+            match scenario.dataset {
+                DatasetSpec::Fmnist { samples, .. } => assert_eq!(samples, 120, "{name}"),
+                ref other => panic!("{name}: unexpected dataset {other:?}"),
+            }
+        }
+        let fig05 = full("fig05-alpha10");
+        assert_eq!(fig05.output.track_every, 10);
+        assert_eq!(fig05.analysis.expect("analysis configured").cadence, 10);
+        for name in ["async-delay2", "async-cohorts"] {
+            let scenario = full(name);
+            match &scenario.execution {
+                ExecutionSpec::Async { config, .. } => assert_eq!(config.total_activations, 1000),
+                other => panic!("{name}: unexpected execution {other:?}"),
+            }
+            assert_eq!(scenario.output.recent_window, 50, "{name}");
+        }
+
+        let poets = full("table1-poets");
         assert_eq!(
-            (dag.rounds, dag.clients_per_round, dag.local_batches),
-            (100, 10, 10)
+            poets.dataset,
+            DatasetSpec::Poets {
+                clients_per_language: 20,
+                samples: 600,
+                seq_len: 20,
+                seed: 42,
+            }
         );
-        assert_eq!(dag.learning_rate, 0.05);
-        let poets = Scenario::preset_at("table1-poets", Scale::Full).unwrap();
-        assert_eq!(poets.execution.dag().local_batches, 35);
-        assert_eq!(poets.execution.dag().learning_rate, 0.8);
-        let cifar = Scenario::preset_at("table1-cifar", Scale::Full).unwrap();
-        assert_eq!(cifar.execution.dag().local_epochs, 5);
-        assert_eq!(cifar.execution.dag().learning_rate, 0.01);
+        let dag = poets.execution.dag();
+        assert_eq!((dag.rounds, dag.clients_per_round), (100, 10));
+        assert_eq!((dag.local_batches, dag.learning_rate), (35, 0.8));
+        let cifar = full("table1-cifar");
+        assert_eq!(cifar.dataset.num_clients(), 94);
+        let dag = cifar.execution.dag();
+        assert_eq!((dag.rounds, dag.clients_per_round), (100, 10));
+        assert_eq!((dag.local_epochs, dag.local_batches), (5, 45));
+        assert_eq!(dag.learning_rate, 0.01);
+
+        for name in ["poisoning-p0.2", "poisoning-random-p0.2", "poisoning-p0.3"] {
+            let scenario = full(name);
+            assert_eq!(
+                scenario.dataset,
+                DatasetSpec::FmnistAuthor {
+                    clients: 40,
+                    samples: 120,
+                    seed: 42,
+                },
+                "{name}"
+            );
+            let dag = scenario.execution.dag();
+            assert_eq!((dag.clients_per_round, dag.local_batches), (10, 10));
+            let attack = scenario.attack.expect("attack configured");
+            assert_eq!(
+                (
+                    attack.clean_rounds,
+                    attack.attack_rounds,
+                    attack.measure_every
+                ),
+                (100, 100, 10),
+                "{name}"
+            );
+        }
+
+        let scale = full("scale-10k");
+        match (&scale.dataset, &scale.execution) {
+            (
+                DatasetSpec::FmnistStreamed {
+                    clients, samples, ..
+                },
+                ExecutionSpec::Async { config, .. },
+            ) => {
+                assert_eq!((*clients, *samples), (10_000, 60));
+                assert_eq!(config.total_activations, 20_000);
+            }
+            other => panic!("unexpected scale-10k {other:?}"),
+        }
+
+        // The harnesses are the same at both scales.
+        for name in ["smoke", "quickstart", "chaos-smoke", "analysis-smoke"] {
+            assert_eq!(full(name), Scenario::preset_at(name, Scale::Quick).unwrap());
+        }
+    }
+
+    #[test]
+    fn families_set_one_key_on_their_file() {
+        let p05 = Scenario::preset_at("poisoning-p0.5", Scale::Quick).unwrap();
+        assert_eq!(p05.name, "poisoning-p0.5");
+        let mut expected = Scenario::preset_at("poisoning-p0.2", Scale::Quick).unwrap();
+        expected.name = p05.name.clone();
+        expected.attack.as_mut().unwrap().fraction = 0.5;
+        assert_eq!(p05, expected);
+        let delay10 = Scenario::preset_at("async-delay10", Scale::Full).unwrap();
+        match &delay10.execution {
+            ExecutionSpec::Async { config, .. } => {
+                assert_eq!(config.delay, DelayModel::constant(10.0));
+                assert_eq!(config.total_activations, 1000);
+            }
+            other => panic!("unexpected execution {other:?}"),
+        }
+        for name in [
+            "poisoning-p",
+            "poisoning-pX",
+            "async-delay-1",
+            "fig07-alphainf",
+        ] {
+            assert!(
+                matches!(
+                    Scenario::preset_at(name, Scale::Quick),
+                    Err(ScenarioError::UnknownPreset(_))
+                ),
+                "{name}"
+            );
+        }
     }
 
     #[test]

@@ -574,7 +574,7 @@ pub(crate) fn analysis_cells(snapshot: Option<&AnalysisSnapshot>) -> Vec<String>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{AttackSpec, DatasetSpec};
+    use crate::spec::{AttackSpec, DatasetSpec, TransportSpec};
     use dagfl_core::{AsyncConfig, DagConfig, DelayModel};
 
     fn tiny() -> Scenario {
@@ -590,6 +590,32 @@ mod tests {
         .rounds(2)
         .clients_per_round(2)
         .local_batches(2)
+    }
+
+    /// `tiny` over six asynchronous activations.
+    fn tiny_async() -> Scenario {
+        Scenario {
+            execution: ExecutionSpec::Async {
+                config: AsyncConfig {
+                    dag: DagConfig {
+                        local_batches: 2,
+                        ..DagConfig::default()
+                    },
+                    total_activations: 6,
+                    delay: DelayModel::constant(1.0),
+                    ..AsyncConfig::default()
+                },
+                transport: TransportSpec::default(),
+            },
+            ..tiny()
+        }
+    }
+
+    /// `tiny` writing its series to `<results dir>/<csv>.csv`.
+    fn tiny_with_csv(csv: &str) -> Scenario {
+        let mut scenario = tiny();
+        scenario.output.csv = Some(csv.into());
+        scenario
     }
 
     #[test]
@@ -620,15 +646,7 @@ mod tests {
             report.round_cached_evals.iter().sum::<usize>()
         );
         // Async runs report totals from the simulator's metrics.
-        let scenario = tiny().asynchronous(AsyncConfig {
-            dag: DagConfig {
-                local_batches: 2,
-                ..DagConfig::default()
-            },
-            total_activations: 6,
-            delay: DelayModel::constant(1.0),
-            ..AsyncConfig::default()
-        });
+        let scenario = tiny_async();
         let report = ScenarioRunner::new(scenario).unwrap().run().unwrap();
         let metrics = report.async_metrics.as_ref().expect("async metrics");
         assert_eq!(report.fresh_evaluations, metrics.fresh_evaluations);
@@ -638,7 +656,8 @@ mod tests {
 
     #[test]
     fn tracking_records_requested_rounds() {
-        let scenario = tiny().rounds(4).tracking(2);
+        let mut scenario = tiny().rounds(4);
+        scenario.output.track_every = 2;
         let report = ScenarioRunner::new(scenario).unwrap().run().unwrap();
         assert_eq!(report.specialization_track.len(), 2);
         assert_eq!(report.specialization_track[0].0, 2);
@@ -648,11 +667,14 @@ mod tests {
     #[test]
     fn analysis_scenario_reports_snapshots_on_cadence() {
         use crate::spec::AnalysisSpec;
-        let scenario = tiny().rounds(4).with_analysis(AnalysisSpec {
-            k: Some(2),
-            cadence: 2,
-            ..AnalysisSpec::default()
-        });
+        let scenario = Scenario {
+            analysis: Some(AnalysisSpec {
+                k: Some(2),
+                cadence: 2,
+                ..AnalysisSpec::default()
+            }),
+            ..tiny().rounds(4)
+        };
         let report = ScenarioRunner::new(scenario).unwrap().run().unwrap();
         assert_eq!(report.analysis_track.len(), 2);
         assert_eq!(report.analysis_track[0].round, 2);
@@ -674,20 +696,21 @@ mod tests {
     #[test]
     fn analysis_columns_appear_only_for_analysis_runs() {
         use crate::spec::AnalysisSpec;
-        let plain = tiny().with_csv("runner_csv_no_analysis_test");
+        let plain = tiny_with_csv("runner_csv_no_analysis_test");
         let report = ScenarioRunner::new(plain).unwrap().run().unwrap();
         let path = report.csv_path.expect("csv written");
         let content = std::fs::read_to_string(&path).unwrap();
         assert!(content.starts_with("round,mean_accuracy,mean_loss,fresh_evals,cached_evals\n"));
         let _ = std::fs::remove_file(&path);
 
-        let analysed = tiny()
-            .with_csv("runner_csv_analysis_test")
-            .with_analysis(AnalysisSpec {
+        let analysed = Scenario {
+            analysis: Some(AnalysisSpec {
                 k: Some(2),
                 cadence: 1,
                 ..AnalysisSpec::default()
-            });
+            }),
+            ..tiny_with_csv("runner_csv_analysis_test")
+        };
         let report = ScenarioRunner::new(analysed).unwrap().run().unwrap();
         let path = report.csv_path.expect("csv written");
         let content = std::fs::read_to_string(&path).unwrap();
@@ -710,10 +733,13 @@ mod tests {
     #[test]
     fn disabled_analysis_is_inert() {
         use crate::spec::AnalysisSpec;
-        let scenario = tiny().with_analysis(AnalysisSpec {
-            enabled: false,
-            ..AnalysisSpec::default()
-        });
+        let scenario = Scenario {
+            analysis: Some(AnalysisSpec {
+                enabled: false,
+                ..AnalysisSpec::default()
+            }),
+            ..tiny()
+        };
         let report = ScenarioRunner::new(scenario).unwrap().run().unwrap();
         assert!(report.analysis.is_none());
         assert!(report.analysis_track.is_empty());
@@ -722,15 +748,7 @@ mod tests {
 
     #[test]
     fn async_scenario_reports_throughput_metrics() {
-        let scenario = tiny().asynchronous(AsyncConfig {
-            dag: DagConfig {
-                local_batches: 2,
-                ..DagConfig::default()
-            },
-            total_activations: 6,
-            delay: DelayModel::constant(1.0),
-            ..AsyncConfig::default()
-        });
+        let scenario = tiny_async();
         let report = ScenarioRunner::new(scenario).unwrap().run().unwrap();
         assert_eq!(report.mode, "async");
         assert_eq!(report.progress, 6);
@@ -742,24 +760,26 @@ mod tests {
 
     #[test]
     fn attack_scenario_reports_poisoning_summary() {
-        let scenario = Scenario::new(
-            "attack",
-            DatasetSpec::FmnistAuthor {
-                clients: 6,
-                samples: 40,
-                seed: 42,
-            },
-        )
-        .clients_per_round(3)
-        .local_batches(3)
-        .with_attack(AttackSpec {
-            fraction: 0.3,
-            clean_rounds: 2,
-            attack_rounds: 2,
-            class_a: 3,
-            class_b: 8,
-            measure_every: 2,
-        });
+        let scenario = Scenario {
+            attack: Some(AttackSpec {
+                fraction: 0.3,
+                clean_rounds: 2,
+                attack_rounds: 2,
+                class_a: 3,
+                class_b: 8,
+                measure_every: 2,
+            }),
+            ..Scenario::new(
+                "attack",
+                DatasetSpec::FmnistAuthor {
+                    clients: 6,
+                    samples: 40,
+                    seed: 42,
+                },
+            )
+            .clients_per_round(3)
+            .local_batches(3)
+        };
         let report = ScenarioRunner::new(scenario).unwrap().run().unwrap();
         let poisoning = report.poisoning.expect("poisoning summary");
         assert_eq!(poisoning.poisoned_clients.len(), 2);
@@ -779,7 +799,7 @@ mod tests {
     fn csv_output_lands_in_the_results_dir() {
         // Avoid mutating the process environment: exercise the default
         // relative `results/` directory and clean it up afterwards.
-        let scenario = tiny().with_csv("scenario_runner_csv_test");
+        let scenario = tiny_with_csv("scenario_runner_csv_test");
         let runner = ScenarioRunner::new(scenario).unwrap();
         let report = runner.run().unwrap();
         let path = report.csv_path.expect("csv written");

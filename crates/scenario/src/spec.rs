@@ -729,25 +729,6 @@ impl Scenario {
         self
     }
 
-    /// Switches to asynchronous execution with the given configuration
-    /// over the loopback transport (builder style).
-    pub fn asynchronous(mut self, config: AsyncConfig) -> Self {
-        self.execution = ExecutionSpec::Async {
-            config,
-            transport: TransportSpec::default(),
-        };
-        self
-    }
-
-    /// Replaces the async transport (builder style; a no-op in rounds
-    /// mode, which has no message transport).
-    pub fn with_transport(mut self, spec: TransportSpec) -> Self {
-        if let ExecutionSpec::Async { transport, .. } = &mut self.execution {
-            *transport = spec;
-        }
-        self
-    }
-
     /// Sets the round budget (rounds mode) — a no-op for async
     /// scenarios, whose budget is `total_activations`.
     pub fn rounds(mut self, rounds: usize) -> Self {
@@ -769,57 +750,11 @@ impl Scenario {
         self
     }
 
-    /// Sets the tip selector.
-    pub fn with_selector(mut self, selector: TipSelector) -> Self {
-        self.execution.dag_mut().tip_selector = selector;
-        self
-    }
-
     /// Sets one master seed for both the dataset generator and the
     /// simulation.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.dataset.set_seed(seed);
         self.execution.dag_mut().seed = seed;
-        self
-    }
-
-    /// Attaches a poisoning attack (builder style; rounds mode only).
-    pub fn with_attack(mut self, attack: AttackSpec) -> Self {
-        self.attack = Some(attack);
-        self
-    }
-
-    /// Attaches deterministic fault injection (builder style; async
-    /// loopback only).
-    pub fn with_faults(mut self, faults: FaultSpec) -> Self {
-        self.faults = Some(faults);
-        self
-    }
-
-    /// Attaches specialization analytics (builder style; rounds mode
-    /// without attack only).
-    pub fn with_analysis(mut self, analysis: AnalysisSpec) -> Self {
-        self.analysis = Some(analysis);
-        self
-    }
-
-    /// Requests a CSV series under the results directory (builder
-    /// style).
-    pub fn with_csv(mut self, name: impl Into<String>) -> Self {
-        self.output.csv = Some(name.into());
-        self
-    }
-
-    /// Records specialization metrics every `every` rounds (builder
-    /// style; rounds mode without attack only).
-    pub fn tracking(mut self, every: usize) -> Self {
-        self.output.track_every = every;
-        self
-    }
-
-    /// Sets the recent-accuracy window of the report (builder style).
-    pub fn with_recent_window(mut self, window: usize) -> Self {
-        self.output.recent_window = window;
         self
     }
 
@@ -2056,6 +1991,14 @@ mod tests {
         .local_batches(2)
     }
 
+    /// Asynchronous execution over the loopback transport.
+    fn asynchronous(config: AsyncConfig) -> ExecutionSpec {
+        ExecutionSpec::Async {
+            config,
+            transport: TransportSpec::default(),
+        }
+    }
+
     #[test]
     fn builder_clamps_clients_per_round_to_dataset() {
         let s = Scenario::new(
@@ -2150,13 +2093,13 @@ mod tests {
             edit(s.execution.dag_mut());
             s
         };
+        let mut series = with_dag(|dag| dag.tip_selector = TipSelector::Random);
+        series.output.csv = Some("series".into());
+        series.output.track_every = 2;
         let cases = vec![
             tiny(),
-            tiny()
-                .with_selector(TipSelector::Random)
-                .with_csv("series")
-                .tracking(2),
-            tiny().with_selector(TipSelector::CumulativeWeight { alpha: 2.5 }),
+            series,
+            with_dag(|dag| dag.tip_selector = TipSelector::CumulativeWeight { alpha: 2.5 }),
             Scenario::new(
                 "poets",
                 DatasetSpec::Poets {
@@ -2175,42 +2118,51 @@ mod tests {
                     seed: 3,
                 },
             ),
-            Scenario::new(
-                "attack",
-                DatasetSpec::FmnistAuthor {
-                    clients: 6,
-                    samples: 40,
-                    seed: 5,
-                },
-            )
-            .with_attack(AttackSpec {
-                fraction: 0.25,
-                clean_rounds: 3,
-                attack_rounds: 4,
-                class_a: 3,
-                class_b: 8,
-                measure_every: 2,
-            }),
-            tiny().asynchronous(AsyncConfig {
-                total_activations: 20,
-                mean_interarrival: 1.5,
-                delay: DelayModel::Cohorts {
-                    slow_fraction: 0.3,
-                    fast: 1.0,
-                    slow: 8.0,
-                    jitter: 0.5,
-                },
-                compute: ComputeProfile::MatchNetworkCohort { slowdown: 4.0 },
-                train_time: 0.5,
-                stale_policy: StaleTipPolicy::Reselect,
-                ..AsyncConfig::default()
-            }),
-            tiny()
-                .asynchronous(AsyncConfig::default())
-                .with_transport(TransportSpec::Tcp {
-                    tracker: "127.0.0.1:7878".into(),
-                    port: 9000,
+            Scenario {
+                attack: Some(AttackSpec {
+                    fraction: 0.25,
+                    clean_rounds: 3,
+                    attack_rounds: 4,
+                    class_a: 3,
+                    class_b: 8,
+                    measure_every: 2,
                 }),
+                ..Scenario::new(
+                    "attack",
+                    DatasetSpec::FmnistAuthor {
+                        clients: 6,
+                        samples: 40,
+                        seed: 5,
+                    },
+                )
+            },
+            Scenario {
+                execution: asynchronous(AsyncConfig {
+                    total_activations: 20,
+                    mean_interarrival: 1.5,
+                    delay: DelayModel::Cohorts {
+                        slow_fraction: 0.3,
+                        fast: 1.0,
+                        slow: 8.0,
+                        jitter: 0.5,
+                    },
+                    compute: ComputeProfile::MatchNetworkCohort { slowdown: 4.0 },
+                    train_time: 0.5,
+                    stale_policy: StaleTipPolicy::Reselect,
+                    ..AsyncConfig::default()
+                }),
+                ..tiny()
+            },
+            Scenario {
+                execution: ExecutionSpec::Async {
+                    config: AsyncConfig::default(),
+                    transport: TransportSpec::Tcp {
+                        tracker: "127.0.0.1:7878".into(),
+                        port: 9000,
+                    },
+                },
+                ..tiny()
+            },
             with_dag(|dag| {
                 dag.tip_selector = TipSelector::Accuracy {
                     alpha: 3.0,
@@ -2220,38 +2172,49 @@ mod tests {
                 dag.publish_gate = PublishGate::BestParent;
             }),
             with_dag(|dag| dag.publish_gate = PublishGate::Always),
-            tiny().asynchronous(AsyncConfig {
-                delay: DelayModel::UniformJitter {
-                    base: 1.0,
-                    jitter: 0.5,
-                },
-                compute: ComputeProfile::TwoSpeed {
-                    slow_fraction: 0.2,
-                    slowdown: 3.0,
-                },
-                stale_policy: StaleTipPolicy::Discard,
-                gossip_fanout: 2,
-                workers: 3,
-                ..AsyncConfig::default()
-            }),
-            tiny()
-                .asynchronous(AsyncConfig::default())
-                .with_faults(FaultSpec {
+            Scenario {
+                execution: asynchronous(AsyncConfig {
+                    delay: DelayModel::UniformJitter {
+                        base: 1.0,
+                        jitter: 0.5,
+                    },
+                    compute: ComputeProfile::TwoSpeed {
+                        slow_fraction: 0.2,
+                        slowdown: 3.0,
+                    },
+                    stale_policy: StaleTipPolicy::Discard,
+                    gossip_fanout: 2,
+                    workers: 3,
+                    ..AsyncConfig::default()
+                }),
+                ..tiny()
+            },
+            Scenario {
+                execution: asynchronous(AsyncConfig::default()),
+                faults: Some(FaultSpec {
                     crash: Some((1, 3.0, 5.0)),
                     ..chaos_faults()
                 }),
-            tiny().with_analysis(AnalysisSpec {
-                enabled: false,
-                k: Some(3),
-                ..AnalysisSpec::default()
-            }),
-            tiny().with_analysis(AnalysisSpec {
-                k_min: 3,
-                k_max: 5,
-                cadence: 2,
-                source: AnalysisSource::Approvals,
-                ..AnalysisSpec::default()
-            }),
+                ..tiny()
+            },
+            Scenario {
+                analysis: Some(AnalysisSpec {
+                    enabled: false,
+                    k: Some(3),
+                    ..AnalysisSpec::default()
+                }),
+                ..tiny()
+            },
+            Scenario {
+                analysis: Some(AnalysisSpec {
+                    k_min: 3,
+                    k_max: 5,
+                    cadence: 2,
+                    source: AnalysisSource::Approvals,
+                    ..AnalysisSpec::default()
+                }),
+                ..tiny()
+            },
             Scenario::new(
                 "streamed",
                 DatasetSpec::FmnistStreamed {
@@ -2322,12 +2285,14 @@ mod tests {
 
     #[test]
     fn faults_round_trip_including_an_infinite_restart() {
-        let s = tiny()
-            .asynchronous(AsyncConfig {
+        let s = Scenario {
+            execution: asynchronous(AsyncConfig {
                 gossip_fanout: 2,
                 ..AsyncConfig::default()
-            })
-            .with_faults(chaos_faults());
+            }),
+            faults: Some(chaos_faults()),
+            ..tiny()
+        };
         let text = s.to_toml();
         assert!(text.contains("[faults]"), "{text}");
         assert!(text.contains("fanout = 2"), "{text}");
@@ -2357,22 +2322,31 @@ mod tests {
 
     #[test]
     fn faults_are_rejected_outside_async_loopback() {
-        let rounds = tiny().with_faults(chaos_faults());
+        let rounds = Scenario {
+            faults: Some(chaos_faults()),
+            ..tiny()
+        };
         assert!(matches!(rounds.validate(), Err(ScenarioError::Invalid(_))));
-        let tcp = tiny()
-            .asynchronous(AsyncConfig::default())
-            .with_transport(TransportSpec::Tcp {
-                tracker: "127.0.0.1:7878".into(),
-                port: 0,
-            })
-            .with_faults(chaos_faults());
+        let tcp = Scenario {
+            execution: ExecutionSpec::Async {
+                config: AsyncConfig::default(),
+                transport: TransportSpec::Tcp {
+                    tracker: "127.0.0.1:7878".into(),
+                    port: 0,
+                },
+            },
+            faults: Some(chaos_faults()),
+            ..tiny()
+        };
         assert!(matches!(tcp.validate(), Err(ScenarioError::Invalid(_))));
-        let bad_prob = tiny()
-            .asynchronous(AsyncConfig::default())
-            .with_faults(FaultSpec {
+        let bad_prob = Scenario {
+            execution: asynchronous(AsyncConfig::default()),
+            faults: Some(FaultSpec {
                 drop: 1.5,
                 ..chaos_faults()
-            });
+            }),
+            ..tiny()
+        };
         assert!(matches!(
             bad_prob.validate(),
             Err(ScenarioError::InvalidValue { ref key, .. }) if key == "faults.drop"
@@ -2393,11 +2367,14 @@ mod tests {
 
     #[test]
     fn analysis_round_trips_in_both_k_shapes() {
-        let auto = tiny().with_analysis(AnalysisSpec {
-            cadence: 2,
-            source: AnalysisSource::Parameters,
-            ..AnalysisSpec::default()
-        });
+        let auto = Scenario {
+            analysis: Some(AnalysisSpec {
+                cadence: 2,
+                source: AnalysisSource::Parameters,
+                ..AnalysisSpec::default()
+            }),
+            ..tiny()
+        };
         let text = auto.to_toml();
         assert!(text.contains("[analysis]"), "{text}");
         assert!(text.contains("k_min = 2"), "{text}");
@@ -2405,11 +2382,14 @@ mod tests {
         assert_eq!(Scenario::from_toml(&text).unwrap(), auto, "{text}");
         assert!(auto.validate().is_ok());
 
-        let fixed = tiny().with_analysis(AnalysisSpec {
-            k: Some(3),
-            enabled: false,
-            ..AnalysisSpec::default()
-        });
+        let fixed = Scenario {
+            analysis: Some(AnalysisSpec {
+                k: Some(3),
+                enabled: false,
+                ..AnalysisSpec::default()
+            }),
+            ..tiny()
+        };
         let text = fixed.to_toml();
         assert!(text.contains("k = 3"), "{text}");
         assert!(!text.contains("k_min"), "{text}");
@@ -2449,12 +2429,16 @@ mod tests {
             "{err:?}"
         );
         // Degenerate ranges and k = 0 fail validation.
-        let zero_k = tiny().with_analysis(AnalysisSpec {
+        let analyzed = |analysis| Scenario {
+            analysis: Some(analysis),
+            ..tiny()
+        };
+        let zero_k = analyzed(AnalysisSpec {
             k: Some(0),
             ..AnalysisSpec::default()
         });
         assert!(matches!(zero_k.validate(), Err(ScenarioError::Invalid(_))));
-        let inverted = tiny().with_analysis(AnalysisSpec {
+        let inverted = analyzed(AnalysisSpec {
             k_min: 5,
             k_max: 2,
             ..AnalysisSpec::default()
@@ -2464,23 +2448,26 @@ mod tests {
             Err(ScenarioError::Invalid(_))
         ));
         // Analytics need rounds mode without an attack — unless disabled.
-        let asynchronous = tiny()
-            .asynchronous(AsyncConfig::default())
-            .with_analysis(AnalysisSpec::default());
+        let unordered = Scenario {
+            execution: asynchronous(AsyncConfig::default()),
+            ..analyzed(AnalysisSpec::default())
+        };
         assert!(matches!(
-            asynchronous.validate(),
+            unordered.validate(),
             Err(ScenarioError::Invalid(_))
         ));
-        let disabled = tiny()
-            .asynchronous(AsyncConfig::default())
-            .with_analysis(AnalysisSpec {
+        let disabled = Scenario {
+            execution: asynchronous(AsyncConfig::default()),
+            ..analyzed(AnalysisSpec {
                 enabled: false,
                 ..AnalysisSpec::default()
-            });
+            })
+        };
         assert!(disabled.validate().is_ok());
-        let attacked = tiny()
-            .with_attack(AttackSpec::default())
-            .with_analysis(AnalysisSpec::default());
+        let attacked = Scenario {
+            attack: Some(AttackSpec::default()),
+            ..analyzed(AnalysisSpec::default())
+        };
         assert!(matches!(
             attacked.validate(),
             Err(ScenarioError::Invalid(_))
@@ -2567,12 +2554,14 @@ mod tests {
         // ...an empty edit is the identity, keys that only parse as a
         // group arrive together...
         assert_eq!(tiny().set_keys::<&str, &str>(&[]).unwrap(), tiny());
-        let faulted = tiny()
-            .asynchronous(AsyncConfig::default())
-            .with_faults(FaultSpec {
+        let faulted = Scenario {
+            execution: asynchronous(AsyncConfig::default()),
+            faults: Some(FaultSpec {
                 partition: None,
                 ..chaos_faults()
-            });
+            }),
+            ..tiny()
+        };
         let window = [
             ("faults.partition_start", "1"),
             ("faults.partition_heal", "2"),
@@ -2641,20 +2630,17 @@ mod tests {
             Scenario::from_toml(&format!("{base}transport = \"carrier-pigeon\"\n")).unwrap_err();
         assert!(err.to_string().contains("loopback or tcp"), "{err}");
         // A tcp tracker that is not host:port fails validation.
-        let s = tiny()
-            .asynchronous(AsyncConfig::default())
-            .with_transport(TransportSpec::Tcp {
-                tracker: "localhost".into(),
-                port: 0,
-            });
+        let s = Scenario {
+            execution: ExecutionSpec::Async {
+                config: AsyncConfig::default(),
+                transport: TransportSpec::Tcp {
+                    tracker: "localhost".into(),
+                    port: 0,
+                },
+            },
+            ..tiny()
+        };
         assert!(s.validate().unwrap_err().to_string().contains("host:port"));
-        // Transport is irrelevant to (and ignored by) rounds mode.
-        let s = tiny().with_transport(TransportSpec::Tcp {
-            tracker: "127.0.0.1:1".into(),
-            port: 0,
-        });
-        assert!(matches!(s.execution, ExecutionSpec::Rounds(_)));
-        assert!(s.validate().is_ok());
     }
 
     #[test]
@@ -2718,21 +2704,25 @@ mod tests {
         let err = tiny().clients_per_round(9).validate().unwrap_err();
         assert!(err.to_string().contains("clients_per_round"), "{err}");
         // Attack in async mode.
-        let err = tiny()
-            .asynchronous(AsyncConfig::default())
-            .with_attack(AttackSpec::default())
-            .validate()
-            .unwrap_err();
+        let err = Scenario {
+            execution: asynchronous(AsyncConfig::default()),
+            attack: Some(AttackSpec::default()),
+            ..tiny()
+        }
+        .validate()
+        .unwrap_err();
         assert!(err.to_string().contains("rounds mode"), "{err}");
         // Attack classes out of range.
-        let err = tiny()
-            .with_attack(AttackSpec {
+        let err = Scenario {
+            attack: Some(AttackSpec {
                 class_a: 3,
                 class_b: 12,
                 ..AttackSpec::default()
-            })
-            .validate()
-            .unwrap_err();
+            }),
+            ..tiny()
+        }
+        .validate()
+        .unwrap_err();
         assert!(err.to_string().contains("classes"), "{err}");
         // Mismatched model and dataset.
         let err = tiny()
@@ -2749,11 +2739,12 @@ mod tests {
         let err = bad.validate().unwrap_err();
         assert!(err.to_string().contains("learning_rate"), "{err}");
         // Tracking in async mode.
-        let err = tiny()
-            .asynchronous(AsyncConfig::default())
-            .tracking(2)
-            .validate()
-            .unwrap_err();
+        let mut tracked = Scenario {
+            execution: asynchronous(AsyncConfig::default()),
+            ..tiny()
+        };
+        tracked.output.track_every = 2;
+        let err = tracked.validate().unwrap_err();
         assert!(err.to_string().contains("tracking"), "{err}");
     }
 

@@ -972,39 +972,6 @@ impl SweepSpec {
     }
 }
 
-/// The Rust builders the files replace, kept only to show that every
-/// file resolves to the spec its builder made.
-#[cfg(test)]
-pub(crate) fn build_preset(name: &str) -> Option<SweepSpec> {
-    let alpha_sweep = |base: &str, alphas: &[&str]| {
-        SweepSpec::over_preset(name, base)
-            .axis("execution.alpha", alphas.iter().copied())
-            .with_comparison_csv(name.replace('-', "_"))
-    };
-    match name {
-        "sweep-smoke" => Some(
-            SweepSpec::over_preset(name, "smoke")
-                .axis("seed", ["42", "43"])
-                .with_comparison_csv("sweep_smoke"),
-        ),
-        "sweep-fig05-alpha" => Some(alpha_sweep("fig05-alpha10", &["1", "10", "100"])),
-        "sweep-fig06-alpha" => Some(alpha_sweep("fig06-alpha10", &["0.1", "1", "10", "100"])),
-        "sweep-fig07-alpha" => Some(alpha_sweep("fig07-alpha10", &["0.1", "1", "10", "100"])),
-        "sweep-fig08-alpha" => Some(alpha_sweep("fig08-alpha10", &["0.1", "1", "10", "100"])),
-        "sweep-poisoning-fraction" => Some(
-            SweepSpec::over_preset(name, "poisoning-p0.2")
-                .axis("attack.fraction", ["0.0", "0.2", "0.3"])
-                .with_comparison_csv("sweep_poisoning_fraction"),
-        ),
-        "sweep-async-delay" => Some(
-            SweepSpec::over_preset(name, "async-delay2")
-                .axis("execution.delay", ["0.0", "2.0", "10.0"])
-                .with_comparison_csv("sweep_async_delay"),
-        ),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1555,14 +1522,6 @@ mod tests {
             SweepSpec::preset("sweep-nothing"),
             Err(ScenarioError::UnknownPreset(_))
         ));
-    }
-
-    /// Transitional: every sweep file is the spec its builder made.
-    #[test]
-    fn files_are_the_sweeps_their_builders_made() {
-        for (name, ..) in SWEEP_PRESETS {
-            assert_eq!(SweepSpec::preset(name).ok(), build_preset(name), "{name}");
-        }
     }
 
     #[test]

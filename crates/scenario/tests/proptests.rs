@@ -130,7 +130,7 @@ fn build_scenario(
     };
     let mut scenario = Scenario::new("generated", dataset).with_execution(execution);
     if rounds_mode && attack_on {
-        scenario = scenario.with_attack(AttackSpec {
+        scenario.attack = Some(AttackSpec {
             fraction,
             clean_rounds: rounds,
             attack_rounds: rounds.max(1),
@@ -139,12 +139,13 @@ fn build_scenario(
             measure_every: track.max(1),
         });
     } else if rounds_mode && track > 0 {
-        scenario = scenario.tracking(track);
+        scenario.output.track_every = track;
     }
     if window % 2 == 0 {
-        scenario = scenario.with_csv(format!("series_{window}"));
+        scenario.output.csv = Some(format!("series_{window}"));
     }
-    scenario.with_recent_window(window)
+    scenario.output.recent_window = window;
+    scenario
 }
 
 proptest! {

@@ -67,8 +67,8 @@ fn parallel_round_path_produces_an_identical_run_report() {
         )
         .rounds(4)
         .clients_per_round(4)
-        .local_batches(3)
-        .tracking(2);
+        .local_batches(3);
+        scenario.output.track_every = 2;
         scenario.execution.dag_mut().parallel = parallel;
         ScenarioRunner::new(scenario)
             .expect("scenario validates")

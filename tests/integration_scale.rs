@@ -3,7 +3,9 @@
 //! independence of the content-addressed tangle digest.
 
 use dagfl::dag::{tangle_digest, ModelPayload, ModelTangle, ShardedModelTangle};
-use dagfl::scenario::{DatasetSpec, Scenario, ScenarioRunner, SweepRunner, SweepSpec};
+use dagfl::scenario::{
+    DatasetSpec, ExecutionSpec, Scenario, ScenarioRunner, SweepRunner, SweepSpec, TransportSpec,
+};
 use dagfl::tangle::TangleRead;
 use dagfl::{AsyncConfig, DagConfig, DelayModel};
 use proptest::prelude::*;
@@ -25,18 +27,21 @@ fn rounds_scenario() -> Scenario {
 }
 
 fn async_scenario(workers: usize) -> Scenario {
-    Scenario::new("scale-eq-async", small_dataset()).asynchronous(AsyncConfig {
-        dag: DagConfig {
-            local_batches: 2,
-            batch_size: 5,
-            ..DagConfig::default()
+    Scenario::new("scale-eq-async", small_dataset()).with_execution(ExecutionSpec::Async {
+        config: AsyncConfig {
+            dag: DagConfig {
+                local_batches: 2,
+                batch_size: 5,
+                ..DagConfig::default()
+            },
+            total_activations: 30,
+            mean_interarrival: 1.0,
+            delay: DelayModel::constant(1.0),
+            train_time: 0.5,
+            workers,
+            ..AsyncConfig::default()
         },
-        total_activations: 30,
-        mean_interarrival: 1.0,
-        delay: DelayModel::constant(1.0),
-        train_time: 0.5,
-        workers,
-        ..AsyncConfig::default()
+        transport: TransportSpec::default(),
     })
 }
 

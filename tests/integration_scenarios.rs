@@ -1,10 +1,9 @@
 //! Workspace-level tests of the declarative scenario layer: the three
 //! equivalent ways to express an experiment (preset name, TOML file,
-//! builder API) produce the same runs, runs are deterministic, and the
-//! checked-in `scenarios/*.toml` files stay valid and in sync with the
-//! preset registry.
+//! builder API) produce the same runs, runs are deterministic, and
+//! every checked-in `scenarios/*.toml` file is a valid preset.
 
-use dagfl::scenario::{AttackSpec, Scale, ScenarioError};
+use dagfl::scenario::{AttackSpec, Scale, ScenarioError, PRESETS, SWEEP_PRESETS};
 use dagfl::{
     DatasetSpec, ExecutionSpec, RunReport, Scenario, ScenarioRunner, SweepRunner, SweepSpec,
 };
@@ -112,52 +111,37 @@ fn attack_preset_reports_poisoning_deterministically() {
 }
 
 #[test]
-fn checked_in_scenario_files_parse_validate_and_match_their_presets() {
+fn every_scenario_file_is_a_registry_row() {
+    // A file without a row would be unreachable by `--preset`.
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios");
-    let mut checked = 0;
-    let mut sweeps_checked = 0;
-    for entry in std::fs::read_dir(&dir).expect("scenarios/ directory exists") {
-        let path = entry.expect("dir entry").path();
-        if path.extension().and_then(|ext| ext.to_str()) != Some("toml") {
-            continue;
-        }
-        let text = std::fs::read_to_string(&path).expect("scenario file reads");
-        if dagfl::scenario::is_sweep_toml(&text) {
-            // Sweep files: load (anchoring relative file bases like the
-            // CLI does), validate via a full quick-scale expansion, and
-            // pin against the sweep preset registry.
-            let spec = SweepSpec::load(&path)
-                .unwrap_or_else(|e| panic!("{} does not parse: {e}", path.display()));
-            spec.validate()
-                .unwrap_or_else(|e| panic!("{} does not validate: {e}", path.display()));
-            let preset =
-                SweepSpec::preset(&spec.name).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-            assert_eq!(spec, preset, "{} drifted from its preset", path.display());
-            sweeps_checked += 1;
-            continue;
-        }
-        let scenario = Scenario::from_toml(&text)
-            .unwrap_or_else(|e| panic!("{} does not parse: {e}", path.display()));
+    let mut files: Vec<String> = std::fs::read_dir(&dir)
+        .expect("scenarios/ directory exists")
+        .map(|entry| entry.expect("dir entry").path())
+        .filter(|path| path.extension().and_then(|ext| ext.to_str()) == Some("toml"))
+        .map(|path| path.file_stem().unwrap().to_string_lossy().into_owned())
+        .collect();
+    files.sort();
+    let mut rows: Vec<String> = PRESETS
+        .iter()
+        .chain(SWEEP_PRESETS)
+        .map(|(name, ..)| name.to_string())
+        .collect();
+    rows.sort();
+    assert_eq!(files, rows);
+    for (name, _, text) in PRESETS {
+        let scenario = Scenario::from_toml(text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(scenario.name, *name);
         scenario
             .validate()
-            .unwrap_or_else(|e| panic!("{} does not validate: {e}", path.display()));
-        // Files are dumped from the registry at quick scale; any drift
-        // between a file and its preset fails here.
-        let preset = Scenario::preset_at(&scenario.name, Scale::Quick)
-            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        assert_eq!(
-            scenario,
-            preset,
-            "{} drifted from its preset",
-            path.display()
-        );
-        checked += 1;
+            .unwrap_or_else(|e| panic!("{name} does not validate: {e}"));
+        assert_eq!(Scenario::preset_at(name, Scale::Quick).unwrap(), scenario);
     }
-    assert!(checked >= 10, "only {checked} scenario files checked");
-    assert!(
-        sweeps_checked >= 5,
-        "only {sweeps_checked} sweep files checked"
-    );
+    for (name, _, text) in SWEEP_PRESETS {
+        let spec = SweepSpec::from_toml(text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(spec.name, *name);
+        spec.validate()
+            .unwrap_or_else(|e| panic!("{name} does not validate: {e}"));
+    }
 }
 
 #[test]
