@@ -910,10 +910,9 @@ impl SweepRunner {
 }
 
 /// Whether TOML text is a sweep spec (it holds a real `[sweep]`
-/// section) rather than a plain scenario — the one classifier shared by
-/// `dagfl scenarios --check` and the integration tests, so the two
-/// front doors can never disagree. Comments or strings that merely
-/// mention `[sweep]` do not count.
+/// section) rather than a plain scenario, as `dagfl scenarios --check`
+/// sorts files. Comments or strings that merely mention `[sweep]` do
+/// not count.
 pub fn is_sweep_toml(text: &str) -> bool {
     Document::parse(text)
         .map(|doc| doc.section("sweep").is_some())
