@@ -29,8 +29,6 @@ pub struct FedConfig {
     pub learning_rate: f32,
     /// FedProx proximal strength; `0.0` yields plain FedAvg.
     pub proximal_mu: f32,
-    /// Weight client updates by their sample counts (standard FedAvg).
-    pub weighted_aggregation: bool,
     /// Fraction of active clients that are *stragglers* each round: they
     /// only manage a random fraction of their local batch budget
     /// (Li et al.'s systems-heterogeneity simulation).
@@ -53,7 +51,6 @@ impl Default for FedConfig {
             batch_size: 10,
             learning_rate: 0.05,
             proximal_mu: 0.0,
-            weighted_aggregation: true,
             straggler_fraction: 0.0,
             drop_stragglers: false,
             seed: 42,
@@ -231,11 +228,8 @@ impl FederatedServer {
                 continue;
             }
             updates.push(self.model.parameters());
-            weights.push(if self.config.weighted_aggregation {
-                data.num_train() as f32
-            } else {
-                1.0
-            });
+            // Standard FedAvg: weight each update by its sample count.
+            weights.push(data.num_train() as f32);
         }
         // Aggregate; if every update was dropped, the global is unchanged.
         if !updates.is_empty() {
@@ -436,36 +430,6 @@ mod tests {
         server.run().unwrap();
         let evals = server.evaluate_all().unwrap();
         assert_eq!(evals.len(), 6);
-    }
-
-    #[test]
-    fn unweighted_aggregation_differs_from_weighted() {
-        // Clients have different sizes in the FedProx synthetic dataset, so
-        // the two aggregation modes must produce different globals.
-        let dataset = fedprox_synthetic(&FedProxConfig {
-            num_clients: 6,
-            ..FedProxConfig::default()
-        });
-        let features = dataset.feature_len();
-        let factory = mlp_factory(features, 10);
-        let base = FedConfig {
-            rounds: 1,
-            clients_per_round: 6,
-            local_batches: 5,
-            ..FedConfig::default()
-        };
-        let mut weighted = FederatedServer::new(base, dataset.clone(), Arc::clone(&factory));
-        let mut unweighted = FederatedServer::new(
-            FedConfig {
-                weighted_aggregation: false,
-                ..base
-            },
-            dataset,
-            factory,
-        );
-        weighted.run_round().unwrap();
-        unweighted.run_round().unwrap();
-        assert_ne!(weighted.global_parameters(), unweighted.global_parameters());
     }
 
     #[test]

@@ -163,7 +163,6 @@ fn fed_config(args: &ParsedArgs, dag: &DagConfig) -> Result<FedConfig, ParseErro
         straggler_fraction: args.get_parsed_or("stragglers", 0.0)?,
         drop_stragglers: mu == 0.0,
         seed: dag.seed,
-        ..FedConfig::default()
     })
 }
 
@@ -380,7 +379,6 @@ fn analyze_command(args: &ParsedArgs) -> Result<(), Box<dyn Error>> {
     // the flags spell is put in place first (`--k` then overwrites the
     // placeholder count) — spelling both is the reader's error.
     let analysis = scenario.analysis.get_or_insert_with(AnalysisSpec::default);
-    analysis.enabled = true;
     if args.get("k-min").or(args.get("k-max")).is_some() {
         analysis.k = None;
     } else if args.get("k").is_some() {
@@ -989,10 +987,10 @@ mod tests {
     fn run_scenario_file_round_trips_through_the_cli() {
         let dir = temp_dir("dagfl_cli_run_scenario_test");
         let path = dir.join("smoke.toml");
-        Scenario::preset_at("smoke", Scale::Quick)
+        let text = Scenario::preset_at("smoke", Scale::Quick)
             .unwrap()
-            .save(&path)
-            .unwrap();
+            .to_toml();
+        std::fs::write(&path, text).unwrap();
         let args = ParsedArgs::parse(["run", "--scenario", path.to_str().unwrap()]).unwrap();
         run_command(&args).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
@@ -1069,10 +1067,10 @@ mod tests {
     fn sweep_file_round_trips_through_the_cli() {
         let dir = temp_dir("dagfl_cli_sweep_file_test");
         let path = dir.join("sweep-smoke.toml");
-        dagfl_scenario::SweepSpec::preset("sweep-smoke")
+        let text = dagfl_scenario::SweepSpec::preset("sweep-smoke")
             .unwrap()
-            .save(&path)
-            .unwrap();
+            .to_toml();
+        std::fs::write(&path, text).unwrap();
         let args = ParsedArgs::parse(["sweep", path.to_str().unwrap(), "--dry-run"]).unwrap();
         run_command(&args).unwrap();
         let _ = std::fs::remove_dir_all(&dir);

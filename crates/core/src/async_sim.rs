@@ -38,7 +38,7 @@
 //! totally ordered by `(time, sequence number)`.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashSet};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -565,12 +565,14 @@ impl AsyncSimulation {
     }
 
     /// Anti-entropy after a faulted run: flushes every in-flight
-    /// envelope, then lets each replica pull every transaction it is
-    /// missing from each other replica as a snapshot batch, to a
-    /// fixpoint. This is the loopback analogue of the networked
-    /// `SnapshotRequest` rejoin — after it, all replica
-    /// digests agree unless a transaction was lost from *every*
-    /// replica (impossible: the publisher always holds its own).
+    /// envelope, then hands each replica one snapshot batch of every
+    /// transaction it lacks from the union of all replicas, in
+    /// O(clients × transactions). This is the loopback analogue of the
+    /// networked `SnapshotRequest` rejoin. Every publication is
+    /// attached in its publisher's replica, and an attached
+    /// transaction's parents are attached beside it, so the union is
+    /// closed under parents: one pass attaches all of it everywhere,
+    /// and all replica digests agree afterwards.
     ///
     /// Partitions heal on their own (held envelopes arrive at the heal
     /// time); dropped and crash-lost deliveries do not, which is what
@@ -580,31 +582,24 @@ impl AsyncSimulation {
             let due = self.transport.receive(idx, f64::INFINITY);
             self.replicas[idx].apply(due);
         }
-        loop {
-            let mut changed = false;
-            for i in 0..self.replicas.len() {
-                for j in 0..self.replicas.len() {
-                    if i == j {
-                        continue;
-                    }
-                    let have: std::collections::HashSet<u64> =
-                        self.replicas[i].network_ids().iter().copied().collect();
-                    let missing = self.replicas[j].snapshot_messages(&have);
-                    if missing.is_empty() {
-                        continue;
-                    }
-                    let before = self.replicas[i].tangle().len();
-                    self.replicas[i].apply(vec![Envelope {
-                        at: self.clock,
-                        message: GossipMessage::Snapshot(missing),
-                    }]);
-                    if self.replicas[i].tangle().len() != before {
-                        changed = true;
-                    }
-                }
-            }
-            if !changed {
-                break;
+        let mut known = HashSet::new();
+        let mut union: Vec<TxMessage> = Vec::new();
+        for replica in &self.replicas {
+            let fresh = replica.snapshot_messages(&known);
+            known.extend(fresh.iter().map(|m| m.id));
+            union.extend(fresh);
+        }
+        for replica in &mut self.replicas {
+            let missing: Vec<TxMessage> = union
+                .iter()
+                .filter(|m| !replica.contains(m.id))
+                .cloned()
+                .collect();
+            if !missing.is_empty() {
+                replica.apply(vec![Envelope {
+                    at: self.clock,
+                    message: GossipMessage::Snapshot(missing),
+                }]);
             }
         }
     }

@@ -413,7 +413,7 @@ pub fn run_peer(
         }
         let finished = activations >= config.activations
             && done.len() >= config.peers
-            && replica.buffered() == 0;
+            && replica.waiting() == 0;
         if finished {
             // Stay up through a quiet period: peers may still be
             // fetching our transactions, and stragglers may still be

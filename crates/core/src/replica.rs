@@ -330,6 +330,38 @@ impl Replica {
         self.buffered.len()
     }
 
+    /// Buffered messages that a later delivery can still attach: those
+    /// whose missing parents lead, through other buffered messages, to
+    /// an id that is neither attached nor buffered. The rest wait only
+    /// on each other (a cycle such as A → B → A, or a descendant of
+    /// one), so no frame can ever solidify them.
+    pub fn waiting(&self) -> usize {
+        let ids: HashSet<u64> = self.buffered.iter().map(|(_, m)| m.id).collect();
+        let mut children: HashMap<u64, Vec<u64>> = HashMap::new();
+        let mut live: HashSet<u64> = HashSet::new();
+        let mut queue = Vec::new();
+        for (_, msg) in &self.buffered {
+            for &parent in &msg.parents {
+                if ids.contains(&parent) {
+                    children.entry(parent).or_default().push(msg.id);
+                } else if !self.contains(parent) && live.insert(msg.id) {
+                    queue.push(msg.id);
+                }
+            }
+        }
+        while let Some(id) = queue.pop() {
+            for &child in children.get(&id).into_iter().flatten() {
+                if live.insert(child) {
+                    queue.push(child);
+                }
+            }
+        }
+        self.buffered
+            .iter()
+            .filter(|(_, m)| live.contains(&m.id))
+            .count()
+    }
+
     /// Attaches one transaction whose parents are all known. This is
     /// how a peer records its *own* publication; received messages go
     /// through [`Replica::apply`] instead. Re-inserting a known id is
@@ -590,6 +622,27 @@ mod tests {
         assert!(r.contains(5) && r.contains(7));
         // Parent precedes child in the local order.
         assert!(r.local_id(5).unwrap() < r.local_id(7).unwrap());
+    }
+
+    #[test]
+    fn a_gossip_cycle_is_buffered_but_not_waiting() {
+        let mut r = fresh();
+        // 1 and 2 name each other; 9 is the child of an unseen 8.
+        r.apply(vec![
+            envelope(0.0, msg(1, &[2])),
+            envelope(0.0, msg(2, &[1])),
+            envelope(0.0, msg(9, &[8])),
+        ]);
+        assert_eq!(r.buffered(), 3);
+        assert_eq!(r.waiting(), 1);
+        // A child of the cycle waits on nothing a frame can bring.
+        r.apply(vec![envelope(1.0, msg(3, &[0, 1]))]);
+        assert_eq!((r.buffered(), r.waiting()), (4, 1));
+        // A grandchild of the unseen parent waits through its parent.
+        r.apply(vec![envelope(1.0, msg(10, &[9]))]);
+        assert_eq!((r.buffered(), r.waiting()), (5, 2));
+        r.apply(vec![envelope(2.0, msg(8, &[0]))]);
+        assert_eq!((r.buffered(), r.waiting()), (3, 0));
     }
 
     #[test]

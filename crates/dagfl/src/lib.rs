@@ -102,7 +102,7 @@ pub use dagfl_core::{
 pub use dagfl_nn::TrainScratch;
 pub use dagfl_scenario::{
     AnalysisSpec, AttackSpec, DatasetSpec, ExecutionSpec, FaultSpec, ModelSpec, RunReport,
-    Scenario, ScenarioRunner, SweepReport, SweepRunner, SweepSpec, TransportSpec,
+    Scenario, ScenarioRunner, SweepReport, SweepRunner, SweepSpec,
 };
 pub use dagfl_tensor::{MatmulBackend, MatmulBackendKind, NaiveBackend, TiledBackend};
 
@@ -117,7 +117,6 @@ mod tests {
         let _ = crate::KMeansConfig::default();
         let _ = crate::AnalysisSpec::default();
         assert!(crate::AnalysisSource::default().wants_approvals());
-        assert_eq!(crate::TransportSpec::default().mode(), "loopback");
         assert_eq!(crate::MatmulBackendKind::default().name(), "tiled");
     }
 }

@@ -21,7 +21,7 @@
 //!   model factory, drives the right simulator behind the core
 //!   [`ExecutionMode`](dagfl_core::ExecutionMode) trait and returns a
 //!   structured [`RunReport`] (specialization metrics, tangle stats,
-//!   async throughput and poisoning summaries, optional CSV).
+//!   async throughput and poisoning summaries).
 //! * **Presets** — [`Scenario::preset`] resolves the paper's
 //!   experiments by name (`"table1-fmnist"`, `"fig06-alpha10"`,
 //!   `"poisoning-p0.2"`, `"async-cohorts"`, ...) at quick or full
@@ -84,7 +84,7 @@ pub use presets::{Scale, PRESETS};
 pub use runner::{DatasetSummary, PoisoningSummary, RunReport, ScenarioRunner};
 pub use spec::{
     AnalysisSpec, AttackSpec, DatasetSpec, ExecutionSpec, FaultSpec, ModelSpec, OutputSpec,
-    Scenario, ScenarioError, TransportSpec,
+    Scenario, ScenarioError,
 };
 pub use sweep::{
     is_sweep_toml, SweepAxis, SweepBase, SweepCell, SweepCellReport, SweepReport, SweepRunner,

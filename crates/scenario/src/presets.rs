@@ -476,7 +476,6 @@ mod tests {
     fn analysis_presets_carry_the_analytics() {
         let smoke = Scenario::preset_at("analysis-smoke", Scale::Quick).unwrap();
         let analysis = smoke.analysis.clone().expect("analysis configured");
-        assert!(analysis.enabled);
         assert!(analysis.k.is_none(), "auto-k exercises the sweep");
         assert_eq!(analysis.cadence, 2);
         // Scale-independent, like chaos-smoke.

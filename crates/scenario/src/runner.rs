@@ -1,9 +1,6 @@
 //! Executes a [`Scenario`] and assembles a structured [`RunReport`].
 
-use std::path::PathBuf;
-
 use dagfl_analysis::AnalysisSnapshot;
-use dagfl_core::csv::write_csv;
 use dagfl_core::{
     specialization_seed, tangle_digest, AsyncMetrics, AsyncSimulation, ExecutionMode,
     PoisonRoundMetrics, PoisoningConfig, PoisoningScenario, Simulation, SpecializationMetrics,
@@ -57,15 +54,6 @@ pub struct RunReport {
     /// Mean post-training accuracy per round (rounds mode; empty for
     /// async runs).
     pub round_accuracy: Vec<f32>,
-    /// Mean post-training loss per round (rounds mode; empty for async
-    /// runs).
-    pub round_loss: Vec<f32>,
-    /// Fresh (forward-pass) candidate evaluations per round (rounds
-    /// mode; empty for async runs).
-    pub round_fresh_evals: Vec<usize>,
-    /// Cache-served candidate evaluations per round (rounds mode; empty
-    /// for async runs).
-    pub round_cached_evals: Vec<usize>,
     /// Total fresh candidate evaluations over the whole run (both
     /// modes) — the walk's dominant cost driver.
     pub fresh_evaluations: usize,
@@ -94,8 +82,6 @@ pub struct RunReport {
     pub async_metrics: Option<AsyncMetrics>,
     /// Poisoning metrics (attack scenarios only).
     pub poisoning: Option<PoisoningSummary>,
-    /// Where the CSV series was written, if requested.
-    pub csv_path: Option<PathBuf>,
 }
 
 impl RunReport {
@@ -191,9 +177,6 @@ impl RunReport {
                 last.map_or(0.0, |m| m.approved_poisoned)
             );
         }
-        if let Some(path) = &self.csv_path {
-            let _ = writeln!(out, "series written to {}", path.display());
-        }
         out
     }
 }
@@ -228,7 +211,7 @@ impl ScenarioRunner {
     ///
     /// # Errors
     ///
-    /// Propagates simulation failures and CSV write errors.
+    /// Propagates simulation failures.
     pub fn run(&self) -> Result<RunReport, ScenarioError> {
         let dataset = self.scenario.dataset.build();
         let summary = DatasetSummary {
@@ -239,7 +222,7 @@ impl ScenarioRunner {
             base_pureness: dataset.base_pureness(),
         };
         let factory = self.scenario.build_factory(&dataset);
-        let mut report = match (&self.scenario.execution, &self.scenario.attack) {
+        Ok(match (&self.scenario.execution, &self.scenario.attack) {
             (ExecutionSpec::Rounds(dag), Some(attack)) => {
                 let config = PoisoningConfig {
                     dag: *dag,
@@ -267,7 +250,7 @@ impl ScenarioRunner {
                 }
             }
             (ExecutionSpec::Rounds(dag), None) => {
-                let analysis_spec = self.scenario.analysis.as_ref().filter(|a| a.enabled);
+                let analysis_spec = self.scenario.analysis.as_ref();
                 let cadence = analysis_spec.map_or(0, |a| a.cadence);
                 let mut sim = Simulation::new(*dag, dataset, factory);
                 let mut track = Vec::new();
@@ -311,16 +294,7 @@ impl ScenarioRunner {
                     ..self.rounds_report(&sim, summary)
                 }
             }
-            (ExecutionSpec::Async { config, transport }, _) => {
-                // The in-process runner can only drive the loopback
-                // transport; a tcp scenario is a recipe for separate
-                // processes.
-                if let crate::TransportSpec::Tcp { tracker, .. } = transport {
-                    return Err(ScenarioError::Invalid(format!(
-                        "transport = \"tcp\" (tracker {tracker}) cannot run in-process: start a \
-                         `dagfl tracker` and one `dagfl peer` per client instead"
-                    )));
-                }
+            (ExecutionSpec::Async { config }, _) => {
                 let plan = self
                     .scenario
                     .faults
@@ -336,9 +310,6 @@ impl ScenarioRunner {
                     progress: sim.activations(),
                     recent_accuracy: sim.recent_accuracy(self.scenario.output.recent_window),
                     round_accuracy: Vec::new(),
-                    round_loss: Vec::new(),
-                    round_fresh_evals: Vec::new(),
-                    round_cached_evals: Vec::new(),
                     fresh_evaluations: metrics.fresh_evaluations,
                     cached_evaluations: metrics.cached_evaluations,
                     dataset: summary,
@@ -351,14 +322,9 @@ impl ScenarioRunner {
                     tangle_digest: tangle_digest(sim.tangle()),
                     async_metrics: Some(metrics),
                     poisoning: None,
-                    csv_path: None,
                 }
             }
-        };
-        if let Some(csv) = &self.scenario.output.csv {
-            report.csv_path = Some(self.write_csv(csv, &report)?);
-        }
-        Ok(report)
+        })
     }
 
     /// The report of a rounds-mode run, as far as its simulation's
@@ -371,9 +337,6 @@ impl ScenarioRunner {
             progress: sim.round(),
             recent_accuracy: sim.recent_accuracy(self.scenario.output.recent_window),
             round_accuracy: history.iter().map(|m| m.mean_accuracy()).collect(),
-            round_loss: history.iter().map(|m| m.mean_loss()).collect(),
-            round_fresh_evals: history.iter().map(|m| m.fresh_evaluations).collect(),
-            round_cached_evals: history.iter().map(|m| m.cached_evaluations).collect(),
             fresh_evaluations: history.iter().map(|m| m.fresh_evaluations).sum(),
             cached_evaluations: history.iter().map(|m| m.cached_evaluations).sum(),
             dataset,
@@ -385,109 +348,8 @@ impl ScenarioRunner {
             tangle_digest: tangle_digest(sim.tangle()),
             async_metrics: None,
             poisoning: None,
-            csv_path: None,
         }
     }
-
-    fn write_csv(&self, name: &str, report: &RunReport) -> Result<PathBuf, ScenarioError> {
-        let (header, rows): (Vec<&str>, Vec<Vec<String>>) = if let Some(m) = &report.async_metrics {
-            (
-                vec![
-                    "activations",
-                    "elapsed",
-                    "activation_rate",
-                    "publish_fraction",
-                    "mean_publish_latency",
-                    "stale_fraction",
-                    "mean_confirmation_depth",
-                    "pureness",
-                    "fresh_evals",
-                    "cached_evals",
-                    "delivered",
-                    "dropped",
-                    "duplicated",
-                ],
-                vec![vec![
-                    m.activations.to_string(),
-                    format!("{:.4}", m.elapsed),
-                    format!("{:.4}", m.activation_rate()),
-                    format!("{:.4}", m.publish_fraction()),
-                    format!("{:.4}", m.mean_publish_latency),
-                    format!("{:.4}", m.stale_fraction()),
-                    format!("{:.4}", m.mean_confirmation_depth),
-                    format!("{:.4}", report.specialization.approval_pureness),
-                    m.fresh_evaluations.to_string(),
-                    m.cached_evaluations.to_string(),
-                    m.delivered.to_string(),
-                    m.dropped.to_string(),
-                    m.duplicated.to_string(),
-                ]],
-            )
-        } else {
-            // The analysis column group exists only for analysis-enabled
-            // scenarios, so pre-analysis CSVs stay byte-identical.
-            let mut header = vec![
-                "round",
-                "mean_accuracy",
-                "mean_loss",
-                "fresh_evals",
-                "cached_evals",
-            ];
-            if report.analysis.is_some() {
-                header.extend(ANALYSIS_COLUMNS);
-            }
-            let rows = report
-                .round_accuracy
-                .iter()
-                .zip(&report.round_loss)
-                .zip(
-                    report
-                        .round_fresh_evals
-                        .iter()
-                        .zip(&report.round_cached_evals),
-                )
-                .enumerate()
-                .map(|(i, ((acc, loss), (fresh, cached)))| {
-                    let mut row = vec![
-                        (i + 1).to_string(),
-                        format!("{acc:.4}"),
-                        format!("{loss:.4}"),
-                        fresh.to_string(),
-                        cached.to_string(),
-                    ];
-                    if report.analysis.is_some() {
-                        // Rounds between cadence points carry empty cells,
-                        // like the async-only columns of sweep CSVs.
-                        let snapshot = report
-                            .analysis_track
-                            .iter()
-                            .chain(&report.analysis)
-                            .find(|s| s.round == i + 1);
-                        row.extend(analysis_cells(snapshot));
-                    }
-                    row
-                })
-                .collect();
-            (header, rows)
-        };
-        write_results_csv(name, &header, &rows)
-    }
-}
-
-/// Writes `<results dir>/<name>.csv` (`DAGFL_RESULTS`, default
-/// `results/`), the home of run series and sweep comparisons.
-pub(crate) fn write_results_csv(
-    name: &str,
-    header: &[&str],
-    rows: &[Vec<String>],
-) -> Result<PathBuf, ScenarioError> {
-    let dir = std::env::var("DAGFL_RESULTS")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| PathBuf::from("results"));
-    let path = dir.join(format!("{name}.csv"));
-    write_csv(&path, header, rows)
-        .map_err(|e| ScenarioError::Io(format!("writing {}: {e}", path.display())))?;
-    Ok(path)
 }
 
 /// Runs the configured analytics over the simulation's current state:
@@ -524,57 +386,10 @@ fn analysis_snapshot(
     ))
 }
 
-/// The analysis column group of run and sweep CSVs.
-pub(crate) const ANALYSIS_COLUMNS: [&str; 7] = [
-    "analysis_k",
-    "analysis_silhouette",
-    "analysis_purity",
-    "analysis_ari",
-    "analysis_communities",
-    "analysis_modularity",
-    "analysis_agreement",
-];
-
-/// The [`ANALYSIS_COLUMNS`] cells of one snapshot: empty when no
-/// snapshot landed on that round or a view was not requested.
-pub(crate) fn analysis_cells(snapshot: Option<&AnalysisSnapshot>) -> Vec<String> {
-    let Some(s) = snapshot else {
-        return vec![String::new(); 7];
-    };
-    let (k, silhouette, purity, ari) = match &s.parameters {
-        Some(p) => (
-            p.k.to_string(),
-            format!("{:.4}", p.silhouette),
-            format!("{:.4}", p.purity),
-            format!("{:.4}", p.ari),
-        ),
-        None => Default::default(),
-    };
-    let (communities, modularity) = match &s.graph {
-        Some(g) => (
-            g.community_count.to_string(),
-            format!("{:.4}", g.modularity),
-        ),
-        None => Default::default(),
-    };
-    let agreement = s
-        .agreement_ari
-        .map_or_else(String::new, |a| format!("{a:.4}"));
-    vec![
-        k,
-        silhouette,
-        purity,
-        ari,
-        communities,
-        modularity,
-        agreement,
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{AttackSpec, DatasetSpec, TransportSpec};
+    use crate::spec::{AttackSpec, DatasetSpec};
     use dagfl_core::{AsyncConfig, DagConfig, DelayModel};
 
     fn tiny() -> Scenario {
@@ -605,17 +420,9 @@ mod tests {
                     delay: DelayModel::constant(1.0),
                     ..AsyncConfig::default()
                 },
-                transport: TransportSpec::default(),
             },
             ..tiny()
         }
-    }
-
-    /// `tiny` writing its series to `<results dir>/<csv>.csv`.
-    fn tiny_with_csv(csv: &str) -> Scenario {
-        let mut scenario = tiny();
-        scenario.output.csv = Some(csv.into());
-        scenario
     }
 
     #[test]
@@ -634,16 +441,28 @@ mod tests {
 
     #[test]
     fn reports_carry_evaluation_counts() {
-        let report = ScenarioRunner::new(tiny()).unwrap().run().unwrap();
-        assert_eq!(report.round_fresh_evals.len(), 2);
-        assert_eq!(report.round_cached_evals.len(), 2);
+        // Rounds runs sum the per-round counters of the history.
+        let scenario = tiny();
+        let report = ScenarioRunner::new(scenario.clone())
+            .unwrap()
+            .run()
+            .unwrap();
+        let ExecutionSpec::Rounds(dag) = scenario.execution else {
+            unreachable!("tiny runs in rounds")
+        };
+        let dataset = scenario.dataset.build();
+        let factory = scenario.build_factory(&dataset);
+        let mut sim = Simulation::new(dag, dataset, factory);
+        sim.run().unwrap();
+        let history = sim.history();
+        assert!(report.fresh_evaluations > 0);
         assert_eq!(
             report.fresh_evaluations,
-            report.round_fresh_evals.iter().sum::<usize>()
+            history.iter().map(|m| m.fresh_evaluations).sum::<usize>()
         );
         assert_eq!(
             report.cached_evaluations,
-            report.round_cached_evals.iter().sum::<usize>()
+            history.iter().map(|m| m.cached_evaluations).sum::<usize>()
         );
         // Async runs report totals from the simulator's metrics.
         let scenario = tiny_async();
@@ -651,7 +470,6 @@ mod tests {
         let metrics = report.async_metrics.as_ref().expect("async metrics");
         assert_eq!(report.fresh_evaluations, metrics.fresh_evaluations);
         assert_eq!(report.cached_evaluations, metrics.cached_evaluations);
-        assert!(report.round_fresh_evals.is_empty());
     }
 
     #[test]
@@ -696,25 +514,35 @@ mod tests {
     #[test]
     fn analysis_columns_appear_only_for_analysis_runs() {
         use crate::spec::AnalysisSpec;
-        let plain = tiny_with_csv("runner_csv_no_analysis_test");
-        let report = ScenarioRunner::new(plain).unwrap().run().unwrap();
-        let path = report.csv_path.expect("csv written");
-        let content = std::fs::read_to_string(&path).unwrap();
-        assert!(content.starts_with("round,mean_accuracy,mean_loss,fresh_evals,cached_evals\n"));
-        let _ = std::fs::remove_file(&path);
-
-        let analysed = Scenario {
+        use crate::sweep::{SweepCellReport, SweepReport};
+        // The comparison table of a one-cell sweep over `scenario`.
+        let table = |scenario: Scenario| {
+            let report = ScenarioRunner::new(scenario).unwrap().run().unwrap();
+            let cell = SweepCellReport {
+                index: 0,
+                id: "only".into(),
+                values: Vec::new(),
+                report,
+            };
+            SweepReport {
+                name: "t".into(),
+                axes: Vec::new(),
+                cells: vec![cell],
+                comparison_csv: None,
+            }
+            .comparison_csv_text()
+        };
+        let plain = table(tiny());
+        assert!(!plain.contains("analysis_"), "{plain}");
+        let analysed = table(Scenario {
             analysis: Some(AnalysisSpec {
                 k: Some(2),
-                cadence: 1,
                 ..AnalysisSpec::default()
             }),
-            ..tiny_with_csv("runner_csv_analysis_test")
-        };
-        let report = ScenarioRunner::new(analysed).unwrap().run().unwrap();
-        let path = report.csv_path.expect("csv written");
-        let content = std::fs::read_to_string(&path).unwrap();
-        let header = content.lines().next().unwrap();
+            ..tiny()
+        });
+        let mut lines = analysed.lines();
+        let header = lines.next().unwrap();
         assert!(
             header.ends_with(
                 "analysis_k,analysis_silhouette,analysis_purity,analysis_ari,\
@@ -722,25 +550,16 @@ mod tests {
             ),
             "{header}"
         );
-        // Cadence 1: every round carries filled analysis cells.
-        for line in content.lines().skip(1) {
+        // The final snapshot fills every analysis cell.
+        for line in lines {
             assert!(!line.ends_with(','), "{line}");
         }
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_dir(path.parent().expect("results dir"));
     }
 
     #[test]
     fn disabled_analysis_is_inert() {
-        use crate::spec::AnalysisSpec;
-        let scenario = Scenario {
-            analysis: Some(AnalysisSpec {
-                enabled: false,
-                ..AnalysisSpec::default()
-            }),
-            ..tiny()
-        };
-        let report = ScenarioRunner::new(scenario).unwrap().run().unwrap();
+        // No `[analysis]` section: no snapshot, no summary lines.
+        let report = ScenarioRunner::new(tiny()).unwrap().run().unwrap();
         assert!(report.analysis.is_none());
         assert!(report.analysis_track.is_empty());
         assert!(!report.summary().contains("analysis/"));
@@ -793,20 +612,5 @@ mod tests {
     fn invalid_scenarios_are_rejected_before_running() {
         let err = ScenarioRunner::new(tiny().clients_per_round(99)).unwrap_err();
         assert!(err.to_string().contains("clients_per_round"), "{err}");
-    }
-
-    #[test]
-    fn csv_output_lands_in_the_results_dir() {
-        // Avoid mutating the process environment: exercise the default
-        // relative `results/` directory and clean it up afterwards.
-        let scenario = tiny_with_csv("scenario_runner_csv_test");
-        let runner = ScenarioRunner::new(scenario).unwrap();
-        let report = runner.run().unwrap();
-        let path = report.csv_path.expect("csv written");
-        let content = std::fs::read_to_string(&path).unwrap();
-        assert!(content.starts_with("round,mean_accuracy,mean_loss,fresh_evals,cached_evals\n"));
-        assert_eq!(content.lines().count(), 3);
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_dir(path.parent().expect("results dir"));
     }
 }

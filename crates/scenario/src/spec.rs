@@ -400,33 +400,6 @@ impl ModelSpec {
     }
 }
 
-/// How the gossip of an asynchronous execution travels between
-/// clients (`transport = ...` in scenario files).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub enum TransportSpec {
-    /// Deterministic in-process delivery: messages travel through
-    /// [`dagfl_core::LoopbackTransport`] with sampled link delays.
-    #[default]
-    Loopback,
-    /// Real TCP gossip between `dagfl peer` processes. The scenario
-    /// runner refuses to execute these in-process — the spec exists so
-    /// one file can describe a networked experiment end to end.
-    Tcp {
-        /// Tracker address (`host:port`) the peers register with.
-        tracker: String,
-        /// Gossip listen port of the first peer (0 = ephemeral;
-        /// subsequent peers use consecutive ports).
-        port: u16,
-    },
-}
-
-impl TransportSpec {
-    /// The `transport` word used in scenario files.
-    pub fn mode(&self) -> &'static str {
-        word_of(&TRANSPORTS, self)
-    }
-}
-
 /// How the scenario is executed: the paper's comparison rounds or the
 /// round-free event-driven deployment.
 #[derive(Debug, Clone, PartialEq)]
@@ -434,12 +407,11 @@ pub enum ExecutionSpec {
     /// Discrete rounds (§5.3), driven by [`dagfl_core::Simulation`].
     Rounds(DagConfig),
     /// Event-driven asynchronous execution (§5.3.3), driven by
-    /// [`dagfl_core::AsyncSimulation`] over the chosen transport.
+    /// [`dagfl_core::AsyncSimulation`] over the in-process loopback
+    /// transport.
     Async {
         /// The event-driven simulation's configuration.
         config: AsyncConfig,
-        /// How inter-client messages travel.
-        transport: TransportSpec,
     },
 }
 
@@ -499,12 +471,10 @@ impl Default for AttackSpec {
     }
 }
 
-/// Output options: optional CSV series and analysis cadence.
+/// Output options: specialization tracking and the recent-accuracy
+/// window.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OutputSpec {
-    /// Write the per-round (or per-activation) series as
-    /// `<results dir>/<csv>.csv` (`DAGFL_RESULTS`, default `results/`).
-    pub csv: Option<String>,
     /// Record the specialization metrics every this many rounds
     /// (`0` = only at the end; rounds mode without attack only).
     pub track_every: usize,
@@ -516,7 +486,6 @@ pub struct OutputSpec {
 impl Default for OutputSpec {
     fn default() -> Self {
         Self {
-            csv: None,
             track_every: 0,
             recent_window: 30,
         }
@@ -615,14 +584,11 @@ impl Default for FaultSpec {
 }
 
 /// Specialization-analytics settings: the scenario-file projection of
-/// [`dagfl_analysis::AnalysisConfig`] plus a cadence. An empty
-/// `[analysis]` section enables the default auto-k analysis over both
-/// views at the final round only.
+/// [`dagfl_analysis::AnalysisConfig`] plus a cadence. A present
+/// `[analysis]` section is the switch: an empty one enables the default
+/// auto-k analysis over both views at the final round only.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnalysisSpec {
-    /// Master toggle, so a checked-in `[analysis]` section can be
-    /// switched off without deleting it.
-    pub enabled: bool,
     /// Fixed cluster count for parameter-space k-means; `None` selects
     /// k by silhouette sweep over `k_min..=k_max`.
     pub k: Option<usize>,
@@ -640,7 +606,6 @@ pub struct AnalysisSpec {
 impl Default for AnalysisSpec {
     fn default() -> Self {
         Self {
-            enabled: true,
             k: None,
             k_min: 2,
             k_max: 6,
@@ -792,7 +757,7 @@ impl Scenario {
                     ));
                 }
             }
-            ExecutionSpec::Async { config, transport } => {
+            ExecutionSpec::Async { config } => {
                 config.validate().map_err(core_error)?;
                 if self.attack.is_some() {
                     return Err(ScenarioError::Invalid(
@@ -804,26 +769,12 @@ impl Scenario {
                         "specialization tracking requires rounds mode".into(),
                     ));
                 }
-                if self.analysis.as_ref().is_some_and(|a| a.enabled) {
+                if self.analysis.is_some() {
                     return Err(ScenarioError::Invalid(
                         "specialization analytics require rounds mode".into(),
                     ));
                 }
-                if let TransportSpec::Tcp { tracker, .. } = transport {
-                    if !tracker.contains(':') || tracker.trim().is_empty() {
-                        return Err(ScenarioError::Invalid(format!(
-                            "transport.tracker (`{tracker}`) must be a host:port address"
-                        )));
-                    }
-                }
                 if let Some(faults) = &self.faults {
-                    if !matches!(transport, TransportSpec::Loopback) {
-                        return Err(ScenarioError::Invalid(
-                            "[faults] applies to the loopback transport; networked peers \
-                             experience real faults instead"
-                                .into(),
-                        ));
-                    }
                     faults.to_plan().validate().map_err(core_error)?;
                 }
             }
@@ -855,7 +806,7 @@ impl Scenario {
                     "specialization tracking is not supported together with an attack".into(),
                 ));
             }
-            if self.analysis.as_ref().is_some_and(|a| a.enabled) {
+            if self.analysis.is_some() {
                 return Err(ScenarioError::Invalid(
                     "specialization analytics are not supported together with an attack".into(),
                 ));
@@ -1103,21 +1054,6 @@ impl Scenario {
             .map_err(|e| ScenarioError::Io(format!("reading {}: {e}", path.display())))?;
         Self::from_toml(&text)
     }
-
-    /// Writes the scenario as a TOML file, creating parent directories.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ScenarioError::Io`] on write failures.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), ScenarioError> {
-        let path = path.as_ref();
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)
-                .map_err(|e| ScenarioError::Io(format!("creating {}: {e}", parent.display())))?;
-        }
-        std::fs::write(path, self.to_toml())
-            .map_err(|e| ScenarioError::Io(format!("writing {}: {e}", path.display())))
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1151,9 +1087,6 @@ impl Number for u64 {
 }
 impl Number for u32 {
     const EXPECTED: &'static str = INTEGER;
-}
-impl Number for u16 {
-    const EXPECTED: &'static str = "a port number (0-65535)";
 }
 impl Number for f32 {
     const EXPECTED: &'static str = "a number";
@@ -1360,8 +1293,10 @@ impl Codec for Reader<'_> {
         };
         let Some((_, row)) = rows.iter().find(|(w, _)| *w == word) else {
             let words: Vec<&str> = rows.iter().map(|(w, _)| *w).collect();
-            let (last, rest) = words.split_last().expect("a shape word has alternatives");
-            let expected = format!("{} or {last}", rest.join(", "));
+            let expected = match words.split_last() {
+                Some((last, rest)) if !rest.is_empty() => format!("{} or {last}", rest.join(", ")),
+                _ => words.concat(),
+            };
             return Err(self.invalid(key, &Value::Str(word), &expected));
         };
         *v = row.clone();
@@ -1558,7 +1493,6 @@ fn modes() -> [(&'static str, ExecutionSpec); 2] {
             "async",
             ExecutionSpec::Async {
                 config: AsyncConfig::default(),
-                transport: TransportSpec::Loopback,
             },
         ),
     ]
@@ -1590,17 +1524,9 @@ const PUBLISH_GATES: [(&str, PublishGate); 3] = [
     ("always", PublishGate::Always),
 ];
 
-/// `execution.transport`.
-const TRANSPORTS: [(&str, TransportSpec); 2] = [
-    ("loopback", TransportSpec::Loopback),
-    (
-        "tcp",
-        TransportSpec::Tcp {
-            tracker: String::new(),
-            port: 0,
-        },
-    ),
-];
+/// `execution.transport`: the one way gossip travels in-process. Files
+/// may spell it, so the key stays readable.
+const TRANSPORTS: [(&str, ()); 1] = [("loopback", ())];
 
 /// `execution.stale_policy`.
 const STALE_POLICIES: [(&str, StaleTipPolicy); 3] = [
@@ -1789,31 +1715,10 @@ fn execution(c: &mut impl Codec, v: &mut ExecutionSpec) -> Result<(), ScenarioEr
     c.word("mode", &modes(), v)?;
     *v.dag_mut() = dag;
     dag_keys(c, v.dag_mut())?;
-    let ExecutionSpec::Async { config, transport } = v else {
+    let ExecutionSpec::Async { config } = v else {
         return Ok(());
     };
-    c.word("transport", &TRANSPORTS, transport)?;
-    match transport {
-        TransportSpec::Loopback => {
-            // Named here, so a file that forgets `transport = "tcp"`
-            // gets a pointed message instead of an unknown key.
-            let (mut tracker, mut port) = (None::<String>, None::<u16>);
-            c.opt("tracker", &mut tracker)?;
-            c.opt("port", &mut port)?;
-            if tracker.is_some() || port.is_some() {
-                return Err(ScenarioError::Invalid(format!(
-                    "`{}` and `{}` are only valid with transport = \"tcp\"",
-                    c.path("tracker"),
-                    c.path("port"),
-                )));
-            }
-        }
-        TransportSpec::Tcp { tracker, port } => {
-            c.require("tracker")?;
-            c.key("tracker", tracker)?;
-            c.key("port", port)?;
-        }
-    }
+    c.word("transport", &TRANSPORTS, &mut ())?;
     let defaults = AsyncConfig::default();
     c.key("activations", &mut config.total_activations)?;
     c.key("interarrival", &mut config.mean_interarrival)?;
@@ -1945,7 +1850,6 @@ fn faults(c: &mut impl Codec, v: &mut FaultSpec) -> Result<(), ScenarioError> {
 /// `[analysis]`: `k` fixes the cluster count; without it, `k_min` and
 /// `k_max` bound the silhouette sweep.
 fn analysis(c: &mut impl Codec, v: &mut AnalysisSpec) -> Result<(), ScenarioError> {
-    c.key_or("enabled", &mut v.enabled, AnalysisSpec::default().enabled)?;
     c.opt("k", &mut v.k)?;
     let mut k_min = v.k.is_none().then_some(v.k_min);
     let mut k_max = v.k.is_none().then_some(v.k_max);
@@ -1967,7 +1871,6 @@ fn analysis(c: &mut impl Codec, v: &mut AnalysisSpec) -> Result<(), ScenarioErro
 
 /// `[output]`.
 fn output(c: &mut impl Codec, v: &mut OutputSpec) -> Result<(), ScenarioError> {
-    c.opt("csv", &mut v.csv)?;
     c.key("track_every", &mut v.track_every)?;
     c.key("recent_window", &mut v.recent_window)
 }
@@ -1989,14 +1892,6 @@ mod tests {
         .rounds(2)
         .clients_per_round(2)
         .local_batches(2)
-    }
-
-    /// Asynchronous execution over the loopback transport.
-    fn asynchronous(config: AsyncConfig) -> ExecutionSpec {
-        ExecutionSpec::Async {
-            config,
-            transport: TransportSpec::default(),
-        }
     }
 
     #[test]
@@ -2024,7 +1919,7 @@ mod tests {
     /// `(section, key, word, digest)`: a section holding only the word
     /// (and `mode = "async"` where the key needs it) and the FNV-1a of
     /// the canonical text it read to before the visitor rewrite.
-    const SHAPE_WORDS: [(&str, &str, &str, u64); 33] = [
+    const SHAPE_WORDS: [(&str, &str, &str, u64); 32] = [
         ("dataset", "kind", "fmnist", 0x230dbfa3f3f13821),
         ("dataset", "kind", "fmnist-streamed", 0xacbf32b630ed56cd),
         ("dataset", "kind", "fmnist-author", 0xd37cc696f936815a),
@@ -2050,7 +1945,6 @@ mod tests {
         ),
         ("execution", "publish_gate", "always", 0x511e7b926d443365),
         ("execution", "transport", "loopback", 0xe705d62cc4cbf65e),
-        ("execution", "transport", "tcp", 0xa5654bc10de77140),
         ("execution", "stale_policy", "publish", 0xe705d62cc4cbf65e),
         ("execution", "stale_policy", "reselect", 0x054c55f77e6e3bc8),
         ("execution", "stale_policy", "discard", 0x2cf442afa66cc553),
@@ -2093,12 +1987,11 @@ mod tests {
             edit(s.execution.dag_mut());
             s
         };
-        let mut series = with_dag(|dag| dag.tip_selector = TipSelector::Random);
-        series.output.csv = Some("series".into());
-        series.output.track_every = 2;
+        let mut tracked = with_dag(|dag| dag.tip_selector = TipSelector::Random);
+        tracked.output.track_every = 2;
         let cases = vec![
             tiny(),
-            series,
+            tracked,
             with_dag(|dag| dag.tip_selector = TipSelector::CumulativeWeight { alpha: 2.5 }),
             Scenario::new(
                 "poets",
@@ -2137,28 +2030,20 @@ mod tests {
                 )
             },
             Scenario {
-                execution: asynchronous(AsyncConfig {
-                    total_activations: 20,
-                    mean_interarrival: 1.5,
-                    delay: DelayModel::Cohorts {
-                        slow_fraction: 0.3,
-                        fast: 1.0,
-                        slow: 8.0,
-                        jitter: 0.5,
-                    },
-                    compute: ComputeProfile::MatchNetworkCohort { slowdown: 4.0 },
-                    train_time: 0.5,
-                    stale_policy: StaleTipPolicy::Reselect,
-                    ..AsyncConfig::default()
-                }),
-                ..tiny()
-            },
-            Scenario {
                 execution: ExecutionSpec::Async {
-                    config: AsyncConfig::default(),
-                    transport: TransportSpec::Tcp {
-                        tracker: "127.0.0.1:7878".into(),
-                        port: 9000,
+                    config: AsyncConfig {
+                        total_activations: 20,
+                        mean_interarrival: 1.5,
+                        delay: DelayModel::Cohorts {
+                            slow_fraction: 0.3,
+                            fast: 1.0,
+                            slow: 8.0,
+                            jitter: 0.5,
+                        },
+                        compute: ComputeProfile::MatchNetworkCohort { slowdown: 4.0 },
+                        train_time: 0.5,
+                        stale_policy: StaleTipPolicy::Reselect,
+                        ..AsyncConfig::default()
                     },
                 },
                 ..tiny()
@@ -2173,24 +2058,28 @@ mod tests {
             }),
             with_dag(|dag| dag.publish_gate = PublishGate::Always),
             Scenario {
-                execution: asynchronous(AsyncConfig {
-                    delay: DelayModel::UniformJitter {
-                        base: 1.0,
-                        jitter: 0.5,
+                execution: ExecutionSpec::Async {
+                    config: AsyncConfig {
+                        delay: DelayModel::UniformJitter {
+                            base: 1.0,
+                            jitter: 0.5,
+                        },
+                        compute: ComputeProfile::TwoSpeed {
+                            slow_fraction: 0.2,
+                            slowdown: 3.0,
+                        },
+                        stale_policy: StaleTipPolicy::Discard,
+                        gossip_fanout: 2,
+                        workers: 3,
+                        ..AsyncConfig::default()
                     },
-                    compute: ComputeProfile::TwoSpeed {
-                        slow_fraction: 0.2,
-                        slowdown: 3.0,
-                    },
-                    stale_policy: StaleTipPolicy::Discard,
-                    gossip_fanout: 2,
-                    workers: 3,
-                    ..AsyncConfig::default()
-                }),
+                },
                 ..tiny()
             },
             Scenario {
-                execution: asynchronous(AsyncConfig::default()),
+                execution: ExecutionSpec::Async {
+                    config: AsyncConfig::default(),
+                },
                 faults: Some(FaultSpec {
                     crash: Some((1, 3.0, 5.0)),
                     ..chaos_faults()
@@ -2199,7 +2088,6 @@ mod tests {
             },
             Scenario {
                 analysis: Some(AnalysisSpec {
-                    enabled: false,
                     k: Some(3),
                     ..AnalysisSpec::default()
                 }),
@@ -2262,10 +2150,6 @@ mod tests {
                     .set("mode", Value::Str("async".into()));
             }
             doc.section_mut(section).set(key, Value::Str(word.into()));
-            if word == "tcp" {
-                doc.section_mut(section)
-                    .set("tracker", Value::Str("127.0.0.1:7878".into()));
-            }
             let text = Scenario::from_document(&doc).unwrap().to_toml();
             assert_eq!(fnv(&text), digest, "{section}.{key} = {word}:\n{text}");
         }
@@ -2286,10 +2170,12 @@ mod tests {
     #[test]
     fn faults_round_trip_including_an_infinite_restart() {
         let s = Scenario {
-            execution: asynchronous(AsyncConfig {
-                gossip_fanout: 2,
-                ..AsyncConfig::default()
-            }),
+            execution: ExecutionSpec::Async {
+                config: AsyncConfig {
+                    gossip_fanout: 2,
+                    ..AsyncConfig::default()
+                },
+            },
             faults: Some(chaos_faults()),
             ..tiny()
         };
@@ -2327,20 +2213,10 @@ mod tests {
             ..tiny()
         };
         assert!(matches!(rounds.validate(), Err(ScenarioError::Invalid(_))));
-        let tcp = Scenario {
+        let bad_prob = Scenario {
             execution: ExecutionSpec::Async {
                 config: AsyncConfig::default(),
-                transport: TransportSpec::Tcp {
-                    tracker: "127.0.0.1:7878".into(),
-                    port: 0,
-                },
             },
-            faults: Some(chaos_faults()),
-            ..tiny()
-        };
-        assert!(matches!(tcp.validate(), Err(ScenarioError::Invalid(_))));
-        let bad_prob = Scenario {
-            execution: asynchronous(AsyncConfig::default()),
             faults: Some(FaultSpec {
                 drop: 1.5,
                 ..chaos_faults()
@@ -2385,7 +2261,6 @@ mod tests {
         let fixed = Scenario {
             analysis: Some(AnalysisSpec {
                 k: Some(3),
-                enabled: false,
                 ..AnalysisSpec::default()
             }),
             ..tiny()
@@ -2393,7 +2268,6 @@ mod tests {
         let text = fixed.to_toml();
         assert!(text.contains("k = 3"), "{text}");
         assert!(!text.contains("k_min"), "{text}");
-        assert!(text.contains("enabled = false"), "{text}");
         assert_eq!(Scenario::from_toml(&text).unwrap(), fixed, "{text}");
     }
 
@@ -2403,7 +2277,6 @@ mod tests {
             .unwrap();
         let analysis = s.analysis.clone().expect("section present");
         assert_eq!(analysis, AnalysisSpec::default());
-        assert!(analysis.enabled);
         assert!(matches!(
             analysis.to_config(42).k,
             KSelection::Auto { min: 2, max: 6 }
@@ -2447,23 +2320,17 @@ mod tests {
             inverted.validate(),
             Err(ScenarioError::Invalid(_))
         ));
-        // Analytics need rounds mode without an attack — unless disabled.
+        // Analytics need rounds mode without an attack.
         let unordered = Scenario {
-            execution: asynchronous(AsyncConfig::default()),
+            execution: ExecutionSpec::Async {
+                config: AsyncConfig::default(),
+            },
             ..analyzed(AnalysisSpec::default())
         };
         assert!(matches!(
             unordered.validate(),
             Err(ScenarioError::Invalid(_))
         ));
-        let disabled = Scenario {
-            execution: asynchronous(AsyncConfig::default()),
-            ..analyzed(AnalysisSpec {
-                enabled: false,
-                ..AnalysisSpec::default()
-            })
-        };
-        assert!(disabled.validate().is_ok());
         let attacked = Scenario {
             attack: Some(AttackSpec::default()),
             ..analyzed(AnalysisSpec::default())
@@ -2517,6 +2384,21 @@ mod tests {
             ),
             (file("", "delay = 2.0\n"), "execution.delay"),
             (file("relaxation = 0.1\n", ""), "dataset.relaxation"),
+            // Networked sessions are `dagfl peer` flags, not file keys.
+            (
+                file("", "mode = \"async\"\ntracker = \"127.0.0.1:7878\"\n"),
+                "execution.tracker",
+            ),
+            (
+                file("", "mode = \"async\"\nport = 9000\n"),
+                "execution.port",
+            ),
+            (file("", "[output]\ncsv = \"series\"\n"), "output.csv"),
+            // A present `[analysis]` section is the switch.
+            (
+                file("", "[analysis]\nenabled = false\n"),
+                "analysis.enabled",
+            ),
         ] {
             match Scenario::from_toml(&text) {
                 Err(ScenarioError::UnknownKey { key }) => assert_eq!(key, unknown, "{text}"),
@@ -2555,7 +2437,9 @@ mod tests {
         // group arrive together...
         assert_eq!(tiny().set_keys::<&str, &str>(&[]).unwrap(), tiny());
         let faulted = Scenario {
-            execution: asynchronous(AsyncConfig::default()),
+            execution: ExecutionSpec::Async {
+                config: AsyncConfig::default(),
+            },
             faults: Some(FaultSpec {
                 partition: None,
                 ..chaos_faults()
@@ -2594,53 +2478,18 @@ mod tests {
     #[test]
     fn transport_keys_parse_and_reject_inapplicable_combos() {
         let base = "name = \"x\"\n[dataset]\nkind = \"fmnist\"\n[execution]\nmode = \"async\"\n";
-        // Default is loopback.
-        let s = Scenario::from_toml(base).unwrap();
-        assert!(matches!(
-            s.execution,
-            ExecutionSpec::Async {
-                transport: TransportSpec::Loopback,
-                ..
-            }
-        ));
-        // Explicit tcp with tracker and port.
-        let s = Scenario::from_toml(&format!(
-            "{base}transport = \"tcp\"\ntracker = \"127.0.0.1:7878\"\nport = 9000\n"
-        ))
-        .unwrap();
-        match &s.execution {
-            ExecutionSpec::Async {
-                transport: TransportSpec::Tcp { tracker, port },
-                ..
-            } => {
-                assert_eq!(tracker, "127.0.0.1:7878");
-                assert_eq!(*port, 9000);
-            }
-            other => panic!("unexpected execution {other:?}"),
-        }
-        // tcp without a tracker is incomplete.
+        // `loopback` is the one transport; spelling it changes nothing.
+        assert_eq!(
+            Scenario::from_toml(&format!("{base}transport = \"loopback\"\n")).unwrap(),
+            Scenario::from_toml(base).unwrap()
+        );
+        // Any other word is an invalid value of the key.
         let err = Scenario::from_toml(&format!("{base}transport = \"tcp\"\n")).unwrap_err();
-        assert!(matches!(err, ScenarioError::MissingKey { ref key } if key == "execution.tracker"));
-        // tracker/port under loopback are explicitly inapplicable.
-        let err =
-            Scenario::from_toml(&format!("{base}tracker = \"127.0.0.1:7878\"\n")).unwrap_err();
-        assert!(err.to_string().contains("tcp"), "{err}");
-        // An unknown transport word names the alternatives.
-        let err =
-            Scenario::from_toml(&format!("{base}transport = \"carrier-pigeon\"\n")).unwrap_err();
-        assert!(err.to_string().contains("loopback or tcp"), "{err}");
-        // A tcp tracker that is not host:port fails validation.
-        let s = Scenario {
-            execution: ExecutionSpec::Async {
-                config: AsyncConfig::default(),
-                transport: TransportSpec::Tcp {
-                    tracker: "localhost".into(),
-                    port: 0,
-                },
-            },
-            ..tiny()
-        };
-        assert!(s.validate().unwrap_err().to_string().contains("host:port"));
+        assert!(
+            matches!(err, ScenarioError::InvalidValue { ref key, ref expected, .. }
+                if key == "execution.transport" && expected == "loopback"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -2705,7 +2554,9 @@ mod tests {
         assert!(err.to_string().contains("clients_per_round"), "{err}");
         // Attack in async mode.
         let err = Scenario {
-            execution: asynchronous(AsyncConfig::default()),
+            execution: ExecutionSpec::Async {
+                config: AsyncConfig::default(),
+            },
             attack: Some(AttackSpec::default()),
             ..tiny()
         }
@@ -2740,7 +2591,9 @@ mod tests {
         assert!(err.to_string().contains("learning_rate"), "{err}");
         // Tracking in async mode.
         let mut tracked = Scenario {
-            execution: asynchronous(AsyncConfig::default()),
+            execution: ExecutionSpec::Async {
+                config: AsyncConfig::default(),
+            },
             ..tiny()
         };
         tracked.output.track_every = 2;
@@ -2781,7 +2634,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let path = dir.join("nested/tiny.toml");
         let scenario = tiny();
-        scenario.save(&path).unwrap();
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, scenario.to_toml()).unwrap();
         assert_eq!(Scenario::load(&path).unwrap(), scenario);
         let _ = std::fs::remove_dir_all(&dir);
         assert!(matches!(

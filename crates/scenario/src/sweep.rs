@@ -10,8 +10,7 @@
 //! * one or more **axes** ([`SweepAxis`]): a scenario key path (or
 //!   `seed` / `replicate`) plus the values it takes
 //!   (`execution.alpha = [0.1, 1, 10, 100]`, `replicate = 0..5`),
-//! * the cross-product of the axes, optionally capped
-//!   ([`SweepSpec::max_cells`]).
+//! * the cross-product of the axes.
 //!
 //! Expansion ([`SweepSpec::expand_at`]) produces concrete, validated
 //! [`SweepCell`]s in a deterministic order (axes as listed, last axis
@@ -45,13 +44,12 @@
 
 use std::path::{Path, PathBuf};
 
-use dagfl_core::csv::to_csv_string;
+use dagfl_analysis::AnalysisSnapshot;
+use dagfl_core::csv::{to_csv_string, write_csv};
 use dagfl_core::{derive_seed, fan_out};
 
 use crate::presets::Scale;
-use crate::runner::{
-    analysis_cells, write_results_csv, RunReport, ScenarioRunner, ANALYSIS_COLUMNS,
-};
+use crate::runner::{RunReport, ScenarioRunner};
 use crate::spec::{
     read, root, write, Codec, ExecutionSpec, Reader, Scenario, ScenarioError, SECTIONS,
 };
@@ -172,25 +170,15 @@ pub struct SweepSpec {
     pub base: SweepBase,
     /// The axes, in sweep order (last axis varies fastest).
     pub axes: Vec<SweepAxis>,
-    /// Refuse to expand more than this many cells (`None` = unlimited).
-    pub max_cells: Option<usize>,
     /// Write the cross-cell comparison CSV as
     /// `<results dir>/<name>.csv` (`DAGFL_RESULTS`, default `results/`).
     pub comparison_csv: Option<String>,
-    /// Give every cell its own per-cell CSV series
-    /// (`<sweep name>-<cell index>`).
-    pub cell_csv: bool,
 }
 
 impl SweepSpec {
     /// Starts a sweep over a preset base.
     pub fn over_preset(name: impl Into<String>, preset: impl Into<String>) -> Self {
         Self::new(name, SweepBase::Preset(preset.into()))
-    }
-
-    /// Starts a sweep over a scenario file base.
-    pub fn over_file(name: impl Into<String>, path: impl Into<PathBuf>) -> Self {
-        Self::new(name, SweepBase::File(path.into()))
     }
 
     /// Starts a sweep over an inline scenario base.
@@ -203,9 +191,7 @@ impl SweepSpec {
             name: name.into(),
             base,
             axes: Vec::new(),
-            max_cells: None,
             comparison_csv: None,
-            cell_csv: false,
         }
     }
 
@@ -222,30 +208,6 @@ impl SweepSpec {
             field: field.into(),
             values: values.into_iter().map(|v| v.to_string()).collect(),
         });
-        self
-    }
-
-    /// Adds an integer-range axis (builder style); `range` is half-open,
-    /// like `replicate = 0..5` in sweep files.
-    pub fn axis_range(self, field: impl Into<String>, range: std::ops::Range<u64>) -> Self {
-        self.axis(field, range.map(|v| v.to_string()))
-    }
-
-    /// Caps the expansion size (builder style).
-    pub fn with_max_cells(mut self, cap: usize) -> Self {
-        self.max_cells = Some(cap);
-        self
-    }
-
-    /// Requests the cross-cell comparison CSV (builder style).
-    pub fn with_comparison_csv(mut self, name: impl Into<String>) -> Self {
-        self.comparison_csv = Some(name.into());
-        self
-    }
-
-    /// Enables per-cell CSV series (builder style).
-    pub fn with_cell_csv(mut self, enabled: bool) -> Self {
-        self.cell_csv = enabled;
         self
     }
 
@@ -318,8 +280,8 @@ impl SweepSpec {
     /// # Errors
     ///
     /// Returns the first inconsistency: unknown/duplicate/inapplicable
-    /// axes, malformed values, an exceeded [`SweepSpec::max_cells`] cap,
-    /// or a cell whose scenario fails [`Scenario::validate`].
+    /// axes, malformed values, or a cell whose scenario fails
+    /// [`Scenario::validate`].
     pub fn expand_at(&self, scale: Scale) -> Result<Vec<SweepCell>, ScenarioError> {
         if self.name.trim().is_empty() || self.name.contains('\n') {
             return Err(ScenarioError::Invalid(
@@ -351,13 +313,6 @@ impl SweepSpec {
             total = total.checked_mul(axis.values.len()).ok_or_else(|| {
                 ScenarioError::Invalid("sweep expansion overflows the cell counter".into())
             })?;
-        }
-        if let Some(cap) = self.max_cells {
-            if total > cap {
-                return Err(ScenarioError::Invalid(format!(
-                    "sweep expands to {total} cells, exceeding max_cells ({cap})"
-                )));
-            }
         }
         let mut cells = Vec::with_capacity(total);
         for index in 0..total {
@@ -417,9 +372,6 @@ impl SweepSpec {
             })?;
             let id = id_parts.join(",");
             scenario.name = format!("{}/{}", self.name, id);
-            if self.cell_csv {
-                scenario.output.csv = Some(format!("{}-{index:03}", self.name));
-            }
             scenario.validate().map_err(|e| {
                 ScenarioError::Invalid(format!("sweep cell `{id}` is invalid: {e}"))
             })?;
@@ -435,7 +387,7 @@ impl SweepSpec {
 
     /// Checks the complete spec by performing a full (quick-scale)
     /// expansion: base resolution, axis typing and compatibility,
-    /// duplicate axes, the cell cap, and per-cell scenario validation.
+    /// duplicate axes, and per-cell scenario validation.
     ///
     /// # Errors
     ///
@@ -583,27 +535,12 @@ impl SweepSpec {
         }
         Ok(spec)
     }
-
-    /// Writes the sweep as a TOML file, creating parent directories.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ScenarioError::Io`] on write failures.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), ScenarioError> {
-        let path = path.as_ref();
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)
-                .map_err(|e| ScenarioError::Io(format!("creating {}: {e}", parent.display())))?;
-        }
-        std::fs::write(path, self.to_toml())
-            .map_err(|e| ScenarioError::Io(format!("writing {}: {e}", path.display())))
-    }
 }
 
 /// The `[sweep]` section: the base as its three keys (`preset`, the
 /// `scenario` file or an inline `scenario_name`, of which a file sets
-/// exactly one; resolved once the section is read), then the output
-/// options.
+/// exactly one; resolved once the section is read), then the comparison
+/// CSV's name.
 fn sweep(
     c: &mut impl Codec,
     base: &mut [Option<String>; 3],
@@ -613,9 +550,7 @@ fn sweep(
     c.opt("preset", preset)?;
     c.opt("scenario", file)?;
     c.opt("scenario_name", scenario_name)?;
-    c.opt("max_cells", &mut v.max_cells)?;
-    c.opt("comparison_csv", &mut v.comparison_csv)?;
-    c.key("cell_csv", &mut v.cell_csv)
+    c.opt("comparison_csv", &mut v.comparison_csv)
 }
 
 // ---------------------------------------------------------------------------
@@ -802,11 +737,66 @@ impl SweepReport {
         out
     }
 
+    /// Writes the comparison table as `<results dir>/<name>.csv`
+    /// (`DAGFL_RESULTS`, default `results/`).
     fn write_comparison_csv(&self, name: &str) -> Result<PathBuf, ScenarioError> {
+        let dir = std::env::var("DAGFL_RESULTS")
+            .map(PathBuf::from)
+            .unwrap_or_else(|_| PathBuf::from("results"));
+        let path = dir.join(format!("{name}.csv"));
         let header = self.comparison_header();
         let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-        write_results_csv(name, &header_refs, &self.comparison_rows())
+        write_csv(&path, &header_refs, &self.comparison_rows())
+            .map_err(|e| ScenarioError::Io(format!("writing {}: {e}", path.display())))?;
+        Ok(path)
     }
+}
+
+/// The analysis column group of the comparison CSV.
+const ANALYSIS_COLUMNS: [&str; 7] = [
+    "analysis_k",
+    "analysis_silhouette",
+    "analysis_purity",
+    "analysis_ari",
+    "analysis_communities",
+    "analysis_modularity",
+    "analysis_agreement",
+];
+
+/// The [`ANALYSIS_COLUMNS`] cells of one snapshot: empty for a cell
+/// that ran without `[analysis]`, or for a view it did not request.
+fn analysis_cells(snapshot: Option<&AnalysisSnapshot>) -> Vec<String> {
+    let Some(s) = snapshot else {
+        return vec![String::new(); 7];
+    };
+    let (k, silhouette, purity, ari) = match &s.parameters {
+        Some(p) => (
+            p.k.to_string(),
+            format!("{:.4}", p.silhouette),
+            format!("{:.4}", p.purity),
+            format!("{:.4}", p.ari),
+        ),
+        None => Default::default(),
+    };
+    let (communities, modularity) = match &s.graph {
+        Some(g) => (
+            g.community_count.to_string(),
+            format!("{:.4}", g.modularity),
+        ),
+        None => Default::default(),
+    };
+    let agreement = s
+        .agreement_ari
+        .map_or_else(String::new, |a| format!("{a:.4}"));
+    vec![
+        k,
+        silhouette,
+        purity,
+        ari,
+        communities,
+        modularity,
+        agreement,
+    ]
 }
 
 /// Validates a [`SweepSpec`] and executes its cells through
@@ -987,6 +977,17 @@ mod tests {
             .axis("seed", ["42", "43"])
     }
 
+    /// A sweep over the scenario file at `path`.
+    fn over_file(name: &str, path: impl Into<PathBuf>) -> SweepSpec {
+        SweepSpec::new(name, SweepBase::File(path.into()))
+    }
+
+    /// Writes `text` to `path`, creating its directory.
+    fn write_file(path: &Path, text: String) {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(path, text).unwrap();
+    }
+
     #[test]
     fn expansion_is_a_deterministic_cross_product() {
         let cells = tiny_sweep().expand_at(Scale::Quick).unwrap();
@@ -1018,7 +1019,7 @@ mod tests {
     #[test]
     fn replicate_axis_derives_independent_seeds() {
         let cells = SweepSpec::over_scenario("rep", smoke_scenario())
-            .axis_range("replicate", 0..3)
+            .axis("replicate", 0..3)
             .expand_at(Scale::Quick)
             .unwrap();
         assert_eq!(cells.len(), 3);
@@ -1172,10 +1173,12 @@ mod tests {
             matches!(err, ScenarioError::InvalidValue { ref key, .. } if key == "axes.seed"),
             "{err}"
         );
-        // The cell cap refuses oversized grids.
-        let err = tiny_sweep().with_max_cells(3).validate().unwrap_err();
-        assert!(err.to_string().contains("max_cells"), "{err}");
-        assert!(tiny_sweep().with_max_cells(4).validate().is_ok());
+        // The range cap refuses oversized axes.
+        let err = SweepSpec::from_toml(
+            "name = \"big\"\n[sweep]\npreset = \"smoke\"\n[axes]\nreplicate = 0..10001\n",
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("more than 10000"), "{err}");
     }
 
     #[test]
@@ -1192,12 +1195,11 @@ mod tests {
     fn toml_round_trips_every_base_shape() {
         let cases = vec![
             tiny_sweep(),
-            SweepSpec::over_preset("over-preset", "smoke")
-                .axis("seed", ["1", "2"])
-                .with_max_cells(8)
-                .with_comparison_csv("cmp")
-                .with_cell_csv(true),
-            SweepSpec::over_file("over-file", "scenarios/smoke.toml").axis("alpha", ["1"]),
+            SweepSpec {
+                comparison_csv: Some("cmp".into()),
+                ..SweepSpec::over_preset("over-preset", "smoke").axis("seed", ["1", "2"])
+            },
+            over_file("over-file", "scenarios/smoke.toml").axis("alpha", ["1"]),
             // An inline base keeps every section it has, [faults] included.
             SweepSpec::over_scenario(
                 "over-chaos",
@@ -1221,7 +1223,7 @@ mod tests {
         .unwrap();
         assert_eq!(spec.axes[0].values, ["0", "1", "2"]);
         // Builder ranges expand identically, so the round trip stays exact.
-        let built = SweepSpec::over_preset("r", "smoke").axis_range("replicate", 0..3);
+        let built = SweepSpec::over_preset("r", "smoke").axis("replicate", 0..3);
         assert_eq!(spec.axes, built.axes);
     }
 
@@ -1269,6 +1271,19 @@ mod tests {
             matches!(err, ScenarioError::UnknownKey { ref key } if key == "sweep.presett"),
             "{err}"
         );
+        for (line, key) in [
+            ("max_cells = 4", "sweep.max_cells"),
+            ("cell_csv = false", "sweep.cell_csv"),
+        ] {
+            let err = SweepSpec::from_toml(&format!(
+                "name = \"x\"\n[sweep]\npreset = \"smoke\"\n{line}\n[axes]\nseed = [1]\n"
+            ))
+            .unwrap_err();
+            assert!(
+                matches!(err, ScenarioError::UnknownKey { key: ref k } if k == key),
+                "{err}"
+            );
+        }
         // A non-list axis value.
         let err = SweepSpec::from_toml(
             "name = \"x\"\n[sweep]\npreset = \"smoke\"\n[axes]\nseed = \"many\"\n",
@@ -1292,7 +1307,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let path = dir.join("nested/tiny.toml");
         let spec = tiny_sweep();
-        spec.save(&path).unwrap();
+        write_file(&path, spec.to_toml());
         assert_eq!(SweepSpec::load(&path).unwrap(), spec);
         let _ = std::fs::remove_dir_all(&dir);
         assert!(matches!(
@@ -1306,8 +1321,8 @@ mod tests {
         let dir = std::env::temp_dir().join("dagfl_sweep_file_base_test");
         let _ = std::fs::remove_dir_all(&dir);
         let base_path = dir.join("base.toml");
-        smoke_scenario().save(&base_path).unwrap();
-        let spec = SweepSpec::over_file("file-base", &base_path).axis("seed", ["1", "2"]);
+        write_file(&base_path, smoke_scenario().to_toml());
+        let spec = over_file("file-base", &base_path).axis("seed", ["1", "2"]);
         let cells = spec.expand_at(Scale::Quick).unwrap();
         assert_eq!(cells.len(), 2);
         assert_eq!(cells[0].scenario.dataset.seed(), 1);
@@ -1329,12 +1344,14 @@ mod tests {
         // that file, wherever the process happens to run from.
         let dir = std::env::temp_dir().join("dagfl_sweep_relative_base_test");
         let _ = std::fs::remove_dir_all(&dir);
-        smoke_scenario().save(dir.join("base.toml")).unwrap();
+        write_file(&dir.join("base.toml"), smoke_scenario().to_toml());
         let sweep_path = dir.join("sweep.toml");
-        SweepSpec::over_file("relative", "base.toml")
-            .axis("seed", ["1"])
-            .save(&sweep_path)
-            .unwrap();
+        write_file(
+            &sweep_path,
+            over_file("relative", "base.toml")
+                .axis("seed", ["1"])
+                .to_toml(),
+        );
         let spec = SweepSpec::load(&sweep_path).unwrap();
         assert_eq!(spec.base, SweepBase::File(dir.join("base.toml")));
         assert_eq!(spec.expand_at(Scale::Quick).unwrap().len(), 1);
@@ -1403,22 +1420,6 @@ mod tests {
     }
 
     #[test]
-    fn cell_csv_names_follow_the_expansion_index() {
-        let cells = tiny_sweep()
-            .with_cell_csv(true)
-            .expand_at(Scale::Quick)
-            .unwrap();
-        assert_eq!(
-            cells[0].scenario.output.csv.as_deref(),
-            Some("tiny-sweep-000")
-        );
-        assert_eq!(
-            cells[3].scenario.output.csv.as_deref(),
-            Some("tiny-sweep-003")
-        );
-    }
-
-    #[test]
     fn zero_activation_async_reports_format_without_nan() {
         // An async run whose horizon elapses before any activation:
         // every AsyncMetrics rate guard returns 0.0, and neither the
@@ -1454,9 +1455,6 @@ mod tests {
             progress: 0,
             recent_accuracy: 0.0,
             round_accuracy: Vec::new(),
-            round_loss: Vec::new(),
-            round_fresh_evals: Vec::new(),
-            round_cached_evals: Vec::new(),
             fresh_evaluations: 0,
             cached_evaluations: 0,
             dataset: DatasetSummary {
@@ -1487,7 +1485,6 @@ mod tests {
             tangle_digest: 0,
             async_metrics: Some(metrics),
             poisoning: None,
-            csv_path: None,
         };
         let summary = report.summary();
         assert!(!summary.contains("NaN"), "{summary}");

@@ -125,7 +125,6 @@ fn build_scenario(
                 gossip_fanout: 0,
                 workers: usize::from(policy_kind) + 1,
             },
-            transport: Default::default(),
         }
     };
     let mut scenario = Scenario::new("generated", dataset).with_execution(execution);
@@ -140,9 +139,6 @@ fn build_scenario(
         });
     } else if rounds_mode && track > 0 {
         scenario.output.track_every = track;
-    }
-    if window % 2 == 0 {
-        scenario.output.csv = Some(format!("series_{window}"));
     }
     scenario.output.recent_window = window;
     scenario

@@ -4,7 +4,7 @@
 
 use dagfl::dag::{tangle_digest, ModelPayload, ModelTangle, ShardedModelTangle};
 use dagfl::scenario::{
-    DatasetSpec, ExecutionSpec, Scenario, ScenarioRunner, SweepRunner, SweepSpec, TransportSpec,
+    DatasetSpec, ExecutionSpec, Scenario, ScenarioRunner, SweepRunner, SweepSpec,
 };
 use dagfl::tangle::TangleRead;
 use dagfl::{AsyncConfig, DagConfig, DelayModel};
@@ -41,7 +41,6 @@ fn async_scenario(workers: usize) -> Scenario {
             workers,
             ..AsyncConfig::default()
         },
-        transport: TransportSpec::default(),
     })
 }
 

@@ -145,6 +145,33 @@ fn every_scenario_file_is_a_registry_row() {
 }
 
 #[test]
+fn every_benchmark_workload_parses_and_validates() {
+    // The benchmark reads these files with `Scenario::from_toml` and is
+    // built from a frozen checkout, so a format change that breaks one
+    // must fail here first.
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../benchmark/workloads");
+    let mut checked = 0;
+    for entry in std::fs::read_dir(&dir).expect("benchmark/workloads/ exists") {
+        let path = entry.expect("dir entry").path();
+        if path.extension().and_then(|ext| ext.to_str()) != Some("toml") {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).unwrap();
+        let scenario =
+            Scenario::from_toml(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        scenario
+            .validate()
+            .unwrap_or_else(|e| panic!("{} does not validate: {e}", path.display()));
+        checked += 1;
+    }
+    assert!(
+        checked >= 3,
+        "only {checked} workload files in {}",
+        dir.display()
+    );
+}
+
+#[test]
 fn sweep_grids_are_scheduling_independent_end_to_end() {
     // The acceptance guarantee, exercised through the facade: a >= 4-cell
     // grid run with 1 worker and with 2 workers produces equal reports
