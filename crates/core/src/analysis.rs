@@ -125,14 +125,14 @@ pub fn cluster_specialization(sim: &mut Simulation) -> Result<ClusterSpecializat
         pools.push((x, y));
     }
 
-    // Cross-evaluate using client 0's scratch model.
+    // Cross-evaluate on the simulation's first scratch model.
     let k = clusters.len();
     let mut accuracy = vec![vec![0.0f32; k]; k];
     let mut divergence = vec![vec![0.0f32; k]; k];
     for a in 0..k {
         for (b, (x, y)) in pools.iter().enumerate() {
-            accuracy[a][b] = sim.clients[0]
-                .evaluate_with(&mean_params[a], x, y)?
+            accuracy[a][b] = sim.scratch[0]
+                .evaluate_params(&mean_params[a], x, y)?
                 .accuracy;
             divergence[a][b] = l2_distance(&mean_params[a], &mean_params[b]);
         }

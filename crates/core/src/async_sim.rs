@@ -44,16 +44,16 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use dagfl_datasets::FederatedDataset;
-use dagfl_nn::average_parameters;
 use dagfl_tangle::{TangleRead, TxId};
 
-use crate::fanout::{disjoint_mut, fan_out};
+use crate::client;
+use crate::fanout::{disjoint_mut, fan_out_with};
 use crate::graph::Graph;
 use crate::{
     ClientGraphTracker, ComputeProfile, CoreError, DagClient, DagConfig, DelayModel, Envelope,
-    FaultPlan, FaultyTransport, GossipMessage, LoopbackTransport, ModelFactory, ModelPayload,
-    Replica, ReplicaTangle, SegmentRegistry, ShardedModelTangle, StaleTipPolicy, TrainOutcome,
-    Transport, TxMessage,
+    FaultPlan, FaultyTransport, GossipMessage, LoopbackTransport, ModelEvaluator, ModelFactory,
+    ModelPayload, Replica, ReplicaTangle, SegmentRegistry, ShardedModelTangle, StaleTipPolicy,
+    TrainOutcome, Transport, TxMessage,
 };
 
 /// Configuration of an asynchronous simulation.
@@ -373,6 +373,9 @@ pub struct AsyncSimulation {
     /// Network id (dense, loopback) → id in the global tangle.
     net_to_global: Vec<TxId>,
     clients: Vec<DagClient>,
+    /// One scratch model per training worker, lent to the clients it
+    /// runs; the event loop's own re-selections use the first.
+    scratch: Vec<ModelEvaluator>,
     replicas: Vec<Replica>,
     transport: Box<dyn Transport>,
     speeds: Vec<f64>,
@@ -451,15 +454,12 @@ impl AsyncSimulation {
         let genesis_model = factory(&mut rng);
         let genesis = ModelPayload::new(genesis_model.parameters());
         let n = dataset.num_clients();
-        let clients = (0..n as u32)
-            .map(|id| {
-                DagClient::new(
-                    id,
-                    factory(&mut rng),
-                    config.dag.seed.wrapping_add(id as u64),
-                )
-            })
-            .collect();
+        // One factory call per client, though only one model per worker
+        // is kept: the draws advance `rng`, which then samples the
+        // cohorts, the speeds, every arrival gap and every gossip
+        // receiver, so drawing less would change every result.
+        let (clients, scratch) =
+            client::population(n, config.workers, &factory, &mut rng, config.dag.seed);
         // All replicas share one record store: a transaction gossiped to
         // every peer is materialized once, not once per replica.
         let registry = SegmentRegistry::new();
@@ -486,6 +486,7 @@ impl AsyncSimulation {
             global,
             graph,
             clients,
+            scratch,
             replicas,
             transport,
             speeds,
@@ -751,19 +752,21 @@ impl AsyncSimulation {
     }
 
     /// Trains every batched activation, returning outcomes in batch
-    /// order: one [`fan_out`] job per activation over `workers` threads
-    /// (inline at `workers = 1`). Which thread trains which client never
-    /// matters: training only touches per-client state (the client
-    /// itself, its replica view and its data shard), so any worker count
-    /// produces the same outcomes.
+    /// order: one [`fan_out_with`] job per activation over `workers`
+    /// threads (inline at `workers = 1`), each training on its own
+    /// scratch model. Which thread trains which client never matters:
+    /// training only touches per-client state (the client itself, its
+    /// replica view and its data shard) and a scratch model it loads
+    /// before use, so any worker count produces the same outcomes.
     fn train_batch(&mut self, batch: &[(usize, f64)]) -> Result<Vec<TrainOutcome>, CoreError> {
         let config = self.config;
         let dataset = &self.dataset;
         let replicas = &self.replicas;
         let clients = disjoint_mut(&mut self.clients, batch, |&(idx, _)| idx);
-        fan_out(config.workers, clients, |i, client| {
+        fan_out_with(&mut self.scratch, clients, |scratch, i, client| {
             let idx = batch[i].0;
-            client.train_round(replicas[idx].tangle(), &dataset.clients()[idx], &config.dag)
+            let data = &dataset.clients()[idx];
+            client.train_round_on(scratch, replicas[idx].tangle(), data, &config.dag)
         })
     }
 
@@ -798,16 +801,14 @@ impl AsyncSimulation {
                     self.reselections += 1;
                     let data = &self.dataset.clients()[idx];
                     let replica = self.replicas[idx].tangle();
-                    let (fresh, _, _) =
-                        self.clients[idx].select_tips(replica, data, &self.config.dag)?;
-                    let p1 = replica.payload_of(fresh.0)?.share();
-                    let p2 = replica.payload_of(fresh.1)?.share();
-                    let reference = average_parameters(&[&p1, &p2]);
-                    let eval = self.clients[idx].evaluate_with(
-                        &reference,
-                        data.test_x(),
-                        data.test_y(),
+                    let scratch = &mut self.scratch[0];
+                    let (reference, fresh) = self.clients[idx].reference_model(
+                        scratch,
+                        replica,
+                        data,
+                        &self.config.dag,
                     )?;
+                    let eval = scratch.evaluate_params(&reference, data.test_x(), data.test_y())?;
                     // Re-validation: only publish if the trained model
                     // still beats the fresh consensus reference.
                     if outcome.trained.accuracy >= eval.accuracy {
@@ -981,6 +982,15 @@ impl std::fmt::Debug for AsyncSimulation {
             .field("transactions", &self.global.len())
             .field("pending_deliveries", &self.pending_deliveries())
             .finish()
+    }
+}
+
+#[cfg(test)]
+impl AsyncSimulation {
+    /// The models the simulation holds: its scratch models plus any a
+    /// client owns.
+    pub(crate) fn models(&self) -> usize {
+        self.scratch.len() + self.clients.iter().filter(|c| c.owns_model()).count()
     }
 }
 
@@ -1473,6 +1483,31 @@ mod tests {
         for c in 0..6 {
             assert_eq!(serial.replica_digest(c), parallel.replica_digest(c));
         }
+    }
+
+    /// One scratch model per worker, none per client: 200 clients at
+    /// two workers hold two models, before and after a run.
+    #[test]
+    fn models_are_per_worker_not_per_client() {
+        let dataset = fmnist_clustered(&FmnistConfig {
+            num_clients: 200,
+            samples_per_client: 20,
+            ..FmnistConfig::default()
+        });
+        let features = dataset.feature_len();
+        let config = AsyncConfig {
+            dag: DagConfig {
+                local_batches: 1,
+                ..DagConfig::default()
+            },
+            total_activations: 20,
+            workers: 2,
+            ..AsyncConfig::default()
+        };
+        let mut sim = AsyncSimulation::new(config, dataset, small_factory(features));
+        assert_eq!(sim.models(), 2);
+        sim.run().unwrap();
+        assert_eq!(sim.models(), 2);
     }
 
     #[test]

@@ -8,11 +8,11 @@ use rand::SeedableRng;
 use dagfl_datasets::ClientDataset;
 use dagfl_nn::{average_parameters, Evaluation, Model, SgdConfig};
 use dagfl_tangle::{CumulativeWeightBias, RandomWalker, TangleRead, TxId, UniformBias};
-use dagfl_tensor::Matrix;
 
+use crate::evaluator::EvalCache;
 use crate::{
-    AccuracyBias, CoreError, DagConfig, EvalCounters, ModelEvaluator, ModelPayload, PublishGate,
-    TipSelector,
+    AccuracyBias, CoreError, DagConfig, EvalCounters, ModelEvaluator, ModelFactory, ModelPayload,
+    PublishGate, TipSelector,
 };
 
 /// Result of one client's participation in a round.
@@ -44,22 +44,44 @@ pub struct TrainOutcome {
     pub cached_evaluations: usize,
 }
 
-/// The client-side state of the Specializing DAG: the client's private
-/// RNG plus a [`ModelEvaluator`] owning the scratch model and the
-/// generation-stamped per-transaction accuracy cache.
+/// The client-side state of the Specializing DAG: the client's id, its
+/// private RNG and its generation-stamped per-transaction accuracy cache
+/// with the evaluation counters.
+///
+/// A client does not need a model of its own: every activation loads
+/// the averaged parents into the scratch model before it trains, and
+/// every candidate is scored from its payload. So a simulator keeps one
+/// scratch [`ModelEvaluator`] per worker and lends it to whichever
+/// client that worker runs. A client built with [`DagClient::new`]
+/// stands alone (a networked peer, a benchmark) and owns its scratch
+/// evaluator.
 pub struct DagClient {
     id: u32,
     rng: StdRng,
-    evaluator: ModelEvaluator,
+    cache: EvalCache,
+    /// The standalone client's own scratch evaluator; `None` for a
+    /// simulator's client, which borrows its worker's.
+    own: Option<ModelEvaluator>,
 }
 
 impl DagClient {
-    /// Creates a client with a freshly initialised scratch model.
+    /// Creates a standalone client that owns `model` as its scratch
+    /// model.
     pub fn new(id: u32, model: Box<dyn Model>, seed: u64) -> Self {
+        Self {
+            own: Some(ModelEvaluator::new(model)),
+            ..Self::borrowing(id, seed)
+        }
+    }
+
+    /// Creates a client without a model: every call that evaluates or
+    /// trains takes a worker's scratch evaluator.
+    pub(crate) fn borrowing(id: u32, seed: u64) -> Self {
         Self {
             id,
             rng: StdRng::seed_from_u64(seed ^ (id as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
-            evaluator: ModelEvaluator::new(model),
+            cache: EvalCache::default(),
+            own: None,
         }
     }
 
@@ -71,123 +93,47 @@ impl DagClient {
     /// Number of cached transaction evaluations valid under the current
     /// cache generation.
     pub fn cache_len(&self) -> usize {
-        self.evaluator.cache_len()
+        self.cache.len()
     }
 
-    /// Invalidates all cached evaluations (by bumping the evaluator's
-    /// cache generation). Must be called when the client's local data
-    /// changes (e.g. after a poisoning attack flips labels).
+    /// Invalidates all cached evaluations (by bumping the cache
+    /// generation). Must be called when the client's local data changes
+    /// (e.g. after a poisoning attack flips labels).
     pub fn clear_cache(&mut self) {
-        self.evaluator.invalidate();
+        self.cache.invalidate();
     }
 
-    /// Cumulative fresh/cached evaluation counts of this client's
-    /// evaluator.
+    /// Cumulative fresh/cached evaluation counts of this client.
     pub fn eval_counters(&self) -> EvalCounters {
-        self.evaluator.counters()
-    }
-
-    /// Runs one biased random walk and returns `(tip, steps, evaluations)`.
-    fn walk_once<T: TangleRead<ModelPayload>>(
-        &mut self,
-        tangle: &T,
-        data: &ClientDataset,
-        cfg: &DagConfig,
-    ) -> Result<(TxId, usize, usize), CoreError> {
-        let start = tangle.sample_walk_start(cfg.walk_depth.0, cfg.walk_depth.1, &mut self.rng);
-        let walker = RandomWalker::new();
-        match cfg.tip_selector {
-            TipSelector::Accuracy {
-                alpha,
-                normalization,
-            } => {
-                let mut bias = AccuracyBias::new(
-                    &mut self.evaluator,
-                    data.test_x(),
-                    data.test_y(),
-                    alpha,
-                    normalization,
-                );
-                if let Some(margin) = cfg.walk_stop_margin {
-                    bias = bias.with_stop_margin(margin);
-                }
-                let result = walker.walk(tangle, start, &mut bias, &mut self.rng)?;
-                Ok((result.tip, result.steps, result.candidates_evaluated))
-            }
-            TipSelector::Random => {
-                let result = walker.walk(tangle, start, &mut UniformBias, &mut self.rng)?;
-                Ok((result.tip, result.steps, 0))
-            }
-            TipSelector::CumulativeWeight { alpha } => {
-                let mut bias = CumulativeWeightBias::new(alpha);
-                let result = walker.walk(tangle, start, &mut bias, &mut self.rng)?;
-                Ok((result.tip, result.steps, 0))
-            }
-        }
-    }
-
-    /// Selects the two parent tips via two independent walks.
-    ///
-    /// # Errors
-    ///
-    /// Propagates tangle errors (cannot happen for well-formed tangles).
-    pub fn select_tips<T: TangleRead<ModelPayload>>(
-        &mut self,
-        tangle: &T,
-        data: &ClientDataset,
-        cfg: &DagConfig,
-    ) -> Result<((TxId, TxId), usize, usize), CoreError> {
-        let (tip1, steps1, eval1) = self.walk_once(tangle, data, cfg)?;
-        let (tip2, steps2, eval2) = self.walk_once(tangle, data, cfg)?;
-        Ok(((tip1, tip2), steps1 + steps2, eval1 + eval2))
+        self.cache.counters()
     }
 
     /// Computes the client's current reference (consensus) model: the
-    /// average of the two walk-selected tips (§4.1). Returns the parameters
-    /// and the tips.
+    /// average of the two walk-selected tips (§4.1), walking with the
+    /// worker's `scratch` evaluator. Returns the parameters and the tips.
     ///
     /// # Errors
     ///
     /// Propagates tangle errors.
-    pub fn reference_model<T: TangleRead<ModelPayload>>(
+    pub(crate) fn reference_model<T: TangleRead<ModelPayload>>(
         &mut self,
+        scratch: &mut ModelEvaluator,
         tangle: &T,
         data: &ClientDataset,
         cfg: &DagConfig,
     ) -> Result<(Vec<f32>, (TxId, TxId)), CoreError> {
-        let ((tip1, tip2), _, _) = self.select_tips(tangle, data, cfg)?;
+        let Self { rng, cache, .. } = self;
+        let ((tip1, tip2), _, _) = scratch.with_cache(cache, |evaluator| {
+            select_tips(evaluator, rng, tangle, data, cfg)
+        })?;
         let p1 = tangle.payload_of(tip1)?.share();
         let p2 = tangle.payload_of(tip2)?.share();
         Ok((average_parameters(&[&p1, &p2]), (tip1, tip2)))
     }
 
-    /// Evaluates an arbitrary parameter vector on the given data using the
-    /// client's scratch model.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the parameter count or data shape mismatches.
-    pub fn evaluate_with(
-        &mut self,
-        params: &[f32],
-        x: &Matrix,
-        y: &[usize],
-    ) -> Result<Evaluation, CoreError> {
-        self.evaluator.evaluate_params(params, x, y)
-    }
-
-    /// Predicts classes for `x` using an arbitrary parameter vector loaded
-    /// into the client's scratch model.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the parameter count or data shape mismatches.
-    pub fn predict_with(&mut self, params: &[f32], x: &Matrix) -> Result<Vec<usize>, CoreError> {
-        self.evaluator.predict_params(params, x)
-    }
-
     /// Runs the full four-step loop of Figure 1 against a tangle snapshot:
-    /// biased walks → average → local training → publish decision.
+    /// biased walks → average → local training → publish decision, on
+    /// the client's own scratch model.
     ///
     /// The returned [`TrainOutcome::published`] parameters must be attached
     /// to the tangle by the caller; splitting selection/training (reads)
@@ -198,102 +144,230 @@ impl DagClient {
     ///
     /// Returns an error if the model architecture does not match the
     /// tangle's payloads or the dataset shape.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a client without a model of its own (one a simulator
+    /// built); those train on their worker's.
     pub fn train_round<T: TangleRead<ModelPayload>>(
         &mut self,
         tangle: &T,
         data: &ClientDataset,
         cfg: &DagConfig,
     ) -> Result<TrainOutcome, CoreError> {
-        let counters_start = self.evaluator.counters();
-        // Step 1: biased random walks select two tips.
-        let walk_started = Instant::now();
-        let ((tip1, tip2), walk_steps, candidates_evaluated) =
-            self.select_tips(tangle, data, cfg)?;
-        let walk_duration = walk_started.elapsed();
-        // Step 2: average the two models. The default publish gate
-        // compares against the *best* approved parent (the client's
-        // current consensus view): this keeps a client from publishing a
-        // model that only improved relative to a bad average — e.g. one
-        // contaminated by a random-weight attacker (§4.4).
-        let p1 = tangle.payload_of(tip1)?.share();
-        let p2 = tangle.payload_of(tip2)?.share();
-        // `score` maps malformed payloads to accuracy 0.0 (an
-        // unattractive walk target), so guard the averaging explicitly:
-        // mismatched parent lengths must surface as an error, not as an
-        // `average_parameters` panic.
-        if p1.len() != p2.len() {
-            return Err(CoreError::Config(format!(
-                "selected tips carry incompatible models ({} vs {} parameters)",
-                p1.len(),
-                p2.len()
-            )));
-        }
-        let mut consensus_accuracy = 0.0f32;
-        if cfg.publish_gate == PublishGate::BestParent {
-            for tip in [tip1, tip2] {
-                let acc = self
-                    .evaluator
-                    .score(tangle, tip, data.test_x(), data.test_y());
-                consensus_accuracy = consensus_accuracy.max(acc);
-            }
-        }
-        let averaged = average_parameters(&[&p1, &p2]);
-        let reference = self
-            .evaluator
-            .evaluate_params(&averaged, data.test_x(), data.test_y())?;
-        // Step 3: train on local data (fixed batch budget, Table 1);
-        // optionally with frozen leading layers (partial-layer
-        // personalisation). Parameters are already loaded from the
-        // reference evaluation above.
-        let mut opt = SgdConfig::new(cfg.learning_rate);
-        if cfg.frozen_prefix > 0 {
-            opt = opt.with_frozen_prefix(cfg.frozen_prefix);
-        }
-        let (model, scratch) = self.evaluator.model_and_scratch();
-        for _ in 0..cfg.local_epochs {
-            for (x, y) in data.train_batches(cfg.batch_size, cfg.local_batches, &mut self.rng) {
-                model.train_batch(&x, &y, &opt)?;
-            }
-        }
-        let trained = model.evaluate_with_scratch(data.test_x(), data.test_y(), scratch)?;
-        // Step 4: publish only if training improved on the consensus,
-        // with ties broken by loss against the averaged reference so that
-        // early chance-level rounds can still make progress.
-        let improved = match cfg.publish_gate {
-            PublishGate::BestParent => {
-                let gate = consensus_accuracy.max(reference.accuracy);
-                trained.accuracy > gate
-                    || (trained.accuracy == gate && trained.loss < reference.loss)
-            }
-            PublishGate::AveragedReference => {
-                trained.accuracy > reference.accuracy
-                    || (trained.accuracy == reference.accuracy && trained.loss < reference.loss)
-            }
-            PublishGate::Always => true,
-        };
-        let published = improved.then(|| self.evaluator.model().parameters());
-        let counters = self.evaluator.counters().since(counters_start);
-        Ok(TrainOutcome {
-            client: self.id,
-            parents: (tip1, tip2),
-            reference,
-            trained,
-            published,
-            walk_duration,
-            walk_steps,
-            candidates_evaluated,
-            fresh_evaluations: counters.fresh,
-            cached_evaluations: counters.cached,
+        let mut own = self
+            .own
+            .take()
+            .expect("a simulator's client trains on its worker's scratch model");
+        let outcome = self.train_round_on(&mut own, tangle, data, cfg);
+        self.own = Some(own);
+        outcome
+    }
+
+    /// [`DagClient::train_round`] on a worker's `scratch` evaluator.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the model architecture does not match the
+    /// tangle's payloads or the dataset shape.
+    pub(crate) fn train_round_on<T: TangleRead<ModelPayload>>(
+        &mut self,
+        scratch: &mut ModelEvaluator,
+        tangle: &T,
+        data: &ClientDataset,
+        cfg: &DagConfig,
+    ) -> Result<TrainOutcome, CoreError> {
+        let Self { id, rng, cache, .. } = self;
+        scratch.with_cache(cache, |evaluator| {
+            train_round(*id, evaluator, rng, tangle, data, cfg)
         })
     }
+}
+
+/// A simulator's `n` clients, each borrowing its model, and one scratch
+/// evaluator per worker (at most one per client) to lend them.
+///
+/// The factory runs once per client, in id order, and every model past
+/// the first `workers` is dropped: the draws advance `rng`, which the
+/// simulator goes on to sample from.
+pub(crate) fn population(
+    n: usize,
+    workers: usize,
+    factory: &ModelFactory,
+    rng: &mut StdRng,
+    seed: u64,
+) -> (Vec<DagClient>, Vec<ModelEvaluator>) {
+    let mut scratch = Vec::with_capacity(workers.min(n));
+    let mut clients = Vec::with_capacity(n);
+    for id in 0..n as u32 {
+        let model = factory(rng);
+        if scratch.len() < workers {
+            scratch.push(ModelEvaluator::new(model));
+        }
+        clients.push(DagClient::borrowing(id, seed.wrapping_add(id as u64)));
+    }
+    (clients, scratch)
+}
+
+/// Runs one biased random walk and returns `(tip, steps, evaluations)`.
+fn walk_once<T: TangleRead<ModelPayload>>(
+    evaluator: &mut ModelEvaluator,
+    rng: &mut StdRng,
+    tangle: &T,
+    data: &ClientDataset,
+    cfg: &DagConfig,
+) -> Result<(TxId, usize, usize), CoreError> {
+    let start = tangle.sample_walk_start(cfg.walk_depth.0, cfg.walk_depth.1, rng);
+    let walker = RandomWalker::new();
+    match cfg.tip_selector {
+        TipSelector::Accuracy {
+            alpha,
+            normalization,
+        } => {
+            let mut bias = AccuracyBias::new(
+                evaluator,
+                data.test_x(),
+                data.test_y(),
+                alpha,
+                normalization,
+            );
+            if let Some(margin) = cfg.walk_stop_margin {
+                bias = bias.with_stop_margin(margin);
+            }
+            let result = walker.walk(tangle, start, &mut bias, rng)?;
+            Ok((result.tip, result.steps, result.candidates_evaluated))
+        }
+        TipSelector::Random => {
+            let result = walker.walk(tangle, start, &mut UniformBias, rng)?;
+            Ok((result.tip, result.steps, 0))
+        }
+        TipSelector::CumulativeWeight { alpha } => {
+            let mut bias = CumulativeWeightBias::new(alpha);
+            let result = walker.walk(tangle, start, &mut bias, rng)?;
+            Ok((result.tip, result.steps, 0))
+        }
+    }
+}
+
+/// Two independent walks: `((tip1, tip2), steps, evaluations)`.
+fn select_tips<T: TangleRead<ModelPayload>>(
+    evaluator: &mut ModelEvaluator,
+    rng: &mut StdRng,
+    tangle: &T,
+    data: &ClientDataset,
+    cfg: &DagConfig,
+) -> Result<((TxId, TxId), usize, usize), CoreError> {
+    let (tip1, steps1, eval1) = walk_once(evaluator, rng, tangle, data, cfg)?;
+    let (tip2, steps2, eval2) = walk_once(evaluator, rng, tangle, data, cfg)?;
+    Ok(((tip1, tip2), steps1 + steps2, eval1 + eval2))
+}
+
+/// The four-step loop of Figure 1 for `client`, on an evaluator that
+/// holds the client's cache.
+fn train_round<T: TangleRead<ModelPayload>>(
+    client: u32,
+    evaluator: &mut ModelEvaluator,
+    rng: &mut StdRng,
+    tangle: &T,
+    data: &ClientDataset,
+    cfg: &DagConfig,
+) -> Result<TrainOutcome, CoreError> {
+    let counters_start = evaluator.counters();
+    // Step 1: biased random walks select two tips.
+    let walk_started = Instant::now();
+    let ((tip1, tip2), walk_steps, candidates_evaluated) =
+        select_tips(evaluator, rng, tangle, data, cfg)?;
+    let walk_duration = walk_started.elapsed();
+    // Step 2: average the two models. The default publish gate
+    // compares against the *best* approved parent (the client's
+    // current consensus view): this keeps a client from publishing a
+    // model that only improved relative to a bad average — e.g. one
+    // contaminated by a random-weight attacker (§4.4).
+    let p1 = tangle.payload_of(tip1)?.share();
+    let p2 = tangle.payload_of(tip2)?.share();
+    // `score` maps malformed payloads to accuracy 0.0 (an
+    // unattractive walk target), so guard the averaging explicitly:
+    // mismatched parent lengths must surface as an error, not as an
+    // `average_parameters` panic.
+    if p1.len() != p2.len() {
+        return Err(CoreError::Config(format!(
+            "selected tips carry incompatible models ({} vs {} parameters)",
+            p1.len(),
+            p2.len()
+        )));
+    }
+    let mut consensus_accuracy = 0.0f32;
+    if cfg.publish_gate == PublishGate::BestParent {
+        for tip in [tip1, tip2] {
+            let acc = evaluator.score(tangle, tip, data.test_x(), data.test_y());
+            consensus_accuracy = consensus_accuracy.max(acc);
+        }
+    }
+    let averaged = average_parameters(&[&p1, &p2]);
+    let reference = evaluator.evaluate_params(&averaged, data.test_x(), data.test_y())?;
+    // Step 3: train on local data (fixed batch budget, Table 1);
+    // optionally with frozen leading layers (partial-layer
+    // personalisation). Parameters are already loaded from the
+    // reference evaluation above — which is also why the scratch model
+    // may come from any worker: nothing it held before is read.
+    let mut opt = SgdConfig::new(cfg.learning_rate);
+    if cfg.frozen_prefix > 0 {
+        opt = opt.with_frozen_prefix(cfg.frozen_prefix);
+    }
+    let (model, scratch) = evaluator.model_and_scratch();
+    for _ in 0..cfg.local_epochs {
+        for (x, y) in data.train_batches(cfg.batch_size, cfg.local_batches, rng) {
+            model.train_batch(&x, &y, &opt)?;
+        }
+    }
+    let trained = model.evaluate_with_scratch(data.test_x(), data.test_y(), scratch)?;
+    // Step 4: publish only if training improved on the consensus,
+    // with ties broken by loss against the averaged reference so that
+    // early chance-level rounds can still make progress.
+    let improved = match cfg.publish_gate {
+        PublishGate::BestParent => {
+            let gate = consensus_accuracy.max(reference.accuracy);
+            trained.accuracy > gate || (trained.accuracy == gate && trained.loss < reference.loss)
+        }
+        PublishGate::AveragedReference => {
+            trained.accuracy > reference.accuracy
+                || (trained.accuracy == reference.accuracy && trained.loss < reference.loss)
+        }
+        PublishGate::Always => true,
+    };
+    let published = improved.then(|| evaluator.model().parameters());
+    let counters = evaluator.counters().since(counters_start);
+    Ok(TrainOutcome {
+        client,
+        parents: (tip1, tip2),
+        reference,
+        trained,
+        published,
+        walk_duration,
+        walk_steps,
+        candidates_evaluated,
+        fresh_evaluations: counters.fresh,
+        cached_evaluations: counters.cached,
+    })
 }
 
 impl std::fmt::Debug for DagClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DagClient")
             .field("id", &self.id)
-            .field("evaluator", &self.evaluator)
+            .field("generation", &self.cache.generation())
+            .field("cached", &self.cache_len())
+            .field("counters", &self.eval_counters())
+            .field("owns_model", &self.own.is_some())
             .finish()
+    }
+}
+
+#[cfg(test)]
+impl DagClient {
+    /// Whether the client owns a scratch model (a standalone client).
+    pub(crate) fn owns_model(&self) -> bool {
+        self.own.is_some()
     }
 }
 
@@ -301,8 +375,8 @@ impl std::fmt::Debug for DagClient {
 mod tests {
     use super::*;
     use crate::ModelTangle;
-    use dagfl_datasets::{fmnist_clustered, FmnistConfig};
-    use dagfl_nn::{Dense, Relu, Sequential};
+    use dagfl_datasets::{fmnist_clustered, poets, FmnistConfig, PoetsConfig, POETS_VOCAB};
+    use dagfl_nn::{char_rnn, Dense, Relu, Sequential};
     use dagfl_tangle::Tangle;
 
     fn small_dataset() -> dagfl_datasets::FederatedDataset {
@@ -487,9 +561,10 @@ mod tests {
         tangle
             .attach(ModelPayload::new(vec![1.0; n]), &[g])
             .unwrap();
-        let mut client = DagClient::new(0, model, 7);
+        let mut scratch = ModelEvaluator::new(model);
+        let mut client = DagClient::borrowing(0, 7);
         let (params, (t1, t2)) = client
-            .reference_model(&tangle, &ds.clients()[0], &config())
+            .reference_model(&mut scratch, &tangle, &ds.clients()[0], &config())
             .unwrap();
         assert_eq!(t1, t2);
         assert!(params.iter().all(|&p| (p - 1.0).abs() < 1e-6));
@@ -525,5 +600,79 @@ mod tests {
                 .published
         };
         assert_eq!(run(7), run(7));
+    }
+
+    /// The bits of an outcome that a borrowed scratch model could
+    /// disturb: the published parameters, both evaluations, the tips
+    /// and every count.
+    fn outcome_bits(o: &TrainOutcome) -> impl PartialEq + std::fmt::Debug {
+        let eval = |e: &Evaluation| (e.loss.to_bits(), e.accuracy.to_bits(), e.correct, e.total);
+        (
+            o.published
+                .as_ref()
+                .map(|p| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>()),
+            eval(&o.reference),
+            eval(&o.trained),
+            o.parents,
+            (o.walk_steps, o.candidates_evaluated),
+            (o.fresh_evaluations, o.cached_evaluations),
+        )
+    }
+
+    /// One client's activation on a model fresh from `make` equals, bit
+    /// for bit, the same activation on a model that another client has
+    /// just trained and evaluated on its own data.
+    fn assert_lent_model_carries_nothing(
+        ds: &dagfl_datasets::FederatedDataset,
+        make: &dyn Fn(u64) -> Box<dyn Model>,
+    ) {
+        // Three tips beside the genesis, so the walks score candidates.
+        let mut tangle: ModelTangle = Tangle::new(ModelPayload::new(make(1).parameters()));
+        let g = tangle.genesis();
+        for seed in 2..5 {
+            tangle
+                .attach(ModelPayload::new(make(seed).parameters()), &[g])
+                .unwrap();
+        }
+        let activate = |scratch: &mut ModelEvaluator| {
+            let mut client = DagClient::borrowing(0, 7);
+            let outcome = client
+                .train_round_on(scratch, &tangle, &ds.clients()[0], &config())
+                .unwrap();
+            assert!(outcome.fresh_evaluations > 0, "the walks scored nothing");
+            outcome_bits(&outcome)
+        };
+        let fresh = activate(&mut ModelEvaluator::new(make(11)));
+
+        let mut used = ModelEvaluator::new(make(12));
+        let mut other = DagClient::borrowing(1, 9);
+        other
+            .train_round_on(&mut used, &tangle, &ds.clients()[1], &config())
+            .unwrap();
+        assert!(
+            other.cache_len() > 0,
+            "the lent cache went back to its client"
+        );
+        assert_eq!(used.cache_len(), 0, "the worker kept none of it");
+        assert_eq!(fresh, activate(&mut used), "{}", ds.name());
+    }
+
+    /// A scratch model carries nothing from one client to the next, for
+    /// the MLP and for the char-rnn.
+    #[test]
+    fn a_lent_scratch_model_carries_nothing_between_clients() {
+        let mlp_data = small_dataset();
+        let features = mlp_data.feature_len();
+        assert_lent_model_carries_nothing(&mlp_data, &|seed| make_model(seed, features));
+        let rnn_data = poets(&PoetsConfig {
+            clients_per_language: 1,
+            samples_per_client: 40,
+            seq_len: 6,
+            ..PoetsConfig::default()
+        });
+        assert_lent_model_carries_nothing(&rnn_data, &|seed| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            Box::new(char_rnn(&mut rng, POETS_VOCAB.len(), 8, 16))
+        });
     }
 }

@@ -55,14 +55,56 @@ struct CacheEntry {
     accuracy: f32,
 }
 
-/// A client's evaluation engine: the scratch model, reusable forward-pass
-/// buffers and a generation-stamped per-transaction accuracy cache.
+/// What a client keeps of its evaluation state between activations: the
+/// generation-stamped per-transaction accuracy cache and the counters.
+/// The model it scores with is a worker's, lent for one call through
+/// [`ModelEvaluator::with_cache`].
+#[derive(Default)]
+pub(crate) struct EvalCache {
+    entries: HashMap<TxId, CacheEntry>,
+    generation: u64,
+    counters: EvalCounters,
+}
+
+impl EvalCache {
+    /// Number of cached accuracies that are valid under the current
+    /// generation.
+    pub(crate) fn len(&self) -> usize {
+        self.entries
+            .values()
+            .filter(|e| e.generation == self.generation)
+            .count()
+    }
+
+    /// The current generation.
+    pub(crate) fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    /// Invalidates all cached accuracies by bumping the generation.
+    pub(crate) fn invalidate(&mut self) {
+        self.generation += 1;
+    }
+
+    /// Cumulative fresh/cached evaluation counts.
+    pub(crate) fn counters(&self) -> EvalCounters {
+        self.counters
+    }
+}
+
+/// An evaluation engine: a scratch model, reusable forward-pass buffers
+/// and a generation-stamped per-transaction accuracy cache.
 ///
 /// Every step of the accuracy-biased walk (§4.2) scores all approvers of
 /// the current transaction on the client's local test data; the evaluator
-/// owns everything that scoring needs, so callers hand around one
+/// holds everything that scoring needs, so callers hand around one
 /// `&mut ModelEvaluator` instead of threading a scratch model and a bare
 /// `HashMap` separately.
+///
+/// The scratch model carries nothing from one call to the next: every
+/// use loads the parameters it works on. So the simulators keep one
+/// evaluator per worker, not per client, and a client lends it its own
+/// cache for the length of a call.
 ///
 /// # Cache generations
 ///
@@ -76,9 +118,7 @@ struct CacheEntry {
 pub struct ModelEvaluator {
     model: Box<dyn Model>,
     scratch: EvalScratch,
-    cache: HashMap<TxId, CacheEntry>,
-    generation: u64,
-    counters: EvalCounters,
+    cache: EvalCache,
 }
 
 impl ModelEvaluator {
@@ -88,10 +128,22 @@ impl ModelEvaluator {
         Self {
             model,
             scratch: EvalScratch::new(),
-            cache: HashMap::new(),
-            generation: 0,
-            counters: EvalCounters::default(),
+            cache: EvalCache::default(),
         }
+    }
+
+    /// Runs `f` with `cache` in place of the evaluator's own: a client
+    /// lends its cache to a worker's scratch model for one call, and
+    /// gets it back, with what the call added, when `f` returns.
+    pub(crate) fn with_cache<R>(
+        &mut self,
+        cache: &mut EvalCache,
+        f: impl FnOnce(&mut Self) -> R,
+    ) -> R {
+        std::mem::swap(&mut self.cache, cache);
+        let out = f(self);
+        std::mem::swap(&mut self.cache, cache);
+        out
     }
 
     /// The scratch model (read-only).
@@ -108,28 +160,25 @@ impl ModelEvaluator {
 
     /// The current cache generation.
     pub fn generation(&self) -> u64 {
-        self.generation
+        self.cache.generation
     }
 
     /// Invalidates all cached accuracies by bumping the generation.
     /// Must be called whenever the client's local data changes.
     pub fn invalidate(&mut self) {
-        self.generation += 1;
+        self.cache.invalidate();
     }
 
     /// Number of cached accuracies that are valid under the current
     /// generation.
     pub fn cache_len(&self) -> usize {
-        self.cache
-            .values()
-            .filter(|e| e.generation == self.generation)
-            .count()
+        self.cache.len()
     }
 
     /// Cumulative fresh/cached evaluation counts (see
     /// [`EvalCounters::since`] for per-phase deltas).
     pub fn counters(&self) -> EvalCounters {
-        self.counters
+        self.cache.counters
     }
 
     /// Accuracy of one transaction's model on `(x, y)`, cached per
@@ -149,15 +198,16 @@ impl ModelEvaluator {
         x: &Matrix,
         y: &[usize],
     ) -> f32 {
-        if let Some(entry) = self.cache.get(&id) {
-            if entry.generation == self.generation {
-                self.counters.cached += 1;
+        let cache = &mut self.cache;
+        if let Some(entry) = cache.entries.get(&id) {
+            if entry.generation == cache.generation {
+                cache.counters.cached += 1;
                 return entry.accuracy;
             }
         }
         let accuracy = match tangle.payload_of(id) {
             Ok(payload) => {
-                self.counters.fresh += 1;
+                cache.counters.fresh += 1;
                 let params = payload.params();
                 // Zero-copy path: evaluate straight from the payload
                 // slice. Every `dagfl-nn` model has it; a model without
@@ -176,10 +226,10 @@ impl ModelEvaluator {
             }
             Err(_) => 0.0,
         };
-        self.cache.insert(
+        cache.entries.insert(
             id,
             CacheEntry {
-                generation: self.generation,
+                generation: cache.generation,
                 accuracy,
             },
         );
@@ -232,9 +282,9 @@ impl ModelEvaluator {
 impl std::fmt::Debug for ModelEvaluator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ModelEvaluator")
-            .field("generation", &self.generation)
+            .field("generation", &self.generation())
             .field("cached", &self.cache_len())
-            .field("counters", &self.counters)
+            .field("counters", &self.counters())
             .finish()
     }
 }

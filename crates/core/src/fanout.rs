@@ -1,9 +1,10 @@
 //! The one place this crate spawns compute threads: a bounded fan-out
 //! over indexed jobs, shared by both simulators and the sweep runner.
 //!
-//! A fanned-out job touches only its own client plus shared read-only
-//! state, work is handed out by index and results are reassembled by
-//! index — so the worker count is a wall-clock choice, never a result.
+//! A fanned-out job touches only its own client, its worker's scratch
+//! state and shared read-only state, work is handed out by index and
+//! results are reassembled by index — so the worker count is a
+//! wall-clock choice, never a result.
 
 use std::panic::resume_unwind;
 use std::sync::{Mutex, OnceLock, PoisonError};
@@ -43,26 +44,54 @@ where
     E: Send,
     F: Fn(usize, I::Item) -> Result<T, E> + Sync,
 {
+    fan_out_with(&mut vec![(); workers.max(1)], jobs, |_, i, job| run(i, job))
+}
+
+/// [`fan_out`] with one state per worker: `states.len()` is the worker
+/// count, and `run(state, index, job)` gets the state of the worker
+/// that took the job — the caller's thread the first, each spawned
+/// thread one of the others. Which worker takes which job is thread
+/// timing, so a job must leave nothing in its state that a later job
+/// reads: the simulators keep their scratch models here.
+///
+/// # Panics
+///
+/// Panics if `states` is empty and there is a job to run.
+pub(crate) fn fan_out_with<S, I, T, E, F>(states: &mut [S], jobs: I, run: F) -> Result<Vec<T>, E>
+where
+    S: Send,
+    I: IntoIterator,
+    I::IntoIter: ExactSizeIterator + Send,
+    T: Send,
+    E: Send,
+    F: Fn(&mut S, usize, I::Item) -> Result<T, E> + Sync,
+{
     let jobs = jobs.into_iter();
-    let threads = workers.min(jobs.len());
+    let threads = states.len().min(jobs.len());
     // Sized once: collecting `Result`s would grow the vector by doubling.
     let mut out = Vec::with_capacity(jobs.len());
     if threads <= 1 {
         for (i, job) in jobs.enumerate() {
-            out.push(run(i, job)?);
+            let state = states.first_mut().expect("a fan-out needs a worker state");
+            out.push(run(state, i, job)?);
         }
         return Ok(out);
     }
     let cursor = Mutex::new(jobs.enumerate());
     // `next` holds the cursor's lock for that call only: jobs run unlocked.
-    let drain = || {
+    let drain = |state: &mut S| {
         std::iter::from_fn(|| cursor.lock().unwrap_or_else(PoisonError::into_inner).next())
-            .map(|(i, job)| (i, run(i, job)))
+            .map(|(i, job)| (i, run(state, i, job)))
             .collect::<Vec<_>>()
     };
+    let drain = &drain;
+    let (own, others) = states[..threads].split_first_mut().expect("two or more");
     let mut done = std::thread::scope(|scope| {
-        let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(drain)).collect();
-        let mut done = drain();
+        let helpers: Vec<_> = others
+            .iter_mut()
+            .map(|state| scope.spawn(move || drain(state)))
+            .collect();
+        let mut done = drain(own);
         for helper in helpers {
             done.extend(helper.join().unwrap_or_else(|panic| resume_unwind(panic)));
         }
@@ -194,6 +223,34 @@ pub(crate) mod tests {
         })
         .unwrap();
         assert_eq!(ids.iter().filter(|&&id| id == caller).count(), 1);
+    }
+
+    #[test]
+    fn each_worker_owns_one_state() {
+        // Two jobs that each wait for the other run on two workers at
+        // once, so each worker's state sees exactly one job.
+        let started = std::sync::Barrier::new(2);
+        let mut states = [0usize; 2];
+        fan_out_with(&mut states, 0..2, |count, _, _| {
+            started.wait();
+            *count += 1;
+            Ok::<_, ()>(())
+        })
+        .unwrap();
+        assert_eq!(states, [1, 1]);
+        // Inline, the one state takes every job; unused states stay idle.
+        let mut states = [0usize; 3];
+        fan_out_with(&mut states[..1], 0..5, |count, _, _| {
+            *count += 1;
+            Ok::<_, ()>(())
+        })
+        .unwrap();
+        assert_eq!(states, [5, 0, 0]);
+        assert!(
+            fan_out_with(&mut [] as &mut [()], 0..0, |_, i, _| Ok::<_, ()>(i))
+                .unwrap()
+                .is_empty()
+        );
     }
 
     #[test]

@@ -10,11 +10,13 @@
 //!    per-step transition weights are `exp(alpha * normalized_accuracy)`
 //!    of each candidate model on the client's local test data, with the
 //!    paper's simple (Eq. 1–2) and dynamic (Eq. 3) normalizations. The
-//!    evaluator owns the scratch model, reusable forward-pass buffers and
+//!    evaluator holds a scratch model, reusable forward-pass buffers and
 //!    a generation-stamped accuracy cache, and reports fresh-vs-cached
 //!    evaluation counts.
 //! 2. **The client loop** ([`DagClient`]): select two tips, average their
-//!    models, train on local data, publish if the model improved.
+//!    models, train on local data, publish if the model improved. A
+//!    client keeps its RNG and accuracy cache; the simulators lend it a
+//!    scratch model, one per worker.
 //! 3. **The round simulator** ([`Simulation`]): discrete rounds with a
 //!    configurable number of concurrently active clients (the paper's
 //!    simulation methodology, §5.3), per-round metrics, the derived client

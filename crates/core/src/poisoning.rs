@@ -160,12 +160,13 @@ impl PoisoningScenario {
             .unwrap_or_default();
         let config = self.simulation.config;
         let tangle = &self.simulation.tangle;
+        let scratch = &mut self.simulation.scratch[0];
         let mut flip_fractions = Vec::new();
         let mut approved_counts = Vec::new();
         for idx in 0..self.simulation.dataset.num_clients() {
             let data = &self.simulation.dataset.clients()[idx];
             let client = &mut self.simulation.clients[idx];
-            let (params, (tip1, tip2)) = client.reference_model(tangle, data, &config)?;
+            let (params, (tip1, tip2)) = client.reference_model(scratch, tangle, data, &config)?;
             // Poisoned transactions in the union of the reference past
             // cones.
             let mut cone = tangle.past_cone(tip1)?;
@@ -185,7 +186,7 @@ impl PoisoningScenario {
             // Labels are the *clean* ground truth: for poisoned clients the
             // stored labels were flipped, so flip them back for
             // measurement.
-            let predictions = client.predict_with(&params, data.test_x())?;
+            let predictions = scratch.predict_params(&params, data.test_x())?;
             let is_poisoned = poisoned.contains(&(idx as u32));
             let mut relevant = 0usize;
             let mut flipped = 0usize;

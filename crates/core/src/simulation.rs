@@ -10,12 +10,13 @@ use dagfl_datasets::FederatedDataset;
 use dagfl_nn::Evaluation;
 use dagfl_tangle::TxId;
 
-use crate::fanout::{disjoint_mut, fan_out, machine_workers};
+use crate::client;
+use crate::fanout::{disjoint_mut, fan_out_with, machine_workers};
 use crate::graph::Graph;
 use crate::{
     specialization_seed, ClientGraphTracker, CoreError, DagClient, DagConfig, ExecutionMode,
-    ModelFactory, ModelPayload, RoundMetrics, ShardedModelTangle, SpecializationMetrics,
-    TrainOutcome,
+    ModelEvaluator, ModelFactory, ModelPayload, RoundMetrics, ShardedModelTangle,
+    SpecializationMetrics, TrainOutcome,
 };
 
 /// A client's reference evaluation: `(client id, evaluation, selected tips)`.
@@ -34,6 +35,10 @@ pub struct Simulation {
     pub(crate) dataset: FederatedDataset,
     pub(crate) tangle: ShardedModelTangle,
     pub(crate) clients: Vec<DagClient>,
+    /// One scratch model per fan-out worker (`machine_workers()` with
+    /// [`DagConfig::parallel`], else one), lent to the clients it runs.
+    /// Serial paths use the first.
+    pub(crate) scratch: Vec<ModelEvaluator>,
     pub(crate) rng: StdRng,
     pub(crate) history: Vec<RoundMetrics>,
     pub(crate) round: usize,
@@ -42,8 +47,8 @@ pub struct Simulation {
 
 impl Simulation {
     /// Creates a simulation: the genesis transaction carries a freshly
-    /// initialised model, and every client receives its own scratch model
-    /// from `factory`.
+    /// initialised model, and each fan-out worker gets a scratch model
+    /// from `factory` that it lends to the clients it runs.
     ///
     /// # Panics
     ///
@@ -63,15 +68,28 @@ impl Simulation {
         let mut rng = StdRng::seed_from_u64(config.seed);
         let genesis_model = factory(&mut rng);
         let tangle = ShardedModelTangle::new(ModelPayload::new(genesis_model.parameters()));
-        let clients: Vec<DagClient> = (0..dataset.num_clients() as u32)
-            .map(|id| DagClient::new(id, factory(&mut rng), config.seed.wrapping_add(id as u64)))
-            .collect();
+        let workers = if config.parallel {
+            machine_workers()
+        } else {
+            1
+        };
+        // One factory call per client, though only one model per worker
+        // is kept: the draws advance `rng`, which then samples every
+        // round's cohort, so drawing less would change every result.
+        let (clients, scratch) = client::population(
+            dataset.num_clients(),
+            workers,
+            &factory,
+            &mut rng,
+            config.seed,
+        );
         let graph = ClientGraphTracker::new(dataset.cluster_labels());
         Self {
             config,
             dataset,
             tangle,
             clients,
+            scratch,
             rng,
             history: Vec::new(),
             round: 0,
@@ -203,19 +221,15 @@ impl Simulation {
     }
 
     /// Runs the Figure 1 loop for all active clients against the current
-    /// tangle snapshot: one [`fan_out`] job per client, over the
-    /// machine's cores if [`DagConfig::parallel`] is set and inline
-    /// otherwise. Every job walks the sharded store directly (lock-free
-    /// read path, no guard held).
+    /// tangle snapshot: one [`fan_out_with`] job per client, over one
+    /// worker per scratch model — the machine's cores if
+    /// [`DagConfig::parallel`] is set and inline otherwise. Every job
+    /// walks the sharded store directly (lock-free read path, no guard
+    /// held).
     fn run_active_clients(&mut self, active: &[usize]) -> Result<Vec<TrainOutcome>, CoreError> {
         let config = self.config;
         let dataset = &self.dataset;
         let tangle = &self.tangle;
-        let workers = if config.parallel {
-            machine_workers()
-        } else {
-            1
-        };
         let mut clients = disjoint_mut(&mut self.clients, active, |&idx| idx);
         // Longest job first: a walk pays a forward pass for every
         // candidate the client's cache has not seen, so the coldest
@@ -223,8 +237,9 @@ impl Simulation {
         // worker the one started last sets the round's tail.
         clients.sort_by_cached_key(|client| client.cache_len());
         // A client's id is its index into `clients` and the dataset.
-        let mut outcomes = fan_out(workers, clients, |_, client| {
-            client.train_round(tangle, &dataset.clients()[client.id() as usize], &config)
+        let mut outcomes = fan_out_with(&mut self.scratch, clients, |scratch, _, client| {
+            let data = &dataset.clients()[client.id() as usize];
+            client.train_round_on(scratch, tangle, data, &config)
         })?;
         // Back to ascending client order, the order publications attach in.
         outcomes.sort_by_key(|outcome| outcome.client);
@@ -282,11 +297,12 @@ impl Simulation {
         let config = self.config;
         let tangle = &self.tangle;
         let dataset = &self.dataset;
+        let scratch = &mut self.scratch[0];
         let mut out = Vec::with_capacity(self.clients.len());
         for (idx, client) in self.clients.iter_mut().enumerate() {
             let data = &dataset.clients()[idx];
-            let (params, tips) = client.reference_model(tangle, data, &config)?;
-            let eval = client.evaluate_with(&params, data.test_x(), data.test_y())?;
+            let (params, tips) = client.reference_model(scratch, tangle, data, &config)?;
+            let eval = scratch.evaluate_params(&params, data.test_x(), data.test_y())?;
             out.push((client.id(), eval, tips));
         }
         Ok(out)
@@ -307,10 +323,11 @@ impl Simulation {
         let config = self.config;
         let tangle = &self.tangle;
         let dataset = &self.dataset;
+        let scratch = &mut self.scratch[0];
         let mut out = Vec::with_capacity(self.clients.len());
         for (idx, client) in self.clients.iter_mut().enumerate() {
             let data = &dataset.clients()[idx];
-            let (params, _) = client.reference_model(tangle, data, &config)?;
+            let (params, _) = client.reference_model(scratch, tangle, data, &config)?;
             out.push(params);
         }
         Ok(out)
@@ -324,6 +341,15 @@ impl std::fmt::Debug for Simulation {
             .field("clients", &self.clients.len())
             .field("transactions", &self.tangle.len())
             .finish()
+    }
+}
+
+#[cfg(test)]
+impl Simulation {
+    /// The models the simulation holds: its scratch models plus any a
+    /// client owns.
+    pub(crate) fn models(&self) -> usize {
+        self.scratch.len() + self.clients.iter().filter(|c| c.owns_model()).count()
     }
 }
 
@@ -492,6 +518,16 @@ mod tests {
                 "{workers} workers changed the result"
             );
         }
+    }
+
+    /// One scratch model per fan-out worker, none per client.
+    #[test]
+    fn models_are_per_worker_not_per_client() {
+        use crate::fanout::tests::with_workers;
+        assert_eq!(small_sim(1, false).models(), 1);
+        assert_eq!(with_workers(3, || small_sim(1, true).models()), 3);
+        // More workers than clients keep one model per client at most.
+        assert_eq!(with_workers(16, || small_sim(1, true).models()), 6);
     }
 
     #[test]

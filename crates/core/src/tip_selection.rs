@@ -17,10 +17,10 @@ use crate::{ModelEvaluator, ModelPayload, Normalization};
 /// weight_i = exp(alpha · normalized_i)                      (Eq. 2)
 /// ```
 ///
-/// The bias borrows the client's [`ModelEvaluator`], which owns the
-/// scratch model, the reusable forward-pass buffers and the
-/// generation-stamped per-transaction accuracy cache — see the evaluator
-/// docs for when cached accuracies are invalidated.
+/// The bias borrows a [`ModelEvaluator`] holding the scratch model, the
+/// reusable forward-pass buffers and the client's generation-stamped
+/// per-transaction accuracy cache — see the evaluator docs for when
+/// cached accuracies are invalidated.
 pub struct AccuracyBias<'a> {
     evaluator: &'a mut ModelEvaluator,
     test_x: &'a Matrix,

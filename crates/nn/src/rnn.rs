@@ -97,11 +97,10 @@ struct Tape {
 
 thread_local! {
     /// The tapes no pass on this thread is using. A tape holds four
-    /// matrices per timestep, several times the layer's parameters, and a
-    /// simulation keeps one model per client while a thread trains or
-    /// scores one at a time: lending the tape to the pass instead of
-    /// keeping one in every layer is what holds the resident set where it
-    /// was before tapes outlived a step.
+    /// matrices per timestep, several times the layer's parameters.
+    /// Inference takes `&self`, so its pass cannot keep a tape in the
+    /// layer; lending one from here serves the scoring pass and the
+    /// training pass from the same buffers.
     static TAPES: RefCell<Vec<Tape>> = const { RefCell::new(Vec::new()) };
 }
 
