@@ -104,8 +104,8 @@ pub fn fig10_11(session: &Session) {
 /// * **FedAvg**: every active client downloads the global model and
 ///   uploads its update — `2 · |params|` per activation.
 /// * **Specializing DAG**: every active client downloads each candidate
-///   model its walks evaluate (the dominant term, counted exactly from the
-///   recorded walk statistics) plus the two parents, and uploads its
+///   model its walks are offered (the dominant term, counted exactly from
+///   the recorded walk statistics) plus the two parents, and uploads its
 ///   update if published.
 pub fn communication_cost(session: &Session) {
     let (spec, dataset, factory) = task(&session.scenario("table1-fmnist"));
@@ -120,7 +120,7 @@ pub fn communication_cost(session: &Session) {
     let mut dag_download = 0u64;
     let mut dag_upload = 0u64;
     for m in sim.history() {
-        // Each evaluated candidate and both selected parents are fetched.
+        // Each offered candidate and both selected parents are fetched.
         dag_download += (m.candidates_evaluated as u64 + 2 * m.active_clients.len() as u64)
             * bytes_per_model as u64;
         dag_upload += m.published as u64 * bytes_per_model as u64;

@@ -115,28 +115,28 @@ const GOLDEN: &[(&str, u64, &str)] = &[
     ),
     (
         "sweep_async_delay.csv",
-        0xfb5e1d5dc33929a4,
-        "47234cb2eb1e1a99",
+        0x3f3459c7a1272c88,
+        "47238623fd1cc5f8",
     ),
     (
         "sweep_fig05_alpha.csv",
-        0xa372abc03857be95,
-        "0549ee7552337351",
+        0xc8754e1b44e71c8a,
+        "0549c5f7fd9b441b",
     ),
     (
         "sweep_fig06_alpha.csv",
-        0x1b20470da5a68261,
-        "375e37b196f73fd4117c",
+        0xe93995edd5d74417,
+        "375e5ece11b449fc5f03",
     ),
     (
         "sweep_fig07_alpha.csv",
-        0xa82204056ed2d780,
-        "375e8382df8784d5117c",
+        0x6861671366049de3,
+        "375e0d4322ab239d5f03",
     ),
     (
         "sweep_fig08_alpha.csv",
-        0x5dac170a0e56be9d,
-        "375e1fc4850eb7c45e25",
+        0xa40ecc32fe4af537,
+        "375efa100d825c296c09",
     ),
     (
         "table1_hyperparams.csv",

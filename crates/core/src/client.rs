@@ -35,7 +35,8 @@ pub struct TrainOutcome {
     pub walk_duration: Duration,
     /// Total walk steps over both walks.
     pub walk_steps: usize,
-    /// Total candidate models whose transition weight was computed.
+    /// Total candidates offered to the walks' bias, one per approver at
+    /// every step (see [`dagfl_tangle::WalkResult::candidates_evaluated`]).
     pub candidates_evaluated: usize,
     /// Fresh (forward-pass) evaluations this round, walks and publish
     /// gate included.
@@ -50,9 +51,9 @@ pub struct TrainOutcome {
 ///
 /// A client does not need a model of its own: every activation loads
 /// the averaged parents into the scratch model before it trains, and
-/// every candidate is scored from its payload. So a simulator keeps one
-/// scratch [`ModelEvaluator`] per worker and lends it to whichever
-/// client that worker runs. A client built with [`DagClient::new`]
+/// every candidate the walk scores is read from its payload. So a
+/// simulator keeps one scratch [`ModelEvaluator`] per worker and lends
+/// it to whichever client that worker runs. A client built with [`DagClient::new`]
 /// stands alone (a networked peer, a benchmark) and owns its scratch
 /// evaluator.
 pub struct DagClient {

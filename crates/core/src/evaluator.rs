@@ -10,11 +10,12 @@ use crate::{CoreError, ModelPayload};
 
 /// Fresh-vs-cached evaluation counts, cumulative per evaluator.
 ///
-/// A *fresh* evaluation loads a candidate's parameters into the scratch
-/// model and runs a forward pass over the client's local test data; a
-/// *cached* one is answered from the per-transaction accuracy cache.
-/// The split is the cost model of the scalability experiment (Figure 15):
-/// wall-clock time of tip selection is dominated by fresh evaluations.
+/// A *fresh* evaluation is one forward pass of a candidate's parameters
+/// over the client's local test data; a *cached* one is answered from
+/// the per-transaction accuracy cache. Both count calls to
+/// [`ModelEvaluator::score`], so a walk step onto a lone approver, which
+/// the accuracy bias takes without scoring, counts as neither. Fresh
+/// evaluations dominate the wall-clock time of tip selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EvalCounters {
     /// Evaluations that ran a real forward pass.
@@ -95,11 +96,11 @@ impl EvalCache {
 /// An evaluation engine: a scratch model, reusable forward-pass buffers
 /// and a generation-stamped per-transaction accuracy cache.
 ///
-/// Every step of the accuracy-biased walk (§4.2) scores all approvers of
-/// the current transaction on the client's local test data; the evaluator
-/// holds everything that scoring needs, so callers hand around one
-/// `&mut ModelEvaluator` instead of threading a scratch model and a bare
-/// `HashMap` separately.
+/// Every step of the accuracy-biased walk (§4.2) that offers a choice
+/// scores all approvers of the current transaction on the client's local
+/// test data; the evaluator holds everything that scoring needs, so
+/// callers hand around one `&mut ModelEvaluator` instead of threading a
+/// scratch model and a bare `HashMap` separately.
 ///
 /// The scratch model carries nothing from one call to the next: every
 /// use loads the parameters it works on. So the simulators keep one

@@ -409,7 +409,8 @@ pub struct RoundMetrics {
     /// Mean wall-clock duration of tip selection per active client
     /// (Figure 15).
     pub mean_walk_duration: Duration,
-    /// Total candidate evaluations across all active clients' walks.
+    /// Total candidates offered across all active clients' walks (see
+    /// [`dagfl_tangle::WalkResult::candidates_evaluated`]).
     pub candidates_evaluated: usize,
     /// Total walk steps across all active clients.
     pub walk_steps: usize,

@@ -232,9 +232,10 @@ impl Simulation {
         let tangle = &self.tangle;
         let mut clients = disjoint_mut(&mut self.clients, active, |&idx| idx);
         // Longest job first: a walk pays a forward pass for every
-        // candidate the client's cache has not seen, so the coldest
-        // cache is the longest job, and with a handful of jobs per
-        // worker the one started last sets the round's tail.
+        // candidate its cache has not seen on a slate of two or more
+        // (a lone approver costs none), so the coldest cache is the
+        // longest job, and with a handful of jobs per worker the one
+        // started last sets the round's tail.
         clients.sort_by_cached_key(|client| client.cache_len());
         // A client's id is its index into `clients` and the dataset.
         let mut outcomes = fan_out_with(&mut self.scratch, clients, |scratch, _, client| {

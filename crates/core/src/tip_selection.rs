@@ -17,6 +17,10 @@ use crate::{ModelEvaluator, ModelPayload, Normalization};
 /// weight_i = exp(alpha · normalized_i)                      (Eq. 2)
 /// ```
 ///
+/// A slate of one is its own maximum, so its weight is `exp(0) = 1`
+/// under either normalization: a lone approver is stepped to without
+/// being scored, and only a real choice costs forward passes.
+///
 /// The bias borrows a [`ModelEvaluator`] holding the scratch model, the
 /// reusable forward-pass buffers and the client's generation-stamped
 /// per-transaction accuracy cache — see the evaluator docs for when
@@ -105,6 +109,12 @@ impl<'a> AccuracyBias<'a> {
 
 impl<T: TangleRead<ModelPayload>> WalkBias<ModelPayload, T> for AccuracyBias<'_> {
     fn weights(&mut self, tangle: &T, _current: TxId, candidates: &[TxId]) -> Vec<f32> {
+        // A lone approver normalizes to `exp(alpha · 0) = 1` whatever it
+        // scores (accuracies are finite, never NaN), so it costs no
+        // forward pass; the walker still draws for the step.
+        if candidates.len() == 1 {
+            return vec![1.0];
+        }
         let accuracies = self
             .evaluator
             .score_slate(tangle, candidates, self.test_x, self.test_y);
@@ -127,10 +137,11 @@ impl<T: TangleRead<ModelPayload>> WalkBias<ModelPayload, T> for AccuracyBias<'_>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::EvalCounters;
     use dagfl_nn::{Dense, Model, Sequential, SgdConfig};
     use dagfl_tangle::{RandomWalker, Tangle};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, RngCore, SeedableRng};
 
     /// Toy task: features, labels, "good" params, "bad" params, evaluator.
     type ToySetup = (Matrix, Vec<usize>, Vec<f32>, Vec<f32>, ModelEvaluator);
@@ -266,10 +277,15 @@ mod tests {
         let weird = tangle
             .attach(ModelPayload::new(vec![1.0; 3]), &[g])
             .unwrap();
+        let good = tangle.attach(ModelPayload::new(good_params), &[g]).unwrap();
+        // Beside a sound model, so the slate is scored (a lone approver
+        // is not).
         let mut bias = AccuracyBias::new(&mut evaluator, &x, &y, 10.0, Normalization::Simple);
-        let w = bias.weights(&tangle, g, &[weird]);
-        assert_eq!(w.len(), 1);
+        let w = bias.weights(&tangle, g, &[weird, good]);
+        assert_eq!(w.len(), 2);
+        assert!(w[0] < w[1], "the malformed payload is the unattractive one");
         assert_eq!(evaluator.score(&tangle, weird, &x, &y), 0.0);
+        assert_eq!(evaluator.counters().cached, 1, "the slate scored it");
     }
 
     #[test]
@@ -277,5 +293,157 @@ mod tests {
     fn negative_alpha_panics() {
         let (x, y, _, _, mut evaluator) = toy_setup();
         AccuracyBias::new(&mut evaluator, &x, &y, -1.0, Normalization::Simple);
+    }
+
+    /// The oracle: Eq. 1–3 applied to every slate, a slate of one
+    /// included, stopping exactly where `AccuracyBias` does.
+    struct ScoreEverything<'a>(AccuracyBias<'a>);
+
+    impl<T: TangleRead<ModelPayload>> WalkBias<ModelPayload, T> for ScoreEverything<'_> {
+        fn weights(&mut self, tangle: &T, _current: TxId, candidates: &[TxId]) -> Vec<f32> {
+            let bias = &mut self.0;
+            let accuracies =
+                bias.evaluator
+                    .score_slate(tangle, candidates, bias.test_x, bias.test_y);
+            AccuracyBias::normalize(&accuracies, bias.alpha, bias.normalization)
+        }
+
+        fn should_stop(&mut self, tangle: &T, current: TxId, candidates: &[TxId]) -> bool {
+            self.0.should_stop(tangle, current, candidates)
+        }
+    }
+
+    const FEATURES: usize = 3;
+    const CLASSES: usize = 3;
+
+    fn small_model(rng: &mut StdRng) -> Box<dyn Model> {
+        Box::new(Sequential::new(vec![Box::new(Dense::new(
+            rng, FEATURES, CLASSES,
+        ))]))
+    }
+
+    /// A random tangle of `len` transactions in one of three shapes: a
+    /// chain (every slate holds one approver), forks (each transaction
+    /// approves one earlier one) or a DAG (two parents each). No
+    /// transaction gets more than six approvers. Payloads are random
+    /// weights, so candidates score differently; about one in ten has the
+    /// wrong parameter count and scores zero.
+    fn random_tangle(seed: u64, len: usize, shape: u8) -> Tangle<ModelPayload> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let param_count = FEATURES * CLASSES + CLASSES;
+        let payload = |rng: &mut StdRng| {
+            let count = if rng.gen_bool(0.1) { 5 } else { param_count };
+            ModelPayload::new((0..count).map(|_| rng.gen_range(-2.0f32..2.0)).collect())
+        };
+        let mut tangle = Tangle::new(payload(&mut rng));
+        let mut approvers = vec![0usize];
+        for i in 1..len {
+            let mut pick = |rng: &mut StdRng| loop {
+                let j = if rng.gen_bool(0.5) {
+                    i - 1 - rng.gen_range(0..i.min(3))
+                } else {
+                    rng.gen_range(0..i)
+                };
+                if approvers[j] < 6 {
+                    approvers[j] += 1;
+                    return TxId::from_index(j as u64);
+                }
+            };
+            let parents = match shape {
+                0 => vec![TxId::from_index(i as u64 - 1)],
+                1 => vec![pick(&mut rng)],
+                _ => {
+                    let first = pick(&mut rng);
+                    let second = pick(&mut rng);
+                    if second == first {
+                        approvers[first.index() as usize] -= 1;
+                    }
+                    vec![first, second]
+                }
+            };
+            tangle.attach(payload(&mut rng), &parents).unwrap();
+            approvers.push(0);
+        }
+        tangle
+    }
+
+    proptest::proptest! {
+        /// Skipping the forward pass for a lone approver changes nothing a
+        /// walk returns: against the score-everything oracle, the tip,
+        /// the steps, `candidates_evaluated` and the RNG stream after the
+        /// walk all agree, under both normalizations, with and without a
+        /// stop margin, over several walks sharing one cache.
+        #[test]
+        fn unscored_lone_approver_walks_as_the_scoring_oracle(
+            (tangle_seed, len, shape) in (proptest::prelude::any::<u64>(), 1usize..40, 0u8..3),
+            (alpha_index, walk_seed) in (0usize..4, proptest::prelude::any::<u64>()),
+        ) {
+            let tangle = random_tangle(tangle_seed, len, shape);
+            let alpha = [0.0, 1.0, 10.0, 50.0][alpha_index];
+            let mut rng = StdRng::seed_from_u64(walk_seed);
+            let x = Matrix::from_fn(12, FEATURES, |_, _| rng.gen_range(-1.0f32..1.0));
+            let y: Vec<usize> = (0..12).map(|_| rng.gen_range(0..CLASSES)).collect();
+            let starts: Vec<TxId> = (0..3)
+                .map(|_| TxId::from_index(rng.gen_range(0..len) as u64))
+                .collect();
+            for normalization in [Normalization::Simple, Normalization::Dynamic] {
+                for margin in [None, Some(0.1)] {
+                    let mut skipping = ModelEvaluator::new(small_model(&mut rng));
+                    let mut scoring = ModelEvaluator::new(small_model(&mut rng));
+                    let mut rng_skipping = StdRng::seed_from_u64(walk_seed);
+                    let mut rng_scoring = StdRng::seed_from_u64(walk_seed);
+                    for &start in &starts {
+                        let mut bias =
+                            AccuracyBias::new(&mut skipping, &x, &y, alpha, normalization);
+                        let mut oracle = ScoreEverything(AccuracyBias::new(
+                            &mut scoring, &x, &y, alpha, normalization,
+                        ));
+                        if let Some(margin) = margin {
+                            bias = bias.with_stop_margin(margin);
+                            oracle.0 = oracle.0.with_stop_margin(margin);
+                        }
+                        let walker = RandomWalker::new();
+                        let got = walker
+                            .walk(&tangle, start, &mut bias, &mut rng_skipping)
+                            .unwrap();
+                        let want = walker
+                            .walk(&tangle, start, &mut oracle, &mut rng_scoring)
+                            .unwrap();
+                        proptest::prop_assert_eq!(
+                            got, want,
+                            "shape {} alpha {} {:?} margin {:?} from {:?}",
+                            shape, alpha, normalization, margin, start
+                        );
+                    }
+                    proptest::prop_assert_eq!(rng_skipping.next_u64(), rng_scoring.next_u64());
+                    proptest::prop_assert!(skipping.counters().fresh <= scoring.counters().fresh);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn chain_walk_runs_no_forward_pass() {
+        let (x, y, good_params, _, mut evaluator) = toy_setup();
+        let mut tangle: Tangle<ModelPayload> = Tangle::new(ModelPayload::new(good_params.clone()));
+        let mut prev = tangle.genesis();
+        for _ in 0..9 {
+            prev = tangle
+                .attach(ModelPayload::new(good_params.clone()), &[prev])
+                .unwrap();
+        }
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut bias = AccuracyBias::new(&mut evaluator, &x, &y, 10.0, Normalization::Dynamic);
+        let result = RandomWalker::new()
+            .walk(&tangle, tangle.genesis(), &mut bias, &mut rng)
+            .unwrap();
+        assert_eq!(result.tip, prev);
+        assert_eq!(result.steps, 9);
+        assert_eq!(
+            result.candidates_evaluated, 9,
+            "every approver offered counts"
+        );
+        assert_eq!(evaluator.counters(), EvalCounters::default());
+        assert_eq!(evaluator.cache_len(), 0);
     }
 }

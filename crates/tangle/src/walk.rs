@@ -17,11 +17,14 @@ pub struct WalkResult {
     pub tip: TxId,
     /// Number of steps taken (edges traversed).
     pub steps: usize,
-    /// Total number of candidate transactions whose weight was computed.
+    /// Total number of candidate transactions offered to the bias, one
+    /// per approver at every step taken.
     ///
-    /// For the paper's accuracy bias every candidate costs one model
-    /// evaluation, so this is the dominant cost driver of the scalability
-    /// experiment (Figure 15).
+    /// The scalability experiment (Figure 15) and the communication-cost
+    /// table report it. It is not a count of model evaluations: the
+    /// paper's accuracy bias answers a lone approver without scoring it
+    /// and serves repeats from its cache, and its evaluator counts the
+    /// forward passes that remain.
     pub candidates_evaluated: usize,
 }
 
