@@ -11,7 +11,8 @@ use dagfl_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::rand_util::sample_normal;
+use crate::pool::{render_indexed, rendering_threads};
+use crate::rand_util::{sample_normal, skip_normals};
 use crate::{ClientDataset, FederatedDataset};
 
 /// Side length of the synthetic images.
@@ -140,8 +141,9 @@ impl ClientStyle {
         }
     }
 
-    fn render<R: Rng>(&self, prototype: &[f32], noise: f32, rng: &mut R) -> Vec<f32> {
-        let mut out = vec![0.0f32; IMAGE_LEN];
+    /// Renders one noisy sample of `prototype` into `out`
+    /// (`IMAGE_LEN` pixels), one normal per pixel.
+    fn render<R: Rng>(&self, prototype: &[f32], noise: f32, out: &mut [f32], rng: &mut R) {
         for y in 0..IMAGE_SIDE {
             for x in 0..IMAGE_SIDE {
                 let sy = y as i32 - self.dy;
@@ -157,7 +159,6 @@ impl ClientStyle {
                 out[y * IMAGE_SIDE + x] = noisy.clamp(-1.0, 2.0);
             }
         }
-        out
     }
 }
 
@@ -169,24 +170,111 @@ pub fn cluster_of_class(class: usize) -> usize {
         .expect("all 10 classes are assigned")
 }
 
+/// A class for one sample of a clustered-dataset client: its own
+/// cluster's classes, or with probability `relaxation` a foreign one.
+fn clustered_class<R: Rng>(cluster: usize, relaxation: f32, rng: &mut R) -> usize {
+    let own = CLASS_CLUSTERS[cluster];
+    if relaxation > 0.0 && rng.gen::<f32>() < relaxation {
+        // A foreign-cluster class.
+        loop {
+            let class = rng.gen_range(0..NUM_CLASSES);
+            if !own.contains(&class) {
+                return class;
+            }
+        }
+    } else {
+        own[rng.gen_range(0..own.len())]
+    }
+}
+
+/// What [`build_client`] does with a client's draws.
+#[derive(Debug, Clone, Copy)]
+enum Pass {
+    /// Renders the client.
+    Render,
+    /// Takes every draw the render takes, in the same order, but skips
+    /// the Box–Muller arithmetic: the client comes out zero pixels wide.
+    Draw,
+}
+
+/// Builds one client from `rng`: its style, then per sample a class
+/// (`classes`) and one normal per pixel, then the train/test shuffle.
+/// This is the one place that fixes the order of a client's draws; both
+/// [`Pass`]es go through it.
 fn build_client<R: Rng>(
     id: u32,
     cluster: usize,
     cfg: &FmnistConfig,
     prototypes: &[Vec<f32>],
-    classes: &dyn Fn(&mut R) -> usize,
+    classes: impl Fn(&mut R) -> usize,
     rng: &mut R,
+    pass: Pass,
 ) -> ClientDataset {
     let style = ClientStyle::sample(rng);
-    let mut x = Matrix::zeros(cfg.samples_per_client, IMAGE_LEN);
+    let width = match pass {
+        Pass::Render => IMAGE_LEN,
+        Pass::Draw => 0,
+    };
+    let mut x = Matrix::zeros(cfg.samples_per_client, width);
     let mut y = Vec::with_capacity(cfg.samples_per_client);
     for s in 0..cfg.samples_per_client {
         let class = classes(rng);
-        let img = style.render(&prototypes[class], cfg.noise_stddev, rng);
-        x.row_mut(s).copy_from_slice(&img);
+        match pass {
+            Pass::Render => {
+                style.render(&prototypes[class], cfg.noise_stddev, x.row_mut(s), rng);
+            }
+            Pass::Draw => skip_normals(rng, IMAGE_LEN),
+        }
         y.push(class);
     }
     ClientDataset::from_split(id, cluster, x, y, 0.1, rng)
+}
+
+/// Renders clients `0..count` that share one sequential RNG stream, on
+/// `threads` workers, byte for byte as one thread walking `rng` through
+/// them in id order would. `client(id, rng, pass)` builds client `id`
+/// from `rng` through [`build_client`].
+///
+/// Pass 1 walks the stream serially through every client in
+/// [`Pass::Draw`] and records where each client's draws start. Pass 2
+/// renders each client from its recorded start on the pool and asserts
+/// that its draws end exactly where the next client's start — so a
+/// draw-only pass that ever fell out of step with the render panics
+/// rather than shifting the data. On one thread the clients are rendered
+/// straight off the stream, with no draw-only pass.
+fn render_stream(
+    count: usize,
+    threads: usize,
+    mut rng: StdRng,
+    client: impl Fn(usize, &mut StdRng, Pass) -> ClientDataset + Sync,
+) -> Vec<ClientDataset> {
+    if threads == 1 {
+        return (0..count)
+            .map(|id| client(id, &mut rng, Pass::Render))
+            .collect();
+    }
+    let mut starts = Vec::with_capacity(count + 1);
+    for id in 0..count {
+        starts.push(rng.clone());
+        client(id, &mut rng, Pass::Draw);
+    }
+    starts.push(rng);
+    render_indexed(count, threads, |id| {
+        let mut rng = starts[id].clone();
+        let rendered = client(id, &mut rng, Pass::Render);
+        assert!(
+            rng == starts[id + 1],
+            "client {id}'s render drew a different count than its draw-only pass"
+        );
+        rendered
+    })
+}
+
+/// The ten class prototypes of `cfg.seed`.
+fn class_prototypes(cfg: &FmnistConfig) -> Vec<Vec<f32>> {
+    (0..NUM_CLASSES)
+        .map(|c| class_prototype(c, cfg.seed))
+        .collect()
 }
 
 /// Generates the clustered dataset: clients are assigned round-robin to the
@@ -195,43 +283,35 @@ fn build_client<R: Rng>(
 /// With `cfg.relaxation == 0.0` this is the strict FMNIST-clustered dataset;
 /// with 0.15–0.20 it is the paper's relaxed variant (Figure 8).
 ///
+/// One RNG stream, seeded from `cfg.seed`, runs through every client in
+/// id order, so a client's bytes depend on every client before it. The
+/// clients are still rendered on every core (a serial draw-only pass
+/// finds where each client's stream starts), and the dataset is
+/// bit-identical for any core count.
+///
 /// # Panics
 ///
 /// Panics if `num_clients < 3` or `samples_per_client < 10`.
 pub fn fmnist_clustered(cfg: &FmnistConfig) -> FederatedDataset {
+    fmnist_clustered_on(cfg, rendering_threads())
+}
+
+/// [`fmnist_clustered`] rendered on `threads` workers.
+fn fmnist_clustered_on(cfg: &FmnistConfig, threads: usize) -> FederatedDataset {
     assert!(cfg.num_clients >= 3, "need at least one client per cluster");
     assert!(cfg.samples_per_client >= 10, "too few samples per client");
-    let prototypes: Vec<Vec<f32>> = (0..NUM_CLASSES)
-        .map(|c| class_prototype(c, cfg.seed))
-        .collect();
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let prototypes = class_prototypes(cfg);
     let relaxation = cfg.relaxation;
-    let mut clients = Vec::with_capacity(cfg.num_clients);
-    for id in 0..cfg.num_clients {
-        let cluster = id % CLASS_CLUSTERS.len();
-        let pick = move |rng: &mut StdRng| -> usize {
-            let own = CLASS_CLUSTERS[cluster];
-            if relaxation > 0.0 && rng.gen::<f32>() < relaxation {
-                // A foreign-cluster class.
-                loop {
-                    let class = rng.gen_range(0..NUM_CLASSES);
-                    if !own.contains(&class) {
-                        return class;
-                    }
-                }
-            } else {
-                own[rng.gen_range(0..own.len())]
-            }
-        };
-        clients.push(build_client(
-            id as u32,
-            cluster,
-            cfg,
-            &prototypes,
-            &pick,
-            &mut rng,
-        ));
-    }
+    let clients = render_stream(
+        cfg.num_clients,
+        threads,
+        StdRng::seed_from_u64(cfg.seed),
+        |id, rng, pass| {
+            let cluster = id % CLASS_CLUSTERS.len();
+            let pick = |rng: &mut StdRng| clustered_class(cluster, relaxation, rng);
+            build_client(id as u32, cluster, cfg, &prototypes, pick, rng, pass)
+        },
+    );
     let name = if relaxation > 0.0 {
         "fmnist-relaxed"
     } else {
@@ -253,87 +333,41 @@ fn client_stream_seed(seed: u64, id: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Renders one client of the streamed clustered dataset from its own
-/// RNG stream.
-fn build_streamed_client(id: usize, cfg: &FmnistConfig, prototypes: &[Vec<f32>]) -> ClientDataset {
-    let cluster = id % CLASS_CLUSTERS.len();
-    let relaxation = cfg.relaxation;
-    let pick = move |rng: &mut StdRng| -> usize {
-        let own = CLASS_CLUSTERS[cluster];
-        if relaxation > 0.0 && rng.gen::<f32>() < relaxation {
-            loop {
-                let class = rng.gen_range(0..NUM_CLASSES);
-                if !own.contains(&class) {
-                    return class;
-                }
-            }
-        } else {
-            own[rng.gen_range(0..own.len())]
-        }
-    };
-    let mut rng = StdRng::seed_from_u64(client_stream_seed(cfg.seed, id as u64));
-    build_client(id as u32, cluster, cfg, prototypes, &pick, &mut rng)
-}
-
 /// Generates the clustered dataset from *independent per-client RNG
-/// streams*, rendering clients on `threads` worker threads.
-///
-/// [`fmnist_clustered`] threads one sequential RNG through every client,
-/// which pins generation to a single core — prohibitive at the
-/// 10k-client scale. This variant seeds each client from
-/// `(cfg.seed, id)` instead, so clients can be rendered in any order on
-/// any number of threads and the dataset is **bit-identical for every
-/// `threads` value** (a regression test pins `threads == 1` against
-/// `threads == 4`). The price is a different (but equally deterministic)
-/// sample stream than `fmnist_clustered`, hence the separate dataset
-/// name `fmnist-streamed`.
+/// streams*: client `id` is seeded from `(cfg.seed, id)` alone, so its
+/// bytes do not depend on any other client and it needs no draw-only
+/// pass before rendering — the cheaper way onto every core at the
+/// 10k-client scale. The dataset is bit-identical for any core count.
+/// The price is a different (but equally deterministic) sample stream
+/// than [`fmnist_clustered`], hence the separate dataset name
+/// `fmnist-streamed`.
 ///
 /// # Panics
 ///
-/// Panics if `num_clients < 3`, `samples_per_client < 10` or
-/// `threads == 0`.
-pub fn fmnist_clustered_streamed(cfg: &FmnistConfig, threads: usize) -> FederatedDataset {
+/// Panics if `num_clients < 3` or `samples_per_client < 10`.
+pub fn fmnist_clustered_streamed(cfg: &FmnistConfig) -> FederatedDataset {
+    fmnist_clustered_streamed_on(cfg, rendering_threads())
+}
+
+/// [`fmnist_clustered_streamed`] rendered on `threads` workers.
+fn fmnist_clustered_streamed_on(cfg: &FmnistConfig, threads: usize) -> FederatedDataset {
     assert!(cfg.num_clients >= 3, "need at least one client per cluster");
     assert!(cfg.samples_per_client >= 10, "too few samples per client");
-    assert!(threads > 0, "need at least one rendering thread");
-    let prototypes: Vec<Vec<f32>> = (0..NUM_CLASSES)
-        .map(|c| class_prototype(c, cfg.seed))
-        .collect();
-    let clients = if threads == 1 {
-        (0..cfg.num_clients)
-            .map(|id| build_streamed_client(id, cfg, &prototypes))
-            .collect()
-    } else {
-        // Work-stealing over an atomic client index: each worker renders
-        // whichever clients it claims into its own bucket, and the
-        // buckets are merged back into id order afterwards. Scheduling
-        // only affects *who* renders a client, never its bytes.
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let mut rendered: Vec<(usize, ClientDataset)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let next = &next;
-                    let prototypes = &prototypes;
-                    scope.spawn(move || {
-                        let mut bucket = Vec::new();
-                        loop {
-                            let id = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            if id >= cfg.num_clients {
-                                return bucket;
-                            }
-                            bucket.push((id, build_streamed_client(id, cfg, prototypes)));
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("rendering thread panicked"))
-                .collect()
-        });
-        rendered.sort_by_key(|(id, _)| *id);
-        rendered.into_iter().map(|(_, c)| c).collect()
-    };
+    let prototypes = class_prototypes(cfg);
+    let clients = render_indexed(cfg.num_clients, threads, |id| {
+        let cluster = id % CLASS_CLUSTERS.len();
+        let pick = |rng: &mut StdRng| clustered_class(cluster, cfg.relaxation, rng);
+        let mut rng = StdRng::seed_from_u64(client_stream_seed(cfg.seed, id as u64));
+        build_client(
+            id as u32,
+            cluster,
+            cfg,
+            &prototypes,
+            pick,
+            &mut rng,
+            Pass::Render,
+        )
+    });
     FederatedDataset::new("fmnist-streamed", NUM_CLASSES, clients)
 }
 
@@ -342,29 +376,31 @@ pub fn fmnist_clustered_streamed(cfg: &FmnistConfig, threads: usize) -> Federate
 /// own rendering style, mirroring the original author-split FEMNIST.
 ///
 /// All clients share ground-truth cluster 0 (there is no class clustering).
+/// Like [`fmnist_clustered`], one RNG stream runs through every client,
+/// and the clients are rendered on every core, bit-identical for any
+/// core count.
 ///
 /// # Panics
 ///
 /// Panics if `num_clients == 0` or `samples_per_client < 10`.
 pub fn fmnist_by_author(cfg: &FmnistConfig) -> FederatedDataset {
+    fmnist_by_author_on(cfg, rendering_threads())
+}
+
+/// [`fmnist_by_author`] rendered on `threads` workers.
+fn fmnist_by_author_on(cfg: &FmnistConfig, threads: usize) -> FederatedDataset {
     assert!(cfg.num_clients > 0, "need at least one client");
     assert!(cfg.samples_per_client >= 10, "too few samples per client");
-    let prototypes: Vec<Vec<f32>> = (0..NUM_CLASSES)
-        .map(|c| class_prototype(c, cfg.seed))
-        .collect();
-    let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(1));
-    let mut clients = Vec::with_capacity(cfg.num_clients);
-    for id in 0..cfg.num_clients {
-        let pick = |rng: &mut StdRng| rng.gen_range(0..NUM_CLASSES);
-        clients.push(build_client(
-            id as u32,
-            0,
-            cfg,
-            &prototypes,
-            &pick,
-            &mut rng,
-        ));
-    }
+    let prototypes = class_prototypes(cfg);
+    let clients = render_stream(
+        cfg.num_clients,
+        threads,
+        StdRng::seed_from_u64(cfg.seed.wrapping_add(1)),
+        |id, rng, pass| {
+            let pick = |rng: &mut StdRng| rng.gen_range(0..NUM_CLASSES);
+            build_client(id as u32, 0, cfg, &prototypes, pick, rng, pass)
+        },
+    );
     FederatedDataset::new("fmnist-by-author", NUM_CLASSES, clients)
 }
 
@@ -522,6 +558,164 @@ mod tests {
         );
     }
 
+    /// Every client of `a` and `b` holds the same bytes.
+    fn assert_same_bytes(a: &FederatedDataset, b: &FederatedDataset, what: &str) {
+        assert_eq!(a.name(), b.name(), "{what}");
+        assert_eq!(a.clients().len(), b.clients().len(), "{what}");
+        for (a, b) in a.clients().iter().zip(b.clients()) {
+            let id = a.id();
+            assert_eq!(id, b.id(), "{what}");
+            assert_eq!(a.cluster(), b.cluster(), "client {id}, {what}");
+            assert_eq!(a.train_y(), b.train_y(), "labels, client {id}, {what}");
+            assert_eq!(a.test_y(), b.test_y(), "labels, client {id}, {what}");
+            for (x, y) in [(a.train_x(), b.train_x()), (a.test_x(), b.test_x())] {
+                assert_eq!(x.cols(), y.cols(), "client {id}, {what}");
+                let (x, y) = (x.as_slice(), y.as_slice());
+                assert!(
+                    x.len() == y.len() && x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits()),
+                    "pixels, client {id}, {what}"
+                );
+            }
+        }
+    }
+
+    /// The single-RNG generator as one serial loop, written out
+    /// independently of `build_client`: the oracle the parallel render
+    /// must match byte for byte.
+    fn single_stream_oracle(
+        cfg: &FmnistConfig,
+        mut rng: StdRng,
+        cluster_of: impl Fn(usize) -> usize,
+        pick: impl Fn(usize, &mut StdRng) -> usize,
+    ) -> Vec<ClientDataset> {
+        let prototypes: Vec<Vec<f32>> = (0..NUM_CLASSES)
+            .map(|c| class_prototype(c, cfg.seed))
+            .collect();
+        (0..cfg.num_clients)
+            .map(|id| {
+                let cluster = cluster_of(id);
+                let dx: i32 = rng.gen_range(-1..=1);
+                let dy: i32 = rng.gen_range(-1..=1);
+                let brightness: f32 = rng.gen_range(0.85..=1.15);
+                let mut x = Matrix::zeros(cfg.samples_per_client, IMAGE_LEN);
+                let mut y = Vec::new();
+                for s in 0..cfg.samples_per_client {
+                    let class = pick(cluster, &mut rng);
+                    for (p, out) in x.row_mut(s).iter_mut().enumerate() {
+                        let (sy, sx) = ((p / IMAGE_SIDE) as i32 - dy, (p % IMAGE_SIDE) as i32 - dx);
+                        let inside = (0..IMAGE_SIDE as i32).contains(&sy)
+                            && (0..IMAGE_SIDE as i32).contains(&sx);
+                        let base = if inside {
+                            prototypes[class][sy as usize * IMAGE_SIDE + sx as usize]
+                        } else {
+                            0.0
+                        };
+                        let noise = sample_normal(&mut rng, 0.0, cfg.noise_stddev as f64) as f32;
+                        *out = (base * brightness + noise).clamp(-1.0, 2.0);
+                    }
+                    y.push(class);
+                }
+                ClientDataset::from_split(id as u32, cluster, x, y, 0.1, &mut rng)
+            })
+            .collect()
+    }
+
+    fn oracle_clustered(cfg: &FmnistConfig) -> Vec<ClientDataset> {
+        single_stream_oracle(
+            cfg,
+            StdRng::seed_from_u64(cfg.seed),
+            |id| id % 3,
+            |cluster, rng| {
+                let own = CLASS_CLUSTERS[cluster];
+                if cfg.relaxation > 0.0 && rng.gen::<f32>() < cfg.relaxation {
+                    loop {
+                        let class = rng.gen_range(0..NUM_CLASSES);
+                        if !own.contains(&class) {
+                            return class;
+                        }
+                    }
+                }
+                own[rng.gen_range(0..own.len())]
+            },
+        )
+    }
+
+    fn oracle_by_author(cfg: &FmnistConfig) -> Vec<ClientDataset> {
+        single_stream_oracle(
+            cfg,
+            StdRng::seed_from_u64(cfg.seed.wrapping_add(1)),
+            |_| 0,
+            |_, rng| rng.gen_range(0..NUM_CLASSES),
+        )
+    }
+
+    /// Small enough to render fast; 11 clients so that 7 threads each
+    /// get a different share.
+    fn sequential_stream_configs() -> impl Iterator<Item = FmnistConfig> {
+        [0.0, 0.2].into_iter().map(|relaxation| FmnistConfig {
+            num_clients: 11,
+            samples_per_client: 20,
+            relaxation,
+            seed: 7,
+            ..FmnistConfig::default()
+        })
+    }
+
+    #[test]
+    fn single_stream_generators_are_thread_count_invariant() {
+        for cfg in sequential_stream_configs() {
+            let clustered = fmnist_clustered_on(&cfg, 1);
+            let by_author = fmnist_by_author_on(&cfg, 1);
+            for threads in [2, 4, 7] {
+                let what = format!("{threads} threads, relaxation {}", cfg.relaxation);
+                assert_same_bytes(&clustered, &fmnist_clustered_on(&cfg, threads), &what);
+                assert_same_bytes(&by_author, &fmnist_by_author_on(&cfg, threads), &what);
+            }
+        }
+    }
+
+    #[test]
+    fn single_stream_generators_match_the_serial_oracle() {
+        for cfg in sequential_stream_configs() {
+            let name = if cfg.relaxation > 0.0 {
+                "fmnist-relaxed"
+            } else {
+                "fmnist-clustered"
+            };
+            let clustered = FederatedDataset::new(name, NUM_CLASSES, oracle_clustered(&cfg));
+            let by_author =
+                FederatedDataset::new("fmnist-by-author", NUM_CLASSES, oracle_by_author(&cfg));
+            for threads in [1, 2, 4, 7] {
+                let what = format!("oracle, {threads} threads, relaxation {}", cfg.relaxation);
+                assert_same_bytes(&clustered, &fmnist_clustered_on(&cfg, threads), &what);
+                assert_same_bytes(&by_author, &fmnist_by_author_on(&cfg, threads), &what);
+            }
+        }
+    }
+
+    #[test]
+    fn the_draw_only_pass_leaves_the_stream_where_the_render_does() {
+        let cfg = FmnistConfig {
+            num_clients: 3,
+            samples_per_client: 20,
+            relaxation: 0.2,
+            ..FmnistConfig::default()
+        };
+        let prototypes = class_prototypes(&cfg);
+        let mut rendered = StdRng::seed_from_u64(3);
+        let mut drawn = rendered.clone();
+        let pick = |rng: &mut StdRng| clustered_class(1, cfg.relaxation, rng);
+        let full = build_client(4, 1, &cfg, &prototypes, pick, &mut rendered, Pass::Render);
+        let bare = build_client(4, 1, &cfg, &prototypes, pick, &mut drawn, Pass::Draw);
+        assert_eq!(rendered, drawn);
+        assert_eq!(full.train_y(), bare.train_y());
+        assert_eq!(full.test_y(), bare.test_y());
+        assert_eq!(
+            (full.train_x().cols(), bare.train_x().cols()),
+            (IMAGE_LEN, 0)
+        );
+    }
+
     #[test]
     fn streamed_generation_is_thread_count_invariant() {
         let cfg = FmnistConfig {
@@ -530,25 +724,10 @@ mod tests {
             relaxation: 0.18,
             ..FmnistConfig::default()
         };
-        let sequential = fmnist_clustered_streamed(&cfg, 1);
+        let sequential = fmnist_clustered_streamed_on(&cfg, 1);
         for threads in [2, 4, 7] {
-            let parallel = fmnist_clustered_streamed(&cfg, threads);
-            for (a, b) in sequential.clients().iter().zip(parallel.clients()) {
-                assert_eq!(a.id(), b.id());
-                assert_eq!(a.cluster(), b.cluster());
-                assert_eq!(
-                    a.train_y(),
-                    b.train_y(),
-                    "labels differ at {threads} threads"
-                );
-                assert_eq!(
-                    a.train_x().as_slice(),
-                    b.train_x().as_slice(),
-                    "pixels differ at {threads} threads"
-                );
-                assert_eq!(a.test_y(), b.test_y());
-                assert_eq!(a.test_x().as_slice(), b.test_x().as_slice());
-            }
+            let parallel = fmnist_clustered_streamed_on(&cfg, threads);
+            assert_same_bytes(&sequential, &parallel, &format!("{threads} threads"));
         }
     }
 
@@ -559,7 +738,7 @@ mod tests {
             samples_per_client: 30,
             ..FmnistConfig::default()
         };
-        let ds = fmnist_clustered_streamed(&cfg, 3);
+        let ds = fmnist_clustered_streamed_on(&cfg, 3);
         assert_eq!(ds.name(), "fmnist-streamed");
         for client in ds.clients() {
             assert_eq!(client.cluster(), client.id() as usize % 3);
@@ -573,7 +752,7 @@ mod tests {
     fn streamed_clients_are_insertion_order_independent() {
         // A client's bytes depend only on (seed, id): the same id in a
         // smaller population renders identically.
-        let big = fmnist_clustered_streamed(
+        let big = fmnist_clustered_streamed_on(
             &FmnistConfig {
                 num_clients: 9,
                 samples_per_client: 20,
@@ -581,7 +760,7 @@ mod tests {
             },
             2,
         );
-        let small = fmnist_clustered_streamed(
+        let small = fmnist_clustered_streamed_on(
             &FmnistConfig {
                 num_clients: 3,
                 samples_per_client: 20,

@@ -2,15 +2,25 @@
 
 use rand::Rng;
 
-/// Samples from `N(mean, stddev²)` using Box–Muller.
+/// Raw `u64` draws [`sample_normal`] takes from its generator per call.
+const NORMAL_DRAWS: usize = 2;
+
+/// Samples from `N(mean, stddev²)` using Box–Muller, in exactly two raw
+/// draws.
 pub fn sample_normal<R: Rng>(rng: &mut R, mean: f64, stddev: f64) -> f64 {
-    loop {
-        let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-        let u2: f64 = rng.gen_range(0.0..1.0);
-        let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-        if z.is_finite() {
-            return mean + stddev * z;
-        }
+    // `u1 ≥ ε` keeps `ln(u1)` finite, so `z` always is.
+    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
+    let u2: f64 = rng.gen_range(0.0..1.0);
+    let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+    debug_assert!(z.is_finite(), "Box–Muller gave {z} for u1 = {u1}");
+    mean + stddev * z
+}
+
+/// Advances `rng` past the draws of `count` [`sample_normal`] calls
+/// without computing them.
+pub(crate) fn skip_normals<R: Rng>(rng: &mut R, count: usize) {
+    for _ in 0..count * NORMAL_DRAWS {
+        rng.next_u64();
     }
 }
 
@@ -63,7 +73,7 @@ pub fn sample_dirichlet<R: Rng>(rng: &mut R, alpha: f64, k: usize) -> Vec<f64> {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     #[test]
     fn normal_moments_plausible() {
@@ -76,6 +86,43 @@ mod tests {
             samples.iter().map(|s| (s - mean) * (s - mean)).sum::<f64>() / samples.len() as f64;
         assert!((mean - 2.0).abs() < 0.1, "mean {mean}");
         assert!((var - 9.0).abs() < 0.5, "var {var}");
+    }
+
+    /// Counts the raw draws taken from a real generator.
+    struct Counting {
+        inner: StdRng,
+        draws: usize,
+    }
+
+    impl RngCore for Counting {
+        fn next_u64(&mut self) -> u64 {
+            self.draws += 1;
+            self.inner.next_u64()
+        }
+    }
+
+    #[test]
+    fn normal_takes_exactly_two_draws() {
+        let mut rng = Counting {
+            inner: StdRng::seed_from_u64(4),
+            draws: 0,
+        };
+        for call in 1..=10_000 {
+            sample_normal(&mut rng, 0.0, 1.0);
+            assert_eq!(rng.draws, 2 * call, "call {call} drew a different count");
+        }
+    }
+
+    #[test]
+    fn skipping_normals_lands_where_sampling_them_does() {
+        let mut sampled = StdRng::seed_from_u64(5);
+        let mut skipped = sampled.clone();
+        for _ in 0..37 {
+            sample_normal(&mut sampled, 1.0, 0.3);
+        }
+        skip_normals(&mut skipped, 37);
+        assert_eq!(sampled, skipped);
+        assert_eq!(sampled.next_u64(), skipped.next_u64());
     }
 
     #[test]

@@ -174,17 +174,6 @@ pub enum DatasetSpec {
     },
 }
 
-/// Worker threads used to render streamed datasets. Generation is
-/// bit-identical for any thread count, so the machine's core count is
-/// purely a wall-clock choice (capped: rendering saturates memory
-/// bandwidth long before 8 threads).
-fn rendering_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(8)
-}
-
 impl DatasetSpec {
     /// The `kind` word used in scenario files.
     pub fn kind(&self) -> &'static str {
@@ -262,16 +251,13 @@ impl DatasetSpec {
                 samples,
                 relaxation,
                 seed,
-            } => fmnist_clustered_streamed(
-                &FmnistConfig {
-                    num_clients: clients,
-                    samples_per_client: samples,
-                    relaxation,
-                    seed,
-                    ..FmnistConfig::default()
-                },
-                rendering_threads(),
-            ),
+            } => fmnist_clustered_streamed(&FmnistConfig {
+                num_clients: clients,
+                samples_per_client: samples,
+                relaxation,
+                seed,
+                ..FmnistConfig::default()
+            }),
             DatasetSpec::FmnistAuthor {
                 clients,
                 samples,

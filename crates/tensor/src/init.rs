@@ -46,16 +46,15 @@ pub fn he_normal<R: Rng>(rng: &mut R, fan_in: usize, fan_out: usize) -> Matrix {
     normal_init(rng, fan_in, fan_out, stddev)
 }
 
-/// Samples from the standard normal distribution using Box–Muller.
+/// Samples from the standard normal distribution using Box–Muller, in
+/// exactly two raw draws.
 fn sample_standard_normal<R: Rng>(rng: &mut R) -> f32 {
-    loop {
-        let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
-        let u2: f32 = rng.gen_range(0.0..1.0);
-        let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos();
-        if z.is_finite() {
-            return z;
-        }
-    }
+    // `u1 ≥ ε` keeps `ln(u1)` finite, so `z` always is.
+    let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
+    let u2: f32 = rng.gen_range(0.0..1.0);
+    let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos();
+    debug_assert!(z.is_finite(), "Box–Muller gave {z} for u1 = {u1}");
+    z
 }
 
 #[cfg(test)]
@@ -63,7 +62,32 @@ mod tests {
     use super::*;
     use crate::{mean, stddev};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
+
+    /// Counts the raw draws taken from a real generator.
+    struct Counting {
+        inner: StdRng,
+        draws: usize,
+    }
+
+    impl RngCore for Counting {
+        fn next_u64(&mut self) -> u64 {
+            self.draws += 1;
+            self.inner.next_u64()
+        }
+    }
+
+    #[test]
+    fn standard_normal_takes_exactly_two_draws() {
+        let mut rng = Counting {
+            inner: StdRng::seed_from_u64(4),
+            draws: 0,
+        };
+        for call in 1..=10_000 {
+            sample_standard_normal(&mut rng);
+            assert_eq!(rng.draws, 2 * call, "call {call} drew a different count");
+        }
+    }
 
     #[test]
     fn uniform_respects_limit() {
