@@ -369,7 +369,7 @@ pub struct AsyncSimulation {
     dataset: FederatedDataset,
     global: ShardedModelTangle,
     /// Incrementally maintained client graph and pureness counters.
-    graph: ClientGraphTracker,
+    pub(crate) graph: ClientGraphTracker,
     /// Network id (dense, loopback) → id in the global tangle.
     net_to_global: Vec<TxId>,
     clients: Vec<DagClient>,
@@ -949,7 +949,9 @@ impl AsyncSimulation {
     }
 
     /// The derived client graph of the global tangle (§4.3),
-    /// maintained incrementally at publish time.
+    /// maintained incrementally at publish time. An owned copy;
+    /// [`ExecutionMode::client_graph`](crate::ExecutionMode::client_graph)
+    /// borrows it.
     pub fn client_graph(&self) -> Graph {
         self.graph.graph().clone()
     }

@@ -51,8 +51,9 @@ pub trait ExecutionMode {
 
     /// The derived client graph `G_clients` (§4.3), as the simulator
     /// maintains it at publish time; [`crate::client_graph_of`]
-    /// re-derives it by a full scan.
-    fn client_graph(&self) -> Graph;
+    /// re-derives it by a full scan. Borrowed: the inherent
+    /// `client_graph` of each simulator returns an owned copy.
+    fn client_graph(&self) -> &Graph;
 
     /// Approval pureness of the visible tangle (Table 2), as the
     /// simulator maintains it at publish time;
@@ -68,9 +69,9 @@ pub trait ExecutionMode {
     /// so comparisons across modes stay reproducible.
     fn specialization_metrics_seeded(&self, seed: u64) -> SpecializationMetrics {
         let graph = self.client_graph();
-        let partition = specialization_partition(&graph, seed);
+        let partition = specialization_partition(graph, seed);
         SpecializationMetrics {
-            modularity: modularity(&graph, &partition),
+            modularity: modularity(graph, &partition),
             partitions: partition_count(&partition),
             misclassification: misclassification_fraction(
                 &partition,
@@ -107,8 +108,8 @@ impl ExecutionMode for Simulation {
         Simulation::recent_accuracy(self, n)
     }
 
-    fn client_graph(&self) -> Graph {
-        Simulation::client_graph(self)
+    fn client_graph(&self) -> &Graph {
+        self.graph.graph()
     }
 
     fn approval_pureness(&self) -> f64 {
@@ -141,8 +142,8 @@ impl ExecutionMode for AsyncSimulation {
         AsyncSimulation::recent_accuracy(self, n)
     }
 
-    fn client_graph(&self) -> Graph {
-        AsyncSimulation::client_graph(self)
+    fn client_graph(&self) -> &Graph {
+        self.graph.graph()
     }
 
     fn approval_pureness(&self) -> f64 {

@@ -13,6 +13,18 @@
 //! [`ExecutionMode::specialization_metrics_seeded`](crate::ExecutionMode::specialization_metrics_seeded)
 //! and the analysis layer's graph view both read it.
 //!
+//! # Ordering
+//!
+//! A [`Graph`] keeps each node's neighbours in a list sorted by neighbour
+//! id, and every sum over neighbours — [`Graph::degree`], [`modularity`],
+//! Louvain's community links and its aggregation — runs in that
+//! ascending order. The same edges therefore give the same bits however
+//! they were added and in whichever process, for any finite weights, not
+//! only for the whole-number approval counts of the client graph.
+//! Louvain's local moving gathers a node's links into dense
+//! per-community arrays: one visit costs `O(d + t log t)` for a node of
+//! degree `d` with neighbours in `t ≤ d` communities, with no hashing.
+//!
 //! # Example
 //!
 //! ```
@@ -30,8 +42,6 @@
 //! assert_ne!(partition[0], partition[5]);
 //! assert!(modularity(&g, &partition) > 0.4);
 //! ```
-
-use std::collections::HashMap;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -53,21 +63,34 @@ pub fn specialization_partition(graph: &Graph, seed: u64) -> Vec<usize> {
 /// which matches how the client graph counts approvals. Self-loops are
 /// supported (they arise during Louvain aggregation) and follow the usual
 /// convention of contributing twice to a node's weighted degree.
+///
+/// Each node's neighbours are kept sorted by id, and every neighbour sum
+/// runs in ascending-id order (see the [module docs](self#ordering)).
 #[derive(Debug, Clone, Default)]
 pub struct Graph {
-    adjacency: Vec<HashMap<usize, f64>>,
+    adjacency: Vec<Vec<(usize, f64)>>,
     loops: Vec<f64>,
-    edge_weight_total: f64,
 }
 
 impl Graph {
     /// Creates a graph with `n` isolated nodes.
     pub fn new(n: usize) -> Self {
         Self {
-            adjacency: vec![HashMap::new(); n],
+            adjacency: vec![Vec::new(); n],
             loops: vec![0.0; n],
-            edge_weight_total: 0.0,
         }
+    }
+
+    /// A graph from adjacency lists that are already symmetric, sorted by
+    /// neighbour id and free of self-entries, and the self-loop weights.
+    pub(crate) fn from_sorted(adjacency: Vec<Vec<(usize, f64)>>, loops: Vec<f64>) -> Self {
+        debug_assert_eq!(adjacency.len(), loops.len());
+        debug_assert!(adjacency
+            .iter()
+            .enumerate()
+            .all(|(i, adj)| adj.windows(2).all(|w| w[0].0 < w[1].0)
+                && adj.iter().all(|&(j, _)| j != i)));
+        Self { adjacency, loops }
     }
 
     /// Number of nodes.
@@ -76,6 +99,9 @@ impl Graph {
     }
 
     /// Adds `weight` to the edge between `a` and `b` (accumulating).
+    ///
+    /// Finds the edge by binary search in each endpoint's sorted list:
+    /// `O(log d)` to accumulate, plus `O(d)` to insert a new neighbour.
     ///
     /// # Panics
     ///
@@ -96,10 +122,9 @@ impl Graph {
         if a == b {
             self.loops[a] += weight;
         } else {
-            *self.adjacency[a].entry(b).or_insert(0.0) += weight;
-            *self.adjacency[b].entry(a).or_insert(0.0) += weight;
+            add_to_sorted(&mut self.adjacency[a], b, weight);
+            add_to_sorted(&mut self.adjacency[b], a, weight);
         }
-        self.edge_weight_total += weight;
     }
 
     /// The self-loop weight of `a`.
@@ -108,37 +133,46 @@ impl Graph {
     }
 
     /// Iterator over `(neighbor, weight)` pairs of `a` (excluding any
-    /// self-loop).
+    /// self-loop), in ascending neighbour id.
     pub fn neighbors(&self, a: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
-        self.adjacency[a].iter().map(|(&j, &w)| (j, w))
+        self.adjacency[a].iter().copied()
     }
 
     /// Weighted degree of `a`; self-loops count twice per convention.
+    /// The neighbour weights are summed in ascending neighbour id.
     pub fn degree(&self, a: usize) -> f64 {
-        self.adjacency[a].values().sum::<f64>() + 2.0 * self.loops[a]
+        self.adjacency[a].iter().map(|&(_, w)| w).sum::<f64>() + 2.0 * self.loops[a]
     }
 
     /// Total edge weight `m` (each undirected edge counted once, self-loops
-    /// counted once).
+    /// counted once), summed in the order of [`Graph::edges`]: `O(n + E)`.
     pub fn total_weight(&self) -> f64 {
-        self.edge_weight_total
+        self.upper_edges().fold(0.0, |m, (_, _, w)| m + w)
     }
 
-    /// All edges as `(a, b, weight)` with `a <= b`, sorted for determinism.
+    /// All edges as `(a, b, weight)` with `a <= b`, sorted by `(a, b)`.
     pub fn edges(&self) -> Vec<(usize, usize, f64)> {
-        let mut out = Vec::new();
-        for (i, adj) in self.adjacency.iter().enumerate() {
-            if self.loops[i] > 0.0 {
-                out.push((i, i, self.loops[i]));
-            }
-            for (&j, &w) in adj {
-                if j > i {
-                    out.push((i, j, w));
-                }
-            }
-        }
-        out.sort_by_key(|e| (e.0, e.1));
-        out
+        self.upper_edges().collect()
+    }
+
+    /// Each edge once, from its lower end, in ascending `(a, b)`.
+    fn upper_edges(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
+        self.adjacency.iter().enumerate().flat_map(|(i, adj)| {
+            let above = adj.partition_point(|&(j, _)| j < i);
+            let own_loop = (self.loops[i] > 0.0).then_some((i, i, self.loops[i]));
+            own_loop
+                .into_iter()
+                .chain(adj[above..].iter().map(move |&(j, w)| (i, j, w)))
+        })
+    }
+}
+
+/// Adds `weight` to `to`'s entry of the sorted list `adj`, inserting the
+/// entry in order if it is new.
+fn add_to_sorted(adj: &mut Vec<(usize, f64)>, to: usize, weight: f64) {
+    match adj.binary_search_by_key(&to, |&(j, _)| j) {
+        Ok(at) => adj[at].1 += weight,
+        Err(at) => adj.insert(at, (to, weight)),
     }
 }
 
@@ -229,5 +263,52 @@ mod tests {
         g.add_edge(3, 3, 0.5);
         let degree_sum: f64 = (0..4).map(|i| g.degree(i)).sum();
         assert!((degree_sum - 2.0 * g.total_weight()).abs() < 1e-12);
+    }
+
+    /// One graph with non-whole weights, rebuilt from its edges in many
+    /// shuffled orders (each edge added once, endpoints swapped at
+    /// random): every sum must come out with the same bits, whatever the
+    /// insertion order and whatever per-container state a rebuild gets.
+    #[test]
+    fn rebuilds_in_any_edge_order_give_identical_bits() {
+        use rand::seq::SliceRandom;
+        use rand::Rng;
+
+        const N: usize = 40;
+        let mut edges: Vec<(usize, usize, f64)> = (0..N)
+            .flat_map(|i| [1, 3, 7, 17].map(|d| (i, (i + d) % N)))
+            .chain([(0, 0), (5, 5), (23, 23)])
+            .enumerate()
+            .map(|(k, (a, b))| (a, b, 0.1 + k as f64 * 0.37))
+            .collect();
+        let partition: Vec<usize> = (0..N).map(|i| i % 4).collect();
+        let fingerprint = |g: &Graph| {
+            let degrees: Vec<u64> = (0..N).map(|i| g.degree(i).to_bits()).collect();
+            let edges: Vec<(usize, usize, u64)> = g
+                .edges()
+                .into_iter()
+                .map(|(a, b, w)| (a, b, w.to_bits()))
+                .collect();
+            let q = modularity(g, &partition).to_bits();
+            (degrees, edges, q, specialization_partition(g, 9))
+        };
+        let mut reference = None;
+        for rebuild in 0..24 {
+            let mut rng = StdRng::seed_from_u64(rebuild);
+            edges.shuffle(&mut rng);
+            let mut g = Graph::new(N);
+            for &(a, b, w) in &edges {
+                if rng.gen::<bool>() {
+                    g.add_edge(a, b, w);
+                } else {
+                    g.add_edge(b, a, w);
+                }
+            }
+            let got = fingerprint(&g);
+            match &reference {
+                None => reference = Some(got),
+                Some(first) => assert_eq!(&got, first, "rebuild {rebuild} differs"),
+            }
+        }
     }
 }

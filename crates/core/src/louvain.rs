@@ -1,7 +1,5 @@
 //! The Louvain community-detection algorithm (Blondel et al., 2008).
 
-use std::collections::HashMap;
-
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -14,6 +12,14 @@ use crate::graph::{compact_labels, Graph};
 /// modularity, then aggregation of communities into super-nodes, repeated
 /// until the partition stabilises. Node visit order is shuffled with `rng`,
 /// so results are deterministic for a fixed seed.
+///
+/// Every sum runs in ascending neighbour id (see the
+/// [`graph` module docs](crate::graph#ordering)) and candidate communities
+/// are weighed in ascending id, so the partition does not depend on the
+/// order edges were added in, for any finite weights. One node visit costs
+/// `O(d + t log t)` for a node of degree `d` with neighbours in `t ≤ d`
+/// communities: links are gathered in dense per-community arrays, with no
+/// hashing and no allocation.
 ///
 /// Returns one dense community label per node. Isolated nodes end up in
 /// singleton communities.
@@ -38,9 +44,12 @@ pub fn louvain<R: Rng>(graph: &Graph, rng: &mut R) -> Vec<usize> {
     }
     // node -> community in the original graph.
     let mut membership: Vec<usize> = (0..n).collect();
-    let mut working = graph.clone();
+    let mut links = Links::new(n);
+    // The condensed graph of the last level; the first level reads `graph`.
+    let mut condensed: Option<Graph> = None;
     loop {
-        let local = one_level(&working, rng);
+        let working = condensed.as_ref().unwrap_or(graph);
+        let local = one_level(working, &mut links, rng);
         let compact = compact_labels(&local);
         let communities = compact.iter().copied().max().map_or(0, |m| m + 1);
         // Map original nodes through this level's assignment.
@@ -51,18 +60,64 @@ pub fn louvain<R: Rng>(graph: &Graph, rng: &mut R) -> Vec<usize> {
             // No merge happened at this level; we are done.
             return compact_labels(&membership);
         }
-        working = aggregate(&working, &compact, communities);
+        condensed = Some(aggregate(working, &compact, communities, &mut links));
+    }
+}
+
+/// Link weights from one node (or community) into its neighbouring
+/// communities: dense arrays indexed by community, plus the list of
+/// communities touched since the last [`Links::drain`]. Sized once for
+/// the input graph; every level after the first is smaller.
+struct Links {
+    weight: Vec<f64>,
+    seen: Vec<bool>,
+    touched: Vec<usize>,
+}
+
+impl Links {
+    fn new(n: usize) -> Self {
+        Self {
+            weight: vec![0.0; n],
+            seen: vec![false; n],
+            touched: Vec::new(),
+        }
+    }
+
+    fn add(&mut self, community: usize, w: f64) {
+        if !self.seen[community] {
+            self.seen[community] = true;
+            self.touched.push(community);
+        }
+        self.weight[community] += w;
+    }
+
+    /// The weight gathered into `community` so far (0 when untouched).
+    fn get(&self, community: usize) -> f64 {
+        self.weight[community]
+    }
+
+    /// Calls `f(community, weight)` for every touched community in
+    /// ascending id, and resets them all to untouched.
+    fn drain(&mut self, mut f: impl FnMut(usize, f64)) {
+        self.touched.sort_unstable();
+        for &c in &self.touched {
+            f(c, self.weight[c]);
+            self.weight[c] = 0.0;
+            self.seen[c] = false;
+        }
+        self.touched.clear();
     }
 }
 
 /// Phase 1: move nodes greedily between neighbouring communities until no
 /// move yields a positive modularity gain. Returns the community per node.
-fn one_level<R: Rng>(graph: &Graph, rng: &mut R) -> Vec<usize> {
+fn one_level<R: Rng>(graph: &Graph, links: &mut Links, rng: &mut R) -> Vec<usize> {
     let n = graph.num_nodes();
     let m = graph.total_weight();
     let mut community: Vec<usize> = (0..n).collect();
+    let degree: Vec<f64> = (0..n).map(|i| graph.degree(i)).collect();
     // Σ_tot per community (sum of weighted degrees of members).
-    let mut sigma_tot: Vec<f64> = (0..n).map(|i| graph.degree(i)).collect();
+    let mut sigma_tot = degree.clone();
     if m <= 0.0 {
         return community;
     }
@@ -73,34 +128,29 @@ fn one_level<R: Rng>(graph: &Graph, rng: &mut R) -> Vec<usize> {
     while improved {
         improved = false;
         for &node in &order {
-            let k_i = graph.degree(node);
+            let k_i = degree[node];
             let current = community[node];
             // Sum of edge weights from `node` into each neighbouring
             // community.
-            let mut links: HashMap<usize, f64> = HashMap::new();
             for (neighbor, w) in graph.neighbors(node) {
-                *links.entry(community[neighbor]).or_insert(0.0) += w;
+                links.add(community[neighbor], w);
             }
             // Remove the node from its community.
             sigma_tot[current] -= k_i;
-            let w_current = links.get(&current).copied().unwrap_or(0.0);
             // Best candidate: gain of inserting into community C is
             // proportional to w_(node->C) - Σ_tot(C) * k_i / 2m.
             let mut best_community = current;
-            let mut best_gain = w_current - sigma_tot[current] * k_i / two_m;
-            // Deterministic iteration order over candidates.
-            let mut candidates: Vec<(usize, f64)> = links.into_iter().collect();
-            candidates.sort_by_key(|&(c, _)| c);
-            for (c, w) in candidates {
+            let mut best_gain = links.get(current) - sigma_tot[current] * k_i / two_m;
+            links.drain(|c, w| {
                 if c == current {
-                    continue;
+                    return;
                 }
                 let gain = w - sigma_tot[c] * k_i / two_m;
                 if gain > best_gain + 1e-12 {
                     best_gain = gain;
                     best_community = c;
                 }
-            }
+            });
             sigma_tot[best_community] += k_i;
             if best_community != current {
                 community[node] = best_community;
@@ -112,21 +162,38 @@ fn one_level<R: Rng>(graph: &Graph, rng: &mut R) -> Vec<usize> {
 }
 
 /// Phase 2: build the condensed graph whose nodes are the communities.
-fn aggregate(graph: &Graph, community: &[usize], communities: usize) -> Graph {
-    let mut out = Graph::new(communities);
-    for node in 0..graph.num_nodes() {
-        let c = community[node];
-        if graph.loop_weight(node) > 0.0 {
-            out.add_edge(c, c, graph.loop_weight(node));
-        }
-        for (neighbor, w) in graph.neighbors(node) {
-            // Visit each undirected edge once.
-            if neighbor > node {
-                out.add_edge(c, community[neighbor], w);
+///
+/// Communities are filled in ascending id, each from its members in
+/// ascending id, so every list comes out sorted: a community's links to
+/// lower ids were pushed while those were filled, and its links to higher
+/// ids are pushed in ascending order from [`Links::drain`]. Each weight
+/// between two communities is summed once and written to both ends.
+fn aggregate(graph: &Graph, community: &[usize], communities: usize, links: &mut Links) -> Graph {
+    let mut members: Vec<Vec<usize>> = vec![Vec::new(); communities];
+    for (node, &c) in community.iter().enumerate() {
+        members[c].push(node);
+    }
+    let mut adjacency: Vec<Vec<(usize, f64)>> = vec![Vec::new(); communities];
+    let mut loops = vec![0.0; communities];
+    for (c, group) in members.iter().enumerate() {
+        for &node in group {
+            loops[c] += graph.loop_weight(node);
+            for (neighbor, w) in graph.neighbors(node) {
+                let d = community[neighbor];
+                if d > c {
+                    links.add(d, w);
+                } else if d == c && neighbor > node {
+                    // An intra-community edge, counted from its lower end.
+                    loops[c] += w;
+                }
             }
         }
+        links.drain(|d, w| {
+            adjacency[c].push((d, w));
+            adjacency[d].push((c, w));
+        });
     }
-    out
+    Graph::from_sorted(adjacency, loops)
 }
 
 #[cfg(test)]

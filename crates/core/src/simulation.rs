@@ -268,7 +268,8 @@ impl Simulation {
     ///
     /// Maintained incrementally at publish time (`O(parents)` per
     /// transaction); [`crate::client_graph_of`] re-derives the same graph
-    /// by a full scan and serves as the regression oracle.
+    /// by a full scan and serves as the regression oracle. An owned copy;
+    /// [`ExecutionMode::client_graph`] borrows it.
     pub fn client_graph(&self) -> Graph {
         self.graph.graph().clone()
     }

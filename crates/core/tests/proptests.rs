@@ -101,6 +101,141 @@ fn misclassification_oracle(partition: &[usize], truth: &[usize]) -> f64 {
     misclassified as f64 / partition.len() as f64
 }
 
+/// A node count, whole-number edges over it (weights 1–5, loops and
+/// isolated nodes included) and how many of the first edges to add a
+/// second time, as parallel edges.
+fn oracle_graph(
+    max_nodes: usize,
+) -> impl Strategy<Value = (usize, Vec<(usize, usize, u8)>, usize)> {
+    (2..=max_nodes).prop_flat_map(|n| {
+        (
+            n..=n,
+            proptest::collection::vec((0..n, 0..n, 1u8..=5), 0..3 * n),
+            0..=n,
+        )
+    })
+}
+
+/// Louvain and modularity as first written, over hash maps and against
+/// the public `Graph` API: the oracle of
+/// `louvain_and_modularity_match_the_hash_map_oracle`. On whole-number
+/// weights every sum is exact in any order, so the dense-array code must
+/// give the same partition and the same bits.
+mod hashed {
+    use std::collections::{BTreeMap, HashMap};
+
+    use dagfl_core::graph::{compact_labels, Graph};
+    use rand::seq::SliceRandom;
+    use rand::Rng;
+
+    pub fn louvain<R: Rng>(graph: &Graph, rng: &mut R) -> Vec<usize> {
+        let n = graph.num_nodes();
+        if n == 0 {
+            return Vec::new();
+        }
+        let mut membership: Vec<usize> = (0..n).collect();
+        let mut working = graph.clone();
+        loop {
+            let local = one_level(&working, rng);
+            let compact = compact_labels(&local);
+            let communities = compact.iter().copied().max().map_or(0, |m| m + 1);
+            for label in membership.iter_mut() {
+                *label = compact[*label];
+            }
+            if communities == working.num_nodes() {
+                return compact_labels(&membership);
+            }
+            working = aggregate(&working, &compact, communities);
+        }
+    }
+
+    fn one_level<R: Rng>(graph: &Graph, rng: &mut R) -> Vec<usize> {
+        let n = graph.num_nodes();
+        let m = graph.total_weight();
+        let mut community: Vec<usize> = (0..n).collect();
+        let mut sigma_tot: Vec<f64> = (0..n).map(|i| graph.degree(i)).collect();
+        if m <= 0.0 {
+            return community;
+        }
+        let two_m = 2.0 * m;
+        let mut order: Vec<usize> = (0..n).collect();
+        order.shuffle(rng);
+        let mut improved = true;
+        while improved {
+            improved = false;
+            for &node in &order {
+                let k_i = graph.degree(node);
+                let current = community[node];
+                let mut links: HashMap<usize, f64> = HashMap::new();
+                for (neighbor, w) in graph.neighbors(node) {
+                    *links.entry(community[neighbor]).or_insert(0.0) += w;
+                }
+                sigma_tot[current] -= k_i;
+                let w_current = links.get(&current).copied().unwrap_or(0.0);
+                let mut best_community = current;
+                let mut best_gain = w_current - sigma_tot[current] * k_i / two_m;
+                let mut candidates: Vec<(usize, f64)> = links.into_iter().collect();
+                candidates.sort_by_key(|&(c, _)| c);
+                for (c, w) in candidates {
+                    if c == current {
+                        continue;
+                    }
+                    let gain = w - sigma_tot[c] * k_i / two_m;
+                    if gain > best_gain + 1e-12 {
+                        best_gain = gain;
+                        best_community = c;
+                    }
+                }
+                sigma_tot[best_community] += k_i;
+                if best_community != current {
+                    community[node] = best_community;
+                    improved = true;
+                }
+            }
+        }
+        community
+    }
+
+    fn aggregate(graph: &Graph, community: &[usize], communities: usize) -> Graph {
+        let mut out = Graph::new(communities);
+        for node in 0..graph.num_nodes() {
+            let c = community[node];
+            if graph.loop_weight(node) > 0.0 {
+                out.add_edge(c, c, graph.loop_weight(node));
+            }
+            for (neighbor, w) in graph.neighbors(node) {
+                if neighbor > node {
+                    out.add_edge(c, community[neighbor], w);
+                }
+            }
+        }
+        out
+    }
+
+    pub fn modularity(graph: &Graph, partition: &[usize]) -> f64 {
+        let m = graph.total_weight();
+        if m <= 0.0 {
+            return 0.0;
+        }
+        let two_m = 2.0 * m;
+        let mut sums: BTreeMap<usize, (f64, f64)> = BTreeMap::new();
+        for node in 0..graph.num_nodes() {
+            let c = partition[node];
+            let sum = sums.entry(c).or_insert((0.0, 0.0));
+            sum.1 += graph.degree(node);
+            sum.0 += 2.0 * graph.loop_weight(node);
+            for (neighbor, w) in graph.neighbors(node) {
+                if partition[neighbor] == c {
+                    sum.0 += w;
+                }
+            }
+        }
+        sums.values().fold(0.0, |q, &(inn, tot)| {
+            q + (inn / two_m - (tot / two_m) * (tot / two_m))
+        })
+    }
+}
+
 #[test]
 fn connected_components_of_two_triangles() {
     let mut g = Graph::new(6);
@@ -230,5 +365,25 @@ proptest! {
             misclassification_fraction(labels, truth).to_bits(),
             misclassification_oracle(labels, truth).to_bits()
         );
+    }
+
+    #[test]
+    fn louvain_and_modularity_match_the_hash_map_oracle(
+        (n, edges, parallel) in oracle_graph(300),
+        seed in any::<u64>(),
+    ) {
+        let mut g = build(n, &edges);
+        for &(a, b, w) in edges.iter().take(parallel) {
+            g.add_edge(a, b, f64::from(w));
+        }
+        let labels = louvain(&g, &mut StdRng::seed_from_u64(seed));
+        prop_assert_eq!(&labels, &hashed::louvain(&g, &mut StdRng::seed_from_u64(seed)));
+        let by_residue: Vec<usize> = (0..n).map(|i| i % 7).collect();
+        for partition in [&labels, &by_residue] {
+            prop_assert_eq!(
+                modularity(&g, partition).to_bits(),
+                hashed::modularity(&g, partition).to_bits()
+            );
+        }
     }
 }

@@ -372,7 +372,7 @@ fn analysis_snapshot(
         None
     };
     let graph = if config.source.wants_approvals() {
-        Some(sim.client_graph())
+        Some(ExecutionMode::client_graph(&*sim))
     } else {
         None
     };
@@ -380,7 +380,7 @@ fn analysis_snapshot(
     Ok(dagfl_analysis::analyze(
         round,
         params.as_deref(),
-        graph.as_ref(),
+        graph,
         &truth,
         &config,
     ))
