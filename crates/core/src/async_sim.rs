@@ -370,8 +370,6 @@ pub struct AsyncSimulation {
     global: ShardedModelTangle,
     /// Incrementally maintained client graph and pureness counters.
     pub(crate) graph: ClientGraphTracker,
-    /// Network id (dense, loopback) → id in the global tangle.
-    net_to_global: Vec<TxId>,
     clients: Vec<DagClient>,
     /// One scratch model per training worker, lent to the clients it
     /// runs; the event loop's own re-selections use the first.
@@ -482,7 +480,6 @@ impl AsyncSimulation {
         let mut sim = Self {
             config,
             dataset,
-            net_to_global: vec![global.genesis()],
             global,
             graph,
             clients,
@@ -868,10 +865,9 @@ impl AsyncSimulation {
                 .network_id(parents.1)
                 .expect("selected tip is in the replica"),
         ];
-        let global_parents = [
-            self.net_to_global[net_parents[0] as usize],
-            self.net_to_global[net_parents[1] as usize],
-        ];
+        // Loopback network ids are the dense indices of the global
+        // tangle, so id assignment needs no coordination.
+        let global_parents = net_parents.map(TxId::from_index);
         let payload = ModelPayload::new(params);
         let shared = payload.share();
         // The tangle dedups parents on attach; mirror that here so the
@@ -884,11 +880,7 @@ impl AsyncSimulation {
             self.global
                 .attach_with_meta(payload, &global_parents, Some(idx as u32), now as u32)?;
         self.graph.record(idx as u32, &parent_issuers);
-        // Loopback network ids are the dense indices of the global
-        // tangle, so id assignment needs no coordination.
         let net_id = global_id.index();
-        debug_assert_eq!(net_id as usize, self.net_to_global.len());
-        self.net_to_global.push(global_id);
         let message = TxMessage {
             id: net_id,
             parents: net_parents.to_vec(),

@@ -1,7 +1,6 @@
 //! Per-round and specialization metrics.
 
 use dagfl_tangle::{TangleRead, TxId};
-use std::collections::HashMap;
 use std::convert::Infallible;
 use std::time::Duration;
 
@@ -289,16 +288,22 @@ pub fn partition_count(partition: &[usize]) -> usize {
 /// Renumbers partition labels to the dense range `0..k`, preserving the
 /// order of first appearance.
 pub fn compact_labels(partition: &[usize]) -> Vec<usize> {
-    let mut mapping = HashMap::new();
+    // Labels in ascending order; a label's rank indexes its new id, which
+    // is handed out on first appearance.
+    let mut labels = partition.to_vec();
+    labels.sort_unstable();
+    labels.dedup();
+    let mut ids = vec![usize::MAX; labels.len()];
     let mut next = 0;
     partition
         .iter()
-        .map(|&label| {
-            *mapping.entry(label).or_insert_with(|| {
-                let id = next;
+        .map(|label| {
+            let id = &mut ids[labels.partition_point(|l| l < label)];
+            if *id == usize::MAX {
+                *id = next;
                 next += 1;
-                id
-            })
+            }
+            *id
         })
         .collect()
 }
@@ -317,16 +322,25 @@ pub fn majority_count(partition: &[usize], truth: &[usize]) -> usize {
         truth.len(),
         "label slices differ in length"
     );
-    let mut members: HashMap<(usize, usize), usize> = HashMap::new();
-    for (&p, &t) in partition.iter().zip(truth) {
-        *members.entry((p, t)).or_default() += 1;
+    // Sorted `(group, truth)` pairs: each group is one run, and each of
+    // its ground-truth labels a run within it.
+    let mut pairs: Vec<(usize, usize)> = partition
+        .iter()
+        .copied()
+        .zip(truth.iter().copied())
+        .collect();
+    pairs.sort_unstable();
+    let (mut total, mut best, mut run) = (0, 0, 0);
+    for (i, &pair) in pairs.iter().enumerate() {
+        let previous = i.checked_sub(1).map(|j| pairs[j]);
+        if previous.map_or(true, |(group, _)| group != pair.0) {
+            total += best;
+            best = 0;
+        }
+        run = if previous == Some(pair) { run + 1 } else { 1 };
+        best = best.max(run);
     }
-    let mut majority: HashMap<usize, usize> = HashMap::new();
-    for ((p, _), count) in members {
-        let best = majority.entry(p).or_default();
-        *best = (*best).max(count);
-    }
-    majority.values().sum()
+    total + best
 }
 
 /// The paper's misclassification fraction (§4.3): the fraction of clients

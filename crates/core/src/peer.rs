@@ -145,9 +145,8 @@ fn next_own_seq(replica: &Replica, client: u32) -> u64 {
     let range = u64::from(client) + 1;
     replica
         .network_ids()
-        .iter()
-        .filter(|&&id| id >> 40 == range)
-        .map(|&id| id & ((1u64 << 40) - 1))
+        .filter(|&id| id >> 40 == range)
+        .map(|id| id & ((1u64 << 40) - 1))
         .max()
         .map_or(1, |seq| seq + 1)
 }
@@ -210,7 +209,7 @@ fn try_reconnect(
         .send_to_conn(
             conn,
             &WireMessage::SnapshotRequest {
-                have: replica.network_ids().to_vec(),
+                have: replica.network_ids().collect(),
             },
         )
         .map_err(CoreError::from)?;
@@ -240,15 +239,11 @@ pub fn run_peer(
         ));
     }
     config.dag.validate()?;
-    // Reproduce the simulator's model derivation: the first factory
-    // call on the session seed is the shared genesis, the (i+1)-th is
-    // client i's working model.
+    // The first factory call on the session seed is the genesis every
+    // peer shares; the second is the scratch model the client trains in.
     let mut rng = StdRng::seed_from_u64(config.dag.seed ^ 0xA57C);
     let genesis = ModelPayload::new(factory(&mut rng).parameters());
-    let mut model = factory(&mut rng);
-    for _ in 0..config.client {
-        model = factory(&mut rng);
-    }
+    let model = factory(&mut rng);
     let shard = &dataset.clients()[config.client as usize % dataset.num_clients()];
     let mut client = DagClient::new(
         config.client,
@@ -270,7 +265,7 @@ pub fn run_peer(
                 let _ = transport.send_to_conn(
                     conn,
                     &WireMessage::SnapshotRequest {
-                        have: replica.network_ids().to_vec(),
+                        have: replica.network_ids().collect(),
                     },
                 );
             }

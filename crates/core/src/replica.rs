@@ -4,21 +4,22 @@
 //!
 //! # Memory model
 //!
-//! At 10k+ clients the dominant cost of per-client replicas is no longer
-//! the model parameters (those were always behind an `Arc`) but the
-//! per-transaction bookkeeping each replica used to copy: parent lists,
-//! issuer/round metadata and the payload wrapper. Replicas therefore
-//! share one [`SegmentRegistry`] — an append-only intern store of
-//! immutable [`Arc`]'d transaction records keyed by network id. Each
-//! [`Replica`] keeps only its *delta*: which records it has attached, in
-//! which local order, plus the derived children/tip indices that depend
-//! on that order. Attaching a transaction that any other replica already
-//! holds costs one `Arc` clone instead of a fresh allocation.
+//! A replica splits into what every replica shares and what is its own.
+//! Shared records live in one [`SegmentRegistry`]: an append-only intern
+//! store of immutable [`Arc`]'d transaction records keyed by network id,
+//! each holding the model parameters, issuer, round and deduplicated
+//! network parents of one transaction — stored once per process, not
+//! once per replica. Per-replica structure lives in a sequential
+//! [`Tangle`] whose payload is the shared record: the local attachment
+//! order, parents as local ids, children and tips, all of which depend
+//! on the order this replica received its gossip in. Attaching a
+//! transaction that any other replica already holds costs one `Arc`
+//! clone, not a copy of its weights.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use dagfl_tangle::{TangleError, TangleRead, TxId};
+use dagfl_tangle::{Tangle, TangleError, TangleRead, Transaction, TxId};
 
 use crate::metrics::{fnv_mix, fnv_weights, FNV_OFFSET};
 use crate::{CoreError, Envelope, GossipMessage, ModelPayload, TxMessage};
@@ -31,7 +32,7 @@ pub const GENESIS_NET_ID: u64 = 0;
 ///
 /// Parents are stored as *network* ids, deduplicated but in approval
 /// order — local ids differ between replicas (they depend on arrival
-/// order), so they live in each replica's delta instead.
+/// order), so they live in each replica's own [`Tangle`] instead.
 #[derive(Debug)]
 struct TxRecord {
     net_id: u64,
@@ -50,7 +51,9 @@ struct TxRecord {
 /// gossiped to `n` clients is materialized once, not `n` times. Records
 /// are immutable once interned (first writer wins — network ids are
 /// unique per publication), so readers never contend beyond the brief
-/// lock taken on insert.
+/// lock taken on insert. The map sits behind a mutex, not in a plain
+/// field, because every replica holds a clone of it and replicas are
+/// read from fan-out threads: the registry must be `Sync`.
 #[derive(Debug, Clone, Default)]
 pub struct SegmentRegistry {
     records: Arc<Mutex<HashMap<u64, Arc<TxRecord>>>>,
@@ -109,70 +112,45 @@ impl SegmentRegistry {
     }
 }
 
-/// One replica's ordered view over shared transaction records: the
-/// per-client delta of the segment-shared storage scheme.
+/// One replica's ordered view over shared transaction records: a
+/// sequential [`Tangle`] whose payload is the shared record, plus the
+/// network-id → local-id map.
 ///
-/// Local ids are dense indices in attachment order (genesis is id 0,
-/// parents always precede children), exactly the contract of
-/// [`TangleRead`] — so tip selection, weights and metrics run on a
-/// replica view unchanged.
+/// Local ids are the tangle's dense indices in attachment order
+/// (genesis is id 0, parents always precede children), exactly the
+/// contract of [`TangleRead`] — so tip selection, weights and metrics
+/// run on a replica view unchanged. The tangle holds the local
+/// structure (parents as local ids, children, tips); the transactions
+/// are attached without metadata, since issuer, round and network
+/// parents are read from the record.
 #[derive(Debug, Clone)]
 pub struct ReplicaTangle {
-    /// Shared records in local attachment order.
-    records: Vec<Arc<TxRecord>>,
-    /// Direct approvers per local id, in attachment order.
-    children: Vec<Vec<TxId>>,
-    /// Local ids with no approvers yet.
-    tips: HashSet<TxId>,
+    tangle: Tangle<Arc<TxRecord>>,
     /// Network id → local id.
     to_local: HashMap<u64, TxId>,
-    /// Local id (by index) → network id.
-    to_network: Vec<u64>,
 }
 
 impl ReplicaTangle {
     fn new(genesis: Arc<TxRecord>) -> Self {
-        let g = TxId::from_index(0);
-        let mut to_local = HashMap::new();
-        to_local.insert(genesis.net_id, g);
-        let to_network = vec![genesis.net_id];
-        let mut tips = HashSet::new();
-        tips.insert(g);
+        let to_local = HashMap::from([(genesis.net_id, TxId::from_index(0))]);
         Self {
-            records: vec![genesis],
-            children: vec![Vec::new()],
-            tips,
+            tangle: Tangle::new(genesis),
             to_local,
-            to_network,
         }
-    }
-
-    /// Attaches an interned record whose parents are all present in
-    /// this view. Returns the assigned local id.
-    fn attach(&mut self, record: Arc<TxRecord>) -> TxId {
-        let id = TxId::from_index(self.records.len() as u64);
-        for net_parent in record.parents.iter() {
-            let parent = self.to_local[net_parent];
-            self.children[parent.index() as usize].push(id);
-            self.tips.remove(&parent);
-        }
-        self.to_local.insert(record.net_id, id);
-        self.to_network.push(record.net_id);
-        self.records.push(record);
-        self.children.push(Vec::new());
-        self.tips.insert(id);
-        id
     }
 
     fn record(&self, id: TxId) -> Result<&Arc<TxRecord>, TangleError> {
-        self.records
-            .get(id.index() as usize)
-            .ok_or(TangleError::UnknownTransaction(id))
+        self.tangle.payload_of(id)
+    }
+
+    /// The shared records in local attachment order.
+    fn records(&self) -> impl Iterator<Item = &Arc<TxRecord>> {
+        self.tangle.iter().map(Transaction::payload)
     }
 
     /// Number of transactions, including the genesis.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.tangle.len()
     }
 
     /// Always `false`: a replica is born holding the genesis.
@@ -182,13 +160,13 @@ impl ReplicaTangle {
 
     /// The local id of the genesis transaction.
     pub fn genesis(&self) -> TxId {
-        TxId::from_index(0)
+        self.tangle.genesis()
     }
 }
 
 impl TangleRead<ModelPayload> for ReplicaTangle {
     fn len(&self) -> usize {
-        self.records.len()
+        self.tangle.len()
     }
 
     fn payload_of(&self, id: TxId) -> Result<&ModelPayload, TangleError> {
@@ -204,39 +182,19 @@ impl TangleRead<ModelPayload> for ReplicaTangle {
     }
 
     fn parents_into(&self, id: TxId, out: &mut Vec<TxId>) -> Result<(), TangleError> {
-        let record = self.record(id)?;
-        out.clear();
-        for net_parent in record.parents.iter() {
-            // A record only attaches after all parents are local, so the
-            // translation cannot fail on a consistent view.
-            out.push(
-                self.to_local
-                    .get(net_parent)
-                    .copied()
-                    .ok_or(TangleError::UnknownParent(id))?,
-            );
-        }
-        Ok(())
+        self.tangle.parents_into(id, out)
     }
 
     fn children_into(&self, id: TxId, out: &mut Vec<TxId>) -> Result<(), TangleError> {
-        let children = self
-            .children
-            .get(id.index() as usize)
-            .ok_or(TangleError::UnknownTransaction(id))?;
-        out.clear();
-        out.extend_from_slice(children);
-        Ok(())
+        self.tangle.children_into(id, out)
     }
 
     fn is_tip(&self, id: TxId) -> bool {
-        self.tips.contains(&id)
+        self.tangle.is_tip(id)
     }
 
     fn tips(&self) -> Vec<TxId> {
-        let mut tips: Vec<TxId> = self.tips.iter().copied().collect();
-        tips.sort();
-        tips
+        self.tangle.tips()
     }
 }
 
@@ -316,13 +274,13 @@ impl Replica {
 
     /// The network id of a local transaction.
     pub fn network_id(&self, local: TxId) -> Option<u64> {
-        self.view.to_network.get(local.index() as usize).copied()
+        self.view.record(local).ok().map(|record| record.net_id)
     }
 
     /// All known network ids in local attachment order (starts with
     /// the genesis).
-    pub fn network_ids(&self) -> &[u64] {
-        &self.view.to_network
+    pub fn network_ids(&self) -> impl Iterator<Item = u64> + '_ {
+        self.view.records().map(|record| record.net_id)
     }
 
     /// Messages waiting in the solidification buffer.
@@ -381,20 +339,22 @@ impl Replica {
         // Validate and dedup (preserving order) before interning, so a
         // record always stores resolvable, duplicate-free parents.
         let mut deduped: Vec<u64> = Vec::with_capacity(msg.parents.len());
+        let mut local_parents = Vec::with_capacity(msg.parents.len());
         for p in &msg.parents {
-            if !self.view.to_local.contains_key(p) {
+            let Some(&local) = self.view.to_local.get(p) else {
                 return Err(CoreError::Config(format!(
                     "transaction {} references unknown parent {p}",
                     msg.id
                 )));
-            }
+            };
             if !deduped.contains(p) {
                 deduped.push(*p);
+                local_parents.push(local);
             }
         }
         let record = self.registry.intern(msg, &deduped);
-        let local = self.view.attach(record);
-        debug_assert_eq!(local.index() as usize + 1, self.view.to_network.len());
+        let local = self.view.tangle.attach(record, &local_parents)?;
+        self.view.to_local.insert(msg.id, local);
         Ok(local)
     }
 
@@ -492,8 +452,7 @@ impl Replica {
     /// genesis is never included (every replica is born with it).
     pub fn snapshot_messages(&self, have: &HashSet<u64>) -> Vec<TxMessage> {
         self.view
-            .records
-            .iter()
+            .records()
             .filter_map(|record| {
                 if record.parents.is_empty() || have.contains(&record.net_id) {
                     return None;
@@ -521,9 +480,9 @@ impl Replica {
     /// time, on every core — which yields the same value as byte-serial
     /// FNV-1a.
     pub fn digest(&self) -> u64 {
-        let records = &self.view.records;
-        let mut states: Vec<u64> = records
-            .iter()
+        let mut states: Vec<u64> = self
+            .view
+            .records()
             .map(|record| {
                 let mut h = FNV_OFFSET;
                 fnv_mix(&mut h, record.net_id);
@@ -534,10 +493,10 @@ impl Replica {
                 h
             })
             .collect();
-        let payloads: Vec<&[f32]> = records.iter().map(|r| r.payload.params()).collect();
+        let payloads: Vec<&[f32]> = self.view.records().map(|r| r.payload.params()).collect();
         fnv_weights(&mut states, &payloads);
         let mut total: u64 = 0;
-        for (mut h, record) in states.into_iter().zip(records) {
+        for (mut h, record) in states.into_iter().zip(self.view.records()) {
             fnv_mix(&mut h, record.issuer.map_or(u64::MAX, u64::from));
             fnv_mix(&mut h, u64::from(record.round));
             total = total.wrapping_add(h);
@@ -577,7 +536,7 @@ mod tests {
         let r = fresh();
         assert_eq!(r.tangle().len(), 1);
         assert!(r.contains(GENESIS_NET_ID));
-        assert_eq!(r.network_ids(), &[GENESIS_NET_ID]);
+        assert!(r.network_ids().eq([GENESIS_NET_ID]));
         assert_eq!(r.buffered(), 0);
     }
 
@@ -748,7 +707,7 @@ mod tests {
         }]);
         assert_eq!(synced.tangle().len(), replayed.tangle().len());
         assert_eq!(synced.digest(), replayed.digest());
-        assert_eq!(synced.network_ids(), replayed.network_ids());
+        assert!(synced.network_ids().eq(replayed.network_ids()));
         assert_eq!(synced.tangle().edges(), replayed.tangle().edges());
     }
 
@@ -771,7 +730,7 @@ mod tests {
     /// kernel must match bit for bit.
     fn serial_digest(replica: &Replica) -> u64 {
         let mut total: u64 = 0;
-        for record in &replica.view.records {
+        for record in replica.view.records() {
             let mut h = FNV_OFFSET;
             fnv_mix(&mut h, record.net_id);
             fnv_mix(&mut h, record.parents.len() as u64);

@@ -328,7 +328,7 @@ proptest! {
         };
         let mut replica = Replica::new(ModelPayload::new(vec![0.0]));
         replica.apply(vec![Envelope { at: 0.0, message }]);
-        let attached = replica.network_ids();
+        let attached: Vec<u64> = replica.network_ids().collect();
         for (position, id) in attached.iter().enumerate().skip(1) {
             let tx = sent.iter().find(|tx| tx.id == *id).expect("attached from the frame");
             prop_assert!(!tx.parents.is_empty(), "{tx:?}");
@@ -409,7 +409,7 @@ proptest! {
 
         // And a late joiner catching up from a snapshot agrees too.
         let mut late = Replica::new(ModelPayload::new(vec![0.0, 0.0]));
-        let have: HashSet<u64> = late.network_ids().iter().copied().collect();
+        let have: HashSet<u64> = late.network_ids().collect();
         late.apply(vec![Envelope {
             at: 0.0,
             message: GossipMessage::Snapshot(reference.snapshot_messages(&have)),

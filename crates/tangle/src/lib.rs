@@ -20,8 +20,10 @@
 //!   whose read path never takes a global lock: transactions live in
 //!   immutable once-written segments, the children/tip index is split
 //!   across independently-locked shards, and appends go through `&self`,
-//! * [`Tangle`] — the sequential store behind `&mut self`, kept as the
-//!   oracle the other stores are tested against,
+//! * [`Tangle`] — the sequential store behind `&mut self`: each
+//!   client's replica view in `dagfl-core` is one (over shared
+//!   transaction records), and the concurrent store is tested against
+//!   it,
 //! * [`TangleSnapshot`] — an order-preserving export of a tangle's state,
 //! * a pluggable random-walk engine ([`RandomWalker`], [`WalkBias`]) with
 //!   [`UniformBias`] (the paper's "random tip selector" baseline) and

@@ -1,13 +1,13 @@
 //! The sequential DAG store: attach, lookup and tip tracking behind a
-//! plain `&mut self` — the reference the concurrent store and the replica
-//! view are tested against.
+//! plain `&mut self` — the store under every per-client replica view,
+//! and the reference the concurrent store is tested against.
 
 use std::collections::HashSet;
 
 use crate::{TangleError, TangleStats, Transaction, TxId};
 
-/// An append-only DAG of transactions with approval edges: the
-/// sequential oracle. Every algorithm over it (weights, depths, cones,
+/// An append-only DAG of transactions with approval edges, behind
+/// `&mut self`. Every algorithm over it (weights, depths, cones,
 /// edges, DOT export) is a provided method of
 /// [`TangleRead`](crate::TangleRead).
 ///
