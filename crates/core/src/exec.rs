@@ -41,8 +41,9 @@ pub trait ExecutionMode {
     /// Propagates model/tangle errors.
     fn run_to_completion(&mut self) -> Result<(), CoreError>;
 
-    /// The globally visible tangle. Its read path is lock-free, so the
-    /// borrow can be kept for as long as the simulator is borrowed.
+    /// The globally visible tangle. Its slots are read with no lock and
+    /// its structure under one lock held per call, so the borrow can be
+    /// kept for as long as the simulator is borrowed.
     fn tangle(&self) -> &ShardedModelTangle;
 
     /// Mean post-training accuracy over the most recent `n` client

@@ -461,11 +461,6 @@ impl RoundMetrics {
         mean(&self.losses)
     }
 
-    /// Mean reference accuracy over the active clients.
-    pub fn mean_reference_accuracy(&self) -> f32 {
-        mean(&self.reference_accuracies)
-    }
-
     /// Fraction of candidate evaluations that were fresh (forward
     /// passes) rather than cache hits; `0.0` when nothing was evaluated.
     pub fn fresh_eval_ratio(&self) -> f64 {
@@ -637,7 +632,6 @@ mod tests {
         let m = metrics(vec![], vec![]);
         assert_eq!(m.mean_accuracy(), 0.0);
         assert_eq!(m.mean_loss(), 0.0);
-        assert_eq!(m.mean_reference_accuracy(), 0.0);
         assert_eq!(m.fresh_eval_ratio(), 0.0);
     }
 

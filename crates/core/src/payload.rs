@@ -58,8 +58,9 @@ impl From<Vec<f32>> for ModelPayload {
 /// A tangle of model updates.
 pub type ModelTangle = Tangle<ModelPayload>;
 
-/// A concurrent, shard-indexed tangle of model updates whose read path
-/// never takes a global lock — the storage backend of both simulators.
+/// The tangle of model updates both simulators run on: transaction
+/// slots are read with no lock, structure under one lock, and it is
+/// written only in the simulators' serial phases.
 pub type ShardedModelTangle = ShardedTangle<ModelPayload>;
 
 /// Creates fresh model instances for clients and the genesis.

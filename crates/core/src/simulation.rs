@@ -224,8 +224,9 @@ impl Simulation {
     /// tangle snapshot: one [`fan_out_with`] job per client, over one
     /// worker per scratch model — the machine's cores if
     /// [`DagConfig::parallel`] is set and inline otherwise. Every job
-    /// walks the sharded store directly (lock-free read path, no guard
-    /// held).
+    /// walks the shared store directly: slots with no lock, structure
+    /// under one read lock per call, and no write until the publication
+    /// phase.
     fn run_active_clients(&mut self, active: &[usize]) -> Result<Vec<TrainOutcome>, CoreError> {
         let config = self.config;
         let dataset = &self.dataset;

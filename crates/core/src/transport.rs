@@ -59,17 +59,6 @@ pub enum GossipMessage {
     Snapshot(Vec<TxMessage>),
 }
 
-impl GossipMessage {
-    /// Tie-break key for deliveries that share an arrival time: the
-    /// transaction's network id (snapshots sort first).
-    pub fn sort_key(&self) -> u64 {
-        match self {
-            GossipMessage::Transaction(msg) => msg.id,
-            GossipMessage::Snapshot(_) => 0,
-        }
-    }
-}
-
 /// A message en route to (or arrived at) one peer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Envelope {
@@ -406,12 +395,6 @@ mod tests {
         t.broadcast(0, 0.0, tx(1, &[0]), &mut rng).unwrap();
         assert_eq!(t.in_flight(1)[0].at, 1.0, "fast link");
         assert_eq!(t.in_flight(2)[0].at, 9.0, "slow link");
-    }
-
-    #[test]
-    fn sort_key_is_the_transaction_id() {
-        assert_eq!(tx(42, &[0]).sort_key(), 42);
-        assert_eq!(GossipMessage::Snapshot(vec![]).sort_key(), 0);
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! Differential property tests of the tangle stores and the replica
 //! view. One random growth script built into the sequential `Tangle`,
-//! the concurrent `ShardedTangle` and a gossip `Replica` (a `Tangle`
+//! the simulators' `ShardedTangle` and a gossip `Replica` (a `Tangle`
 //! over shared records, addressed by network id) must read back
 //! identically through every algorithm of `TangleRead` — edges, cones,
-//! depths, weights, the walk-start draws (the sharded store's memoised
-//! override included) and the DOT export. The same script gossiped to a
-//! replica in random arrival order attaches siblings out of network
-//! order, so its local ids differ from the network ids; translated back
-//! through `Replica::network_id` it must still be the same DAG.
+//! depths, weights, the walk-start draws (the sharded store's
+//! single-lock band included) and the DOT export. The same script
+//! gossiped to a replica in random arrival order attaches siblings out
+//! of network order, so its local ids differ from the network ids;
+//! translated back through `Replica::network_id` it must still be the
+//! same DAG.
 
 use std::sync::Arc;
 
@@ -49,8 +50,8 @@ fn read_back<T: TangleRead<ModelPayload>>(
         })
         .collect();
     let mut rng = StdRng::seed_from_u64(seed);
-    // Three draws per band: the memoised store answers the second and
-    // third from its cached band.
+    // Three draws per band: repeated draws over an unchanged tangle must
+    // keep the streams in step.
     let starts = bands
         .iter()
         .flat_map(|&(lo, hi)| [(lo, hi); 3])
@@ -124,7 +125,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let (plain, messages) = grow(&script);
-        let sharded = ShardedModelTangle::with_shards(genesis(), 3);
+        let sharded = ShardedModelTangle::new(genesis());
         let mut replica = Replica::new(genesis());
         for message in &messages {
             let parents: Vec<TxId> = message.parents.iter().map(|&p| TxId::from_index(p)).collect();

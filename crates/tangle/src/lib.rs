@@ -16,14 +16,15 @@
 //!   as used by classic tangle tip selection and Popov's walk-start
 //!   sampling, past cones, edges and Graphviz export
 //!   ([`TangleRead::to_dot`]),
-//! * [`ShardedTangle`] — the concurrent store the simulators run on,
-//!   whose read path never takes a global lock: transactions live in
-//!   immutable once-written segments, the children/tip index is split
-//!   across independently-locked shards, and appends go through `&self`,
-//! * [`Tangle`] — the sequential store behind `&mut self`: each
-//!   client's replica view in `dagfl-core` is one (over shared
-//!   transaction records), and the concurrent store is tested against
-//!   it,
+//! * [`Tangle`] — the sequential store behind `&mut self`, and the one
+//!   home of the DAG rules (parent validation, children, tips, heights,
+//!   counters): each client's replica view in `dagfl-core` is one (over
+//!   shared transaction records),
+//! * [`ShardedTangle`] — the store the simulators run on: a `Tangle`
+//!   behind one lock plus write-once transaction slots, so slots are
+//!   read with no lock, structure is read under that one lock, and
+//!   writes — through `&self` — happen only in the simulators' serial
+//!   phases,
 //! * [`TangleSnapshot`] — an order-preserving export of a tangle's state,
 //! * a pluggable random-walk engine ([`RandomWalker`], [`WalkBias`]) with
 //!   [`UniformBias`] (the paper's "random tip selector" baseline) and

@@ -5,9 +5,12 @@
 //! metrics only ever *read* the DAG. [`TangleRead`] captures exactly
 //! that surface: a store implements the required accessors, and every
 //! algorithm is a provided method written once over them — so the same
-//! code runs unchanged against the sequential [`Tangle`], the concurrent
-//! [`ShardedTangle`](crate::ShardedTangle), and the per-client replica
-//! views in `dagfl-core`, with bit-identical results.
+//! code runs unchanged against the sequential [`Tangle`], the
+//! simulators' [`ShardedTangle`](crate::ShardedTangle) (a `Tangle`
+//! behind one lock: its transaction slots are read with no lock, its
+//! structure under that one lock, and it is written only in serial
+//! phases), and the per-client replica views in `dagfl-core`, with
+//! bit-identical results.
 
 use std::collections::HashSet;
 
@@ -427,8 +430,9 @@ mod tests {
         use rand::SeedableRng;
 
         // Longer chain so the walk-start band filter is non-trivial. The
-        // sharded store overrides the sampler with a memoised band; it
-        // must draw exactly what the provided body draws.
+        // sharded store overrides the band with one computed under a
+        // single read lock; it must draw exactly what the provided body
+        // draws.
         let mut t = Tangle::new(0u32);
         let s = ShardedTangle::new(0u32);
         let mut prev = t.genesis();
@@ -441,8 +445,8 @@ mod tests {
         let mut rng_b = StdRng::seed_from_u64(11);
         for _ in 0..10 {
             let provided = TangleRead::sample_walk_start(&t, 15, 25, &mut rng_a);
-            let memoised = TangleRead::sample_walk_start(&s, 15, 25, &mut rng_b);
-            assert_eq!(provided, memoised);
+            let sharded = TangleRead::sample_walk_start(&s, 15, 25, &mut rng_b);
+            assert_eq!(provided, sharded);
             let depth = 39 - provided.0 as u32;
             assert!((15..=25).contains(&depth), "depth {depth} outside the band");
         }

@@ -450,13 +450,6 @@ impl Matrix {
         }
     }
 
-    /// Applies `f` to every entry in place.
-    pub fn map_in_place<F: Fn(f32) -> f32>(&mut self, f: F) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
-    }
-
     /// Adds `bias` (a length-`cols` slice) to every row in place.
     ///
     /// # Errors
@@ -1235,15 +1228,6 @@ mod tests {
     fn index_out_of_bounds_panics() {
         let m = Matrix::zeros(1, 1);
         let _ = m[(1, 0)];
-    }
-
-    #[test]
-    fn scale_and_map_agree() {
-        let mut scaled = Matrix::from_fn(2, 3, |r, c| (r + c) as f32);
-        let mut mapped = scaled.clone();
-        scaled.scale_assign(2.0);
-        mapped.map_in_place(|v| v * 2.0);
-        assert_eq!(scaled, mapped);
     }
 
     #[test]
