@@ -2,6 +2,7 @@
 
 use dagfl_tangle::{TangleRead, TxId};
 use std::convert::Infallible;
+use std::ops::Range;
 use std::time::Duration;
 
 use crate::fanout::{fan_out, machine_workers};
@@ -83,9 +84,34 @@ pub(crate) fn fnv_mix(h: &mut u64, v: u64) {
     }
 }
 
-/// Payloads per fan-out job of [`fnv_weights`]: enough weights that a
-/// job dwarfs handing it out, few enough that the jobs balance.
-const FNV_JOB: usize = 256;
+/// The fewest weights a fan-out job of [`fnv_weights`] carries. A job
+/// takes whole groups of four payloads until it holds at least this
+/// many; the last job takes what is left. 2¹⁶ weights are about 0.1 ms
+/// of hashing on one x86-64 core, well above the thread spawn a second
+/// worker costs, and small enough that a 100-transaction tangle of
+/// 5,000-weight models still splits into several jobs. Volume, not
+/// payload count, is what a job costs, so a tangle of few large models
+/// fans out as well as one of many small ones.
+const FNV_JOB_WEIGHTS: usize = 1 << 16;
+
+/// The payload ranges of [`fnv_weights`]' jobs, in order: every job but
+/// the last holds whole groups of four payloads and at least
+/// [`FNV_JOB_WEIGHTS`] weights. No payloads make no job.
+pub(crate) fn fnv_jobs(payloads: &[&[f32]]) -> Vec<Range<usize>> {
+    let mut jobs = Vec::new();
+    let (mut start, mut weights) = (0, 0);
+    for (end, payload) in (1..).zip(payloads) {
+        weights += payload.len();
+        if end % 4 == 0 && weights >= FNV_JOB_WEIGHTS {
+            jobs.push(start..end);
+            (start, weights) = (end, 0);
+        }
+    }
+    if start < payloads.len() {
+        jobs.push(start..payloads.len());
+    }
+    jobs
+}
 
 /// Advances each `states[i]` by [`fnv_mix`] of every weight of
 /// `payloads[i]`, the weight's bits widened to `u64` — bit for bit what
@@ -94,16 +120,25 @@ const FNV_JOB: usize = 256;
 /// FNV-1a is one chain of dependent multiplies per payload, so a serial
 /// loop waits on multiply latency. Here four payloads' chains advance
 /// per step over their common prefix (each tail then runs alone), and
-/// jobs of [`FNV_JOB`] payloads fan out over the machine's cores. Every
-/// chain still sees the same bytes in the same order, so the states do
-/// not depend on the grouping or the worker count.
+/// the jobs of [`fnv_jobs`] fan out over the machine's cores; a digest
+/// that fills one job runs inline, with no thread. Every chain still
+/// sees the same bytes in the same order, so the states do not depend
+/// on the grouping or the worker count.
 ///
 /// # Panics
 ///
 /// Panics if `states` and `payloads` differ in length.
 pub(crate) fn fnv_weights(states: &mut [u64], payloads: &[&[f32]]) {
     assert_eq!(states.len(), payloads.len(), "one state per payload");
-    let jobs = states.chunks_mut(FNV_JOB).zip(payloads.chunks(FNV_JOB));
+    let mut rest = states;
+    let jobs: Vec<_> = fnv_jobs(payloads)
+        .into_iter()
+        .map(|range| {
+            let (states, tail) = std::mem::take(&mut rest).split_at_mut(range.len());
+            rest = tail;
+            (states, &payloads[range])
+        })
+        .collect();
     let Ok(_) = fan_out(machine_workers(), jobs, |_, (states, payloads)| {
         let mut quads = states.chunks_exact_mut(4).zip(payloads.chunks_exact(4));
         for (states, payloads) in &mut quads {
@@ -178,8 +213,10 @@ fn fnv_weight(h: &mut u64, w: f32) {
 /// dependency-respecting interleavings of the same transactions agree
 /// (up to hash collisions).
 ///
-/// The payloads are hashed four chains at a time, on every core, which
-/// yields the same value as byte-serial FNV-1a.
+/// The payloads are hashed four chains at a time, in jobs sized by
+/// weight volume: a tangle whose weights fill several jobs hashes on
+/// every core, and one that fills a single job hashes inline. Either
+/// way the value is that of byte-serial FNV-1a.
 pub fn tangle_digest<T: TangleRead<ModelPayload>>(tangle: &T) -> u64 {
     let len = tangle.len();
     // Pass 1: per-transaction content hashes (payload, issuer, round).
@@ -498,7 +535,7 @@ pub struct SpecializationMetrics {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::fanout::tests::with_workers;
     use crate::ShardedModelTangle;
@@ -542,58 +579,154 @@ mod tests {
         digest
     }
 
-    /// Payload lengths the kernel tests mix within one group of four:
-    /// empty, shorter than, equal to and longer than a group, and long.
-    const LENGTHS: [usize; 6] = [0, 1, 3, 4, 5, 257];
+    /// The kernel tests' payload lengths, cycled so that every group of
+    /// four mixes them: empty, shorter than, equal to and longer than a
+    /// group, and `long`.
+    fn length(i: usize, long: usize) -> usize {
+        [0, 1, 3, 4, 5, long][i % 6]
+    }
 
-    /// `len` weights that differ from every other payload's.
+    /// Payload lengths that fill three and a half of [`fnv_weights`]'
+    /// jobs, with long payloads of a sixteenth of a job plus three, and
+    /// one payload past a group of four.
+    pub(crate) fn multi_job_lengths() -> Vec<usize> {
+        let long = FNV_JOB_WEIGHTS / 16 + 3;
+        let mut lengths = Vec::new();
+        let mut total = 0;
+        while total < 7 * FNV_JOB_WEIGHTS / 2 || lengths.len() % 4 != 1 {
+            let len = length(lengths.len(), long);
+            total += len;
+            lengths.push(len);
+        }
+        lengths
+    }
+
+    /// Asserts that `payloads` split into at least three jobs, the last
+    /// one ragged: lighter than a job, and ending inside a group of four.
+    pub(crate) fn assert_multi_job(payloads: &[&[f32]]) {
+        let jobs = fnv_jobs(payloads);
+        assert!(jobs.len() >= 3, "{} jobs", jobs.len());
+        let last = jobs.last().expect("three or more jobs").clone();
+        assert_ne!(last.len() % 4, 0, "the last job ends inside a group");
+        let weights: usize = payloads[last].iter().map(|p| p.len()).sum();
+        assert!(
+            weights < FNV_JOB_WEIGHTS,
+            "the last job holds {weights} weights"
+        );
+    }
+
+    /// `len` weights seeded by `payload`.
     fn weights(payload: usize, len: usize) -> Vec<f32> {
         (0..len)
             .map(|j| (payload * 1000 + j) as f32 * 0.37 - 11.0)
             .collect()
     }
 
+    fn views(payloads: &[Vec<f32>]) -> Vec<&[f32]> {
+        payloads.iter().map(Vec::as_slice).collect()
+    }
+
+    /// Asserts that [`fnv_weights`] over `payloads` equals the
+    /// byte-serial [`fnv_mix`] loop at 1, 2, 3 and 7 workers.
+    fn assert_matches_serial_fnv_mix(payloads: &[Vec<f32>]) {
+        let slices = views(payloads);
+        let starts: Vec<u64> = (0..payloads.len() as u64).map(|i| FNV_OFFSET ^ i).collect();
+        let expected: Vec<u64> = starts
+            .iter()
+            .zip(payloads)
+            .map(|(&start, payload)| {
+                let mut h = start;
+                for &w in payload {
+                    fnv_mix(&mut h, u64::from(w.to_bits()));
+                }
+                h
+            })
+            .collect();
+        for workers in [1, 2, 3, 7] {
+            let mut states = starts.clone();
+            with_workers(workers, || fnv_weights(&mut states, &slices));
+            let count = payloads.len();
+            assert_eq!(states, expected, "{count} payloads, {workers} workers");
+        }
+    }
+
     #[test]
     fn fnv_weights_matches_serial_fnv_mix() {
-        // 0 to 9 payloads fill one job (groups of four plus a tail);
-        // 2 * FNV_JOB + 9 make three jobs for the fan-out to split.
-        for count in (0..=9).chain([2 * FNV_JOB + 9]) {
-            let payloads: Vec<Vec<f32>> = (0..count)
-                .map(|i| weights(i, LENGTHS[(i + count) % LENGTHS.len()]))
-                .collect();
-            let slices: Vec<&[f32]> = payloads.iter().map(Vec::as_slice).collect();
-            let starts: Vec<u64> = (0..count as u64).map(|i| FNV_OFFSET ^ i).collect();
-            let expected: Vec<u64> = starts
-                .iter()
-                .zip(&payloads)
-                .map(|(&start, payload)| {
-                    let mut h = start;
-                    for &w in payload {
-                        fnv_mix(&mut h, u64::from(w.to_bits()));
-                    }
-                    h
+        let build = |lengths: &[usize]| -> Vec<Vec<f32>> {
+            (0..)
+                .zip(lengths)
+                .map(|(i, &len)| weights(i, len))
+                .collect()
+        };
+        // 0 to 9 payloads: groups of four plus a tail, in one job.
+        for count in 0..=9 {
+            let lengths: Vec<usize> = (0..count).map(|i| length(i + count, 257)).collect();
+            let payloads = build(&lengths);
+            assert_eq!(fnv_jobs(&views(&payloads)).len(), count.min(1));
+            assert_matches_serial_fnv_mix(&payloads);
+        }
+        // Many payloads short of one job's weights stay one job.
+        let lengths: Vec<usize> = (0..400).map(|i| length(i, 257)).collect();
+        assert!(lengths.iter().sum::<usize>() < FNV_JOB_WEIGHTS);
+        let payloads = build(&lengths);
+        assert_eq!(fnv_jobs(&views(&payloads)).len(), 1);
+        assert_matches_serial_fnv_mix(&payloads);
+        // Three and a half jobs' weights split for the fan-out.
+        let payloads = build(&multi_job_lengths());
+        assert_multi_job(&views(&payloads));
+        assert_matches_serial_fnv_mix(&payloads);
+    }
+
+    #[test]
+    fn fnv_jobs_cut_at_the_first_full_group_past_the_volume() {
+        // Four payloads fall four weights short, so the first job takes
+        // eight, and the last the three left over.
+        let payloads = vec![vec![0.0f32; FNV_JOB_WEIGHTS / 4 - 1]; 11];
+        assert_eq!(fnv_jobs(&views(&payloads)), [0..8, 8..11]);
+        assert!(fnv_jobs(&[]).is_empty());
+    }
+
+    proptest::proptest! {
+        /// The kernel equals the byte-serial loop over any split: 0 to 4
+        /// jobs' worth of weights, in payloads of one length or of random
+        /// lengths up to `max_len`, at 1, 2, 3 and 7 workers.
+        #[test]
+        fn fnv_weights_matches_serial_fnv_mix_at_every_split(
+            (volume, max_len, equal, seed) in (
+                0..=4 * FNV_JOB_WEIGHTS,
+                0..=FNV_JOB_WEIGHTS / 8,
+                proptest::prelude::any::<bool>(),
+                proptest::prelude::any::<u64>(),
+            ),
+        ) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mean = if equal { max_len } else { max_len / 2 };
+            let payloads: Vec<Vec<f32>> = (0..volume / mean.max(1))
+                .map(|i| {
+                    let len = if equal { max_len } else { rng.gen_range(0..=max_len) };
+                    weights(i, len)
                 })
                 .collect();
-            for workers in [1, 2, 3, 7] {
-                let mut states = starts.clone();
-                with_workers(workers, || fnv_weights(&mut states, &slices));
-                assert_eq!(states, expected, "{count} payloads, {workers} workers");
-            }
+            assert_matches_serial_fnv_mix(&payloads);
         }
     }
 
     #[test]
     fn tangle_digest_matches_the_byte_serial_oracle() {
-        let tangle = ShardedModelTangle::new(ModelPayload::new(weights(0, 3)));
+        let lengths = multi_job_lengths();
+        let tangle = ShardedModelTangle::new(ModelPayload::new(weights(0, lengths[0])));
         let mut ids = vec![tangle.genesis()];
-        for i in 1..2 * FNV_JOB + 9 {
-            let payload = ModelPayload::new(weights(i, LENGTHS[i % LENGTHS.len()]));
+        for (i, &len) in lengths.iter().enumerate().skip(1) {
+            let payload = ModelPayload::new(weights(i, len));
             let parents = [ids[i / 2], ids[i - 1]];
             let id = tangle
                 .attach_with_meta(payload, &parents, Some((i % 5) as u32), i as u32)
                 .expect("parents exist");
             ids.push(id);
         }
+        let payloads: Vec<&[f32]> = tangle.iter().map(|tx| tx.payload().params()).collect();
+        assert_multi_job(&payloads);
         let oracle = serial_tangle_digest(&tangle);
         for workers in [1, 2, 3, 7] {
             assert_eq!(

@@ -477,8 +477,9 @@ impl Replica {
     /// count, parents, weights, issuer and round; the chains are summed
     /// with wrapping addition. The weights go through the kernel
     /// [`tangle_digest`](crate::tangle_digest) uses — four chains at a
-    /// time, on every core — which yields the same value as byte-serial
-    /// FNV-1a.
+    /// time, in jobs sized by weight volume that fan out over the cores
+    /// when there are several — which yields the same value as
+    /// byte-serial FNV-1a.
     pub fn digest(&self) -> u64 {
         let mut states: Vec<u64> = self
             .view
@@ -750,17 +751,27 @@ mod tests {
     #[test]
     fn digest_matches_the_byte_serial_form() {
         use crate::fanout::tests::with_workers;
-        // Enough records for several fan-out jobs, with payload lengths
+        use crate::metrics::tests::{assert_multi_job, multi_job_lengths};
+        // Enough weights for several fan-out jobs, with payload lengths
         // that differ within every group of four.
         let mut r = fresh();
-        for id in 1..600u64 {
-            let len = [0, 1, 3, 4, 5, 257][id as usize % 6];
+        for (id, len) in (1u64..).zip(multi_job_lengths()) {
             r.insert(&TxMessage {
-                params: Arc::new((0..len).map(|j| (id * 1000 + j) as f32 * 0.37).collect()),
+                params: Arc::new(
+                    (0..len as u64)
+                        .map(|j| (id * 1000 + j) as f32 * 0.37)
+                        .collect(),
+                ),
                 ..msg(id, &[id / 2, id - 1])
             })
             .unwrap();
         }
+        let payloads: Vec<&[f32]> = r
+            .view
+            .records()
+            .map(|record| record.payload.params())
+            .collect();
+        assert_multi_job(&payloads);
         let serial = serial_digest(&r);
         for workers in [1, 2, 3, 7] {
             assert_eq!(

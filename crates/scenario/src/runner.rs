@@ -5,7 +5,7 @@ use dagfl_core::{
     specialization_seed, tangle_digest, AsyncMetrics, AsyncSimulation, ExecutionMode,
     PoisonRoundMetrics, PoisoningConfig, PoisoningScenario, Simulation, SpecializationMetrics,
 };
-use dagfl_tangle::TangleStats;
+use dagfl_tangle::{TangleRead, TangleStats, TxId};
 
 use crate::spec::{AnalysisSpec, ExecutionSpec, Scenario, ScenarioError};
 
@@ -304,6 +304,10 @@ impl ScenarioRunner {
                     AsyncSimulation::try_new_with_faults(*config, dataset, factory, plan)?;
                 sim.run()?;
                 let metrics = sim.metrics();
+                let tangle = ExecutionMode::tangle_stats(&sim);
+                if cfg!(debug_assertions) {
+                    audit_store(sim.tangle(), &tangle);
+                }
                 RunReport {
                     scenario: self.scenario.name.clone(),
                     mode: self.scenario.execution.mode(),
@@ -318,7 +322,7 @@ impl ScenarioRunner {
                     specialization_track: Vec::new(),
                     analysis: None,
                     analysis_track: Vec::new(),
-                    tangle: ExecutionMode::tangle_stats(&sim),
+                    tangle,
                     tangle_digest: tangle_digest(sim.tangle()),
                     async_metrics: Some(metrics),
                     poisoning: None,
@@ -331,6 +335,10 @@ impl ScenarioRunner {
     /// history and final state tell it.
     fn rounds_report(&self, sim: &Simulation, dataset: DatasetSummary) -> RunReport {
         let history = sim.history();
+        let tangle = ExecutionMode::tangle_stats(sim);
+        if cfg!(debug_assertions) {
+            audit_store(sim.tangle(), &tangle);
+        }
         RunReport {
             scenario: self.scenario.name.clone(),
             mode: self.scenario.execution.mode(),
@@ -344,12 +352,64 @@ impl ScenarioRunner {
             specialization_track: Vec::new(),
             analysis: None,
             analysis_track: Vec::new(),
-            tangle: ExecutionMode::tangle_stats(sim),
+            tangle,
             tangle_digest: tangle_digest(sim.tangle()),
             async_metrics: None,
             poisoning: None,
         }
     }
+}
+
+/// Checks a run's final store against its DAG rules: every parent id
+/// is below its child's, `stats` (the store's own counters) equals a
+/// recount of transactions, tips, edges and the longest path from the
+/// genesis, and the tips are exactly the transactions with no children.
+/// One pass over the transactions and their edges; it draws no random
+/// number and prints nothing. The report helpers run it in builds with
+/// debug assertions, so every test run of a scenario audits its store
+/// and release builds never pay for it.
+///
+/// # Panics
+///
+/// Panics with the first violation.
+fn audit_store<P, T: TangleRead<P>>(tangle: &T, stats: &TangleStats) {
+    let len = tangle.len();
+    let mut heights = vec![0u32; len];
+    let mut edges = 0;
+    let mut tips = Vec::new();
+    let mut linked = Vec::new();
+    for index in 0..len {
+        let id = TxId::from_index(index as u64);
+        tangle
+            .parents_into(id, &mut linked)
+            .unwrap_or_else(|e| panic!("store audit: {e}"));
+        for parent in &linked {
+            let p = parent.index() as usize;
+            assert!(
+                p < index,
+                "store audit: {id:?} approves {parent:?}, which is not older"
+            );
+            heights[index] = heights[index].max(heights[p] + 1);
+        }
+        edges += linked.len();
+        tangle
+            .children_into(id, &mut linked)
+            .unwrap_or_else(|e| panic!("store audit: {e}"));
+        if linked.is_empty() {
+            tips.push(id);
+        }
+    }
+    let max_height = heights.iter().copied().max().unwrap_or(0);
+    assert_eq!(
+        (stats.transactions, stats.tips, stats.edges, stats.max_depth),
+        (len, tips.len(), edges, max_height),
+        "store audit: stats() (transactions, tips, edges, max height) against a recount"
+    );
+    assert_eq!(
+        tangle.tips(),
+        tips,
+        "store audit: tips against the transactions with no children"
+    );
 }
 
 /// Runs the configured analytics over the simulation's current state:
@@ -612,5 +672,100 @@ mod tests {
     fn invalid_scenarios_are_rejected_before_running() {
         let err = ScenarioRunner::new(tiny().clients_per_round(99)).unwrap_err();
         assert!(err.to_string().contains("clients_per_round"), "{err}");
+    }
+
+    /// A diamond's reads with one lie told: the genesis approves a newer
+    /// transaction, or the genesis is listed among the tips.
+    struct Lying {
+        dag: dagfl_tangle::Tangle<()>,
+        forward_parent: bool,
+    }
+
+    impl TangleRead<()> for Lying {
+        fn len(&self) -> usize {
+            self.dag.len()
+        }
+
+        fn payload_of(&self, id: TxId) -> Result<&(), dagfl_tangle::TangleError> {
+            self.dag.payload_of(id)
+        }
+
+        fn issuer_of(&self, id: TxId) -> Result<Option<u32>, dagfl_tangle::TangleError> {
+            self.dag.issuer_of(id)
+        }
+
+        fn round_of(&self, id: TxId) -> Result<u32, dagfl_tangle::TangleError> {
+            self.dag.round_of(id)
+        }
+
+        fn parents_into(
+            &self,
+            id: TxId,
+            out: &mut Vec<TxId>,
+        ) -> Result<(), dagfl_tangle::TangleError> {
+            self.dag.parents_into(id, out)?;
+            if self.forward_parent && id == self.dag.genesis() {
+                out.push(TxId::from_index(1));
+            }
+            Ok(())
+        }
+
+        fn children_into(
+            &self,
+            id: TxId,
+            out: &mut Vec<TxId>,
+        ) -> Result<(), dagfl_tangle::TangleError> {
+            self.dag.children_into(id, out)
+        }
+
+        fn is_tip(&self, id: TxId) -> bool {
+            self.dag.is_tip(id)
+        }
+
+        fn tips(&self) -> Vec<TxId> {
+            let mut tips = self.dag.tips();
+            if !self.forward_parent {
+                tips.insert(0, self.dag.genesis());
+            }
+            tips
+        }
+    }
+
+    /// The message `audit_store` panics with.
+    fn audit_failure<T: TangleRead<()>>(tangle: &T, stats: &TangleStats) -> String {
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            audit_store(tangle, stats);
+        }))
+        .expect_err("the audit must reject the store");
+        panic.downcast_ref::<String>().cloned().unwrap_or_default()
+    }
+
+    #[test]
+    fn the_store_audit_passes_a_sound_store_and_names_each_violation() {
+        let diamond = || {
+            let mut dag = dagfl_tangle::Tangle::new(());
+            let g = dag.genesis();
+            let a = dag.attach((), &[g]).unwrap();
+            let b = dag.attach((), &[g]).unwrap();
+            dag.attach((), &[a, b]).unwrap();
+            dag
+        };
+        let sound = diamond();
+        let stats = sound.stats();
+        audit_store(&sound, &stats);
+        let miscounted = TangleStats {
+            edges: stats.edges + 1,
+            ..stats.clone()
+        };
+        let message = audit_failure(&sound, &miscounted);
+        assert!(message.contains("against a recount"), "{message}");
+        for (forward_parent, violation) in [(true, "which is not older"), (false, "no children")] {
+            let lying = Lying {
+                dag: diamond(),
+                forward_parent,
+            };
+            let message = audit_failure(&lying, &stats);
+            assert!(message.contains(violation), "{message}");
+        }
     }
 }
