@@ -47,5 +47,6 @@
 mod local;
 mod server;
 
+pub use dagfl_nn::ModelFactory;
 pub use local::LocalOnly;
-pub use server::{FedConfig, FedRoundMetrics, FederatedServer, ModelFactory};
+pub use server::{FedConfig, FedRoundMetrics, FederatedServer};

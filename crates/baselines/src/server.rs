@@ -7,10 +7,7 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use dagfl_datasets::FederatedDataset;
-use dagfl_nn::{weighted_average_parameters, Evaluation, Model, NnError, SgdConfig};
-
-/// Creates fresh model instances; all must share one architecture.
-pub type ModelFactory = Arc<dyn Fn(&mut StdRng) -> Box<dyn Model> + Send + Sync>;
+use dagfl_nn::{weighted_average_parameters, Evaluation, Model, ModelFactory, NnError, SgdConfig};
 
 /// Configuration of a centralized federated-learning run.
 #[derive(Debug, Clone, Copy, PartialEq)]

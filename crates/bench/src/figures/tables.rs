@@ -1,30 +1,33 @@
 //! Tables 1 and 2.
 
-use dagfl_core::Hyperparameters;
+use dagfl_scenario::{Scale, Scenario};
 
 use crate::output::{f, int};
 use crate::Session;
 
-/// Table 1, printed from [`Hyperparameters`] — the same values the
-/// simulation configs are built from, so the table can never drift from
-/// the code.
+/// The paper's three datasets and the preset of each one's Table 1 run.
+const TABLE1_PRESETS: [(&str, &str); 3] = [
+    ("FMNIST-clustered", "table1-fmnist"),
+    ("Poets", "table1-poets"),
+    ("CIFAR-100", "table1-cifar"),
+];
+
+/// Table 1, printed from the full-scale Table 1 presets — the
+/// configurations the paper-scale runs read, at every session scale.
 pub fn table1(session: &Session) {
-    let columns = [
-        ("FMNIST-clustered", Hyperparameters::fmnist()),
-        ("Poets", Hyperparameters::poets()),
-        ("CIFAR-100", Hyperparameters::cifar()),
-    ];
-    let rows: Vec<Vec<String>> = columns
+    let rows: Vec<Vec<String>> = TABLE1_PRESETS
         .iter()
-        .map(|(name, h)| {
+        .map(|(name, preset)| {
+            let scenario = Scenario::preset_at(preset, Scale::Full).expect("a Table 1 preset");
+            let dag = scenario.execution.dag();
             vec![
                 name.to_string(),
-                int(h.rounds),
-                int(h.clients_per_round),
-                int(h.local_epochs),
-                int(h.local_batches),
-                int(h.batch_size),
-                format!("SGD({})", h.learning_rate),
+                int(dag.rounds),
+                int(dag.clients_per_round),
+                int(dag.local_epochs),
+                int(dag.local_batches),
+                int(dag.batch_size),
+                format!("SGD({})", dag.learning_rate),
             ]
         })
         .collect();
@@ -38,22 +41,18 @@ pub fn table1(session: &Session) {
 /// Table 2. The three runs are exactly the Table 1 scenario presets; the
 /// report carries the dataset facts, so this is a pure reshaping step.
 pub fn table2(session: &Session) {
-    let rows: Vec<Vec<String>> = [
-        ("FMNIST-clustered", "table1-fmnist"),
-        ("Poets", "table1-poets"),
-        ("CIFAR-100", "table1-cifar"),
-    ]
-    .iter()
-    .map(|(label, preset)| {
-        let report = &session.report(preset).report;
-        vec![
-            label.to_string(),
-            int(report.dataset.clusters),
-            f(report.dataset.base_pureness),
-            f(report.specialization.approval_pureness),
-        ]
-    })
-    .collect();
+    let rows: Vec<Vec<String>> = TABLE1_PRESETS
+        .iter()
+        .map(|(label, preset)| {
+            let report = &session.report(preset).report;
+            vec![
+                label.to_string(),
+                int(report.dataset.clusters),
+                f(report.dataset.base_pureness),
+                f(report.specialization.approval_pureness),
+            ]
+        })
+        .collect();
     session.emit(
         "table2_pureness",
         "dataset,clusters,base_pureness,pureness",

@@ -45,9 +45,10 @@ use rand::{Rng, SeedableRng};
 
 use dagfl_datasets::FederatedDataset;
 use dagfl_tangle::{TangleRead, TxId};
+use dagfl_tensor::fan_out_with;
 
 use crate::client;
-use crate::fanout::{disjoint_mut, fan_out_with};
+use crate::fanout::disjoint_mut;
 use crate::graph::Graph;
 use crate::{
     ClientGraphTracker, ComputeProfile, CoreError, DagClient, DagConfig, DelayModel, Envelope,
@@ -84,7 +85,7 @@ use crate::{
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AsyncConfig {
-    /// Hyperparameters, tip selection and seed (the `rounds`,
+    /// Training settings, tip selection and seed (the `rounds`,
     /// `clients_per_round` and `parallel` fields are ignored).
     pub dag: DagConfig,
     /// Total client activations to simulate.
@@ -285,16 +286,6 @@ impl AsyncMetrics {
         }
     }
 
-    /// Fraction of candidate evaluations that were fresh (forward
-    /// passes) rather than cache hits; `0.0` when nothing was evaluated.
-    pub fn fresh_eval_ratio(&self) -> f64 {
-        crate::EvalCounters {
-            fresh: self.fresh_evaluations,
-            cached: self.cached_evaluations,
-        }
-        .fresh_ratio()
-    }
-
     /// Fraction of publications that approved at least one stale
     /// (already superseded) parent.
     pub fn stale_fraction(&self) -> f64 {
@@ -377,7 +368,6 @@ pub struct AsyncSimulation {
     replicas: Vec<Replica>,
     transport: Box<dyn Transport>,
     speeds: Vec<f64>,
-    slow_cohort: Vec<bool>,
     pending: Vec<Option<PendingActivation>>,
     events: BinaryHeap<Reverse<Event>>,
     next_seq: u64,
@@ -466,8 +456,8 @@ impl AsyncSimulation {
             .collect();
         let slow_cohort = config.delay.assign_cohorts(n, &mut rng);
         let speeds = config.compute.speeds(&slow_cohort, &mut rng);
-        let loopback = LoopbackTransport::new(config.delay, slow_cohort.clone())
-            .with_fanout(config.gossip_fanout);
+        let loopback =
+            LoopbackTransport::new(config.delay, slow_cohort).with_fanout(config.gossip_fanout);
         // An inert plan skips the decorator: fault-free simulations
         // are structurally identical to pre-fault builds.
         let transport: Box<dyn Transport> = if plan.is_inert() {
@@ -487,7 +477,6 @@ impl AsyncSimulation {
             replicas,
             transport,
             speeds,
-            slow_cohort,
             pending: (0..n).map(|_| None).collect(),
             events: BinaryHeap::new(),
             next_seq: 0,
@@ -605,13 +594,6 @@ impl AsyncSimulation {
     /// The per-client compute-speed factors sampled at construction.
     pub fn speeds(&self) -> &[f64] {
         &self.speeds
-    }
-
-    /// The per-client network slow-cohort flags sampled at
-    /// construction (`true` = slow links; all `false` unless the delay
-    /// model is [`DelayModel::Cohorts`]).
-    pub fn slow_clients(&self) -> &[bool] {
-        &self.slow_cohort
     }
 
     /// The activation log.
@@ -870,16 +852,10 @@ impl AsyncSimulation {
         let global_parents = net_parents.map(TxId::from_index);
         let payload = ModelPayload::new(params);
         let shared = payload.share();
-        // The tangle dedups parents on attach; mirror that here so the
-        // incremental client graph matches a full re-scan exactly.
-        let mut parent_issuers = vec![self.global.get(global_parents[0])?.issuer()];
-        if global_parents[1] != global_parents[0] {
-            parent_issuers.push(self.global.get(global_parents[1])?.issuer());
-        }
         let global_id =
             self.global
                 .attach_with_meta(payload, &global_parents, Some(idx as u32), now as u32)?;
-        self.graph.record(idx as u32, &parent_issuers);
+        self.graph.record_attached(&self.global, global_id)?;
         let net_id = global_id.index();
         let message = TxMessage {
             id: net_id,
@@ -1043,7 +1019,6 @@ mod tests {
         assert_eq!(m.transactions, sim.tangle().len());
         assert_eq!(m.publications + 1, sim.tangle().len());
         assert!(m.fresh_evaluations > 0, "walks must evaluate candidates");
-        assert!((0.0..=1.0).contains(&m.fresh_eval_ratio()));
     }
 
     #[test]
@@ -1094,7 +1069,6 @@ mod tests {
         assert_eq!(m.max_publish_latency, 0.0);
         assert_eq!(m.fresh_evaluations, 0);
         assert_eq!(m.cached_evaluations, 0);
-        assert_eq!(m.fresh_eval_ratio(), 0.0);
         for value in [
             m.activation_rate(),
             m.publish_fraction(),
@@ -1322,7 +1296,7 @@ mod tests {
 
     #[test]
     fn matched_cohort_couples_network_and_compute() {
-        let sim = setup_with(
+        let mut sim = setup_with(
             AsyncConfig {
                 delay: DelayModel::Cohorts {
                     slow_fraction: 0.5,
@@ -1335,9 +1309,25 @@ mod tests {
             },
             12,
         );
-        assert!(sim.slow_clients().iter().any(|&s| s));
-        assert!(sim.slow_clients().iter().any(|&s| !s));
-        for (i, &slow) in sim.slow_clients().iter().enumerate() {
+        // The network cohorts, read off the transport: with no jitter a
+        // link is slow exactly when one of its ends is, so a client is
+        // slow when every link out of it is.
+        let n = sim.speeds().len();
+        let mut rng = StdRng::seed_from_u64(0);
+        let slow_cohort: Vec<bool> = (0..n)
+            .map(|from| {
+                let message = GossipMessage::Snapshot(Vec::new());
+                sim.transport
+                    .broadcast(from, 0.0, message, &mut rng)
+                    .unwrap();
+                (0..n)
+                    .filter(|&to| to != from)
+                    .all(|to| sim.transport.in_flight(to).last().expect("sent").at == 8.0)
+            })
+            .collect();
+        assert!(slow_cohort.iter().any(|&s| s));
+        assert!(slow_cohort.iter().any(|&s| !s));
+        for (i, &slow) in slow_cohort.iter().enumerate() {
             assert_eq!(
                 sim.speeds()[i] < 1.0,
                 slow,

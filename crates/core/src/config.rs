@@ -69,79 +69,22 @@ pub enum PublishGate {
     Always,
 }
 
-/// Local-training hyperparameters (one row of the paper's Table 1).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Hyperparameters {
-    /// Training rounds.
-    pub rounds: usize,
-    /// Clients sampled per round.
-    pub clients_per_round: usize,
-    /// Local epochs over the fixed batch budget.
-    pub local_epochs: usize,
-    /// Mini-batches per local epoch (fixed to equalise work per client).
-    pub local_batches: usize,
-    /// Mini-batch size.
-    pub batch_size: usize,
-    /// SGD learning rate.
-    pub learning_rate: f32,
-}
-
-impl Hyperparameters {
-    /// Table 1, FMNIST-clustered column: 100 rounds, 10 clients/round,
-    /// 1 epoch × 10 batches × 10 samples, SGD(0.05).
-    pub fn fmnist() -> Self {
-        Self {
-            rounds: 100,
-            clients_per_round: 10,
-            local_epochs: 1,
-            local_batches: 10,
-            batch_size: 10,
-            learning_rate: 0.05,
-        }
-    }
-
-    /// Table 1, Poets column: 100 rounds, 10 clients/round,
-    /// 1 epoch × 35 batches × 10 samples, SGD(0.8).
-    pub fn poets() -> Self {
-        Self {
-            rounds: 100,
-            clients_per_round: 10,
-            local_epochs: 1,
-            local_batches: 35,
-            batch_size: 10,
-            learning_rate: 0.8,
-        }
-    }
-
-    /// Table 1, CIFAR-100 column: 100 rounds, 10 clients/round,
-    /// 5 epochs × 45 batches × 10 samples, SGD(0.01).
-    pub fn cifar() -> Self {
-        Self {
-            rounds: 100,
-            clients_per_round: 10,
-            local_epochs: 5,
-            local_batches: 45,
-            batch_size: 10,
-            learning_rate: 0.01,
-        }
-    }
-}
-
 /// Full configuration of a Specializing-DAG simulation.
 ///
 /// # Example
 ///
 /// ```
-/// use dagfl_core::{DagConfig, Hyperparameters, Normalization, TipSelector};
+/// use dagfl_core::{DagConfig, Normalization, TipSelector};
 ///
-/// // Start from a Table 1 row and override what the experiment needs.
+/// // Start from the defaults (Table 1's FMNIST column) and override
+/// // what the experiment needs.
 /// let config = DagConfig {
 ///     rounds: 50,
 ///     tip_selector: TipSelector::Accuracy {
 ///         alpha: 10.0,
 ///         normalization: Normalization::Dynamic,
 ///     },
-///     ..DagConfig::from_hyperparameters(Hyperparameters::fmnist())
+///     ..DagConfig::default()
 /// }
 /// .with_seed(7);
 /// assert_eq!(config.rounds, 50);
@@ -212,20 +155,6 @@ impl Default for DagConfig {
 }
 
 impl DagConfig {
-    /// Builds a config from a Table 1 hyperparameter row, keeping the
-    /// remaining fields at their defaults.
-    pub fn from_hyperparameters(h: Hyperparameters) -> Self {
-        Self {
-            rounds: h.rounds,
-            clients_per_round: h.clients_per_round,
-            local_epochs: h.local_epochs,
-            local_batches: h.local_batches,
-            batch_size: h.batch_size,
-            learning_rate: h.learning_rate,
-            ..Self::default()
-        }
-    }
-
     /// Sets the tip selector (builder style).
     pub fn with_tip_selector(mut self, selector: TipSelector) -> Self {
         self.tip_selector = selector;
@@ -330,31 +259,13 @@ mod tests {
     #[test]
     fn default_matches_paper_fmnist_row() {
         let cfg = DagConfig::default();
-        let h = Hyperparameters::fmnist();
-        assert_eq!(cfg.rounds, h.rounds);
-        assert_eq!(cfg.clients_per_round, h.clients_per_round);
-        assert_eq!(cfg.local_batches, h.local_batches);
-        assert_eq!(cfg.batch_size, h.batch_size);
-        assert_eq!(cfg.learning_rate, h.learning_rate);
+        assert_eq!(cfg.rounds, 100);
+        assert_eq!(cfg.clients_per_round, 10);
+        assert_eq!(cfg.local_epochs, 1);
+        assert_eq!(cfg.local_batches, 10);
+        assert_eq!(cfg.batch_size, 10);
+        assert_eq!(cfg.learning_rate, 0.05);
         assert_eq!(cfg.walk_depth, (15, 25));
-    }
-
-    #[test]
-    fn table1_rows_are_faithful() {
-        let poets = Hyperparameters::poets();
-        assert_eq!(poets.local_batches, 35);
-        assert_eq!(poets.learning_rate, 0.8);
-        let cifar = Hyperparameters::cifar();
-        assert_eq!(cifar.local_epochs, 5);
-        assert_eq!(cifar.local_batches, 45);
-        assert_eq!(cifar.learning_rate, 0.01);
-    }
-
-    #[test]
-    fn from_hyperparameters_copies_all_fields() {
-        let cfg = DagConfig::from_hyperparameters(Hyperparameters::cifar());
-        assert_eq!(cfg.local_epochs, 5);
-        assert_eq!(cfg.learning_rate, 0.01);
     }
 
     #[test]
@@ -368,13 +279,23 @@ mod tests {
 
     #[test]
     fn validate_accepts_defaults_and_table1_rows() {
-        assert!(DagConfig::default().validate().is_ok());
-        for h in [
-            Hyperparameters::fmnist(),
-            Hyperparameters::poets(),
-            Hyperparameters::cifar(),
+        // The default is the FMNIST column; Poets and CIFAR-100 differ
+        // in their batch budget and learning rate.
+        for cfg in [
+            DagConfig::default(),
+            DagConfig {
+                local_batches: 35,
+                learning_rate: 0.8,
+                ..DagConfig::default()
+            },
+            DagConfig {
+                local_epochs: 5,
+                local_batches: 45,
+                learning_rate: 0.01,
+                ..DagConfig::default()
+            },
         ] {
-            assert!(DagConfig::from_hyperparameters(h).validate().is_ok());
+            assert!(cfg.validate().is_ok());
         }
     }
 

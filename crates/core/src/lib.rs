@@ -110,10 +110,12 @@ mod tip_selection;
 mod transport;
 pub mod wire;
 
+pub use dagfl_nn::ModelFactory;
+
 pub use async_sim::{ActivationRecord, AsyncConfig, AsyncMetrics, AsyncSimulation};
 pub use attackers::{GarbageAttackConfig, GarbageAttackScenario, GarbageRoundMetrics};
 pub use client::{DagClient, TrainOutcome};
-pub use config::{DagConfig, Hyperparameters, Normalization, PublishGate, TipSelector};
+pub use config::{DagConfig, Normalization, PublishGate, TipSelector};
 pub use delay::{ComputeProfile, DelayModel, StaleTipPolicy};
 pub use error::CoreError;
 pub use evaluator::{EvalCounters, ModelEvaluator};
@@ -127,7 +129,7 @@ pub use metrics::{
 pub use net::{
     have_set, tracker_join, tracker_leave, ControlEvent, TcpTransport, Tracker, TrackerSummary,
 };
-pub use payload::{ModelFactory, ModelPayload, ModelTangle, ShardedModelTangle};
+pub use payload::{ModelPayload, ModelTangle, ShardedModelTangle};
 pub use peer::{run_peer, PeerConfig, PeerReport};
 pub use poisoning::{mean_accuracy_series, PoisonRoundMetrics, PoisoningConfig, PoisoningScenario};
 pub use replica::{Replica, ReplicaTangle, SegmentRegistry, GENESIS_NET_ID};

@@ -1,13 +1,14 @@
 //! Per-round and specialization metrics.
 
 use dagfl_tangle::{TangleRead, TxId};
+use dagfl_tensor::fan_out;
 use std::convert::Infallible;
 use std::ops::Range;
 use std::time::Duration;
 
-use crate::fanout::{fan_out, machine_workers};
+use crate::fanout::machine_workers;
 use crate::graph::Graph;
-use crate::ModelPayload;
+use crate::{CoreError, ModelPayload, ShardedModelTangle};
 
 /// Builds the derived client graph `G_clients` (§4.3) from a tangle: the
 /// edge weight between two clients is the number of direct approvals
@@ -424,19 +425,37 @@ impl ClientGraphTracker {
         }
     }
 
-    /// Records one published transaction: `issuer` approving the
-    /// transactions issued by `parent_issuers` (use `None` for the
-    /// genesis, which carries no issuer).
-    pub fn record(&mut self, issuer: u32, parent_issuers: &[Option<u32>]) {
-        for parent in parent_issuers.iter().flatten() {
+    /// Records transaction `id` of `tangle`, right after its attach: its
+    /// issuer approving the issuers of the parents the store kept, so a
+    /// duplicate parent counts once, as in a full re-scan. A transaction
+    /// or parent without an issuer (the genesis) adds no approval.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Tangle`] if `id` or one of its parents is not
+    /// in `tangle`.
+    pub fn record_attached(
+        &mut self,
+        tangle: &ShardedModelTangle,
+        id: TxId,
+    ) -> Result<(), CoreError> {
+        let tx = tangle.get(id)?;
+        let Some(issuer) = tx.issuer() else {
+            return Ok(());
+        };
+        for &parent in tx.parents() {
+            let Some(parent) = tangle.get(parent)?.issuer() else {
+                continue;
+            };
             self.approvals += 1;
-            if self.clusters[issuer as usize] == self.clusters[*parent as usize] {
+            if self.clusters[issuer as usize] == self.clusters[parent as usize] {
                 self.pure_approvals += 1;
             }
-            if *parent != issuer {
-                self.graph.add_edge(issuer as usize, *parent as usize, 1.0);
+            if parent != issuer {
+                self.graph.add_edge(issuer as usize, parent as usize, 1.0);
             }
         }
+        Ok(())
     }
 
     /// The derived client graph accumulated so far.
@@ -496,16 +515,6 @@ impl RoundMetrics {
     /// Mean post-training loss over the active clients.
     pub fn mean_loss(&self) -> f32 {
         mean(&self.losses)
-    }
-
-    /// Fraction of candidate evaluations that were fresh (forward
-    /// passes) rather than cache hits; `0.0` when nothing was evaluated.
-    pub fn fresh_eval_ratio(&self) -> f64 {
-        crate::EvalCounters {
-            fresh: self.fresh_evaluations,
-            cached: self.cached_evaluations,
-        }
-        .fresh_ratio()
     }
 }
 
@@ -765,15 +774,6 @@ pub(crate) mod tests {
         let m = metrics(vec![], vec![]);
         assert_eq!(m.mean_accuracy(), 0.0);
         assert_eq!(m.mean_loss(), 0.0);
-        assert_eq!(m.fresh_eval_ratio(), 0.0);
-    }
-
-    #[test]
-    fn fresh_eval_ratio_is_a_fraction() {
-        let mut m = metrics(vec![], vec![]);
-        m.fresh_evaluations = 3;
-        m.cached_evaluations = 9;
-        assert!((m.fresh_eval_ratio() - 0.25).abs() < 1e-12);
     }
 
     /// Two disjoint triangles.

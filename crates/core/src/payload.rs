@@ -2,9 +2,6 @@
 
 use std::sync::Arc;
 
-use rand::rngs::StdRng;
-
-use dagfl_nn::Model;
 use dagfl_tangle::{ShardedTangle, Tangle};
 
 /// A published model update: the full flat parameter vector, shared
@@ -62,13 +59,6 @@ pub type ModelTangle = Tangle<ModelPayload>;
 /// slots are read with no lock, structure under one lock, and it is
 /// written only in the simulators' serial phases.
 pub type ShardedModelTangle = ShardedTangle<ModelPayload>;
-
-/// Creates fresh model instances for clients and the genesis.
-///
-/// The factory is called with a seeded RNG so that every simulation is
-/// reproducible; all models it returns must share one architecture (equal
-/// parameter counts).
-pub type ModelFactory = Arc<dyn Fn(&mut StdRng) -> Box<dyn Model> + Send + Sync>;
 
 #[cfg(test)]
 mod tests {

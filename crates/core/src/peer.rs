@@ -61,7 +61,7 @@ pub struct PeerConfig {
     pub activations: usize,
     /// Wall-clock pause between consecutive activations.
     pub interarrival: Duration,
-    /// Hyperparameters and tip selection (shared by all peers; the
+    /// Training settings and tip selection (shared by all peers; the
     /// seed also derives the shared genesis model).
     pub dag: DagConfig,
     /// How long the session must stay quiet (no new gossip) after

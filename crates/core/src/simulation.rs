@@ -9,9 +9,10 @@ use rand::{Rng, SeedableRng};
 use dagfl_datasets::FederatedDataset;
 use dagfl_nn::Evaluation;
 use dagfl_tangle::TxId;
+use dagfl_tensor::fan_out_with;
 
 use crate::client;
-use crate::fanout::{disjoint_mut, fan_out_with, machine_workers};
+use crate::fanout::{disjoint_mut, machine_workers};
 use crate::graph::Graph;
 use crate::{
     specialization_seed, ClientGraphTracker, CoreError, DagClient, DagConfig, ExecutionMode,
@@ -181,20 +182,13 @@ impl Simulation {
                 {
                     continue;
                 }
-                let parents = [outcome.parents.0, outcome.parents.1];
-                // The tangle dedups parents on attach; mirror that here so
-                // the incremental graph matches a full re-scan exactly.
-                let mut parent_issuers = vec![self.tangle.get(parents[0])?.issuer()];
-                if parents[1] != parents[0] {
-                    parent_issuers.push(self.tangle.get(parents[1])?.issuer());
-                }
-                self.tangle.attach_with_meta(
+                let id = self.tangle.attach_with_meta(
                     ModelPayload::new(params),
-                    &parents,
+                    &[outcome.parents.0, outcome.parents.1],
                     Some(outcome.client),
                     self.round as u32,
                 )?;
-                self.graph.record(outcome.client, &parent_issuers);
+                self.graph.record_attached(&self.tangle, id)?;
                 published += 1;
             }
         }

@@ -95,9 +95,9 @@ pub use dagfl_baselines::{FedConfig, FederatedServer};
 pub use dagfl_core::{
     run_peer, AsyncConfig, AsyncMetrics, AsyncSimulation, ComputeProfile, CrashWindow, DagConfig,
     DelayModel, EvalCounters, ExecutionMode, FaultPlan, FaultyTransport, GossipMessage,
-    Hyperparameters, LoopbackTransport, ModelEvaluator, Normalization, PartitionWindow, PeerConfig,
-    PeerReport, PoisoningConfig, PoisoningScenario, PublishGate, Replica, Simulation,
-    StaleTipPolicy, TcpTransport, TipSelector, Tracker, Transport, TxMessage,
+    LoopbackTransport, ModelEvaluator, Normalization, PartitionWindow, PeerConfig, PeerReport,
+    PoisoningConfig, PoisoningScenario, PublishGate, Replica, Simulation, StaleTipPolicy,
+    TcpTransport, TipSelector, Tracker, Transport, TxMessage,
 };
 pub use dagfl_nn::TrainScratch;
 pub use dagfl_scenario::{

@@ -7,11 +7,12 @@
 //! per-client style (translation + brightness, standing in for FEMNIST's
 //! per-author handwriting) and per-sample Gaussian noise.
 
-use dagfl_tensor::Matrix;
+use std::convert::Infallible;
+
+use dagfl_tensor::{fan_out, Matrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::pool::{render_indexed, rendering_threads};
 use crate::rand_util::{sample_normal, skip_normals};
 use crate::{ClientDataset, FederatedDataset};
 
@@ -230,6 +231,17 @@ fn build_client<R: Rng>(
     ClientDataset::from_split(id, cluster, x, y, 0.1, rng)
 }
 
+/// Worker threads the generators render clients on. Every generator is
+/// bit-identical for any thread count, so the machine's core count is
+/// purely a wall-clock choice (capped: rendering saturates memory
+/// bandwidth long before 8 threads).
+fn rendering_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1)
+        .min(8)
+}
+
 /// Renders clients `0..count` that share one sequential RNG stream, on
 /// `threads` workers, byte for byte as one thread walking `rng` through
 /// them in id order would. `client(id, rng, pass)` builds client `id`
@@ -237,7 +249,7 @@ fn build_client<R: Rng>(
 ///
 /// Pass 1 walks the stream serially through every client in
 /// [`Pass::Draw`] and records where each client's draws start. Pass 2
-/// renders each client from its recorded start on the pool and asserts
+/// renders each client from its recorded start on the fan-out and asserts
 /// that its draws end exactly where the next client's start — so a
 /// draw-only pass that ever fell out of step with the render panics
 /// rather than shifting the data. On one thread the clients are rendered
@@ -259,15 +271,16 @@ fn render_stream(
         client(id, &mut rng, Pass::Draw);
     }
     starts.push(rng);
-    render_indexed(count, threads, |id| {
+    let Ok(clients) = fan_out(threads, 0..count, |id, _| {
         let mut rng = starts[id].clone();
         let rendered = client(id, &mut rng, Pass::Render);
         assert!(
             rng == starts[id + 1],
             "client {id}'s render drew a different count than its draw-only pass"
         );
-        rendered
-    })
+        Ok::<_, Infallible>(rendered)
+    });
+    clients
 }
 
 /// The ten class prototypes of `cfg.seed`.
@@ -354,11 +367,11 @@ fn fmnist_clustered_streamed_on(cfg: &FmnistConfig, threads: usize) -> Federated
     assert!(cfg.num_clients >= 3, "need at least one client per cluster");
     assert!(cfg.samples_per_client >= 10, "too few samples per client");
     let prototypes = class_prototypes(cfg);
-    let clients = render_indexed(cfg.num_clients, threads, |id| {
+    let Ok(clients) = fan_out(threads, 0..cfg.num_clients, |id, _| {
         let cluster = id % CLASS_CLUSTERS.len();
         let pick = |rng: &mut StdRng| clustered_class(cluster, cfg.relaxation, rng);
         let mut rng = StdRng::seed_from_u64(client_stream_seed(cfg.seed, id as u64));
-        build_client(
+        Ok::<_, Infallible>(build_client(
             id as u32,
             cluster,
             cfg,
@@ -366,7 +379,7 @@ fn fmnist_clustered_streamed_on(cfg: &FmnistConfig, threads: usize) -> Federated
             pick,
             &mut rng,
             Pass::Render,
-        )
+        ))
     });
     FederatedDataset::new("fmnist-streamed", NUM_CLASSES, clients)
 }

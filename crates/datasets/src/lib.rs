@@ -32,7 +32,6 @@ pub mod fedprox;
 pub mod fmnist;
 pub mod poets;
 pub mod poison;
-mod pool;
 mod rand_util;
 
 pub use cifar::{cifar100_like, Cifar100Config};

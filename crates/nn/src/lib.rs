@@ -74,7 +74,7 @@ pub use dense::Dense;
 pub use embedding::Embedding;
 pub use error::NnError;
 pub use eval::EvalScratch;
-pub use model::{Evaluation, Model};
+pub use model::{Evaluation, Model, ModelFactory};
 pub use optimizer::SgdConfig;
 pub use params::{average_parameters, weighted_average_parameters};
 pub use rnn::{char_rnn, Gru};

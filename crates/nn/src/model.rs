@@ -1,7 +1,10 @@
 //! The object-safe [`Model`] abstraction shared by every learning algorithm
 //! in the workspace.
 
+use std::sync::Arc;
+
 use dagfl_tensor::{MatmulBackendKind, Matrix};
+use rand::rngs::StdRng;
 
 use crate::{EvalScratch, NnError, SgdConfig};
 
@@ -154,6 +157,13 @@ impl Clone for Box<dyn Model> {
         self.boxed_clone()
     }
 }
+
+/// Creates fresh model instances for clients and the genesis.
+///
+/// The factory is called with a seeded RNG so that every simulation is
+/// reproducible; all models it returns must share one architecture (equal
+/// parameter counts).
+pub type ModelFactory = Arc<dyn Fn(&mut StdRng) -> Box<dyn Model> + Send + Sync>;
 
 #[cfg(test)]
 mod tests {

@@ -1445,7 +1445,6 @@ mod tests {
             dropped: 0,
             duplicated: 0,
         };
-        assert_eq!(metrics.fresh_eval_ratio(), 0.0);
         assert_eq!(metrics.activation_rate(), 0.0);
         assert_eq!(metrics.publish_fraction(), 0.0);
         assert_eq!(metrics.stale_fraction(), 0.0);

@@ -16,6 +16,10 @@
 //! reference oracle pinned by the property tests, while [`TiledBackend`]
 //! (the default) runs the tiled kernel.
 //!
+//! It also holds the workspace's one thread fan-out, [`fan_out`]: the
+//! dataset renderer and the simulators above both spread their indexed
+//! jobs over it, and results come back in job order at any worker count.
+//!
 //! # Example
 //!
 //! ```
@@ -38,6 +42,7 @@
 mod backend;
 mod distance;
 mod error;
+mod fanout;
 mod init;
 mod matrix;
 mod ops;
@@ -46,6 +51,7 @@ mod stats;
 pub use backend::{MatmulBackend, MatmulBackendKind, NaiveBackend, TiledBackend};
 pub use distance::{cosine_similarity, l2_distance, l2_norm};
 pub use error::ShapeError;
+pub use fanout::{fan_out, fan_out_with};
 pub use init::{he_normal, he_uniform, normal_init, uniform_init, xavier_normal, xavier_uniform};
 pub use matrix::Matrix;
 pub use ops::{
