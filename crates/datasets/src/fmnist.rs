@@ -7,12 +7,11 @@
 //! per-client style (translation + brightness, standing in for FEMNIST's
 //! per-author handwriting) and per-sample Gaussian noise.
 
-use std::convert::Infallible;
-
-use dagfl_tensor::{fan_out, Matrix};
+use dagfl_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::pool::{render_each, rendering_threads};
 use crate::rand_util::{sample_normal, skip_normals};
 use crate::{ClientDataset, FederatedDataset};
 
@@ -231,17 +230,6 @@ fn build_client<R: Rng>(
     ClientDataset::from_split(id, cluster, x, y, 0.1, rng)
 }
 
-/// Worker threads the generators render clients on. Every generator is
-/// bit-identical for any thread count, so the machine's core count is
-/// purely a wall-clock choice (capped: rendering saturates memory
-/// bandwidth long before 8 threads).
-fn rendering_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(8)
-}
-
 /// Renders clients `0..count` that share one sequential RNG stream, on
 /// `threads` workers, byte for byte as one thread walking `rng` through
 /// them in id order would. `client(id, rng, pass)` builds client `id`
@@ -271,16 +259,15 @@ fn render_stream(
         client(id, &mut rng, Pass::Draw);
     }
     starts.push(rng);
-    let Ok(clients) = fan_out(threads, 0..count, |id, _| {
+    render_each(count, threads, |id| {
         let mut rng = starts[id].clone();
         let rendered = client(id, &mut rng, Pass::Render);
         assert!(
             rng == starts[id + 1],
             "client {id}'s render drew a different count than its draw-only pass"
         );
-        Ok::<_, Infallible>(rendered)
-    });
-    clients
+        rendered
+    })
 }
 
 /// The ten class prototypes of `cfg.seed`.
@@ -367,11 +354,11 @@ fn fmnist_clustered_streamed_on(cfg: &FmnistConfig, threads: usize) -> Federated
     assert!(cfg.num_clients >= 3, "need at least one client per cluster");
     assert!(cfg.samples_per_client >= 10, "too few samples per client");
     let prototypes = class_prototypes(cfg);
-    let Ok(clients) = fan_out(threads, 0..cfg.num_clients, |id, _| {
+    let clients = render_each(cfg.num_clients, threads, |id| {
         let cluster = id % CLASS_CLUSTERS.len();
         let pick = |rng: &mut StdRng| clustered_class(cluster, cfg.relaxation, rng);
         let mut rng = StdRng::seed_from_u64(client_stream_seed(cfg.seed, id as u64));
-        Ok::<_, Infallible>(build_client(
+        build_client(
             id as u32,
             cluster,
             cfg,
@@ -379,7 +366,7 @@ fn fmnist_clustered_streamed_on(cfg: &FmnistConfig, threads: usize) -> Federated
             pick,
             &mut rng,
             Pass::Render,
-        ))
+        )
     });
     FederatedDataset::new("fmnist-streamed", NUM_CLASSES, clients)
 }

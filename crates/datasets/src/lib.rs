@@ -32,6 +32,7 @@ pub mod fedprox;
 pub mod fmnist;
 pub mod poets;
 pub mod poison;
+mod pool;
 mod rand_util;
 
 pub use cifar::{cifar100_like, Cifar100Config};
