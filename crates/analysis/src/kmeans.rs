@@ -30,25 +30,22 @@ use dagfl_nn::average_parameters;
 
 use crate::metrics::silhouette_score;
 
+/// Upper bound on Lloyd iterations (the loop also stops at the first
+/// iteration that changes no assignment).
+const MAX_ITERATIONS: usize = 50;
+
 /// Configuration of one deterministic k-means run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KMeansConfig {
     /// Number of clusters (clamped to the number of points).
     pub k: usize,
-    /// Upper bound on Lloyd iterations (the loop also stops at the
-    /// first iteration that changes no assignment).
-    pub max_iterations: usize,
     /// Master seed for the k-means++ draws.
     pub seed: u64,
 }
 
 impl Default for KMeansConfig {
     fn default() -> Self {
-        Self {
-            k: 2,
-            max_iterations: 50,
-            seed: 42,
-        }
+        Self { k: 2, seed: 42 }
     }
 }
 
@@ -157,7 +154,7 @@ pub fn kmeans(points: &[Vec<f32>], config: &KMeansConfig) -> KMeansResult {
     let mut centroids = plus_plus_init(points, k, config.seed);
     let mut assignments = vec![0usize; n];
     let mut iterations = 0;
-    for _ in 0..config.max_iterations.max(1) {
+    for _ in 0..MAX_ITERATIONS {
         iterations += 1;
         // Assignment step, in index order.
         let mut changed = false;
@@ -276,11 +273,7 @@ mod tests {
     #[test]
     fn same_seed_same_result_different_seed_may_differ() {
         let points = blobs();
-        let config = KMeansConfig {
-            k: 2,
-            seed: 7,
-            ..KMeansConfig::default()
-        };
+        let config = KMeansConfig { k: 2, seed: 7 };
         assert_eq!(kmeans(&points, &config), kmeans(&points, &config));
     }
 
@@ -316,7 +309,7 @@ mod tests {
             },
         );
         assert_eq!(result.assignments.len(), 4);
-        assert!(result.iterations <= KMeansConfig::default().max_iterations);
+        assert!(result.iterations <= MAX_ITERATIONS);
     }
 
     #[test]

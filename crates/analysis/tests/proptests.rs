@@ -86,7 +86,7 @@ proptest! {
         k in 1usize..5,
         seed in any::<u64>(),
     ) {
-        let config = KMeansConfig { k, seed, ..KMeansConfig::default() };
+        let config = KMeansConfig { k, seed };
         let a = kmeans(&points, &config);
         let b = kmeans(&points, &config);
         prop_assert_eq!(a, b);
@@ -124,7 +124,7 @@ proptest! {
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_by_key(|&i| (priorities[i % priorities.len()], i));
         let permuted: Vec<Vec<f32>> = order.iter().map(|&i| points[i].clone()).collect();
-        let config = KMeansConfig { k, seed, ..KMeansConfig::default() };
+        let config = KMeansConfig { k, seed };
         let base = kmeans(&points, &config);
         let shuffled = kmeans(&permuted, &config);
         // Map the permuted assignment back onto original client indices.

@@ -28,12 +28,11 @@ pub struct FedConfig {
     pub proximal_mu: f32,
     /// Fraction of active clients that are *stragglers* each round: they
     /// only manage a random fraction of their local batch budget
-    /// (Li et al.'s systems-heterogeneity simulation).
+    /// (Li et al.'s systems-heterogeneity simulation). FedAvg
+    /// (`proximal_mu == 0.0`) drops their partial updates from
+    /// aggregation, as Li et al.'s FedAvg baseline does; FedProx
+    /// incorporates them.
     pub straggler_fraction: f32,
-    /// Whether partially trained (straggler) updates are dropped from
-    /// aggregation. Li et al.'s FedAvg drops them; FedProx incorporates
-    /// them.
-    pub drop_stragglers: bool,
     /// Master seed.
     pub seed: u64,
 }
@@ -49,7 +48,6 @@ impl Default for FedConfig {
             learning_rate: 0.05,
             proximal_mu: 0.0,
             straggler_fraction: 0.0,
-            drop_stragglers: false,
             seed: 42,
         }
     }
@@ -218,7 +216,7 @@ impl FederatedServer {
                     remaining -= 1;
                 }
             }
-            if is_straggler && self.config.drop_stragglers {
+            if is_straggler && self.config.proximal_mu == 0.0 {
                 // FedAvg discards partial work (the FedProx paper's FedAvg
                 // baseline); the straggler's update never reaches the
                 // server.
@@ -457,7 +455,6 @@ mod tests {
             clients_per_round: 3,
             local_batches: 3,
             straggler_fraction: 1.0,
-            drop_stragglers: true,
             ..FedConfig::default()
         };
         let mut server = FederatedServer::new(config, dataset, mlp_factory(features, 10));
@@ -476,7 +473,7 @@ mod tests {
             clients_per_round: 3,
             local_batches: 3,
             straggler_fraction: 1.0,
-            drop_stragglers: false,
+            proximal_mu: 0.1,
             ..FedConfig::default()
         };
         let mut server = FederatedServer::new(config, dataset, mlp_factory(features, 10));

@@ -1,6 +1,6 @@
 //! Experiment runners shared by the registry rows.
 
-use dagfl_baselines::{FedConfig, FederatedServer};
+use dagfl_baselines::FedConfig;
 use dagfl_core::{DagConfig, ModelFactory, Simulation};
 use dagfl_datasets::FederatedDataset;
 use dagfl_scenario::Scenario;
@@ -38,22 +38,6 @@ pub fn run_dag(config: DagConfig, dataset: FederatedDataset, factory: ModelFacto
     let mut sim = Simulation::new(config, dataset, factory);
     sim.run().expect("DAG simulation failed");
     sim
-}
-
-/// Runs a centralized baseline (FedAvg for `mu == 0`, FedProx otherwise).
-///
-/// # Panics
-///
-/// Panics on training errors.
-pub fn run_fed(
-    dag: &DagConfig,
-    proximal_mu: f32,
-    dataset: FederatedDataset,
-    factory: ModelFactory,
-) -> FederatedServer {
-    let mut server = FederatedServer::new(fed_config(dag, proximal_mu), dataset, factory);
-    server.run().expect("centralized training failed");
-    server
 }
 
 /// Mean accuracy over the last five entries of a per-round series — the

@@ -100,8 +100,6 @@ pub fn garbage_attack(session: &Session) {
             }
             .with_tip_selector(selector),
             clean_rounds: scale.pick(12, 100),
-            attacks_per_round: 1,
-            weight_scale: 1.0,
         };
         let mut attack = GarbageAttackScenario::new(config, dataset, factory);
         attack.run().expect("scenario failed");

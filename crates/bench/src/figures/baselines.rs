@@ -5,9 +5,8 @@ use dagfl_core::analysis::cluster_specialization;
 use dagfl_core::DagConfig;
 use dagfl_scenario::{DatasetSpec, ExecutionSpec, Scenario};
 use dagfl_tensor::Summary;
-use rand::SeedableRng;
 
-use crate::experiments::{fed_config, run_dag, run_fed, task};
+use crate::experiments::{fed_config, run_dag, task};
 use crate::output::{f, int};
 use crate::Session;
 
@@ -20,10 +19,9 @@ pub fn fig09(session: &Session) {
         ("poets", "table1-poets"),
         ("cifar100", "table1-cifar"),
     ] {
-        let (spec, dataset, factory) = task(&session.scenario(preset));
-        let sim = run_dag(spec, dataset.clone(), factory.clone());
+        let sim = session.simulation(preset);
         let dag_accs: Vec<&[f32]> = sim.history().iter().map(|m| &m.accuracies[..]).collect();
-        let server = run_fed(&spec, 0.0, dataset, factory);
+        let server = session.fedavg(preset);
         let fed_accs: Vec<&[f32]> = server.history().iter().map(|m| &m.accuracies[..]).collect();
         for (algorithm, accs) in [("dag", dag_accs), ("fedavg", fed_accs)] {
             for (group, window) in accs.chunks(5).enumerate() {
@@ -81,10 +79,9 @@ pub fn fig10_11(session: &Session) {
     }
 
     // Centralized baselines under 50 % stragglers.
-    for (name, mu, drop) in [("fedavg", 0.0f32, true), ("fedprox", 0.1, false)] {
+    for (name, mu) in [("fedavg", 0.0f32), ("fedprox", 0.1)] {
         let mut config = fed_config(&spec, mu);
         config.straggler_fraction = 0.5;
-        config.drop_stragglers = drop;
         let mut server = FederatedServer::new(config, dataset.clone(), factory.clone());
         server.run().expect("centralized training failed");
         for m in server.history() {
@@ -108,15 +105,12 @@ pub fn fig10_11(session: &Session) {
 ///   the recorded walk statistics) plus the two parents, and uploads its
 ///   update if published.
 pub fn communication_cost(session: &Session) {
-    let (spec, dataset, factory) = task(&session.scenario("table1-fmnist"));
-    let params = {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-        factory(&mut rng).num_parameters()
-    };
-    let bytes_per_model = params * 4;
+    let sim = session.simulation("table1-fmnist");
+    let server = session.fedavg("table1-fmnist");
+    let spec = sim.config();
+    let bytes_per_model = server.global_parameters().len() * 4;
 
     // DAG: count candidate downloads and uploads from the round metrics.
-    let sim = run_dag(spec, dataset.clone(), factory.clone());
     let mut dag_download = 0u64;
     let mut dag_upload = 0u64;
     for m in sim.history() {
@@ -127,7 +121,6 @@ pub fn communication_cost(session: &Session) {
     }
 
     // FedAvg: broadcast + update per active client per round.
-    let server = run_fed(&spec, 0.0, dataset, factory);
     let fed_each_way: u64 = server
         .history()
         .iter()

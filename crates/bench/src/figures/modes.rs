@@ -17,14 +17,17 @@ pub fn async_vs_rounds(session: &Session) {
     let mut rows = Vec::new();
 
     // Round-based reference run: late accuracy over the last 5 rounds.
-    let rounds = &session.report("table1-fmnist").report;
+    let rounds = session.simulation("table1-fmnist");
+    let tangle = ExecutionMode::tangle_stats(&*rounds);
     rows.push(vec![
         "rounds".into(),
         f(0.0),
-        f(late_accuracy(rounds.round_accuracy.iter().copied())),
-        f(rounds.specialization.approval_pureness),
-        int(rounds.tangle.tips),
-        int(rounds.tangle.transactions),
+        f(late_accuracy(
+            rounds.history().iter().map(|m| m.mean_accuracy()),
+        )),
+        f(rounds.specialization_metrics().approval_pureness),
+        int(tangle.tips),
+        int(tangle.transactions),
     ]);
 
     // Asynchronous cells with increasing propagation delay; the sweep

@@ -38,18 +38,19 @@ pub fn table1(session: &Session) {
     );
 }
 
-/// Table 2. The three runs are exactly the Table 1 scenario presets; the
-/// report carries the dataset facts, so this is a pure reshaping step.
+/// Table 2. The three runs are exactly the Table 1 scenario presets'
+/// simulations, shared with Figure 9; the simulation carries the dataset,
+/// so this is a pure reshaping step.
 pub fn table2(session: &Session) {
     let rows: Vec<Vec<String>> = TABLE1_PRESETS
         .iter()
         .map(|(label, preset)| {
-            let report = &session.report(preset).report;
+            let sim = session.simulation(preset);
             vec![
                 label.to_string(),
-                int(report.dataset.clusters),
-                f(report.dataset.base_pureness),
-                f(report.specialization.approval_pureness),
+                int(sim.dataset().clusters().len()),
+                f(sim.dataset().base_pureness()),
+                f(sim.specialization_metrics().approval_pureness),
             ]
         })
         .collect();

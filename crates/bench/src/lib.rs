@@ -31,9 +31,13 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::rc::Rc;
 
+use dagfl_baselines::FederatedServer;
+use dagfl_core::Simulation;
 use dagfl_scenario::{
     RunReport, Scenario, ScenarioRunner, SweepCellReport, SweepReport, SweepRunner, SweepSpec,
 };
+
+use experiments::{fed_config, run_dag, task};
 
 pub use dagfl_scenario::Scale;
 pub use registry::{Figure, FIGURES};
@@ -60,10 +64,13 @@ pub struct PresetRun {
 }
 
 /// One `reproduce` invocation: the scale and results directory every
-/// row shares, plus the preset runs rows have in common — a scenario or
-/// sweep preset executes at most once per session, whichever rows ask
-/// for it (Figures 12–14 read the same four `poisoning-*` runs, Figures
-/// 6 and 7 the same simple-normalization sweep).
+/// row shares, plus the preset runs rows have in common — each executes
+/// at most once per session, whichever rows ask for it. Table 2, Figure
+/// 9, the communication cost and `async_vs_rounds` read the three Table
+/// 1 [`Session::simulation`]s and Figure 9's [`Session::fedavg`]
+/// servers, Figures 12–14 the four `poisoning-*` [`Session::report`]s,
+/// Figures 6 and 7 one [`Session::sweep`]. A row that changes a run's
+/// configuration, or its state after the run, runs its own copy.
 ///
 /// Rows fail loudly: every method panics on an unknown preset, a
 /// failed run or an I/O error.
@@ -71,9 +78,12 @@ pub struct Session {
     /// The scale every preset resolves at.
     pub scale: Scale,
     out_dir: PathBuf,
+    simulations: Memo<Simulation>,
+    servers: Memo<FederatedServer>,
     reports: Memo<PresetRun>,
     sweeps: Memo<SweepReport>,
     resolved: RefCell<Vec<String>>,
+    ran: RefCell<Vec<String>>,
     written: RefCell<Vec<PathBuf>>,
 }
 
@@ -83,9 +93,12 @@ impl Session {
         Self {
             scale,
             out_dir: out_dir.into(),
+            simulations: Memo::default(),
+            servers: Memo::default(),
             reports: Memo::default(),
             sweeps: Memo::default(),
             resolved: RefCell::default(),
+            ran: RefCell::default(),
             written: RefCell::default(),
         }
     }
@@ -97,9 +110,31 @@ impl Session {
         Scenario::preset_at(preset, self.scale).expect("scenario preset exists")
     }
 
-    /// Scenario `preset` run as the preset registry defines it.
+    /// Rounds-mode scenario `preset`'s simulation, run to completion.
+    pub fn simulation(&self, preset: &str) -> Rc<Simulation> {
+        memo(&self.simulations, preset, || {
+            self.ran.borrow_mut().push(format!("simulation {preset}"));
+            let (config, dataset, factory) = task(&self.scenario(preset));
+            run_dag(config, dataset, factory)
+        })
+    }
+
+    /// FedAvg trained on scenario `preset`'s data with its budget.
+    pub fn fedavg(&self, preset: &str) -> Rc<FederatedServer> {
+        memo(&self.servers, preset, || {
+            self.ran.borrow_mut().push(format!("fedavg {preset}"));
+            let (dag, dataset, factory) = task(&self.scenario(preset));
+            let mut server = FederatedServer::new(fed_config(&dag, 0.0), dataset, factory);
+            server.run().expect("centralized training failed");
+            server
+        })
+    }
+
+    /// Scenario `preset` run through the scenario runner, as the preset
+    /// registry defines it; the poisoning rows read their presets so.
     pub fn report(&self, preset: &str) -> Rc<PresetRun> {
         memo(&self.reports, preset, || {
+            self.ran.borrow_mut().push(format!("report {preset}"));
             let scenario = self.scenario(preset);
             let report = ScenarioRunner::new(scenario.clone())
                 .expect("preset validates")
@@ -113,6 +148,7 @@ impl Session {
     /// its comparison CSV goes to the session's directory.
     pub fn sweep(&self, name: &str) -> Rc<SweepReport> {
         memo(&self.sweeps, name, || {
+            self.ran.borrow_mut().push(format!("sweep {name}"));
             self.resolved.borrow_mut().push(name.into());
             let mut spec = SweepSpec::preset(name).expect("sweep preset exists");
             // The runner would write the comparison under `DAGFL_RESULTS`.
@@ -156,6 +192,12 @@ impl Session {
     /// name appears once per resolution.
     pub fn resolved(&self) -> Vec<String> {
         self.resolved.borrow().clone()
+    }
+
+    /// Every shared run executed so far, in order, as `simulation`,
+    /// `fedavg`, `report` or `sweep` followed by the preset's name.
+    pub fn ran(&self) -> Vec<String> {
+        self.ran.borrow().clone()
     }
 }
 

@@ -264,6 +264,22 @@ fn every_registry_row_writes_the_recorded_bytes() {
         poisoning, POISONING_PRESETS,
         "each poisoning preset ran once"
     );
+    // Table 2, Figure 9, the communication cost and the rounds row of
+    // async_vs_rounds share their runs: each Table 1 preset is simulated
+    // once and its FedAvg server (Figure 9's, which the communication
+    // cost reads for table1-fmnist) is trained once.
+    let ran = session.ran();
+    for preset in ["table1-fmnist", "table1-poets", "table1-cifar"] {
+        let runs: Vec<&str> = ran
+            .iter()
+            .filter_map(|run| run.strip_suffix(preset)?.strip_suffix(' '))
+            .collect();
+        assert_eq!(
+            runs,
+            ["simulation", "fedavg"],
+            "the shared runs of `{preset}`"
+        );
+    }
 
     let recorded: BTreeSet<String> = GOLDEN.iter().map(|row| row.0.to_string()).collect();
     assert_eq!(written, recorded, "the set of files written");

@@ -161,7 +161,6 @@ fn fed_config(args: &ParsedArgs, dag: &DagConfig) -> Result<FedConfig, ParseErro
         learning_rate: dag.learning_rate,
         proximal_mu: mu,
         straggler_fraction: args.get_parsed_or("stragglers", 0.0)?,
-        drop_stragglers: mu == 0.0,
         seed: dag.seed,
     })
 }
@@ -806,10 +805,10 @@ mod tests {
         let cfg = fed_config(&args, &dag).unwrap();
         assert_eq!(cfg.straggler_fraction, 0.5);
         assert_eq!(cfg.proximal_mu, 0.1);
-        assert!(!cfg.drop_stragglers, "fedprox keeps stragglers");
         let args = ParsedArgs::parse(["fedavg", "--stragglers", "0.5"]).unwrap();
         let cfg = fed_config(&args, &dag).unwrap();
-        assert!(cfg.drop_stragglers, "fedavg drops stragglers");
+        assert_eq!(cfg.straggler_fraction, 0.5);
+        assert_eq!(cfg.proximal_mu, 0.0, "fedavg drops stragglers");
     }
 
     #[test]

@@ -16,7 +16,11 @@ use dagfl_tangle::{RandomWalker, TangleRead, TxId, UniformBias};
 
 use crate::{CoreError, DagConfig, ModelFactory, ModelPayload, Simulation};
 
-/// Configuration of a random-weight flooding attack.
+/// Garbage weights are drawn uniformly from `[-WEIGHT_SCALE, WEIGHT_SCALE]`.
+const WEIGHT_SCALE: f32 = 1.0;
+
+/// Configuration of a random-weight flooding attack: a *limited-rate*
+/// attacker (§4.4) that injects one garbage transaction per round.
 #[derive(Debug, Clone, Copy)]
 pub struct GarbageAttackConfig {
     /// The underlying simulation configuration (rounds included).
@@ -29,21 +33,6 @@ pub struct GarbageAttackConfig {
     /// established network (its label-flip attack starts after 100 clean
     /// rounds); the same warm-up applies here.
     pub clean_rounds: usize,
-    /// Garbage transactions injected per round.
-    pub attacks_per_round: usize,
-    /// Garbage weights are drawn uniformly from `[-scale, scale]`.
-    pub weight_scale: f32,
-}
-
-impl Default for GarbageAttackConfig {
-    fn default() -> Self {
-        Self {
-            dag: DagConfig::default(),
-            clean_rounds: 100,
-            attacks_per_round: 2,
-            weight_scale: 1.0,
-        }
-    }
 }
 
 /// Per-measurement metrics of the flooding attack.
@@ -101,9 +90,9 @@ impl GarbageAttackScenario {
         &self.garbage
     }
 
-    /// Runs one benign round followed by the attacker's injections.
+    /// Runs one benign round followed by the attacker's injection.
     ///
-    /// Garbage transactions are published anonymously (no issuer) with
+    /// The garbage transaction is published anonymously (no issuer) with
     /// parents chosen by unbiased walks — an attacker maximising spread
     /// rather than stealth.
     ///
@@ -115,38 +104,33 @@ impl GarbageAttackScenario {
         if self.simulation.round() <= self.config.clean_rounds {
             return Ok(());
         }
-        for _ in 0..self.config.attacks_per_round {
-            let params: Vec<f32> = (0..self.num_parameters)
-                .map(|_| {
-                    self.attacker_rng
-                        .gen_range(-self.config.weight_scale..=self.config.weight_scale)
-                })
-                .collect();
-            let (p1, p2) = {
-                let tangle = &self.simulation.tangle;
-                let walker = RandomWalker::new();
-                let start1 = tangle.sample_walk_start(
-                    self.config.dag.walk_depth.0,
-                    self.config.dag.walk_depth.1,
-                    &mut self.attacker_rng,
-                );
-                let r1 = walker.walk(tangle, start1, &mut UniformBias, &mut self.attacker_rng)?;
-                let start2 = tangle.sample_walk_start(
-                    self.config.dag.walk_depth.0,
-                    self.config.dag.walk_depth.1,
-                    &mut self.attacker_rng,
-                );
-                let r2 = walker.walk(tangle, start2, &mut UniformBias, &mut self.attacker_rng)?;
-                (r1.tip, r2.tip)
-            };
-            let id = self.simulation.tangle.attach_with_meta(
-                ModelPayload::new(params),
-                &[p1, p2],
-                None,
-                self.simulation.round() as u32,
-            )?;
-            self.garbage.insert(id);
-        }
+        let params: Vec<f32> = (0..self.num_parameters)
+            .map(|_| self.attacker_rng.gen_range(-WEIGHT_SCALE..=WEIGHT_SCALE))
+            .collect();
+        let (p1, p2) = {
+            let tangle = &self.simulation.tangle;
+            let walker = RandomWalker::new();
+            let start1 = tangle.sample_walk_start(
+                self.config.dag.walk_depth.0,
+                self.config.dag.walk_depth.1,
+                &mut self.attacker_rng,
+            );
+            let r1 = walker.walk(tangle, start1, &mut UniformBias, &mut self.attacker_rng)?;
+            let start2 = tangle.sample_walk_start(
+                self.config.dag.walk_depth.0,
+                self.config.dag.walk_depth.1,
+                &mut self.attacker_rng,
+            );
+            let r2 = walker.walk(tangle, start2, &mut UniformBias, &mut self.attacker_rng)?;
+            (r1.tip, r2.tip)
+        };
+        let id = self.simulation.tangle.attach_with_meta(
+            ModelPayload::new(params),
+            &[p1, p2],
+            None,
+            self.simulation.round() as u32,
+        )?;
+        self.garbage.insert(id);
         Ok(())
     }
 
@@ -254,8 +238,6 @@ mod tests {
                 }
                 .with_tip_selector(selector),
                 clean_rounds: CLEAN_ROUNDS,
-                attacks_per_round: 1,
-                weight_scale: 1.0,
             },
             dataset,
             factory,

@@ -131,7 +131,7 @@ pub use net::{
 };
 pub use payload::{ModelPayload, ModelTangle, ShardedModelTangle};
 pub use peer::{run_peer, PeerConfig, PeerReport};
-pub use poisoning::{mean_accuracy_series, PoisonRoundMetrics, PoisoningConfig, PoisoningScenario};
+pub use poisoning::{PoisonRoundMetrics, PoisoningConfig, PoisoningScenario};
 pub use replica::{Replica, ReplicaTangle, SegmentRegistry, GENESIS_NET_ID};
 pub use seed::{derive_seed, specialization_seed};
 pub use simulation::{ReferenceEvaluation, Simulation};

@@ -17,7 +17,7 @@ use rand::SeedableRng;
 use dagfl_datasets::{flip_labels, FederatedDataset, PoisonReport};
 use dagfl_tangle::TangleRead;
 
-use crate::{CoreError, DagConfig, ModelFactory, RoundMetrics, Simulation};
+use crate::{CoreError, DagConfig, ModelFactory, Simulation};
 
 /// Configuration of a poisoning experiment.
 #[derive(Debug, Clone, Copy)]
@@ -262,11 +262,6 @@ impl std::fmt::Debug for PoisoningScenario {
     }
 }
 
-/// Convenience: per-round mean accuracy history of a slice of metrics.
-pub fn mean_accuracy_series(history: &[RoundMetrics]) -> Vec<f32> {
-    history.iter().map(RoundMetrics::mean_accuracy).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -395,13 +390,5 @@ mod tests {
             post_attack.fresh_evaluations,
             warm.fresh_evaluations
         );
-    }
-
-    #[test]
-    fn mean_accuracy_series_matches_history() {
-        let mut scenario = small_scenario(0.2);
-        scenario.run().unwrap();
-        let series = mean_accuracy_series(scenario.simulation().history());
-        assert_eq!(series.len(), 7);
     }
 }

@@ -26,6 +26,18 @@ pub const NUM_CLASSES: usize = 100;
 pub const NUM_SUPERCLASSES: usize = 20;
 /// Fine classes per superclass.
 pub const CLASSES_PER_SUPERCLASS: usize = 5;
+/// Dimension of the synthetic feature vectors.
+const FEATURE_DIM: usize = 32;
+/// Samples available per fine class in the global pool.
+const POOL_PER_CLASS: usize = 60;
+/// Root Dirichlet concentration over superclasses (TFF uses 0.1).
+const ROOT_ALPHA: f64 = 0.1;
+/// Per-superclass Dirichlet concentration over its subclasses (TFF
+/// uses 10).
+const SUB_ALPHA: f64 = 10.0;
+/// Per-feature sample noise; it keeps the task hard (CIFAR-100
+/// accuracies are far from ceiling in the paper).
+const NOISE_STDDEV: f64 = 1.5;
 
 /// Configuration for the CIFAR-100-like generator.
 #[derive(Debug, Clone, Copy)]
@@ -34,18 +46,6 @@ pub struct Cifar100Config {
     pub num_clients: usize,
     /// Samples drawn per client (before the 90:10 split).
     pub samples_per_client: usize,
-    /// Dimension of the synthetic feature vectors.
-    pub feature_dim: usize,
-    /// Samples available per fine class in the global pool.
-    pub pool_per_class: usize,
-    /// Root Dirichlet concentration over superclasses (TFF uses 0.1).
-    pub root_alpha: f64,
-    /// Per-superclass Dirichlet concentration over its subclasses
-    /// (TFF uses 10).
-    pub sub_alpha: f64,
-    /// Per-feature sample noise; larger values make the task harder
-    /// (CIFAR-100 accuracies are far from ceiling in the paper).
-    pub noise_stddev: f64,
     /// Master seed.
     pub seed: u64,
 }
@@ -55,11 +55,6 @@ impl Default for Cifar100Config {
         Self {
             num_clients: 94,
             samples_per_client: 50,
-            feature_dim: 32,
-            pool_per_class: 60,
-            root_alpha: 0.1,
-            sub_alpha: 10.0,
-            noise_stddev: 1.5,
             seed: 42,
         }
     }
@@ -72,10 +67,10 @@ pub fn superclass_of(class: usize) -> usize {
 
 /// Generates the synthetic class hierarchy: per-class mean vectors where
 /// subclasses cluster around their superclass mean.
-fn class_means(cfg: &Cifar100Config, rng: &mut StdRng) -> Vec<Vec<f32>> {
+fn class_means(rng: &mut StdRng) -> Vec<Vec<f32>> {
     let mut superclass_means = Vec::with_capacity(NUM_SUPERCLASSES);
     for _ in 0..NUM_SUPERCLASSES {
-        let mean: Vec<f32> = (0..cfg.feature_dim)
+        let mean: Vec<f32> = (0..FEATURE_DIM)
             .map(|_| sample_normal(rng, 0.0, 3.0) as f32)
             .collect();
         superclass_means.push(mean);
@@ -126,31 +121,30 @@ fn draw_available<R: Rng>(weights: &[f64], remaining: &[usize], rng: &mut R) -> 
 /// # Panics
 ///
 /// Panics if the pool is too small for the requested client data
-/// (`num_clients * samples_per_client > 100 * pool_per_class`) or any
-/// dimension is zero.
+/// (`num_clients * samples_per_client > 100 * 60`), there are no
+/// clients or a client has fewer than 10 samples.
 pub fn cifar100_like(cfg: &Cifar100Config) -> FederatedDataset {
     assert!(cfg.num_clients > 0 && cfg.samples_per_client >= 10);
-    assert!(cfg.feature_dim > 0 && cfg.pool_per_class > 0);
     assert!(
-        cfg.num_clients * cfg.samples_per_client <= NUM_CLASSES * cfg.pool_per_class,
+        cfg.num_clients * cfg.samples_per_client <= NUM_CLASSES * POOL_PER_CLASS,
         "sample pool too small: need {}, have {}",
         cfg.num_clients * cfg.samples_per_client,
-        NUM_CLASSES * cfg.pool_per_class
+        NUM_CLASSES * POOL_PER_CLASS
     );
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let means = class_means(cfg, &mut rng);
+    let means = class_means(&mut rng);
     // Remaining pool capacity per fine class (samples are generated on
     // draw; the pool only enforces the without-replacement budget).
-    let mut remaining = vec![cfg.pool_per_class; NUM_CLASSES];
+    let mut remaining = vec![POOL_PER_CLASS; NUM_CLASSES];
     let mut clients = Vec::with_capacity(cfg.num_clients);
     for id in 0..cfg.num_clients {
         // PAM: root Dirichlet over superclasses, one Dirichlet per
         // superclass over its 5 subclasses.
-        let root = sample_dirichlet(&mut rng, cfg.root_alpha, NUM_SUPERCLASSES);
+        let root = sample_dirichlet(&mut rng, ROOT_ALPHA, NUM_SUPERCLASSES);
         let subs: Vec<Vec<f64>> = (0..NUM_SUPERCLASSES)
-            .map(|_| sample_dirichlet(&mut rng, cfg.sub_alpha, CLASSES_PER_SUPERCLASS))
+            .map(|_| sample_dirichlet(&mut rng, SUB_ALPHA, CLASSES_PER_SUPERCLASS))
             .collect();
-        let mut x = Matrix::zeros(cfg.samples_per_client, cfg.feature_dim);
+        let mut x = Matrix::zeros(cfg.samples_per_client, FEATURE_DIM);
         let mut y = Vec::with_capacity(cfg.samples_per_client);
         let mut super_counts = [0usize; NUM_SUPERCLASSES];
         for s in 0..cfg.samples_per_client {
@@ -174,7 +168,7 @@ pub fn cifar100_like(cfg: &Cifar100Config) -> FederatedDataset {
             super_counts[sc] += 1;
             // Materialise the sample: class mean + noise.
             for (slot, &m) in x.row_mut(s).iter_mut().zip(&means[class]) {
-                *slot = m + sample_normal(&mut rng, 0.0, cfg.noise_stddev) as f32;
+                *slot = m + sample_normal(&mut rng, 0.0, NOISE_STDDEV) as f32;
             }
             y.push(class);
         }
@@ -199,7 +193,6 @@ mod tests {
         Cifar100Config {
             num_clients: 12,
             samples_per_client: 30,
-            pool_per_class: 30,
             ..Cifar100Config::default()
         }
     }
@@ -266,8 +259,17 @@ mod tests {
 
     #[test]
     fn pool_budget_is_respected() {
-        // Sum of samples over clients never exceeds the global pool.
-        let cfg = small_config();
+        // Clients asking for exactly the whole pool get every sample of
+        // every class once: no class is drawn past its budget.
+        let cfg = Cifar100Config {
+            num_clients: 120,
+            samples_per_client: 50,
+            ..Cifar100Config::default()
+        };
+        assert_eq!(
+            cfg.num_clients * cfg.samples_per_client,
+            NUM_CLASSES * POOL_PER_CLASS
+        );
         let ds = cifar100_like(&cfg);
         let mut counts = vec![0usize; NUM_CLASSES];
         for client in ds.clients() {
@@ -276,10 +278,9 @@ mod tests {
             }
         }
         for (class, &count) in counts.iter().enumerate() {
-            assert!(
-                count <= cfg.pool_per_class,
-                "class {class} drawn {count} times (pool {})",
-                cfg.pool_per_class
+            assert_eq!(
+                count, POOL_PER_CLASS,
+                "class {class} drawn {count} times (pool {POOL_PER_CLASS})"
             );
         }
     }
@@ -290,7 +291,6 @@ mod tests {
         let cfg = Cifar100Config {
             num_clients: 1000,
             samples_per_client: 100,
-            pool_per_class: 10,
             ..Cifar100Config::default()
         };
         cifar100_like(&cfg);
@@ -310,7 +310,7 @@ mod tests {
         let cfg = Cifar100Config::default();
         assert_eq!(cfg.num_clients, 94);
         // The default must satisfy the pool constraint.
-        assert!(cfg.num_clients * cfg.samples_per_client <= NUM_CLASSES * cfg.pool_per_class);
+        assert!(cfg.num_clients * cfg.samples_per_client <= NUM_CLASSES * POOL_PER_CLASS);
     }
 
     #[test]

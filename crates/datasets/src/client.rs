@@ -43,7 +43,9 @@ impl ClientDataset {
     }
 
     /// Creates a client dataset by splitting `(x, y)` with the given test
-    /// fraction (rows are shuffled first).
+    /// fraction (rows are shuffled first). The rows are reordered inside
+    /// `x`'s own buffer, train rows first, and the test rows are cut off
+    /// its end, so the pixels are never held twice.
     ///
     /// # Panics
     ///
@@ -67,10 +69,16 @@ impl ClientDataset {
         let test_count = ((y.len() as f32 * test_fraction).round() as usize)
             .clamp(1, y.len().saturating_sub(1).max(1));
         let (test_idx, train_idx) = indices.split_at(test_count);
-        let train_x = x.select_rows(train_idx);
         let train_y = train_idx.iter().map(|&i| y[i]).collect();
-        let test_x = x.select_rows(test_idx);
         let test_y = test_idx.iter().map(|&i| y[i]).collect();
+        let cols = x.cols();
+        let mut data = x.into_vec();
+        permute_rows(&mut data, cols, &[train_idx, test_idx].concat());
+        let test_x = data.split_off(train_idx.len() * cols);
+        // glibc shrinks the train rows' heap chunk in place.
+        data.shrink_to_fit();
+        let train_x = Matrix::from_vec(train_idx.len(), cols, data).expect("whole rows");
+        let test_x = Matrix::from_vec(test_count, cols, test_x).expect("whole rows");
         Self::new(id, cluster, train_x, train_y, test_x, test_y)
     }
 
@@ -262,6 +270,28 @@ impl FederatedDataset {
     }
 }
 
+/// Reorders the `cols`-wide rows of `data` in place so that row `i`
+/// becomes the old row `order[i]`: each cycle of the permutation is
+/// walked once, its first row held aside, so every row moves once.
+fn permute_rows(data: &mut [f32], cols: usize, order: &[usize]) {
+    let mut done = vec![false; order.len()];
+    let mut held = vec![0.0; cols];
+    for start in 0..order.len() {
+        if done[start] {
+            continue;
+        }
+        held.copy_from_slice(&data[start * cols..][..cols]);
+        let mut i = start;
+        while order[i] != start {
+            done[i] = true;
+            data.copy_within(order[i] * cols..(order[i] + 1) * cols, i * cols);
+            i = order[i];
+        }
+        done[i] = true;
+        data[i * cols..][..cols].copy_from_slice(&held);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,6 +327,33 @@ mod tests {
         }
         for (row, &label) in (0..c.num_test()).zip(c.test_y()) {
             assert_eq!(c.test_x().row(row)[0] as usize, label);
+        }
+    }
+
+    #[test]
+    fn from_split_matches_copying_the_shuffled_rows_out() {
+        for (rows, cols, seed) in [(1, 3, 0), (2, 1, 1), (60, 196, 2), (97, 5, 3), (40, 0, 4)] {
+            let x = Matrix::from_fn(rows, cols, |r, c| (r * 1000 + c) as f32 - 0.5);
+            let y: Vec<usize> = (0..rows).map(|i| i % 7).collect();
+            let c = ClientDataset::from_split(
+                0,
+                0,
+                x.clone(),
+                y,
+                0.1,
+                &mut StdRng::seed_from_u64(seed),
+            );
+            // The same draws, then each partition copied out of `x`.
+            let mut indices: Vec<usize> = (0..rows).collect();
+            indices.shuffle(&mut StdRng::seed_from_u64(seed));
+            let (test_idx, train_idx) = indices.split_at(c.num_test());
+            assert_eq!(
+                c.train_x(),
+                &x.select_rows(train_idx),
+                "{rows}x{cols} train"
+            );
+            assert_eq!(c.test_x(), &x.select_rows(test_idx), "{rows}x{cols} test");
+            assert_eq!(c.train_x().as_slice().len(), train_idx.len() * cols);
         }
     }
 

@@ -22,16 +22,18 @@ use crate::{ClientDataset, FederatedDataset};
 pub const FEATURE_DIM: usize = 60;
 /// Number of classes.
 pub const NUM_CLASSES: usize = 10;
+/// Inter-client *model* heterogeneity (α in Li et al.): the variance of
+/// each client's model mean `u_k`.
+const ALPHA: f64 = 0.5;
+/// Inter-client *data* heterogeneity (β in Li et al.): the variance of
+/// each client's feature offset `B_k`.
+const BETA: f64 = 0.5;
 
 /// Configuration for the FedProx synthetic generator.
 #[derive(Debug, Clone, Copy)]
 pub struct FedProxConfig {
     /// Number of clients (the paper's comparison uses 30).
     pub num_clients: usize,
-    /// Inter-client *model* heterogeneity (α in Li et al.).
-    pub alpha: f64,
-    /// Inter-client *data* heterogeneity (β in Li et al.).
-    pub beta: f64,
     /// Minimum samples per client.
     pub min_samples: usize,
     /// Maximum samples per client (counts are drawn log-normally between
@@ -45,8 +47,6 @@ impl Default for FedProxConfig {
     fn default() -> Self {
         Self {
             num_clients: 30,
-            alpha: 0.5,
-            beta: 0.5,
             min_samples: 50,
             max_samples: 300,
             seed: 42,
@@ -54,7 +54,7 @@ impl Default for FedProxConfig {
     }
 }
 
-/// Generates the synthetic(α, β) dataset.
+/// Generates the synthetic(0.5, 0.5) dataset.
 ///
 /// All clients share ground-truth cluster 0 — the benchmark measures
 /// continuous heterogeneity rather than discrete clusters.
@@ -74,7 +74,7 @@ pub fn fedprox_synthetic(cfg: &FedProxConfig) -> FederatedDataset {
     let mut clients = Vec::with_capacity(cfg.num_clients);
     for id in 0..cfg.num_clients {
         // Per-client true model.
-        let u_k = sample_normal(&mut rng, 0.0, cfg.alpha.sqrt());
+        let u_k = sample_normal(&mut rng, 0.0, ALPHA.sqrt());
         let w: Vec<f64> = (0..NUM_CLASSES * FEATURE_DIM)
             .map(|_| sample_normal(&mut rng, u_k, 1.0))
             .collect();
@@ -82,7 +82,7 @@ pub fn fedprox_synthetic(cfg: &FedProxConfig) -> FederatedDataset {
             .map(|_| sample_normal(&mut rng, u_k, 1.0))
             .collect();
         // Per-client feature distribution.
-        let b_k = sample_normal(&mut rng, 0.0, cfg.beta.sqrt());
+        let b_k = sample_normal(&mut rng, 0.0, BETA.sqrt());
         let v: Vec<f64> = (0..FEATURE_DIM)
             .map(|_| sample_normal(&mut rng, b_k, 1.0))
             .collect();
@@ -178,44 +178,6 @@ mod tests {
         }
         let distinct: std::collections::HashSet<usize> = modes.iter().copied().collect();
         assert!(distinct.len() >= 2, "all clients share mode {modes:?}");
-    }
-
-    #[test]
-    fn iid_setting_is_more_homogeneous() {
-        // alpha = beta = 0 removes inter-client variation of the means; the
-        // per-client models still differ (unit variance around a shared 0),
-        // but feature means concentrate. We check feature-mean dispersion
-        // shrinks relative to the heterogeneous setting.
-        let hetero = fedprox_synthetic(&FedProxConfig {
-            num_clients: 10,
-            alpha: 1.0,
-            beta: 1.0,
-            seed: 9,
-            ..FedProxConfig::default()
-        });
-        let iid = fedprox_synthetic(&FedProxConfig {
-            num_clients: 10,
-            alpha: 0.001,
-            beta: 0.001,
-            seed: 9,
-            ..FedProxConfig::default()
-        });
-        let dispersion = |ds: &FederatedDataset| -> f64 {
-            let means: Vec<f64> = ds
-                .clients()
-                .iter()
-                .map(|c| {
-                    let x = c.train_x();
-                    x.as_slice().iter().map(|&v| v as f64).sum::<f64>() / x.len() as f64
-                })
-                .collect();
-            let mu = means.iter().sum::<f64>() / means.len() as f64;
-            means.iter().map(|m| (m - mu) * (m - mu)).sum::<f64>() / means.len() as f64
-        };
-        assert!(
-            dispersion(&iid) < dispersion(&hetero),
-            "iid dispersion not smaller"
-        );
     }
 
     #[test]

@@ -22,6 +22,9 @@ pub const IMAGE_LEN: usize = IMAGE_SIDE * IMAGE_SIDE;
 /// Number of digit classes.
 pub const NUM_CLASSES: usize = 10;
 
+/// Standard deviation of the Gaussian noise added to every pixel.
+const NOISE_STDDEV: f32 = 0.3;
+
 /// The paper's three class clusters.
 pub const CLASS_CLUSTERS: [&[usize]; 3] = [&[0, 1, 2, 3], &[4, 5, 6], &[7, 8, 9]];
 
@@ -33,8 +36,6 @@ pub struct FmnistConfig {
     pub num_clients: usize,
     /// Samples per client before the 90:10 train/test split.
     pub samples_per_client: usize,
-    /// Per-pixel Gaussian noise added to each sample.
-    pub noise_stddev: f32,
     /// Fraction of samples drawn from *other* clusters' classes
     /// (0.0 = the strict dataset; the paper's relaxed variant uses
     /// 0.15–0.20).
@@ -48,7 +49,6 @@ impl Default for FmnistConfig {
         Self {
             num_clients: 30,
             samples_per_client: 60,
-            noise_stddev: 0.3,
             relaxation: 0.0,
             seed: 42,
         }
@@ -143,7 +143,7 @@ impl ClientStyle {
 
     /// Renders one noisy sample of `prototype` into `out`
     /// (`IMAGE_LEN` pixels), one normal per pixel.
-    fn render<R: Rng>(&self, prototype: &[f32], noise: f32, out: &mut [f32], rng: &mut R) {
+    fn render<R: Rng>(&self, prototype: &[f32], out: &mut [f32], rng: &mut R) {
         for y in 0..IMAGE_SIDE {
             for x in 0..IMAGE_SIDE {
                 let sy = y as i32 - self.dy;
@@ -155,7 +155,8 @@ impl ClientStyle {
                 } else {
                     0.0
                 };
-                let noisy = base * self.brightness + sample_normal(rng, 0.0, noise as f64) as f32;
+                let noisy =
+                    base * self.brightness + sample_normal(rng, 0.0, NOISE_STDDEV as f64) as f32;
                 out[y * IMAGE_SIDE + x] = noisy.clamp(-1.0, 2.0);
             }
         }
@@ -221,7 +222,7 @@ fn build_client<R: Rng>(
         let class = classes(rng);
         match pass {
             Pass::Render => {
-                style.render(&prototypes[class], cfg.noise_stddev, x.row_mut(s), rng);
+                style.render(&prototypes[class], x.row_mut(s), rng);
             }
             Pass::Draw => skip_normals(rng, IMAGE_LEN),
         }
@@ -610,7 +611,7 @@ mod tests {
                         } else {
                             0.0
                         };
-                        let noise = sample_normal(&mut rng, 0.0, cfg.noise_stddev as f64) as f32;
+                        let noise = sample_normal(&mut rng, 0.0, NOISE_STDDEV as f64) as f32;
                         *out = (base * brightness + noise).clamp(-1.0, 2.0);
                     }
                     y.push(class);
@@ -657,7 +658,6 @@ mod tests {
             samples_per_client: 20,
             relaxation,
             seed: 7,
-            ..FmnistConfig::default()
         })
     }
 

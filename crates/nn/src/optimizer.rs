@@ -26,7 +26,6 @@ pub struct SgdConfig {
     learning_rate: f32,
     proximal: Option<Proximal>,
     frozen_prefix: usize,
-    weight_decay: f32,
 }
 
 /// The FedProx proximal term: strength `mu` and the reference parameters.
@@ -63,27 +62,7 @@ impl SgdConfig {
             learning_rate,
             proximal: None,
             frozen_prefix: 0,
-            weight_decay: 0.0,
         }
-    }
-
-    /// Adds L2 weight decay: the effective gradient gains `decay * w`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `decay` is negative or not finite.
-    pub fn with_weight_decay(mut self, decay: f32) -> Self {
-        assert!(
-            decay.is_finite() && decay >= 0.0,
-            "weight decay must be finite and non-negative, got {decay}"
-        );
-        self.weight_decay = decay;
-        self
-    }
-
-    /// The L2 weight-decay coefficient.
-    pub fn weight_decay(&self) -> f32 {
-        self.weight_decay
     }
 
     /// Adds a FedProx proximal term pulling towards `reference` with
@@ -150,12 +129,6 @@ impl SgdConfig {
         }
     }
 
-    /// The total regularisation gradient (proximal pull + weight decay)
-    /// for the parameter at flat index `offset`.
-    pub fn regularization_pull(&self, offset: usize, current: f32) -> f32 {
-        self.proximal_pull(offset, current) + self.weight_decay * current
-    }
-
     /// Applies `w ← w − lr · (g + pull)` to one parameter slice whose first
     /// element sits at `flat_offset` of the model's flat parameter vector.
     ///
@@ -163,10 +136,10 @@ impl SgdConfig {
     /// `(parameter, gradient)` pairs through it. The slice is split once at
     /// the frozen-prefix boundary and once where the proximal reference
     /// ends, so the element loops carry no branch and vectorise; per
-    /// element they evaluate `lr * (g + (proximal + decay * w))` with
+    /// element they evaluate `lr * (g + proximal)` with
     /// `proximal = mu * (w − w_ref)` inside the reference and the literal
-    /// `0.0` outside it — the value [`SgdConfig::regularization_pull`]
-    /// defines, signed zeros and non-finite weights included.
+    /// `0.0` outside it — the value [`SgdConfig::proximal_pull`] defines,
+    /// signed zeros and non-finite weights included.
     ///
     /// [`Model`]: crate::Model
     ///
@@ -184,7 +157,7 @@ impl SgdConfig {
             &grads[frozen..],
             flat_offset + frozen,
         );
-        let (lr, decay) = (self.learning_rate, self.weight_decay);
+        let lr = self.learning_rate;
         let (mu, reference) = self.proximal.as_ref().map_or((0.0, &[][..]), |p| {
             (p.mu, p.reference.get(offset..).unwrap_or(&[]))
         });
@@ -192,7 +165,7 @@ impl SgdConfig {
         let (pulled_params, free_params) = params.split_at_mut(pulled);
         let (pulled_grads, free_grads) = grads.split_at(pulled);
         let descend = |w: &mut f32, g: f32, proximal: f32| {
-            *w -= lr * (g + (proximal + decay * *w));
+            *w -= lr * (g + proximal);
         };
         for ((w, &g), &r) in pulled_params.iter_mut().zip(pulled_grads).zip(reference) {
             let proximal = mu * (*w - r);
@@ -239,28 +212,6 @@ mod tests {
     #[should_panic(expected = "proximal mu")]
     fn negative_mu_panics() {
         SgdConfig::new(0.1).with_proximal(-1.0, Arc::new(vec![]));
-    }
-
-    #[test]
-    fn weight_decay_adds_l2_pull() {
-        let cfg = SgdConfig::new(0.1).with_weight_decay(0.01);
-        assert!((cfg.regularization_pull(0, 2.0) - 0.02).abs() < 1e-8);
-        assert_eq!(cfg.weight_decay(), 0.01);
-    }
-
-    #[test]
-    fn regularization_combines_prox_and_decay() {
-        let cfg = SgdConfig::new(0.1)
-            .with_weight_decay(0.1)
-            .with_proximal(0.5, Arc::new(vec![1.0]));
-        // prox: 0.5 * (3 - 1) = 1.0; decay: 0.1 * 3 = 0.3.
-        assert!((cfg.regularization_pull(0, 3.0) - 1.3).abs() < 1e-6);
-    }
-
-    #[test]
-    #[should_panic(expected = "weight decay")]
-    fn negative_weight_decay_panics() {
-        SgdConfig::new(0.1).with_weight_decay(-0.1);
     }
 
     #[test]

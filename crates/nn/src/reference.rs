@@ -77,21 +77,21 @@ pub(crate) fn allocations_in(work: impl FnOnce()) -> usize {
 }
 
 /// The old update loop: one `is_trainable` branch and one
-/// `regularization_pull` lookup per element.
+/// `proximal_pull` lookup per element.
 pub(crate) fn reference_update(opt: &SgdConfig, params: &mut [f32], grads: &[f32], offset: usize) {
     let lr = opt.learning_rate();
     for (i, (w, &gv)) in params.iter_mut().zip(grads).enumerate() {
         if !opt.is_trainable(offset + i) {
             continue;
         }
-        let pull = opt.regularization_pull(offset + i, *w);
+        let pull = opt.proximal_pull(offset + i, *w);
         *w -= lr * (gv + pull);
     }
 }
 
 /// Every frozen prefix in {0, mid-layer-0, exactly layer 0, everything}
-/// crossed with {plain, weight decay, proximal, proximal with a reference
-/// shorter than the model, proximal + decay}.
+/// crossed with {plain, proximal, proximal with a reference shorter than
+/// the model}.
 pub(crate) fn update_configs(initial: &[f32], layer0_len: usize) -> Vec<(String, SgdConfig)> {
     let n = initial.len();
     // Pulling towards a shifted copy keeps the proximal term non-zero
@@ -103,15 +103,8 @@ pub(crate) fn update_configs(initial: &[f32], layer0_len: usize) -> Vec<(String,
         let base = || SgdConfig::new(0.1).with_frozen_prefix(frozen);
         let regularized = [
             ("plain", base()),
-            ("decay", base().with_weight_decay(0.01)),
             ("prox", base().with_proximal(0.5, Arc::clone(&shifted))),
             ("short-prox", base().with_proximal(0.5, Arc::clone(&short))),
-            (
-                "prox+decay",
-                base()
-                    .with_proximal(0.25, Arc::clone(&shifted))
-                    .with_weight_decay(0.01),
-            ),
         ];
         configs.extend(regularized.map(|(name, opt)| (format!("frozen={frozen} {name}"), opt)));
     }

@@ -244,7 +244,6 @@ impl DatasetSpec {
                 samples_per_client: samples,
                 relaxation,
                 seed,
-                ..FmnistConfig::default()
             }),
             DatasetSpec::FmnistStreamed {
                 clients,
@@ -256,7 +255,6 @@ impl DatasetSpec {
                 samples_per_client: samples,
                 relaxation,
                 seed,
-                ..FmnistConfig::default()
             }),
             DatasetSpec::FmnistAuthor {
                 clients,
@@ -287,7 +285,6 @@ impl DatasetSpec {
                 num_clients: clients,
                 samples_per_client: samples,
                 seed,
-                ..Cifar100Config::default()
             }),
             DatasetSpec::FedProx {
                 clients,
@@ -299,7 +296,6 @@ impl DatasetSpec {
                 min_samples,
                 max_samples,
                 seed,
-                ..FedProxConfig::default()
             }),
         }
     }

@@ -142,31 +142,18 @@ pub fn weighted_choice<R: Rng>(weights: &[f32], rng: &mut R) -> usize {
     weights.len() - 1
 }
 
-/// Runs biased random walks over a [`Tangle`].
-#[derive(Debug, Clone, Copy)]
-pub struct RandomWalker {
-    max_steps: usize,
-}
+/// A safety bound on the edges one walk takes: a walk that reaches it
+/// returns the transaction reached so far, even if it is not a tip.
+const MAX_WALK_STEPS: usize = 1_000_000;
 
-impl Default for RandomWalker {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// Runs biased random walks over a [`Tangle`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RandomWalker;
 
 impl RandomWalker {
-    /// Creates a walker with a generous safety bound on steps.
+    /// Creates a walker; every walk stops after at most a million steps.
     pub fn new() -> Self {
-        Self {
-            max_steps: 1_000_000,
-        }
-    }
-
-    /// Limits the walk to at most `max_steps` edges (it then returns the
-    /// transaction reached so far even if it is not a tip).
-    pub fn with_max_steps(mut self, max_steps: usize) -> Self {
-        self.max_steps = max_steps;
-        self
+        Self
     }
 
     /// Walks from `start` towards the tips, choosing among approvers with
@@ -197,7 +184,7 @@ impl RandomWalker {
         loop {
             tangle.children_into(current, &mut children)?;
             if children.is_empty()
-                || steps >= self.max_steps
+                || steps >= MAX_WALK_STEPS
                 || bias.should_stop(tangle, current, &children)
             {
                 return Ok(WalkResult {
@@ -243,6 +230,50 @@ mod tests {
         assert_eq!(result.candidates_evaluated, 9);
     }
 
+    /// A chain with no end: transaction `i` is approved by `i + 1` alone.
+    struct EndlessChain;
+
+    impl TangleRead<()> for EndlessChain {
+        fn len(&self) -> usize {
+            usize::MAX
+        }
+        fn payload_of(&self, _: TxId) -> Result<&(), TangleError> {
+            Ok(&())
+        }
+        fn issuer_of(&self, _: TxId) -> Result<Option<u32>, TangleError> {
+            Ok(None)
+        }
+        fn round_of(&self, _: TxId) -> Result<u32, TangleError> {
+            Ok(0)
+        }
+        fn parents_into(&self, id: TxId, out: &mut Vec<TxId>) -> Result<(), TangleError> {
+            out.clear();
+            out.extend(id.0.checked_sub(1).map(TxId));
+            Ok(())
+        }
+        fn children_into(&self, id: TxId, out: &mut Vec<TxId>) -> Result<(), TangleError> {
+            out.clear();
+            out.push(TxId(id.0 + 1));
+            Ok(())
+        }
+        fn is_tip(&self, _: TxId) -> bool {
+            false
+        }
+        fn tips(&self) -> Vec<TxId> {
+            Vec::new()
+        }
+    }
+
+    #[test]
+    fn max_steps_truncates_walk() {
+        let mut rng = StdRng::seed_from_u64(0);
+        let result = RandomWalker::new()
+            .walk(&EndlessChain, TxId(0), &mut UniformBias, &mut rng)
+            .unwrap();
+        assert_eq!(result.steps, MAX_WALK_STEPS);
+        assert_eq!(result.tip, TxId(MAX_WALK_STEPS as u64));
+    }
+
     #[test]
     fn walk_from_tip_is_a_noop() {
         let t = chain(3);
@@ -262,18 +293,6 @@ mod tests {
             .walk(&t, TxId(9), &mut UniformBias, &mut rng)
             .unwrap_err();
         assert_eq!(err, TangleError::InvalidWalkStart(TxId(9)));
-    }
-
-    #[test]
-    fn max_steps_truncates_walk() {
-        let t = chain(100);
-        let mut rng = StdRng::seed_from_u64(0);
-        let result = RandomWalker::new()
-            .with_max_steps(5)
-            .walk(&t, t.genesis(), &mut UniformBias, &mut rng)
-            .unwrap();
-        assert_eq!(result.steps, 5);
-        assert_eq!(result.tip, TxId(5));
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub use backend::{MatmulBackend, MatmulBackendKind, NaiveBackend, TiledBackend};
 pub use distance::{cosine_similarity, l2_distance, l2_norm};
 pub use error::ShapeError;
 pub use fanout::{fan_out, fan_out_with};
-pub use init::{he_normal, he_uniform, normal_init, uniform_init, xavier_normal, xavier_uniform};
+pub use init::{he_uniform, uniform_init, xavier_uniform};
 pub use matrix::Matrix;
 pub use ops::{
     argmax, cross_entropy_from_probs, exp_in_place, fused_softmax_cross_entropy, log_sum_exp,

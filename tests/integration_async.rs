@@ -241,8 +241,6 @@ fn hardened_walk_survives_flooding_better_than_plain() {
                 }
                 .with_tip_selector(TipSelector::default()),
                 clean_rounds: 8,
-                attacks_per_round: 1,
-                weight_scale: 1.0,
             },
             dataset,
             factory(features),
