@@ -36,10 +36,11 @@ fn main() -> ExitCode {
     }
     let session = Session::new(scale, results_dir(std::env::var("DAGFL_RESULTS").ok()));
     let started = Instant::now();
-    for figure in &figures {
+    for (row, figure) in figures.iter().enumerate() {
         println!("=== running {} ===", figure.name);
         let row_started = Instant::now();
         let files = session.run(figure);
+        session.release(&figures[row + 1..]);
         println!(
             "=== {} finished in {:.1?}, {} files written ===\n",
             figure.name,

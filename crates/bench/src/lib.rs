@@ -27,7 +27,7 @@ pub mod poisoning_suite;
 pub mod registry;
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::rc::Rc;
 
@@ -54,6 +54,13 @@ fn memo<T>(cache: &Memo<T>, key: &str, make: impl FnOnce() -> T) -> Rc<T> {
     made
 }
 
+/// Drops every entry of `cache` whose preset is not in `keep`.
+fn retain<T>(cache: &Memo<T>, keep: &BTreeSet<&str>) {
+    cache
+        .borrow_mut()
+        .retain(|preset, _| keep.contains(preset.as_str()));
+}
+
 /// A scenario preset as resolved, and the report of running it.
 #[derive(Debug)]
 pub struct PresetRun {
@@ -71,6 +78,8 @@ pub struct PresetRun {
 /// servers, Figures 12–14 the four `poisoning-*` [`Session::report`]s,
 /// Figures 6 and 7 one [`Session::sweep`]. A row that changes a run's
 /// configuration, or its state after the run, runs its own copy.
+/// [`Session::release`] frees a run once no later row declares its
+/// preset.
 ///
 /// Rows fail loudly: every method panics on an unknown preset, a
 /// failed run or an I/O error.
@@ -186,6 +195,21 @@ impl Session {
     pub fn run(&self, figure: &Figure) -> Vec<PathBuf> {
         (figure.run)(self);
         std::mem::take(&mut self.written.borrow_mut())
+    }
+
+    /// Frees every shared run that none of the `later` rows declares,
+    /// so a run lives until the last row that reads it. Call it after
+    /// each row with the selected rows still to come.
+    pub fn release(&self, later: &[&Figure]) {
+        let keep: BTreeSet<&str> = later
+            .iter()
+            .flat_map(|figure| figure.presets)
+            .copied()
+            .collect();
+        retain(&self.simulations, &keep);
+        retain(&self.servers, &keep);
+        retain(&self.reports, &keep);
+        retain(&self.sweeps, &keep);
     }
 
     /// Every preset resolved so far, scenario and sweep, in order; a

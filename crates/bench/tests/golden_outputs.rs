@@ -11,7 +11,7 @@ use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 use dagfl_bench::poisoning_suite::POISONING_PRESETS;
-use dagfl_bench::{Scale, Session, FIGURES};
+use dagfl_bench::{Figure, Scale, Session, FIGURES};
 
 /// `(file, FNV-1a of its bytes, one 16-bit mark per line as 4 hex
 /// digits)`; the marks only serve to name the first line that moved.
@@ -228,14 +228,18 @@ fn every_registry_row_writes_the_recorded_bytes() {
         .collect();
     assert_eq!(listed, registered, "README's figure index is the registry");
 
-    // Run everything, holding each row to the presets it declares.
+    // Run everything as `reproduce` does, freeing each shared run after
+    // the last row that declares it, and hold each row to the presets it
+    // declares.
+    let rows: Vec<&Figure> = FIGURES.iter().collect();
     let mut written = BTreeSet::new();
-    for figure in FIGURES {
+    for (row, figure) in rows.iter().enumerate() {
         let before = session.resolved().len();
         for path in session.run(figure) {
             assert_eq!(path.parent(), Some(dir.as_path()), "{}", path.display());
             written.insert(path.file_name().unwrap().to_str().unwrap().to_string());
         }
+        session.release(&rows[row + 1..]);
         for preset in &session.resolved()[before..] {
             assert!(
                 figure.presets.contains(&preset.as_str()),

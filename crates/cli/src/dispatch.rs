@@ -906,6 +906,21 @@ mod tests {
     }
 
     #[test]
+    fn datasets_the_generators_reject_are_errors_not_panics() {
+        for (line, key) in [
+            (&["dag", "--rounds", "1", "--samples", "5"][..], "samples"),
+            (
+                &["async", "--activations", "1", "--clients", "1"],
+                "clients",
+            ),
+        ] {
+            let args = ParsedArgs::parse(line).unwrap();
+            let err = run_command(&args).unwrap_err().to_string();
+            assert!(err.contains(&format!("dataset.{key}")), "{line:?}: {err}");
+        }
+    }
+
+    #[test]
     fn flags_the_chosen_shape_lacks_are_rejected_by_name() {
         for (flags, flag_name) in [
             // Not range-checked and dropped: the constant delay model has

@@ -48,6 +48,8 @@ use dagfl_tangle::{TangleRead, TxId};
 use dagfl_tensor::fan_out_with;
 
 use crate::client;
+use crate::config::{key, Range, RangeCheck};
+use crate::delay::{COMPUTE_PROFILES, DELAY_MODELS, STALE_POLICIES};
 use crate::fanout::disjoint_mut;
 use crate::graph::Graph;
 use crate::{
@@ -56,6 +58,7 @@ use crate::{
     ModelPayload, Replica, ReplicaTangle, SegmentRegistry, ShardedModelTangle, StaleTipPolicy,
     TrainOutcome, Transport, TxMessage,
 };
+use crate::{Key, KeyVisitor, Slot};
 
 /// Configuration of an asynchronous simulation.
 ///
@@ -158,45 +161,77 @@ impl AsyncConfig {
     /// assert!(bad.validate().is_err());
     /// ```
     pub fn validate(&self) -> Result<(), CoreError> {
-        // Neutralise the round-scheduling fields before delegating: this
-        // mode documents them as ignored, so they must not fail a config
-        // that would run fine.
-        DagConfig {
-            rounds: self.dag.rounds.max(1),
-            clients_per_round: self.dag.clients_per_round.max(1),
-            ..self.dag
+        let mut config = *self;
+        // This mode documents the round-scheduling fields as ignored, so
+        // they must not fail a config that would run fine.
+        config.dag.rounds = config.dag.rounds.max(1);
+        config.dag.clients_per_round = config.dag.clients_per_round.max(1);
+        RangeCheck::run(|check| {
+            config.dag.keys(check)?;
+            config.keys(check)
+        })
+    }
+
+    /// Visits the `[execution]` keys this mode adds to
+    /// [`DagConfig::keys`], in scenario-file order: budget and timing,
+    /// the stale-tip policy, then the delay and compute models, each
+    /// with the keys its shape has.
+    ///
+    /// # Errors
+    ///
+    /// Returns the visitor's first error.
+    pub fn keys<V: KeyVisitor>(&mut self, v: &mut V) -> Result<(), V::Error> {
+        use Range::*;
+        use Slot::*;
+        const JITTER: Key = key("jitter", NonNegative).field("delay.jitter");
+        const SLOWDOWN: Key = key("slowdown", Slowdown).field("compute.slowdown");
+        let defaults = Self::default();
+        let activations = key("activations", AtLeastOne).field("total_activations");
+        v.key(activations, Usize(&mut self.total_activations))?;
+        let interarrival = key("interarrival", Positive).field("mean_interarrival");
+        v.key(interarrival, F64(&mut self.mean_interarrival))?;
+        v.key(key("train_time", NonNegative), F64(&mut self.train_time))?;
+        let fanout = UsizeOr(&mut self.gossip_fanout, defaults.gossip_fanout);
+        v.key(key("fanout", Any), fanout)?;
+        let workers = UsizeOr(&mut self.workers, defaults.workers);
+        v.key(key("workers", AtLeastOne), workers)?;
+        v.word("stale_policy", &STALE_POLICIES, &mut self.stale_policy)?;
+        v.word("delay_model", &DELAY_MODELS, &mut self.delay)?;
+        let delay = key("delay", NonNegative);
+        match &mut self.delay {
+            DelayModel::Constant { delay: d } => v.key(delay.field("delay.delay"), F64(d))?,
+            DelayModel::UniformJitter { base, jitter } => {
+                v.key(delay.field("delay.base"), F64(base))?;
+                v.key(JITTER, F64(jitter))?;
+            }
+            DelayModel::Cohorts {
+                slow_fraction,
+                fast,
+                slow,
+                jitter,
+            } => {
+                v.key(delay.field("delay.fast"), F64(fast))?;
+                let slow_delay = key("slow_delay", NonNegative).field("delay.slow");
+                v.key(slow_delay, F64(slow))?;
+                let fraction = key("slow_fraction", Fraction).field("delay.slow_fraction");
+                v.key(fraction, F64(slow_fraction))?;
+                v.key(JITTER, F64(jitter))?;
+            }
         }
-        .validate()?;
-        if self.total_activations == 0 {
-            return Err(CoreError::invalid_field(
-                "total_activations",
-                self.total_activations,
-                "must be at least 1",
-            ));
+        v.word("compute", &COMPUTE_PROFILES, &mut self.compute)?;
+        match &mut self.compute {
+            ComputeProfile::Uniform => Ok(()),
+            ComputeProfile::TwoSpeed {
+                slow_fraction,
+                slowdown,
+            } => {
+                let fraction =
+                    key("compute_slow_fraction", Fraction).field("compute.slow_fraction");
+                v.key(fraction, F64(slow_fraction))?;
+                v.key(SLOWDOWN, F64(slowdown))
+            }
+            ComputeProfile::MatchNetworkCohort { slowdown } => v.key(SLOWDOWN, F64(slowdown)),
         }
-        if !(self.mean_interarrival > 0.0 && self.mean_interarrival.is_finite()) {
-            return Err(CoreError::invalid_field(
-                "mean_interarrival",
-                self.mean_interarrival,
-                "must be positive and finite",
-            ));
-        }
-        if !(self.train_time >= 0.0 && self.train_time.is_finite()) {
-            return Err(CoreError::invalid_field(
-                "train_time",
-                self.train_time,
-                "must be non-negative and finite",
-            ));
-        }
-        if self.workers == 0 {
-            return Err(CoreError::invalid_field(
-                "workers",
-                self.workers,
-                "must be at least 1",
-            ));
-        }
-        self.delay.validate()?;
-        self.compute.validate()
     }
 }
 

@@ -193,62 +193,240 @@ impl DagConfig {
     /// assert!(bad.validate().unwrap_err().to_string().contains("learning_rate"));
     /// ```
     pub fn validate(&self) -> Result<(), CoreError> {
-        let positive = |v: usize, field: &'static str| {
-            if v == 0 {
-                Err(CoreError::invalid_field(field, v, "must be at least 1"))
-            } else {
-                Ok(())
-            }
-        };
-        positive(self.rounds, "rounds")?;
-        positive(self.clients_per_round, "clients_per_round")?;
-        positive(self.local_epochs, "local_epochs")?;
-        positive(self.local_batches, "local_batches")?;
-        positive(self.batch_size, "batch_size")?;
-        if !(self.learning_rate.is_finite() && self.learning_rate > 0.0) {
-            return Err(CoreError::invalid_field(
-                "learning_rate",
-                self.learning_rate,
-                "must be positive and finite",
-            ));
-        }
-        let alpha = match self.tip_selector {
-            TipSelector::Accuracy { alpha, .. } | TipSelector::CumulativeWeight { alpha } => alpha,
-            TipSelector::Random => 0.0,
-        };
-        if !(alpha.is_finite() && alpha >= 0.0) {
-            return Err(CoreError::invalid_field(
-                "alpha",
+        let mut config = *self;
+        RangeCheck::run(|check| config.keys(check))
+    }
+
+    /// Visits every `[execution]` key this config holds, in scenario-file
+    /// order. `alpha` and `normalization` exist only under the selectors
+    /// that have them.
+    ///
+    /// # Errors
+    ///
+    /// Returns the visitor's first error.
+    pub fn keys<V: KeyVisitor>(&mut self, v: &mut V) -> Result<(), V::Error> {
+        use Range::*;
+        use Slot::*;
+        const ALPHA: Key = key("alpha", NonNegative);
+        v.key(key("rounds", AtLeastOne), Usize(&mut self.rounds))?;
+        let clients = &mut self.clients_per_round;
+        v.key(key("clients_per_round", AtLeastOne), Usize(clients))?;
+        let (epochs, batches) = (&mut self.local_epochs, &mut self.local_batches);
+        v.key(key("local_epochs", AtLeastOne), Usize(epochs))?;
+        v.key(key("local_batches", AtLeastOne), Usize(batches))?;
+        v.key(key("batch_size", AtLeastOne), Usize(&mut self.batch_size))?;
+        v.key(key("learning_rate", Positive), F32(&mut self.learning_rate))?;
+        v.word("selector", &SELECTORS, &mut self.tip_selector)?;
+        match &mut self.tip_selector {
+            TipSelector::Accuracy {
                 alpha,
-                "must be non-negative and finite",
-            ));
-        }
-        if self.walk_depth.0 > self.walk_depth.1 {
-            return Err(CoreError::invalid_field(
-                "walk_depth",
-                format!("({}, {})", self.walk_depth.0, self.walk_depth.1),
-                "minimum depth must not exceed maximum depth",
-            ));
-        }
-        if let Some(margin) = self.walk_stop_margin {
-            if !(margin.is_finite() && margin > 0.0) {
-                return Err(CoreError::invalid_field(
-                    "walk_stop_margin",
-                    margin,
-                    "must be positive and finite (use None to disable)",
-                ));
+                normalization,
+            } => {
+                v.key(ALPHA, F32(alpha))?;
+                v.word("normalization", &NORMALIZATIONS, normalization)?;
             }
+            TipSelector::Random => {}
+            TipSelector::CumulativeWeight { alpha } => v.key(ALPHA, F32(alpha))?,
         }
-        if !(self.publication_dropout.is_finite()
-            && (0.0..=1.0).contains(&self.publication_dropout))
-        {
-            return Err(CoreError::invalid_field(
-                "publication_dropout",
-                self.publication_dropout,
-                "must be in [0, 1]",
-            ));
+        let depth = key("walk_depth_min", DepthAtMost(self.walk_depth.1)).field("walk_depth");
+        v.key(depth, U32(&mut self.walk_depth.0))?;
+        v.key(key("walk_depth_max", Any), U32(&mut self.walk_depth.1))?;
+        let margin = key("stop_margin", Margin).field("walk_stop_margin");
+        v.key(margin, OptF32(&mut self.walk_stop_margin))?;
+        v.word("publish_gate", &PUBLISH_GATES, &mut self.publish_gate)?;
+        v.key(key("frozen_prefix", Any), Usize(&mut self.frozen_prefix))?;
+        let dropout = &mut self.publication_dropout;
+        v.key(key("publication_dropout", Fraction), F32(dropout))?;
+        v.key(key("seed", Any), U64(&mut self.seed))?;
+        v.key(key("parallel", Any), Bool(&mut self.parallel))
+    }
+}
+
+/// `execution.selector`.
+const SELECTORS: [(&str, TipSelector); 3] = [
+    (
+        "accuracy",
+        TipSelector::Accuracy {
+            alpha: 10.0,
+            normalization: Normalization::Simple,
+        },
+    ),
+    ("random", TipSelector::Random),
+    ("cumulative", TipSelector::CumulativeWeight { alpha: 10.0 }),
+];
+
+/// `execution.normalization`.
+const NORMALIZATIONS: [(&str, Normalization); 2] = [
+    ("simple", Normalization::Simple),
+    ("dynamic", Normalization::Dynamic),
+];
+
+/// `execution.publish_gate`.
+const PUBLISH_GATES: [(&str, PublishGate); 3] = [
+    ("averaged", PublishGate::AveragedReference),
+    ("best-parent", PublishGate::BestParent),
+    ("always", PublishGate::Always),
+];
+
+/// One `[execution]` key: its file name, the field a range error names
+/// and the values it admits.
+#[derive(Debug, Clone, Copy)]
+pub struct Key {
+    /// The key's name in a scenario file.
+    pub name: &'static str,
+    field: &'static str,
+    range: Range,
+}
+
+/// A key whose range errors name it as the file does.
+pub(crate) const fn key(name: &'static str, range: Range) -> Key {
+    let field = name;
+    Key { name, field, range }
+}
+
+impl Key {
+    /// The key, with range errors naming the struct field `field`.
+    pub(crate) const fn field(self, field: &'static str) -> Key {
+        Key { field, ..self }
+    }
+}
+
+/// The values a key admits; each constraint is spelled here once.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Range {
+    Any,
+    AtLeastOne,
+    Positive,
+    NonNegative,
+    /// A walk's minimum start depth, against the maximum.
+    DepthAtMost(u32),
+    /// Positive, for a key `None` switches off.
+    Margin,
+    Fraction,
+    Slowdown,
+}
+
+impl Range {
+    /// The constraint `x` violates, if any.
+    fn violated(self, x: f64) -> Option<&'static str> {
+        let (admitted, constraint) = match self {
+            Range::Any => return None,
+            Range::AtLeastOne => (x >= 1.0, "must be at least 1"),
+            Range::Positive => (x > 0.0 && x.is_finite(), "must be positive and finite"),
+            Range::NonNegative => (x >= 0.0 && x.is_finite(), "must be non-negative and finite"),
+            Range::DepthAtMost(max) => (
+                x <= f64::from(max),
+                "minimum depth must not exceed maximum depth",
+            ),
+            Range::Margin => (
+                x > 0.0 && x.is_finite(),
+                "must be positive and finite (use None to disable)",
+            ),
+            Range::Fraction => ((0.0..=1.0).contains(&x), "must be in [0, 1]"),
+            Range::Slowdown => (x >= 1.0 && x.is_finite(), "must be >= 1.0 and finite"),
+        };
+        (!admitted).then_some(constraint)
+    }
+}
+
+/// The value a key holds, borrowed for one visit.
+#[derive(Debug)]
+pub enum Slot<'a> {
+    /// A count.
+    Usize(&'a mut usize),
+    /// A count written only while it differs from the given value, which
+    /// an absent key reads as.
+    UsizeOr(&'a mut usize, usize),
+    /// A walk depth.
+    U32(&'a mut u32),
+    /// A seed.
+    U64(&'a mut u64),
+    /// A training hyperparameter.
+    F32(&'a mut f32),
+    /// A hyperparameter that `None` switches off.
+    OptF32(&'a mut Option<f32>),
+    /// A time, delay or fraction.
+    F64(&'a mut f64),
+    /// A switch.
+    Bool(&'a mut bool),
+}
+
+/// A pass over a config's `[execution]` keys in scenario-file order: the
+/// range check of `validate`, and the scenario reader and writer.
+pub trait KeyVisitor {
+    /// What a visit fails with.
+    type Error;
+
+    /// A key holding a number or a switch.
+    fn key(&mut self, key: Key, value: Slot<'_>) -> Result<(), Self::Error>;
+
+    /// A shape word: `rows` pairs every word with the variant it reads
+    /// as, at that variant's defaults.
+    fn word<E: Clone>(
+        &mut self,
+        name: &'static str,
+        rows: &[(&'static str, E)],
+        value: &mut E,
+    ) -> Result<(), Self::Error>;
+}
+
+/// The visitor behind `validate`: names the first key out of range. A
+/// shape word starts a model, and within one an out-of-range fraction
+/// comes before the model's other errors, the order the delay and
+/// compute models were always checked in. Only a failing check formats.
+pub(crate) struct RangeCheck {
+    pending: Option<CoreError>,
+}
+
+impl RangeCheck {
+    /// Runs `visit` over a fresh check.
+    pub(crate) fn run(
+        visit: impl FnOnce(&mut RangeCheck) -> Result<(), CoreError>,
+    ) -> Result<(), CoreError> {
+        let mut check = RangeCheck { pending: None };
+        visit(&mut check)?;
+        check.pending.map_or(Ok(()), Err)
+    }
+}
+
+impl KeyVisitor for RangeCheck {
+    type Error = CoreError;
+
+    fn key(&mut self, key: Key, value: Slot<'_>) -> Result<(), CoreError> {
+        let (x, shown): (f64, &dyn std::fmt::Display) = match value {
+            Slot::Usize(v) | Slot::UsizeOr(v, _) => (*v as f64, v),
+            Slot::U32(v) => (f64::from(*v), v),
+            Slot::F32(v) | Slot::OptF32(Some(v)) => (f64::from(*v), v),
+            Slot::F64(v) => (*v, v),
+            Slot::OptF32(None) | Slot::U64(_) | Slot::Bool(_) => return Ok(()),
+        };
+        let Some(constraint) = key.range.violated(x) else {
+            return Ok(());
+        };
+        let value = match key.range {
+            Range::DepthAtMost(max) => format!("({shown}, {max})"),
+            _ => shown.to_string(),
+        };
+        let error = CoreError::InvalidField {
+            field: key.field,
+            key: Some(key.name),
+            value,
+            constraint,
+        };
+        if key.range == Range::Fraction {
+            return Err(error);
         }
+        self.pending.get_or_insert(error);
         Ok(())
+    }
+
+    fn word<E: Clone>(
+        &mut self,
+        _: &'static str,
+        _: &[(&'static str, E)],
+        _: &mut E,
+    ) -> Result<(), CoreError> {
+        self.pending.take().map_or(Ok(()), Err)
     }
 }
 

@@ -16,8 +16,6 @@
 
 use rand::Rng;
 
-use crate::CoreError;
-
 /// Per-link propagation delay of a published transaction.
 ///
 /// A *link* is one `(publisher, receiver)` pair; the model is sampled
@@ -62,50 +60,6 @@ impl DelayModel {
     /// A constant per-link delay (`0.0` = instantaneous broadcast).
     pub fn constant(delay: f64) -> Self {
         DelayModel::Constant { delay }
-    }
-
-    /// Checks every parameter (non-negative and finite; fractions in
-    /// `[0, 1]`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidField`] naming the offending field.
-    pub fn validate(&self) -> Result<(), CoreError> {
-        let check = |v: f64, field: &'static str| {
-            if v >= 0.0 && v.is_finite() {
-                Ok(())
-            } else {
-                Err(CoreError::invalid_field(
-                    field,
-                    v,
-                    "must be non-negative and finite",
-                ))
-            }
-        };
-        match *self {
-            DelayModel::Constant { delay } => check(delay, "delay.delay"),
-            DelayModel::UniformJitter { base, jitter } => {
-                check(base, "delay.base")?;
-                check(jitter, "delay.jitter")
-            }
-            DelayModel::Cohorts {
-                slow_fraction,
-                fast,
-                slow,
-                jitter,
-            } => {
-                if !(0.0..=1.0).contains(&slow_fraction) {
-                    return Err(CoreError::invalid_field(
-                        "delay.slow_fraction",
-                        slow_fraction,
-                        "must be in [0, 1]",
-                    ));
-                }
-                check(fast, "delay.fast")?;
-                check(slow, "delay.slow")?;
-                check(jitter, "delay.jitter")
-            }
-        }
     }
 
     /// The slow-cohort fraction of this model (`0.0` for the variants
@@ -205,31 +159,6 @@ pub enum ComputeProfile {
 }
 
 impl ComputeProfile {
-    /// Checks every parameter (fractions in `[0, 1]`, slowdown ≥ 1).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidField`] naming the offending field.
-    pub fn validate(&self) -> Result<(), CoreError> {
-        match *self {
-            ComputeProfile::Uniform => Ok(()),
-            ComputeProfile::TwoSpeed {
-                slow_fraction,
-                slowdown,
-            } => {
-                if !(0.0..=1.0).contains(&slow_fraction) {
-                    return Err(CoreError::invalid_field(
-                        "compute.slow_fraction",
-                        slow_fraction,
-                        "must be in [0, 1]",
-                    ));
-                }
-                check_slowdown(slowdown)
-            }
-            ComputeProfile::MatchNetworkCohort { slowdown } => check_slowdown(slowdown),
-        }
-    }
-
     /// The expected mean speed over all clients, given the network
     /// cohort's slow fraction (used to put execution modes on equal
     /// expected logical-time budgets).
@@ -271,18 +200,6 @@ impl ComputeProfile {
     }
 }
 
-fn check_slowdown(slowdown: f64) -> Result<(), CoreError> {
-    if slowdown >= 1.0 && slowdown.is_finite() {
-        Ok(())
-    } else {
-        Err(CoreError::invalid_field(
-            "compute.slowdown",
-            slowdown,
-            "must be >= 1.0 and finite",
-        ))
-    }
-}
-
 /// What to do when a client finishes training and discovers that a tip
 /// it selected has been superseded (approved by somebody else) while it
 /// was training.
@@ -302,6 +219,50 @@ pub enum StaleTipPolicy {
     /// training raced, so its result is discarded).
     Discard,
 }
+
+/// `execution.stale_policy`.
+pub(crate) const STALE_POLICIES: [(&str, StaleTipPolicy); 3] = [
+    ("publish", StaleTipPolicy::PublishAnyway),
+    ("reselect", StaleTipPolicy::Reselect),
+    ("discard", StaleTipPolicy::Discard),
+];
+
+/// `execution.delay_model`.
+pub(crate) const DELAY_MODELS: [(&str, DelayModel); 3] = [
+    ("constant", DelayModel::Constant { delay: 2.0 }),
+    (
+        "jitter",
+        DelayModel::UniformJitter {
+            base: 2.0,
+            jitter: 0.0,
+        },
+    ),
+    (
+        "cohorts",
+        DelayModel::Cohorts {
+            slow_fraction: 0.3,
+            fast: 2.0,
+            slow: 8.0,
+            jitter: 0.0,
+        },
+    ),
+];
+
+/// `execution.compute`.
+pub(crate) const COMPUTE_PROFILES: [(&str, ComputeProfile); 3] = [
+    ("uniform", ComputeProfile::Uniform),
+    (
+        "two-speed",
+        ComputeProfile::TwoSpeed {
+            slow_fraction: 0.3,
+            slowdown: 4.0,
+        },
+    ),
+    (
+        "match-network",
+        ComputeProfile::MatchNetworkCohort { slowdown: 4.0 },
+    ),
+];
 
 #[cfg(test)]
 mod tests {
@@ -419,36 +380,44 @@ mod tests {
         assert_eq!(cohorts.slow_fraction(), 0.3);
     }
 
+    /// `AsyncConfig::validate` over the defaults with this delay and
+    /// compute model.
+    fn validate(delay: DelayModel, compute: ComputeProfile) -> Result<(), crate::CoreError> {
+        crate::AsyncConfig {
+            delay,
+            compute,
+            ..crate::AsyncConfig::default()
+        }
+        .validate()
+    }
+
     #[test]
     fn negative_delay_is_rejected() {
-        let err = DelayModel::constant(-1.0).validate().unwrap_err();
+        let err = validate(DelayModel::constant(-1.0), ComputeProfile::Uniform).unwrap_err();
         assert!(err.to_string().contains("non-negative"), "{err}");
     }
 
     #[test]
     fn out_of_range_fraction_is_rejected() {
-        let err = DelayModel::Cohorts {
+        let cohorts = DelayModel::Cohorts {
             slow_fraction: 1.5,
             fast: 1.0,
             slow: 2.0,
             jitter: 0.0,
-        }
-        .validate()
-        .unwrap_err();
+        };
+        let err = validate(cohorts, ComputeProfile::Uniform).unwrap_err();
         assert!(err.to_string().contains("slow_fraction"), "{err}");
     }
 
     #[test]
     fn sub_unit_slowdown_is_rejected() {
-        let err = ComputeProfile::TwoSpeed {
+        let two_speed = ComputeProfile::TwoSpeed {
             slow_fraction: 0.5,
             slowdown: 0.5,
-        }
-        .validate()
-        .unwrap_err();
+        };
+        let err = validate(DelayModel::constant(2.0), two_speed).unwrap_err();
         assert!(err.to_string().contains("slowdown"), "{err}");
-        assert!(ComputeProfile::Uniform.validate().is_ok());
-        assert!(DelayModel::constant(2.0).validate().is_ok());
+        assert!(validate(DelayModel::constant(2.0), ComputeProfile::Uniform).is_ok());
     }
 
     #[test]

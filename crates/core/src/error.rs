@@ -19,6 +19,9 @@ pub enum CoreError {
     InvalidField {
         /// Dotted path of the offending field (e.g. `delay.slow_fraction`).
         field: &'static str,
+        /// The `[execution]` key a scenario file spells the field as,
+        /// for a field of a core key list (`slow_fraction`).
+        key: Option<&'static str>,
         /// The rejected value, formatted for display.
         value: String,
         /// Human-readable constraint the value violated.
@@ -38,6 +41,7 @@ impl fmt::Display for CoreError {
                 field,
                 value,
                 constraint,
+                ..
             } => {
                 write!(f, "invalid value `{value}` for `{field}`: {constraint}")
             }
@@ -66,6 +70,7 @@ impl CoreError {
     ) -> Self {
         CoreError::InvalidField {
             field,
+            key: None,
             value: value.to_string(),
             constraint,
         }

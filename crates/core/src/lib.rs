@@ -115,7 +115,7 @@ pub use dagfl_nn::ModelFactory;
 pub use async_sim::{ActivationRecord, AsyncConfig, AsyncMetrics, AsyncSimulation};
 pub use attackers::{GarbageAttackConfig, GarbageAttackScenario, GarbageRoundMetrics};
 pub use client::{DagClient, TrainOutcome};
-pub use config::{DagConfig, Normalization, PublishGate, TipSelector};
+pub use config::{DagConfig, Key, KeyVisitor, Normalization, PublishGate, Slot, TipSelector};
 pub use delay::{ComputeProfile, DelayModel, StaleTipPolicy};
 pub use error::CoreError;
 pub use evaluator::{EvalCounters, ModelEvaluator};

@@ -18,7 +18,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::rand_util::{sample_dirichlet, sample_normal};
-use crate::{ClientDataset, FederatedDataset};
+use crate::{ClientDataset, FederatedDataset, MIN_SAMPLES};
 
 /// Number of fine-grained classes.
 pub const NUM_CLASSES: usize = 100;
@@ -30,6 +30,8 @@ pub const CLASSES_PER_SUPERCLASS: usize = 5;
 const FEATURE_DIM: usize = 32;
 /// Samples available per fine class in the global pool.
 const POOL_PER_CLASS: usize = 60;
+/// Samples in the global pool: all clients together draw at most this many.
+pub const POOL_SAMPLES: usize = NUM_CLASSES * POOL_PER_CLASS;
 /// Root Dirichlet concentration over superclasses (TFF uses 0.1).
 const ROOT_ALPHA: f64 = 0.1;
 /// Per-superclass Dirichlet concentration over its subclasses (TFF
@@ -124,12 +126,11 @@ fn draw_available<R: Rng>(weights: &[f64], remaining: &[usize], rng: &mut R) -> 
 /// (`num_clients * samples_per_client > 100 * 60`), there are no
 /// clients or a client has fewer than 10 samples.
 pub fn cifar100_like(cfg: &Cifar100Config) -> FederatedDataset {
-    assert!(cfg.num_clients > 0 && cfg.samples_per_client >= 10);
+    assert!(cfg.num_clients > 0 && cfg.samples_per_client >= MIN_SAMPLES);
     assert!(
-        cfg.num_clients * cfg.samples_per_client <= NUM_CLASSES * POOL_PER_CLASS,
-        "sample pool too small: need {}, have {}",
+        cfg.num_clients * cfg.samples_per_client <= POOL_SAMPLES,
+        "sample pool too small: need {}, have {POOL_SAMPLES}",
         cfg.num_clients * cfg.samples_per_client,
-        NUM_CLASSES * POOL_PER_CLASS
     );
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let means = class_means(&mut rng);

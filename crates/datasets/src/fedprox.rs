@@ -16,7 +16,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::rand_util::sample_normal;
-use crate::{ClientDataset, FederatedDataset};
+use crate::{ClientDataset, FederatedDataset, MIN_SAMPLES};
 
 /// Feature dimension of the synthetic task.
 pub const FEATURE_DIM: usize = 60;
@@ -65,7 +65,7 @@ impl Default for FedProxConfig {
 pub fn fedprox_synthetic(cfg: &FedProxConfig) -> FederatedDataset {
     assert!(cfg.num_clients > 0, "need at least one client");
     assert!(
-        cfg.min_samples >= 10 && cfg.min_samples <= cfg.max_samples,
+        cfg.min_samples >= MIN_SAMPLES && cfg.min_samples <= cfg.max_samples,
         "invalid sample bounds"
     );
     let mut rng = StdRng::seed_from_u64(cfg.seed);

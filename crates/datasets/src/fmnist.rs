@@ -13,7 +13,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::pool::{render_each, rendering_threads};
 use crate::rand_util::{sample_normal, skip_normals};
-use crate::{ClientDataset, FederatedDataset};
+use crate::{ClientDataset, FederatedDataset, MIN_SAMPLES};
 
 /// Side length of the synthetic images.
 pub const IMAGE_SIDE: usize = 14;
@@ -300,7 +300,10 @@ pub fn fmnist_clustered(cfg: &FmnistConfig) -> FederatedDataset {
 /// [`fmnist_clustered`] rendered on `threads` workers.
 fn fmnist_clustered_on(cfg: &FmnistConfig, threads: usize) -> FederatedDataset {
     assert!(cfg.num_clients >= 3, "need at least one client per cluster");
-    assert!(cfg.samples_per_client >= 10, "too few samples per client");
+    assert!(
+        cfg.samples_per_client >= MIN_SAMPLES,
+        "too few samples per client"
+    );
     let prototypes = class_prototypes(cfg);
     let relaxation = cfg.relaxation;
     let clients = render_stream(
@@ -353,7 +356,10 @@ pub fn fmnist_clustered_streamed(cfg: &FmnistConfig) -> FederatedDataset {
 /// [`fmnist_clustered_streamed`] rendered on `threads` workers.
 fn fmnist_clustered_streamed_on(cfg: &FmnistConfig, threads: usize) -> FederatedDataset {
     assert!(cfg.num_clients >= 3, "need at least one client per cluster");
-    assert!(cfg.samples_per_client >= 10, "too few samples per client");
+    assert!(
+        cfg.samples_per_client >= MIN_SAMPLES,
+        "too few samples per client"
+    );
     let prototypes = class_prototypes(cfg);
     let clients = render_each(cfg.num_clients, threads, |id| {
         let cluster = id % CLASS_CLUSTERS.len();
@@ -391,7 +397,10 @@ pub fn fmnist_by_author(cfg: &FmnistConfig) -> FederatedDataset {
 /// [`fmnist_by_author`] rendered on `threads` workers.
 fn fmnist_by_author_on(cfg: &FmnistConfig, threads: usize) -> FederatedDataset {
     assert!(cfg.num_clients > 0, "need at least one client");
-    assert!(cfg.samples_per_client >= 10, "too few samples per client");
+    assert!(
+        cfg.samples_per_client >= MIN_SAMPLES,
+        "too few samples per client"
+    );
     let prototypes = class_prototypes(cfg);
     let clients = render_stream(
         cfg.num_clients,

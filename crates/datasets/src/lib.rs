@@ -42,3 +42,6 @@ pub use fmnist::{fmnist_by_author, fmnist_clustered, fmnist_clustered_streamed, 
 pub use poets::{poets, PoetsConfig, POETS_VOCAB};
 pub use poison::{flip_labels, PoisonReport};
 pub use rand_util::{sample_dirichlet, sample_normal};
+
+/// The fewest samples every generator gives one client.
+pub const MIN_SAMPLES: usize = 10;

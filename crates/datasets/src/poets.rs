@@ -11,7 +11,7 @@ use dagfl_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::{ClientDataset, FederatedDataset};
+use crate::{ClientDataset, FederatedDataset, MIN_SAMPLES};
 
 /// The shared character vocabulary: `a`–`z`, space, full stop and the four
 /// German specials.
@@ -146,7 +146,10 @@ pub fn poets(cfg: &PoetsConfig) -> FederatedDataset {
         cfg.clients_per_language > 0,
         "need clients in each language"
     );
-    assert!(cfg.samples_per_client >= 10, "too few samples per client");
+    assert!(
+        cfg.samples_per_client >= MIN_SAMPLES,
+        "too few samples per client"
+    );
     assert!(cfg.seq_len > 0, "sequence length must be positive");
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut clients = Vec::with_capacity(2 * cfg.clients_per_language);

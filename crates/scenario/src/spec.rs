@@ -9,13 +9,13 @@ use rand::rngs::StdRng;
 
 use dagfl_analysis::{AnalysisConfig, AnalysisSource, KSelection};
 use dagfl_core::{
-    AsyncConfig, ComputeProfile, CoreError, CrashWindow, DagConfig, DelayModel, FaultPlan,
-    ModelFactory, Normalization, PartitionWindow, PublishGate, StaleTipPolicy, TipSelector,
+    AsyncConfig, CoreError, CrashWindow, DagConfig, FaultPlan, KeyVisitor, ModelFactory,
+    PartitionWindow, Slot,
 };
 use dagfl_datasets::{
-    cifar100_like, fedprox_synthetic, fmnist_by_author, fmnist_clustered,
+    cifar, cifar100_like, fedprox_synthetic, fmnist, fmnist_by_author, fmnist_clustered,
     fmnist_clustered_streamed, poets, Cifar100Config, FedProxConfig, FederatedDataset,
-    FmnistConfig, PoetsConfig, POETS_VOCAB,
+    FmnistConfig, PoetsConfig, MIN_SAMPLES, POETS_VOCAB,
 };
 use dagfl_nn::{char_rnn, Dense, Model, Relu, Sequential};
 
@@ -813,7 +813,7 @@ impl Scenario {
                 "output.recent_window must be at least 1".into(),
             ));
         }
-        Ok(())
+        self.validate_dataset_size()
     }
 
     fn validate_dataset(&self) -> Result<(), ScenarioError> {
@@ -878,6 +878,51 @@ impl Scenario {
                     ));
                 }
             }
+        }
+        Ok(())
+    }
+
+    /// What the generators assert beyond sizes of at least 1: a client
+    /// per FMNIST cluster, [`MIN_SAMPLES`] per client and CIFAR's pool.
+    /// Checked last, so every input another check rejects keeps its error.
+    fn validate_dataset_size(&self) -> Result<(), ScenarioError> {
+        let err = |msg: String| Err(ScenarioError::Invalid(msg));
+        let (key, samples) = match self.dataset {
+            DatasetSpec::Fmnist {
+                clients, samples, ..
+            }
+            | DatasetSpec::FmnistStreamed {
+                clients, samples, ..
+            } => {
+                let clusters = fmnist::CLASS_CLUSTERS.len();
+                if clients < clusters {
+                    return err(format!(
+                        "dataset.clients ({clients}) must be at least {clusters}, one per cluster"
+                    ));
+                }
+                ("samples", samples)
+            }
+            DatasetSpec::Cifar {
+                clients, samples, ..
+            } => {
+                let pool = cifar::POOL_SAMPLES;
+                if clients.checked_mul(samples).map_or(true, |n| n > pool) {
+                    return err(format!(
+                        "dataset clients × samples ({clients} × {samples}) exceeds the pool of \
+                         {pool} samples"
+                    ));
+                }
+                ("samples", samples)
+            }
+            DatasetSpec::FmnistAuthor { samples, .. } | DatasetSpec::Poets { samples, .. } => {
+                ("samples", samples)
+            }
+            DatasetSpec::FedProx { min_samples, .. } => ("min_samples", min_samples),
+        };
+        if samples < MIN_SAMPLES {
+            return err(format!(
+                "dataset.{key} ({samples}) must be at least {MIN_SAMPLES}"
+            ));
         }
         Ok(())
     }
@@ -1161,20 +1206,6 @@ pub(crate) trait Codec {
         if let Some(value) = slot {
             *v = value;
         }
-        Ok(())
-    }
-
-    /// A key written only while it differs from `omitted`, which an
-    /// absent key reads as.
-    fn key_or<T: Key + PartialEq>(
-        &mut self,
-        key: &str,
-        v: &mut T,
-        omitted: T,
-    ) -> Result<(), ScenarioError> {
-        let mut slot = (*v != omitted).then(|| v.clone());
-        self.opt(key, &mut slot)?;
-        *v = slot.unwrap_or(omitted);
         Ok(())
     }
 }
@@ -1480,79 +1511,9 @@ fn modes() -> [(&'static str, ExecutionSpec); 2] {
     ]
 }
 
-/// `execution.selector`.
-const SELECTORS: [(&str, TipSelector); 3] = [
-    (
-        "accuracy",
-        TipSelector::Accuracy {
-            alpha: 10.0,
-            normalization: Normalization::Simple,
-        },
-    ),
-    ("random", TipSelector::Random),
-    ("cumulative", TipSelector::CumulativeWeight { alpha: 10.0 }),
-];
-
-/// `execution.normalization`.
-const NORMALIZATIONS: [(&str, Normalization); 2] = [
-    ("simple", Normalization::Simple),
-    ("dynamic", Normalization::Dynamic),
-];
-
-/// `execution.publish_gate`.
-const PUBLISH_GATES: [(&str, PublishGate); 3] = [
-    ("averaged", PublishGate::AveragedReference),
-    ("best-parent", PublishGate::BestParent),
-    ("always", PublishGate::Always),
-];
-
 /// `execution.transport`: the one way gossip travels in-process. Files
 /// may spell it, so the key stays readable.
 const TRANSPORTS: [(&str, ()); 1] = [("loopback", ())];
-
-/// `execution.stale_policy`.
-const STALE_POLICIES: [(&str, StaleTipPolicy); 3] = [
-    ("publish", StaleTipPolicy::PublishAnyway),
-    ("reselect", StaleTipPolicy::Reselect),
-    ("discard", StaleTipPolicy::Discard),
-];
-
-/// `execution.delay_model`.
-const DELAY_MODELS: [(&str, DelayModel); 3] = [
-    ("constant", DelayModel::Constant { delay: 2.0 }),
-    (
-        "jitter",
-        DelayModel::UniformJitter {
-            base: 2.0,
-            jitter: 0.0,
-        },
-    ),
-    (
-        "cohorts",
-        DelayModel::Cohorts {
-            slow_fraction: 0.3,
-            fast: 2.0,
-            slow: 8.0,
-            jitter: 0.0,
-        },
-    ),
-];
-
-/// `execution.compute`.
-const COMPUTE_PROFILES: [(&str, ComputeProfile); 3] = [
-    ("uniform", ComputeProfile::Uniform),
-    (
-        "two-speed",
-        ComputeProfile::TwoSpeed {
-            slow_fraction: 0.3,
-            slowdown: 4.0,
-        },
-    ),
-    (
-        "match-network",
-        ComputeProfile::MatchNetworkCohort { slowdown: 4.0 },
-    ),
-];
 
 /// `analysis.source`.
 const SOURCES: [(&str, AnalysisSource); 3] = [
@@ -1561,23 +1522,10 @@ const SOURCES: [(&str, AnalysisSource); 3] = [
     ("both", AnalysisSource::Both),
 ];
 
-/// Core validation's field names that differ from the key the value is
-/// read from. Any other field is its key: an undotted one under
-/// `[execution]`, a dotted one as it stands (`faults.drop`). A group
-/// check names the group's first key.
-const FIELD_KEYS: [(&str, &str); 14] = [
-    ("walk_depth", "execution.walk_depth_min"),
-    ("walk_stop_margin", "execution.stop_margin"),
-    ("total_activations", "execution.activations"),
-    ("mean_interarrival", "execution.interarrival"),
-    ("delay.delay", "execution.delay"),
-    ("delay.base", "execution.delay"),
-    ("delay.fast", "execution.delay"),
-    ("delay.jitter", "execution.jitter"),
-    ("delay.slow", "execution.slow_delay"),
-    ("delay.slow_fraction", "execution.slow_fraction"),
-    ("compute.slow_fraction", "execution.compute_slow_fraction"),
-    ("compute.slowdown", "execution.slowdown"),
+/// The fault checks' group fields, by the first key of the group. A
+/// field of a core key list is its `[execution]` key; any other is its
+/// key as it stands (`faults.drop`).
+const FIELD_KEYS: [(&str, &str); 2] = [
     ("faults.partition", "faults.partition_start"),
     // The crash check is on `0 <= at <= restart`; `crash_peer` is free.
     ("faults.crash", "faults.crash_at"),
@@ -1587,16 +1535,17 @@ const FIELD_KEYS: [(&str, &str); 14] = [
 fn core_error(e: CoreError) -> ScenarioError {
     let CoreError::InvalidField {
         field,
+        key,
         value,
         constraint,
     } = e
     else {
         return ScenarioError::Core(e);
     };
-    let key = match FIELD_KEYS.iter().find(|(f, _)| *f == field) {
-        Some((_, key)) => key.to_string(),
-        None if field.contains('.') => field.to_string(),
-        None => format!("execution.{field}"),
+    let key = match (key, FIELD_KEYS.iter().find(|(f, _)| *f == field)) {
+        (Some(key), _) => format!("execution.{key}"),
+        (None, Some((_, key))) => key.to_string(),
+        (None, None) => field.to_string(),
     };
     ScenarioError::InvalidValue {
         key,
@@ -1688,88 +1637,54 @@ fn model(c: &mut impl Codec, v: &mut ModelSpec) -> Result<(), ScenarioError> {
 }
 
 /// `[execution]`: the mode word, the DAG keys every mode has, then the
-/// async keys — transport, budget and timing, stale-tip policy, and the
-/// delay and compute models.
+/// transport and the async keys.
 fn execution(c: &mut impl Codec, v: &mut ExecutionSpec) -> Result<(), ScenarioError> {
     // A mode word swaps the variant, not the DAG keys (the builder
     // clamped `clients_per_round` to the dataset).
     let dag = *v.dag();
     c.word("mode", &modes(), v)?;
     *v.dag_mut() = dag;
-    dag_keys(c, v.dag_mut())?;
+    v.dag_mut().keys(&mut CoreKeys(c))?;
     let ExecutionSpec::Async { config } = v else {
         return Ok(());
     };
     c.word("transport", &TRANSPORTS, &mut ())?;
-    let defaults = AsyncConfig::default();
-    c.key("activations", &mut config.total_activations)?;
-    c.key("interarrival", &mut config.mean_interarrival)?;
-    c.key("train_time", &mut config.train_time)?;
-    c.key_or("fanout", &mut config.gossip_fanout, defaults.gossip_fanout)?;
-    c.key_or("workers", &mut config.workers, defaults.workers)?;
-    c.word("stale_policy", &STALE_POLICIES, &mut config.stale_policy)?;
-    c.word("delay_model", &DELAY_MODELS, &mut config.delay)?;
-    match &mut config.delay {
-        DelayModel::Constant { delay } => c.key("delay", delay)?,
-        DelayModel::UniformJitter { base, jitter } => {
-            c.key("delay", base)?;
-            c.key("jitter", jitter)?;
-        }
-        DelayModel::Cohorts {
-            slow_fraction,
-            fast,
-            slow,
-            jitter,
-        } => {
-            c.key("delay", fast)?;
-            c.key("slow_delay", slow)?;
-            c.key("slow_fraction", slow_fraction)?;
-            c.key("jitter", jitter)?;
-        }
-    }
-    c.word("compute", &COMPUTE_PROFILES, &mut config.compute)?;
-    match &mut config.compute {
-        ComputeProfile::Uniform => Ok(()),
-        ComputeProfile::TwoSpeed {
-            slow_fraction,
-            slowdown,
-        } => {
-            c.key("compute_slow_fraction", slow_fraction)?;
-            c.key("slowdown", slowdown)
-        }
-        ComputeProfile::MatchNetworkCohort { slowdown } => c.key("slowdown", slowdown),
-    }
+    config.keys(&mut CoreKeys(c))
 }
 
-/// The DAG keys of `[execution]`; `alpha` and `normalization` exist
-/// only under the selectors that have them.
-fn dag_keys(c: &mut impl Codec, dag: &mut DagConfig) -> Result<(), ScenarioError> {
-    c.key("rounds", &mut dag.rounds)?;
-    c.key("clients_per_round", &mut dag.clients_per_round)?;
-    c.key("local_epochs", &mut dag.local_epochs)?;
-    c.key("local_batches", &mut dag.local_batches)?;
-    c.key("batch_size", &mut dag.batch_size)?;
-    c.key("learning_rate", &mut dag.learning_rate)?;
-    c.word("selector", &SELECTORS, &mut dag.tip_selector)?;
-    match &mut dag.tip_selector {
-        TipSelector::Accuracy {
-            alpha,
-            normalization,
-        } => {
-            c.key("alpha", alpha)?;
-            c.word("normalization", &NORMALIZATIONS, normalization)?;
+/// A core config's key list, read or written through a codec.
+struct CoreKeys<'c, C>(&'c mut C);
+
+impl<C: Codec> KeyVisitor for CoreKeys<'_, C> {
+    type Error = ScenarioError;
+
+    fn key(&mut self, key: dagfl_core::Key, value: Slot<'_>) -> Result<(), ScenarioError> {
+        let (c, name) = (&mut *self.0, key.name);
+        match value {
+            Slot::Usize(v) => c.key(name, v),
+            Slot::UsizeOr(v, omitted) => {
+                let mut slot = (*v != omitted).then_some(*v);
+                c.opt(name, &mut slot)?;
+                *v = slot.unwrap_or(omitted);
+                Ok(())
+            }
+            Slot::U32(v) => c.key(name, v),
+            Slot::U64(v) => c.key(name, v),
+            Slot::F32(v) => c.key(name, v),
+            Slot::OptF32(v) => c.opt(name, v),
+            Slot::F64(v) => c.key(name, v),
+            Slot::Bool(v) => c.key(name, v),
         }
-        TipSelector::Random => {}
-        TipSelector::CumulativeWeight { alpha } => c.key("alpha", alpha)?,
     }
-    c.key("walk_depth_min", &mut dag.walk_depth.0)?;
-    c.key("walk_depth_max", &mut dag.walk_depth.1)?;
-    c.opt("stop_margin", &mut dag.walk_stop_margin)?;
-    c.word("publish_gate", &PUBLISH_GATES, &mut dag.publish_gate)?;
-    c.key("frozen_prefix", &mut dag.frozen_prefix)?;
-    c.key("publication_dropout", &mut dag.publication_dropout)?;
-    c.key("seed", &mut dag.seed)?;
-    c.key("parallel", &mut dag.parallel)
+
+    fn word<E: Clone>(
+        &mut self,
+        name: &'static str,
+        rows: &[(&'static str, E)],
+        value: &mut E,
+    ) -> Result<(), ScenarioError> {
+        self.0.word(name, rows, value)
+    }
 }
 
 /// `[attack]`.
@@ -1859,6 +1774,10 @@ fn output(c: &mut impl Codec, v: &mut OutputSpec) -> Result<(), ScenarioError> {
 
 #[cfg(test)]
 mod tests {
+    use dagfl_core::{
+        ComputeProfile, DelayModel, Normalization, PublishGate, StaleTipPolicy, TipSelector,
+    };
+
     use super::*;
 
     fn tiny() -> Scenario {
@@ -2581,6 +2500,94 @@ mod tests {
         tracked.output.track_every = 2;
         let err = tracked.validate().unwrap_err();
         assert!(err.to_string().contains("tracking"), "{err}");
+    }
+
+    #[test]
+    fn dataset_sizes_the_generators_reject_fail_validation() {
+        let error = |dataset: DatasetSpec| {
+            Scenario::new("sizes", dataset)
+                .validate()
+                .unwrap_err()
+                .to_string()
+        };
+        let fmnist = |clients, samples| DatasetSpec::Fmnist {
+            clients,
+            samples,
+            relaxation: 0.0,
+            seed: 1,
+        };
+        for (dataset, message) in [
+            (fmnist(4, 5), "dataset.samples (5) must be at least 10"),
+            (
+                DatasetSpec::FmnistStreamed {
+                    clients: 2,
+                    samples: 60,
+                    relaxation: 0.0,
+                    seed: 1,
+                },
+                "dataset.clients (2) must be at least 3, one per cluster",
+            ),
+            (
+                DatasetSpec::FmnistAuthor {
+                    clients: 2,
+                    samples: 9,
+                    seed: 1,
+                },
+                "dataset.samples (9) must be at least 10",
+            ),
+            (
+                DatasetSpec::Poets {
+                    clients_per_language: 1,
+                    samples: 9,
+                    seq_len: 4,
+                    seed: 1,
+                },
+                "dataset.samples (9) must be at least 10",
+            ),
+            (
+                DatasetSpec::Cifar {
+                    clients: 200,
+                    samples: 40,
+                    seed: 1,
+                },
+                "dataset clients × samples (200 × 40) exceeds the pool of 6000 samples",
+            ),
+            (
+                DatasetSpec::Cifar {
+                    clients: usize::MAX,
+                    samples: 2,
+                    seed: 1,
+                },
+                "exceeds the pool of 6000 samples",
+            ),
+            (
+                DatasetSpec::FedProx {
+                    clients: 3,
+                    min_samples: 5,
+                    max_samples: 50,
+                    seed: 1,
+                },
+                "dataset.min_samples (5) must be at least 10",
+            ),
+        ] {
+            let err = error(dataset.clone());
+            assert!(err.contains(message), "{dataset:?}: {err}");
+        }
+        // Inputs another check already rejects keep that check's error.
+        let err = Scenario::new("sizes", fmnist(2, 60))
+            .with_model(ModelSpec::Linear)
+            .rounds(0)
+            .validate()
+            .unwrap_err();
+        assert!(err.to_string().contains("execution.rounds"), "{err}");
+        let err = error(DatasetSpec::Fmnist {
+            clients: 2,
+            samples: 5,
+            relaxation: 1.5,
+            seed: 1,
+        });
+        assert!(err.contains("dataset.relaxation (1.5)"), "{err}");
+        assert!(error(fmnist(0, 5)).contains("at least 1"));
     }
 
     #[test]

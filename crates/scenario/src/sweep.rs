@@ -1505,6 +1505,20 @@ mod tests {
     }
 
     #[test]
+    fn every_short_name_is_a_key_the_reader_knows() {
+        // A short name whose path no preset's reader accepts could never
+        // name an axis.
+        for (short, path) in SHORT_NAMES {
+            let known = crate::PRESETS.iter().any(|(name, ..)| {
+                Scenario::preset_at(name, Scale::Quick)
+                    .and_then(|scenario| scenario.set_keys(&[(*path, "1")]))
+                    .is_ok()
+            });
+            assert!(known, "`{short}` names `{path}`, which no preset reads");
+        }
+    }
+
+    #[test]
     fn every_sweep_preset_builds_validates_and_round_trips() {
         for (name, ..) in SWEEP_PRESETS {
             let spec = SweepSpec::preset(name).unwrap_or_else(|e| panic!("{name}: {e}"));

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use dagfl_core::{
     AsyncConfig, ComputeProfile, DagConfig, DelayModel, Normalization, StaleTipPolicy, TipSelector,
 };
-use dagfl_scenario::{AttackSpec, DatasetSpec, ExecutionSpec, Scenario};
+use dagfl_scenario::{AttackSpec, DatasetSpec, ExecutionSpec, ModelSpec, Scenario};
 
 #[allow(clippy::too_many_arguments)]
 fn build_scenario(
@@ -165,5 +165,41 @@ proptest! {
         // Serialization is a pure function of the value: a second lap
         // produces byte-identical text.
         prop_assert_eq!(reparsed.to_toml(), text);
+    }
+}
+
+proptest! {
+    #[test]
+    fn any_small_dataset_that_validates_builds(
+        (kind, clients, samples, extra) in (0u8..6, 0usize..8, 0usize..24, 0usize..40),
+        (cifar_clients, seed) in (0usize..300, 0u64..1_000),
+    ) {
+        let dataset = match kind {
+            0 => DatasetSpec::Fmnist { clients, samples, relaxation: 0.2, seed },
+            1 => DatasetSpec::FmnistStreamed { clients, samples, relaxation: 0.0, seed },
+            2 => DatasetSpec::FmnistAuthor { clients, samples, seed },
+            3 => DatasetSpec::Poets {
+                clients_per_language: clients / 2,
+                samples,
+                seq_len: extra % 8,
+                seed,
+            },
+            4 => DatasetSpec::Cifar { clients: cifar_clients, samples: samples + extra, seed },
+            _ => DatasetSpec::FedProx {
+                clients,
+                min_samples: samples,
+                max_samples: (samples + extra).saturating_sub(10),
+                seed,
+            },
+        };
+        let model = match dataset {
+            DatasetSpec::Poets { .. } => dataset.default_model(),
+            _ => ModelSpec::Linear,
+        };
+        let scenario = Scenario::new("sizes", dataset.clone()).with_model(model);
+        if scenario.validate().is_ok() {
+            let built = dataset.build();
+            prop_assert_eq!(built.num_clients(), dataset.num_clients());
+        }
     }
 }

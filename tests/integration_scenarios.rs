@@ -135,12 +135,15 @@ fn every_scenario_file_is_a_registry_row() {
             .validate()
             .unwrap_or_else(|e| panic!("{name} does not validate: {e}"));
         assert_eq!(Scenario::preset_at(name, Scale::Quick).unwrap(), scenario);
+        // Every file is its own canonical serialization.
+        assert_eq!(scenario.to_toml(), *text, "{name} is not in canonical form");
     }
     for (name, _, text) in SWEEP_PRESETS {
         let spec = SweepSpec::from_toml(text).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(spec.name, *name);
         spec.validate()
             .unwrap_or_else(|e| panic!("{name} does not validate: {e}"));
+        assert_eq!(spec.to_toml(), *text, "{name} is not in canonical form");
     }
 }
 
