@@ -477,8 +477,8 @@ impl AsyncSimulation {
         let genesis_model = factory(&mut rng);
         let genesis = ModelPayload::new(genesis_model.parameters());
         let n = dataset.num_clients();
-        // One factory call per client, though only one model per worker
-        // is kept: the draws advance `rng`, which then samples the
+        // One model per worker is built; the other clients' factory draws
+        // are skipped by `advance`, not built: `rng` then samples the
         // cohorts, the speeds, every arrival gap and every gossip
         // receiver, so drawing less would change every result.
         let (clients, scratch) =
@@ -1505,7 +1505,8 @@ mod tests {
     }
 
     /// One scratch model per worker, none per client: 200 clients at
-    /// two workers hold two models, before and after a run.
+    /// two workers hold two models, before and after a run, and the
+    /// factory built the genesis and those two only.
     #[test]
     fn models_are_per_worker_not_per_client() {
         let dataset = fmnist_clustered(&FmnistConfig {
@@ -1523,10 +1524,12 @@ mod tests {
             workers: 2,
             ..AsyncConfig::default()
         };
-        let mut sim = AsyncSimulation::new(config, dataset, small_factory(features));
+        let (counted, calls) = crate::client::tests::counting(small_factory(features));
+        let mut sim = AsyncSimulation::new(config, dataset, counted);
         assert_eq!(sim.models(), 2);
         sim.run().unwrap();
         assert_eq!(sim.models(), 2);
+        assert_eq!(calls.load(std::sync::atomic::Ordering::Relaxed), 3);
     }
 
     #[test]

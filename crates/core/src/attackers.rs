@@ -68,9 +68,12 @@ impl GarbageAttackScenario {
         dataset: FederatedDataset,
         factory: ModelFactory,
     ) -> Self {
-        let mut probe_rng = StdRng::seed_from_u64(config.dag.seed ^ 0x6A5B);
-        let num_parameters = factory(&mut probe_rng).num_parameters();
         let simulation = Simulation::new(config.dag, dataset, factory);
+        let tangle = simulation.tangle();
+        let num_parameters = tangle
+            .payload_of(tangle.genesis())
+            .expect("the genesis is in its tangle")
+            .len();
         Self {
             config,
             simulation,

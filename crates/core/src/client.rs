@@ -3,7 +3,7 @@
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 use dagfl_datasets::ClientDataset;
 use dagfl_nn::{average_parameters, Evaluation, Model, SgdConfig};
@@ -188,9 +188,11 @@ impl DagClient {
 /// A simulator's `n` clients, each borrowing its model, and one scratch
 /// evaluator per worker (at most one per client) to lend them.
 ///
-/// The factory runs once per client, in id order, and every model past
-/// the first `workers` is dropped: the draws advance `rng`, which the
-/// simulator goes on to sample from.
+/// Only the kept models are built; `rng` still ends where `n` factory
+/// calls in id order leave it (the simulator samples from it next), for
+/// the unkept models' draws, counted on a real call, are skipped by
+/// [`StdRng::advance`]. Panics if a call takes more draws than its model
+/// has parameters, which breaks the [`ModelFactory`] contract.
 pub(crate) fn population(
     n: usize,
     workers: usize,
@@ -198,15 +200,26 @@ pub(crate) fn population(
     rng: &mut StdRng,
     seed: u64,
 ) -> (Vec<DagClient>, Vec<ModelEvaluator>) {
-    let mut scratch = Vec::with_capacity(workers.min(n));
-    let mut clients = Vec::with_capacity(n);
-    for id in 0..n as u32 {
-        let model = factory(rng);
-        if scratch.len() < workers {
-            scratch.push(ModelEvaluator::new(model));
-        }
-        clients.push(DagClient::borrowing(id, seed.wrapping_add(id as u64)));
-    }
+    let kept = workers.min(n);
+    let mut draws = 0;
+    let scratch = (0..kept)
+        .map(|_| {
+            let mut probe = rng.clone();
+            let model = factory(rng);
+            draws = 0;
+            while probe != *rng {
+                let contract = "a ModelFactory call takes at most one draw per parameter";
+                assert!(draws < model.num_parameters() as u64, "{contract}");
+                probe.next_u64();
+                draws += 1;
+            }
+            ModelEvaluator::new(model)
+        })
+        .collect();
+    rng.advance((n - kept) as u64 * draws);
+    let clients = (0..n as u32)
+        .map(|id| DagClient::borrowing(id, seed.wrapping_add(id as u64)))
+        .collect();
     (clients, scratch)
 }
 
@@ -373,12 +386,14 @@ impl DagClient {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::ModelTangle;
     use dagfl_datasets::{fmnist_clustered, poets, FmnistConfig, PoetsConfig, POETS_VOCAB};
     use dagfl_nn::{char_rnn, Dense, Relu, Sequential};
     use dagfl_tangle::Tangle;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn small_dataset() -> dagfl_datasets::FederatedDataset {
         fmnist_clustered(&FmnistConfig {
@@ -675,5 +690,131 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             Box::new(char_rnn(&mut rng, POETS_VOCAB.len(), 8, 16))
         });
+    }
+
+    /// The loop [`population`] replaced: one factory call per client, in
+    /// id order, keeping the first `workers` models.
+    fn population_oracle(
+        n: usize,
+        workers: usize,
+        factory: &ModelFactory,
+        rng: &mut StdRng,
+        seed: u64,
+    ) -> (Vec<DagClient>, Vec<ModelEvaluator>) {
+        let mut scratch = Vec::with_capacity(workers.min(n));
+        let mut clients = Vec::with_capacity(n);
+        for id in 0..n as u32 {
+            let model = factory(rng);
+            if scratch.len() < workers {
+                scratch.push(ModelEvaluator::new(model));
+            }
+            clients.push(DagClient::borrowing(id, seed.wrapping_add(id as u64)));
+        }
+        (clients, scratch)
+    }
+
+    /// The MLP over `hidden` (the linear model when empty) on 6 features
+    /// and 3 classes, or, with `rnn`, the char-rnn over a 5-symbol vocab
+    /// with the first two widths as its embedding and GRU widths.
+    fn test_factory(rnn: bool, hidden: Vec<usize>) -> ModelFactory {
+        if rnn {
+            let (embed, width) = (hidden[0], hidden[hidden.len() - 1]);
+            return Arc::new(move |rng: &mut StdRng| {
+                Box::new(char_rnn(rng, 5, embed, width)) as Box<dyn Model>
+            });
+        }
+        Arc::new(move |rng: &mut StdRng| {
+            let mut layers: Vec<Box<dyn dagfl_nn::Layer>> = Vec::new();
+            let mut width = 6;
+            for &h in &hidden {
+                layers.push(Box::new(Dense::new(rng, width, h)));
+                layers.push(Box::new(Relu::new()));
+                width = h;
+            }
+            layers.push(Box::new(Dense::new(rng, width, 3)));
+            Box::new(Sequential::new(layers)) as Box<dyn Model>
+        })
+    }
+
+    /// `inner`, and the number of times it has run.
+    pub(crate) fn counting(inner: ModelFactory) -> (ModelFactory, Arc<AtomicUsize>) {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let counted = Arc::clone(&calls);
+        let factory: ModelFactory = Arc::new(move |rng: &mut StdRng| {
+            counted.fetch_add(1, Ordering::Relaxed);
+            inner(rng)
+        });
+        (factory, calls)
+    }
+
+    fn factory_calls(n: usize, workers: usize) -> usize {
+        let (factory, calls) = counting(test_factory(false, vec![4]));
+        population(n, workers, &factory, &mut StdRng::seed_from_u64(3), 5);
+        calls.load(Ordering::Relaxed)
+    }
+
+    /// The factory runs once per kept model, not once per client.
+    #[test]
+    fn population_calls_the_factory_once_per_kept_model() {
+        for (n, workers) in [(1, 1), (6, 1), (6, 3), (6, 6), (6, 16), (300, 7)] {
+            assert_eq!(
+                factory_calls(n, workers),
+                workers.min(n),
+                "n {n}, {workers} workers"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a ModelFactory call takes at most one draw per parameter")]
+    fn a_factory_drawing_twice_per_parameter_panics() {
+        let inner = test_factory(false, vec![4]);
+        let factory: ModelFactory = Arc::new(move |rng: &mut StdRng| {
+            let model = inner(rng);
+            (0..model.num_parameters()).for_each(|_| {
+                rng.next_u64();
+            });
+            model
+        });
+        population(4, 1, &factory, &mut StdRng::seed_from_u64(3), 5);
+    }
+
+    proptest::proptest! {
+        /// `population` leaves `rng` where building every client's model
+        /// does, with the same clients and the same kept models, for the
+        /// MLP over random widths, the linear model and the char-rnn, at
+        /// fewer, as many and more workers than clients (half the cases
+        /// have at most 8 clients).
+        #[test]
+        fn population_matches_building_every_model(
+            ((rnn, few, seed), hidden, n, workers) in (
+                (
+                    proptest::prelude::any::<bool>(),
+                    proptest::prelude::any::<bool>(),
+                    proptest::prelude::any::<u64>(),
+                ),
+                proptest::collection::vec(1..12usize, 0..4),
+                1..300usize,
+                1..8usize,
+            ),
+        ) {
+            let n = if few { n % 8 + 1 } else { n };
+            let hidden = if rnn && hidden.is_empty() { vec![3] } else { hidden };
+            let factory = test_factory(rnn, hidden);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut oracle_rng = rng.clone();
+            let (clients, scratch) = population(n, workers, &factory, &mut rng, seed);
+            let (oracle_clients, oracle_scratch) =
+                population_oracle(n, workers, &factory, &mut oracle_rng, seed);
+            proptest::prop_assert_eq!(rng, oracle_rng);
+            let client_ids = |c: &[DagClient]| -> Vec<(u32, StdRng)> {
+                c.iter().map(|c| (c.id, c.rng.clone())).collect()
+            };
+            proptest::prop_assert_eq!(client_ids(&clients), client_ids(&oracle_clients));
+            let params = |s: &[ModelEvaluator]| -> Vec<Vec<f32>> {
+                s.iter().map(|e| e.model().parameters()).collect()
+            };
+            proptest::prop_assert_eq!(params(&scratch), params(&oracle_scratch));
+        }
     }
 }

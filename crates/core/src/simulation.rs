@@ -74,8 +74,8 @@ impl Simulation {
         } else {
             1
         };
-        // One factory call per client, though only one model per worker
-        // is kept: the draws advance `rng`, which then samples every
+        // One model per worker is built; the other clients' factory draws
+        // are skipped by `advance`, not built: `rng` then samples every
         // round's cohort, so drawing less would change every result.
         let (clients, scratch) = client::population(
             dataset.num_clients(),
@@ -525,6 +525,22 @@ mod tests {
         assert_eq!(with_workers(3, || small_sim(1, true).models()), 3);
         // More workers than clients keep one model per client at most.
         assert_eq!(with_workers(16, || small_sim(1, true).models()), 6);
+        // The factory builds the genesis and the kept models, no more.
+        for (workers, kept) in [(1, 1), (3, 3), (16, 6)] {
+            let dataset = fmnist_clustered(&FmnistConfig {
+                num_clients: 6,
+                samples_per_client: 40,
+                ..FmnistConfig::default()
+            });
+            let (counted, calls) = crate::client::tests::counting(factory(dataset.feature_len()));
+            let config = DagConfig {
+                clients_per_round: 3,
+                parallel: true,
+                ..DagConfig::default()
+            };
+            with_workers(workers, || Simulation::new(config, dataset, counted));
+            assert_eq!(calls.load(std::sync::atomic::Ordering::Relaxed), 1 + kept);
+        }
     }
 
     #[test]

@@ -162,7 +162,10 @@ impl Clone for Box<dyn Model> {
 ///
 /// The factory is called with a seeded RNG so that every simulation is
 /// reproducible; all models it returns must share one architecture (equal
-/// parameter counts).
+/// parameter counts), and every call must take the same number of draws
+/// from the RNG, at most one per parameter. A simulator builds only the
+/// models it keeps and skips the others' draws with
+/// [`StdRng::advance`], counted on a real call.
 pub type ModelFactory = Arc<dyn Fn(&mut StdRng) -> Box<dyn Model> + Send + Sync>;
 
 #[cfg(test)]
