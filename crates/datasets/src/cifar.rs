@@ -17,7 +17,7 @@ use dagfl_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::rand_util::{sample_dirichlet, sample_normal};
+use crate::rand_util::{fill_normals_f32, sample_dirichlet};
 use crate::{ClientDataset, FederatedDataset, MIN_SAMPLES};
 
 /// Number of fine-grained classes.
@@ -72,18 +72,18 @@ pub fn superclass_of(class: usize) -> usize {
 fn class_means(rng: &mut StdRng) -> Vec<Vec<f32>> {
     let mut superclass_means = Vec::with_capacity(NUM_SUPERCLASSES);
     for _ in 0..NUM_SUPERCLASSES {
-        let mean: Vec<f32> = (0..FEATURE_DIM)
-            .map(|_| sample_normal(rng, 0.0, 3.0) as f32)
-            .collect();
+        let mut mean = vec![0.0f32; FEATURE_DIM];
+        fill_normals_f32(rng, 0.0, 3.0, &mut mean);
         superclass_means.push(mean);
     }
     let mut means = Vec::with_capacity(NUM_CLASSES);
     for class in 0..NUM_CLASSES {
         let base = &superclass_means[superclass_of(class)];
-        let mean: Vec<f32> = base
-            .iter()
-            .map(|&b| b + sample_normal(rng, 0.0, 1.0) as f32)
-            .collect();
+        let mut mean = vec![0.0f32; FEATURE_DIM];
+        fill_normals_f32(rng, 0.0, 1.0, &mut mean);
+        for (m, &b) in mean.iter_mut().zip(base) {
+            *m += b;
+        }
         means.push(mean);
     }
     means
@@ -168,8 +168,10 @@ pub fn cifar100_like(cfg: &Cifar100Config) -> FederatedDataset {
             remaining[class] -= 1;
             super_counts[sc] += 1;
             // Materialise the sample: class mean + noise.
-            for (slot, &m) in x.row_mut(s).iter_mut().zip(&means[class]) {
-                *slot = m + sample_normal(&mut rng, 0.0, NOISE_STDDEV) as f32;
+            let row = x.row_mut(s);
+            fill_normals_f32(&mut rng, 0.0, NOISE_STDDEV, row);
+            for (slot, &m) in row.iter_mut().zip(&means[class]) {
+                *slot += m;
             }
             y.push(class);
         }

@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::pool::{render_each, rendering_threads};
-use crate::rand_util::{sample_normal, skip_normals};
+use crate::rand_util::{fill_normals_f32, skip_normals};
 use crate::{ClientDataset, FederatedDataset, MIN_SAMPLES};
 
 /// Side length of the synthetic images.
@@ -81,9 +81,8 @@ fn class_prototype(class: usize, seed: u64) -> Vec<f32> {
 fn raw_prototype(class: usize, seed: u64) -> Vec<f32> {
     let mut rng =
         StdRng::seed_from_u64(seed ^ (0x9e37_79b9_7f4a_7c15u64.wrapping_mul(class as u64 + 1)));
-    let mut img: Vec<f32> = (0..IMAGE_LEN)
-        .map(|_| sample_normal(&mut rng, 0.0, 1.0) as f32)
-        .collect();
+    let mut img = vec![0.0f32; IMAGE_LEN];
+    fill_normals_f32(&mut rng, 0.0, 1.0, &mut img);
     // Two box-blur passes make the pattern spatially coherent, so small
     // translations (the client "style") stay close to the prototype.
     for _ in 0..2 {
@@ -141,9 +140,13 @@ impl ClientStyle {
         }
     }
 
-    /// Renders one noisy sample of `prototype` into `out`
-    /// (`IMAGE_LEN` pixels), one normal per pixel.
-    fn render<R: Rng>(&self, prototype: &[f32], out: &mut [f32], rng: &mut R) {
+    /// Renders one noisy sample of `prototype` into `out` (`IMAGE_LEN`
+    /// pixels): the shifted, brightness-scaled prototype plus one
+    /// `N(0, NOISE_STDDEV²)` normal per pixel, drawn in pixel order by
+    /// [`fill_normals_f32`] and clamped to `[-1, 2]`. Returns how many
+    /// pixels' normals libm computed.
+    fn render<R: Rng>(&self, prototype: &[f32], out: &mut [f32], rng: &mut R) -> usize {
+        let fallbacks = fill_normals_f32(rng, 0.0, NOISE_STDDEV as f64, out);
         for y in 0..IMAGE_SIDE {
             for x in 0..IMAGE_SIDE {
                 let sy = y as i32 - self.dy;
@@ -155,11 +158,11 @@ impl ClientStyle {
                 } else {
                     0.0
                 };
-                let noisy =
-                    base * self.brightness + sample_normal(rng, 0.0, NOISE_STDDEV as f64) as f32;
-                out[y * IMAGE_SIDE + x] = noisy.clamp(-1.0, 2.0);
+                let pixel = &mut out[y * IMAGE_SIDE + x];
+                *pixel = (base * self.brightness + *pixel).clamp(-1.0, 2.0);
             }
         }
+        fallbacks
     }
 }
 
@@ -417,6 +420,7 @@ fn fmnist_by_author_on(cfg: &FmnistConfig, threads: usize) -> FederatedDataset {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rand_util::sample_normal;
 
     fn proto_distance(a: &[f32], b: &[f32]) -> f32 {
         a.iter()
@@ -723,6 +727,39 @@ mod tests {
             (full.train_x().cols(), bare.train_x().cols()),
             (IMAGE_LEN, 0)
         );
+    }
+
+    /// The `async-scale` benchmark workload's dataset draws 11.76 M
+    /// noise normals, and the lanes hand few of them to libm. Lanes that
+    /// drifted into doubt everywhere would keep every byte and lose the
+    /// speed; this count shows it without a timer. It depends on IEEE
+    /// arithmetic alone, not on libm, so it is the same on every host.
+    #[test]
+    fn the_async_scale_render_rarely_falls_back_to_libm() {
+        let cfg = FmnistConfig {
+            num_clients: 5_000,
+            samples_per_client: 12,
+            relaxation: 0.0,
+            seed: 42,
+        };
+        let prototypes = class_prototypes(&cfg);
+        let mut row = [0.0f32; IMAGE_LEN];
+        let mut fallbacks = 0;
+        // `fmnist_clustered_streamed`'s draws, up to each client's split.
+        for id in 0..cfg.num_clients {
+            let mut rng = StdRng::seed_from_u64(client_stream_seed(cfg.seed, id as u64));
+            let style = ClientStyle::sample(&mut rng);
+            for _ in 0..cfg.samples_per_client {
+                let class = clustered_class(id % CLASS_CLUSTERS.len(), cfg.relaxation, &mut rng);
+                fallbacks += style.render(&prototypes[class], &mut row, &mut rng);
+            }
+        }
+        let normals = cfg.num_clients * cfg.samples_per_client * IMAGE_LEN;
+        assert!(
+            fallbacks * 2_000 < normals,
+            "{fallbacks} of {normals} normals fell back to libm (ceiling 0.05 %)"
+        );
+        assert_eq!(fallbacks, 255, "the recorded count moved");
     }
 
     #[test]
