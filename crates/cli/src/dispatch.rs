@@ -357,6 +357,7 @@ fn run_scenario(args: &ParsedArgs) -> Result<(), Box<dyn Error>> {
         runner.scenario().execution.mode()
     );
     let report = runner.run()?;
+    eprintln!("# {}", report.footprint);
     print!("{}", report.summary());
     // Opt-in so existing golden outputs stay byte-identical; CI's
     // scale-smoke job diffs this line between worker counts.

@@ -132,3 +132,63 @@ fn scenarios_listing_never_fails() {
     assert_eq!(args.command(), Command::Scenarios);
     run_command(&args).expect("preset listing succeeds");
 }
+
+/// Runs the `dagfl` binary and returns its stdout and stderr.
+fn dagfl(args: &[&str]) -> (String, String) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_dagfl"))
+        .args(args)
+        .output()
+        .expect("the dagfl binary starts");
+    assert!(out.status.success(), "dagfl {args:?} failed");
+    let text = |bytes| String::from_utf8(bytes).expect("UTF-8 output");
+    (text(out.stdout), text(out.stderr))
+}
+
+/// The `key=value` fields of the stderr line that starts with `prefix`.
+fn fields(stderr: &str, prefix: &str) -> Vec<(String, f64)> {
+    let line = stderr
+        .lines()
+        .find_map(|line| line.strip_prefix(prefix))
+        .unwrap_or_else(|| panic!("no `{prefix}` line in {stderr}"));
+    line.split_whitespace()
+        .map(|field| {
+            let (key, value) = field.split_once('=').expect("key=value");
+            (key.to_owned(), value.parse().expect("a number"))
+        })
+        .collect()
+}
+
+/// The transaction count of the summary's `tangle:` line.
+fn transactions(stdout: &str) -> f64 {
+    let line = stdout
+        .lines()
+        .find_map(|line| line.strip_prefix("tangle: "))
+        .expect("a tangle line");
+    line.split_whitespace().next().unwrap().parse().unwrap()
+}
+
+#[test]
+fn dagfl_run_reports_what_the_run_still_holds_on_stderr() {
+    // Rounds mode: every transaction's payload is held or retired, and
+    // a 30-round quick run reaches past the walk window.
+    let (stdout, stderr) = dagfl(&["run", "--preset", "table1-fmnist"]);
+    let payloads = fields(&stderr, "# payloads ");
+    let keys: Vec<&str> = payloads.iter().map(|(key, _)| key.as_str()).collect();
+    assert_eq!(keys, ["held", "retired"]);
+    let (held, retired) = (payloads[0].1, payloads[1].1);
+    assert_eq!(held + retired, transactions(&stdout));
+    assert!(retired > 0.0, "{stderr}");
+    assert!(!stdout.contains("payloads"), "stdout stays as it was");
+
+    // Async mode: replica lengths and the buffered messages.
+    let (stdout, stderr) = dagfl(&["run", "--preset", "async-delay2"]);
+    let replicas = fields(&stderr, "# replicas ");
+    let keys: Vec<&str> = replicas.iter().map(|(key, _)| key.as_str()).collect();
+    assert_eq!(keys, ["mean_len", "max_len", "buffered"]);
+    let (mean, max) = (replicas[0].1, replicas[1].1);
+    assert!(
+        1.0 <= mean && mean <= max && max <= transactions(&stdout),
+        "{stderr}"
+    );
+    assert!(!stdout.contains("replicas"), "stdout stays as it was");
+}

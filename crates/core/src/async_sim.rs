@@ -556,6 +556,12 @@ impl AsyncSimulation {
         self.replicas[client].tangle()
     }
 
+    /// Messages waiting in the replicas' solidification buffers for a
+    /// parent, over all replicas.
+    pub fn buffered(&self) -> usize {
+        self.replicas.iter().map(Replica::buffered).sum()
+    }
+
     /// Deliveries that have not reached their destination replica yet:
     /// envelopes scheduled beyond the current clock, plus due arrivals
     /// still waiting in the solidification buffer for a parent.

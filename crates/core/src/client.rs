@@ -11,8 +11,8 @@ use dagfl_tangle::{CumulativeWeightBias, RandomWalker, TangleRead, TxId, Uniform
 
 use crate::evaluator::EvalCache;
 use crate::{
-    AccuracyBias, CoreError, DagConfig, EvalCounters, ModelEvaluator, ModelFactory, ModelPayload,
-    PublishGate, TipSelector,
+    weights_of, AccuracyBias, CoreError, DagConfig, EvalCounters, ModelEvaluator, ModelFactory,
+    ModelPayload, PublishGate, TipSelector,
 };
 
 /// Result of one client's participation in a round.
@@ -127,9 +127,9 @@ impl DagClient {
         let ((tip1, tip2), _, _) = scratch.with_cache(cache, |evaluator| {
             select_tips(evaluator, rng, tangle, data, cfg)
         })?;
-        let p1 = tangle.payload_of(tip1)?.share();
-        let p2 = tangle.payload_of(tip2)?.share();
-        Ok((average_parameters(&[&p1, &p2]), (tip1, tip2)))
+        let p1 = weights_of(tangle, tip1)?;
+        let p2 = weights_of(tangle, tip2)?;
+        Ok((average_parameters(&[p1, p2]), (tip1, tip2)))
     }
 
     /// Runs the full four-step loop of Figure 1 against a tangle snapshot:
@@ -249,6 +249,7 @@ fn walk_once<T: TangleRead<ModelPayload>>(
                 bias = bias.with_stop_margin(margin);
             }
             let result = walker.walk(tangle, start, &mut bias, rng)?;
+            bias.finish()?;
             Ok((result.tip, result.steps, result.candidates_evaluated))
         }
         TipSelector::Random => {
@@ -297,8 +298,8 @@ fn train_round<T: TangleRead<ModelPayload>>(
     // current consensus view): this keeps a client from publishing a
     // model that only improved relative to a bad average — e.g. one
     // contaminated by a random-weight attacker (§4.4).
-    let p1 = tangle.payload_of(tip1)?.share();
-    let p2 = tangle.payload_of(tip2)?.share();
+    let p1 = weights_of(tangle, tip1)?;
+    let p2 = weights_of(tangle, tip2)?;
     // `score` maps malformed payloads to accuracy 0.0 (an
     // unattractive walk target), so guard the averaging explicitly:
     // mismatched parent lengths must surface as an error, not as an
@@ -313,11 +314,11 @@ fn train_round<T: TangleRead<ModelPayload>>(
     let mut consensus_accuracy = 0.0f32;
     if cfg.publish_gate == PublishGate::BestParent {
         for tip in [tip1, tip2] {
-            let acc = evaluator.score(tangle, tip, data.test_x(), data.test_y());
+            let acc = evaluator.score(tangle, tip, data.test_x(), data.test_y())?;
             consensus_accuracy = consensus_accuracy.max(acc);
         }
     }
-    let averaged = average_parameters(&[&p1, &p2]);
+    let averaged = average_parameters(&[p1, p2]);
     let reference = evaluator.evaluate_params(&averaged, data.test_x(), data.test_y())?;
     // Step 3: train on local data (fixed batch budget, Table 1);
     // optionally with frozen leading layers (partial-layer
@@ -439,6 +440,30 @@ pub(crate) mod tests {
         // Training from random init on separable data must improve.
         assert!(outcome.published.is_some(), "expected publication");
         assert!(outcome.trained.accuracy >= outcome.reference.accuracy);
+    }
+
+    #[test]
+    fn a_retired_tip_fails_the_averaging_and_the_walk_with_its_id() {
+        let ds = small_dataset();
+        let model = make_model(0, ds.feature_len());
+        let params = model.parameters();
+        let mut tangle = crate::ShardedModelTangle::new(ModelPayload::new(params.clone()));
+        let g = tangle.genesis();
+        let lone = tangle
+            .attach(ModelPayload::new(params.clone()), &[g])
+            .unwrap();
+        crate::retire_payloads(&mut tangle, &[lone]).unwrap();
+        let mut client = DagClient::new(0, model, 7);
+        // A lone approver is stepped to unscored: the walks end on the
+        // retired tip, and averaging it fails.
+        let err = client.train_round(&tangle, &ds.clients()[0], &config());
+        assert_eq!(err.unwrap_err(), CoreError::RetiredPayload(lone));
+        // Beside a live sibling the walk scores the slate, and the first
+        // walk fails there.
+        let live = tangle.attach(ModelPayload::new(params), &[g]).unwrap();
+        let err = client.train_round(&tangle, &ds.clients()[0], &config());
+        assert_eq!(err.unwrap_err(), CoreError::RetiredPayload(lone));
+        assert!(client.cache_len() <= 1, "only {live:?} may be scored");
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::error::Error;
 use std::fmt;
 
 use dagfl_nn::NnError;
-use dagfl_tangle::TangleError;
+use dagfl_tangle::{TangleError, TxId};
 
 /// Errors produced by the Specializing-DAG simulation.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,6 +29,9 @@ pub enum CoreError {
     },
     /// A networked-transport operation failed (socket or wire format).
     Network(crate::WireError),
+    /// The weights of a transaction were read after the simulator
+    /// retired them; no walk can reach such a transaction.
+    RetiredPayload(TxId),
 }
 
 impl fmt::Display for CoreError {
@@ -46,6 +49,9 @@ impl fmt::Display for CoreError {
                 write!(f, "invalid value `{value}` for `{field}`: {constraint}")
             }
             CoreError::Network(e) => write!(f, "network error: {e}"),
+            CoreError::RetiredPayload(id) => {
+                write!(f, "the payload of {id} was retired: no walk reaches it")
+            }
         }
     }
 }
@@ -56,7 +62,9 @@ impl Error for CoreError {
             CoreError::Nn(e) => Some(e),
             CoreError::Tangle(e) => Some(e),
             CoreError::Network(e) => Some(e),
-            CoreError::Config(_) | CoreError::InvalidField { .. } => None,
+            CoreError::Config(_)
+            | CoreError::InvalidField { .. }
+            | CoreError::RetiredPayload(_) => None,
         }
     }
 }

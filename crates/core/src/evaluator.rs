@@ -192,24 +192,32 @@ impl ModelEvaluator {
     /// Generic over the storage backend: plain [`crate::ModelTangle`]s,
     /// [`crate::ShardedModelTangle`]s and replica views all score the
     /// same way.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::RetiredPayload`] for a transaction whose
+    /// payload was retired: no walk reaches one, so reading it is a bug
+    /// to surface, not a score. An accuracy cached before the payload
+    /// was retired is still served: it scored the weights that were
+    /// dropped.
     pub fn score<T: TangleRead<ModelPayload>>(
         &mut self,
         tangle: &T,
         id: TxId,
         x: &Matrix,
         y: &[usize],
-    ) -> f32 {
+    ) -> Result<f32, CoreError> {
         let cache = &mut self.cache;
         if let Some(entry) = cache.entries.get(&id) {
             if entry.generation == cache.generation {
                 cache.counters.cached += 1;
-                return entry.accuracy;
+                return Ok(entry.accuracy);
             }
         }
         let accuracy = match tangle.payload_of(id) {
             Ok(payload) => {
+                let params = payload.live().ok_or(CoreError::RetiredPayload(id))?;
                 cache.counters.fresh += 1;
-                let params = payload.params();
                 // Zero-copy path: evaluate straight from the payload
                 // slice. Every `dagfl-nn` model has it; a model without
                 // one gets the parameters loaded.
@@ -234,17 +242,21 @@ impl ModelEvaluator {
                 accuracy,
             },
         );
-        accuracy
+        Ok(accuracy)
     }
 
     /// Scores a whole candidate slate in one call, in slate order.
+    ///
+    /// # Errors
+    ///
+    /// As [`ModelEvaluator::score`], for the first retired candidate.
     pub fn score_slate<T: TangleRead<ModelPayload>>(
         &mut self,
         tangle: &T,
         candidates: &[TxId],
         x: &Matrix,
         y: &[usize],
-    ) -> Vec<f32> {
+    ) -> Result<Vec<f32>, CoreError> {
         candidates
             .iter()
             .map(|&id| self.score(tangle, id, x, y))
@@ -293,7 +305,7 @@ impl std::fmt::Debug for ModelEvaluator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ModelTangle;
+    use crate::{ModelTangle, ShardedModelTangle};
     use dagfl_nn::{Dense, Sequential};
     use dagfl_tangle::Tangle;
     use rand::rngs::StdRng;
@@ -314,8 +326,8 @@ mod tests {
     #[test]
     fn score_is_cached_per_transaction() {
         let (tangle, tip, mut eval, x, y) = setup();
-        let first = eval.score(&tangle, tip, &x, &y);
-        let second = eval.score(&tangle, tip, &x, &y);
+        let first = eval.score(&tangle, tip, &x, &y).unwrap();
+        let second = eval.score(&tangle, tip, &x, &y).unwrap();
         assert_eq!(first, second);
         assert_eq!(
             eval.counters(),
@@ -330,12 +342,12 @@ mod tests {
     #[test]
     fn invalidate_bumps_generation_and_forces_reevaluation() {
         let (tangle, tip, mut eval, x, y) = setup();
-        eval.score(&tangle, tip, &x, &y);
+        eval.score(&tangle, tip, &x, &y).unwrap();
         assert_eq!(eval.generation(), 0);
         eval.invalidate();
         assert_eq!(eval.generation(), 1);
         assert_eq!(eval.cache_len(), 0, "stale entries are not current");
-        eval.score(&tangle, tip, &x, &y);
+        eval.score(&tangle, tip, &x, &y).unwrap();
         assert_eq!(
             eval.counters(),
             EvalCounters {
@@ -351,7 +363,7 @@ mod tests {
     fn score_slate_covers_all_candidates() {
         let (tangle, tip, mut eval, x, y) = setup();
         let g = tangle.genesis();
-        let scores = eval.score_slate(&tangle, &[g, tip, g], &x, &y);
+        let scores = eval.score_slate(&tangle, &[g, tip, g], &x, &y).unwrap();
         assert_eq!(scores.len(), 3);
         assert_eq!(scores[0], scores[2], "repeated candidate hits the cache");
         assert_eq!(
@@ -370,7 +382,7 @@ mod tests {
         let weird = tangle
             .attach(ModelPayload::new(vec![1.0; 3]), &[g])
             .unwrap();
-        assert_eq!(eval.score(&tangle, weird, &x, &y), 0.0);
+        assert_eq!(eval.score(&tangle, weird, &x, &y).unwrap(), 0.0);
         // An id the tangle does not contain (minted by a larger tangle).
         let mut other: ModelTangle = Tangle::new(ModelPayload::new(vec![0.0]));
         let g2 = other.genesis();
@@ -381,19 +393,42 @@ mod tests {
                 .unwrap();
         }
         assert!(tangle.get(missing).is_err(), "id must be unknown");
-        assert_eq!(eval.score(&tangle, missing, &x, &y), 0.0);
+        assert_eq!(eval.score(&tangle, missing, &x, &y).unwrap(), 0.0);
         // The mismatch was a real (fresh) attempt; the missing id never
         // reached the model.
         assert_eq!(eval.counters().fresh, 1);
     }
 
     #[test]
+    fn a_retired_payload_is_an_error_not_a_score() {
+        let (plain, tip, mut eval, x, y) = setup();
+        let mut tangle =
+            ShardedModelTangle::new(plain.get(plain.genesis()).unwrap().payload().clone());
+        let g = tangle.genesis();
+        let id = tangle
+            .attach(plain.get(tip).unwrap().payload().clone(), &[g])
+            .unwrap();
+        crate::retire_payloads(&mut tangle, &[id]).unwrap();
+        assert_eq!(
+            eval.score(&tangle, id, &x, &y),
+            Err(CoreError::RetiredPayload(id))
+        );
+        assert_eq!(
+            eval.score_slate(&tangle, &[g, id], &x, &y),
+            Err(CoreError::RetiredPayload(id))
+        );
+        // Neither a score nor a cache entry: only the genesis was scored.
+        assert_eq!(eval.counters().fresh, 1);
+        assert_eq!(eval.cache_len(), 1);
+    }
+
+    #[test]
     fn counter_deltas_isolate_phases() {
         let (tangle, tip, mut eval, x, y) = setup();
-        eval.score(&tangle, tip, &x, &y);
+        eval.score(&tangle, tip, &x, &y).unwrap();
         let snapshot = eval.counters();
-        eval.score(&tangle, tip, &x, &y);
-        eval.score(&tangle, tangle.genesis(), &x, &y);
+        eval.score(&tangle, tip, &x, &y).unwrap();
+        eval.score(&tangle, tangle.genesis(), &x, &y).unwrap();
         let delta = eval.counters().since(snapshot);
         assert_eq!(
             delta,
@@ -410,7 +445,7 @@ mod tests {
         let (tangle, tip, mut eval, x, y) = setup();
         let params = tangle.get(tip).unwrap().payload().share();
         let direct = eval.evaluate_params(&params, &x, &y).unwrap();
-        let scored = eval.score(&tangle, tip, &x, &y);
+        let scored = eval.score(&tangle, tip, &x, &y).unwrap();
         assert_eq!(direct.accuracy, scored);
         assert!(eval.evaluate_params(&[0.0; 3], &x, &y).is_err());
     }

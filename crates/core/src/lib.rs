@@ -129,7 +129,7 @@ pub use metrics::{
 pub use net::{
     have_set, tracker_join, tracker_leave, ControlEvent, TcpTransport, Tracker, TrackerSummary,
 };
-pub use payload::{ModelPayload, ModelTangle, ShardedModelTangle};
+pub use payload::{retire_payloads, weights_of, ModelPayload, ModelTangle, ShardedModelTangle};
 pub use peer::{run_peer, PeerConfig, PeerReport};
 pub use poisoning::{PoisonRoundMetrics, PoisoningConfig, PoisoningScenario};
 pub use replica::{Replica, ReplicaTangle, SegmentRegistry, GENESIS_NET_ID};

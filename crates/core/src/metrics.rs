@@ -217,19 +217,32 @@ fn fnv_weight(h: &mut u64, w: f32) {
 /// The payloads are hashed four chains at a time, in jobs sized by
 /// weight volume: a tangle whose weights fill several jobs hashes on
 /// every core, and one that fills a single job hashes inline. Either
-/// way the value is that of byte-serial FNV-1a.
+/// way the value is that of byte-serial FNV-1a. A retired payload is
+/// not rehashed: the chain state it kept is where its hash left off.
 pub fn tangle_digest<T: TangleRead<ModelPayload>>(tangle: &T) -> u64 {
     let len = tangle.len();
     // Pass 1: per-transaction content hashes (payload, issuer, round).
-    let payloads: Vec<&[f32]> = (0..len as u64)
-        .map(|index| {
-            tangle
-                .payload_of(TxId::from_index(index))
-                .map_or(&[][..], ModelPayload::params)
-        })
-        .collect();
+    // A retired payload kept its weights' chain state; the live ones
+    // are hashed here.
     let mut content = vec![FNV_OFFSET; len];
-    fnv_weights(&mut content, &payloads);
+    let (mut live, mut payloads) = (Vec::new(), Vec::new());
+    for (index, h) in content.iter_mut().enumerate() {
+        let Ok(payload) = tangle.payload_of(TxId::from_index(index as u64)) else {
+            continue;
+        };
+        match payload.retired_hash() {
+            Some(state) => *h = state,
+            None => {
+                live.push(index);
+                payloads.push(payload.params());
+            }
+        }
+    }
+    let mut states = vec![FNV_OFFSET; live.len()];
+    fnv_weights(&mut states, &payloads);
+    for (index, state) in live.into_iter().zip(states) {
+        content[index] = state;
+    }
     for (index, h) in content.iter_mut().enumerate() {
         let id = TxId::from_index(index as u64);
         if let Ok(issuer) = tangle.issuer_of(id) {

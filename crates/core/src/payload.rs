@@ -1,49 +1,134 @@
-//! The transaction payload: immutable model weights.
+//! The transaction payload: immutable model weights, retired once no
+//! walk can reach them.
 
 use std::sync::Arc;
 
-use dagfl_tangle::{ShardedTangle, Tangle};
+use dagfl_tangle::{ShardedTangle, Tangle, TangleRead, TxId};
+
+use crate::CoreError;
 
 /// A published model update: the full flat parameter vector, shared
 /// immutably between the tangle and any evaluation caches.
+///
+/// The rounds simulator *retires* a payload once no walk can reach its
+/// transaction: the weights are dropped and only their FNV-1a state is
+/// kept, which [`crate::tangle_digest`] reads in place of rehashing.
+/// A retired payload reads as empty through [`ModelPayload::params`],
+/// [`ModelPayload::share`] and [`ModelPayload::len`], which never
+/// panic; the code that needs the weights reads them through
+/// [`weights_of`], which fails with [`CoreError::RetiredPayload`].
 #[derive(Debug, Clone)]
 pub struct ModelPayload {
-    params: Arc<Vec<f32>>,
+    weights: Weights,
+}
+
+#[derive(Debug, Clone)]
+enum Weights {
+    Live(Arc<Vec<f32>>),
+    /// The FNV-1a state over the dropped weights, from the offset basis.
+    Retired(u64),
 }
 
 impl ModelPayload {
     /// Wraps a parameter vector.
     pub fn new(params: Vec<f32>) -> Self {
-        Self {
-            params: Arc::new(params),
-        }
+        Self::from_shared(Arc::new(params))
     }
 
     /// Wraps an already-shared parameter vector without copying — the
     /// payload and every other holder of the `Arc` stay one allocation.
     pub fn from_shared(params: Arc<Vec<f32>>) -> Self {
-        Self { params }
+        Self {
+            weights: Weights::Live(params),
+        }
     }
 
-    /// The model weights.
+    /// The model weights; empty once retired.
     pub fn params(&self) -> &[f32] {
-        &self.params
+        self.live().unwrap_or(&[])
     }
 
-    /// A shared handle to the weights (no copy).
+    /// The model weights, or `None` once retired.
+    pub fn live(&self) -> Option<&[f32]> {
+        match &self.weights {
+            Weights::Live(params) => Some(params),
+            Weights::Retired(_) => None,
+        }
+    }
+
+    /// A shared handle to the weights (no copy); empty once retired.
     pub fn share(&self) -> Arc<Vec<f32>> {
-        Arc::clone(&self.params)
+        match &self.weights {
+            Weights::Live(params) => Arc::clone(params),
+            Weights::Retired(_) => Arc::default(),
+        }
     }
 
-    /// Number of scalar parameters.
+    /// Number of scalar parameters; zero once retired.
     pub fn len(&self) -> usize {
-        self.params.len()
+        self.params().len()
     }
 
     /// Whether the payload holds no parameters.
     pub fn is_empty(&self) -> bool {
-        self.params.is_empty()
+        self.params().is_empty()
     }
+
+    /// Whether the weights were dropped.
+    pub fn is_retired(&self) -> bool {
+        matches!(self.weights, Weights::Retired(_))
+    }
+
+    /// The FNV-1a state kept over the dropped weights, if retired.
+    pub(crate) fn retired_hash(&self) -> Option<u64> {
+        match self.weights {
+            Weights::Live(_) => None,
+            Weights::Retired(hash) => Some(hash),
+        }
+    }
+
+    /// Drops the weights, keeping `hash`, their FNV-1a state.
+    fn retire(&mut self, hash: u64) {
+        self.weights = Weights::Retired(hash);
+    }
+}
+
+/// The weights of transaction `id`, for code that computes with them.
+///
+/// # Errors
+///
+/// Returns [`CoreError::RetiredPayload`] for a retired payload, never
+/// its empty slice, and the tangle's error for an unknown id.
+pub fn weights_of<T: TangleRead<ModelPayload>>(tangle: &T, id: TxId) -> Result<&[f32], CoreError> {
+    tangle
+        .payload_of(id)?
+        .live()
+        .ok_or(CoreError::RetiredPayload(id))
+}
+
+/// Retires the payloads of `ids` in `tangle`: hashes their weights four
+/// chains at a time and drops them, keeping each chain's state. Ids
+/// already retired are skipped.
+///
+/// # Errors
+///
+/// Returns the tangle's error for an unknown id; nothing is retired
+/// then.
+pub fn retire_payloads(tangle: &mut ShardedModelTangle, ids: &[TxId]) -> Result<(), CoreError> {
+    let mut live = Vec::with_capacity(ids.len());
+    let mut weights = Vec::with_capacity(ids.len());
+    for &id in ids {
+        if let Some(params) = tangle.payload_of(id)?.live() {
+            live.push(id);
+            weights.push(params);
+        }
+    }
+    let mut states = vec![crate::metrics::FNV_OFFSET; live.len()];
+    crate::metrics::fnv_weights(&mut states, &weights);
+    for (id, hash) in live.into_iter().zip(states) {
+        tangle.payload_mut(id)?.retire(hash);
+    }
+    Ok(())
 }
 
 impl From<Vec<f32>> for ModelPayload {
@@ -73,6 +158,31 @@ mod tests {
         assert_eq!(p.params(), &[1.0, 2.0]);
         assert_eq!(p.len(), 2);
         assert!(!p.is_empty());
+    }
+
+    #[test]
+    fn a_retired_payload_reads_empty_and_its_weights_fail() {
+        let mut tangle = ShardedModelTangle::new(ModelPayload::new(vec![0.0; 2]));
+        let g = tangle.genesis();
+        let id = tangle
+            .attach(ModelPayload::new(vec![1.0, 2.0]), &[g])
+            .unwrap();
+        retire_payloads(&mut tangle, &[id]).unwrap();
+        let payload = tangle.payload_of(id).unwrap();
+        assert!(payload.is_retired());
+        assert_eq!((payload.params(), payload.len()), (&[][..], 0));
+        assert!(payload.share().is_empty() && payload.is_empty());
+        assert_eq!(
+            weights_of(&tangle, id).unwrap_err(),
+            CoreError::RetiredPayload(id)
+        );
+        assert_eq!(weights_of(&tangle, g).unwrap(), &[0.0; 2]);
+        // The kept state is the weights' FNV-1a chain.
+        let mut h = crate::metrics::FNV_OFFSET;
+        for w in [1.0f32, 2.0] {
+            crate::metrics::fnv_mix(&mut h, u64::from(w.to_bits()));
+        }
+        assert_eq!(payload.retired_hash(), Some(h));
     }
 
     #[test]

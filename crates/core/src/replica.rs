@@ -19,7 +19,8 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use dagfl_tangle::{Tangle, TangleError, TangleRead, Transaction, TxId};
+use dagfl_tangle::{Tangle, TangleError, TangleRead, Transaction, TxId, WalkStartBand};
+use rand::Rng;
 
 use crate::metrics::{fnv_mix, fnv_weights, FNV_OFFSET};
 use crate::{CoreError, Envelope, GossipMessage, ModelPayload, TxMessage};
@@ -195,6 +196,18 @@ impl TangleRead<ModelPayload> for ReplicaTangle {
 
     fn tips(&self) -> Vec<TxId> {
         self.tangle.tips()
+    }
+
+    fn capped_depths(&self) -> Vec<u32> {
+        self.tangle.capped_depths().to_vec()
+    }
+
+    fn walk_start_band(&self, min_depth: u32, max_depth: u32) -> WalkStartBand {
+        self.tangle.walk_start_band(min_depth, max_depth)
+    }
+
+    fn sample_walk_start<R: Rng>(&self, min_depth: u32, max_depth: u32, rng: &mut R) -> TxId {
+        self.tangle.sample_walk_start(min_depth, max_depth, rng)
     }
 }
 

@@ -8,15 +8,15 @@ use rand::{Rng, SeedableRng};
 
 use dagfl_datasets::FederatedDataset;
 use dagfl_nn::Evaluation;
-use dagfl_tangle::TxId;
+use dagfl_tangle::{TangleRead, TxId};
 use dagfl_tensor::fan_out_with;
 
 use crate::client;
 use crate::fanout::{disjoint_mut, machine_workers};
 use crate::graph::Graph;
 use crate::{
-    specialization_seed, ClientGraphTracker, CoreError, DagClient, DagConfig, ExecutionMode,
-    ModelEvaluator, ModelFactory, ModelPayload, RoundMetrics, ShardedModelTangle,
+    retire_payloads, specialization_seed, ClientGraphTracker, CoreError, DagClient, DagConfig,
+    ExecutionMode, ModelEvaluator, ModelFactory, ModelPayload, RoundMetrics, ShardedModelTangle,
     SpecializationMetrics, TrainOutcome,
 };
 
@@ -44,6 +44,13 @@ pub struct Simulation {
     pub(crate) history: Vec<RoundMetrics>,
     pub(crate) round: usize,
     pub(crate) graph: ClientGraphTracker,
+    /// The non-genesis transactions below `examined` whose payload is
+    /// held, in id order.
+    held: Vec<TxId>,
+    /// The tangle length the last retirement pass had seen.
+    examined: usize,
+    /// Payloads retired so far.
+    retired: usize,
 }
 
 impl Simulation {
@@ -95,6 +102,9 @@ impl Simulation {
             history: Vec::new(),
             round: 0,
             graph,
+            held: Vec::new(),
+            examined: 1,
+            retired: 0,
         }
     }
 
@@ -118,6 +128,13 @@ impl Simulation {
     /// Rounds completed so far.
     pub fn round(&self) -> usize {
         self.round
+    }
+
+    /// `(held, retired)`: the payloads the tangle still holds, the
+    /// genesis included, and those retired (see
+    /// [`Simulation::run_round`]).
+    pub fn payloads(&self) -> (usize, usize) {
+        (self.tangle.len() - self.retired, self.retired)
     }
 
     /// Metrics of all completed rounds.
@@ -154,6 +171,17 @@ impl Simulation {
     }
 
     /// Runs a single round and returns its metrics.
+    ///
+    /// After the publication phase, the payload of every transaction
+    /// whose depth from the tips exceeds `walk_depth.1` is retired (see
+    /// [`ModelPayload`]). No read reaches one again: a walk starts inside
+    /// the window and steps only to strictly shallower approvers, and
+    /// averaging and the publish gate read only walk ends. The genesis
+    /// keeps its payload, the model template. The weights are hashed
+    /// four chains at a time, so a payload waits for a later round
+    /// until its group of four is full. A window whose top reaches
+    /// [`DEPTH_CEILING`](dagfl_tangle::DEPTH_CEILING) retires nothing: the capped depth never
+    /// exceeds it.
     ///
     /// # Errors
     ///
@@ -192,6 +220,7 @@ impl Simulation {
                 published += 1;
             }
         }
+        self.retire_unreachable()?;
 
         let total_walk: Duration = outcomes.iter().map(|o| o.walk_duration).sum();
         let metrics = RoundMetrics {
@@ -212,6 +241,33 @@ impl Simulation {
         self.history.push(metrics.clone());
         self.round += 1;
         Ok(metrics)
+    }
+
+    /// Retires the payloads of [`Simulation::run_round`]'s rule, in
+    /// whole groups of four, lowest ids first. Transactions attached
+    /// since the last pass (an attacker's among them) join the held
+    /// list first.
+    fn retire_unreachable(&mut self) -> Result<(), CoreError> {
+        let len = self.tangle.len();
+        self.held
+            .extend((self.examined..len).map(|i| TxId::from_index(i as u64)));
+        self.examined = len;
+        let top = self.config.walk_depth.1;
+        let depths = self.tangle.capped_depths();
+        let mut deep: Vec<TxId> = self
+            .held
+            .iter()
+            .copied()
+            .filter(|id| depths[id.index() as usize] > top)
+            .collect();
+        deep.truncate(deep.len() / 4 * 4);
+        if deep.is_empty() {
+            return Ok(());
+        }
+        retire_payloads(&mut self.tangle, &deep)?;
+        self.held.retain(|id| deep.binary_search(id).is_err());
+        self.retired += deep.len();
+        Ok(())
     }
 
     /// Runs the Figure 1 loop for all active clients against the current

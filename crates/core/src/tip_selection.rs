@@ -3,7 +3,7 @@
 use dagfl_tangle::{TangleRead, TxId, WalkBias};
 use dagfl_tensor::Matrix;
 
-use crate::{ModelEvaluator, ModelPayload, Normalization};
+use crate::{CoreError, ModelEvaluator, ModelPayload, Normalization};
 
 /// Accuracy-aware transition weights for the biased random walk.
 ///
@@ -25,6 +25,10 @@ use crate::{ModelEvaluator, ModelPayload, Normalization};
 /// reusable forward-pass buffers and the client's generation-stamped
 /// per-transaction accuracy cache — see the evaluator docs for when
 /// cached accuracies are invalidated.
+///
+/// A score that fails (a retired payload: see
+/// [`ModelEvaluator::score`]) stops the walk at its next step, and
+/// [`AccuracyBias::finish`] returns the error.
 pub struct AccuracyBias<'a> {
     evaluator: &'a mut ModelEvaluator,
     test_x: &'a Matrix,
@@ -32,6 +36,7 @@ pub struct AccuracyBias<'a> {
     alpha: f32,
     normalization: Normalization,
     stop_margin: Option<f32>,
+    failure: Option<CoreError>,
 }
 
 impl<'a> AccuracyBias<'a> {
@@ -59,6 +64,7 @@ impl<'a> AccuracyBias<'a> {
             alpha,
             normalization,
             stop_margin: None,
+            failure: None,
         }
     }
 
@@ -76,6 +82,24 @@ impl<'a> AccuracyBias<'a> {
         );
         self.stop_margin = Some(margin);
         self
+    }
+
+    /// The first error a score of this walk failed with, if any: a walk
+    /// that read a retired payload ends there, and its tip is not one.
+    ///
+    /// # Errors
+    ///
+    /// Returns that error.
+    pub fn finish(self) -> Result<(), CoreError> {
+        self.failure.map_or(Ok(()), Err)
+    }
+
+    /// Keeps the first failure of a score; a failed score reads `0.0`.
+    fn checked(&mut self, score: Result<f32, CoreError>) -> f32 {
+        score.unwrap_or_else(|e| {
+            self.failure.get_or_insert(e);
+            0.0
+        })
     }
 
     /// Applies Eq. 1–3 to raw accuracies. An empty slate yields an empty
@@ -115,22 +139,34 @@ impl<T: TangleRead<ModelPayload>> WalkBias<ModelPayload, T> for AccuracyBias<'_>
         if candidates.len() == 1 {
             return vec![1.0];
         }
-        let accuracies = self
-            .evaluator
-            .score_slate(tangle, candidates, self.test_x, self.test_y);
+        let accuracies =
+            match self
+                .evaluator
+                .score_slate(tangle, candidates, self.test_x, self.test_y)
+            {
+                Ok(accuracies) => accuracies,
+                Err(e) => {
+                    self.failure.get_or_insert(e);
+                    vec![0.0; candidates.len()]
+                }
+            };
         Self::normalize(&accuracies, self.alpha, self.normalization)
     }
 
     fn should_stop(&mut self, tangle: &T, current: TxId, candidates: &[TxId]) -> bool {
+        if self.failure.is_some() {
+            return true;
+        }
         let Some(margin) = self.stop_margin else {
             return false;
         };
-        let current_acc = self
-            .evaluator
-            .score(tangle, current, self.test_x, self.test_y);
+        let (x, y) = (self.test_x, self.test_y);
+        let current_acc = self.evaluator.score(tangle, current, x, y);
+        let current_acc = self.checked(current_acc);
         candidates.iter().all(|&c| {
-            self.evaluator.score(tangle, c, self.test_x, self.test_y) < current_acc - margin
-        })
+            let acc = self.evaluator.score(tangle, c, x, y);
+            self.checked(acc) < current_acc - margin
+        }) || self.failure.is_some()
     }
 }
 
@@ -284,7 +320,7 @@ mod tests {
         let w = bias.weights(&tangle, g, &[weird, good]);
         assert_eq!(w.len(), 2);
         assert!(w[0] < w[1], "the malformed payload is the unattractive one");
-        assert_eq!(evaluator.score(&tangle, weird, &x, &y), 0.0);
+        assert_eq!(evaluator.score(&tangle, weird, &x, &y).unwrap(), 0.0);
         assert_eq!(evaluator.counters().cached, 1, "the slate scored it");
     }
 
@@ -302,9 +338,10 @@ mod tests {
     impl<T: TangleRead<ModelPayload>> WalkBias<ModelPayload, T> for ScoreEverything<'_> {
         fn weights(&mut self, tangle: &T, _current: TxId, candidates: &[TxId]) -> Vec<f32> {
             let bias = &mut self.0;
-            let accuracies =
-                bias.evaluator
-                    .score_slate(tangle, candidates, bias.test_x, bias.test_y);
+            let accuracies = bias
+                .evaluator
+                .score_slate(tangle, candidates, bias.test_x, bias.test_y)
+                .unwrap();
             AccuracyBias::normalize(&accuracies, bias.alpha, bias.normalization)
         }
 

@@ -81,7 +81,7 @@ mod sweep;
 pub mod text;
 
 pub use presets::{Scale, PRESETS};
-pub use runner::{DatasetSummary, PoisoningSummary, RunReport, ScenarioRunner};
+pub use runner::{DatasetSummary, Footprint, PoisoningSummary, RunReport, ScenarioRunner};
 pub use spec::{
     AnalysisSpec, AttackSpec, DatasetSpec, ExecutionSpec, FaultSpec, ModelSpec, OutputSpec,
     Scenario, ScenarioError,

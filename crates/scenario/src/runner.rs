@@ -1,11 +1,13 @@
 //! Executes a [`Scenario`] and assembles a structured [`RunReport`].
 
+use std::fmt;
+
 use dagfl_analysis::AnalysisSnapshot;
 use dagfl_core::{
-    specialization_seed, tangle_digest, AsyncMetrics, AsyncSimulation, ExecutionMode,
+    specialization_seed, tangle_digest, AsyncMetrics, AsyncSimulation, ExecutionMode, ModelPayload,
     PoisonRoundMetrics, PoisoningConfig, PoisoningScenario, Simulation, SpecializationMetrics,
 };
-use dagfl_tangle::{TangleRead, TangleStats, TxId};
+use dagfl_tangle::{TangleRead, TangleStats, TxId, DEPTH_CEILING};
 
 use crate::spec::{AnalysisSpec, ExecutionSpec, Scenario, ScenarioError};
 
@@ -35,6 +37,65 @@ pub struct PoisoningSummary {
     pub distribution: Vec<(usize, usize, usize)>,
     /// The clients whose labels were flipped.
     pub poisoned_clients: Vec<u32>,
+}
+
+/// What a run still holds at its end besides the tangle's structure:
+/// `dagfl run` prints it as one stderr `#` line.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Footprint {
+    /// Rounds mode: the payloads the tangle holds, the genesis
+    /// included, and those retired once no walk could reach them.
+    Payloads {
+        /// Payloads held.
+        held: usize,
+        /// Payloads retired.
+        retired: usize,
+    },
+    /// Async mode: transactions per client replica, and the messages
+    /// waiting in the replicas' solidification buffers.
+    Replicas {
+        /// Mean replica length.
+        mean_len: f64,
+        /// Longest replica.
+        max_len: usize,
+        /// Buffered messages, over all replicas.
+        buffered: usize,
+    },
+}
+
+impl Footprint {
+    fn of_rounds(sim: &Simulation) -> Self {
+        let (held, retired) = sim.payloads();
+        Footprint::Payloads { held, retired }
+    }
+
+    fn of_async(sim: &AsyncSimulation) -> Self {
+        let clients = sim.dataset().num_clients();
+        let lens = (0..clients).map(|client| sim.replica(client).len());
+        Footprint::Replicas {
+            mean_len: lens.clone().sum::<usize>() as f64 / clients.max(1) as f64,
+            max_len: lens.max().unwrap_or(0),
+            buffered: sim.buffered(),
+        }
+    }
+}
+
+impl fmt::Display for Footprint {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Footprint::Payloads { held, retired } => {
+                write!(f, "payloads held={held} retired={retired}")
+            }
+            Footprint::Replicas {
+                mean_len,
+                max_len,
+                buffered,
+            } => write!(
+                f,
+                "replicas mean_len={mean_len:.2} max_len={max_len} buffered={buffered}"
+            ),
+        }
+    }
 }
 
 /// The structured result of one scenario run.
@@ -78,6 +139,8 @@ pub struct RunReport {
     /// up to hash collisions, so CI can compare worker counts without
     /// shipping whole reports around.
     pub tangle_digest: u64,
+    /// What the run still holds at its end.
+    pub footprint: Footprint,
     /// Throughput metrics (async mode only).
     pub async_metrics: Option<AsyncMetrics>,
     /// Poisoning metrics (attack scenarios only).
@@ -306,7 +369,7 @@ impl ScenarioRunner {
                 let metrics = sim.metrics();
                 let tangle = ExecutionMode::tangle_stats(&sim);
                 if cfg!(debug_assertions) {
-                    audit_store(sim.tangle(), &tangle);
+                    audit_store(sim.tangle(), &tangle, config.dag.walk_depth.1);
                 }
                 RunReport {
                     scenario: self.scenario.name.clone(),
@@ -324,6 +387,7 @@ impl ScenarioRunner {
                     analysis_track: Vec::new(),
                     tangle,
                     tangle_digest: tangle_digest(sim.tangle()),
+                    footprint: Footprint::of_async(&sim),
                     async_metrics: Some(metrics),
                     poisoning: None,
                 }
@@ -337,7 +401,7 @@ impl ScenarioRunner {
         let history = sim.history();
         let tangle = ExecutionMode::tangle_stats(sim);
         if cfg!(debug_assertions) {
-            audit_store(sim.tangle(), &tangle);
+            audit_store(sim.tangle(), &tangle, sim.config().walk_depth.1);
         }
         RunReport {
             scenario: self.scenario.name.clone(),
@@ -354,6 +418,7 @@ impl ScenarioRunner {
             analysis_track: Vec::new(),
             tangle,
             tangle_digest: tangle_digest(sim.tangle()),
+            footprint: Footprint::of_rounds(sim),
             async_metrics: None,
             poisoning: None,
         }
@@ -363,16 +428,19 @@ impl ScenarioRunner {
 /// Checks a run's final store against its DAG rules: every parent id
 /// is below its child's, `stats` (the store's own counters) equals a
 /// recount of transactions, tips, edges and the longest path from the
-/// genesis, and the tips are exactly the transactions with no children.
-/// One pass over the transactions and their edges; it draws no random
-/// number and prints nothing. The report helpers run it in builds with
-/// debug assertions, so every test run of a scenario audits its store
-/// and release builds never pay for it.
+/// genesis, the tips are exactly the transactions with no children, and
+/// the capped depths the store keeps equal recomputed ones. Then its
+/// payloads: the genesis keeps its own (the model template), and every
+/// retired one lies deeper than `walk_top`, the walk-start window's top,
+/// where no walk reaches. Two passes over the transactions and their
+/// edges; it draws no random number and prints nothing. The report
+/// helpers run it in builds with debug assertions, so every test run of
+/// a scenario audits its store and release builds never pay for it.
 ///
 /// # Panics
 ///
 /// Panics with the first violation.
-fn audit_store<P, T: TangleRead<P>>(tangle: &T, stats: &TangleStats) {
+fn audit_store<T: TangleRead<ModelPayload>>(tangle: &T, stats: &TangleStats, walk_top: u32) {
     let len = tangle.len();
     let mut heights = vec![0u32; len];
     let mut edges = 0;
@@ -410,6 +478,31 @@ fn audit_store<P, T: TangleRead<P>>(tangle: &T, stats: &TangleStats) {
         tips,
         "store audit: tips against the transactions with no children"
     );
+    let depths = tangle.depths_from_tips();
+    let kept = tangle.capped_depths();
+    assert_eq!(
+        kept.len(),
+        len,
+        "store audit: one capped depth per transaction"
+    );
+    if let Some(index) = (0..len).find(|&i| kept[i] != depths[i].min(DEPTH_CEILING)) {
+        panic!(
+            "store audit: tx{index} keeps capped depth {} against its recomputed depth {}",
+            kept[index], depths[index]
+        );
+    }
+    for (index, &depth) in depths.iter().enumerate() {
+        let id = TxId::from_index(index as u64);
+        let retired = tangle
+            .payload_of(id)
+            .unwrap_or_else(|e| panic!("store audit: {e}"))
+            .is_retired();
+        assert!(
+            !retired || (index > 0 && depth > walk_top),
+            "store audit: the payload of {id} at depth {depth} was retired, \
+             but walks reach depth {walk_top} and the genesis"
+        );
+    }
 }
 
 /// Runs the configured analytics over the simulation's current state:
@@ -674,19 +767,28 @@ mod tests {
         assert!(err.to_string().contains("clients_per_round"), "{err}");
     }
 
-    /// A diamond's reads with one lie told: the genesis approves a newer
-    /// transaction, or the genesis is listed among the tips.
+    /// A diamond's reads with one lie told.
     struct Lying {
-        dag: dagfl_tangle::Tangle<()>,
-        forward_parent: bool,
+        dag: dagfl_tangle::Tangle<ModelPayload>,
+        lie: Lie,
     }
 
-    impl TangleRead<()> for Lying {
+    #[derive(Clone, Copy)]
+    enum Lie {
+        /// The genesis approves a newer transaction.
+        ForwardParent,
+        /// The genesis is listed among the tips.
+        GenesisTip,
+        /// The genesis keeps a capped depth one too shallow.
+        ShallowDepth,
+    }
+
+    impl TangleRead<ModelPayload> for Lying {
         fn len(&self) -> usize {
             self.dag.len()
         }
 
-        fn payload_of(&self, id: TxId) -> Result<&(), dagfl_tangle::TangleError> {
+        fn payload_of(&self, id: TxId) -> Result<&ModelPayload, dagfl_tangle::TangleError> {
             self.dag.payload_of(id)
         }
 
@@ -704,7 +806,7 @@ mod tests {
             out: &mut Vec<TxId>,
         ) -> Result<(), dagfl_tangle::TangleError> {
             self.dag.parents_into(id, out)?;
-            if self.forward_parent && id == self.dag.genesis() {
+            if matches!(self.lie, Lie::ForwardParent) && id == self.dag.genesis() {
                 out.push(TxId::from_index(1));
             }
             Ok(())
@@ -724,48 +826,95 @@ mod tests {
 
         fn tips(&self) -> Vec<TxId> {
             let mut tips = self.dag.tips();
-            if !self.forward_parent {
+            if matches!(self.lie, Lie::GenesisTip) {
                 tips.insert(0, self.dag.genesis());
             }
             tips
         }
+
+        fn capped_depths(&self) -> Vec<u32> {
+            let mut depths = self.dag.capped_depths().to_vec();
+            if matches!(self.lie, Lie::ShallowDepth) {
+                depths[0] -= 1;
+            }
+            depths
+        }
     }
 
     /// The message `audit_store` panics with.
-    fn audit_failure<T: TangleRead<()>>(tangle: &T, stats: &TangleStats) -> String {
+    fn audit_failure<T: TangleRead<ModelPayload>>(
+        tangle: &T,
+        stats: &TangleStats,
+        walk_top: u32,
+    ) -> String {
         let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            audit_store(tangle, stats);
+            audit_store(tangle, stats, walk_top);
         }))
         .expect_err("the audit must reject the store");
         panic.downcast_ref::<String>().cloned().unwrap_or_default()
     }
 
+    fn payload() -> ModelPayload {
+        ModelPayload::new(vec![0.5])
+    }
+
     #[test]
     fn the_store_audit_passes_a_sound_store_and_names_each_violation() {
         let diamond = || {
-            let mut dag = dagfl_tangle::Tangle::new(());
+            let mut dag = dagfl_tangle::Tangle::new(payload());
             let g = dag.genesis();
-            let a = dag.attach((), &[g]).unwrap();
-            let b = dag.attach((), &[g]).unwrap();
-            dag.attach((), &[a, b]).unwrap();
+            let a = dag.attach(payload(), &[g]).unwrap();
+            let b = dag.attach(payload(), &[g]).unwrap();
+            dag.attach(payload(), &[a, b]).unwrap();
             dag
         };
         let sound = diamond();
         let stats = sound.stats();
-        audit_store(&sound, &stats);
+        audit_store(&sound, &stats, 25);
         let miscounted = TangleStats {
             edges: stats.edges + 1,
             ..stats.clone()
         };
-        let message = audit_failure(&sound, &miscounted);
+        let message = audit_failure(&sound, &miscounted, 25);
         assert!(message.contains("against a recount"), "{message}");
-        for (forward_parent, violation) in [(true, "which is not older"), (false, "no children")] {
+        for (lie, violation) in [
+            (Lie::ForwardParent, "which is not older"),
+            (Lie::GenesisTip, "no children"),
+            (
+                Lie::ShallowDepth,
+                "tx0 keeps capped depth 1 against its recomputed depth 2",
+            ),
+        ] {
             let lying = Lying {
                 dag: diamond(),
-                forward_parent,
+                lie,
             };
-            let message = audit_failure(&lying, &stats);
+            let message = audit_failure(&lying, &stats, 25);
             assert!(message.contains(violation), "{message}");
+        }
+    }
+
+    #[test]
+    fn the_store_audit_rejects_a_payload_retired_within_reach() {
+        // A chain of 30: transaction i lies at depth 30 - i.
+        let chain = || {
+            let tangle = dagfl_core::ShardedModelTangle::new(payload());
+            let mut last = tangle.genesis();
+            for _ in 0..30 {
+                last = tangle.attach(payload(), &[last]).unwrap();
+            }
+            tangle
+        };
+        let mut tangle = chain();
+        let stats = tangle.stats();
+        dagfl_core::retire_payloads(&mut tangle, &[TxId::from_index(4)]).unwrap();
+        audit_store(&tangle, &stats, 25);
+        for (id, walk_top) in [(0, 25), (5, 25), (4, 26)] {
+            let mut tangle = chain();
+            dagfl_core::retire_payloads(&mut tangle, &[TxId::from_index(id)]).unwrap();
+            let message = audit_failure(&tangle, &stats, walk_top);
+            let violation = format!("tx{id} at depth {} was retired", 30 - id);
+            assert!(message.contains(&violation), "{message}");
         }
     }
 }

@@ -1473,6 +1473,11 @@ mod tests {
             specialization_track: Vec::new(),
             analysis: None,
             analysis_track: Vec::new(),
+            footprint: crate::Footprint::Replicas {
+                mean_len: 1.0,
+                max_len: 1,
+                buffered: 0,
+            },
             tangle: TangleStats {
                 transactions: 1,
                 tips: 1,

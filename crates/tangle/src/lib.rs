@@ -69,7 +69,7 @@ pub use export::TangleStats;
 pub use read::{TangleRead, WalkStartBand};
 pub use sharded::ShardedTangle;
 pub use snapshot::{SnapshotRecord, TangleSnapshot};
-pub use tangle::Tangle;
+pub use tangle::{Tangle, DEPTH_CEILING};
 pub use transaction::{Transaction, TxId};
 pub use walk::{
     weighted_choice, CumulativeWeightBias, RandomWalker, UniformBias, WalkBias, WalkResult,

@@ -16,7 +16,7 @@ use std::collections::HashSet;
 
 use rand::Rng;
 
-use crate::{Tangle, TangleError, TxId};
+use crate::{Tangle, TangleError, TxId, DEPTH_CEILING};
 
 /// Read-only access to a tangle's DAG structure.
 ///
@@ -208,30 +208,28 @@ pub trait TangleRead<P> {
         depths
     }
 
+    /// Every transaction's depth from the tips capped at
+    /// [`DEPTH_CEILING`]. The stores keep this column up on attach; this
+    /// body recomputes it from [`TangleRead::depths_from_tips`], the
+    /// oracle they are tested against.
+    fn capped_depths(&self) -> Vec<u32> {
+        let mut depths = self.depths_from_tips();
+        for depth in &mut depths {
+            *depth = (*depth).min(DEPTH_CEILING);
+        }
+        depths
+    }
+
     /// The walk-start band of the tangle as it stands: everything
     /// [`TangleRead::sample_walk_start`] needs except the random draw.
     /// Depends on the tangle's contents only, so all walks over one
     /// unchanged tangle can share it.
+    ///
+    /// This body recomputes every depth. The stores read their capped
+    /// column instead whenever `max_depth < DEPTH_CEILING`, and keep this
+    /// body only for windows at or above the ceiling.
     fn walk_start_band(&self, min_depth: u32, max_depth: u32) -> WalkStartBand {
-        debug_assert!(min_depth <= max_depth);
-        let depths = self.depths_from_tips();
-        let candidates = depths
-            .iter()
-            .enumerate()
-            .filter(|(_, &d)| d >= min_depth && d <= max_depth)
-            .map(|(i, _)| TxId(i as u64))
-            .collect();
-        // Deepest transaction: ties resolve to the earliest (genesis).
-        let (deepest, _) = depths
-            .iter()
-            .enumerate()
-            .max_by_key(|&(i, &d)| (d, std::cmp::Reverse(i)))
-            .expect("tangle is never empty");
-        WalkStartBand {
-            len: depths.len(),
-            candidates,
-            deepest: TxId(deepest as u64),
-        }
+        WalkStartBand::over(&self.depths_from_tips(), min_depth, max_depth)
     }
 
     /// Samples a random-walk start transaction whose depth from the tips
@@ -304,6 +302,31 @@ pub struct WalkStartBand {
 }
 
 impl WalkStartBand {
+    /// The band over a column of depths in id order: exact depths, or
+    /// depths capped above `max_depth`, which select the same
+    /// candidates. The deepest transaction is the genesis either way,
+    /// for every transaction descends from it.
+    pub fn over(depths: &[u32], min_depth: u32, max_depth: u32) -> Self {
+        debug_assert!(min_depth <= max_depth);
+        let candidates = depths
+            .iter()
+            .enumerate()
+            .filter(|(_, &d)| d >= min_depth && d <= max_depth)
+            .map(|(i, _)| TxId(i as u64))
+            .collect();
+        // Deepest transaction: ties resolve to the earliest (genesis).
+        let (deepest, _) = depths
+            .iter()
+            .enumerate()
+            .max_by_key(|&(i, &d)| (d, std::cmp::Reverse(i)))
+            .expect("tangle is never empty");
+        WalkStartBand {
+            len: depths.len(),
+            candidates,
+            deepest: TxId(deepest as u64),
+        }
+    }
+
     /// Draws a walk start: one `gen_range` over the candidates, or the
     /// deepest transaction — without touching `rng` — if there are none.
     pub fn draw<R: Rng>(&self, rng: &mut R) -> TxId {
@@ -351,6 +374,51 @@ impl<P> TangleRead<P> for Tangle<P> {
 
     fn tips(&self) -> Vec<TxId> {
         Tangle::tips(self)
+    }
+
+    fn capped_depths(&self) -> Vec<u32> {
+        Tangle::capped_depths(self).to_vec()
+    }
+
+    /// The band read from the capped column below the ceiling.
+    fn walk_start_band(&self, min_depth: u32, max_depth: u32) -> WalkStartBand {
+        if max_depth < DEPTH_CEILING {
+            WalkStartBand::over(Tangle::capped_depths(self), min_depth, max_depth)
+        } else {
+            WalkStartBand::over(&self.depths_from_tips(), min_depth, max_depth)
+        }
+    }
+
+    /// Below the ceiling, two passes over the capped column and no band
+    /// built: a count, then the drawn candidate, found by skipping whole
+    /// blocks of ids by their counts. The draw is
+    /// [`WalkStartBand::draw`]'s — one `gen_range` over the candidates in
+    /// id order, or none and the genesis, the deepest transaction.
+    fn sample_walk_start<R: Rng>(&self, min_depth: u32, max_depth: u32, rng: &mut R) -> TxId {
+        const BLOCK: usize = 64;
+        if max_depth >= DEPTH_CEILING {
+            return self.walk_start_band(min_depth, max_depth).draw(rng);
+        }
+        let width = max_depth - min_depth;
+        let inside = |depth: &&u32| depth.wrapping_sub(min_depth) <= width;
+        let depths = Tangle::capped_depths(self);
+        let count = depths.iter().filter(inside).count();
+        if count == 0 {
+            return self.genesis();
+        }
+        let mut rank = rng.gen_range(0..count);
+        for (block, chunk) in depths.chunks(BLOCK).enumerate() {
+            let here = chunk.iter().filter(inside).count();
+            if rank < here {
+                let offset = (0..chunk.len())
+                    .filter(|&i| inside(&&chunk[i]))
+                    .nth(rank)
+                    .expect("the rank is below the block's count");
+                return TxId((block * BLOCK + offset) as u64);
+            }
+            rank -= here;
+        }
+        unreachable!("the rank is below the count")
     }
 }
 
@@ -450,6 +518,35 @@ mod tests {
             let depth = 39 - provided.0 as u32;
             assert!((15..=25).contains(&depth), "depth {depth} outside the band");
         }
+    }
+
+    #[test]
+    fn column_draws_match_the_recomputing_oracle_on_every_side_of_the_ceiling() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut grow = StdRng::seed_from_u64(5);
+        let mut t = Tangle::new(());
+        let (mut ours, mut oracle) = (StdRng::seed_from_u64(9), StdRng::seed_from_u64(9));
+        let windows = [(0, 0), (3, 6), (15, 25), (20, 31), (25, 40), (40, 50)];
+        for _ in 0..150 {
+            let len = Tangle::len(&t) as u64;
+            let recent = TxId(grow.gen_range(len.saturating_sub(2)..len));
+            t.attach((), &[recent]).unwrap();
+            let depths = t.depths_from_tips();
+            for (lo, hi) in windows.into_iter().chain([(u32::MAX - 1, u32::MAX)]) {
+                let band = WalkStartBand::over(&depths, lo, hi);
+                assert_eq!(TangleRead::walk_start_band(&t, lo, hi), band);
+                assert_eq!(
+                    TangleRead::sample_walk_start(&t, lo, hi, &mut ours),
+                    band.draw(&mut oracle),
+                    "window {lo}..={hi} at length {}",
+                    Tangle::len(&t)
+                );
+            }
+        }
+        assert!(t.depths_from_tips()[0] > 50, "every window must fill");
+        assert_eq!(ours.gen::<u64>(), oracle.gen::<u64>());
     }
 
     #[test]

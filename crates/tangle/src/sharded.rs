@@ -10,9 +10,10 @@
 //! guard, no epoch and no copy.
 //!
 //! Everything structural — parent validation and deduplication,
-//! children, tips, heights, the `stats()` counters and the walk-start
-//! band — is the sequential [`Tangle`]'s, held as a `Tangle<()>` in one
-//! [`RwLock`]: this store has no DAG rule of its own.
+//! children, tips, heights, the capped depths, the `stats()` counters
+//! and the walk-start band — is the sequential [`Tangle`]'s, held as a
+//! `Tangle<()>` in one [`RwLock`]: this store has no DAG rule of its
+//! own.
 //!
 //! # Consistency
 //!
@@ -25,6 +26,8 @@
 //! grow the store from several threads at once.
 
 use std::sync::{OnceLock, PoisonError, RwLock, RwLockReadGuard};
+
+use rand::Rng;
 
 use crate::read::{TangleRead, WalkStartBand};
 use crate::{Tangle, TangleError, TangleSnapshot, TangleStats, Transaction, TxId};
@@ -199,6 +202,24 @@ impl<P> ShardedTangle<P> {
         self.dag().tips()
     }
 
+    /// Mutable access to the payload of `id`, for the store's owner: a
+    /// writer with `&mut self` shares the store with no reader. The
+    /// structure stays as attached.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TangleError::UnknownTransaction`] for ids not in this
+    /// tangle.
+    pub fn payload_mut(&mut self, id: TxId) -> Result<&mut P, TangleError> {
+        let index = id.0 as usize;
+        self.segments
+            .get_mut(index / SEGMENT_SIZE)
+            .and_then(OnceLock::get_mut)
+            .and_then(|segment| segment[index % SEGMENT_SIZE].get_mut())
+            .map(|tx| &mut tx.payload)
+            .ok_or(TangleError::UnknownTransaction(id))
+    }
+
     /// Iterator over the transactions attached when it is created, in
     /// insertion (topological) order.
     pub fn iter(&self) -> impl Iterator<Item = &Transaction<P>> {
@@ -258,10 +279,19 @@ impl<P> TangleRead<P> for ShardedTangle<P> {
         ShardedTangle::tips(self)
     }
 
+    fn capped_depths(&self) -> Vec<u32> {
+        self.dag().capped_depths().to_vec()
+    }
+
     /// The band of one consistent tangle: every depth is read under a
     /// single read lock, not one lock per transaction.
     fn walk_start_band(&self, min_depth: u32, max_depth: u32) -> WalkStartBand {
         self.dag().walk_start_band(min_depth, max_depth)
+    }
+
+    /// A draw over one consistent tangle, under a single read lock.
+    fn sample_walk_start<R: Rng>(&self, min_depth: u32, max_depth: u32, rng: &mut R) -> TxId {
+        self.dag().sample_walk_start(min_depth, max_depth, rng)
     }
 }
 
@@ -361,6 +391,19 @@ mod tests {
             assert!(failures > 0, "no attach failed");
             assert_equivalent(&plain, &sharded);
         }
+    }
+
+    #[test]
+    fn payload_mut_rewrites_the_payload_and_nothing_else() {
+        let (plain, mut sharded) = random_grow(3, 40);
+        *sharded.payload_mut(TxId(5)).unwrap() += 100;
+        assert_eq!(*sharded.get(TxId(5)).unwrap().payload(), 105);
+        *sharded.payload_mut(TxId(5)).unwrap() -= 100;
+        assert_equivalent(&plain, &sharded);
+        assert_eq!(
+            sharded.payload_mut(TxId(40)).unwrap_err(),
+            TangleError::UnknownTransaction(TxId(40))
+        );
     }
 
     #[test]

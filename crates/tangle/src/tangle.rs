@@ -6,6 +6,13 @@ use std::collections::HashSet;
 
 use crate::{TangleError, TangleStats, Transaction, TxId};
 
+/// The depth every store's depth column is capped at: it keeps
+/// `min(depth from tips, DEPTH_CEILING)` per transaction. A walk-start
+/// window whose top lies below it reads the column; one at or above it
+/// (the walk-from-genesis ablation) recomputes the depths. Popov's
+/// window, which every shipped scenario uses, is 15–25.
+pub const DEPTH_CEILING: u32 = 32;
+
 /// An append-only DAG of transactions with approval edges, behind
 /// `&mut self`. Every algorithm over it (weights, depths, cones,
 /// edges, DOT export) is a provided method of
@@ -43,6 +50,9 @@ pub struct Tangle<P> {
     heights: Vec<u32>,
     edges: usize,
     max_height: u32,
+    /// `min(depth from tips, DEPTH_CEILING)` per transaction, raised on
+    /// attach.
+    depths: Vec<u32>,
 }
 
 impl<P> Tangle<P> {
@@ -65,6 +75,7 @@ impl<P> Tangle<P> {
             heights: vec![0],
             edges: 0,
             max_height: 0,
+            depths: vec![0],
         }
     }
 
@@ -142,7 +153,25 @@ impl<P> Tangle<P> {
         self.tips.insert(id);
         self.heights.push(height);
         self.max_height = self.max_height.max(height);
+        self.depths.push(0);
+        self.deepen_ancestors(id);
         Ok(id)
+    }
+
+    /// Raises the capped depths the new tip `id` deepens: up through the
+    /// parents, until a depth stops growing or reaches the ceiling.
+    fn deepen_ancestors(&mut self, id: TxId) {
+        let mut stack = vec![(id, 0)];
+        while let Some((child, depth)) = stack.pop() {
+            let depth = (depth + 1).min(DEPTH_CEILING);
+            for &p in &self.transactions[child.0 as usize].parents {
+                let old = &mut self.depths[p.0 as usize];
+                if *old < depth {
+                    *old = depth;
+                    stack.push((p, depth));
+                }
+            }
+        }
     }
 
     /// Looks up a transaction by id.
@@ -180,6 +209,12 @@ impl<P> Tangle<P> {
         let mut tips: Vec<TxId> = self.tips.iter().copied().collect();
         tips.sort();
         tips
+    }
+
+    /// Every transaction's depth from the tips capped at
+    /// [`DEPTH_CEILING`], in id order: the column kept on attach.
+    pub fn capped_depths(&self) -> &[u32] {
+        &self.depths
     }
 
     /// Iterator over all transactions in insertion (topological) order.
@@ -339,6 +374,30 @@ mod tests {
             }
             last = Some(tx.id().index());
         }
+    }
+
+    #[test]
+    fn capped_depths_equal_the_recomputed_depths_as_the_tangle_grows() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut t = Tangle::new(());
+        for _ in 0..120 {
+            let len = t.len() as u64;
+            let recent = TxId(rng.gen_range(len.saturating_sub(3)..len));
+            let any = TxId(rng.gen_range(0..len));
+            t.attach((), &[recent, any]).unwrap();
+            let oracle: Vec<u32> = t
+                .depths_from_tips()
+                .into_iter()
+                .map(|d| d.min(DEPTH_CEILING))
+                .collect();
+            assert_eq!(t.capped_depths(), oracle, "at length {}", t.len());
+        }
+        assert!(
+            t.depths_from_tips()[0] > DEPTH_CEILING,
+            "the ceiling was not reached"
+        );
     }
 
     #[test]

@@ -221,3 +221,34 @@ fn malformed_scenarios_are_rejected_end_to_end() {
     .expect("parses");
     assert!(ScenarioRunner::new(s).is_err());
 }
+
+#[test]
+fn paper_scale_fmnist_holds_only_the_payloads_a_walk_can_reach() {
+    // The benchmark's `rounds-fmnist` at its own seed: walks start 15–25
+    // approvals below the tips, so every payload deeper than 25 is
+    // retired once its group of four fills. Counted after each round's
+    // publications and before its retirement pass, the peak.
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../benchmark/workloads/rounds-fmnist.toml");
+    let scenario = Scenario::from_toml(&std::fs::read_to_string(path).unwrap()).unwrap();
+    let ExecutionSpec::Rounds(dag) = scenario.execution else {
+        panic!("rounds-fmnist runs in rounds");
+    };
+    assert_eq!((dag.seed, dag.walk_depth.1), (42, 25));
+    let dataset = scenario.dataset.build();
+    let factory = scenario.build_factory(&dataset);
+    let mut sim = dagfl::Simulation::new(dag, dataset, factory);
+    let mut peak = 0;
+    while sim.round() < dag.rounds {
+        let (held, _) = sim.payloads();
+        peak = peak.max(held + sim.run_round().unwrap().published);
+    }
+    let (held, retired) = sim.payloads();
+    assert_eq!(held + retired, sim.tangle().len());
+    assert!(peak <= 300, "{peak} payloads held at once");
+    assert!(
+        retired >= 680,
+        "only {retired} of {} retired",
+        sim.tangle().len()
+    );
+}
