@@ -61,7 +61,7 @@ pub fn run_preset(session: &Session, preset: &str) -> ScenarioResult {
         .scenario
         .attack
         .expect("poisoning preset configures an attack")
-        .fraction;
+        .poison_fraction;
     let selector_name = match run.scenario.execution.dag().tip_selector {
         TipSelector::Random => "random",
         TipSelector::Accuracy { .. } => "accuracy",

@@ -145,13 +145,26 @@ pub(crate) fn scenario_from_flags(args: &ParsedArgs) -> Result<Scenario, Box<dyn
 }
 
 /// The centralized baselines' configuration: the scenario's
-/// hyperparameters plus `--mu` (FedProx only) and `--stragglers`.
+/// hyperparameters plus `--mu` (FedProx only; finite, non-negative) and
+/// `--stragglers` (a fraction in `[0, 1]`).
 fn fed_config(args: &ParsedArgs, dag: &DagConfig) -> Result<FedConfig, ParseError> {
-    let mu = if args.command() == Command::FedProx {
+    let mu: f32 = if args.command() == Command::FedProx {
         args.get_parsed_or("mu", 0.1)?
     } else {
         0.0
     };
+    let stragglers: f32 = args.get_parsed_or("stragglers", 0.0)?;
+    for (flag, ok) in [
+        ("mu", mu.is_finite() && mu >= 0.0),
+        ("stragglers", (0.0..=1.0).contains(&stragglers)),
+    ] {
+        if !ok {
+            return Err(ParseError::InvalidValue {
+                flag: flag.into(),
+                value: args.get(flag).unwrap_or_default().into(),
+            });
+        }
+    }
     Ok(FedConfig {
         rounds: dag.rounds,
         clients_per_round: dag.clients_per_round,
@@ -160,7 +173,7 @@ fn fed_config(args: &ParsedArgs, dag: &DagConfig) -> Result<FedConfig, ParseErro
         batch_size: dag.batch_size,
         learning_rate: dag.learning_rate,
         proximal_mu: mu,
-        straggler_fraction: args.get_parsed_or("stragglers", 0.0)?,
+        straggler_fraction: stragglers,
         seed: dag.seed,
     })
 }
@@ -185,6 +198,9 @@ pub fn run_command(args: &ParsedArgs) -> Result<(), Box<dyn Error>> {
         _ => {}
     }
     let scenario = scenario_from_flags(args)?;
+    let dag = *scenario.execution.dag();
+    // Only the baselines run it; checked before the dataset is built.
+    let fed = fed_config(args, &dag)?;
     let dataset = scenario.dataset.build();
     let factory = scenario.build_factory(&dataset);
     eprintln!(
@@ -194,7 +210,6 @@ pub fn run_command(args: &ParsedArgs) -> Result<(), Box<dyn Error>> {
         dataset.num_classes(),
         dataset.base_pureness()
     );
-    let dag = *scenario.execution.dag();
     match args.command() {
         Command::Dag => {
             let mut sim = Simulation::new(dag, dataset, factory);
@@ -217,10 +232,9 @@ pub fn run_command(args: &ParsedArgs) -> Result<(), Box<dyn Error>> {
             );
         }
         Command::FedAvg | Command::FedProx => {
-            let config = fed_config(args, &dag)?;
-            let mut server = FederatedServer::new(config, dataset, factory);
+            let mut server = FederatedServer::new(fed, dataset, factory);
             println!("round,mean_accuracy,mean_loss,stragglers");
-            for _ in 0..config.rounds {
+            for _ in 0..fed.rounds {
                 let m = server.run_round()?;
                 println!(
                     "{},{:.4},{:.4},{}",
@@ -250,7 +264,7 @@ pub fn run_command(args: &ParsedArgs) -> Result<(), Box<dyn Error>> {
             let ExecutionSpec::Async { config, .. } = scenario.execution else {
                 unreachable!("`async` composes an async-mode scenario")
             };
-            let plan = scenario.faults.map(|f| f.to_plan()).unwrap_or_default();
+            let plan = scenario.faults.unwrap_or_default();
             let mut sim = AsyncSimulation::try_new_with_faults(config, dataset, factory, plan)?;
             println!("activation,started,completed,client,accuracy,published,stale_parents");
             for i in 0..config.total_activations {
@@ -605,7 +619,8 @@ mod tests {
     use dagfl_core::{
         AsyncConfig, ComputeProfile, DelayModel, Normalization, StaleTipPolicy, TipSelector,
     };
-    use dagfl_scenario::{DatasetSpec, FaultSpec};
+    use dagfl_core::{CrashWindow, FaultPlan, PartitionWindow};
+    use dagfl_scenario::DatasetSpec;
 
     fn scenario(flags: &[&str]) -> Scenario {
         let args = ParsedArgs::parse(flags).unwrap();
@@ -613,9 +628,17 @@ mod tests {
     }
 
     /// The flag-shaped error a command line is rejected with.
+    /// The error a flag-driven command line stops at before any work:
+    /// the scenario's, else the baselines' own flags'.
     fn flag_failure(flags: &[&str]) -> ParseError {
         let args = ParsedArgs::parse(flags).unwrap();
-        let err = scenario_from_flags(&args).expect_err("must be rejected");
+        let err = match scenario_from_flags(&args) {
+            Ok(s) => fed_config(&args, s.execution.dag())
+                .map(drop)
+                .expect_err("must be rejected")
+                .into(),
+            Err(err) => err,
+        };
         match err.downcast::<ParseError>() {
             Ok(err) => *err,
             Err(other) => panic!("{flags:?}: not a flag error: {other}"),
@@ -896,6 +919,40 @@ mod tests {
             (vec!["dag", "--selector", "cumulativ"], "selector"),
             (vec!["dag", "--normalization", "nope"], "normalization"),
             (vec!["peer", "--stop-margin", "-1"], "stop-margin"),
+            (vec!["fedprox", "--mu", "-1"], "mu"),
+            (vec!["fedprox", "--mu", "inf"], "mu"),
+            (vec!["fedprox", "--stragglers", "1.5"], "stragglers"),
+            (vec!["fedavg", "--stragglers", "-0.1"], "stragglers"),
+            (
+                vec![
+                    "async",
+                    "--clients",
+                    "4",
+                    "--crash-at",
+                    "0",
+                    "--crash-peer",
+                    "4",
+                ],
+                "crash-peer",
+            ),
+            (
+                vec![
+                    "async",
+                    "--clients",
+                    "4",
+                    "--crash-at",
+                    "0",
+                    "--crash-peer",
+                    "99",
+                    "--partition-split",
+                    "0",
+                    "--partition-start",
+                    "0",
+                    "--partition-heal",
+                    "100",
+                ],
+                "partition-split",
+            ),
         ] {
             match flag_failure(&flags) {
                 ParseError::InvalidValue { ref flag, .. } => {
@@ -1280,15 +1337,23 @@ mod tests {
         .expect("fault flags make a [faults] section");
         assert_eq!(
             faults,
-            FaultSpec {
+            FaultPlan {
                 drop: 0.2,
                 duplicate: 0.0,
                 reorder: 0.0,
                 extra_delay: 0.0,
                 delay_boost: 1.0,
                 // The CLI's defaults: split after peer 0, crash peer 0.
-                partition: Some((2.0, 6.0, 1)),
-                crash: Some((0, 3.0, f64::INFINITY)),
+                partition: Some(PartitionWindow {
+                    start: 2.0,
+                    heal: 6.0,
+                    split: 1,
+                }),
+                crash: Some(CrashWindow {
+                    peer: 0,
+                    at: 3.0,
+                    restart: f64::INFINITY,
+                }),
             }
         );
         // Half a window is an error, not a silently dropped flag.

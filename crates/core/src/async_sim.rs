@@ -472,7 +472,7 @@ impl AsyncSimulation {
             ));
         }
         config.validate()?;
-        plan.validate()?;
+        plan.validate(dataset.num_clients())?;
         let mut rng = StdRng::seed_from_u64(config.dag.seed ^ 0xA57C);
         let genesis_model = factory(&mut rng);
         let genesis = ModelPayload::new(genesis_model.parameters());

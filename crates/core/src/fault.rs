@@ -48,14 +48,6 @@ pub struct PartitionWindow {
     pub split: usize,
 }
 
-impl PartitionWindow {
-    /// `true` when a message sent at `t` from `from` to `to` crosses
-    /// the cut while it is open.
-    fn severs(&self, t: f64, from: usize, to: usize) -> bool {
-        t >= self.start && t < self.heal && (from < self.split) != (to < self.split)
-    }
-}
-
 /// A scripted peer outage: while `at <= t < restart` the peer neither
 /// sends nor receives — everything addressed to or from it in that
 /// window is dropped (use `f64::INFINITY` for a crash with no
@@ -73,18 +65,13 @@ pub struct CrashWindow {
     pub restart: f64,
 }
 
-impl CrashWindow {
-    fn covers(&self, peer: usize, t: f64) -> bool {
-        peer == self.peer && t >= self.at && t < self.restart
-    }
-}
-
-/// A complete fault schedule for one run.
+/// A complete fault schedule for one run: the `[faults]` section of a
+/// scenario file, read and written as it stands.
 ///
 /// The probabilistic faults apply independently per scheduled envelope
-/// (per link, per message); the scripted windows apply by logical
-/// time. The default plan is inert: every probability zero, no
-/// windows — see [`FaultPlan::is_inert`].
+/// (per link, per message); the scripted windows (at most one partition
+/// and one crash) apply by logical time. The default plan is inert:
+/// every probability zero, no windows — see [`FaultPlan::is_inert`].
 ///
 /// # Example
 ///
@@ -96,7 +83,7 @@ impl CrashWindow {
 ///     duplicate: 0.05,
 ///     ..FaultPlan::default()
 /// };
-/// plan.validate().unwrap();
+/// plan.validate(4).unwrap();
 /// assert!(!plan.is_inert());
 /// assert!(FaultPlan::default().is_inert());
 /// ```
@@ -118,10 +105,10 @@ pub struct FaultPlan {
     /// hold-back, duplicate offset and extra-delay spikes each add
     /// `U(0, delay_boost)`.
     pub delay_boost: f64,
-    /// Scripted partition windows.
-    pub partitions: Vec<PartitionWindow>,
-    /// Scripted peer outages.
-    pub crashes: Vec<CrashWindow>,
+    /// The scripted partition window, if any.
+    pub partition: Option<PartitionWindow>,
+    /// The scripted peer outage, if any.
+    pub crash: Option<CrashWindow>,
 }
 
 impl Default for FaultPlan {
@@ -132,8 +119,8 @@ impl Default for FaultPlan {
             reorder: 0.0,
             extra_delay: 0.0,
             delay_boost: 1.0,
-            partitions: Vec::new(),
-            crashes: Vec::new(),
+            partition: None,
+            crash: None,
         }
     }
 }
@@ -147,20 +134,21 @@ impl FaultPlan {
             && self.duplicate == 0.0
             && self.reorder == 0.0
             && self.extra_delay == 0.0
-            && self.partitions.is_empty()
-            && self.crashes.is_empty()
+            && self.partition.is_none()
+            && self.crash.is_none()
     }
 
-    /// Checks every field: probabilities in `[0, 1]`, a finite
-    /// non-negative `delay_boost`, partition windows with
-    /// `start <= heal`, crash windows with `at <= restart` (`restart`
-    /// may be infinite).
+    /// Checks every field against a network of `peers` peers:
+    /// probabilities in `[0, 1]`, a finite non-negative `delay_boost`,
+    /// a partition window with `start <= heal` and a peer on each side
+    /// of its cut, a crash window with `at <= restart` (`restart` may be
+    /// infinite) on one of the peers.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidField`] naming the first offending
-    /// field.
-    pub fn validate(&self) -> Result<(), CoreError> {
+    /// field by its scenario-file key (`faults.partition_start`).
+    pub fn validate(&self, peers: usize) -> Result<(), CoreError> {
         for (name, p) in [
             ("faults.drop", self.drop),
             ("faults.duplicate", self.duplicate),
@@ -178,21 +166,35 @@ impl FaultPlan {
                 "must be non-negative and finite",
             ));
         }
-        for w in &self.partitions {
+        if let Some(w) = &self.partition {
             if !(w.start.is_finite() && w.heal.is_finite() && w.start >= 0.0 && w.start <= w.heal) {
                 return Err(CoreError::invalid_field(
-                    "faults.partition",
+                    "faults.partition_start",
                     w.start,
                     "window needs finite 0 <= start <= heal",
                 ));
             }
+            if !(1..peers).contains(&w.split) {
+                return Err(CoreError::invalid_field(
+                    "faults.partition_split",
+                    w.split,
+                    "must be at least 1 and below the client count",
+                ));
+            }
         }
-        for c in &self.crashes {
+        if let Some(c) = &self.crash {
             if !(c.at.is_finite() && c.at >= 0.0 && c.restart >= c.at) {
                 return Err(CoreError::invalid_field(
-                    "faults.crash",
+                    "faults.crash_at",
                     c.at,
                     "window needs finite 0 <= at <= restart",
+                ));
+            }
+            if c.peer >= peers {
+                return Err(CoreError::invalid_field(
+                    "faults.crash_peer",
+                    c.peer,
+                    "must be below the client count",
                 ));
             }
         }
@@ -200,19 +202,16 @@ impl FaultPlan {
     }
 
     fn crashed(&self, peer: usize, t: f64) -> bool {
-        self.crashes.iter().any(|c| c.covers(peer, t))
+        self.crash
+            .is_some_and(|c| peer == c.peer && t >= c.at && t < c.restart)
     }
 
-    /// The latest heal time of any window severing `from -> to` at
-    /// send time `t` (`None` when the link is up).
+    /// The heal time of the partition when a message sent at `t` from
+    /// `from` to `to` crosses its open cut (`None` when the link is up).
     fn held_until(&self, t: f64, from: usize, to: usize) -> Option<f64> {
-        self.partitions
-            .iter()
-            .filter(|w| w.severs(t, from, to))
-            .map(|w| w.heal)
-            .fold(None, |acc: Option<f64>, heal| {
-                Some(acc.map_or(heal, |a| a.max(heal)))
-            })
+        let w = self.partition?;
+        let open = t >= w.start && t < w.heal;
+        (open && (from < w.split) != (to < w.split)).then_some(w.heal)
     }
 }
 
@@ -254,12 +253,13 @@ impl<T: Transport> FaultyTransport<T> {
     ///
     /// # Panics
     ///
-    /// Panics if the plan fails [`FaultPlan::validate`].
+    /// Panics if the plan fails [`FaultPlan::validate`] for the inner
+    /// transport's peers.
     pub fn new(inner: T, plan: FaultPlan, master_seed: u64) -> Self {
-        if let Err(e) = plan.validate() {
+        let n = inner.num_peers();
+        if let Err(e) = plan.validate(n) {
             panic!("invalid fault plan: {e}");
         }
-        let n = inner.num_peers();
         Self {
             inner,
             plan,
@@ -454,11 +454,11 @@ mod tests {
     #[test]
     fn partition_holds_cross_cut_messages_until_heal() {
         let plan = FaultPlan {
-            partitions: vec![PartitionWindow {
+            partition: Some(PartitionWindow {
                 start: 0.0,
                 heal: 50.0,
                 split: 1,
-            }],
+            }),
             ..FaultPlan::default()
         };
         let mut t = wrap(plan, 3, 1.0);
@@ -476,11 +476,11 @@ mod tests {
     #[test]
     fn crashed_sender_reaches_nobody_crashed_receiver_hears_nothing() {
         let plan = FaultPlan {
-            crashes: vec![CrashWindow {
+            crash: Some(CrashWindow {
                 peer: 1,
                 at: 0.0,
                 restart: 100.0,
-            }],
+            }),
             ..FaultPlan::default()
         };
         let mut t = wrap(plan, 3, 1.0);
@@ -543,43 +543,48 @@ mod tests {
 
     #[test]
     fn plan_validation_rejects_bad_fields() {
-        let bad = FaultPlan {
-            drop: 1.5,
-            ..FaultPlan::default()
+        let plan = |edit: fn(&mut FaultPlan)| {
+            let mut plan = FaultPlan::default();
+            edit(&mut plan);
+            plan
         };
-        assert!(bad.validate().is_err());
-        let bad = FaultPlan {
-            delay_boost: f64::NAN,
-            ..FaultPlan::default()
-        };
-        assert!(bad.validate().is_err());
-        let bad = FaultPlan {
-            partitions: vec![PartitionWindow {
-                start: 5.0,
-                heal: 1.0,
-                split: 1,
-            }],
-            ..FaultPlan::default()
-        };
-        assert!(bad.validate().is_err());
-        let bad = FaultPlan {
-            crashes: vec![CrashWindow {
-                peer: 0,
-                at: 5.0,
-                restart: 1.0,
-            }],
-            ..FaultPlan::default()
-        };
-        assert!(bad.validate().is_err());
-        // Infinite restart (crash forever) is legal.
+        fn window(start: f64, heal: f64, split: usize) -> Option<PartitionWindow> {
+            Some(PartitionWindow { start, heal, split })
+        }
+        fn crash(peer: usize, at: f64, restart: f64) -> Option<CrashWindow> {
+            Some(CrashWindow { peer, at, restart })
+        }
+        // Each error names the scenario-file key; on 4 peers a cut at 0
+        // or 4 and a crash of peer 4 can never fire.
+        for (plan, key) in [
+            (plan(|p| p.drop = 1.5), "faults.drop"),
+            (plan(|p| p.delay_boost = f64::NAN), "faults.delay_boost"),
+            (
+                plan(|p| p.partition = window(5.0, 1.0, 1)),
+                "faults.partition_start",
+            ),
+            (plan(|p| p.crash = crash(0, 5.0, 1.0)), "faults.crash_at"),
+            (
+                plan(|p| p.partition = window(0.0, 1.0, 0)),
+                "faults.partition_split",
+            ),
+            (
+                plan(|p| p.partition = window(0.0, 1.0, 4)),
+                "faults.partition_split",
+            ),
+            (plan(|p| p.crash = crash(4, 0.0, 1.0)), "faults.crash_peer"),
+        ] {
+            match plan.validate(4) {
+                Err(CoreError::InvalidField { field, .. }) => assert_eq!(field, key, "{plan:?}"),
+                other => panic!("{plan:?}: expected a field error, got {other:?}"),
+            }
+        }
+        // Infinite restart (crash forever) is legal, as are the edge peers.
         let ok = FaultPlan {
-            crashes: vec![CrashWindow {
-                peer: 0,
-                at: 5.0,
-                restart: f64::INFINITY,
-            }],
+            partition: window(0.0, 1.0, 3),
+            crash: crash(3, 5.0, f64::INFINITY),
             ..FaultPlan::default()
         };
-        assert!(ok.validate().is_ok());
+        assert!(ok.validate(4).is_ok());
     }
 }

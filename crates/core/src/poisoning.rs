@@ -19,12 +19,11 @@ use dagfl_tangle::TangleRead;
 
 use crate::{CoreError, DagConfig, ModelFactory, Simulation};
 
-/// Configuration of a poisoning experiment.
-#[derive(Debug, Clone, Copy)]
+/// Configuration of a poisoning experiment: the `[attack]` section of
+/// a scenario file, read and written as it stands. The DAG
+/// configuration is given separately to [`PoisoningScenario::new`].
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PoisoningConfig {
-    /// The underlying simulation configuration. `dag.rounds` is ignored;
-    /// `clean_rounds + attack_rounds` rounds are run instead.
-    pub dag: DagConfig,
     /// Rounds of clean training before the attack (the paper uses 100).
     pub clean_rounds: usize,
     /// Rounds after the labels are flipped (the paper uses another 100).
@@ -43,7 +42,6 @@ pub struct PoisoningConfig {
 impl Default for PoisoningConfig {
     fn default() -> Self {
         Self {
-            dag: DagConfig::default(),
             clean_rounds: 100,
             attack_rounds: 100,
             poison_fraction: 0.2,
@@ -51,6 +49,55 @@ impl Default for PoisoningConfig {
             class_b: 8,
             measure_every: 5,
         }
+    }
+}
+
+impl PoisoningConfig {
+    /// Checks the attack against a dataset of `num_classes` classes: a
+    /// fraction in `[0, 1]`, at least one attack round and measurement
+    /// interval, and two distinct flip classes below `num_classes`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidField`] naming the first offending
+    /// field by its scenario-file key (`attack.fraction`).
+    pub fn validate(&self, num_classes: usize) -> Result<(), CoreError> {
+        let p = self.poison_fraction;
+        if !(p.is_finite() && (0.0..=1.0).contains(&p)) {
+            return Err(CoreError::invalid_field(
+                "attack.fraction",
+                p,
+                "must be in [0, 1]",
+            ));
+        }
+        for (name, n) in [
+            ("attack.attack_rounds", self.attack_rounds),
+            ("attack.measure_every", self.measure_every),
+        ] {
+            if n == 0 {
+                return Err(CoreError::invalid_field(name, n, "must be at least 1"));
+            }
+        }
+        for (name, class) in [
+            ("attack.class_a", self.class_a),
+            ("attack.class_b", self.class_b),
+        ] {
+            if class >= num_classes {
+                return Err(CoreError::invalid_field(
+                    name,
+                    class,
+                    "must be below the dataset's class count",
+                ));
+            }
+        }
+        if self.class_a == self.class_b {
+            return Err(CoreError::invalid_field(
+                "attack.class_b",
+                self.class_b,
+                "must be distinct from attack.class_a",
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -76,19 +123,23 @@ pub struct PoisoningScenario {
 }
 
 impl PoisoningScenario {
-    /// Creates a scenario over the given dataset and model factory.
+    /// Creates a scenario over the given dataset and model factory. The
+    /// attack's rounds replace `dag.rounds`: `clean_rounds +
+    /// attack_rounds` rounds are run.
     ///
     /// # Panics
     ///
-    /// Panics on the same conditions as [`Simulation::new`] or if the flip
-    /// classes are invalid for the dataset.
-    pub fn new(config: PoisoningConfig, dataset: FederatedDataset, factory: ModelFactory) -> Self {
-        assert!(
-            config.class_a < dataset.num_classes() && config.class_b < dataset.num_classes(),
-            "flip classes out of range"
-        );
-        assert!(config.measure_every > 0, "measure_every must be positive");
-        let mut dag = config.dag;
+    /// Panics on the same conditions as [`Simulation::new`] or if the
+    /// attack fails [`PoisoningConfig::validate`] for the dataset.
+    pub fn new(
+        mut dag: DagConfig,
+        config: PoisoningConfig,
+        dataset: FederatedDataset,
+        factory: ModelFactory,
+    ) -> Self {
+        if let Err(e) = config.validate(dataset.num_classes()) {
+            panic!("invalid poisoning attack: {e}");
+        }
         dag.rounds = config.clean_rounds + config.attack_rounds;
         let simulation = Simulation::new(dag, dataset, factory);
         Self {
@@ -132,7 +183,7 @@ impl PoisoningScenario {
     /// Flips the labels now (used by [`PoisoningScenario::run`]; exposed
     /// for custom schedules).
     pub fn start_attack(&mut self) {
-        let mut rng = StdRng::seed_from_u64(self.config.dag.seed ^ 0x0BAD_C0DE);
+        let mut rng = StdRng::seed_from_u64(self.simulation.config.seed ^ 0x0BAD_C0DE);
         let report = flip_labels(
             &mut self.simulation.dataset,
             self.config.class_a,
@@ -288,19 +339,43 @@ mod tests {
             ..FmnistConfig::default()
         });
         let features = dataset.feature_len();
+        let dag = DagConfig {
+            clients_per_round: 3,
+            local_batches: 3,
+            ..DagConfig::default()
+        };
         let config = PoisoningConfig {
-            dag: DagConfig {
-                clients_per_round: 3,
-                local_batches: 3,
-                ..DagConfig::default()
-            },
             clean_rounds: 3,
             attack_rounds: 4,
             poison_fraction,
             measure_every: 2,
             ..PoisoningConfig::default()
         };
-        PoisoningScenario::new(config, dataset, factory(features))
+        PoisoningScenario::new(dag, config, dataset, factory(features))
+    }
+
+    #[test]
+    fn attack_validation_names_the_bad_field_by_its_file_key() {
+        let attack = |edit: fn(&mut PoisoningConfig)| {
+            let mut attack = PoisoningConfig::default();
+            edit(&mut attack);
+            attack
+        };
+        for (attack, key) in [
+            (attack(|a| a.poison_fraction = 1.5), "attack.fraction"),
+            (attack(|a| a.poison_fraction = f64::NAN), "attack.fraction"),
+            (attack(|a| a.attack_rounds = 0), "attack.attack_rounds"),
+            (attack(|a| a.measure_every = 0), "attack.measure_every"),
+            (attack(|a| a.class_a = 10), "attack.class_a"),
+            (attack(|a| a.class_b = 10), "attack.class_b"),
+            (attack(|a| a.class_b = a.class_a), "attack.class_b"),
+        ] {
+            match attack.validate(10) {
+                Err(CoreError::InvalidField { field, .. }) => assert_eq!(field, key, "{attack:?}"),
+                other => panic!("{attack:?}: expected a field error, got {other:?}"),
+            }
+        }
+        assert!(attack(|a| a.clean_rounds = 0).validate(10).is_ok());
     }
 
     #[test]
@@ -357,19 +432,19 @@ mod tests {
             ..FmnistConfig::default()
         });
         let features = dataset.feature_len();
+        let dag = DagConfig {
+            clients_per_round: 4,
+            local_batches: 6,
+            ..DagConfig::default()
+        };
         let config = PoisoningConfig {
-            dag: DagConfig {
-                clients_per_round: 4,
-                local_batches: 6,
-                ..DagConfig::default()
-            },
             clean_rounds: 4,
             attack_rounds: 1,
             poison_fraction: 0.5,
             measure_every: 1,
             ..PoisoningConfig::default()
         };
-        let mut scenario = PoisoningScenario::new(config, dataset, factory(features));
+        let mut scenario = PoisoningScenario::new(dag, config, dataset, factory(features));
         for _ in 0..config.clean_rounds {
             scenario.simulation.run_round().unwrap();
         }

@@ -101,8 +101,8 @@ pub use dagfl_core::{
 };
 pub use dagfl_nn::TrainScratch;
 pub use dagfl_scenario::{
-    AnalysisSpec, AttackSpec, DatasetSpec, ExecutionSpec, FaultSpec, ModelSpec, RunReport,
-    Scenario, ScenarioRunner, SweepReport, SweepRunner, SweepSpec,
+    AnalysisSpec, DatasetSpec, ExecutionSpec, ModelSpec, RunReport, Scenario, ScenarioRunner,
+    SweepReport, SweepRunner, SweepSpec,
 };
 pub use dagfl_tensor::{MatmulBackend, MatmulBackendKind, NaiveBackend, TiledBackend};
 

@@ -9,7 +9,9 @@
 //! * [`Scenario`] — a complete experiment as a value: dataset
 //!   ([`DatasetSpec`]), model architecture ([`ModelSpec`]), execution
 //!   mode ([`ExecutionSpec`]: rounds or async, with the full core
-//!   config), optional poisoning attack ([`AttackSpec`]), optional
+//!   config), optional poisoning attack
+//!   ([`PoisoningConfig`](dagfl_core::PoisoningConfig)), optional
+//!   fault injection ([`FaultPlan`](dagfl_core::FaultPlan)), optional
 //!   specialization analytics ([`AnalysisSpec`], driving
 //!   [`dagfl_analysis`]) and output options ([`OutputSpec`]), with a
 //!   fluent builder and a single [`Scenario::validate`].
@@ -83,8 +85,7 @@ pub mod text;
 pub use presets::{Scale, PRESETS};
 pub use runner::{DatasetSummary, Footprint, PoisoningSummary, RunReport, ScenarioRunner};
 pub use spec::{
-    AnalysisSpec, AttackSpec, DatasetSpec, ExecutionSpec, FaultSpec, ModelSpec, OutputSpec,
-    Scenario, ScenarioError,
+    AnalysisSpec, DatasetSpec, ExecutionSpec, ModelSpec, OutputSpec, Scenario, ScenarioError,
 };
 pub use sweep::{
     is_sweep_toml, SweepAxis, SweepBase, SweepCell, SweepCellReport, SweepReport, SweepRunner,

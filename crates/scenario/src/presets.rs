@@ -413,7 +413,7 @@ mod tests {
         assert_eq!(p05.name, "poisoning-p0.5");
         let mut expected = Scenario::preset_at("poisoning-p0.2", Scale::Quick).unwrap();
         expected.name = p05.name.clone();
-        expected.attack.as_mut().unwrap().fraction = 0.5;
+        expected.attack.as_mut().unwrap().poison_fraction = 0.5;
         assert_eq!(p05, expected);
         let delay10 = Scenario::preset_at("async-delay10", Scale::Full).unwrap();
         match &delay10.execution {
@@ -443,7 +443,7 @@ mod tests {
     fn poisoning_presets_carry_the_attack() {
         let scenario = Scenario::preset_at("poisoning-p0.3", Scale::Quick).unwrap();
         let attack = scenario.attack.expect("attack configured");
-        assert_eq!(attack.fraction, 0.3);
+        assert_eq!(attack.poison_fraction, 0.3);
         assert_eq!((attack.class_a, attack.class_b), (3, 8));
         let random = Scenario::preset_at("poisoning-random-p0.2", Scale::Quick).unwrap();
         assert_eq!(random.execution.dag().tip_selector, TipSelector::Random);

@@ -5,7 +5,7 @@ use std::fmt;
 use dagfl_analysis::AnalysisSnapshot;
 use dagfl_core::{
     specialization_seed, tangle_digest, AsyncMetrics, AsyncSimulation, ExecutionMode, ModelPayload,
-    PoisonRoundMetrics, PoisoningConfig, PoisoningScenario, Simulation, SpecializationMetrics,
+    PoisonRoundMetrics, PoisoningScenario, Simulation, SpecializationMetrics,
 };
 use dagfl_tangle::{TangleRead, TangleStats, TxId, DEPTH_CEILING};
 
@@ -287,16 +287,7 @@ impl ScenarioRunner {
         let factory = self.scenario.build_factory(&dataset);
         Ok(match (&self.scenario.execution, &self.scenario.attack) {
             (ExecutionSpec::Rounds(dag), Some(attack)) => {
-                let config = PoisoningConfig {
-                    dag: *dag,
-                    clean_rounds: attack.clean_rounds,
-                    attack_rounds: attack.attack_rounds,
-                    poison_fraction: attack.fraction,
-                    class_a: attack.class_a,
-                    class_b: attack.class_b,
-                    measure_every: attack.measure_every,
-                };
-                let mut scenario = PoisoningScenario::new(config, dataset, factory);
+                let mut scenario = PoisoningScenario::new(*dag, *attack, dataset, factory);
                 let measurements = scenario.run()?;
                 let distribution = scenario.poisoned_cluster_distribution();
                 let poisoned_clients = scenario
@@ -358,11 +349,7 @@ impl ScenarioRunner {
                 }
             }
             (ExecutionSpec::Async { config }, _) => {
-                let plan = self
-                    .scenario
-                    .faults
-                    .as_ref()
-                    .map_or_else(Default::default, crate::FaultSpec::to_plan);
+                let plan = self.scenario.faults.clone().unwrap_or_default();
                 let mut sim =
                     AsyncSimulation::try_new_with_faults(*config, dataset, factory, plan)?;
                 sim.run()?;
@@ -542,8 +529,8 @@ fn analysis_snapshot(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{AttackSpec, DatasetSpec};
-    use dagfl_core::{AsyncConfig, DagConfig, DelayModel};
+    use crate::spec::DatasetSpec;
+    use dagfl_core::{AsyncConfig, DagConfig, DelayModel, PoisoningConfig};
 
     fn tiny() -> Scenario {
         Scenario::new(
@@ -733,8 +720,8 @@ mod tests {
     #[test]
     fn attack_scenario_reports_poisoning_summary() {
         let scenario = Scenario {
-            attack: Some(AttackSpec {
-                fraction: 0.3,
+            attack: Some(PoisoningConfig {
+                poison_fraction: 0.3,
                 clean_rounds: 2,
                 attack_rounds: 2,
                 class_a: 3,

@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use dagfl_analysis::{AnalysisConfig, AnalysisSource, KSelection};
 use dagfl_core::{
     AsyncConfig, CoreError, CrashWindow, DagConfig, FaultPlan, KeyVisitor, ModelFactory,
-    PartitionWindow, Slot,
+    PartitionWindow, PoisoningConfig, Slot,
 };
 use dagfl_datasets::{
     cifar, cifar100_like, fedprox_synthetic, fmnist, fmnist_by_author, fmnist_clustered,
@@ -421,38 +421,6 @@ impl ExecutionSpec {
     }
 }
 
-/// A flipped-label poisoning attack rider (§5.3.4): train clean, flip
-/// labels `class_a ↔ class_b` for a fraction of clients, keep training
-/// and measure containment.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AttackSpec {
-    /// Fraction of clients whose labels are flipped.
-    pub fraction: f64,
-    /// Clean warm-up rounds before the attack.
-    pub clean_rounds: usize,
-    /// Rounds after the labels are flipped.
-    pub attack_rounds: usize,
-    /// First flipped class.
-    pub class_a: usize,
-    /// Second flipped class.
-    pub class_b: usize,
-    /// Measure the poisoning metrics every this many attack rounds.
-    pub measure_every: usize,
-}
-
-impl Default for AttackSpec {
-    fn default() -> Self {
-        Self {
-            fraction: 0.2,
-            clean_rounds: 100,
-            attack_rounds: 100,
-            class_a: 3,
-            class_b: 8,
-            measure_every: 5,
-        }
-    }
-}
-
 /// Output options: specialization tracking and the recent-accuracy
 /// window.
 #[derive(Debug, Clone, PartialEq)]
@@ -515,54 +483,17 @@ pub struct Scenario {
     pub model: ModelSpec,
     /// The execution mode with its full configuration.
     pub execution: ExecutionSpec,
-    /// Optional flipped-label poisoning attack (rounds mode only).
-    pub attack: Option<AttackSpec>,
-    /// Optional deterministic fault injection (async loopback only).
-    pub faults: Option<FaultSpec>,
+    /// Optional flipped-label poisoning attack (§5.3.4; rounds mode
+    /// only): train clean, flip labels `class_a ↔ class_b` for a
+    /// fraction of clients, keep training and measure containment.
+    pub attack: Option<PoisoningConfig>,
+    /// Optional deterministic fault injection (async loopback only). An
+    /// empty `[faults]` section reads as the inert default plan.
+    pub faults: Option<FaultPlan>,
     /// Optional specialization analytics (rounds mode without attack).
     pub analysis: Option<AnalysisSpec>,
     /// Output options.
     pub output: OutputSpec,
-}
-
-/// Deterministic fault-injection settings: the scenario-file projection
-/// of [`dagfl_core::FaultPlan`], restricted to a single partition
-/// window and a single crash window so it fits the flat `[faults]`
-/// TOML section. Probabilities default to 0 and `delay_boost` to 1, so
-/// an empty `[faults]` section is inert.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultSpec {
-    /// Probability that a gossiped envelope is silently lost.
-    pub drop: f64,
-    /// Probability that an envelope is delivered twice.
-    pub duplicate: f64,
-    /// Probability that an envelope is held behind later sends.
-    pub reorder: f64,
-    /// Probability of an extra latency spike without reordering.
-    pub extra_delay: f64,
-    /// Magnitude (logical time) of the delay-based faults.
-    pub delay_boost: f64,
-    /// Optional partition window as `(start, heal, split)`: peers
-    /// `0..split` are cut off from `split..n` while it is open.
-    pub partition: Option<(f64, f64, usize)>,
-    /// Optional crash window as `(peer, at, restart)`; an absent
-    /// `crash_restart` key means the peer never comes back.
-    pub crash: Option<(usize, f64, f64)>,
-}
-
-impl Default for FaultSpec {
-    /// The inert plan an empty `[faults]` section reads as.
-    fn default() -> Self {
-        Self {
-            drop: 0.0,
-            duplicate: 0.0,
-            reorder: 0.0,
-            extra_delay: 0.0,
-            delay_boost: 1.0,
-            partition: None,
-            crash: None,
-        }
-    }
 }
 
 /// Specialization-analytics settings: the scenario-file projection of
@@ -612,30 +543,6 @@ impl AnalysisSpec {
             },
             source: self.source,
             seed,
-        }
-    }
-}
-
-impl FaultSpec {
-    /// Expands into the core [`FaultPlan`] consumed by
-    /// [`dagfl_core::FaultyTransport`].
-    pub fn to_plan(&self) -> FaultPlan {
-        FaultPlan {
-            drop: self.drop,
-            duplicate: self.duplicate,
-            reorder: self.reorder,
-            extra_delay: self.extra_delay,
-            delay_boost: self.delay_boost,
-            partitions: self
-                .partition
-                .iter()
-                .map(|&(start, heal, split)| PartitionWindow { start, heal, split })
-                .collect(),
-            crashes: self
-                .crash
-                .iter()
-                .map(|&(peer, at, restart)| CrashWindow { peer, at, restart })
-                .collect(),
         }
     }
 }
@@ -707,8 +614,10 @@ impl Scenario {
 
     /// Checks the complete spec: dataset parameters, model/dataset
     /// compatibility, the embedded core configuration (via
-    /// [`DagConfig::validate`] / [`AsyncConfig::validate`]), attack
-    /// consistency and output options.
+    /// [`DagConfig::validate`] / [`AsyncConfig::validate`],
+    /// [`FaultPlan::validate`] against the client count and
+    /// [`PoisoningConfig::validate`] against the class count), the
+    /// sections each mode allows and output options.
     ///
     /// # Errors
     ///
@@ -757,32 +666,16 @@ impl Scenario {
                     ));
                 }
                 if let Some(faults) = &self.faults {
-                    faults.to_plan().validate().map_err(core_error)?;
+                    faults
+                        .validate(self.dataset.num_clients())
+                        .map_err(core_error)?;
                 }
             }
         }
         if let Some(attack) = &self.attack {
-            if !(attack.fraction.is_finite() && (0.0..=1.0).contains(&attack.fraction)) {
-                return Err(ScenarioError::Invalid(format!(
-                    "attack.fraction ({}) must be in [0, 1]",
-                    attack.fraction
-                )));
-            }
-            if attack.attack_rounds == 0 || attack.measure_every == 0 {
-                return Err(ScenarioError::Invalid(
-                    "attack.attack_rounds and attack.measure_every must be at least 1".into(),
-                ));
-            }
-            let classes = self.dataset.num_classes();
-            if attack.class_a == attack.class_b
-                || attack.class_a >= classes
-                || attack.class_b >= classes
-            {
-                return Err(ScenarioError::Invalid(format!(
-                    "attack classes ({}, {}) must be distinct and below {classes}",
-                    attack.class_a, attack.class_b
-                )));
-            }
+            attack
+                .validate(self.dataset.num_classes())
+                .map_err(core_error)?;
             if self.output.track_every > 0 {
                 return Err(ScenarioError::Invalid(
                     "specialization tracking is not supported together with an attack".into(),
@@ -1522,15 +1415,6 @@ const SOURCES: [(&str, AnalysisSource); 3] = [
     ("both", AnalysisSource::Both),
 ];
 
-/// The fault checks' group fields, by the first key of the group. A
-/// field of a core key list is its `[execution]` key; any other is its
-/// key as it stands (`faults.drop`).
-const FIELD_KEYS: [(&str, &str); 2] = [
-    ("faults.partition", "faults.partition_start"),
-    // The crash check is on `0 <= at <= restart`; `crash_peer` is free.
-    ("faults.crash", "faults.crash_at"),
-];
-
 /// A core range error as an invalid value of the key it was read from.
 fn core_error(e: CoreError) -> ScenarioError {
     let CoreError::InvalidField {
@@ -1542,13 +1426,8 @@ fn core_error(e: CoreError) -> ScenarioError {
     else {
         return ScenarioError::Core(e);
     };
-    let key = match (key, FIELD_KEYS.iter().find(|(f, _)| *f == field)) {
-        (Some(key), _) => format!("execution.{key}"),
-        (None, Some((_, key))) => key.to_string(),
-        (None, None) => field.to_string(),
-    };
     ScenarioError::InvalidValue {
-        key,
+        key: key.map_or_else(|| field.to_string(), |key| format!("execution.{key}")),
         value,
         expected: constraint.trim_start_matches("must be ").to_string(),
     }
@@ -1688,8 +1567,8 @@ impl<C: Codec> KeyVisitor for CoreKeys<'_, C> {
 }
 
 /// `[attack]`.
-fn attack(c: &mut impl Codec, v: &mut AttackSpec) -> Result<(), ScenarioError> {
-    c.key("fraction", &mut v.fraction)?;
+fn attack(c: &mut impl Codec, v: &mut PoisoningConfig) -> Result<(), ScenarioError> {
+    c.key("fraction", &mut v.poison_fraction)?;
     c.key("clean_rounds", &mut v.clean_rounds)?;
     c.key("attack_rounds", &mut v.attack_rounds)?;
     c.key("class_a", &mut v.class_a)?;
@@ -1700,21 +1579,21 @@ fn attack(c: &mut impl Codec, v: &mut AttackSpec) -> Result<(), ScenarioError> {
 /// `[faults]`: the per-envelope faults, then a partition window and a
 /// crash window, each given whole or not at all (a crash without
 /// `crash_restart` never restarts).
-fn faults(c: &mut impl Codec, v: &mut FaultSpec) -> Result<(), ScenarioError> {
+fn faults(c: &mut impl Codec, v: &mut FaultPlan) -> Result<(), ScenarioError> {
     c.key("drop", &mut v.drop)?;
     c.key("duplicate", &mut v.duplicate)?;
     c.key("reorder", &mut v.reorder)?;
     c.key("extra_delay", &mut v.extra_delay)?;
     c.key("delay_boost", &mut v.delay_boost)?;
-    let mut start = v.partition.map(|p| p.0);
-    let mut heal = v.partition.map(|p| p.1);
-    let mut split = v.partition.map(|p| p.2);
+    let mut start = v.partition.map(|w| w.start);
+    let mut heal = v.partition.map(|w| w.heal);
+    let mut split = v.partition.map(|w| w.split);
     c.opt("partition_start", &mut start)?;
     c.opt("partition_heal", &mut heal)?;
     c.opt("partition_split", &mut split)?;
     v.partition = match (start, heal, split) {
         (None, None, None) => None,
-        (Some(start), Some(heal), Some(split)) => Some((start, heal, split)),
+        (Some(start), Some(heal), Some(split)) => Some(PartitionWindow { start, heal, split }),
         _ => {
             return Err(ScenarioError::Invalid(format!(
                 "`{}`, `{}` and `{}` must be given together",
@@ -1724,15 +1603,18 @@ fn faults(c: &mut impl Codec, v: &mut FaultSpec) -> Result<(), ScenarioError> {
             )))
         }
     };
-    let mut peer = v.crash.map(|crash| crash.0);
-    let mut at = v.crash.map(|crash| crash.1);
-    let mut restart = v.crash.map(|crash| crash.2).filter(|r| r.is_finite());
+    let mut peer = v.crash.map(|w| w.peer);
+    let mut at = v.crash.map(|w| w.at);
+    let mut restart = v.crash.map(|w| w.restart).filter(|r| r.is_finite());
     c.opt("crash_peer", &mut peer)?;
     c.opt("crash_at", &mut at)?;
     c.opt("crash_restart", &mut restart)?;
     v.crash = match (peer, at, restart) {
         (None, None, None) => None,
-        (Some(peer), Some(at), restart) => Some((peer, at, restart.unwrap_or(f64::INFINITY))),
+        (Some(peer), Some(at), restart) => {
+            let restart = restart.unwrap_or(f64::INFINITY);
+            Some(CrashWindow { peer, at, restart })
+        }
         _ => {
             return Err(ScenarioError::Invalid(format!(
                 "`{}` and `{}` must be given together",
@@ -1913,8 +1795,8 @@ mod tests {
                 },
             ),
             Scenario {
-                attack: Some(AttackSpec {
-                    fraction: 0.25,
+                attack: Some(PoisoningConfig {
+                    poison_fraction: 0.25,
                     clean_rounds: 3,
                     attack_rounds: 4,
                     class_a: 3,
@@ -1981,8 +1863,12 @@ mod tests {
                 execution: ExecutionSpec::Async {
                     config: AsyncConfig::default(),
                 },
-                faults: Some(FaultSpec {
-                    crash: Some((1, 3.0, 5.0)),
+                faults: Some(FaultPlan {
+                    crash: Some(CrashWindow {
+                        peer: 1,
+                        at: 3.0,
+                        restart: 5.0,
+                    }),
                     ..chaos_faults()
                 }),
                 ..tiny()
@@ -2056,15 +1942,23 @@ mod tests {
         }
     }
 
-    fn chaos_faults() -> FaultSpec {
-        FaultSpec {
+    fn chaos_faults() -> FaultPlan {
+        FaultPlan {
             drop: 0.2,
             duplicate: 0.1,
             reorder: 0.05,
             extra_delay: 0.1,
             delay_boost: 2.0,
-            partition: Some((5.0, 9.0, 2)),
-            crash: Some((3, 10.0, f64::INFINITY)),
+            partition: Some(PartitionWindow {
+                start: 5.0,
+                heal: 9.0,
+                split: 2,
+            }),
+            crash: Some(CrashWindow {
+                peer: 3,
+                at: 10.0,
+                restart: f64::INFINITY,
+            }),
         }
     }
 
@@ -2088,11 +1982,6 @@ mod tests {
         let reparsed = Scenario::from_toml(&text).unwrap();
         assert_eq!(s, reparsed, "{text}");
         assert!(s.validate().is_ok());
-        // The expanded core plan carries both scripted windows.
-        let plan = s.faults.as_ref().unwrap().to_plan();
-        assert_eq!(plan.partitions.len(), 1);
-        assert_eq!(plan.crashes.len(), 1);
-        assert_eq!(plan.crashes[0].restart, f64::INFINITY);
     }
 
     #[test]
@@ -2103,8 +1992,8 @@ mod tests {
         )
         .unwrap();
         let faults = s.faults.expect("section present");
-        assert!(faults.to_plan().is_inert());
-        assert_eq!(faults.delay_boost, 1.0);
+        assert_eq!(faults, FaultPlan::default());
+        assert!(faults.is_inert());
     }
 
     #[test]
@@ -2118,7 +2007,7 @@ mod tests {
             execution: ExecutionSpec::Async {
                 config: AsyncConfig::default(),
             },
-            faults: Some(FaultSpec {
+            faults: Some(FaultPlan {
                 drop: 1.5,
                 ..chaos_faults()
             }),
@@ -2128,6 +2017,40 @@ mod tests {
             bad_prob.validate(),
             Err(ScenarioError::InvalidValue { ref key, .. }) if key == "faults.drop"
         ));
+    }
+
+    #[test]
+    fn fault_windows_must_reach_a_client() {
+        // `tiny()` has 4 clients: a crash of peer 4 or a cut at 0 or 4
+        // can never fire.
+        let rejected = |edit: &dyn Fn(&mut FaultPlan)| {
+            let mut faults = chaos_faults();
+            edit(&mut faults);
+            let s = Scenario {
+                execution: ExecutionSpec::Async {
+                    config: AsyncConfig::default(),
+                },
+                faults: Some(faults),
+                ..tiny()
+            };
+            match s.validate() {
+                Err(ScenarioError::InvalidValue { key, .. }) => key,
+                other => panic!("expected an invalid value, got {other:?}"),
+            }
+        };
+        let split = |n| move |f: &mut FaultPlan| f.partition.as_mut().unwrap().split = n;
+        assert_eq!(rejected(&split(0)), "faults.partition_split");
+        assert_eq!(rejected(&split(4)), "faults.partition_split");
+        let peer = |f: &mut FaultPlan| f.crash.as_mut().unwrap().peer = 4;
+        assert_eq!(rejected(&peer), "faults.crash_peer");
+        let ok = Scenario {
+            execution: ExecutionSpec::Async {
+                config: AsyncConfig::default(),
+            },
+            faults: Some(chaos_faults()),
+            ..tiny()
+        };
+        assert!(ok.validate().is_ok());
     }
 
     #[test]
@@ -2233,7 +2156,7 @@ mod tests {
             Err(ScenarioError::Invalid(_))
         ));
         let attacked = Scenario {
-            attack: Some(AttackSpec::default()),
+            attack: Some(PoisoningConfig::default()),
             ..analyzed(AnalysisSpec::default())
         };
         assert!(matches!(
@@ -2341,7 +2264,7 @@ mod tests {
             execution: ExecutionSpec::Async {
                 config: AsyncConfig::default(),
             },
-            faults: Some(FaultSpec {
+            faults: Some(FaultPlan {
                 partition: None,
                 ..chaos_faults()
             }),
@@ -2353,7 +2276,13 @@ mod tests {
             ("faults.partition_split", "3"),
         ];
         let partitioned = faulted.set_keys(&window).unwrap();
-        assert_eq!(partitioned.faults.unwrap().partition, Some((1.0, 2.0, 3)));
+        let partition = partitioned.faults.unwrap().partition;
+        let expected = PartitionWindow {
+            start: 1.0,
+            heal: 2.0,
+            split: 3,
+        };
+        assert_eq!(partition, Some(expected));
         assert!(faulted.set_keys(&window[..1]).is_err());
         // ...and a key of an absent section or another shape, or a token
         // of the wrong type, is the reader's error.
@@ -2458,7 +2387,7 @@ mod tests {
             execution: ExecutionSpec::Async {
                 config: AsyncConfig::default(),
             },
-            attack: Some(AttackSpec::default()),
+            attack: Some(PoisoningConfig::default()),
             ..tiny()
         }
         .validate()
@@ -2466,16 +2395,16 @@ mod tests {
         assert!(err.to_string().contains("rounds mode"), "{err}");
         // Attack classes out of range.
         let err = Scenario {
-            attack: Some(AttackSpec {
+            attack: Some(PoisoningConfig {
                 class_a: 3,
                 class_b: 12,
-                ..AttackSpec::default()
+                ..PoisoningConfig::default()
             }),
             ..tiny()
         }
         .validate()
         .unwrap_err();
-        assert!(err.to_string().contains("classes"), "{err}");
+        assert!(err.to_string().contains("attack.class_b"), "{err}");
         // Mismatched model and dataset.
         let err = tiny()
             .with_model(ModelSpec::CharRnn {

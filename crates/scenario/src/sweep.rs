@@ -1566,7 +1566,7 @@ mod tests {
             .unwrap();
         let fractions: Vec<f64> = cells
             .iter()
-            .map(|c| c.scenario.attack.expect("attack").fraction)
+            .map(|c| c.scenario.attack.expect("attack").poison_fraction)
             .collect();
         assert_eq!(fractions, [0.0, 0.2, 0.3]);
     }

@@ -3,10 +3,11 @@
 
 use proptest::prelude::*;
 
+use dagfl_core::PoisoningConfig;
 use dagfl_core::{
     AsyncConfig, ComputeProfile, DagConfig, DelayModel, Normalization, StaleTipPolicy, TipSelector,
 };
-use dagfl_scenario::{AttackSpec, DatasetSpec, ExecutionSpec, ModelSpec, Scenario};
+use dagfl_scenario::{DatasetSpec, ExecutionSpec, ModelSpec, Scenario};
 
 #[allow(clippy::too_many_arguments)]
 fn build_scenario(
@@ -129,8 +130,8 @@ fn build_scenario(
     };
     let mut scenario = Scenario::new("generated", dataset).with_execution(execution);
     if rounds_mode && attack_on {
-        scenario.attack = Some(AttackSpec {
-            fraction,
+        scenario.attack = Some(PoisoningConfig {
+            poison_fraction: fraction,
             clean_rounds: rounds,
             attack_rounds: rounds.max(1),
             class_a: 3,

@@ -191,7 +191,7 @@ fn oracle_async(config: &AsyncConfig) -> Result<(), CoreError> {
 }
 
 /// The scenario's table from core field names to file keys.
-const FIELD_KEYS: [(&str, &str); 14] = [
+const FIELD_KEYS: [(&str, &str); 12] = [
     ("walk_depth", "execution.walk_depth_min"),
     ("walk_stop_margin", "execution.stop_margin"),
     ("total_activations", "execution.activations"),
@@ -204,8 +204,6 @@ const FIELD_KEYS: [(&str, &str); 14] = [
     ("delay.slow_fraction", "execution.slow_fraction"),
     ("compute.slow_fraction", "execution.compute_slow_fraction"),
     ("compute.slowdown", "execution.slowdown"),
-    ("faults.partition", "faults.partition_start"),
-    ("faults.crash", "faults.crash_at"),
 ];
 
 fn oracle_rekey(e: CoreError) -> ScenarioError {

@@ -20,18 +20,17 @@
 
 use std::error::Error;
 
-use dagfl::scenario::AttackSpec;
-use dagfl::{Scenario, ScenarioRunner};
+use dagfl::{PoisoningConfig, Scenario, ScenarioRunner};
 
 fn shrunk(preset: &str) -> Result<Scenario, Box<dyn Error>> {
     // Start from the registered preset and shorten the attack phases.
     let mut scenario = Scenario::preset(preset)?;
-    scenario.attack = Some(AttackSpec {
-        fraction: 0.25,
+    scenario.attack = Some(PoisoningConfig {
+        poison_fraction: 0.25,
         clean_rounds: 10,
         attack_rounds: 10,
         measure_every: 2,
-        ..AttackSpec::default()
+        ..PoisoningConfig::default()
     });
     Ok(scenario)
 }

@@ -7,9 +7,26 @@
 #   * every line of every `.rs` file under `crates/`, `tests/` and
 #     `examples/`.
 #
-# Usage: scripts/loc.sh   (counts the checkout the script lives in)
+# Usage: scripts/loc.sh [REV]
+#
+# Without REV it counts the checkout the script lives in, edits included.
+# With REV (a commit, branch or tag of that checkout's repository) it
+# counts that revision's committed files, extracted with `git archive`
+# into a temporary directory.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+if [ $# -gt 1 ]; then
+    echo "usage: scripts/loc.sh [REV]" >&2
+    exit 2
+fi
+if [ $# -eq 1 ]; then
+    tree="$(mktemp -d)"
+    trap 'rm -rf "$tree"' EXIT
+    git archive "$1" | tar -x -C "$tree"
+    echo "revision $(git rev-parse --short "$1^{commit}"):"
+    cd "$tree"
+fi
 
 # Lines of the given files before each one's first `#[cfg(test)]`.
 non_test() {

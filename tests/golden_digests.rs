@@ -11,6 +11,11 @@
 //! alter the numbers, copy the new values from the failure messages and
 //! say so in CHANGES.md.
 //!
+//! The `chaos-smoke` and `poisoning-p0.2` rows pin the only presets with
+//! a `[faults]` or an `[attack]` section; their constants were recorded
+//! on the commit before those sections read straight into `FaultPlan`
+//! and `PoisoningConfig`.
+//!
 //! The replica row pins `Replica::digest` the same way: before it, replica
 //! digests were only compared with each other, so a hash change that
 //! moved every replica alike went unseen. Its constants were recorded on
@@ -55,6 +60,16 @@ fn table1_cifar_digest_is_unchanged() {
 #[test]
 fn async_delay2_digest_is_unchanged() {
     assert_quick_digest("async-delay2", 0xc131_8f06_e63f_535c);
+}
+
+#[test]
+fn chaos_smoke_digest_is_unchanged() {
+    assert_quick_digest("chaos-smoke", 0x4d6f_9dca_0ec9_e330);
+}
+
+#[test]
+fn poisoning_p0_2_digest_is_unchanged() {
+    assert_quick_digest("poisoning-p0.2", 0xb1b8_35be_22e4_7005);
 }
 
 #[test]

@@ -106,11 +106,11 @@ fn partition_heals_and_both_sides_converge() {
     // beyond the run itself.
     run_and_converge(
         FaultPlan {
-            partitions: vec![PartitionWindow {
+            partition: Some(PartitionWindow {
                 start: 8.0,
                 heal: 18.0,
                 split: 3,
-            }],
+            }),
             ..FaultPlan::default()
         },
         "partition",
@@ -124,11 +124,11 @@ fn crashed_peer_restarts_and_catches_up() {
     // the networked snapshot rejoin) fills the gap.
     run_and_converge(
         FaultPlan {
-            crashes: vec![CrashWindow {
+            crash: Some(CrashWindow {
                 peer: 5,
                 at: 10.0,
                 restart: 20.0,
-            }],
+            }),
             ..FaultPlan::default()
         },
         "crash",
@@ -144,16 +144,16 @@ fn everything_at_once_still_converges() {
             reorder: 0.15,
             extra_delay: 0.2,
             delay_boost: 2.0,
-            partitions: vec![PartitionWindow {
+            partition: Some(PartitionWindow {
                 start: 6.0,
                 heal: 14.0,
                 split: 2,
-            }],
-            crashes: vec![CrashWindow {
+            }),
+            crash: Some(CrashWindow {
                 peer: 0,
                 at: 18.0,
                 restart: 26.0,
-            }],
+            }),
         },
         "chaos",
     );

@@ -14,14 +14,14 @@ fn scenario(selector: TipSelector, fraction: f64, seed: u64) -> PoisoningScenari
     let factory = ModelSpec::Mlp { hidden: vec![24] }
         .build_factory(dataset.feature_len(), dataset.num_classes());
     PoisoningScenario::new(
+        DagConfig {
+            clients_per_round: 5,
+            local_batches: 5,
+            seed,
+            ..DagConfig::default()
+        }
+        .with_tip_selector(selector),
         PoisoningConfig {
-            dag: DagConfig {
-                clients_per_round: 5,
-                local_batches: 5,
-                seed,
-                ..DagConfig::default()
-            }
-            .with_tip_selector(selector),
             clean_rounds: 8,
             attack_rounds: 8,
             poison_fraction: fraction,

@@ -3,9 +3,10 @@
 //! builder API) produce the same runs, runs are deterministic, and
 //! every checked-in `scenarios/*.toml` file is a valid preset.
 
-use dagfl::scenario::{AttackSpec, Scale, ScenarioError, PRESETS, SWEEP_PRESETS};
+use dagfl::scenario::{Scale, ScenarioError, PRESETS, SWEEP_PRESETS};
 use dagfl::{
-    DatasetSpec, ExecutionSpec, RunReport, Scenario, ScenarioRunner, SweepRunner, SweepSpec,
+    DatasetSpec, ExecutionSpec, PoisoningConfig, RunReport, Scenario, ScenarioRunner, SweepRunner,
+    SweepSpec,
 };
 
 fn run(scenario: Scenario) -> RunReport {
@@ -88,7 +89,7 @@ fn async_preset_runs_deterministically_behind_the_same_api() {
 #[test]
 fn attack_preset_reports_poisoning_deterministically() {
     let shrink = |mut s: Scenario| {
-        s.attack = Some(AttackSpec {
+        s.attack = Some(PoisoningConfig {
             clean_rounds: 2,
             attack_rounds: 2,
             measure_every: 2,
