@@ -145,8 +145,8 @@ pub(crate) fn scenario_from_flags(args: &ParsedArgs) -> Result<Scenario, Box<dyn
 }
 
 /// The centralized baselines' configuration: the scenario's
-/// hyperparameters plus `--mu` (FedProx only; finite, non-negative) and
-/// `--stragglers` (a fraction in `[0, 1]`).
+/// hyperparameters plus `--mu` (FedProx only; positive and finite:
+/// `μ = 0` is FedAvg) and `--stragglers` (a fraction in `[0, 1]`).
 fn fed_config(args: &ParsedArgs, dag: &DagConfig) -> Result<FedConfig, ParseError> {
     let mu: f32 = if args.command() == Command::FedProx {
         args.get_parsed_or("mu", 0.1)?
@@ -155,7 +155,10 @@ fn fed_config(args: &ParsedArgs, dag: &DagConfig) -> Result<FedConfig, ParseErro
     };
     let stragglers: f32 = args.get_parsed_or("stragglers", 0.0)?;
     for (flag, ok) in [
-        ("mu", mu.is_finite() && mu >= 0.0),
+        (
+            "mu",
+            args.command() != Command::FedProx || mu.is_finite() && mu > 0.0,
+        ),
         ("stragglers", (0.0..=1.0).contains(&stragglers)),
     ] {
         if !ok {
@@ -632,13 +635,13 @@ mod tests {
     /// the scenario's, else the baselines' own flags'.
     fn flag_failure(flags: &[&str]) -> ParseError {
         let args = ParsedArgs::parse(flags).unwrap();
-        let err = match scenario_from_flags(&args) {
-            Ok(s) => fed_config(&args, s.execution.dag())
-                .map(drop)
-                .expect_err("must be rejected")
-                .into(),
-            Err(err) => err,
+        let outcome = match args.command() {
+            // `analyze` edits a preset; the others compose a scenario.
+            Command::Analyze => run_command(&args),
+            _ => scenario_from_flags(&args)
+                .and_then(|s| Ok(fed_config(&args, s.execution.dag()).map(drop)?)),
         };
+        let err = outcome.expect_err("must be rejected");
         match err.downcast::<ParseError>() {
             Ok(err) => *err,
             Err(other) => panic!("{flags:?}: not a flag error: {other}"),
@@ -916,10 +919,14 @@ mod tests {
             (vec!["dag", "--lr", "-1"], "lr"),
             (vec!["dag", "--batches", "0"], "batches"),
             (vec!["dag", "--clients", "many"], "clients"),
+            (vec!["dag", "--clients", "0"], "clients"),
+            (vec!["dag", "--samples", "5"], "samples"),
+            (vec!["analyze", "--preset", "smoke", "--k", "0"], "k"),
             (vec!["dag", "--selector", "cumulativ"], "selector"),
             (vec!["dag", "--normalization", "nope"], "normalization"),
             (vec!["peer", "--stop-margin", "-1"], "stop-margin"),
             (vec!["fedprox", "--mu", "-1"], "mu"),
+            (vec!["fedprox", "--mu", "0"], "mu"),
             (vec!["fedprox", "--mu", "inf"], "mu"),
             (vec!["fedprox", "--stragglers", "1.5"], "stragglers"),
             (vec!["fedavg", "--stragglers", "-0.1"], "stragglers"),
@@ -965,16 +972,19 @@ mod tests {
 
     #[test]
     fn datasets_the_generators_reject_are_errors_not_panics() {
-        for (line, key) in [
-            (&["dag", "--rounds", "1", "--samples", "5"][..], "samples"),
+        for (line, expected) in [
+            (
+                &["dag", "--rounds", "1", "--samples", "5"][..],
+                "invalid value `5` for flag `samples`",
+            ),
             (
                 &["async", "--activations", "1", "--clients", "1"],
-                "clients",
+                "invalid value `1` for flag `clients`",
             ),
         ] {
             let args = ParsedArgs::parse(line).unwrap();
             let err = run_command(&args).unwrap_err().to_string();
-            assert!(err.contains(&format!("dataset.{key}")), "{line:?}: {err}");
+            assert_eq!(err, expected, "{line:?}");
         }
     }
 

@@ -195,8 +195,12 @@ impl AsyncConfig {
         v.key(key("fanout", Any), fanout)?;
         let workers = UsizeOr(&mut self.workers, defaults.workers);
         v.key(key("workers", AtLeastOne), workers)?;
-        v.word("stale_policy", &STALE_POLICIES, &mut self.stale_policy)?;
-        v.word("delay_model", &DELAY_MODELS, &mut self.delay)?;
+        v.word(
+            key("stale_policy", Any),
+            &STALE_POLICIES,
+            &mut self.stale_policy,
+        )?;
+        v.word(key("delay_model", Any), &DELAY_MODELS, &mut self.delay)?;
         let delay = key("delay", NonNegative);
         match &mut self.delay {
             DelayModel::Constant { delay: d } => v.key(delay.field("delay.delay"), F64(d))?,
@@ -218,7 +222,7 @@ impl AsyncConfig {
                 v.key(JITTER, F64(jitter))?;
             }
         }
-        v.word("compute", &COMPUTE_PROFILES, &mut self.compute)?;
+        v.word(key("compute", Any), &COMPUTE_PROFILES, &mut self.compute)?;
         match &mut self.compute {
             ComputeProfile::Uniform => Ok(()),
             ComputeProfile::TwoSpeed {

@@ -1,5 +1,7 @@
 //! Simulation configuration, including the paper's Table 1 hyperparameters.
 
+use dagfl_datasets::{fmnist, MIN_SAMPLES};
+
 use crate::CoreError;
 
 /// How candidate accuracies are normalised inside the biased walk (§4.2).
@@ -216,14 +218,14 @@ impl DagConfig {
         v.key(key("local_batches", AtLeastOne), Usize(batches))?;
         v.key(key("batch_size", AtLeastOne), Usize(&mut self.batch_size))?;
         v.key(key("learning_rate", Positive), F32(&mut self.learning_rate))?;
-        v.word("selector", &SELECTORS, &mut self.tip_selector)?;
+        v.word(key("selector", Any), &SELECTORS, &mut self.tip_selector)?;
         match &mut self.tip_selector {
             TipSelector::Accuracy {
                 alpha,
                 normalization,
             } => {
                 v.key(ALPHA, F32(alpha))?;
-                v.word("normalization", &NORMALIZATIONS, normalization)?;
+                v.word(key("normalization", Any), &NORMALIZATIONS, normalization)?;
             }
             TipSelector::Random => {}
             TipSelector::CumulativeWeight { alpha } => v.key(ALPHA, F32(alpha))?,
@@ -233,7 +235,11 @@ impl DagConfig {
         v.key(key("walk_depth_max", Any), U32(&mut self.walk_depth.1))?;
         let margin = key("stop_margin", Margin).field("walk_stop_margin");
         v.key(margin, OptF32(&mut self.walk_stop_margin))?;
-        v.word("publish_gate", &PUBLISH_GATES, &mut self.publish_gate)?;
+        v.word(
+            key("publish_gate", Any),
+            &PUBLISH_GATES,
+            &mut self.publish_gate,
+        )?;
         v.key(key("frozen_prefix", Any), Usize(&mut self.frozen_prefix))?;
         let dropout = &mut self.publication_dropout;
         v.key(key("publication_dropout", Fraction), F32(dropout))?;
@@ -268,43 +274,84 @@ const PUBLISH_GATES: [(&str, PublishGate); 3] = [
     ("always", PublishGate::Always),
 ];
 
-/// One `[execution]` key: its file name, the field a range error names
-/// and the values it admits.
+/// One scenario key: its file name, the field a range error names, the
+/// values it admits and whether a file must spell it.
 #[derive(Debug, Clone, Copy)]
 pub struct Key {
-    /// The key's name in a scenario file.
+    /// The key's name in its scenario-file section.
     pub name: &'static str,
-    field: &'static str,
-    range: Range,
+    /// The name a [`CoreError::InvalidField`] gives the key.
+    pub field: &'static str,
+    /// The values the key admits.
+    pub range: Range,
+    /// Whether a reader reports the key's absence.
+    pub required: bool,
 }
 
 /// A key whose range errors name it as the file does.
-pub(crate) const fn key(name: &'static str, range: Range) -> Key {
-    let field = name;
-    Key { name, field, range }
+pub const fn key(name: &'static str, range: Range) -> Key {
+    Key {
+        name,
+        field: name,
+        range,
+        required: false,
+    }
 }
 
 impl Key {
-    /// The key, with range errors naming the struct field `field`.
-    pub(crate) const fn field(self, field: &'static str) -> Key {
+    /// The key, with range errors naming the field `field`.
+    pub const fn field(self, field: &'static str) -> Key {
         Key { field, ..self }
+    }
+
+    /// The key, which a file must spell.
+    pub const fn required(self) -> Key {
+        Key {
+            required: true,
+            ..self
+        }
     }
 }
 
 /// The values a key admits; each constraint is spelled here once.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum Range {
+pub enum Range {
+    /// Every value.
     Any,
+    /// A count of at least one.
     AtLeastOne,
+    /// Positive and finite.
     Positive,
+    /// Non-negative and finite.
     NonNegative,
     /// A walk's minimum start depth, against the maximum.
     DepthAtMost(u32),
     /// Positive, for a key `None` switches off.
     Margin,
+    /// A probability in `[0, 1]`.
     Fraction,
+    /// A compute slowdown factor: at least 1 and finite.
     Slowdown,
+    /// A name: one non-blank line.
+    Line,
+    /// A share of foreign-cluster data, in `[0, 1)`.
+    Relaxation,
+    /// Samples per client: at least [`MIN_SAMPLES`].
+    Samples,
+    /// FMNIST clients: at least one per class cluster.
+    Clusters,
+    /// A minimum of samples per client, against the maximum.
+    SamplesAtMost(usize),
+    /// The lower bound of a cluster-count sweep, against the upper.
+    KAtMost(usize),
+    /// A partition window's start, against its heal time.
+    PartitionStart(f64),
+    /// A crash time, against the restart time.
+    CrashAt(f64),
 }
+
+// The constraints below spell these two bounds out.
+const _: () = assert!(MIN_SAMPLES == 10 && fmnist::CLASS_CLUSTERS.len() == 3);
 
 impl Range {
     /// The constraint `x` violates, if any.
@@ -324,6 +371,26 @@ impl Range {
             ),
             Range::Fraction => ((0.0..=1.0).contains(&x), "must be in [0, 1]"),
             Range::Slowdown => (x >= 1.0 && x.is_finite(), "must be >= 1.0 and finite"),
+            Range::Line => (x == 1.0, "must be a non-empty single line"),
+            Range::Relaxation => ((0.0..1.0).contains(&x), "must be in [0, 1)"),
+            Range::Samples => (x >= 10.0, "must be at least 10"),
+            Range::Clusters => (x >= 3.0, "must be at least 3, one per cluster"),
+            Range::SamplesAtMost(max) => (
+                (10.0..=max as f64).contains(&x),
+                "must be at least 10 and at most max_samples",
+            ),
+            Range::KAtMost(max) => (
+                (1.0..=max as f64).contains(&x),
+                "must be at least 1 and at most k_max",
+            ),
+            Range::PartitionStart(heal) => (
+                heal.is_finite() && (0.0..=heal).contains(&x),
+                "window needs finite 0 <= start <= heal",
+            ),
+            Range::CrashAt(restart) => (
+                x.is_finite() && x >= 0.0 && restart >= x,
+                "window needs finite 0 <= at <= restart",
+            ),
         };
         (!admitted).then_some(constraint)
     }
@@ -337,6 +404,8 @@ pub enum Slot<'a> {
     /// A count written only while it differs from the given value, which
     /// an absent key reads as.
     UsizeOr(&'a mut usize, usize),
+    /// A count that `None` leaves out.
+    OptUsize(&'a mut Option<usize>),
     /// A walk depth.
     U32(&'a mut u32),
     /// A seed.
@@ -347,40 +416,55 @@ pub enum Slot<'a> {
     OptF32(&'a mut Option<f32>),
     /// A time, delay or fraction.
     F64(&'a mut f64),
+    /// A time that `None` leaves out.
+    OptF64(&'a mut Option<f64>),
     /// A switch.
     Bool(&'a mut bool),
+    /// A text.
+    Str(&'a mut String),
+    /// A text that `None` leaves out.
+    OptStr(&'a mut Option<String>),
+    /// Layer widths, each checked against the key's range.
+    Widths(&'a mut Vec<usize>),
 }
 
-/// A pass over a config's `[execution]` keys in scenario-file order: the
-/// range check of `validate`, and the scenario reader and writer.
+/// A pass over a section's keys in scenario-file order: the range check
+/// of `validate`, and the scenario reader and writer.
 pub trait KeyVisitor {
     /// What a visit fails with.
     type Error;
 
-    /// A key holding a number or a switch.
+    /// A key holding a value.
     fn key(&mut self, key: Key, value: Slot<'_>) -> Result<(), Self::Error>;
 
     /// A shape word: `rows` pairs every word with the variant it reads
     /// as, at that variant's defaults.
     fn word<E: Clone>(
         &mut self,
-        name: &'static str,
+        key: Key,
         rows: &[(&'static str, E)],
         value: &mut E,
     ) -> Result<(), Self::Error>;
 }
 
-/// The visitor behind `validate`: names the first key out of range. A
-/// shape word starts a model, and within one an out-of-range fraction
-/// comes before the model's other errors, the order the delay and
-/// compute models were always checked in. Only a failing check formats.
-pub(crate) struct RangeCheck {
+/// The visitor behind every `validate`: names the first key out of
+/// range. A shape word starts a model, and within one an out-of-range
+/// fraction comes before the model's other errors, the order the delay
+/// and compute models were always checked in. Only a failing check
+/// formats.
+#[derive(Debug)]
+pub struct RangeCheck {
     pending: Option<CoreError>,
 }
 
 impl RangeCheck {
     /// Runs `visit` over a fresh check.
-    pub(crate) fn run(
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidField`] naming the first key out of
+    /// range.
+    pub fn run(
         visit: impl FnOnce(&mut RangeCheck) -> Result<(), CoreError>,
     ) -> Result<(), CoreError> {
         let mut check = RangeCheck { pending: None };
@@ -394,11 +478,30 @@ impl KeyVisitor for RangeCheck {
 
     fn key(&mut self, key: Key, value: Slot<'_>) -> Result<(), CoreError> {
         let (x, shown): (f64, &dyn std::fmt::Display) = match value {
-            Slot::Usize(v) | Slot::UsizeOr(v, _) => (*v as f64, v),
+            Slot::Usize(v) | Slot::UsizeOr(v, _) | Slot::OptUsize(Some(v)) => (*v as f64, v),
             Slot::U32(v) => (f64::from(*v), v),
             Slot::F32(v) | Slot::OptF32(Some(v)) => (f64::from(*v), v),
-            Slot::F64(v) => (*v, v),
-            Slot::OptF32(None) | Slot::U64(_) | Slot::Bool(_) => return Ok(()),
+            Slot::F64(v) | Slot::OptF64(Some(v)) => (*v, v),
+            // A text measures its lines, a blank one none.
+            Slot::Str(v) => (
+                if v.trim().is_empty() {
+                    0.0
+                } else {
+                    v.split('\n').count() as f64
+                },
+                v,
+            ),
+            // A list of widths is as good as its worst.
+            Slot::Widths(v) => match v.iter().find(|w| key.range.violated(**w as f64).is_some()) {
+                Some(w) => (*w as f64, w),
+                None => return Ok(()),
+            },
+            Slot::OptUsize(None)
+            | Slot::OptF32(None)
+            | Slot::OptF64(None)
+            | Slot::OptStr(_)
+            | Slot::U64(_)
+            | Slot::Bool(_) => return Ok(()),
         };
         let Some(constraint) = key.range.violated(x) else {
             return Ok(());
@@ -422,7 +525,7 @@ impl KeyVisitor for RangeCheck {
 
     fn word<E: Clone>(
         &mut self,
-        _: &'static str,
+        _: Key,
         _: &[(&'static str, E)],
         _: &mut E,
     ) -> Result<(), CoreError> {

@@ -26,6 +26,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::config::{key, KeyVisitor, Range, RangeCheck, Slot};
 use crate::{derive_seed, CoreError, Envelope, GossipMessage, Transport, TransportStats};
 
 /// The RNG stream id of the fault injector (see [`derive_seed`]): one
@@ -138,42 +139,21 @@ impl FaultPlan {
             && self.crash.is_none()
     }
 
-    /// Checks every field against a network of `peers` peers:
-    /// probabilities in `[0, 1]`, a finite non-negative `delay_boost`,
-    /// a partition window with `start <= heal` and a peer on each side
-    /// of its cut, a crash window with `at <= restart` (`restart` may be
-    /// infinite) on one of the peers.
+    /// Checks every field against a network of `peers` peers: the
+    /// ranges of [`FaultPlan::keys`] (probabilities in `[0, 1]`, a finite
+    /// non-negative `delay_boost`, a partition window with `start <=
+    /// heal`, a crash window with `at <= restart`, where `restart` may be
+    /// infinite), then a peer on each side of the partition's cut and a
+    /// crash of one of the peers.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidField`] naming the first offending
     /// field by its scenario-file key (`faults.partition_start`).
     pub fn validate(&self, peers: usize) -> Result<(), CoreError> {
-        for (name, p) in [
-            ("faults.drop", self.drop),
-            ("faults.duplicate", self.duplicate),
-            ("faults.reorder", self.reorder),
-            ("faults.extra_delay", self.extra_delay),
-        ] {
-            if !(p.is_finite() && (0.0..=1.0).contains(&p)) {
-                return Err(CoreError::invalid_field(name, p, "must be in [0, 1]"));
-            }
-        }
-        if !(self.delay_boost.is_finite() && self.delay_boost >= 0.0) {
-            return Err(CoreError::invalid_field(
-                "faults.delay_boost",
-                self.delay_boost,
-                "must be non-negative and finite",
-            ));
-        }
+        let mut plan = self.clone();
+        RangeCheck::run(|check| plan.keys(check))?;
         if let Some(w) = &self.partition {
-            if !(w.start.is_finite() && w.heal.is_finite() && w.start >= 0.0 && w.start <= w.heal) {
-                return Err(CoreError::invalid_field(
-                    "faults.partition_start",
-                    w.start,
-                    "window needs finite 0 <= start <= heal",
-                ));
-            }
             if !(1..peers).contains(&w.split) {
                 return Err(CoreError::invalid_field(
                     "faults.partition_split",
@@ -183,13 +163,6 @@ impl FaultPlan {
             }
         }
         if let Some(c) = &self.crash {
-            if !(c.at.is_finite() && c.at >= 0.0 && c.restart >= c.at) {
-                return Err(CoreError::invalid_field(
-                    "faults.crash_at",
-                    c.at,
-                    "window needs finite 0 <= at <= restart",
-                ));
-            }
             if c.peer >= peers {
                 return Err(CoreError::invalid_field(
                     "faults.crash_peer",
@@ -198,6 +171,65 @@ impl FaultPlan {
                 ));
             }
         }
+        Ok(())
+    }
+
+    /// Visits the `[faults]` keys in scenario-file order: the
+    /// per-envelope faults, then the partition window and the crash
+    /// window, each as optional keys. A window reads as present only
+    /// whole (a crash without `crash_restart` never restarts); the
+    /// scenario reader rejects a window given in part.
+    ///
+    /// # Errors
+    ///
+    /// Returns the visitor's first error.
+    pub fn keys<V: KeyVisitor>(&mut self, v: &mut V) -> Result<(), V::Error> {
+        use Range::*;
+        use Slot::*;
+        let fraction = |name, field| key(name, Fraction).field(field);
+        v.key(fraction("drop", "faults.drop"), F64(&mut self.drop))?;
+        v.key(
+            fraction("duplicate", "faults.duplicate"),
+            F64(&mut self.duplicate),
+        )?;
+        v.key(
+            fraction("reorder", "faults.reorder"),
+            F64(&mut self.reorder),
+        )?;
+        let extra_delay = fraction("extra_delay", "faults.extra_delay");
+        v.key(extra_delay, F64(&mut self.extra_delay))?;
+        let boost = key("delay_boost", NonNegative).field("faults.delay_boost");
+        v.key(boost, F64(&mut self.delay_boost))?;
+        let heal_at = self.partition.map_or(0.0, |w| w.heal);
+        let mut start = self.partition.map(|w| w.start);
+        let mut heal = self.partition.map(|w| w.heal);
+        let mut split = self.partition.map(|w| w.split);
+        let start_key = key("partition_start", PartitionStart(heal_at));
+        v.key(
+            start_key.field("faults.partition_start"),
+            OptF64(&mut start),
+        )?;
+        v.key(key("partition_heal", Any), OptF64(&mut heal))?;
+        v.key(key("partition_split", Any), OptUsize(&mut split))?;
+        self.partition = match (start, heal, split) {
+            (Some(start), Some(heal), Some(split)) => Some(PartitionWindow { start, heal, split }),
+            _ => None,
+        };
+        let restart_at = self.crash.map_or(f64::INFINITY, |w| w.restart);
+        let mut peer = self.crash.map(|w| w.peer);
+        let mut at = self.crash.map(|w| w.at);
+        let mut restart = Some(restart_at).filter(|r| r.is_finite());
+        v.key(key("crash_peer", Any), OptUsize(&mut peer))?;
+        let at_key = key("crash_at", CrashAt(restart_at)).field("faults.crash_at");
+        v.key(at_key, OptF64(&mut at))?;
+        v.key(key("crash_restart", Any), OptF64(&mut restart))?;
+        self.crash = match (peer, at) {
+            (Some(peer), Some(at)) => {
+                let restart = restart.unwrap_or(f64::INFINITY);
+                Some(CrashWindow { peer, at, restart })
+            }
+            _ => None,
+        };
         Ok(())
     }
 

@@ -115,7 +115,10 @@ pub use dagfl_nn::ModelFactory;
 pub use async_sim::{ActivationRecord, AsyncConfig, AsyncMetrics, AsyncSimulation};
 pub use attackers::{GarbageAttackConfig, GarbageAttackScenario, GarbageRoundMetrics};
 pub use client::{DagClient, TrainOutcome};
-pub use config::{DagConfig, Key, KeyVisitor, Normalization, PublishGate, Slot, TipSelector};
+pub use config::{
+    key, DagConfig, Key, KeyVisitor, Normalization, PublishGate, Range, RangeCheck, Slot,
+    TipSelector,
+};
 pub use delay::{ComputeProfile, DelayModel, StaleTipPolicy};
 pub use error::CoreError;
 pub use evaluator::{EvalCounters, ModelEvaluator};

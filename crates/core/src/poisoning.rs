@@ -17,6 +17,7 @@ use rand::SeedableRng;
 use dagfl_datasets::{flip_labels, FederatedDataset, PoisonReport};
 use dagfl_tangle::TangleRead;
 
+use crate::config::{key, KeyVisitor, Range, RangeCheck, Slot};
 use crate::{CoreError, DagConfig, ModelFactory, Simulation};
 
 /// Configuration of a poisoning experiment: the `[attack]` section of
@@ -53,31 +54,18 @@ impl Default for PoisoningConfig {
 }
 
 impl PoisoningConfig {
-    /// Checks the attack against a dataset of `num_classes` classes: a
-    /// fraction in `[0, 1]`, at least one attack round and measurement
-    /// interval, and two distinct flip classes below `num_classes`.
+    /// Checks the attack against a dataset of `num_classes` classes: the
+    /// ranges of [`PoisoningConfig::keys`] (a fraction in `[0, 1]`, at
+    /// least one attack round and measurement interval), then two
+    /// distinct flip classes below `num_classes`.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidField`] naming the first offending
     /// field by its scenario-file key (`attack.fraction`).
     pub fn validate(&self, num_classes: usize) -> Result<(), CoreError> {
-        let p = self.poison_fraction;
-        if !(p.is_finite() && (0.0..=1.0).contains(&p)) {
-            return Err(CoreError::invalid_field(
-                "attack.fraction",
-                p,
-                "must be in [0, 1]",
-            ));
-        }
-        for (name, n) in [
-            ("attack.attack_rounds", self.attack_rounds),
-            ("attack.measure_every", self.measure_every),
-        ] {
-            if n == 0 {
-                return Err(CoreError::invalid_field(name, n, "must be at least 1"));
-            }
-        }
+        let mut attack = *self;
+        RangeCheck::run(|check| attack.keys(check))?;
         for (name, class) in [
             ("attack.class_a", self.class_a),
             ("attack.class_b", self.class_b),
@@ -98,6 +86,26 @@ impl PoisoningConfig {
             ));
         }
         Ok(())
+    }
+
+    /// Visits the `[attack]` keys in scenario-file order (`fraction` is
+    /// the field `poison_fraction`).
+    ///
+    /// # Errors
+    ///
+    /// Returns the visitor's first error.
+    pub fn keys<V: KeyVisitor>(&mut self, v: &mut V) -> Result<(), V::Error> {
+        use Range::*;
+        use Slot::*;
+        let fraction = key("fraction", Fraction).field("attack.fraction");
+        v.key(fraction, F64(&mut self.poison_fraction))?;
+        v.key(key("clean_rounds", Any), Usize(&mut self.clean_rounds))?;
+        let rounds = key("attack_rounds", AtLeastOne).field("attack.attack_rounds");
+        v.key(rounds, Usize(&mut self.attack_rounds))?;
+        v.key(key("class_a", Any), Usize(&mut self.class_a))?;
+        v.key(key("class_b", Any), Usize(&mut self.class_b))?;
+        let every = key("measure_every", AtLeastOne).field("attack.measure_every");
+        v.key(every, Usize(&mut self.measure_every))
     }
 }
 

@@ -1,21 +1,23 @@
 //! The declarative experiment specification: [`Scenario`] and its parts.
 
 use std::collections::BTreeSet;
+use std::convert::Infallible;
 use std::mem::discriminant;
 use std::path::Path;
+use std::str::FromStr;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 
 use dagfl_analysis::{AnalysisConfig, AnalysisSource, KSelection};
 use dagfl_core::{
-    AsyncConfig, CoreError, CrashWindow, DagConfig, FaultPlan, KeyVisitor, ModelFactory,
-    PartitionWindow, PoisoningConfig, Slot,
+    key, AsyncConfig, CoreError, DagConfig, FaultPlan, Key, KeyVisitor, ModelFactory,
+    PoisoningConfig, Range, RangeCheck, Slot,
 };
 use dagfl_datasets::{
-    cifar, cifar100_like, fedprox_synthetic, fmnist, fmnist_by_author, fmnist_clustered,
+    cifar, cifar100_like, fedprox_synthetic, fmnist_by_author, fmnist_clustered,
     fmnist_clustered_streamed, poets, Cifar100Config, FedProxConfig, FederatedDataset,
-    FmnistConfig, PoetsConfig, MIN_SAMPLES, POETS_VOCAB,
+    FmnistConfig, PoetsConfig, POETS_VOCAB,
 };
 use dagfl_nn::{char_rnn, Dense, Model, Relu, Sequential};
 
@@ -314,6 +316,74 @@ impl DatasetSpec {
             DatasetSpec::FedProx { .. } => ModelSpec::Linear,
         }
     }
+
+    /// `[dataset]`: the generator word, then its parameters.
+    fn keys<V: KeyVisitor>(&mut self, v: &mut V) -> Result<(), V::Error> {
+        use Range::*;
+        use Slot::*;
+        const SAMPLES: Key = key("samples", Samples);
+        const SEED: Key = key("seed", Any);
+        v.word(key("kind", Any).required(), &DATASETS, self)?;
+        match self {
+            DatasetSpec::Fmnist {
+                clients,
+                samples,
+                relaxation,
+                seed,
+            }
+            | DatasetSpec::FmnistStreamed {
+                clients,
+                samples,
+                relaxation,
+                seed,
+            } => {
+                v.key(key("clients", Clusters), Usize(clients))?;
+                v.key(SAMPLES, Usize(samples))?;
+                v.key(key("relaxation", Relaxation), F32(relaxation))?;
+                v.key(SEED, U64(seed))
+            }
+            DatasetSpec::FmnistAuthor {
+                clients,
+                samples,
+                seed,
+            }
+            | DatasetSpec::Cifar {
+                clients,
+                samples,
+                seed,
+            } => {
+                v.key(key("clients", AtLeastOne), Usize(clients))?;
+                v.key(SAMPLES, Usize(samples))?;
+                v.key(SEED, U64(seed))
+            }
+            DatasetSpec::Poets {
+                clients_per_language,
+                samples,
+                seq_len,
+                seed,
+            } => {
+                v.key(
+                    key("clients_per_language", AtLeastOne),
+                    Usize(clients_per_language),
+                )?;
+                v.key(SAMPLES, Usize(samples))?;
+                v.key(key("seq_len", AtLeastOne), Usize(seq_len))?;
+                v.key(SEED, U64(seed))
+            }
+            DatasetSpec::FedProx {
+                clients,
+                min_samples,
+                max_samples,
+                seed,
+            } => {
+                v.key(key("clients", AtLeastOne), Usize(clients))?;
+                let min = key("min_samples", SamplesAtMost(*max_samples));
+                v.key(min, Usize(min_samples))?;
+                v.key(key("max_samples", Any), Usize(max_samples))?;
+                v.key(SEED, U64(seed))
+            }
+        }
+    }
 }
 
 /// The model architecture every participant trains.
@@ -380,6 +450,22 @@ impl ModelSpec {
             }
         }
     }
+
+    /// `[model]`: the architecture word; `hidden` is a list of widths for
+    /// `mlp` and one width for `char-rnn`.
+    fn keys<V: KeyVisitor>(&mut self, v: &mut V) -> Result<(), V::Error> {
+        use Slot::*;
+        const HIDDEN: Key = key("hidden", Range::AtLeastOne);
+        v.word(key("kind", Range::Any).required(), &models(), self)?;
+        match self {
+            ModelSpec::Mlp { hidden } => v.key(HIDDEN, Widths(hidden)),
+            ModelSpec::Linear => Ok(()),
+            ModelSpec::CharRnn { embed, hidden } => {
+                v.key(key("embed", Range::AtLeastOne), Usize(embed))?;
+                v.key(HIDDEN, Usize(hidden))
+            }
+        }
+    }
 }
 
 /// How the scenario is executed: the paper's comparison rounds or the
@@ -419,6 +505,22 @@ impl ExecutionSpec {
             ExecutionSpec::Async { config, .. } => &mut config.dag,
         }
     }
+
+    /// `[execution]`: the mode word, the DAG keys every mode has, then
+    /// the transport and the async keys.
+    fn keys<V: KeyVisitor>(&mut self, v: &mut V) -> Result<(), V::Error> {
+        // A mode word swaps the variant, not the DAG keys (the builder
+        // clamped `clients_per_round` to the dataset).
+        let dag = *self.dag();
+        v.word(key("mode", Range::Any), &modes(), self)?;
+        *self.dag_mut() = dag;
+        self.dag_mut().keys(v)?;
+        let ExecutionSpec::Async { config } = self else {
+            return Ok(());
+        };
+        v.word(key("transport", Range::Any), &TRANSPORTS, &mut ())?;
+        config.keys(v)
+    }
 }
 
 /// Output options: specialization tracking and the recent-accuracy
@@ -439,6 +541,18 @@ impl Default for OutputSpec {
             track_every: 0,
             recent_window: 30,
         }
+    }
+}
+
+impl OutputSpec {
+    /// `[output]`.
+    fn keys<V: KeyVisitor>(&mut self, v: &mut V) -> Result<(), V::Error> {
+        v.key(
+            key("track_every", Range::Any),
+            Slot::Usize(&mut self.track_every),
+        )?;
+        let window = key("recent_window", Range::AtLeastOne);
+        v.key(window, Slot::Usize(&mut self.recent_window))
     }
 }
 
@@ -545,6 +659,21 @@ impl AnalysisSpec {
             seed,
         }
     }
+
+    /// `[analysis]`: `k` fixes the cluster count; without it, `k_min`
+    /// and `k_max` bound the silhouette sweep (with it, they are keys the
+    /// section lacks).
+    fn keys<V: KeyVisitor>(&mut self, v: &mut V) -> Result<(), V::Error> {
+        use Range::*;
+        use Slot::*;
+        v.key(key("k", AtLeastOne), OptUsize(&mut self.k))?;
+        if self.k.is_none() {
+            v.key(key("k_min", KAtMost(self.k_max)), Usize(&mut self.k_min))?;
+            v.key(key("k_max", Any), Usize(&mut self.k_max))?;
+        }
+        v.key(key("cadence", Any), Usize(&mut self.cadence))?;
+        v.word(key("source", Any), &SOURCES, &mut self.source)
+    }
 }
 
 impl Scenario {
@@ -612,232 +741,55 @@ impl Scenario {
         self
     }
 
-    /// Checks the complete spec: dataset parameters, model/dataset
-    /// compatibility, the embedded core configuration (via
-    /// [`DagConfig::validate`] / [`AsyncConfig::validate`],
-    /// [`FaultPlan::validate`] against the client count and
-    /// [`PoisoningConfig::validate`] against the class count), the
-    /// sections each mode allows and output options.
+    /// Checks the complete spec: every section's key ranges in file
+    /// order (the root `name`, then `[dataset]` through `[output]`; the
+    /// execution keys via [`DagConfig::validate`] /
+    /// [`AsyncConfig::validate`], `[attack]` via
+    /// [`PoisoningConfig::validate`] against the class count and
+    /// `[faults]` via [`FaultPlan::validate`] against the client count),
+    /// then the rules that span sections: the model fits the dataset,
+    /// `clients_per_round` fits the dataset, the mode has every section
+    /// present, and a CIFAR population fits its pool.
     ///
     /// # Errors
     ///
-    /// Returns the first inconsistency found. A core range error is an
+    /// Returns the first inconsistency found. A key out of range is an
     /// [`ScenarioError::InvalidValue`] under the file key the value is
     /// read from (`execution.interarrival`, not `mean_interarrival`).
     pub fn validate(&self) -> Result<(), ScenarioError> {
-        if self.name.trim().is_empty() || self.name.contains('\n') {
-            return Err(ScenarioError::Invalid(
-                "name must be a non-empty single line".into(),
-            ));
+        let mut scenario = self.clone();
+        for section in std::iter::once("").chain(SECTIONS) {
+            let checked = match (section, &self.execution) {
+                ("execution", ExecutionSpec::Rounds(dag)) => dag.validate(),
+                ("execution", ExecutionSpec::Async { config }) => config.validate(),
+                ("attack", _) => self
+                    .attack
+                    .map_or(Ok(()), |a| a.validate(self.dataset.num_classes())),
+                ("faults", _) => self
+                    .faults
+                    .as_ref()
+                    .map_or(Ok(()), |f| f.validate(self.dataset.num_clients())),
+                _ => RangeCheck::run(|check| scenario.keys(section, check)),
+            };
+            checked.map_err(|e| core_error(section, e))?;
         }
-        self.validate_dataset()?;
-        self.validate_model()?;
-        match &self.execution {
-            ExecutionSpec::Rounds(dag) => {
-                dag.validate().map_err(core_error)?;
-                if dag.clients_per_round > self.dataset.num_clients() {
-                    return Err(ScenarioError::Invalid(format!(
-                        "clients_per_round ({}) exceeds the dataset's {} clients",
-                        dag.clients_per_round,
-                        self.dataset.num_clients()
-                    )));
-                }
-                if self.faults.is_some() {
-                    return Err(ScenarioError::Invalid(
-                        "fault injection requires async mode".into(),
-                    ));
-                }
-            }
-            ExecutionSpec::Async { config } => {
-                config.validate().map_err(core_error)?;
-                if self.attack.is_some() {
-                    return Err(ScenarioError::Invalid(
-                        "poisoning attacks require rounds mode".into(),
-                    ));
-                }
-                if self.output.track_every > 0 {
-                    return Err(ScenarioError::Invalid(
-                        "specialization tracking requires rounds mode".into(),
-                    ));
-                }
-                if self.analysis.is_some() {
-                    return Err(ScenarioError::Invalid(
-                        "specialization analytics require rounds mode".into(),
-                    ));
-                }
-                if let Some(faults) = &self.faults {
-                    faults
-                        .validate(self.dataset.num_clients())
-                        .map_err(core_error)?;
-                }
-            }
-        }
-        if let Some(attack) = &self.attack {
-            attack
-                .validate(self.dataset.num_classes())
-                .map_err(core_error)?;
-            if self.output.track_every > 0 {
-                return Err(ScenarioError::Invalid(
-                    "specialization tracking is not supported together with an attack".into(),
-                ));
-            }
-            if self.analysis.is_some() {
-                return Err(ScenarioError::Invalid(
-                    "specialization analytics are not supported together with an attack".into(),
-                ));
-            }
-        }
-        if let Some(analysis) = &self.analysis {
-            if let Some(k) = analysis.k {
-                if k == 0 {
-                    return Err(ScenarioError::Invalid(
-                        "analysis.k must be at least 1".into(),
-                    ));
-                }
-            } else if analysis.k_min < 1 || analysis.k_min > analysis.k_max {
+        self.model_fits_dataset()?;
+        if let ExecutionSpec::Rounds(dag) = &self.execution {
+            if dag.clients_per_round > self.dataset.num_clients() {
                 return Err(ScenarioError::Invalid(format!(
-                    "analysis.k_min ({}) must be at least 1 and at most k_max ({})",
-                    analysis.k_min, analysis.k_max
+                    "clients_per_round ({}) exceeds the dataset's {} clients",
+                    dag.clients_per_round,
+                    self.dataset.num_clients()
                 )));
             }
         }
-        if self.output.recent_window == 0 {
-            return Err(ScenarioError::Invalid(
-                "output.recent_window must be at least 1".into(),
-            ));
-        }
-        self.validate_dataset_size()
+        self.mode_has_sections()?;
+        self.cifar_fits_pool()
     }
 
-    fn validate_dataset(&self) -> Result<(), ScenarioError> {
-        let err = |msg: String| Err(ScenarioError::Invalid(msg));
-        match self.dataset {
-            DatasetSpec::Fmnist {
-                clients,
-                samples,
-                relaxation,
-                ..
-            }
-            | DatasetSpec::FmnistStreamed {
-                clients,
-                samples,
-                relaxation,
-                ..
-            } => {
-                if clients == 0 || samples == 0 {
-                    return err("dataset clients and samples must be at least 1".into());
-                }
-                if !(relaxation.is_finite() && (0.0..1.0).contains(&relaxation)) {
-                    return err(format!(
-                        "dataset.relaxation ({relaxation}) must be in [0, 1)"
-                    ));
-                }
-            }
-            DatasetSpec::FmnistAuthor {
-                clients, samples, ..
-            }
-            | DatasetSpec::Cifar {
-                clients, samples, ..
-            } => {
-                if clients == 0 || samples == 0 {
-                    return err("dataset clients and samples must be at least 1".into());
-                }
-            }
-            DatasetSpec::Poets {
-                clients_per_language,
-                samples,
-                seq_len,
-                ..
-            } => {
-                if clients_per_language == 0 || samples == 0 || seq_len == 0 {
-                    return err(
-                        "dataset clients_per_language, samples and seq_len must be at least 1"
-                            .into(),
-                    );
-                }
-            }
-            DatasetSpec::FedProx {
-                clients,
-                min_samples,
-                max_samples,
-                ..
-            } => {
-                if clients == 0 || min_samples == 0 {
-                    return err("dataset clients and min_samples must be at least 1".into());
-                }
-                if min_samples > max_samples {
-                    return err(format!(
-                        "dataset.min_samples ({min_samples}) exceeds max_samples ({max_samples})"
-                    ));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// What the generators assert beyond sizes of at least 1: a client
-    /// per FMNIST cluster, [`MIN_SAMPLES`] per client and CIFAR's pool.
-    /// Checked last, so every input another check rejects keeps its error.
-    fn validate_dataset_size(&self) -> Result<(), ScenarioError> {
-        let err = |msg: String| Err(ScenarioError::Invalid(msg));
-        let (key, samples) = match self.dataset {
-            DatasetSpec::Fmnist {
-                clients, samples, ..
-            }
-            | DatasetSpec::FmnistStreamed {
-                clients, samples, ..
-            } => {
-                let clusters = fmnist::CLASS_CLUSTERS.len();
-                if clients < clusters {
-                    return err(format!(
-                        "dataset.clients ({clients}) must be at least {clusters}, one per cluster"
-                    ));
-                }
-                ("samples", samples)
-            }
-            DatasetSpec::Cifar {
-                clients, samples, ..
-            } => {
-                let pool = cifar::POOL_SAMPLES;
-                if clients.checked_mul(samples).map_or(true, |n| n > pool) {
-                    return err(format!(
-                        "dataset clients × samples ({clients} × {samples}) exceeds the pool of \
-                         {pool} samples"
-                    ));
-                }
-                ("samples", samples)
-            }
-            DatasetSpec::FmnistAuthor { samples, .. } | DatasetSpec::Poets { samples, .. } => {
-                ("samples", samples)
-            }
-            DatasetSpec::FedProx { min_samples, .. } => ("min_samples", min_samples),
-        };
-        if samples < MIN_SAMPLES {
-            return err(format!(
-                "dataset.{key} ({samples}) must be at least {MIN_SAMPLES}"
-            ));
-        }
-        Ok(())
-    }
-
-    fn validate_model(&self) -> Result<(), ScenarioError> {
-        match &self.model {
-            ModelSpec::Mlp { hidden } => {
-                if hidden.contains(&0) {
-                    return Err(ScenarioError::Invalid(
-                        "model.hidden widths must be at least 1".into(),
-                    ));
-                }
-            }
-            ModelSpec::Linear => {}
-            ModelSpec::CharRnn { embed, hidden } => {
-                if *embed == 0 || *hidden == 0 {
-                    return Err(ScenarioError::Invalid(
-                        "model.embed and model.hidden must be at least 1".into(),
-                    ));
-                }
-            }
-        }
+    /// The rule that `char-rnn` trains on token sequences and the other
+    /// models on feature vectors.
+    fn model_fits_dataset(&self) -> Result<(), ScenarioError> {
         let is_sequence = matches!(self.dataset, DatasetSpec::Poets { .. });
         let is_rnn = matches!(self.model, ModelSpec::CharRnn { .. });
         if is_sequence != is_rnn {
@@ -846,6 +798,53 @@ impl Scenario {
                  (token sequences), every other dataset needs `mlp` or `linear`",
                 self.model.kind(),
                 self.dataset.kind()
+            )));
+        }
+        Ok(())
+    }
+
+    /// The rule that faults need async mode, and an attack, tracking and
+    /// analytics need rounds mode and exclude each other.
+    fn mode_has_sections(&self) -> Result<(), ScenarioError> {
+        let attack = self.attack.is_some();
+        let tracked = self.output.track_every > 0;
+        let analyzed = self.analysis.is_some();
+        let message = match self.execution {
+            ExecutionSpec::Rounds(_) if self.faults.is_some() => {
+                "fault injection requires async mode"
+            }
+            ExecutionSpec::Async { .. } if attack => "poisoning attacks require rounds mode",
+            ExecutionSpec::Async { .. } if tracked => {
+                "specialization tracking requires rounds mode"
+            }
+            ExecutionSpec::Async { .. } if analyzed => {
+                "specialization analytics require rounds mode"
+            }
+            _ if attack && tracked => {
+                "specialization tracking is not supported together with an attack"
+            }
+            _ if attack && analyzed => {
+                "specialization analytics are not supported together with an attack"
+            }
+            _ => return Ok(()),
+        };
+        Err(ScenarioError::Invalid(message.into()))
+    }
+
+    /// The rule that CIFAR's clients share a pool of
+    /// [`cifar::POOL_SAMPLES`] samples.
+    fn cifar_fits_pool(&self) -> Result<(), ScenarioError> {
+        let DatasetSpec::Cifar {
+            clients, samples, ..
+        } = self.dataset
+        else {
+            return Ok(());
+        };
+        let pool = cifar::POOL_SAMPLES;
+        if clients.checked_mul(samples).map_or(true, |n| n > pool) {
+            return Err(ScenarioError::Invalid(format!(
+                "dataset clients × samples ({clients} × {samples}) exceeds the pool of \
+                 {pool} samples"
             )));
         }
         Ok(())
@@ -862,21 +861,10 @@ impl Scenario {
     /// inverse of [`Scenario::from_document`].
     pub fn to_document(&self) -> Document {
         let mut doc = Document::default();
-        let mut s = self.clone();
-        write(&mut doc, "", &mut s.name, root);
-        write(&mut doc, "dataset", &mut s.dataset, dataset);
-        write(&mut doc, "model", &mut s.model, model);
-        write(&mut doc, "execution", &mut s.execution, execution);
-        if let Some(v) = &mut s.attack {
-            write(&mut doc, "attack", v, attack);
+        let mut scenario = self.clone();
+        for section in std::iter::once("").chain(SECTIONS) {
+            write(&mut doc, section, |w| scenario.keys(section, w));
         }
-        if let Some(v) = &mut s.faults {
-            write(&mut doc, "faults", v, faults);
-        }
-        if let Some(v) = &mut s.analysis {
-            write(&mut doc, "analysis", v, analysis);
-        }
-        write(&mut doc, "output", &mut s.output, output);
         doc
     }
 
@@ -915,23 +903,72 @@ impl Scenario {
             });
         }
         let mut name = String::new();
-        read(doc, "", &mut name, root)?;
+        read(doc, "", |r| name_key(&mut name, r))?;
         // `kind` is required, so reading replaces this placeholder.
-        let mut spec = DATASETS[0].1.clone();
-        read(doc, "dataset", &mut spec, dataset)?;
-        // Start from the builder's defaults for this dataset and
-        // overwrite the keys the document holds. An absent section reads
-        // as an empty one, except `[model]`: its `kind` is required.
-        let mut scenario = Scenario::new(name, spec);
-        if doc.section("model").is_some() {
-            read(doc, "model", &mut scenario.model, model)?;
+        let mut dataset = DATASETS[0].1.clone();
+        read(doc, "dataset", |r| dataset.keys(r))?;
+        // Start from the builder's defaults for this dataset, and a
+        // present optional section from its own, and overwrite the keys
+        // the document holds. An absent section reads as an empty one,
+        // except `[model]`: its `kind` is required.
+        let mut scenario = Scenario::new(name, dataset);
+        scenario.attack = doc.section("attack").map(|_| PoisoningConfig::default());
+        scenario.faults = doc.section("faults").map(|_| FaultPlan::default());
+        scenario.analysis = doc.section("analysis").map(|_| AnalysisSpec::default());
+        for section in SECTIONS.into_iter().filter(|s| *s != "dataset") {
+            if section != "model" || doc.section(section).is_some() {
+                read(doc, section, |r| scenario.keys(section, r))?;
+            }
         }
-        read(doc, "execution", &mut scenario.execution, execution)?;
-        scenario.attack = opt_section(doc, "attack", attack)?;
-        scenario.faults = opt_section(doc, "faults", faults)?;
-        scenario.analysis = opt_section(doc, "analysis", analysis)?;
-        read(doc, "output", &mut scenario.output, output)?;
+        Self::whole_windows(doc)?;
         Ok(scenario)
+    }
+
+    /// The rule that `[faults]` gives each window whole or not at all:
+    /// the three partition keys together, and a crash's peer with its
+    /// time (`crash_restart` alone restarts nothing).
+    fn whole_windows(doc: &Document) -> Result<(), ScenarioError> {
+        let Some(faults) = doc.section("faults") else {
+            return Ok(());
+        };
+        let has = |key| faults.get(key).is_some();
+        let partition = ["partition_start", "partition_heal", "partition_split"].map(has);
+        if partition.contains(&true) && partition.contains(&false) {
+            return Err(ScenarioError::Invalid(
+                "`faults.partition_start`, `faults.partition_heal` and `faults.partition_split` \
+                 must be given together"
+                    .into(),
+            ));
+        }
+        let crash = ["crash_peer", "crash_at", "crash_restart"].map(has);
+        if crash.contains(&true) && !(crash[0] && crash[1]) {
+            return Err(ScenarioError::Invalid(
+                "`faults.crash_peer` and `faults.crash_at` must be given together".into(),
+            ));
+        }
+        Ok(())
+    }
+
+    /// Visits the keys of section `section` (`""` is the root table) in
+    /// file order, each with its range; an absent optional section has
+    /// none. Reading, writing and [`Scenario::validate`] all walk these
+    /// lists.
+    ///
+    /// # Errors
+    ///
+    /// Returns the visitor's first error.
+    pub fn keys<V: KeyVisitor>(&mut self, section: &str, v: &mut V) -> Result<(), V::Error> {
+        match section {
+            "" => name_key(&mut self.name, v),
+            "dataset" => self.dataset.keys(v),
+            "model" => self.model.keys(v),
+            "execution" => self.execution.keys(v),
+            "attack" => self.attack.as_mut().map_or(Ok(()), |a| a.keys(v)),
+            "faults" => self.faults.as_mut().map_or(Ok(()), |f| f.keys(v)),
+            "analysis" => self.analysis.as_mut().map_or(Ok(()), |a| a.keys(v)),
+            "output" => self.output.keys(v),
+            _ => Ok(()),
+        }
     }
 
     /// Sets keys by their file paths (`("execution.alpha", "3")`) and
@@ -977,130 +1014,33 @@ impl Scenario {
 }
 
 // ---------------------------------------------------------------------------
-// Serialization: one visitor per section
+// Serialization: every section's key list, read and written by visitors
 // ---------------------------------------------------------------------------
 
-/// A value a scenario key holds: its file form, and what a value of the
-/// wrong form was expected to be.
-pub(crate) trait Key: Clone {
-    /// What the reader expected instead of a value it cannot read.
-    const EXPECTED: &'static str;
-    /// The value's file form.
-    fn to_value(&self) -> Value;
-    /// Reads the file form, `None` if it does not hold this type.
-    fn from_value(value: &Value) -> Option<Self>;
-}
-
-/// The number types keys hold. Their `{:?}` form is the shortest that
-/// parses back bit for bit, and keeps a `.0` on integral floats.
-trait Number: Clone + std::fmt::Debug + std::str::FromStr {
-    /// What a key of this type expected.
-    const EXPECTED: &'static str;
-}
-
 const INTEGER: &str = "a non-negative integer";
-impl Number for usize {
-    const EXPECTED: &'static str = INTEGER;
-}
-impl Number for u64 {
-    const EXPECTED: &'static str = INTEGER;
-}
-impl Number for u32 {
-    const EXPECTED: &'static str = INTEGER;
-}
-impl Number for f32 {
-    const EXPECTED: &'static str = "a number";
-}
-impl Number for f64 {
-    const EXPECTED: &'static str = "a number";
-}
+const NUMBER: &str = "a number";
+const STRING: &str = "a quoted string";
 
-impl<T: Number> Key for T {
-    const EXPECTED: &'static str = <T as Number>::EXPECTED;
-    fn to_value(&self) -> Value {
-        Value::Number(format!("{self:?}"))
-    }
-    fn from_value(value: &Value) -> Option<Self> {
-        match value {
-            Value::Number(raw) => raw.parse().ok(),
-            _ => None,
-        }
+/// The number `value` spells, `None` if it spells none of type `T`.
+fn number<T: FromStr>(value: &Value) -> Option<T> {
+    match value {
+        Value::Number(raw) => raw.parse().ok(),
+        _ => None,
     }
 }
 
-impl Key for bool {
-    const EXPECTED: &'static str = "true or false";
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
-    }
-    fn from_value(value: &Value) -> Option<Self> {
-        match value {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
+/// The text `value` spells, `None` if it is no string.
+fn text(value: &Value) -> Option<String> {
+    match value {
+        Value::Str(s) => Some(s.clone()),
+        _ => None,
     }
 }
 
-impl Key for String {
-    const EXPECTED: &'static str = "a quoted string";
-    fn to_value(&self) -> Value {
-        Value::Str(self.clone())
-    }
-    fn from_value(value: &Value) -> Option<Self> {
-        match value {
-            Value::Str(s) => Some(s.clone()),
-            _ => None,
-        }
-    }
-}
-
-impl Key for Vec<usize> {
-    const EXPECTED: &'static str = "an array of non-negative integers";
-    fn to_value(&self) -> Value {
-        Value::NumberList(self.iter().map(usize::to_string).collect())
-    }
-    fn from_value(value: &Value) -> Option<Self> {
-        match value {
-            Value::NumberList(items) => items.iter().map(|raw| raw.parse().ok()).collect(),
-            _ => None,
-        }
-    }
-}
-
-/// One pass over a section's keys, in file order, with the type each
-/// key holds. A section is described once, as a function over
-/// `impl Codec`, and both directions run it: [`Writer`] fills a table
-/// from a value, [`Reader`] overwrites a value (at its defaults) with
-/// the keys a table holds.
-pub(crate) trait Codec {
-    /// The dotted path of `key` in this section, for error messages.
-    fn path(&self, key: &str) -> String;
-
-    /// A key the section may lack, which `None` stands for.
-    fn opt<T: Key>(&mut self, key: &str, v: &mut Option<T>) -> Result<(), ScenarioError>;
-
-    /// A shape word. `rows` pairs every word with the variant it reads
-    /// as, at that variant's defaults: the writer emits the word of
-    /// `v`'s variant, the reader swaps in the row of the word it finds.
-    fn word<E: Clone>(
-        &mut self,
-        key: &str,
-        rows: &[(&'static str, E)],
-        v: &mut E,
-    ) -> Result<(), ScenarioError>;
-
-    /// A key without a default: the reader reports its absence.
-    fn require(&mut self, key: &str) -> Result<(), ScenarioError>;
-
-    /// A key the section always has.
-    fn key<T: Key>(&mut self, key: &str, v: &mut T) -> Result<(), ScenarioError> {
-        let mut slot = Some(v.clone());
-        self.opt(key, &mut slot)?;
-        if let Some(value) = slot {
-            *v = value;
-        }
-        Ok(())
-    }
+/// A number's file form: its `{:?}` form, the shortest that parses back
+/// bit for bit, which keeps a `.0` on integral floats.
+fn number_value(v: &impl std::fmt::Debug) -> Value {
+    Value::Number(format!("{v:?}"))
 }
 
 fn key_path(section: &str, key: &str) -> String {
@@ -1119,8 +1059,10 @@ fn word_of<E>(rows: &[(&'static str, E)], v: &E) -> &'static str {
     row.expect("every variant has a row").0
 }
 
-/// Reads a section. Every key it is asked for counts as consumed, so
-/// [`Reader::finish`] can report the rest as unknown.
+/// Reads a section into a value at its defaults: each key the table
+/// holds overwrites its slot, an absent one leaves it. Every key it is
+/// asked for counts as consumed, so [`Reader::finish`] can report the
+/// rest as unknown.
 pub(crate) struct Reader<'a> {
     section: &'a str,
     table: Option<&'a Table>,
@@ -1143,7 +1085,7 @@ impl<'a> Reader<'a> {
 
     pub(crate) fn invalid(&self, key: &str, value: &Value, expected: &str) -> ScenarioError {
         ScenarioError::InvalidValue {
-            key: self.path(key),
+            key: key_path(self.section, key),
             value: match value {
                 Value::Str(s) => s.clone(),
                 Value::Number(n) => n.clone(),
@@ -1164,36 +1106,61 @@ impl<'a> Reader<'a> {
         });
         match unknown {
             Some(key) => Err(ScenarioError::UnknownKey {
-                key: self.path(key),
+                key: key_path(self.section, key),
             }),
             None => Ok(()),
         }
     }
 }
 
-impl Codec for Reader<'_> {
-    fn path(&self, key: &str) -> String {
-        key_path(self.section, key)
-    }
+impl KeyVisitor for Reader<'_> {
+    type Error = ScenarioError;
 
-    fn opt<T: Key>(&mut self, key: &str, v: &mut Option<T>) -> Result<(), ScenarioError> {
-        *v = match self.get(key) {
-            None => None,
-            Some(value) => {
-                Some(T::from_value(value).ok_or_else(|| self.invalid(key, value, T::EXPECTED))?)
+    fn key(&mut self, key: Key, value: Slot<'_>) -> Result<(), ScenarioError> {
+        let Some(found) = self.get(key.name) else {
+            if key.required {
+                let key = key_path(self.section, key.name);
+                return Err(ScenarioError::MissingKey { key });
+            }
+            return Ok(());
+        };
+        let (read, expected) = match value {
+            Slot::Usize(v) | Slot::UsizeOr(v, _) => (number(found).map(|n| *v = n), INTEGER),
+            Slot::OptUsize(v) => (number(found).map(|n| *v = Some(n)), INTEGER),
+            Slot::U32(v) => (number(found).map(|n| *v = n), INTEGER),
+            Slot::U64(v) => (number(found).map(|n| *v = n), INTEGER),
+            Slot::F32(v) => (number(found).map(|n| *v = n), NUMBER),
+            Slot::OptF32(v) => (number(found).map(|n| *v = Some(n)), NUMBER),
+            Slot::F64(v) => (number(found).map(|n| *v = n), NUMBER),
+            Slot::OptF64(v) => (number(found).map(|n| *v = Some(n)), NUMBER),
+            Slot::Bool(v) => {
+                let b = match found {
+                    Value::Bool(b) => Some(*b),
+                    _ => None,
+                };
+                (b.map(|b| *v = b), "true or false")
+            }
+            Slot::Str(v) => (text(found).map(|s| *v = s), STRING),
+            Slot::OptStr(v) => (text(found).map(|s| *v = Some(s)), STRING),
+            Slot::Widths(v) => {
+                let widths = match found {
+                    Value::NumberList(items) => items.iter().map(|raw| raw.parse().ok()).collect(),
+                    _ => None,
+                };
+                (widths.map(|w| *v = w), "an array of non-negative integers")
             }
         };
-        Ok(())
+        read.ok_or_else(|| self.invalid(key.name, found, expected))
     }
 
     fn word<E: Clone>(
         &mut self,
-        key: &str,
+        key: Key,
         rows: &[(&'static str, E)],
-        v: &mut E,
+        value: &mut E,
     ) -> Result<(), ScenarioError> {
         let mut word: Option<String> = None;
-        self.opt(key, &mut word)?;
+        self.key(key, Slot::OptStr(&mut word))?;
         let Some(word) = word else {
             return Ok(());
         };
@@ -1203,109 +1170,92 @@ impl Codec for Reader<'_> {
                 Some((last, rest)) if !rest.is_empty() => format!("{} or {last}", rest.join(", ")),
                 _ => words.concat(),
             };
-            return Err(self.invalid(key, &Value::Str(word), &expected));
+            return Err(self.invalid(key.name, &Value::Str(word), &expected));
         };
-        *v = row.clone();
+        *value = row.clone();
         Ok(())
     }
-
-    fn require(&mut self, key: &str) -> Result<(), ScenarioError> {
-        match self.table.and_then(|t| t.get(key)) {
-            Some(_) => Ok(()),
-            None => Err(ScenarioError::MissingKey {
-                key: self.path(key),
-            }),
-        }
-    }
 }
 
-/// Writes a section: every key the value holds goes into the table, in
-/// visiting order.
+/// Writes a section: every key the value holds goes into the document's
+/// table, created at its first key, in visiting order.
 pub(crate) struct Writer<'a> {
+    doc: &'a mut Document,
     section: &'a str,
-    table: &'a mut Table,
 }
 
-impl Codec for Writer<'_> {
-    fn path(&self, key: &str) -> String {
-        key_path(self.section, key)
+impl Writer<'_> {
+    fn set(&mut self, key: &str, value: Value) {
+        let table = if self.section.is_empty() {
+            &mut self.doc.root
+        } else {
+            self.doc.section_mut(self.section)
+        };
+        table.set(key, value);
     }
+}
 
-    fn opt<T: Key>(&mut self, key: &str, v: &mut Option<T>) -> Result<(), ScenarioError> {
-        if let Some(v) = v {
-            self.table.set(key, v.to_value());
-        }
+impl KeyVisitor for Writer<'_> {
+    type Error = Infallible;
+
+    fn key(&mut self, key: Key, value: Slot<'_>) -> Result<(), Infallible> {
+        let value = match value {
+            Slot::Usize(v) | Slot::OptUsize(Some(v)) => number_value(v),
+            Slot::UsizeOr(v, omitted) if *v != omitted => number_value(v),
+            Slot::U32(v) => number_value(v),
+            Slot::U64(v) => number_value(v),
+            Slot::F32(v) | Slot::OptF32(Some(v)) => number_value(v),
+            Slot::F64(v) | Slot::OptF64(Some(v)) => number_value(v),
+            Slot::Bool(v) => Value::Bool(*v),
+            Slot::Str(v) | Slot::OptStr(Some(v)) => Value::Str(v.clone()),
+            Slot::Widths(v) => Value::NumberList(v.iter().map(usize::to_string).collect()),
+            Slot::UsizeOr(..)
+            | Slot::OptUsize(None)
+            | Slot::OptF32(None)
+            | Slot::OptF64(None)
+            | Slot::OptStr(None) => return Ok(()),
+        };
+        self.set(key.name, value);
         Ok(())
     }
 
     fn word<E: Clone>(
         &mut self,
-        key: &str,
+        key: Key,
         rows: &[(&'static str, E)],
-        v: &mut E,
-    ) -> Result<(), ScenarioError> {
-        self.table.set(key, Value::Str(word_of(rows, v).into()));
-        Ok(())
-    }
-
-    fn require(&mut self, _: &str) -> Result<(), ScenarioError> {
+        value: &mut E,
+    ) -> Result<(), Infallible> {
+        self.set(key.name, Value::Str(word_of(rows, value).into()));
         Ok(())
     }
 }
 
-/// Runs a section's visitor as a [`Reader`] of `doc`'s table `name`
+/// Runs a section's key list as a [`Reader`] of `doc`'s table `section`
 /// (`""` is the root; an absent section reads as an empty one) and
-/// rejects the keys the visit left unconsumed.
-pub(crate) fn read<'a, T>(
+/// rejects the keys the list left unconsumed.
+pub(crate) fn read<'a>(
     doc: &'a Document,
-    name: &'a str,
-    v: &mut T,
-    visit: impl FnOnce(&mut Reader<'a>, &mut T) -> Result<(), ScenarioError>,
+    section: &'a str,
+    visit: impl FnOnce(&mut Reader<'a>) -> Result<(), ScenarioError>,
 ) -> Result<(), ScenarioError> {
-    let table = if name.is_empty() {
+    let table = if section.is_empty() {
         Some(&doc.root)
     } else {
-        doc.section(name)
+        doc.section(section)
     };
-    let mut reader = Reader::new(name, table);
-    visit(&mut reader, v)?;
+    let mut reader = Reader::new(section, table);
+    visit(&mut reader)?;
     reader.finish()
 }
 
-/// [`read`] for a section whose absence means "none": a present one
-/// starts from the defaults.
-fn opt_section<'a, T: Default>(
-    doc: &'a Document,
-    name: &'a str,
-    visit: impl FnOnce(&mut Reader<'a>, &mut T) -> Result<(), ScenarioError>,
-) -> Result<Option<T>, ScenarioError> {
-    let mut v = T::default();
-    match doc.section(name) {
-        Some(_) => read(doc, name, &mut v, visit).map(|()| Some(v)),
-        None => Ok(None),
-    }
-}
-
-/// Runs a section's visitor as a [`Writer`] into `doc`'s table `name`
-/// (`""` is the root).
-pub(crate) fn write<'a, T>(
-    doc: &'a mut Document,
-    name: &'a str,
-    v: &mut T,
-    visit: impl FnOnce(&mut Writer<'a>, &mut T) -> Result<(), ScenarioError>,
+/// Runs a section's key list as a [`Writer`] into `doc`'s table
+/// `section` (`""` is the root).
+pub(crate) fn write(
+    doc: &mut Document,
+    section: &str,
+    visit: impl FnOnce(&mut Writer<'_>) -> Result<(), Infallible>,
 ) {
-    let table = if name.is_empty() {
-        &mut doc.root
-    } else {
-        doc.section_mut(name)
-    };
-    let mut writer = Writer {
-        section: name,
-        table,
-    };
-    // Every check a visitor makes is on keys the reader found; a value
-    // always has a consistent set.
-    visit(&mut writer, v).expect("writing a value cannot fail");
+    let Ok(()) = visit(&mut Writer { doc, section });
 }
 
 /// The scenario sections, in canonical file order: the one list both
@@ -1415,8 +1365,9 @@ const SOURCES: [(&str, AnalysisSource); 3] = [
     ("both", AnalysisSource::Both),
 ];
 
-/// A core range error as an invalid value of the key it was read from.
-fn core_error(e: CoreError) -> ScenarioError {
+/// A core range error as an invalid value of the key it was read from
+/// in `section`.
+pub(crate) fn core_error(section: &str, e: CoreError) -> ScenarioError {
     let CoreError::InvalidField {
         field,
         key,
@@ -1427,237 +1378,22 @@ fn core_error(e: CoreError) -> ScenarioError {
         return ScenarioError::Core(e);
     };
     ScenarioError::InvalidValue {
-        key: key.map_or_else(|| field.to_string(), |key| format!("execution.{key}")),
+        key: key.map_or_else(|| field.to_string(), |key| key_path(section, key)),
         value,
         expected: constraint.trim_start_matches("must be ").to_string(),
     }
 }
 
-/// The root table: the one-line name (shared with sweep files).
-pub(crate) fn root(c: &mut impl Codec, name: &mut String) -> Result<(), ScenarioError> {
-    c.require("name")?;
-    c.key("name", name)
-}
-
-/// `[dataset]`: the generator word, then its parameters.
-fn dataset(c: &mut impl Codec, v: &mut DatasetSpec) -> Result<(), ScenarioError> {
-    c.require("kind")?;
-    c.word("kind", &DATASETS, v)?;
-    match v {
-        DatasetSpec::Fmnist {
-            clients,
-            samples,
-            relaxation,
-            seed,
-        }
-        | DatasetSpec::FmnistStreamed {
-            clients,
-            samples,
-            relaxation,
-            seed,
-        } => {
-            c.key("clients", clients)?;
-            c.key("samples", samples)?;
-            c.key("relaxation", relaxation)?;
-            c.key("seed", seed)
-        }
-        DatasetSpec::FmnistAuthor {
-            clients,
-            samples,
-            seed,
-        }
-        | DatasetSpec::Cifar {
-            clients,
-            samples,
-            seed,
-        } => {
-            c.key("clients", clients)?;
-            c.key("samples", samples)?;
-            c.key("seed", seed)
-        }
-        DatasetSpec::Poets {
-            clients_per_language,
-            samples,
-            seq_len,
-            seed,
-        } => {
-            c.key("clients_per_language", clients_per_language)?;
-            c.key("samples", samples)?;
-            c.key("seq_len", seq_len)?;
-            c.key("seed", seed)
-        }
-        DatasetSpec::FedProx {
-            clients,
-            min_samples,
-            max_samples,
-            seed,
-        } => {
-            c.key("clients", clients)?;
-            c.key("min_samples", min_samples)?;
-            c.key("max_samples", max_samples)?;
-            c.key("seed", seed)
-        }
-    }
-}
-
-/// `[model]`: the architecture word; `hidden` is a list of widths for
-/// `mlp` and one width for `char-rnn`.
-fn model(c: &mut impl Codec, v: &mut ModelSpec) -> Result<(), ScenarioError> {
-    c.require("kind")?;
-    c.word("kind", &models(), v)?;
-    match v {
-        ModelSpec::Mlp { hidden } => c.key("hidden", hidden),
-        ModelSpec::Linear => Ok(()),
-        ModelSpec::CharRnn { embed, hidden } => {
-            c.key("embed", embed)?;
-            c.key("hidden", hidden)
-        }
-    }
-}
-
-/// `[execution]`: the mode word, the DAG keys every mode has, then the
-/// transport and the async keys.
-fn execution(c: &mut impl Codec, v: &mut ExecutionSpec) -> Result<(), ScenarioError> {
-    // A mode word swaps the variant, not the DAG keys (the builder
-    // clamped `clients_per_round` to the dataset).
-    let dag = *v.dag();
-    c.word("mode", &modes(), v)?;
-    *v.dag_mut() = dag;
-    v.dag_mut().keys(&mut CoreKeys(c))?;
-    let ExecutionSpec::Async { config } = v else {
-        return Ok(());
-    };
-    c.word("transport", &TRANSPORTS, &mut ())?;
-    config.keys(&mut CoreKeys(c))
-}
-
-/// A core config's key list, read or written through a codec.
-struct CoreKeys<'c, C>(&'c mut C);
-
-impl<C: Codec> KeyVisitor for CoreKeys<'_, C> {
-    type Error = ScenarioError;
-
-    fn key(&mut self, key: dagfl_core::Key, value: Slot<'_>) -> Result<(), ScenarioError> {
-        let (c, name) = (&mut *self.0, key.name);
-        match value {
-            Slot::Usize(v) => c.key(name, v),
-            Slot::UsizeOr(v, omitted) => {
-                let mut slot = (*v != omitted).then_some(*v);
-                c.opt(name, &mut slot)?;
-                *v = slot.unwrap_or(omitted);
-                Ok(())
-            }
-            Slot::U32(v) => c.key(name, v),
-            Slot::U64(v) => c.key(name, v),
-            Slot::F32(v) => c.key(name, v),
-            Slot::OptF32(v) => c.opt(name, v),
-            Slot::F64(v) => c.key(name, v),
-            Slot::Bool(v) => c.key(name, v),
-        }
-    }
-
-    fn word<E: Clone>(
-        &mut self,
-        name: &'static str,
-        rows: &[(&'static str, E)],
-        value: &mut E,
-    ) -> Result<(), ScenarioError> {
-        self.0.word(name, rows, value)
-    }
-}
-
-/// `[attack]`.
-fn attack(c: &mut impl Codec, v: &mut PoisoningConfig) -> Result<(), ScenarioError> {
-    c.key("fraction", &mut v.poison_fraction)?;
-    c.key("clean_rounds", &mut v.clean_rounds)?;
-    c.key("attack_rounds", &mut v.attack_rounds)?;
-    c.key("class_a", &mut v.class_a)?;
-    c.key("class_b", &mut v.class_b)?;
-    c.key("measure_every", &mut v.measure_every)
-}
-
-/// `[faults]`: the per-envelope faults, then a partition window and a
-/// crash window, each given whole or not at all (a crash without
-/// `crash_restart` never restarts).
-fn faults(c: &mut impl Codec, v: &mut FaultPlan) -> Result<(), ScenarioError> {
-    c.key("drop", &mut v.drop)?;
-    c.key("duplicate", &mut v.duplicate)?;
-    c.key("reorder", &mut v.reorder)?;
-    c.key("extra_delay", &mut v.extra_delay)?;
-    c.key("delay_boost", &mut v.delay_boost)?;
-    let mut start = v.partition.map(|w| w.start);
-    let mut heal = v.partition.map(|w| w.heal);
-    let mut split = v.partition.map(|w| w.split);
-    c.opt("partition_start", &mut start)?;
-    c.opt("partition_heal", &mut heal)?;
-    c.opt("partition_split", &mut split)?;
-    v.partition = match (start, heal, split) {
-        (None, None, None) => None,
-        (Some(start), Some(heal), Some(split)) => Some(PartitionWindow { start, heal, split }),
-        _ => {
-            return Err(ScenarioError::Invalid(format!(
-                "`{}`, `{}` and `{}` must be given together",
-                c.path("partition_start"),
-                c.path("partition_heal"),
-                c.path("partition_split"),
-            )))
-        }
-    };
-    let mut peer = v.crash.map(|w| w.peer);
-    let mut at = v.crash.map(|w| w.at);
-    let mut restart = v.crash.map(|w| w.restart).filter(|r| r.is_finite());
-    c.opt("crash_peer", &mut peer)?;
-    c.opt("crash_at", &mut at)?;
-    c.opt("crash_restart", &mut restart)?;
-    v.crash = match (peer, at, restart) {
-        (None, None, None) => None,
-        (Some(peer), Some(at), restart) => {
-            let restart = restart.unwrap_or(f64::INFINITY);
-            Some(CrashWindow { peer, at, restart })
-        }
-        _ => {
-            return Err(ScenarioError::Invalid(format!(
-                "`{}` and `{}` must be given together",
-                c.path("crash_peer"),
-                c.path("crash_at"),
-            )))
-        }
-    };
-    Ok(())
-}
-
-/// `[analysis]`: `k` fixes the cluster count; without it, `k_min` and
-/// `k_max` bound the silhouette sweep.
-fn analysis(c: &mut impl Codec, v: &mut AnalysisSpec) -> Result<(), ScenarioError> {
-    c.opt("k", &mut v.k)?;
-    let mut k_min = v.k.is_none().then_some(v.k_min);
-    let mut k_max = v.k.is_none().then_some(v.k_max);
-    c.opt("k_min", &mut k_min)?;
-    c.opt("k_max", &mut k_max)?;
-    if v.k.is_some() && (k_min.is_some() || k_max.is_some()) {
-        return Err(ScenarioError::Invalid(format!(
-            "`{}` fixes the cluster count; it cannot be combined with `{}`/`{}`",
-            c.path("k"),
-            c.path("k_min"),
-            c.path("k_max"),
-        )));
-    }
-    v.k_min = k_min.unwrap_or(v.k_min);
-    v.k_max = k_max.unwrap_or(v.k_max);
-    c.key("cadence", &mut v.cadence)?;
-    c.word("source", &SOURCES, &mut v.source)
-}
-
-/// `[output]`.
-fn output(c: &mut impl Codec, v: &mut OutputSpec) -> Result<(), ScenarioError> {
-    c.key("track_every", &mut v.track_every)?;
-    c.key("recent_window", &mut v.recent_window)
+/// The root table's one key, shared with sweep files: a one-line name.
+pub(crate) fn name_key<V: KeyVisitor>(name: &mut String, v: &mut V) -> Result<(), V::Error> {
+    v.key(key("name", Range::Line).required(), Slot::Str(name))
 }
 
 #[cfg(test)]
 mod tests {
     use dagfl_core::{
-        ComputeProfile, DelayModel, Normalization, PublishGate, StaleTipPolicy, TipSelector,
+        ComputeProfile, CrashWindow, DelayModel, Normalization, PartitionWindow, PublishGate,
+        StaleTipPolicy, TipSelector,
     };
 
     use super::*;
@@ -1752,15 +1488,15 @@ mod tests {
     #[test]
     fn float_formatting_round_trips() {
         for v in [0.05f32, 1.0, 0.1, f32::MAX, 1e-30] {
-            let value = v.to_value();
+            let value = number_value(&v);
             let Value::Number(s) = &value else {
                 panic!("{value:?} is not a number");
             };
             assert!(s.contains('.') || s.contains('e'), "{s} looks integral");
-            let back = f32::from_value(&value).map(f32::to_bits);
+            let back = number::<f32>(&value).map(f32::to_bits);
             assert_eq!(back, Some(v.to_bits()), "{s}");
         }
-        assert_eq!(2.0f64.to_value(), Value::Number("2.0".into()));
+        assert_eq!(number_value(&2.0f64), Value::Number("2.0".into()));
     }
 
     #[test]
@@ -2110,12 +1846,16 @@ mod tests {
 
     #[test]
     fn analysis_rejects_conflicting_and_invalid_shapes() {
-        // k together with a sweep bound is ambiguous — parse error.
+        // A fixed k leaves no sweep bounds: `k_min` is a key the shape
+        // lacks.
         let err = Scenario::from_toml(
             "name = \"x\"\n[dataset]\nkind = \"fmnist\"\n[analysis]\nk = 3\nk_min = 2\n",
         )
         .unwrap_err();
-        assert!(matches!(err, ScenarioError::Invalid(_)), "{err:?}");
+        assert!(
+            matches!(err, ScenarioError::UnknownKey { ref key } if key == "analysis.k_min"),
+            "{err:?}"
+        );
         // Unknown source word.
         let err = Scenario::from_toml(
             "name = \"x\"\n[dataset]\nkind = \"fmnist\"\n[analysis]\nsource = \"vibes\"\n",
@@ -2134,16 +1874,19 @@ mod tests {
             k: Some(0),
             ..AnalysisSpec::default()
         });
-        assert!(matches!(zero_k.validate(), Err(ScenarioError::Invalid(_))));
+        assert_eq!(
+            zero_k.validate().unwrap_err().to_string(),
+            "invalid value `0` for `analysis.k`: expected at least 1"
+        );
         let inverted = analyzed(AnalysisSpec {
             k_min: 5,
             k_max: 2,
             ..AnalysisSpec::default()
         });
-        assert!(matches!(
-            inverted.validate(),
-            Err(ScenarioError::Invalid(_))
-        ));
+        assert_eq!(
+            inverted.validate().unwrap_err().to_string(),
+            "invalid value `5` for `analysis.k_min`: expected at least 1 and at most k_max"
+        );
         // Analytics need rounds mode without an attack.
         let unordered = Scenario {
             execution: ExecutionSpec::Async {
@@ -2445,8 +2188,17 @@ mod tests {
             relaxation: 0.0,
             seed: 1,
         };
+        let cifar = |clients, samples| DatasetSpec::Cifar {
+            clients,
+            samples,
+            seed: 1,
+        };
+        let pool = "invalid scenario: dataset clients × samples";
         for (dataset, message) in [
-            (fmnist(4, 5), "dataset.samples (5) must be at least 10"),
+            (
+                fmnist(4, 5),
+                "invalid value `5` for `dataset.samples`: expected at least 10",
+            ),
             (
                 DatasetSpec::FmnistStreamed {
                     clients: 2,
@@ -2454,7 +2206,7 @@ mod tests {
                     relaxation: 0.0,
                     seed: 1,
                 },
-                "dataset.clients (2) must be at least 3, one per cluster",
+                "invalid value `2` for `dataset.clients`: expected at least 3, one per cluster",
             ),
             (
                 DatasetSpec::FmnistAuthor {
@@ -2462,7 +2214,7 @@ mod tests {
                     samples: 9,
                     seed: 1,
                 },
-                "dataset.samples (9) must be at least 10",
+                "invalid value `9` for `dataset.samples`: expected at least 10",
             ),
             (
                 DatasetSpec::Poets {
@@ -2471,23 +2223,18 @@ mod tests {
                     seq_len: 4,
                     seed: 1,
                 },
-                "dataset.samples (9) must be at least 10",
+                "invalid value `9` for `dataset.samples`: expected at least 10",
             ),
             (
-                DatasetSpec::Cifar {
-                    clients: 200,
-                    samples: 40,
-                    seed: 1,
-                },
-                "dataset clients × samples (200 × 40) exceeds the pool of 6000 samples",
+                cifar(200, 40),
+                &format!("{pool} (200 × 40) exceeds the pool of 6000 samples"),
             ),
             (
-                DatasetSpec::Cifar {
-                    clients: usize::MAX,
-                    samples: 2,
-                    seed: 1,
-                },
-                "exceeds the pool of 6000 samples",
+                cifar(usize::MAX, 10),
+                &format!(
+                    "{pool} ({} × 10) exceeds the pool of 6000 samples",
+                    usize::MAX
+                ),
             ),
             (
                 DatasetSpec::FedProx {
@@ -2496,15 +2243,15 @@ mod tests {
                     max_samples: 50,
                     seed: 1,
                 },
-                "dataset.min_samples (5) must be at least 10",
+                "invalid value `5` for `dataset.min_samples`: expected at least 10 and at most \
+                 max_samples",
             ),
         ] {
-            let err = error(dataset.clone());
-            assert!(err.contains(message), "{dataset:?}: {err}");
+            assert_eq!(error(dataset.clone()), message, "{dataset:?}");
         }
-        // Inputs another check already rejects keep that check's error.
-        let err = Scenario::new("sizes", fmnist(2, 60))
-            .with_model(ModelSpec::Linear)
+        // Every key's range comes first, in file order; the pool rule
+        // after them.
+        let err = Scenario::new("sizes", cifar(200, 40))
             .rounds(0)
             .validate()
             .unwrap_err();
@@ -2515,8 +2262,7 @@ mod tests {
             relaxation: 1.5,
             seed: 1,
         });
-        assert!(err.contains("dataset.relaxation (1.5)"), "{err}");
-        assert!(error(fmnist(0, 5)).contains("at least 1"));
+        assert!(err.contains("`2` for `dataset.clients`"), "{err}");
     }
 
     #[test]

@@ -46,12 +46,12 @@ use std::path::{Path, PathBuf};
 
 use dagfl_analysis::AnalysisSnapshot;
 use dagfl_core::csv::{to_csv_string, write_csv};
-use dagfl_core::{derive_seed, fan_out};
+use dagfl_core::{derive_seed, fan_out, key, KeyVisitor, Range, RangeCheck, Slot};
 
 use crate::presets::Scale;
 use crate::runner::{RunReport, ScenarioRunner};
 use crate::spec::{
-    read, root, write, Codec, ExecutionSpec, Reader, Scenario, ScenarioError, SECTIONS,
+    core_error, name_key, read, write, ExecutionSpec, Reader, Scenario, ScenarioError, SECTIONS,
 };
 use crate::text::{Document, Value};
 
@@ -283,11 +283,8 @@ impl SweepSpec {
     /// axes, malformed values, or a cell whose scenario fails
     /// [`Scenario::validate`].
     pub fn expand_at(&self, scale: Scale) -> Result<Vec<SweepCell>, ScenarioError> {
-        if self.name.trim().is_empty() || self.name.contains('\n') {
-            return Err(ScenarioError::Invalid(
-                "sweep name must be a non-empty single line".into(),
-            ));
-        }
+        let mut name = self.name.clone();
+        RangeCheck::run(|check| name_key(&mut name, check)).map_err(|e| core_error("", e))?;
         let base = self.resolve_base(scale)?;
         base.validate()
             .map_err(|e| ScenarioError::Invalid(format!("sweep base scenario is invalid: {e}")))?;
@@ -402,13 +399,13 @@ impl SweepSpec {
     pub fn to_toml(&self) -> String {
         let mut doc = Document::default();
         let mut spec = self.clone();
-        write(&mut doc, "", &mut spec.name, root);
+        write(&mut doc, "", |w| name_key(&mut spec.name, w));
         let mut base = match &self.base {
             SweepBase::Preset(preset) => [Some(preset.clone()), None, None],
             SweepBase::File(path) => [None, Some(path.display().to_string()), None],
             SweepBase::Inline(scenario) => [None, None, Some(scenario.name.clone())],
         };
-        write(&mut doc, "sweep", &mut spec, |c, v| sweep(c, &mut base, v));
+        write(&mut doc, "sweep", |w| sweep_keys(&mut base, &mut spec, w));
         if let SweepBase::Inline(scenario) = &self.base {
             let base_doc = scenario.to_document();
             for section in SECTIONS {
@@ -447,7 +444,7 @@ impl SweepSpec {
             });
         }
         let mut name = String::new();
-        read(&doc, "", &mut name, root)?;
+        read(&doc, "", |r| name_key(&mut name, r))?;
         if doc.section("sweep").is_none() {
             return Err(ScenarioError::MissingKey {
                 key: "[sweep]".into(),
@@ -456,7 +453,7 @@ impl SweepSpec {
         // The `[sweep]` keys replace the placeholder base.
         let mut spec = SweepSpec::new(name, SweepBase::Preset(String::new()));
         let mut base = [None, None, None];
-        read(&doc, "sweep", &mut spec, |c, v| sweep(c, &mut base, v))?;
+        read(&doc, "sweep", |r| sweep_keys(&mut base, &mut spec, r))?;
         spec.base = match base {
             [Some(preset), None, None] => SweepBase::Preset(preset),
             [None, Some(path), None] => SweepBase::File(PathBuf::from(path)),
@@ -541,16 +538,20 @@ impl SweepSpec {
 /// `scenario` file or an inline `scenario_name`, of which a file sets
 /// exactly one; resolved once the section is read), then the comparison
 /// CSV's name.
-fn sweep(
-    c: &mut impl Codec,
+fn sweep_keys<V: KeyVisitor>(
     base: &mut [Option<String>; 3],
-    v: &mut SweepSpec,
-) -> Result<(), ScenarioError> {
+    spec: &mut SweepSpec,
+    v: &mut V,
+) -> Result<(), V::Error> {
     let [preset, file, scenario_name] = base;
-    c.opt("preset", preset)?;
-    c.opt("scenario", file)?;
-    c.opt("scenario_name", scenario_name)?;
-    c.opt("comparison_csv", &mut v.comparison_csv)
+    v.key(key("preset", Range::Any), Slot::OptStr(preset))?;
+    v.key(key("scenario", Range::Any), Slot::OptStr(file))?;
+    v.key(
+        key("scenario_name", Range::Any),
+        Slot::OptStr(scenario_name),
+    )?;
+    let csv = key("comparison_csv", Range::Any);
+    v.key(csv, Slot::OptStr(&mut spec.comparison_csv))
 }
 
 // ---------------------------------------------------------------------------
