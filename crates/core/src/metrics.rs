@@ -85,25 +85,54 @@ pub(crate) fn fnv_mix(h: &mut u64, v: u64) {
     }
 }
 
-/// The fewest weights a fan-out job of [`fnv_weights`] carries. A job
-/// takes whole groups of four payloads until it holds at least this
-/// many; the last job takes what is left. 2¹⁶ weights are about 0.1 ms
-/// of hashing on one x86-64 core, well above the thread spawn a second
-/// worker costs, and small enough that a 100-transaction tangle of
-/// 5,000-weight models still splits into several jobs. Volume, not
-/// payload count, is what a job costs, so a tangle of few large models
-/// fans out as well as one of many small ones.
-const FNV_JOB_WEIGHTS: usize = 1 << 16;
+/// How many interleaved FNV-1a chains [`weights_hash`] runs: weight `i`
+/// goes to lane `i % 8`.
+const LANES: usize = 8;
 
-/// The payload ranges of [`fnv_weights`]' jobs, in order: every job but
-/// the last holds whole groups of four payloads and at least
-/// [`FNV_JOB_WEIGHTS`] weights. No payloads make no job.
-pub(crate) fn fnv_jobs(payloads: &[&[f32]]) -> Vec<Range<usize>> {
+/// The content hash of a weight vector: eight interleaved FNV-1a lanes,
+/// each taking a whole weight's bits per step, folded with [`fnv_mix`]
+/// after the length.
+///
+/// Each lane advances by one xor and one multiply per weight, and the
+/// eight are independent, so a lone payload hashes at multiply
+/// throughput, not latency. Integers only: the value does not depend
+/// on the platform, the core count or how payloads are grouped.
+pub(crate) fn weights_hash(weights: &[f32]) -> u64 {
+    let mut lanes = [FNV_OFFSET; LANES];
+    let mut steps = weights.chunks_exact(LANES);
+    for step in &mut steps {
+        for (lane, w) in lanes.iter_mut().zip(step) {
+            *lane = (*lane ^ u64::from(w.to_bits())).wrapping_mul(FNV_PRIME);
+        }
+    }
+    for (lane, w) in lanes.iter_mut().zip(steps.remainder()) {
+        *lane = (*lane ^ u64::from(w.to_bits())).wrapping_mul(FNV_PRIME);
+    }
+    let mut h = FNV_OFFSET;
+    fnv_mix(&mut h, weights.len() as u64);
+    for lane in lanes {
+        fnv_mix(&mut h, lane);
+    }
+    h
+}
+
+/// The fewest weights a fan-out job of [`payload_hashes`] carries. A
+/// job takes payloads until it holds at least this many; the last job
+/// takes what is left. 2¹⁶ weights are tens of microseconds of hashing
+/// on one x86-64 core, above the thread spawn a second worker costs,
+/// and small enough that a 100-transaction tangle of 5,000-weight
+/// models still splits into several jobs.
+const HASH_JOB_WEIGHTS: usize = 1 << 16;
+
+/// The payload ranges of [`payload_hashes`]' jobs, in order: every job
+/// but the last holds at least [`HASH_JOB_WEIGHTS`] weights. No payloads
+/// make no job.
+fn hash_jobs(payloads: &[&ModelPayload]) -> Vec<Range<usize>> {
     let mut jobs = Vec::new();
     let (mut start, mut weights) = (0, 0);
     for (end, payload) in (1..).zip(payloads) {
         weights += payload.len();
-        if end % 4 == 0 && weights >= FNV_JOB_WEIGHTS {
+        if weights >= HASH_JOB_WEIGHTS {
             jobs.push(start..end);
             (start, weights) = (end, 0);
         }
@@ -114,90 +143,22 @@ pub(crate) fn fnv_jobs(payloads: &[&[f32]]) -> Vec<Range<usize>> {
     jobs
 }
 
-/// Advances each `states[i]` by [`fnv_mix`] of every weight of
-/// `payloads[i]`, the weight's bits widened to `u64` — bit for bit what
-/// the byte-serial loop computes.
-///
-/// FNV-1a is one chain of dependent multiplies per payload, so a serial
-/// loop waits on multiply latency. Here four payloads' chains advance
-/// per step over their common prefix (each tail then runs alone), and
-/// the jobs of [`fnv_jobs`] fan out over the machine's cores; a digest
-/// that fills one job runs inline, with no thread. Every chain still
-/// sees the same bytes in the same order, so the states do not depend
-/// on the grouping or the worker count.
-///
-/// # Panics
-///
-/// Panics if `states` and `payloads` differ in length.
-pub(crate) fn fnv_weights(states: &mut [u64], payloads: &[&[f32]]) {
-    assert_eq!(states.len(), payloads.len(), "one state per payload");
-    let mut rest = states;
-    let jobs: Vec<_> = fnv_jobs(payloads)
+/// [`ModelPayload::weights_hash`] of every payload, in order. The jobs
+/// of [`hash_jobs`] fan out over the machine's cores; payloads that
+/// fill one job hash inline, with no thread.
+pub(crate) fn payload_hashes(payloads: &[&ModelPayload]) -> Vec<u64> {
+    let jobs = hash_jobs(payloads)
         .into_iter()
-        .map(|range| {
-            let (states, tail) = std::mem::take(&mut rest).split_at_mut(range.len());
-            rest = tail;
-            (states, &payloads[range])
-        })
-        .collect();
-    let Ok(_) = fan_out(machine_workers(), jobs, |_, (states, payloads)| {
-        let mut quads = states.chunks_exact_mut(4).zip(payloads.chunks_exact(4));
-        for (states, payloads) in &mut quads {
-            let states: &mut [u64; 4] = states.try_into().expect("chunks of four");
-            fnv_four(states, [payloads[0], payloads[1], payloads[2], payloads[3]]);
-        }
-        let tail = states.len() / 4 * 4;
-        for (state, payload) in states[tail..].iter_mut().zip(&payloads[tail..]) {
-            fnv_serial(state, payload);
-        }
-        Ok::<_, Infallible>(())
+        .map(|range| &payloads[range]);
+    let Ok(hashes) = fan_out(machine_workers(), jobs, |_, payloads| {
+        Ok::<_, Infallible>(
+            payloads
+                .iter()
+                .map(|p| p.weights_hash())
+                .collect::<Vec<_>>(),
+        )
     });
-}
-
-/// Four chains, one weight of each per step, then each chain's tail.
-///
-/// Kept out of line. Whether LLVM inlines it into [`fnv_weights`] turns
-/// on unrelated code in this module, and where it did, `rounds-poets`
-/// `report_s` (almost all digest) read 4–6 % slower in 16 alternating
-/// benchmark pairs on a 2-vCPU x86-64 VM.
-#[inline(never)]
-fn fnv_four(states: &mut [u64; 4], payloads: [&[f32]; 4]) {
-    let common = payloads.iter().map(|p| p.len()).min().unwrap_or(0);
-    let mut h = *states;
-    // Indexing each whole payload keeps the four chains scalar. Slicing
-    // them to `common` first lets LLVM pack the chains into one AVX2
-    // vector, which has no 64-bit multiply: that measured twice as slow.
-    for i in 0..common {
-        for (h, payload) in h.iter_mut().zip(payloads) {
-            fnv_weight(h, payload[i]);
-        }
-    }
-    for ((state, h), payload) in states.iter_mut().zip(h).zip(payloads) {
-        *state = h;
-        fnv_serial(state, &payload[common..]);
-    }
-}
-
-fn fnv_serial(state: &mut u64, weights: &[f32]) {
-    for &w in weights {
-        fnv_weight(state, w);
-    }
-}
-
-/// [`fnv_mix`] of one weight widened to `u64`. The four high bytes are
-/// zero, so their four xor-multiply steps are one multiply by the prime's
-/// fourth power — wrapping multiplication is associative, so the state
-/// is the same.
-#[inline(always)]
-fn fnv_weight(h: &mut u64, w: f32) {
-    const PRIME_POW4: u64 = FNV_PRIME
-        .wrapping_mul(FNV_PRIME)
-        .wrapping_mul(FNV_PRIME)
-        .wrapping_mul(FNV_PRIME);
-    for byte in w.to_bits().to_le_bytes() {
-        *h = (*h ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-    }
-    *h = h.wrapping_mul(PRIME_POW4);
+    hashes.concat()
 }
 
 /// A deterministic digest of a tangle's full contents — parameter bits,
@@ -206,42 +167,31 @@ fn fnv_weight(h: &mut u64, w: f32) {
 /// worker counts of the async event loop).
 ///
 /// The digest is *content-addressed*: each transaction hashes to an
-/// FNV-1a over its own payload/issuer/round plus an order-independent
-/// combination of its parents' content hashes, and the per-transaction
-/// hashes are summed with wrapping addition. Dense ids never enter the
-/// hash, so the digest is independent of the storage backend, the
-/// iteration order *and the insertion order* — any two
-/// dependency-respecting interleavings of the same transactions agree
-/// (up to hash collisions).
+/// FNV-1a over its own weights hash, issuer and round plus an
+/// order-independent combination of its parents' content hashes, and
+/// the per-transaction hashes are summed with wrapping addition. Dense
+/// ids never enter the hash, so the digest is independent of the
+/// storage backend, the iteration order *and the insertion order* — any
+/// two dependency-respecting interleavings of the same transactions
+/// agree (up to hash collisions).
 ///
-/// The payloads are hashed four chains at a time, in jobs sized by
-/// weight volume: a tangle whose weights fill several jobs hashes on
-/// every core, and one that fills a single job hashes inline. Either
-/// way the value is that of byte-serial FNV-1a. A retired payload is
-/// not rehashed: the chain state it kept is where its hash left off.
+/// The weights go through one word-wise hash, in jobs sized by weight
+/// volume: a tangle whose weights fill several jobs hashes on every
+/// core, and one that fills a single job hashes inline. A retired
+/// payload is not rehashed: it kept its finished weights hash.
 pub fn tangle_digest<T: TangleRead<ModelPayload>>(tangle: &T) -> u64 {
     let len = tangle.len();
-    // Pass 1: per-transaction content hashes (payload, issuer, round).
-    // A retired payload kept its weights' chain state; the live ones
-    // are hashed here.
+    // Pass 1: per-transaction content hashes (weights, issuer, round).
     let mut content = vec![FNV_OFFSET; len];
-    let (mut live, mut payloads) = (Vec::new(), Vec::new());
-    for (index, h) in content.iter_mut().enumerate() {
-        let Ok(payload) = tangle.payload_of(TxId::from_index(index as u64)) else {
-            continue;
-        };
-        match payload.retired_hash() {
-            Some(state) => *h = state,
-            None => {
-                live.push(index);
-                payloads.push(payload.params());
-            }
+    let (mut present, mut payloads) = (Vec::new(), Vec::new());
+    for index in 0..len {
+        if let Ok(payload) = tangle.payload_of(TxId::from_index(index as u64)) {
+            present.push(index);
+            payloads.push(payload);
         }
     }
-    let mut states = vec![FNV_OFFSET; live.len()];
-    fnv_weights(&mut states, &payloads);
-    for (index, state) in live.into_iter().zip(states) {
-        content[index] = state;
+    for (index, hash) in present.into_iter().zip(payload_hashes(&payloads)) {
+        content[index] = hash;
     }
     for (index, h) in content.iter_mut().enumerate() {
         let id = TxId::from_index(index as u64);
@@ -562,8 +512,23 @@ pub(crate) mod tests {
     use crate::fanout::tests::with_workers;
     use crate::ShardedModelTangle;
 
-    /// The byte-serial two-pass digest [`tangle_digest`] replaced: the
-    /// oracle its kernel must match bit for bit.
+    /// A plain serial reference of [`weights_hash`]: one weight at a
+    /// time, into lane `i % 8`.
+    pub(crate) fn serial_weights_hash(weights: &[f32]) -> u64 {
+        let mut lanes = [FNV_OFFSET; LANES];
+        for (i, w) in weights.iter().enumerate() {
+            let lane = &mut lanes[i % LANES];
+            *lane = (*lane ^ u64::from(w.to_bits())).wrapping_mul(FNV_PRIME);
+        }
+        let mut h = FNV_OFFSET;
+        fnv_mix(&mut h, weights.len() as u64);
+        for lane in lanes {
+            fnv_mix(&mut h, lane);
+        }
+        h
+    }
+
+    /// The serial two-pass digest: the oracle of [`tangle_digest`].
     fn serial_tangle_digest<T: TangleRead<ModelPayload>>(tangle: &T) -> u64 {
         let len = tangle.len();
         let mut content = vec![0u64; len];
@@ -571,9 +536,7 @@ pub(crate) mod tests {
             let id = TxId::from_index(index);
             let mut h = FNV_OFFSET;
             if let Ok(payload) = tangle.payload_of(id) {
-                for &p in payload.params() {
-                    fnv_mix(&mut h, u64::from(p.to_bits()));
-                }
+                h = serial_weights_hash(payload.params());
             }
             if let Ok(issuer) = tangle.issuer_of(id) {
                 fnv_mix(&mut h, issuer.map_or(u64::MAX, u64::from));
@@ -601,40 +564,28 @@ pub(crate) mod tests {
         digest
     }
 
-    /// The kernel tests' payload lengths, cycled so that every group of
-    /// four mixes them: empty, shorter than, equal to and longer than a
-    /// group, and `long`.
-    fn length(i: usize, long: usize) -> usize {
-        [0, 1, 3, 4, 5, long][i % 6]
-    }
-
-    /// Payload lengths that fill three and a half of [`fnv_weights`]'
-    /// jobs, with long payloads of a sixteenth of a job plus three, and
-    /// one payload past a group of four.
-    pub(crate) fn multi_job_lengths() -> Vec<usize> {
-        let long = FNV_JOB_WEIGHTS / 16 + 3;
-        let mut lengths = Vec::new();
+    /// The oracle tests' two payload sets: 300 payloads of 0 to 17
+    /// weights, every remainder of the lanes, in one job; and lengths
+    /// that fill three and a half jobs, long payloads of a sixteenth of
+    /// a job plus three among short ones.
+    pub(crate) fn one_and_multi_job_lengths() -> [Vec<usize>; 2] {
+        let one = (0..300).map(|i| i % 18).collect();
+        let long = HASH_JOB_WEIGHTS / 16 + 3;
+        let mut multi = Vec::new();
         let mut total = 0;
-        while total < 7 * FNV_JOB_WEIGHTS / 2 || lengths.len() % 4 != 1 {
-            let len = length(lengths.len(), long);
+        while total < 7 * HASH_JOB_WEIGHTS / 2 {
+            let len = [0, 1, 7, 8, 9, long][multi.len() % 6];
             total += len;
-            lengths.push(len);
+            multi.push(len);
         }
-        lengths
+        [one, multi]
     }
 
-    /// Asserts that `payloads` split into at least three jobs, the last
-    /// one ragged: lighter than a job, and ending inside a group of four.
-    pub(crate) fn assert_multi_job(payloads: &[&[f32]]) {
-        let jobs = fnv_jobs(payloads);
-        assert!(jobs.len() >= 3, "{} jobs", jobs.len());
-        let last = jobs.last().expect("three or more jobs").clone();
-        assert_ne!(last.len() % 4, 0, "the last job ends inside a group");
-        let weights: usize = payloads[last].iter().map(|p| p.len()).sum();
-        assert!(
-            weights < FNV_JOB_WEIGHTS,
-            "the last job holds {weights} weights"
-        );
+    /// Asserts that `payloads` make one job, or at least three if
+    /// `multi`.
+    pub(crate) fn assert_jobs(payloads: &[&ModelPayload], multi: bool) {
+        let jobs = hash_jobs(payloads).len();
+        assert!(if multi { jobs >= 3 } else { jobs == 1 }, "{jobs} jobs");
     }
 
     /// `len` weights seeded by `payload`.
@@ -644,79 +595,78 @@ pub(crate) mod tests {
             .collect()
     }
 
-    fn views(payloads: &[Vec<f32>]) -> Vec<&[f32]> {
-        payloads.iter().map(Vec::as_slice).collect()
-    }
-
-    /// Asserts that [`fnv_weights`] over `payloads` equals the
-    /// byte-serial [`fnv_mix`] loop at 1, 2, 3 and 7 workers.
-    fn assert_matches_serial_fnv_mix(payloads: &[Vec<f32>]) {
-        let slices = views(payloads);
-        let starts: Vec<u64> = (0..payloads.len() as u64).map(|i| FNV_OFFSET ^ i).collect();
-        let expected: Vec<u64> = starts
+    /// Asserts that [`payload_hashes`] of `payloads` equals the serial
+    /// reference at 1, 2 and 3 workers.
+    fn assert_matches_serial(payloads: &[ModelPayload]) {
+        let views: Vec<&ModelPayload> = payloads.iter().collect();
+        let expected: Vec<u64> = payloads
             .iter()
-            .zip(payloads)
-            .map(|(&start, payload)| {
-                let mut h = start;
-                for &w in payload {
-                    fnv_mix(&mut h, u64::from(w.to_bits()));
-                }
-                h
-            })
+            .map(|p| serial_weights_hash(p.params()))
             .collect();
-        for workers in [1, 2, 3, 7] {
-            let mut states = starts.clone();
-            with_workers(workers, || fnv_weights(&mut states, &slices));
+        for workers in [1, 2, 3] {
+            let hashes = with_workers(workers, || payload_hashes(&views));
             let count = payloads.len();
-            assert_eq!(states, expected, "{count} payloads, {workers} workers");
+            assert_eq!(hashes, expected, "{count} payloads, {workers} workers");
         }
     }
 
     #[test]
-    fn fnv_weights_matches_serial_fnv_mix() {
-        let build = |lengths: &[usize]| -> Vec<Vec<f32>> {
-            (0..)
+    fn payload_hashes_match_the_serial_reference() {
+        for (lengths, multi) in one_and_multi_job_lengths().iter().zip([false, true]) {
+            let payloads: Vec<ModelPayload> = (0..)
                 .zip(lengths)
-                .map(|(i, &len)| weights(i, len))
-                .collect()
-        };
-        // 0 to 9 payloads: groups of four plus a tail, in one job.
-        for count in 0..=9 {
-            let lengths: Vec<usize> = (0..count).map(|i| length(i + count, 257)).collect();
-            let payloads = build(&lengths);
-            assert_eq!(fnv_jobs(&views(&payloads)).len(), count.min(1));
-            assert_matches_serial_fnv_mix(&payloads);
+                .map(|(i, &len)| ModelPayload::new(weights(i, len)))
+                .collect();
+            assert_jobs(&payloads.iter().collect::<Vec<_>>(), multi);
+            assert_matches_serial(&payloads);
         }
-        // Many payloads short of one job's weights stay one job.
-        let lengths: Vec<usize> = (0..400).map(|i| length(i, 257)).collect();
-        assert!(lengths.iter().sum::<usize>() < FNV_JOB_WEIGHTS);
-        let payloads = build(&lengths);
-        assert_eq!(fnv_jobs(&views(&payloads)).len(), 1);
-        assert_matches_serial_fnv_mix(&payloads);
-        // Three and a half jobs' weights split for the fan-out.
-        let payloads = build(&multi_job_lengths());
-        assert_multi_job(&views(&payloads));
-        assert_matches_serial_fnv_mix(&payloads);
+        assert!(payload_hashes(&[]).is_empty());
     }
 
     #[test]
-    fn fnv_jobs_cut_at_the_first_full_group_past_the_volume() {
-        // Four payloads fall four weights short, so the first job takes
-        // eight, and the last the three left over.
-        let payloads = vec![vec![0.0f32; FNV_JOB_WEIGHTS / 4 - 1]; 11];
-        assert_eq!(fnv_jobs(&views(&payloads)), [0..8, 8..11]);
-        assert!(fnv_jobs(&[]).is_empty());
+    fn hash_jobs_cut_at_the_first_payload_past_the_volume() {
+        // Four payloads fall four weights short, so each job takes five,
+        // and the last the one left over.
+        let payload = ModelPayload::new(vec![0.0; HASH_JOB_WEIGHTS / 4 - 1]);
+        let payloads = vec![&payload; 11];
+        assert_eq!(hash_jobs(&payloads), [0..5, 5..10, 10..11]);
+        assert!(hash_jobs(&[]).is_empty());
     }
 
     proptest::proptest! {
-        /// The kernel equals the byte-serial loop over any split: 0 to 4
-        /// jobs' worth of weights, in payloads of one length or of random
-        /// lengths up to `max_len`, at 1, 2, 3 and 7 workers.
+        /// Flipping any one bit of any weight changes the hash, and so
+        /// does swapping two weights of different bits, in one lane or
+        /// in two.
         #[test]
-        fn fnv_weights_matches_serial_fnv_mix_at_every_split(
+        fn weights_hash_sees_every_bit_and_the_order(
+            (bits, at, other, bit) in (
+                proptest::collection::vec(proptest::prelude::any::<u32>(), 1..=40),
+                proptest::prelude::any::<usize>(),
+                proptest::prelude::any::<usize>(),
+                0..32u32,
+            ),
+        ) {
+            let mut weights: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
+            let (at, other) = (at % weights.len(), other % weights.len());
+            let hash = weights_hash(&weights);
+            proptest::prop_assert_eq!(hash, serial_weights_hash(&weights));
+            weights[at] = f32::from_bits(bits[at] ^ (1 << bit));
+            proptest::prop_assert_ne!(weights_hash(&weights), hash);
+            weights[at] = f32::from_bits(bits[at]);
+            if bits[at] != bits[other] {
+                weights.swap(at, other);
+                proptest::prop_assert_ne!(weights_hash(&weights), hash);
+            }
+        }
+
+        /// The fan-out equals the serial reference over any split: 0 to
+        /// 4 jobs' worth of weights, in payloads of one length or of
+        /// random lengths up to `max_len`, at 1, 2 and 3 workers.
+        #[test]
+        fn weights_hashes_match_the_serial_reference_at_every_split(
             (volume, max_len, equal, seed) in (
-                0..=4 * FNV_JOB_WEIGHTS,
-                0..=FNV_JOB_WEIGHTS / 8,
+                0..=4 * HASH_JOB_WEIGHTS,
+                0..=HASH_JOB_WEIGHTS / 8,
                 proptest::prelude::any::<bool>(),
                 proptest::prelude::any::<u64>(),
             ),
@@ -724,38 +674,41 @@ pub(crate) mod tests {
             use rand::{Rng, SeedableRng};
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let mean = if equal { max_len } else { max_len / 2 };
-            let payloads: Vec<Vec<f32>> = (0..volume / mean.max(1))
+            let payloads: Vec<ModelPayload> = (0..volume / mean.max(1))
                 .map(|i| {
                     let len = if equal { max_len } else { rng.gen_range(0..=max_len) };
-                    weights(i, len)
+                    ModelPayload::new(weights(i, len))
                 })
                 .collect();
-            assert_matches_serial_fnv_mix(&payloads);
+            assert_matches_serial(&payloads);
         }
     }
 
     #[test]
     fn tangle_digest_matches_the_byte_serial_oracle() {
-        let lengths = multi_job_lengths();
-        let tangle = ShardedModelTangle::new(ModelPayload::new(weights(0, lengths[0])));
-        let mut ids = vec![tangle.genesis()];
-        for (i, &len) in lengths.iter().enumerate().skip(1) {
-            let payload = ModelPayload::new(weights(i, len));
-            let parents = [ids[i / 2], ids[i - 1]];
-            let id = tangle
-                .attach_with_meta(payload, &parents, Some((i % 5) as u32), i as u32)
-                .expect("parents exist");
-            ids.push(id);
-        }
-        let payloads: Vec<&[f32]> = tangle.iter().map(|tx| tx.payload().params()).collect();
-        assert_multi_job(&payloads);
-        let oracle = serial_tangle_digest(&tangle);
-        for workers in [1, 2, 3, 7] {
-            assert_eq!(
-                with_workers(workers, || tangle_digest(&tangle)),
-                oracle,
-                "{workers} workers"
-            );
+        for (lengths, multi) in one_and_multi_job_lengths().iter().zip([false, true]) {
+            let tangle = ShardedModelTangle::new(ModelPayload::new(weights(0, lengths[0])));
+            let mut ids = vec![tangle.genesis()];
+            for (i, &len) in lengths.iter().enumerate().skip(1) {
+                let payload = ModelPayload::new(weights(i, len));
+                let parents = [ids[i / 2], ids[i - 1]];
+                let id = tangle
+                    .attach_with_meta(payload, &parents, Some((i % 5) as u32), i as u32)
+                    .expect("parents exist");
+                ids.push(id);
+            }
+            let payloads: Vec<ModelPayload> =
+                tangle.iter().map(|tx| tx.payload().clone()).collect();
+            assert_jobs(&payloads.iter().collect::<Vec<_>>(), multi);
+            let oracle = serial_tangle_digest(&tangle);
+            for workers in [1, 2, 3] {
+                assert_eq!(
+                    with_workers(workers, || tangle_digest(&tangle)),
+                    oracle,
+                    "{} payloads, {workers} workers",
+                    lengths.len()
+                );
+            }
         }
     }
 

@@ -11,8 +11,9 @@ use crate::CoreError;
 /// immutably between the tangle and any evaluation caches.
 ///
 /// The rounds simulator *retires* a payload once no walk can reach its
-/// transaction: the weights are dropped and only their FNV-1a state is
-/// kept, which [`crate::tangle_digest`] reads in place of rehashing.
+/// transaction: the weights are dropped and only their finished
+/// weights hash is kept, which [`crate::tangle_digest`] reads in place
+/// of rehashing.
 /// A retired payload reads as empty through [`ModelPayload::params`],
 /// [`ModelPayload::share`] and [`ModelPayload::len`], which never
 /// panic; the code that needs the weights reads them through
@@ -25,7 +26,7 @@ pub struct ModelPayload {
 #[derive(Debug, Clone)]
 enum Weights {
     Live(Arc<Vec<f32>>),
-    /// The FNV-1a state over the dropped weights, from the offset basis.
+    /// The weights hash of the dropped weights.
     Retired(u64),
 }
 
@@ -79,15 +80,16 @@ impl ModelPayload {
         matches!(self.weights, Weights::Retired(_))
     }
 
-    /// The FNV-1a state kept over the dropped weights, if retired.
-    pub(crate) fn retired_hash(&self) -> Option<u64> {
-        match self.weights {
-            Weights::Live(_) => None,
-            Weights::Retired(hash) => Some(hash),
+    /// The content hash of the weights ([`crate::metrics::weights_hash`]):
+    /// computed for live weights, kept for retired ones.
+    pub(crate) fn weights_hash(&self) -> u64 {
+        match &self.weights {
+            Weights::Live(params) => crate::metrics::weights_hash(params),
+            Weights::Retired(hash) => *hash,
         }
     }
 
-    /// Drops the weights, keeping `hash`, their FNV-1a state.
+    /// Drops the weights, keeping `hash`, their weights hash.
     fn retire(&mut self, hash: u64) {
         self.weights = Weights::Retired(hash);
     }
@@ -106,26 +108,21 @@ pub fn weights_of<T: TangleRead<ModelPayload>>(tangle: &T, id: TxId) -> Result<&
         .ok_or(CoreError::RetiredPayload(id))
 }
 
-/// Retires the payloads of `ids` in `tangle`: hashes their weights four
-/// chains at a time and drops them, keeping each chain's state. Ids
-/// already retired are skipped.
+/// Retires the payloads of `ids` in `tangle`: hashes their weights and
+/// drops them, keeping each finished hash. A payload already retired
+/// keeps the hash it has.
 ///
 /// # Errors
 ///
 /// Returns the tangle's error for an unknown id; nothing is retired
 /// then.
 pub fn retire_payloads(tangle: &mut ShardedModelTangle, ids: &[TxId]) -> Result<(), CoreError> {
-    let mut live = Vec::with_capacity(ids.len());
-    let mut weights = Vec::with_capacity(ids.len());
-    for &id in ids {
-        if let Some(params) = tangle.payload_of(id)?.live() {
-            live.push(id);
-            weights.push(params);
-        }
-    }
-    let mut states = vec![crate::metrics::FNV_OFFSET; live.len()];
-    crate::metrics::fnv_weights(&mut states, &weights);
-    for (id, hash) in live.into_iter().zip(states) {
+    let payloads = ids
+        .iter()
+        .map(|&id| tangle.payload_of(id))
+        .collect::<Result<Vec<_>, _>>()?;
+    let hashes = crate::metrics::payload_hashes(&payloads);
+    for (&id, hash) in ids.iter().zip(hashes) {
         tangle.payload_mut(id)?.retire(hash);
     }
     Ok(())
@@ -177,12 +174,11 @@ mod tests {
             CoreError::RetiredPayload(id)
         );
         assert_eq!(weights_of(&tangle, g).unwrap(), &[0.0; 2]);
-        // The kept state is the weights' FNV-1a chain.
-        let mut h = crate::metrics::FNV_OFFSET;
-        for w in [1.0f32, 2.0] {
-            crate::metrics::fnv_mix(&mut h, u64::from(w.to_bits()));
-        }
-        assert_eq!(payload.retired_hash(), Some(h));
+        // The kept hash is the dropped weights' hash.
+        assert_eq!(
+            payload.weights_hash(),
+            crate::metrics::weights_hash(&[1.0, 2.0])
+        );
     }
 
     #[test]

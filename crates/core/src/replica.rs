@@ -22,7 +22,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use dagfl_tangle::{Tangle, TangleError, TangleRead, Transaction, TxId, WalkStartBand};
 use rand::Rng;
 
-use crate::metrics::{fnv_mix, fnv_weights, FNV_OFFSET};
+use crate::metrics::{fnv_mix, payload_hashes, FNV_OFFSET};
 use crate::{CoreError, Envelope, GossipMessage, ModelPayload, TxMessage};
 
 /// The genesis always carries network id 0, in every transport.
@@ -487,30 +487,21 @@ impl Replica {
     /// collisions — the convergence check of the networked mode.
     ///
     /// Each record is one FNV-1a chain over its network id, parent
-    /// count, parents, weights, issuer and round; the chains are summed
-    /// with wrapping addition. The weights go through the kernel
-    /// [`tangle_digest`](crate::tangle_digest) uses — four chains at a
-    /// time, in jobs sized by weight volume that fan out over the cores
-    /// when there are several — which yields the same value as
-    /// byte-serial FNV-1a.
+    /// count, parents, weights hash, issuer and round; the chains are
+    /// summed with wrapping addition. The weights hashes are those
+    /// [`tangle_digest`](crate::tangle_digest) uses, in jobs sized by
+    /// weight volume that fan out over the cores when there are several.
     pub fn digest(&self) -> u64 {
-        let mut states: Vec<u64> = self
-            .view
-            .records()
-            .map(|record| {
-                let mut h = FNV_OFFSET;
-                fnv_mix(&mut h, record.net_id);
-                fnv_mix(&mut h, record.parents.len() as u64);
-                for &p in record.parents.iter() {
-                    fnv_mix(&mut h, p);
-                }
-                h
-            })
-            .collect();
-        let payloads: Vec<&[f32]> = self.view.records().map(|r| r.payload.params()).collect();
-        fnv_weights(&mut states, &payloads);
+        let payloads: Vec<&ModelPayload> = self.view.records().map(|r| &r.payload).collect();
         let mut total: u64 = 0;
-        for (mut h, record) in states.into_iter().zip(self.view.records()) {
+        for (record, weights) in self.view.records().zip(payload_hashes(&payloads)) {
+            let mut h = FNV_OFFSET;
+            fnv_mix(&mut h, record.net_id);
+            fnv_mix(&mut h, record.parents.len() as u64);
+            for &p in record.parents.iter() {
+                fnv_mix(&mut h, p);
+            }
+            fnv_mix(&mut h, weights);
             fnv_mix(&mut h, record.issuer.map_or(u64::MAX, u64::from));
             fnv_mix(&mut h, u64::from(record.round));
             total = total.wrapping_add(h);
@@ -740,8 +731,8 @@ mod tests {
         assert_ne!(a.digest(), c.digest(), "different sets must differ");
     }
 
-    /// The byte-serial form of [`Replica::digest`]: the oracle its
-    /// kernel must match bit for bit.
+    /// The serial form of [`Replica::digest`]: the oracle its fan-out
+    /// must match bit for bit.
     fn serial_digest(replica: &Replica) -> u64 {
         let mut total: u64 = 0;
         for record in replica.view.records() {
@@ -751,9 +742,8 @@ mod tests {
             for &p in record.parents.iter() {
                 fnv_mix(&mut h, p);
             }
-            for w in record.payload.params() {
-                fnv_mix(&mut h, u64::from(w.to_bits()));
-            }
+            let weights = crate::metrics::tests::serial_weights_hash(record.payload.params());
+            fnv_mix(&mut h, weights);
             fnv_mix(&mut h, record.issuer.map_or(u64::MAX, u64::from));
             fnv_mix(&mut h, u64::from(record.round));
             total = total.wrapping_add(h);
@@ -764,34 +754,33 @@ mod tests {
     #[test]
     fn digest_matches_the_byte_serial_form() {
         use crate::fanout::tests::with_workers;
-        use crate::metrics::tests::{assert_multi_job, multi_job_lengths};
-        // Enough weights for several fan-out jobs, with payload lengths
-        // that differ within every group of four.
-        let mut r = fresh();
-        for (id, len) in (1u64..).zip(multi_job_lengths()) {
-            r.insert(&TxMessage {
-                params: Arc::new(
-                    (0..len as u64)
-                        .map(|j| (id * 1000 + j) as f32 * 0.37)
-                        .collect(),
-                ),
-                ..msg(id, &[id / 2, id - 1])
-            })
-            .unwrap();
-        }
-        let payloads: Vec<&[f32]> = r
-            .view
-            .records()
-            .map(|record| record.payload.params())
-            .collect();
-        assert_multi_job(&payloads);
-        let serial = serial_digest(&r);
-        for workers in [1, 2, 3, 7] {
-            assert_eq!(
-                with_workers(workers, || r.digest()),
-                serial,
-                "{workers} workers"
-            );
+        use crate::metrics::tests::{assert_jobs, one_and_multi_job_lengths};
+        // Payloads that fill one fan-out job, then several.
+        for (lengths, multi) in one_and_multi_job_lengths().iter().zip([false, true]) {
+            let mut r = fresh();
+            for (id, &len) in (1u64..).zip(lengths) {
+                r.insert(&TxMessage {
+                    params: Arc::new(
+                        (0..len as u64)
+                            .map(|j| (id * 1000 + j) as f32 * 0.37)
+                            .collect(),
+                    ),
+                    ..msg(id, &[id / 2, id - 1])
+                })
+                .unwrap();
+            }
+            let payloads: Vec<&ModelPayload> =
+                r.view.records().map(|record| &record.payload).collect();
+            assert_jobs(&payloads, multi);
+            let serial = serial_digest(&r);
+            for workers in [1, 2, 3] {
+                assert_eq!(
+                    with_workers(workers, || r.digest()),
+                    serial,
+                    "{} records, {workers} workers",
+                    payloads.len()
+                );
+            }
         }
     }
 

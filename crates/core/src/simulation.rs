@@ -177,11 +177,10 @@ impl Simulation {
     /// [`ModelPayload`]). No read reaches one again: a walk starts inside
     /// the window and steps only to strictly shallower approvers, and
     /// averaging and the publish gate read only walk ends. The genesis
-    /// keeps its payload, the model template. The weights are hashed
-    /// four chains at a time, so a payload waits for a later round
-    /// until its group of four is full. A window whose top reaches
-    /// [`DEPTH_CEILING`](dagfl_tangle::DEPTH_CEILING) retires nothing: the capped depth never
-    /// exceeds it.
+    /// keeps its payload, the model template. A payload retires in the
+    /// round its transaction falls below the window. A window whose top
+    /// reaches [`DEPTH_CEILING`](dagfl_tangle::DEPTH_CEILING) retires
+    /// nothing: the capped depth never exceeds it.
     ///
     /// # Errors
     ///
@@ -243,10 +242,9 @@ impl Simulation {
         Ok(metrics)
     }
 
-    /// Retires the payloads of [`Simulation::run_round`]'s rule, in
-    /// whole groups of four, lowest ids first. Transactions attached
-    /// since the last pass (an attacker's among them) join the held
-    /// list first.
+    /// Retires the payloads of [`Simulation::run_round`]'s rule.
+    /// Transactions attached since the last pass (an attacker's among
+    /// them) join the held list first.
     fn retire_unreachable(&mut self) -> Result<(), CoreError> {
         let len = self.tangle.len();
         self.held
@@ -254,13 +252,12 @@ impl Simulation {
         self.examined = len;
         let top = self.config.walk_depth.1;
         let depths = self.tangle.capped_depths();
-        let mut deep: Vec<TxId> = self
+        let deep: Vec<TxId> = self
             .held
             .iter()
             .copied()
             .filter(|id| depths[id.index() as usize] > top)
             .collect();
-        deep.truncate(deep.len() / 4 * 4);
         if deep.is_empty() {
             return Ok(());
         }

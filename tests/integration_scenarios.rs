@@ -227,7 +227,7 @@ fn malformed_scenarios_are_rejected_end_to_end() {
 fn paper_scale_fmnist_holds_only_the_payloads_a_walk_can_reach() {
     // The benchmark's `rounds-fmnist` at its own seed: walks start 15–25
     // approvals below the tips, so every payload deeper than 25 is
-    // retired once its group of four fills. Counted after each round's
+    // retired in the round it falls below. Counted after each round's
     // publications and before its retirement pass, the peak.
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../../benchmark/workloads/rounds-fmnist.toml");
