@@ -128,7 +128,7 @@ impl GarbageAttackScenario {
             (r1.tip, r2.tip)
         };
         let id = self.simulation.tangle.attach_with_meta(
-            ModelPayload::new(params),
+            ModelPayload::hashed(params),
             &[p1, p2],
             None,
             self.simulation.round() as u32,

@@ -126,8 +126,8 @@ pub use exec::ExecutionMode;
 pub use fanout::fan_out;
 pub use fault::{CrashWindow, FaultPlan, FaultyTransport, PartitionWindow, FAULT_STREAM};
 pub use metrics::{
-    approval_pureness_of, client_graph_of, tangle_digest, ClientGraphTracker, RoundMetrics,
-    SpecializationMetrics,
+    approval_pureness_of, client_graph_of, tangle_digest, weights_hash, ClientGraphTracker,
+    RoundMetrics, SpecializationMetrics,
 };
 pub use net::{
     have_set, tracker_join, tracker_leave, ControlEvent, TcpTransport, Tracker, TrackerSummary,

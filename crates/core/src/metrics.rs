@@ -90,14 +90,14 @@ pub(crate) fn fnv_mix(h: &mut u64, v: u64) {
 const LANES: usize = 8;
 
 /// The content hash of a weight vector: eight interleaved FNV-1a lanes,
-/// each taking a whole weight's bits per step, folded with [`fnv_mix`]
-/// after the length.
+/// each taking a whole weight's bits per step, folded after the length
+/// into one FNV-1a over their little-endian bytes.
 ///
 /// Each lane advances by one xor and one multiply per weight, and the
 /// eight are independent, so a lone payload hashes at multiply
 /// throughput, not latency. Integers only: the value does not depend
 /// on the platform, the core count or how payloads are grouped.
-pub(crate) fn weights_hash(weights: &[f32]) -> u64 {
+pub fn weights_hash(weights: &[f32]) -> u64 {
     let mut lanes = [FNV_OFFSET; LANES];
     let mut steps = weights.chunks_exact(LANES);
     for step in &mut steps {
@@ -116,8 +116,8 @@ pub(crate) fn weights_hash(weights: &[f32]) -> u64 {
     h
 }
 
-/// The fewest weights a fan-out job of [`payload_hashes`] carries. A
-/// job takes payloads until it holds at least this many; the last job
+/// The fewest weights a fan-out job of [`payload_hashes`] hashes. A
+/// job takes payloads until it has at least this many; the last job
 /// takes what is left. 2¹⁶ weights are tens of microseconds of hashing
 /// on one x86-64 core, above the thread spawn a second worker costs,
 /// and small enough that a 100-transaction tangle of 5,000-weight
@@ -125,13 +125,14 @@ pub(crate) fn weights_hash(weights: &[f32]) -> u64 {
 const HASH_JOB_WEIGHTS: usize = 1 << 16;
 
 /// The payload ranges of [`payload_hashes`]' jobs, in order: every job
-/// but the last holds at least [`HASH_JOB_WEIGHTS`] weights. No payloads
-/// make no job.
+/// but the last holds at least [`HASH_JOB_WEIGHTS`] weights to hash.
+/// Only payloads without a kept hash count, so payloads that all kept
+/// theirs make one job. No payloads make no job.
 fn hash_jobs(payloads: &[&ModelPayload]) -> Vec<Range<usize>> {
     let mut jobs = Vec::new();
     let (mut start, mut weights) = (0, 0);
     for (end, payload) in (1..).zip(payloads) {
-        weights += payload.len();
+        weights += payload.kept_hash().map_or(payload.len(), |_| 0);
         if weights >= HASH_JOB_WEIGHTS {
             jobs.push(start..end);
             (start, weights) = (end, 0);
@@ -143,9 +144,10 @@ fn hash_jobs(payloads: &[&ModelPayload]) -> Vec<Range<usize>> {
     jobs
 }
 
-/// [`ModelPayload::weights_hash`] of every payload, in order. The jobs
-/// of [`hash_jobs`] fan out over the machine's cores; payloads that
-/// fill one job hash inline, with no thread.
+/// [`ModelPayload::weights_hash`] of every payload, in order: a kept
+/// hash is read, any other is computed. The jobs of [`hash_jobs`] fan
+/// out over the machine's cores; payloads that fill one job hash
+/// inline, with no thread.
 pub(crate) fn payload_hashes(payloads: &[&ModelPayload]) -> Vec<u64> {
     let jobs = hash_jobs(payloads)
         .into_iter()
@@ -175,10 +177,11 @@ pub(crate) fn payload_hashes(payloads: &[&ModelPayload]) -> Vec<u64> {
 /// two dependency-respecting interleavings of the same transactions
 /// agree (up to hash collisions).
 ///
-/// The weights go through one word-wise hash, in jobs sized by weight
-/// volume: a tangle whose weights fill several jobs hashes on every
-/// core, and one that fills a single job hashes inline. A retired
-/// payload is not rehashed: it kept its finished weights hash.
+/// A payload that kept its weights hash (every payload of a rounds
+/// run, retired or not) is not rehashed. The others' weights go through
+/// one word-wise hash, in jobs sized by their volume: weights that fill
+/// several jobs hash on every core, and those that fill a single job
+/// hash inline.
 pub fn tangle_digest<T: TangleRead<ModelPayload>>(tangle: &T) -> u64 {
     let len = tangle.len();
     // Pass 1: per-transaction content hashes (weights, issuer, round).
@@ -631,6 +634,14 @@ pub(crate) mod tests {
         let payloads = vec![&payload; 11];
         assert_eq!(hash_jobs(&payloads), [0..5, 5..10, 10..11]);
         assert!(hash_jobs(&[]).is_empty());
+        // A kept hash counts no weight: it rides in whichever job.
+        let hashed = ModelPayload::hashed(vec![0.0; HASH_JOB_WEIGHTS]);
+        let whole = 0..9;
+        assert_eq!(hash_jobs(&[&hashed; 9]), [whole]);
+        let mixed: Vec<&ModelPayload> = (0..22)
+            .map(|i| if i % 2 == 0 { &payload } else { &hashed })
+            .collect();
+        assert_eq!(hash_jobs(&mixed), [0..9, 9..19, 19..22]);
     }
 
     proptest::proptest! {
@@ -661,7 +672,8 @@ pub(crate) mod tests {
 
         /// The fan-out equals the serial reference over any split: 0 to
         /// 4 jobs' worth of weights, in payloads of one length or of
-        /// random lengths up to `max_len`, at 1, 2 and 3 workers.
+        /// random lengths up to `max_len`, none, about half or all of
+        /// them born hashed, at 1, 2 and 3 workers.
         #[test]
         fn weights_hashes_match_the_serial_reference_at_every_split(
             (volume, max_len, equal, seed) in (
@@ -673,11 +685,16 @@ pub(crate) mod tests {
         ) {
             use rand::{Rng, SeedableRng};
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let born = rng.gen_range(0..=2);
             let mean = if equal { max_len } else { max_len / 2 };
             let payloads: Vec<ModelPayload> = (0..volume / mean.max(1))
                 .map(|i| {
                     let len = if equal { max_len } else { rng.gen_range(0..=max_len) };
-                    ModelPayload::new(weights(i, len))
+                    if rng.gen_range(0..2) < born {
+                        ModelPayload::hashed(weights(i, len))
+                    } else {
+                        ModelPayload::new(weights(i, len))
+                    }
                 })
                 .collect();
             assert_matches_serial(&payloads);

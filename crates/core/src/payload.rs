@@ -10,24 +10,22 @@ use crate::CoreError;
 /// A published model update: the full flat parameter vector, shared
 /// immutably between the tangle and any evaluation caches.
 ///
-/// The rounds simulator *retires* a payload once no walk can reach its
-/// transaction: the weights are dropped and only their finished
-/// weights hash is kept, which [`crate::tangle_digest`] reads in place
-/// of rehashing.
+/// A payload may keep its weights' finished hash ([`crate::weights_hash`]),
+/// which [`crate::tangle_digest`] reads in place of rehashing. The
+/// rounds simulator builds every payload it attaches with
+/// [`ModelPayload::hashed`], and *retires* one once no walk can reach
+/// its transaction: the weights are dropped and only the hash is kept.
 /// A retired payload reads as empty through [`ModelPayload::params`],
 /// [`ModelPayload::share`] and [`ModelPayload::len`], which never
 /// panic; the code that needs the weights reads them through
 /// [`weights_of`], which fails with [`CoreError::RetiredPayload`].
 #[derive(Debug, Clone)]
 pub struct ModelPayload {
-    weights: Weights,
-}
-
-#[derive(Debug, Clone)]
-enum Weights {
-    Live(Arc<Vec<f32>>),
-    /// The weights hash of the dropped weights.
-    Retired(u64),
+    /// The weights; `None` once retired.
+    weights: Option<Arc<Vec<f32>>>,
+    /// The weights' hash, kept from birth or from retirement; always
+    /// `Some` once retired.
+    hash: Option<u64>,
 }
 
 impl ModelPayload {
@@ -36,11 +34,30 @@ impl ModelPayload {
         Self::from_shared(Arc::new(params))
     }
 
+    /// Wraps a parameter vector and keeps its weights hash, computed
+    /// now, while the caller has just written the weights.
+    pub fn hashed(params: Vec<f32>) -> Self {
+        let hash = crate::metrics::weights_hash(&params);
+        Self::with_unchecked_hash(params, hash)
+    }
+
+    /// Wraps a parameter vector keeping `hash` as its weights hash,
+    /// unchecked. A payload whose `hash` is not its weights' is what
+    /// the store audit of a scenario run rejects; this builds one.
+    #[doc(hidden)]
+    pub fn with_unchecked_hash(params: Vec<f32>, hash: u64) -> Self {
+        Self {
+            weights: Some(Arc::new(params)),
+            hash: Some(hash),
+        }
+    }
+
     /// Wraps an already-shared parameter vector without copying — the
     /// payload and every other holder of the `Arc` stay one allocation.
     pub fn from_shared(params: Arc<Vec<f32>>) -> Self {
         Self {
-            weights: Weights::Live(params),
+            weights: Some(params),
+            hash: None,
         }
     }
 
@@ -51,18 +68,12 @@ impl ModelPayload {
 
     /// The model weights, or `None` once retired.
     pub fn live(&self) -> Option<&[f32]> {
-        match &self.weights {
-            Weights::Live(params) => Some(params),
-            Weights::Retired(_) => None,
-        }
+        self.weights.as_deref().map(Vec::as_slice)
     }
 
     /// A shared handle to the weights (no copy); empty once retired.
     pub fn share(&self) -> Arc<Vec<f32>> {
-        match &self.weights {
-            Weights::Live(params) => Arc::clone(params),
-            Weights::Retired(_) => Arc::default(),
-        }
+        self.weights.clone().unwrap_or_default()
     }
 
     /// Number of scalar parameters; zero once retired.
@@ -77,21 +88,25 @@ impl ModelPayload {
 
     /// Whether the weights were dropped.
     pub fn is_retired(&self) -> bool {
-        matches!(self.weights, Weights::Retired(_))
+        self.weights.is_none()
     }
 
-    /// The content hash of the weights ([`crate::metrics::weights_hash`]):
-    /// computed for live weights, kept for retired ones.
+    /// The kept weights hash: `Some` for a payload built
+    /// [`ModelPayload::hashed`] and for every retired one.
+    pub fn kept_hash(&self) -> Option<u64> {
+        self.hash
+    }
+
+    /// The content hash of the weights ([`crate::weights_hash`]): the
+    /// kept one, else computed.
     pub(crate) fn weights_hash(&self) -> u64 {
-        match &self.weights {
-            Weights::Live(params) => crate::metrics::weights_hash(params),
-            Weights::Retired(hash) => *hash,
-        }
+        self.hash
+            .unwrap_or_else(|| crate::metrics::weights_hash(self.params()))
     }
 
     /// Drops the weights, keeping `hash`, their weights hash.
     fn retire(&mut self, hash: u64) {
-        self.weights = Weights::Retired(hash);
+        (self.weights, self.hash) = (None, Some(hash));
     }
 }
 
@@ -108,9 +123,10 @@ pub fn weights_of<T: TangleRead<ModelPayload>>(tangle: &T, id: TxId) -> Result<&
         .ok_or(CoreError::RetiredPayload(id))
 }
 
-/// Retires the payloads of `ids` in `tangle`: hashes their weights and
-/// drops them, keeping each finished hash. A payload already retired
-/// keeps the hash it has.
+/// Retires the payloads of `ids` in `tangle`: drops their weights,
+/// keeping each one's weights hash. A payload that kept its hash (one
+/// born [`ModelPayload::hashed`], or already retired) is not rehashed,
+/// so a rounds tangle retires with no hashing and no thread.
 ///
 /// # Errors
 ///
@@ -161,24 +177,31 @@ mod tests {
     fn a_retired_payload_reads_empty_and_its_weights_fail() {
         let mut tangle = ShardedModelTangle::new(ModelPayload::new(vec![0.0; 2]));
         let g = tangle.genesis();
-        let id = tangle
-            .attach(ModelPayload::new(vec![1.0, 2.0]), &[g])
-            .unwrap();
-        retire_payloads(&mut tangle, &[id]).unwrap();
-        let payload = tangle.payload_of(id).unwrap();
-        assert!(payload.is_retired());
-        assert_eq!((payload.params(), payload.len()), (&[][..], 0));
-        assert!(payload.share().is_empty() && payload.is_empty());
-        assert_eq!(
-            weights_of(&tangle, id).unwrap_err(),
-            CoreError::RetiredPayload(id)
-        );
+        let hash = crate::metrics::weights_hash(&[1.0, 2.0]);
+        // One payload hashed at retirement, one born hashed.
+        for payload in [
+            ModelPayload::new(vec![1.0, 2.0]),
+            ModelPayload::hashed(vec![1.0, 2.0]),
+        ] {
+            let id = tangle.attach(payload, &[g]).unwrap();
+            let born = tangle.payload_of(id).unwrap().kept_hash();
+            retire_payloads(&mut tangle, &[id]).unwrap();
+            let payload = tangle.payload_of(id).unwrap();
+            assert!(payload.is_retired());
+            assert_eq!((payload.params(), payload.len()), (&[][..], 0));
+            assert!(payload.share().is_empty() && payload.is_empty());
+            assert_eq!(
+                weights_of(&tangle, id).unwrap_err(),
+                CoreError::RetiredPayload(id)
+            );
+            // The kept hash is the dropped weights' hash.
+            assert!(born.is_none() || born == Some(hash));
+            assert_eq!(
+                (payload.kept_hash(), payload.weights_hash()),
+                (Some(hash), hash)
+            );
+        }
         assert_eq!(weights_of(&tangle, g).unwrap(), &[0.0; 2]);
-        // The kept hash is the dropped weights' hash.
-        assert_eq!(
-            payload.weights_hash(),
-            crate::metrics::weights_hash(&[1.0, 2.0])
-        );
     }
 
     #[test]

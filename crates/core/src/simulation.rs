@@ -75,7 +75,7 @@ impl Simulation {
         );
         let mut rng = StdRng::seed_from_u64(config.seed);
         let genesis_model = factory(&mut rng);
-        let tangle = ShardedModelTangle::new(ModelPayload::new(genesis_model.parameters()));
+        let tangle = ShardedModelTangle::new(ModelPayload::hashed(genesis_model.parameters()));
         let workers = if config.parallel {
             machine_workers()
         } else {
@@ -196,21 +196,21 @@ impl Simulation {
             .collect();
         active.sort_unstable();
 
-        let mut outcomes = self.run_active_clients(&active)?;
+        let (outcomes, payloads) = self.run_active_clients(&active)?;
 
         // Publication phase: attach all improvements to the shared tangle.
         // With failure injection enabled, some publications are lost on
         // the (simulated) network.
         let mut published = 0;
-        for outcome in &mut outcomes {
-            if let Some(params) = outcome.published.take() {
+        for (outcome, payload) in outcomes.iter().zip(payloads) {
+            if let Some(payload) = payload {
                 if self.config.publication_dropout > 0.0
                     && self.rng.gen::<f32>() < self.config.publication_dropout
                 {
                     continue;
                 }
                 let id = self.tangle.attach_with_meta(
-                    ModelPayload::new(params),
+                    payload,
                     &[outcome.parents.0, outcome.parents.1],
                     Some(outcome.client),
                     self.round as u32,
@@ -273,8 +273,14 @@ impl Simulation {
     /// [`DagConfig::parallel`] is set and inline otherwise. Every job
     /// walks the shared store directly: slots with no lock, structure
     /// under one read lock per call, and no write until the publication
-    /// phase.
-    fn run_active_clients(&mut self, active: &[usize]) -> Result<Vec<TrainOutcome>, CoreError> {
+    /// phase. A job that publishes wraps its trained weights in a
+    /// [`ModelPayload::hashed`] while they are still in its core's
+    /// cache, so neither retirement nor the digest reads them again.
+    /// Returns the outcomes and their publications, in client order.
+    fn run_active_clients(
+        &mut self,
+        active: &[usize],
+    ) -> Result<(Vec<TrainOutcome>, Vec<Option<ModelPayload>>), CoreError> {
         let config = self.config;
         let dataset = &self.dataset;
         let tangle = &self.tangle;
@@ -288,11 +294,13 @@ impl Simulation {
         // A client's id is its index into `clients` and the dataset.
         let mut outcomes = fan_out_with(&mut self.scratch, clients, |scratch, _, client| {
             let data = &dataset.clients()[client.id() as usize];
-            client.train_round_on(scratch, tangle, data, &config)
+            let mut outcome = client.train_round_on(scratch, tangle, data, &config)?;
+            let payload = outcome.published.take().map(ModelPayload::hashed);
+            Ok::<_, CoreError>((outcome, payload))
         })?;
         // Back to ascending client order, the order publications attach in.
-        outcomes.sort_by_key(|outcome| outcome.client);
-        Ok(outcomes)
+        outcomes.sort_by_key(|(outcome, _)| outcome.client);
+        Ok(outcomes.into_iter().unzip())
     }
 
     /// Runs rounds until `config.rounds` have completed; returns the
@@ -439,6 +447,71 @@ mod tests {
             ..DagConfig::default()
         };
         Simulation::new(config, dataset, factory(features))
+    }
+
+    /// Checks every payload of `tangle` against `seen`, the hashes
+    /// recorded while each was live: a live payload keeps the hash of
+    /// its weights (and records it), a retired one the hash it had.
+    fn assert_kept_hashes(tangle: &ShardedModelTangle, seen: &mut Vec<Option<u64>>) {
+        seen.resize(tangle.len(), None);
+        for (index, slot) in seen.iter_mut().enumerate() {
+            let payload = tangle.payload_of(TxId::from_index(index as u64)).unwrap();
+            let kept = payload.kept_hash();
+            match payload.live() {
+                Some(weights) => {
+                    assert_eq!(kept, Some(crate::weights_hash(weights)), "tx{index}");
+                    *slot = kept;
+                }
+                None => assert_eq!(kept, *slot, "retired tx{index}"),
+            }
+        }
+    }
+
+    #[test]
+    fn every_payload_is_born_hashed_and_keeps_its_hash_through_retirement() {
+        let dataset = || {
+            fmnist_clustered(&FmnistConfig {
+                num_clients: 6,
+                samples_per_client: 40,
+                ..FmnistConfig::default()
+            })
+        };
+        let features = dataset().feature_len();
+        // A window of depth 2 retires payloads from the third round on.
+        let dag = DagConfig {
+            rounds: 10,
+            clients_per_round: 3,
+            local_batches: 2,
+            walk_depth: (1, 2),
+            parallel: true,
+            ..DagConfig::default()
+        };
+        let mut plain = Simulation::new(dag, dataset(), factory(features));
+        let attack = crate::GarbageAttackConfig {
+            dag,
+            clean_rounds: 2,
+        };
+        let mut attacked = crate::GarbageAttackScenario::new(attack, dataset(), factory(features));
+        let (mut plain_seen, mut attacked_seen) = (Vec::new(), Vec::new());
+        for _ in 0..dag.rounds {
+            plain.run_round().unwrap();
+            attacked.run_round().unwrap();
+            assert_kept_hashes(plain.tangle(), &mut plain_seen);
+            assert_kept_hashes(attacked.simulation().tangle(), &mut attacked_seen);
+        }
+        for sim in [&plain, attacked.simulation()] {
+            let (held, retired) = sim.payloads();
+            assert!(held > 1 && retired > 0, "held {held}, retired {retired}");
+        }
+        let garbage = attacked.garbage_transactions();
+        assert_eq!(garbage.len(), dag.rounds - attack.clean_rounds);
+        let tangle = attacked.simulation().tangle();
+        assert!(
+            garbage
+                .iter()
+                .any(|&id| tangle.payload_of(id).unwrap().is_retired()),
+            "no garbage payload retired"
+        );
     }
 
     #[test]

@@ -141,6 +141,29 @@ fn publish(genesis: ModelPayload, messages: &[TxMessage]) -> (ShardedModelTangle
     (sharded, replica)
 }
 
+/// The sharded store of `messages` over `genesis` with every payload
+/// born hashed, as the rounds simulator attaches them.
+fn publish_hashed(genesis: &ModelPayload, messages: &[TxMessage]) -> ShardedModelTangle {
+    let born = |params: &[f32]| ModelPayload::hashed(params.to_vec());
+    let sharded = ShardedModelTangle::new(born(genesis.params()));
+    for message in messages {
+        let parents: Vec<TxId> = message
+            .parents
+            .iter()
+            .map(|&p| TxId::from_index(p))
+            .collect();
+        sharded
+            .attach_with_meta(
+                born(&message.params),
+                &parents,
+                message.issuer,
+                message.round,
+            )
+            .unwrap();
+    }
+    sharded
+}
+
 /// Walk windows from generated `(min, width)` pairs: inside the depth
 /// ceiling, straddling it or above it, plus the walk-from-genesis
 /// ablation's.
@@ -305,19 +328,25 @@ proptest! {
         let genesis = ModelPayload::new(tiny_model(1).parameters());
         let (_, messages) = grow(&script, genesis.clone(), &mut model);
         let (untouched, _) = publish(genesis.clone(), &messages);
+        let digest = tangle_digest(&untouched);
+        // Born-hashed payloads digest as their unhashed twins.
+        prop_assert_eq!(tangle_digest(&publish_hashed(&genesis, &messages)), digest);
         let depths = untouched.depths_from_tips();
         for window in windows(&pairs) {
             let (mut retired, _) = publish(genesis.clone(), &messages);
+            let mut born = publish_hashed(&genesis, &messages);
             let deep: Vec<TxId> = (1..depths.len())
                 .filter(|&i| depths[i] > window.1)
                 .map(|i| TxId::from_index(i as u64))
                 .collect();
             retire_payloads(&mut retired, &deep).unwrap();
+            retire_payloads(&mut born, &deep).unwrap();
             prop_assert_eq!(
                 accuracy_walk_tips(&retired, window, 6, seed),
                 accuracy_walk_tips(&untouched, window, 6, seed)
             );
-            prop_assert_eq!(tangle_digest(&retired), tangle_digest(&untouched));
+            prop_assert_eq!(tangle_digest(&retired), digest);
+            prop_assert_eq!(tangle_digest(&born), digest);
         }
     }
 }

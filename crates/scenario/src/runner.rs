@@ -4,8 +4,8 @@ use std::fmt;
 
 use dagfl_analysis::AnalysisSnapshot;
 use dagfl_core::{
-    specialization_seed, tangle_digest, AsyncMetrics, AsyncSimulation, ExecutionMode, ModelPayload,
-    PoisonRoundMetrics, PoisoningScenario, Simulation, SpecializationMetrics,
+    specialization_seed, tangle_digest, weights_hash, AsyncMetrics, AsyncSimulation, ExecutionMode,
+    ModelPayload, PoisonRoundMetrics, PoisoningScenario, Simulation, SpecializationMetrics,
 };
 use dagfl_tangle::{TangleRead, TangleStats, TxId, DEPTH_CEILING};
 
@@ -417,12 +417,14 @@ impl ScenarioRunner {
 /// recount of transactions, tips, edges and the longest path from the
 /// genesis, the tips are exactly the transactions with no children, and
 /// the capped depths the store keeps equal recomputed ones. Then its
-/// payloads: the genesis keeps its own (the model template), and every
+/// payloads: a live one that keeps a weights hash keeps its weights'
+/// hash, the genesis keeps its payload (the model template), and every
 /// retired one lies deeper than `walk_top`, the walk-start window's top,
 /// where no walk reaches. Two passes over the transactions and their
-/// edges; it draws no random number and prints nothing. The report
-/// helpers run it in builds with debug assertions, so every test run of
-/// a scenario audits its store and release builds never pay for it.
+/// edges, and one hash of every live payload that kept one; it draws no
+/// random number and prints nothing. The report helpers run it in
+/// builds with debug assertions, so every test run of a scenario audits
+/// its store and release builds never pay for it.
 ///
 /// # Panics
 ///
@@ -480,10 +482,18 @@ fn audit_store<T: TangleRead<ModelPayload>>(tangle: &T, stats: &TangleStats, wal
     }
     for (index, &depth) in depths.iter().enumerate() {
         let id = TxId::from_index(index as u64);
-        let retired = tangle
+        let payload = tangle
             .payload_of(id)
-            .unwrap_or_else(|e| panic!("store audit: {e}"))
-            .is_retired();
+            .unwrap_or_else(|e| panic!("store audit: {e}"));
+        if let (Some(kept), Some(weights)) = (payload.kept_hash(), payload.live()) {
+            let hash = weights_hash(weights);
+            assert!(
+                kept == hash,
+                "store audit: {id} keeps weights hash {kept:#018x}, \
+                 but its weights hash to {hash:#018x}"
+            );
+        }
+        let retired = payload.is_retired();
         assert!(
             !retired || (index > 0 && depth > walk_top),
             "store audit: the payload of {id} at depth {depth} was retired, \
@@ -760,7 +770,6 @@ mod tests {
         lie: Lie,
     }
 
-    #[derive(Clone, Copy)]
     enum Lie {
         /// The genesis approves a newer transaction.
         ForwardParent,
@@ -768,6 +777,9 @@ mod tests {
         GenesisTip,
         /// The genesis keeps a capped depth one too shallow.
         ShallowDepth,
+        /// Transaction 1 reads as this payload, whose kept hash is not
+        /// its weights'.
+        WrongHash(ModelPayload),
     }
 
     impl TangleRead<ModelPayload> for Lying {
@@ -776,7 +788,10 @@ mod tests {
         }
 
         fn payload_of(&self, id: TxId) -> Result<&ModelPayload, dagfl_tangle::TangleError> {
-            self.dag.payload_of(id)
+            match &self.lie {
+                Lie::WrongHash(forged) if id.index() == 1 => Ok(forged),
+                _ => self.dag.payload_of(id),
+            }
         }
 
         fn issuer_of(&self, id: TxId) -> Result<Option<u32>, dagfl_tangle::TangleError> {
@@ -879,6 +894,24 @@ mod tests {
             let message = audit_failure(&lying, &stats, 25);
             assert!(message.contains(violation), "{message}");
         }
+    }
+
+    #[test]
+    fn the_store_audit_rejects_a_kept_hash_that_does_not_match_its_weights() {
+        let mut dag = dagfl_tangle::Tangle::new(ModelPayload::hashed(vec![0.5]));
+        let g = dag.genesis();
+        let a = dag.attach(ModelPayload::hashed(vec![0.25]), &[g]).unwrap();
+        dag.attach(ModelPayload::hashed(vec![0.75]), &[a]).unwrap();
+        let stats = dag.stats();
+        audit_store(&dag, &stats, 25);
+        let forged = ModelPayload::with_unchecked_hash(vec![0.25], weights_hash(&[0.5]));
+        let lying = Lying {
+            dag,
+            lie: Lie::WrongHash(forged),
+        };
+        let message = audit_failure(&lying, &stats, 25);
+        let expected = format!("tx1 keeps weights hash {:#018x}", weights_hash(&[0.5]));
+        assert!(message.contains(&expected), "{message}");
     }
 
     #[test]

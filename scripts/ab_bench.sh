@@ -8,7 +8,10 @@
 #   * per end-to-end metric it prints every run, each side's median and
 #     quartiles and how many pairs each side won (ties count for neither),
 #   * per seed it says whether both sides produced the same results
-#     (every digest, final accuracy and pureness in benchmark/out).
+#     (every digest, final accuracy and pureness in benchmark/out):
+#     `identical`, `same accuracy and pureness, digest differs` (the
+#     runs agree but their digest does not, as when the hash changes),
+#     or `results differ`; the closing line names the worst kind seen.
 #
 # A gain is claimable when the change wins at least nine tenths of the
 # pairs and the medians differ by more than the parent's own
@@ -115,31 +118,38 @@ for metric in spec["end_to_end"]:
         print(f"{'':<14}{side} runs: " + " ".join(f"{v:.4g}" for v in runs[side]))
 
 print("\nresults per seed (digests, final accuracy and pureness, failed ops):")
-all_same = True
+# Kinds of per-seed outcome, from best to worst.
+KINDS = ["identical", "same accuracy and pureness, digest differs", "results differ"]
+worst = 0
 for seed in seeds:
     identity = {}
     for side in ("parent", "change"):
         full = load(side, seed, "full")
-        # Digests, and the accuracy/pureness a seed ends on; other notes
-        # count repetitions, which differ when one side is faster.
-        notes = [
+        # The accuracy/pureness a seed ends on, and its digests; other
+        # notes count repetitions, which differ when one side is faster.
+        results = [
             f"{check['name']}: {check['note']}"
             for check in full["checks"]
             if "approval_pureness" in check["name"]
-        ] + [
+        ]
+        digests = [
             digest
             for check in full["checks"]
             if "digest" in check["name"]
             for digest in re.findall(r"0x[0-9a-f]+", check["note"])
         ]
-        identity[side] = (notes, full["failed"])
-    same = identity["parent"][0] == identity["change"][0]
-    all_same &= same
-    failed = ", ".join(f"{side} failed {identity[side][1]}" for side in identity)
-    print(f"  seed {seed}: {'identical' if same else 'DIFFERENT'} ({failed})")
-    if not same:
+        identity[side] = (results, digests, full["failed"])
+    parent, change = identity["parent"], identity["change"]
+    kind = 0 if parent[:2] == change[:2] else 1 if parent[0] == change[0] else 2
+    worst = max(worst, kind)
+    failed = ", ".join(f"{side} failed {identity[side][2]}" for side in identity)
+    print(f"  seed {seed}: {KINDS[kind]} ({failed})")
+    if kind:
         for side in identity:
-            for note in identity[side][0]:
+            for note in identity[side][0] + identity[side][1]:
                 print(f"    {side}: {note}")
-print("all seeds identical" if all_same else "RESULTS DIFFER between the two sides")
+if worst == 0:
+    print("all seeds identical")
+else:
+    print(f"NOT ALL SEEDS IDENTICAL between the two sides; worst seed: {KINDS[worst]}")
 PY
